@@ -1,17 +1,21 @@
 """Brute-force ground truth for small q.
 
 Elements are realized as permutations of the projective line (the action
-is faithful and composition of index tuples is cheap), and generation is
+is faithful), each stored once as a ``bytes`` value of length q + 1, and
+composed with ``bytes.translate`` against a 256-byte table.  Generation is
 decided by literal subgroup closure: a pair generates iff the closure of
 the two elements under multiplication is the whole group.  The closure
 returns early once it outgrows every maximal subgroup order; disabling
 the early exit is supported so the shortcut itself can be tested.
 
-``oracle_psi2`` decides the pair (C, D) by fixing one representative of
-one class and sweeping every element of the other, which is equivalent to
-the full double sweep because the pair property is invariant under
-simultaneous conjugation and symmetric in the two classes; the sweep runs
-over the smaller class.
+``pair_generates`` decides the class pair (C, D) by fixing one element x
+of the smaller class and sweeping one element y of each orbit of the
+centralizer C_S(x), acting by conjugation, on the larger class.  Fixing x
+is sound because the pair property is invariant under simultaneous
+conjugation and symmetric in the two classes; sweeping one y per orbit is
+sound because for g in C_S(x), (x, y^g) = (x, y)^g has the same verdict
+as (x, y).  The centralizer is found by testing which enumerated elements
+commute with x, so the sweep never uses a structural rule.
 
 Representatives of the maximal subgroup classes are built explicitly
 (Borel and dihedral and subfield copies by direct matrix filters, the
@@ -51,8 +55,11 @@ from invgen.structure import (
 
 DEFAULT_CAP = 31
 CAP_ENV = "INVGEN_ORACLE_CAP"
+MAX_Q = 255  # q + 1 points must fit in a byte
 
-Perm = tuple[int, ...]
+Perm = bytes  # images of the points 0..q of the projective line
+
+_POINTS = bytes(range(256))
 
 
 class OracleCapError(Exception):
@@ -76,14 +83,19 @@ def _mobius_perm(ctx: GFContext, m: Mat) -> Perm:
         else:
             num = ctx.add(ctx.mul(a, v), b)
             img[1 + v] = 1 + ctx.mul(num, ctx.inv(den))
-    return tuple(img)
+    return bytes(img)
+
+
+def _table(p: Perm) -> bytes:
+    """p padded to a 256-byte translate table: w.translate(_table(p)) is p after w."""
+    return p + _POINTS[len(p):]
 
 
 def _perm_inverse(p: Perm) -> Perm:
-    out = [0] * len(p)
+    out = bytearray(len(p))
     for i, v in enumerate(p):
         out[v] = i
-    return tuple(out)
+    return bytes(out)
 
 
 class OracleSession:
@@ -91,8 +103,8 @@ class OracleSession:
 
     def __init__(self, ctx: GFContext, cap: int | None = None):
         cap = oracle_cap() if cap is None else cap
-        if ctx.q > cap:
-            raise OracleCapError(f"q={ctx.q} exceeds oracle cap {cap}")
+        if ctx.q > min(cap, MAX_Q):
+            raise OracleCapError(f"q={ctx.q} exceeds oracle cap {min(cap, MAX_Q)}")
         self.ctx = ctx
         self.inv = inventory(ctx)
         self.mats: list[Mat] = list(enumerate_psl2(ctx, cap=cap))
@@ -111,61 +123,79 @@ class OracleSession:
                 )
         self.order = len(self.mats)
         self.npoints = ctx.q + 1
-        self.identity: Perm = tuple(range(self.npoints))
+        self.identity: Perm = _POINTS[:self.npoints]
         self.exit_bound = max(
             sc.order for sc in maximal_subgroup_classes(ctx) if sc.maximal
         )
+        self._centralizers: dict[Perm, list[Perm]] = {}  # filled on demand
 
     # -- closure -------------------------------------------------------------
 
-    def closure_generates(self, gens: list[Perm], early_exit: bool = True) -> bool:
-        bound = self.exit_bound if early_exit else self.order
+    def _closure(self, gens: list[Perm], limit: int) -> set[Perm] | None:
+        """The subgroup generated by gens, or None once it exceeds limit elements."""
+        tables = [_table(g) for g in gens]
         seen = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            new = []
-            for w in frontier:
-                for g in gens:
-                    z = tuple(map(w.__getitem__, g))
-                    if z not in seen:
-                        seen.add(z)
-                        new.append(z)
-                        if len(seen) > bound:
-                            return True
-            frontier = new
-        return len(seen) == self.order
-
-    def subgroup_closure(self, gens: list[Perm], max_size: int) -> set[Perm] | None:
-        """Full closure, or None as soon as it exceeds max_size."""
-        seen = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            new = []
-            for w in frontier:
-                for g in gens:
-                    z = tuple(map(w.__getitem__, g))
-                    if z not in seen:
-                        if len(seen) >= max_size:
-                            return None
-                        seen.add(z)
-                        new.append(z)
-            frontier = new
+        queue = [self.identity]
+        for w in queue:  # breadth first: the loop reaches what it appends
+            for t in tables:
+                z = w.translate(t)
+                if z not in seen:
+                    seen.add(z)
+                    queue.append(z)
+            if len(seen) > limit:
+                return None
         return seen
+
+    def closure_generates(self, gens: list[Perm], early_exit: bool = True) -> bool:
+        closure = self._closure(gens, self.exit_bound if early_exit else self.order)
+        return closure is None or len(closure) == self.order
 
     def generates(self, x: Mat, y: Mat, early_exit: bool = True) -> bool:
         return self.closure_generates([self.perm_of[x], self.perm_of[y]], early_exit)
 
     # -- Psi2 ----------------------------------------------------------------
 
+    def centralizer(self, x: Perm) -> list[Perm]:
+        """C_S(x): the enumerated elements that commute with x."""
+        if x not in self._centralizers:
+            xt = _table(x)
+            self._centralizers[x] = [
+                g for g in self.perm_of.values()
+                if g.translate(xt) == x.translate(_table(g))
+            ]
+        return self._centralizers[x]
+
+    def centralizer_orbits(self, x: Perm, ys: list[Perm]):
+        """Yield (y, orbit of y) for each C_S(x)-orbit on ys, lazily.
+
+        ys must be closed under conjugation by C_S(x), as a class is; y is
+        the first member of its orbit in the order of ys.
+        """
+        cent = [(_perm_inverse(g), _table(g)) for g in self.centralizer(x)]
+        seen: set[Perm] = set()
+        for y in ys:
+            if y in seen:
+                continue
+            yt = _table(y)
+            orbit = {ginv.translate(yt).translate(gt) for ginv, gt in cent}
+            seen |= orbit
+            yield y, orbit
+
     def pair_generates(self, c: ClassLabel, d: ClassLabel, rep_index: int = 0,
                        early_exit: bool = True) -> bool:
-        """Invariable generation verdict for the class pair (c, d)."""
+        """Invariable generation verdict for the class pair (c, d).
+
+        Fixes x in the smaller class and sweeps one y per C_S(x)-orbit on
+        the larger class (the verdict is symmetric in c and d).
+        """
         cs, ds = self.by_label[c], self.by_label[d]
-        if len(ds) < len(cs):  # sweep the smaller class, verdict is symmetric
+        if len(ds) < len(cs):
             cs, ds = ds, cs
         x = self.perm_of[cs[rep_index % len(cs)]]
+        ys = [self.perm_of[m] for m in ds]
         return all(
-            self.closure_generates([x, self.perm_of[y]], early_exit) for y in ds
+            self.closure_generates([x, y], early_exit)
+            for y, _ in self.centralizer_orbits(x, ys)
         )
 
     def psi2(self, early_exit: bool = True) -> Psi2Table:
@@ -274,7 +304,7 @@ class OracleSession:
         for _ in range(attempts):
             a = self.perm_of[rng.choice(invols)]
             b = self.perm_of[rng.choice(order3)]
-            closure = self.subgroup_closure([a, b], target)
+            closure = self._closure([a, b], target)
             if closure is None or len(closure) != target:
                 continue
             h = frozenset(closure)
@@ -289,13 +319,12 @@ class OracleSession:
         )
 
     def _conjugacy_orbit(self, h: frozenset[Perm]) -> set[frozenset[Perm]]:
+        tables = [_table(x) for x in h]
         orbit = set()
         for m in self.mats:
             g = self.perm_of[m]
-            ginv = _perm_inverse(g)
-            orbit.add(frozenset(
-                tuple(map(g.__getitem__, map(x.__getitem__, ginv))) for x in h
-            ))
+            ginv, gt = _perm_inverse(g), _table(g)
+            orbit.add(frozenset(ginv.translate(xt).translate(gt) for xt in tables))
         return orbit
 
     def class_fusion(self, seed: int = 20260810) -> dict[str, set[ClassLabel]]:

@@ -2,8 +2,8 @@
 
 Each test prints a PASS line with its measured runtime; the stated budget
 is asserted (they are generous on desk hardware).  The extended oracle set
-{16, 25, 27} only runs when INVGEN_EXTENDED=1, matching
-`invgen verify --extended`.
+{16, 25, 27, 31} only runs when INVGEN_EXTENDED=1; `invgen verify
+--extended` runs {16, 25, 27}.
 """
 
 import os
@@ -35,7 +35,8 @@ from invgen.structure import psi2_structural, verify_2covering
 
 ALL_QS = [q for q in range(4, 1025) if prime_power_split(q)]
 MANDATORY_ORACLE_QS = [4, 5, 7, 8, 9, 11, 13]
-EXTENDED_ORACLE_QS = [16, 25, 27]
+WIDER_ORACLE_QS = [16, 19]  # characteristic 2 with subfield PSL(2,4); A5 at q=19
+EXTENDED_ORACLE_QS = [16, 25, 27, 31]
 
 EXTENDED = os.environ.get("INVGEN_EXTENDED") == "1"
 
@@ -75,9 +76,16 @@ def test_c02_oracle_equivalence_mandatory():
             assert sess.psi2().pairs == psi2_structural(sess.ctx, sess.inv).pairs, q
 
 
+def test_c02_oracle_equivalence_wider():
+    with Budget("criterion 2 wider: oracle == structural on {16,19}", 60):
+        for q in WIDER_ORACLE_QS:
+            sess = OracleSession(gf_for_q(q))
+            assert sess.psi2().pairs == psi2_structural(sess.ctx, sess.inv).pairs, q
+
+
 @pytest.mark.skipif(not EXTENDED, reason="extended oracle set needs INVGEN_EXTENDED=1")
 def test_c02_oracle_equivalence_extended():
-    with Budget("criterion 2 extended: oracle == structural on {16,25,27}", 900):
+    with Budget("criterion 2 extended: oracle == structural on {16,25,27,31}", 900):
         for q in EXTENDED_ORACLE_QS:
             sess = OracleSession(gf_for_q(q))
             assert sess.psi2().pairs == psi2_structural(sess.ctx, sess.inv).pairs, q

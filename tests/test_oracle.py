@@ -3,8 +3,13 @@ import random
 import pytest
 
 from invgen.gf import gf_for_q
-from invgen.psl2 import ClassLabel, make, psl2_order
-from invgen.oracle import OracleCapError, OracleSession, oracle_isolated_vertices
+from invgen.psl2 import ClassLabel, make, psl2_mul, psl2_order
+from invgen.oracle import (
+    OracleCapError,
+    OracleSession,
+    _table,
+    oracle_isolated_vertices,
+)
 from invgen.structure import (
     label_meets,
     maximal_subgroup_classes,
@@ -50,6 +55,18 @@ def test_common_borel_never_generates(sessions):
     x = make(ctx, 1, 1, 0, 1)
     y = make(ctx, 3, 0, 0, 5)  # diagonal, so <x, y> is upper triangular
     assert not sess.generates(x, y)
+
+
+@pytest.mark.parametrize("q", [5, 8, 9, 16])
+def test_perm_of_product_is_composition(q, sessions):
+    sess = sessions(q)
+    rng = random.Random(q)
+    for _ in range(50):
+        a, b = rng.choice(sess.mats), rng.choice(sess.mats)
+        pa, pb = sess.perm_of[a], sess.perm_of[b]
+        a_after_b = bytes(pa[i] for i in pb)  # matrices act on the left
+        assert sess.perm_of[psl2_mul(sess.ctx, a, b)] == a_after_b
+        assert pb.translate(_table(pa)) == a_after_b
 
 
 def test_cap_enforced():
@@ -99,6 +116,41 @@ def test_representative_choice_is_irrelevant(sessions):
             c, d = rng.choice(labels), rng.choice(labels)
             verdict = sess.pair_generates(c, d, rep_index=rng.randrange(1000))
             assert verdict == ((c, d) in base.pairs), (q, c, d)
+
+
+def literal_full_sweep(sess, c, d):
+    """The unreduced sweep: one x fixed in the smaller class, every y of the other."""
+    cs, ds = sess.by_label[c], sess.by_label[d]
+    if len(ds) < len(cs):
+        cs, ds = ds, cs
+    x = sess.perm_of[cs[0]]
+    return all(sess.closure_generates([x, sess.perm_of[y]]) for y in ds)
+
+
+@pytest.mark.parametrize("q", FAST_QS)
+def test_orbit_sweep_matches_full_sweep(q, sessions):
+    sess = sessions(q)
+    labels = sess.inv.nonidentity_labels()
+    for c in labels:
+        for d in labels:
+            assert sess.pair_generates(c, d) == literal_full_sweep(sess, c, d), (q, c, d)
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 11])
+def test_centralizer_orbits_partition_each_class(q, sessions):
+    sess = sessions(q)
+    labels = sess.inv.nonidentity_labels()
+    for c in labels:
+        x = sess.perm_of[sess.by_label[c][0]]
+        cent = sess.centralizer(x)
+        assert len(cent) * len(sess.by_label[c]) == sess.order, (q, c)
+        for d in labels:
+            ys = [sess.perm_of[m] for m in sess.by_label[d]]
+            orbits = [orbit for _, orbit in sess.centralizer_orbits(x, ys)]
+            assert sum(len(o) for o in orbits) == len(ys), (q, c, d)
+            assert set().union(*orbits) == set(ys), (q, c, d)
+            for orbit in orbits:
+                assert len(cent) % len(orbit) == 0, (q, c, d)
 
 
 @pytest.mark.parametrize("q", FAST_QS)
