@@ -22,7 +22,7 @@ from invgen.structure import (
     profile_census,
 )
 from invgen.autorbits import AutAction, OrbitPartition, aut_action, beta, beta_fast
-from invgen.oracle import OracleSession, OracleCapError, oracle_psi2, oracle_isolated_vertices
+from invgen.oracle import OracleSession, OracleCapError
 from invgen.iggraph import (
     IGGraph,
     BoundReport,
@@ -47,7 +47,7 @@ __all__ = [
     "SubgroupClass", "Psi2Table", "maximal_subgroup_classes",
     "build_profiles", "psi2_structural", "verify_2covering", "profile_census",
     "AutAction", "OrbitPartition", "aut_action", "beta", "beta_fast",
-    "OracleSession", "OracleCapError", "oracle_psi2", "oracle_isolated_vertices",
+    "OracleSession", "OracleCapError",
     "IGGraph", "BoundReport", "GraphCapError",
     "lambda_graph", "lambda_power", "lambda_summary",
     "components", "is_bipartite", "diameter", "clique_number", "chromatic_number",

@@ -9,9 +9,11 @@ Inner automorphisms fix every label, so the induced action is generated by
     {t^p, -t^p} and preserves unipotent square-class flags.
 
 The number of orbits of the diagonal action on Psi2 equals beta(S), the
-largest t for which S^t is invariably 2-generated.  Orbits are computed by
-union-find on the explicit pair set; ``beta_fast`` counts them by Burnside
-over profile buckets instead, which is what the large-q sweeps use.
+largest t for which S^t is invariably 2-generated.  ``beta_fast`` counts
+them by Burnside's lemma over profile buckets; it is the one production
+route to beta.  ``beta`` builds the orbit partition itself, as the images
+of one pair per orbit under every element of the induced group, for the
+callers that need the orbits (``beta --orbits`` and the power graph).
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from invgen.gf import GFContext
-from invgen.psl2 import ClassInventory, ClassLabel, inventory, trace_key
-from invgen.structure import ProfileCensus, Psi2Table, profile_census
+from invgen.psl2 import ClassInventory, ClassLabel, trace_key
+from invgen.structure import ProfileCensus, Psi2Table
 
 LabelPerm = dict[ClassLabel, ClassLabel]
 Pair = tuple[ClassLabel, ClassLabel]
@@ -61,9 +63,7 @@ class AutAction:
         return tuple(sorted((a.str_form(), b.str_form()) for a, b in perm.items()))
 
 
-def aut_action(ctx: GFContext, inv: ClassInventory | None = None) -> AutAction:
-    if inv is None:
-        inv = inventory(ctx)
+def aut_action(ctx: GFContext, inv: ClassInventory) -> AutAction:
     labels = inv.labels()
     diagonal: LabelPerm | None = None
     if ctx.q % 2 == 1:
@@ -85,28 +85,8 @@ def aut_action(ctx: GFContext, inv: ClassInventory | None = None) -> AutAction:
     return AutAction(ctx, diagonal, frob)
 
 
-class UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-    def groups(self) -> list[list]:
-        out: dict = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return list(out.values())
+def _pair_key(pair: Pair) -> tuple[str, str]:
+    return pair[0].str_form(), pair[1].str_form()
 
 
 @dataclass
@@ -119,72 +99,61 @@ class OrbitPartition:
         return {
             "beta": self.beta,
             "orbit_of": {
-                f"{a.str_form()}|{b.str_form()}": i
-                for (a, b), i in sorted(
-                    self.orbit_of.items(),
-                    key=lambda kv: (kv[0][0].str_form(), kv[0][1].str_form()),
-                )
+                "|".join(_pair_key(pair)): i
+                for pair, i in sorted(self.orbit_of.items(), key=lambda kv: _pair_key(kv[0]))
             },
-            "orbits": [
-                sorted((a.str_form(), b.str_form()) for a, b in orbit)
-                for orbit in self.orbits
-            ],
+            "orbits": [sorted(map(_pair_key, orbit)) for orbit in self.orbits],
         }
 
 
 def beta(action: AutAction, psi2: Psi2Table) -> OrbitPartition:
-    """Orbit count of the diagonal Aut(S)-action on Psi2, by union-find.
+    """Orbit partition of the diagonal Aut(S)-action on Psi2.
 
-    Also checks that no orbit contains both (C, D) and (D, C): the swap
-    direction can never be reached because the bipartition parts are
-    Aut-invariant, and a violation would falsify the evenness of beta.
+    Each orbit is the set of images of one of its pairs under every element
+    of the induced group.  Checks that every image stays in Psi2 and that no
+    orbit contains both (C, D) and (D, C): the swap direction can never be
+    reached because the bipartition parts are Aut-invariant, and a
+    violation would falsify the evenness of beta.
     """
     if not psi2.pairs:
         raise ValueError("Psi2 is empty")
-    uf = UnionFind(psi2.pairs)
-    for gen in action.generators():
-        for c, dlab in psi2.pairs:
-            image = (gen[c], gen[dlab])
+    elements = action.elements()
+    seen: set[Pair] = set()
+    orbits: list[list[Pair]] = []
+    for c, dlab in psi2.pairs:
+        if (c, dlab) in seen:
+            continue
+        orbit = {(g[c], g[dlab]) for g in elements}
+        for image in orbit:
             if image not in psi2.pairs:
                 raise RuntimeError(
                     f"automorphism image {image} left Psi2; the action is broken"
                 )
-            uf.union((c, dlab), image)
-    orbits = sorted(uf.groups(), key=lambda o: sorted(
-        (a.str_form(), b.str_form()) for a, b in o))
-    for orbit in orbits:
-        members = set(orbit)
-        for c, dlab in orbit:
-            if (dlab, c) in members:
+            if (image[1], image[0]) in orbit:
                 raise RuntimeError(
                     f"orbit of ({c}, {dlab}) contains its swap; the action is broken"
                 )
+        seen |= orbit
+        orbits.append(sorted(orbit, key=_pair_key))
+    orbits.sort(key=lambda o: [_pair_key(pair) for pair in o])
     orbit_of = {pair: i for i, orbit in enumerate(orbits) for pair in orbit}
     return OrbitPartition(len(orbits), orbits, orbit_of)
 
 
-def beta_fast(ctx: GFContext, inv: ClassInventory | None = None,
-              census: ProfileCensus | None = None) -> int:
+def beta_fast(action: AutAction, census: ProfileCensus) -> int:
     """Orbit count by Burnside's lemma over profile buckets.
 
     Psi2 membership depends only on the maximal profile, so the number of
     fixed pairs of an automorphism sigma is the bucket-product count taken
     over sigma-fixed labels.  Avoids materializing Psi2 for large q.
     """
-    if inv is None:
-        inv = inventory(ctx)
-    if census is None:
-        census = profile_census(ctx, inv)
-    action = aut_action(ctx, inv)
     elements = action.elements()
+    disjoint = census.disjoint_pairs()
     total = 0
     for perm in elements:
         fixed_sizes = [sum(1 for lab in mem if perm[lab] == lab)
                        for mem in census.members]
-        for i, pi in enumerate(census.buckets):
-            for j, pj in enumerate(census.buckets):
-                if pi.isdisjoint(pj):
-                    total += fixed_sizes[i] * fixed_sizes[j]
+        total += sum(fixed_sizes[i] * fixed_sizes[j] for i, j in disjoint)
     count, rem = divmod(total, len(elements))
     if rem:
         raise RuntimeError("Burnside count is not an integer; action is inconsistent")

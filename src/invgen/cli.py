@@ -31,7 +31,7 @@ from invgen.iggraph import (
 )
 from invgen.oracle import OracleCapError, OracleSession, oracle_cap
 from invgen.psl2 import inventory
-from invgen.structure import psi2_structural, verify_2covering
+from invgen.structure import profile_census, psi2_structural, verify_2covering
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -110,27 +110,30 @@ def cmd_psi2(args) -> int:
     inv = inventory(ctx)
     tables = {}
     if args.method in ("structural", "both"):
-        tables["structural"] = psi2_structural(ctx, inv)
+        tables["structural"] = psi2_structural(profile_census(ctx, inv))
     if args.method in ("oracle", "both"):
         tables["oracle"] = OracleSession(ctx).psi2()
     table = tables.get("oracle") or tables["structural"]
     k = len(inv)
     prob = len(table) / (k * k)
-    payload = table.to_json()
-    payload["probability"] = prob
+    match = None
     if args.method == "both":
-        payload["match"] = tables["structural"].pairs == tables["oracle"].pairs
+        match = tables["structural"].pairs == tables["oracle"].pairs
     if args.format == "json":
+        payload = table.to_json()
+        payload["probability"] = prob
+        if match is not None:
+            payload["match"] = match
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     elif args.format == "csv":
         _emit(table.to_csv(), args.out)
     else:
         lines = [f"{a}  {b}" for a, b in table.sorted_pairs()]
         lines.append(f"count={len(table)} probability={prob:.6f}")
-        if args.method == "both":
-            lines.append(f"match={payload['match']}")
+        if match is not None:
+            lines.append(f"match={match}")
         _emit("\n".join(lines) + "\n", args.out)
-    if args.method == "both" and not payload["match"]:
+    if match is False:
         print(f"psi2 mismatch between methods at q={ctx.q}", file=sys.stderr)
         return EXIT_FAIL
     return EXIT_OK
@@ -139,11 +142,12 @@ def cmd_psi2(args) -> int:
 def cmd_graph(args) -> int:
     ctx = _context(args)
     inv = inventory(ctx)
-    psi2 = psi2_structural(ctx, inv)
+    psi2 = psi2_structural(profile_census(ctx, inv))
     if args.power == 1:
         g = lambda_graph(ctx, psi2, inv, plus=args.plus)
     else:
-        g = lambda_power(ctx, args.power, psi2=psi2, inv=inv, plus=args.plus)
+        orbit_of = beta(aut_action(ctx, inv), psi2).orbit_of
+        g = lambda_power(ctx, args.power, psi2, orbit_of, inv, plus=args.plus)
     ok, parts = is_bipartite(g)
     parts_arg = parts if ok else None
     if args.format == "dot":
@@ -161,34 +165,39 @@ def cmd_graph(args) -> int:
 def cmd_beta(args) -> int:
     ctx = _context(args)
     inv = inventory(ctx)
-    psi2 = psi2_structural(ctx, inv)
+    census = profile_census(ctx, inv)
     action = aut_action(ctx, inv)
-    part = beta(action, psi2)
-    d = 2 if ctx.q % 2 == 1 else 1
-    df = d * ctx.f
-    floor_report = n_lower_bound_report(ctx, inv)
-    exact_report = n_lower_bound_report(ctx, inv, beta_exact=part.beta)
+    b = beta_fast(action, census)
+    count = census.psi2_count()
+    df = inv.d * ctx.f
+    floor_report = n_lower_bound_report(ctx, inv, census).to_json()
+    exact_report = n_lower_bound_report(ctx, inv, census, beta_exact=b).to_json()
     payload = {
         "q": ctx.q,
-        "psi2_count": len(psi2),
+        "psi2_count": count,
         "out_order": df,
-        "beta": part.beta,
-        "beta_even": part.beta % 2 == 0,
-        "bounds_ok": len(psi2) / df <= part.beta <= len(psi2),
-        "n_lower_bound": floor_report.to_json(),
-        "component_bound_at_beta": exact_report.to_json(),
+        "beta": b,
+        "beta_even": b % 2 == 0,
+        "bounds_ok": count / df <= b <= count,
+        "n_lower_bound": floor_report,
+        "component_bound_at_beta": exact_report,
     }
     if args.orbits:
+        part = beta(action, psi2_structural(census))
+        if part.beta != b:
+            raise RuntimeError(
+                f"orbit partition has {part.beta} orbits but Burnside counts {b}"
+            )
         payload["orbits"] = part.to_json()["orbits"]
     if args.format == "json":
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
-        lines = [f"q={ctx.q} |Psi2|={len(psi2)} |Out|={df} beta={part.beta}",
+        lines = [f"q={ctx.q} |Psi2|={count} |Out|={df} beta={b}",
                  f"even={payload['beta_even']} bounds_ok={payload['bounds_ok']}",
-                 f"certified floor bound: {floor_report.bound} "
-                 f"(log2 {floor_report.log2_bound:.3f})",
-                 f"component bound at beta: {exact_report.bound} "
-                 f"(log2 {exact_report.log2_bound:.3f})"]
+                 f"certified floor bound: {floor_report['component_bound']} "
+                 f"(log2 {floor_report['log2_bound']:.3f})",
+                 f"component bound at beta: {exact_report['component_bound']} "
+                 f"(log2 {exact_report['log2_bound']:.3f})"]
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -214,19 +223,20 @@ def _expected_isolated(ctx: GFContext, inv) -> set[str]:
 def verify_q(ctx: GFContext, oracle: bool = False) -> dict:
     """Run every per-q check; returns {check_name: bool}."""
     q = ctx.q
-    d = 2 if q % 2 == 1 else 1
     inv = inventory(ctx)
+    d = inv.d
+    census = profile_census(ctx, inv)
     checks: dict[str, bool] = {}
     checks["class_count"] = len(inv) == (q + 4 * d - 3) // d
     cover = verify_2covering(ctx, inv)
     checks["two_covering"] = cover.ok
-    s = lambda_summary(ctx, inv)
+    s = lambda_summary(ctx, inv, census, cover)
     checks["bipartite"] = s.bipartite and s.parts_match_covering
     checks["connected"] = s.component_count == 1
     checks["diameter"] = s.diameter <= 3
     expected = _expected_isolated(ctx, inv)
     checks["isolated_census"] = set(s.isolated) == expected
-    b = beta_fast(ctx, inv)
+    b = beta_fast(aut_action(ctx, inv), census)
     checks["beta_even"] = b % 2 == 0
     checks["beta_bounds"] = s.psi2_count / (d * ctx.f) <= b <= s.psi2_count
     if q >= 64:
@@ -235,7 +245,7 @@ def verify_q(ctx: GFContext, oracle: bool = False) -> dict:
         checks["psi2_asymptotic"] = 0.8 <= s.psi2_count * 2 * d * d / (q * q) <= 1.2
     if oracle:
         table = OracleSession(ctx).psi2()
-        structural = psi2_structural(ctx, inv)
+        structural = psi2_structural(census)
         checks["oracle_equals_structural"] = table.pairs == structural.pairs
     return checks
 

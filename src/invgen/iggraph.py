@@ -17,7 +17,7 @@ big-integer binomials.
 the label-level graph: labels with identical maximal profiles have
 identical neighborhoods, so the quotient by profile buckets (a blow-up
 relationship) determines component count, bipartiteness, diameter and
-isolated vertices exactly.
+isolated vertices exactly; it runs the same analyses on that quotient.
 """
 
 from __future__ import annotations
@@ -27,14 +27,8 @@ from dataclasses import dataclass, field
 from math import comb
 
 from invgen.gf import GFContext
-from invgen.psl2 import ClassInventory, ClassLabel, inventory
-from invgen.structure import (
-    CoveringResult,
-    Psi2Table,
-    profile_census,
-    psi2_structural,
-    verify_2covering,
-)
+from invgen.psl2 import ClassInventory, ClassLabel
+from invgen.structure import CoveringResult, ProfileCensus, Psi2Table
 
 POWER_VERTEX_CAP = 10 ** 6
 EXACT_SOLVER_CAP = 64
@@ -69,13 +63,9 @@ class IGGraph:
         return v.str_form()
 
 
-def lambda_graph(ctx: GFContext, psi2: Psi2Table | None = None,
-                 inv: ClassInventory | None = None, plus: bool = False) -> IGGraph:
+def lambda_graph(ctx: GFContext, psi2: Psi2Table, inv: ClassInventory,
+                 plus: bool = False) -> IGGraph:
     """The graph on nonidentity classes of S; plus drops isolated vertices."""
-    if inv is None:
-        inv = inventory(ctx)
-    if psi2 is None:
-        psi2 = psi2_structural(ctx, inv)
     vertices = list(inv.nonidentity_labels())
     adj = {v: set() for v in vertices}
     for a, b in psi2.pairs:
@@ -87,20 +77,16 @@ def lambda_graph(ctx: GFContext, psi2: Psi2Table | None = None,
     return IGGraph(ctx.q, 1, psi2.method, vertices, adj)
 
 
-def lambda_power(ctx: GFContext, t: int, psi2: Psi2Table | None = None,
-                 orbit_of: dict | None = None, inv: ClassInventory | None = None,
-                 plus: bool = False, cap: int = POWER_VERTEX_CAP) -> IGGraph:
-    """The graph on classes of S^t via the product criterion."""
+def lambda_power(ctx: GFContext, t: int, psi2: Psi2Table, orbit_of: dict,
+                 inv: ClassInventory, plus: bool = False,
+                 cap: int = POWER_VERTEX_CAP) -> IGGraph:
+    """The graph on classes of S^t via the product criterion.
+
+    ``orbit_of`` maps each Psi2 pair to its Aut(S)-orbit, as in the
+    partition that ``autorbits.beta`` returns.
+    """
     from itertools import product
 
-    from invgen.autorbits import aut_action, beta
-
-    if inv is None:
-        inv = inventory(ctx)
-    if psi2 is None:
-        psi2 = psi2_structural(ctx, inv)
-    if orbit_of is None:
-        orbit_of = beta(aut_action(ctx, inv), psi2).orbit_of
     n_orbits = len(set(orbit_of.values()))
     if t > n_orbits:
         raise ValueError(
@@ -268,11 +254,8 @@ def chromatic_number(g: IGGraph) -> int:
     return k
 
 
-def gamma_upper(ctx: GFContext, inv: ClassInventory | None = None,
-                cover: CoveringResult | None = None) -> tuple[int, tuple[str, str]]:
+def gamma_upper(ctx: GFContext, cover: CoveringResult) -> tuple[int, tuple[str, str]]:
     """Normal covering number of PSL(2,q): exactly 2, with the witness pair."""
-    if cover is None:
-        cover = verify_2covering(ctx, inv)
     if not cover.ok:
         raise RuntimeError(
             f"2-covering check failed for q={ctx.q}; structural model is broken"
@@ -318,12 +301,10 @@ class BoundReport:
 
 
 def _big_int_str(n: int) -> str:
-    """Exact decimal form; lifts the interpreter's digit limit when needed."""
-    import sys
-    needed = n.bit_length() // 3 + 16
-    if hasattr(sys, "get_int_max_str_digits") and sys.get_int_max_str_digits() < needed:
-        sys.set_int_max_str_digits(needed)
-    return str(n)
+    """Exact decimal form of any size, leaving the interpreter's int-to-str
+    digit limit alone (``decimal`` does not apply it)."""
+    import decimal
+    return str(decimal.Decimal(n))
 
 
 def component_bound(beta_value: int) -> int:
@@ -336,7 +317,7 @@ def component_bound(beta_value: int) -> int:
     return comb(beta_value, beta_value // 2) // 2
 
 
-def n_lower_bound_report(ctx: GFContext, inv: ClassInventory | None = None,
+def n_lower_bound_report(ctx: GFContext, inv: ClassInventory, census: ProfileCensus,
                          beta_exact: int | None = None) -> BoundReport:
     """Certified lower bound on the component count of the plus graph of S^beta.
 
@@ -344,12 +325,8 @@ def n_lower_bound_report(ctx: GFContext, inv: ClassInventory | None = None,
     orbit count is not supplied; the half-binomial is monotone in even beta,
     so the report stays a true lower bound.
     """
-    if inv is None:
-        inv = inventory(ctx)
-    census = profile_census(ctx, inv)
     count = census.psi2_count()
-    d = 2 if ctx.q % 2 == 1 else 1
-    beta_lb = count // (d * ctx.f)
+    beta_lb = count // (inv.d * ctx.f)
     use = beta_exact if beta_exact is not None else beta_lb
     use_even = use if use % 2 == 0 else use - 1
     if use_even < 2:
@@ -376,102 +353,61 @@ class LambdaSummary:
     isolated: list[str] = field(default_factory=list)
 
 
-def lambda_summary(ctx: GFContext, inv: ClassInventory | None = None) -> LambdaSummary:
+def lambda_summary(ctx: GFContext, inv: ClassInventory, census: ProfileCensus,
+                   cover: CoveringResult) -> LambdaSummary:
     """Exact plus-graph facts computed on the profile-bucket quotient.
 
     Same-profile labels are twins (identical neighborhoods, never mutually
-    adjacent), so the quotient graph determines everything reported here.
+    adjacent), so the quotient graph on the buckets with a neighbor
+    determines everything reported here; twins sit at distance exactly 2,
+    which lifts the diameter to 2 when a live bucket has two members.
     """
-    if inv is None:
-        inv = inventory(ctx)
-    census = profile_census(ctx, inv)
-    n = len(census.buckets)
     sizes = [len(m) for m in census.members]
-    qadj = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if census.buckets[i].isdisjoint(census.buckets[j]):
-                qadj[i].add(j)
-                qadj[j].add(i)
-    psi2_count = census.psi2_count()
-    live = [i for i in range(n) if qadj[i]]
+    qadj: dict[int, set[int]] = {i: set() for i in range(len(sizes))}
+    for i, j in census.disjoint_pairs():
+        if i != j:
+            qadj[i].add(j)
+    live = [i for i in qadj if qadj[i]]
+    quotient = IGGraph(ctx.q, 1, "structural", live, {i: qadj[i] for i in live})
     isolated = sorted(
-        lab.str_form() for i in range(n) if not qadj[i] for lab in census.members[i]
+        lab.str_form() for i in qadj if not qadj[i] for lab in census.members[i]
     )
-    vertices_plus = sum(sizes[i] for i in live)
-    edge_count = sum(
-        sizes[i] * sizes[j] for i in live for j in qadj[i] if i < j
-    )
-
-    # components / bipartite / diameter on the quotient
-    comp_of = {}
-    comp_count = 0
-    color = {}
-    bipartite = True
-    for start in live:
-        if start in comp_of:
-            continue
-        comp_count += 1
-        comp_of[start] = comp_count
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in qadj[v]:
-                if w not in comp_of:
-                    comp_of[w] = comp_count
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    bipartite = False
-    diam = 0
-    for start in live:
-        dist = {start: 0}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in qadj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        ecc = max(dist.values())
-        if sizes[start] >= 2:
-            ecc = max(ecc, 2)  # twin vertices sit at distance exactly 2
-        diam = max(diam, ecc)
-
-    parts_ok = bipartite and _parts_match_covering(ctx, inv, census, qadj, live)
+    bipartite, _ = is_bipartite(quotient)
+    diam = diameter(quotient)
+    if any(sizes[i] >= 2 for i in live):
+        diam = max(diam, 2)
     return LambdaSummary(
         q=ctx.q,
         class_count=len(inv),
-        psi2_count=psi2_count,
-        vertices_plus=vertices_plus,
-        edge_count=edge_count,
-        component_count=comp_count,
+        psi2_count=census.psi2_count(),
+        vertices_plus=sum(sizes[i] for i in live),
+        edge_count=sum(sizes[i] * sizes[j] for i in live for j in qadj[i] if i < j),
+        component_count=len(components(quotient)),
         bipartite=bipartite,
-        parts_match_covering=parts_ok,
+        parts_match_covering=bipartite and _parts_match_covering(cover, census, quotient),
         diameter=diam,
         isolated=isolated,
     )
 
 
-def _parts_match_covering(ctx, inv, census, qadj, live) -> bool:
+def _parts_match_covering(cover: CoveringResult, census: ProfileCensus,
+                          quotient: IGGraph) -> bool:
     """Every quotient edge must join the Borel-only side to the dihedral-only side."""
-    cover = verify_2covering(ctx, inv)
     side: dict[ClassLabel, int] = {}
     for lab in cover.only_borel:
         side[lab] = 0
     for lab in cover.only_dihedral:
         side[lab] = 1
     bucket_side = []
-    for i, members in enumerate(census.members):
+    for members in census.members:
         tags = {side.get(lab) for lab in members}
         if len(tags) != 1:
             return False
         bucket_side.append(tags.pop())
-    for i in live:
+    for i in quotient.vertices:
         if bucket_side[i] is None:  # covered by both sides yet not isolated
             return False
-        for j in qadj[i]:
+        for j in quotient.adj[i]:
             if bucket_side[j] == bucket_side[i]:
                 return False
     return True
@@ -487,18 +423,19 @@ def part_pattern(vertex: tuple, part1: set[ClassLabel]) -> frozenset[int]:
 
 
 def to_dot(g: IGGraph, parts: tuple[list, list] | None = None) -> str:
+    """DOT text; each edge is written once, from its earlier end in vertex
+    order, with the later ends in vertex order too (not set order, which
+    depends on the hash seed)."""
     names = {v: g.vertex_name(v) for v in g.vertices}
+    position = {v: i for i, v in enumerate(g.vertices)}
     lines = ["graph lambda {"]
     part1 = set(parts[0]) if parts else set()
     for v in g.vertices:
         attrs = f' [part="{1 if v in part1 else 2}"]' if parts else ""
         lines.append(f'  "{names[v]}"{attrs};')
-    seen = set()
     for v in g.vertices:
-        for w in g.adj[v]:
-            key = frozenset((v, w))
-            if key not in seen:
-                seen.add(key)
+        for w in sorted(g.adj[v], key=position.__getitem__):
+            if position[v] < position[w]:
                 lines.append(f'  "{names[v]}" -- "{names[w]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

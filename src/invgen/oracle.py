@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
 
 from invgen.gf import GFContext
 from invgen.psl2 import (
@@ -384,11 +383,3 @@ class OracleSession:
         if first_has_sq == [True, False]:
             return labelsets
         return sorted(labelsets, key=lambda ls: sorted(l.str_form() for l in ls))
-
-
-def oracle_psi2(ctx: GFContext, cap: int | None = None) -> Psi2Table:
-    return OracleSession(ctx, cap=cap).psi2()
-
-
-def oracle_isolated_vertices(ctx: GFContext, cap: int | None = None) -> set[ClassLabel]:
-    return OracleSession(ctx, cap=cap).isolated_vertices()

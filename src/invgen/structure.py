@@ -22,9 +22,10 @@ oracle certifies the variant split as a multiset.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from invgen.gf import GFContext
-from invgen.psl2 import ClassInventory, ClassLabel, inventory
+from invgen.psl2 import ClassInventory, ClassLabel
 
 BOREL = "borel"
 DIH_SPLIT = "dih_split"
@@ -175,14 +176,9 @@ def profile_universe(classes: list[SubgroupClass]) -> list[SubgroupClass]:
     return [sc for sc in classes if sc.maximal or sc.kind == DIH_NONSPLIT]
 
 
-def build_profiles(ctx: GFContext, inv: ClassInventory | None = None,
-                   classes: list[SubgroupClass] | None = None,
+def build_profiles(ctx: GFContext, inv: ClassInventory, classes: list[SubgroupClass],
                    ) -> dict[ClassLabel, frozenset[str]]:
     """Profile of every nonidentity label over the profile universe."""
-    if inv is None:
-        inv = inventory(ctx)
-    if classes is None:
-        classes = maximal_subgroup_classes(ctx)
     universe = profile_universe(classes)
     out: dict[ClassLabel, frozenset[str]] = {}
     for entry in inv:
@@ -194,17 +190,43 @@ def build_profiles(ctx: GFContext, inv: ClassInventory | None = None,
     return out
 
 
-def maximal_profiles(ctx: GFContext, inv: ClassInventory | None = None,
-                     classes: list[SubgroupClass] | None = None,
+def maximal_profiles(ctx: GFContext, inv: ClassInventory, classes: list[SubgroupClass],
                      ) -> dict[ClassLabel, frozenset[str]]:
     """Profiles restricted to maximal subgroup classes (the Psi2 universe)."""
-    if inv is None:
-        inv = inventory(ctx)
-    if classes is None:
-        classes = maximal_subgroup_classes(ctx)
     maximal_ids = {sc.id for sc in classes if sc.maximal}
     full = build_profiles(ctx, inv, classes)
     return {label: prof & maximal_ids for label, prof in full.items()}
+
+
+# ---------------------------------------------------------------------------
+# profile census: labels grouped by identical maximal profile.  Labels with
+# the same profile are interchangeable for every pair test, which collapses
+# the up-to-q^2/4 pair sweep to a handful of bucket products.
+# ---------------------------------------------------------------------------
+
+@dataclass
+class ProfileCensus:
+    q: int
+    buckets: list[frozenset[str]]  # distinct maximal profiles
+    members: list[list[ClassLabel]]  # labels per bucket, same order
+
+    def disjoint_pairs(self) -> list[tuple[int, int]]:
+        """Ordered index pairs (i, j) of buckets with disjoint profiles."""
+        return [(i, j) for i, pi in enumerate(self.buckets)
+                for j, pj in enumerate(self.buckets) if pi.isdisjoint(pj)]
+
+    def psi2_count(self) -> int:
+        return sum(len(self.members[i]) * len(self.members[j])
+                   for i, j in self.disjoint_pairs())
+
+
+def profile_census(ctx: GFContext, inv: ClassInventory) -> ProfileCensus:
+    profs = maximal_profiles(ctx, inv, maximal_subgroup_classes(ctx))
+    grouped: dict[frozenset[str], list[ClassLabel]] = {}
+    for label in inv.nonidentity_labels():
+        grouped.setdefault(profs[label], []).append(label)
+    buckets = sorted(grouped, key=sorted)
+    return ProfileCensus(ctx.q, buckets, [grouped[b] for b in buckets])
 
 
 @dataclass
@@ -241,25 +263,18 @@ class Psi2Table:
         return "\n".join(lines) + "\n"
 
 
-def psi2_structural(ctx: GFContext, inv: ClassInventory | None = None) -> Psi2Table:
+def psi2_structural(census: ProfileCensus) -> Psi2Table:
     """Psi2 via maximal-class disjointness.
 
     A pair fails to invariably generate iff some representatives lie in a
     common maximal subgroup, i.e. iff some maximal class meets both; so
-    membership is exactly profile disjointness.
+    membership is exactly profile disjointness, and Psi2 is the union of
+    the member products of the disjoint bucket pairs of the census.
     """
-    if inv is None:
-        inv = inventory(ctx)
-    profs = maximal_profiles(ctx, inv)
-    labels = inv.nonidentity_labels()
     pairs: set[tuple[ClassLabel, ClassLabel]] = set()
-    for i, c in enumerate(labels):
-        pc = profs[c]
-        for dlab in labels[i:]:
-            if pc.isdisjoint(profs[dlab]):
-                pairs.add((c, dlab))
-                pairs.add((dlab, c))
-    return Psi2Table(ctx.q, "structural", pairs)
+    for i, j in census.disjoint_pairs():
+        pairs.update(product(census.members[i], census.members[j]))
+    return Psi2Table(census.q, "structural", pairs)
 
 
 @dataclass
@@ -274,14 +289,12 @@ class CoveringResult:
         return set(self.only_dihedral), set(self.only_borel)
 
 
-def verify_2covering(ctx: GFContext, inv: ClassInventory | None = None) -> CoveringResult:
+def verify_2covering(ctx: GFContext, inv: ClassInventory) -> CoveringResult:
     """Check that {Borel, nonsplit dihedral} covers S and classify labels.
 
     Classes meeting both sides are isolated in the generating graph; the
     remaining two sets give the bipartition of the plus graph.
     """
-    if inv is None:
-        inv = inventory(ctx)
     classes = maximal_subgroup_classes(ctx)
     borel = next(sc for sc in classes if sc.kind == BOREL)
     dihedral = next(sc for sc in classes if sc.kind == DIH_NONSPLIT)
@@ -303,39 +316,6 @@ def verify_2covering(ctx: GFContext, inv: ClassInventory | None = None) -> Cover
         else:
             ok = False
     return CoveringResult(ok, only_b, only_d, both)
-
-
-# ---------------------------------------------------------------------------
-# profile census: labels grouped by identical maximal profile.  Labels with
-# the same profile are interchangeable for every pair test, which collapses
-# the up-to-q^2/4 pair sweep to a handful of bucket products.
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ProfileCensus:
-    q: int
-    buckets: list[frozenset[str]]  # distinct maximal profiles
-    members: list[list[ClassLabel]]  # labels per bucket, same order
-
-    def psi2_count(self) -> int:
-        sizes = [len(m) for m in self.members]
-        total = 0
-        for i, pi in enumerate(self.buckets):
-            for j, pj in enumerate(self.buckets):
-                if pi.isdisjoint(pj):
-                    total += sizes[i] * sizes[j]
-        return total
-
-
-def profile_census(ctx: GFContext, inv: ClassInventory | None = None) -> ProfileCensus:
-    if inv is None:
-        inv = inventory(ctx)
-    profs = maximal_profiles(ctx, inv)
-    grouped: dict[frozenset[str], list[ClassLabel]] = {}
-    for label in inv.nonidentity_labels():
-        grouped.setdefault(profs[label], []).append(label)
-    buckets = sorted(grouped, key=sorted)
-    return ProfileCensus(ctx.q, buckets, [grouped[b] for b in buckets])
 
 
 def profiles_to_json(profiles: dict[ClassLabel, frozenset[str]]) -> dict[str, list[str]]:

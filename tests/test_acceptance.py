@@ -31,7 +31,7 @@ from invgen.iggraph import (
     part_pattern,
 )
 from invgen.oracle import OracleSession
-from invgen.structure import psi2_structural, verify_2covering
+from invgen.structure import profile_census, psi2_structural, verify_2covering
 
 ALL_QS = [q for q in range(4, 1025) if prime_power_split(q)]
 MANDATORY_ORACLE_QS = [4, 5, 7, 8, 9, 11, 13]
@@ -62,6 +62,12 @@ class Budget:
         return False
 
 
+def summary_of(q: int):
+    ctx = gf_for_q(q)
+    inv = inventory(ctx)
+    return lambda_summary(ctx, inv, profile_census(ctx, inv), verify_2covering(ctx, inv))
+
+
 def test_c01_class_count_formula():
     with Budget("criterion 1: class-count formula on [4,1024]", 10):
         for q in ALL_QS:
@@ -73,14 +79,14 @@ def test_c02_oracle_equivalence_mandatory():
     with Budget("criterion 2: oracle == structural on {4,5,7,8,9,11,13}", 120):
         for q in MANDATORY_ORACLE_QS:
             sess = OracleSession(gf_for_q(q))
-            assert sess.psi2().pairs == psi2_structural(sess.ctx, sess.inv).pairs, q
+            assert sess.psi2().pairs == psi2_structural(profile_census(sess.ctx, sess.inv)).pairs, q
 
 
 def test_c02_oracle_equivalence_wider():
     with Budget("criterion 2 wider: oracle == structural on {16,19}", 60):
         for q in WIDER_ORACLE_QS:
             sess = OracleSession(gf_for_q(q))
-            assert sess.psi2().pairs == psi2_structural(sess.ctx, sess.inv).pairs, q
+            assert sess.psi2().pairs == psi2_structural(profile_census(sess.ctx, sess.inv)).pairs, q
 
 
 @pytest.mark.skipif(not EXTENDED, reason="extended oracle set needs INVGEN_EXTENDED=1")
@@ -88,7 +94,7 @@ def test_c02_oracle_equivalence_extended():
     with Budget("criterion 2 extended: oracle == structural on {16,25,27,31}", 900):
         for q in EXTENDED_ORACLE_QS:
             sess = OracleSession(gf_for_q(q))
-            assert sess.psi2().pairs == psi2_structural(sess.ctx, sess.inv).pairs, q
+            assert sess.psi2().pairs == psi2_structural(profile_census(sess.ctx, sess.inv)).pairs, q
 
 
 def test_c03_isolated_vertex_census():
@@ -98,7 +104,7 @@ def test_c03_isolated_vertex_census():
             if q <= 13:
                 table = OracleSession(ctx).psi2()
                 return {l.str_form() for l in table.isolated(inventory(ctx))}
-            return set(lambda_summary(ctx).isolated)
+            return set(summary_of(q).isolated)
 
         assert isolated(7) == {"split:t=1"}  # the order-3 class
         assert isolated(9) == {"inv", "unip:sq", "unip:nsq"}
@@ -113,7 +119,7 @@ def test_c03_isolated_vertex_census():
 def test_c04_bipartite_connected_diameter():
     with Budget("criterion 4: bipartite/connected/diameter<=3 on [4,1024]", 60):
         for q in ALL_QS:
-            s = lambda_summary(gf_for_q(q))
+            s = summary_of(q)
             assert s.bipartite and s.parts_match_covering, q
             assert s.component_count == 1, q
             assert s.diameter <= 3, q
@@ -124,7 +130,7 @@ def test_c05_probability_convergence():
         for q in ALL_QS:
             if q < 64:
                 continue
-            s = lambda_summary(gf_for_q(q))
+            s = summary_of(q)
             k = s.class_count
             assert abs(s.psi2_count / (k * k) - 0.5) <= 10 / q, q
 
@@ -135,7 +141,7 @@ def test_c06_psi2_asymptotic():
             if q < 64:
                 continue
             d = 2 if q % 2 == 1 else 1
-            ratio = lambda_summary(gf_for_q(q)).psi2_count * 2 * d * d / (q * q)
+            ratio = summary_of(q).psi2_count * 2 * d * d / (q * q)
             assert 0.8 <= ratio <= 1.2, (q, ratio)
 
 
@@ -150,8 +156,9 @@ def test_c07_beta_pipeline():
             ctx = gf_for_q(q)
             inv = inventory(ctx)
             d = 2 if q % 2 == 1 else 1
-            b = beta_fast(ctx, inv)
-            count = lambda_summary(ctx, inv).psi2_count
+            census = profile_census(ctx, inv)
+            b = beta_fast(aut_action(ctx, inv), census)
+            count = lambda_summary(ctx, inv, census, verify_2covering(ctx, inv)).psi2_count
             assert b % 2 == 0, q
             assert count / (d * ctx.f) <= b <= count, q
 
@@ -160,9 +167,10 @@ def test_c08_power_graph_ground_truth():
     with Budget("criterion 8: plus graph of PSL(2,5)^2", 10):
         ctx = gf_for_q(5)
         inv = inventory(ctx)
-        part = beta(aut_action(ctx, inv), psi2_structural(ctx, inv))
+        psi2 = psi2_structural(profile_census(ctx, inv))
+        part = beta(aut_action(ctx, inv), psi2)
         assert part.beta == 2
-        g = lambda_power(ctx, 2, inv=inv, plus=True)
+        g = lambda_power(ctx, 2, psi2, part.orbit_of, inv, plus=True)
         assert len(g.vertices) == 4
         comps = components(g)
         assert len(comps) == 1
@@ -174,7 +182,9 @@ def test_c08_power_graph_ground_truth():
 
 def test_c09_bound_report_q25():
     with Budget("criterion 9: exact bound report at q=25", 10):
-        rep = n_lower_bound_report(gf_for_q(25))
+        ctx = gf_for_q(25)
+        inv = inventory(ctx)
+        rep = n_lower_bound_report(ctx, inv, profile_census(ctx, inv))
         assert rep.psi2_count == 84
         assert rep.beta_lower == 20  # floor(84 / (d*f)) = 21, rounded down to even
         assert rep.bound == comb(20, 10) // 2 == 92378
@@ -187,7 +197,7 @@ def test_c10_self_consistency():
         for q in MANDATORY_ORACLE_QS:
             ctx = gf_for_q(q)
             inv = inventory(ctx)
-            table = psi2_structural(ctx, inv)
+            table = psi2_structural(profile_census(ctx, inv))
             for a, b in table.pairs:
                 assert (b, a) in table.pairs
             action = aut_action(ctx, inv)

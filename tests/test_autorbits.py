@@ -3,7 +3,7 @@ import pytest
 from invgen.gf import gf_for_q
 from invgen.psl2 import ClassLabel, inventory
 from invgen.autorbits import aut_action, beta, beta_fast
-from invgen.structure import Psi2Table, psi2_structural, verify_2covering
+from invgen.structure import Psi2Table, profile_census, psi2_structural, verify_2covering
 
 VALIDATION_QS = [4, 5, 7, 8, 9, 11, 13, 16, 25, 27]
 
@@ -14,7 +14,7 @@ VALIDATION_QS = [4, 5, 7, 8, 9, 11, 13, 16, 25, 27]
 
 def test_action_q7():
     ctx = gf_for_q(7)
-    act = aut_action(ctx)
+    act = aut_action(ctx, inventory(ctx))
     usq, unsq = ClassLabel("unip", sq=True), ClassLabel("unip", sq=False)
     assert act.diagonal[usq] == unsq and act.diagonal[unsq] == usq
     assert all(act.diagonal[l] == l for l in act.diagonal if l.kind != "unip")
@@ -23,7 +23,7 @@ def test_action_q7():
 
 def test_action_q9_frobenius_swaps_order5_classes():
     ctx = gf_for_q(9)
-    act = aut_action(ctx)
+    act = aut_action(ctx, inventory(ctx))
     n5a, n5b = ClassLabel("nonsplit", 4), ClassLabel("nonsplit", 5)
     assert act.frobenius[n5a] == n5b and act.frobenius[n5b] == n5a
     assert act.frobenius[ClassLabel("split", 3)] == ClassLabel("split", 3)
@@ -32,7 +32,7 @@ def test_action_q9_frobenius_swaps_order5_classes():
 
 def test_action_q4_no_diagonal():
     ctx = gf_for_q(4)
-    act = aut_action(ctx)
+    act = aut_action(ctx, inventory(ctx))
     assert act.diagonal is None
     n5 = [l for l in act.frobenius if l.kind == "nonsplit"]
     assert act.frobenius[n5[0]] == n5[1] and act.frobenius[n5[1]] == n5[0]
@@ -54,7 +54,7 @@ def test_action_preserves_order_and_size(q):
 def test_action_group_order_divides_out(q):
     ctx = gf_for_q(q)
     d = 2 if q % 2 == 1 else 1
-    n = len(aut_action(ctx).elements())
+    n = len(aut_action(ctx, inventory(ctx)).elements())
     assert (d * ctx.f) % n == 0
 
 
@@ -62,7 +62,7 @@ def test_action_group_order_divides_out(q):
 def test_psi2_is_aut_invariant(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    table = psi2_structural(ctx, inv)
+    table = psi2_structural(profile_census(ctx, inv))
     act = aut_action(ctx, inv)
     for gen in act.generators():
         for a, b in table.pairs:
@@ -75,7 +75,7 @@ def test_psi2_is_aut_invariant(q):
 
 def test_beta_q5():
     ctx = gf_for_q(5)
-    part = beta(aut_action(ctx), psi2_structural(ctx))
+    part = beta(aut_action(ctx, inventory(ctx)), psi2_structural(profile_census(ctx, inventory(ctx))))
     assert part.beta == 2
     orbit_sets = {frozenset((a.str_form(), b.str_form()) for a, b in orbit)
                   for orbit in part.orbits}
@@ -88,7 +88,7 @@ def test_beta_q5():
 @pytest.mark.parametrize("q,expected", [(4, 2), (5, 2), (7, 4), (8, 8), (9, 2)])
 def test_beta_values(q, expected):
     ctx = gf_for_q(q)
-    part = beta(aut_action(ctx), psi2_structural(ctx))
+    part = beta(aut_action(ctx, inventory(ctx)), psi2_structural(profile_census(ctx, inventory(ctx))))
     assert part.beta == expected
 
 
@@ -96,7 +96,7 @@ def test_beta_values(q, expected):
 def test_beta_even_and_bounded(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    table = psi2_structural(ctx, inv)
+    table = psi2_structural(profile_census(ctx, inv))
     part = beta(aut_action(ctx, inv), table)
     d = 2 if q % 2 == 1 else 1
     assert part.beta % 2 == 0
@@ -106,7 +106,7 @@ def test_beta_even_and_bounded(q):
 @pytest.mark.parametrize("q", VALIDATION_QS)
 def test_no_orbit_contains_a_pair_and_its_swap(q):
     ctx = gf_for_q(q)
-    part = beta(aut_action(ctx), psi2_structural(ctx))
+    part = beta(aut_action(ctx, inventory(ctx)), psi2_structural(profile_census(ctx, inventory(ctx))))
     for orbit in part.orbits:
         members = set(orbit)
         for a, b in orbit:
@@ -117,7 +117,7 @@ def test_no_orbit_contains_a_pair_and_its_swap(q):
 def test_orbit_sizes_divide_out_order(q):
     ctx = gf_for_q(q)
     d = 2 if q % 2 == 1 else 1
-    part = beta(aut_action(ctx), psi2_structural(ctx))
+    part = beta(aut_action(ctx, inventory(ctx)), psi2_structural(profile_census(ctx, inventory(ctx))))
     for orbit in part.orbits:
         assert (d * ctx.f) % len(orbit) == 0
 
@@ -126,19 +126,45 @@ def test_orbit_sizes_divide_out_order(q):
 def test_burnside_agrees_with_union_find(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    part = beta(aut_action(ctx, inv), psi2_structural(ctx, inv))
-    assert beta_fast(ctx, inv) == part.beta
+    part = beta(aut_action(ctx, inv), psi2_structural(profile_census(ctx, inv)))
+    assert beta_fast(aut_action(ctx, inv), profile_census(ctx, inv)) == part.beta
+
+
+@pytest.mark.parametrize("q", VALIDATION_QS + [17, 49, 64, 81, 121])
+def test_orbits_equal_union_find_closure(q):
+    # reference: merge each pair with its image under every generator
+    ctx = gf_for_q(q)
+    inv = inventory(ctx)
+    table = psi2_structural(profile_census(ctx, inv))
+    action = aut_action(ctx, inv)
+    parent = {pair: pair for pair in table.pairs}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for gen in action.generators():
+        for a, b in table.pairs:
+            parent[find((a, b))] = find((gen[a], gen[b]))
+    groups = {}
+    for pair in table.pairs:
+        groups.setdefault(find(pair), set()).add(pair)
+    part = beta(action, table)
+    assert sorted(map(sorted, groups.values())) == sorted(map(sorted, part.orbits))
+    assert all(part.orbit_of[pair] == i
+               for i, orbit in enumerate(part.orbits) for pair in orbit)
 
 
 def test_beta_rejects_empty_table():
     ctx = gf_for_q(5)
     with pytest.raises(ValueError):
-        beta(aut_action(ctx), Psi2Table(5, "structural", set()))
+        beta(aut_action(ctx, inventory(ctx)), Psi2Table(5, "structural", set()))
 
 
 def test_orbit_partition_json_has_orbit_ids():
     ctx = gf_for_q(5)
-    part = beta(aut_action(ctx), psi2_structural(ctx))
+    part = beta(aut_action(ctx, inventory(ctx)), psi2_structural(profile_census(ctx, inventory(ctx))))
     js = part.to_json()
     assert js["beta"] == 2
     assert set(js["orbit_of"].values()) == {0, 1}
@@ -150,7 +176,7 @@ def test_orbits_respect_bipartition():
     ctx = gf_for_q(7)
     inv = inventory(ctx)
     p1, p2 = verify_2covering(ctx, inv).parts()
-    part = beta(aut_action(ctx, inv), psi2_structural(ctx, inv))
+    part = beta(aut_action(ctx, inv), psi2_structural(profile_census(ctx, inv)))
     for orbit in part.orbits:
         directions = {(a in p1) for a, b in orbit}
         assert len(directions) == 1

@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+from invgen import cli
 from invgen.cli import main
 
 # exit-code contract: 0 ok, 1 verification failure, 2 usage, 3 cap
@@ -146,6 +148,27 @@ def test_beta_bound_report_fields(capsys):
     code, out, _ = run(capsys, "beta", "--q", "25", "--format", "json")
     payload = json.loads(out)
     assert payload["n_lower_bound"]["component_bound"] == "92378"
+
+
+def test_beta_table_prints_bounds_above_digit_limit(capsys):
+    # beta(PSL(2,512)) = 14504: the bound has 4364 digits, above the
+    # interpreter's default int-to-str limit of 4300
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "beta", "--q", "512")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "q=512 |Psi2|=130536 |Out|=9 beta=14504"
+    for line in lines[2:]:
+        assert len(line.split(": ")[1].split()[0]) == 4364
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_beta_orbits_must_agree_with_burnside(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "beta_fast", lambda action, census: 6)
+    with pytest.raises(RuntimeError, match="Burnside counts 6"):
+        main(["beta", "--q", "7", "--orbits"])
+    code, _, _ = run(capsys, "beta", "--q", "7")  # no partition, no cross-check
+    assert code == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import decimal
+import sys
 from math import comb
 
 import pytest
@@ -7,6 +9,7 @@ from invgen.psl2 import ClassLabel, inventory
 from invgen.autorbits import aut_action, beta
 from invgen.iggraph import (
     GraphCapError,
+    _big_int_str,
     IGGraph,
     chromatic_number,
     clique_number,
@@ -24,7 +27,7 @@ from invgen.iggraph import (
     part_pattern,
     to_dot,
 )
-from invgen.structure import psi2_structural, verify_2covering
+from invgen.structure import profile_census, psi2_structural, verify_2covering
 
 
 def synthetic(edges, extra_vertices=()):
@@ -36,12 +39,30 @@ def synthetic(edges, extra_vertices=()):
     return IGGraph(0, 1, "synthetic", vertices, adj)
 
 
+def structural(q):
+    """Context, inventory and structural Psi2 of PSL(2,q)."""
+    ctx = gf_for_q(q)
+    inv = inventory(ctx)
+    return ctx, inv, psi2_structural(profile_census(ctx, inv))
+
+
+def graph_of(q, plus):
+    ctx, inv, psi2 = structural(q)
+    return lambda_graph(ctx, psi2, inv, plus=plus)
+
+
+def power_of(q, t, **kwargs):
+    ctx, inv, psi2 = structural(q)
+    orbit_of = beta(aut_action(ctx, inv), psi2).orbit_of
+    return lambda_power(ctx, t, psi2, orbit_of, inv, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # lambda graphs
 # ---------------------------------------------------------------------------
 
 def test_lambda_q7_plus():
-    g = lambda_graph(gf_for_q(7), plus=True)
+    g = graph_of(7, plus=True)
     assert len(g.vertices) == 4 and g.edge_count() == 4
     assert len(components(g)) == 1
     ok, parts = is_bipartite(g)
@@ -53,14 +74,14 @@ def test_lambda_q7_plus():
 
 
 def test_lambda_q7_with_isolated():
-    g = lambda_graph(gf_for_q(7), plus=False)
+    g = graph_of(7, plus=False)
     assert len(g.vertices) == 5
     assert ClassLabel("split", 1) in g.vertices
     assert not g.adj[ClassLabel("split", 1)]
 
 
 def test_lambda_q9_is_a_path():
-    g = lambda_graph(gf_for_q(9), plus=True)
+    g = graph_of(9, plus=True)
     s4 = ClassLabel("split", 3)
     assert sorted(g.vertex_name(v) for v in g.vertices) == [
         "nonsplit:t=4", "nonsplit:t=5", "split:t=3"]
@@ -69,8 +90,7 @@ def test_lambda_q9_is_a_path():
 
 
 def test_lambda_power_q5():
-    ctx = gf_for_q(5)
-    g = lambda_power(ctx, 2, plus=True)
+    g = power_of(5, 2, plus=True)
     assert len(g.vertices) == 4
     assert len(components(g)) == 1
     n3 = ClassLabel("nonsplit", 1)
@@ -79,8 +99,7 @@ def test_lambda_power_q5():
 
 
 def test_lambda_power_q5_identityless_and_isolated():
-    ctx = gf_for_q(5)
-    g = lambda_power(ctx, 2, plus=False)
+    g = power_of(5, 2, plus=False)
     assert len(g.vertices) == 16  # 4 nonidentity labels squared
     n3 = ClassLabel("nonsplit", 1)
     assert not g.adj[(n3, n3)]  # a repeated column cannot generate
@@ -88,12 +107,12 @@ def test_lambda_power_q5_identityless_and_isolated():
 
 def test_lambda_power_cap():
     with pytest.raises(GraphCapError):
-        lambda_power(gf_for_q(5), 2, cap=10)
+        power_of(5, 2, cap=10)
 
 
 def test_lambda_power_rejects_t_above_beta():
     with pytest.raises(ValueError):
-        lambda_power(gf_for_q(5), 3)  # beta(PSL(2,5)) = 2
+        power_of(5, 3)  # beta(PSL(2,5)) = 2
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +150,11 @@ def test_five_cycle():
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 16, 25, 27])
 def test_clique_chromatic_covering_chain(q):
     # kappa = tau = 2 = gamma whenever the plus graph has an edge
-    g = lambda_graph(gf_for_q(q), plus=True)
+    g = graph_of(q, plus=True)
     assert g.edge_count() >= 1
     assert clique_number(g) == 2 and chromatic_number(g) == 2
-    value, witness = gamma_upper(gf_for_q(q))
+    ctx = gf_for_q(q)
+    value, witness = gamma_upper(ctx, verify_2covering(ctx, inventory(ctx)))
     assert value == 2
     assert witness == ("borel", "dih_nonsplit")
 
@@ -154,37 +174,52 @@ def test_component_bound_values():
 
 
 def test_bound_meets_actual_components_q5():
-    ctx = gf_for_q(5)
-    part = beta(aut_action(ctx), psi2_structural(ctx))
+    ctx, inv, psi2 = structural(5)
+    part = beta(aut_action(ctx, inv), psi2)
     assert part.beta == 2
-    g = lambda_power(ctx, part.beta, plus=True)
+    g = lambda_power(ctx, part.beta, psi2, part.orbit_of, inv, plus=True)
     assert len(components(g)) >= component_bound(part.beta) == 1
 
 
 def test_bound_meets_actual_components_q7():
-    ctx = gf_for_q(7)
-    part = beta(aut_action(ctx), psi2_structural(ctx))
-    g = lambda_power(ctx, part.beta, plus=True)
+    ctx, inv, psi2 = structural(7)
+    part = beta(aut_action(ctx, inv), psi2)
+    g = lambda_power(ctx, part.beta, psi2, part.orbit_of, inv, plus=True)
     assert len(components(g)) >= component_bound(part.beta) == 3
 
 
 def test_report_q5():
-    rep = n_lower_bound_report(gf_for_q(5))
+    ctx = gf_for_q(5)
+    inv = inventory(ctx)
+    rep = n_lower_bound_report(ctx, inv, profile_census(ctx, inv))
     assert rep.psi2_count == 4 and rep.beta_lower == 2
     assert rep.bound == 1 and rep.log2_bound == 0.0
 
 
 def test_report_q7():
-    rep = n_lower_bound_report(gf_for_q(7))
+    ctx = gf_for_q(7)
+    inv = inventory(ctx)
+    rep = n_lower_bound_report(ctx, inv, profile_census(ctx, inv))
     assert rep.beta_lower == 4 and rep.bound == 3
 
 
 def test_report_q25():
-    rep = n_lower_bound_report(gf_for_q(25))
+    ctx = gf_for_q(25)
+    inv = inventory(ctx)
+    rep = n_lower_bound_report(ctx, inv, profile_census(ctx, inv))
     assert rep.psi2_count == 84
     assert rep.beta_lower == 20  # 84 / (2*2) = 21 rounded down to even
     assert rep.bound == comb(20, 10) // 2
     assert 2 ** int(rep.log2_bound) <= rep.bound <= 2 ** (int(rep.log2_bound) + 1)
+
+
+def test_big_int_str_leaves_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    n = component_bound(14504)  # beta(PSL(2,512))
+    text = _big_int_str(n)
+    assert sys.get_int_max_str_digits() == limit
+    assert len(text) == 4364 > limit
+    assert int(decimal.Decimal(text)) == n
 
 
 def test_int_log2_big():
@@ -196,7 +231,8 @@ def test_int_log2_big():
 
 def test_report_with_exact_beta():
     ctx = gf_for_q(7)
-    rep = n_lower_bound_report(ctx, beta_exact=4)
+    inv = inventory(ctx)
+    rep = n_lower_bound_report(ctx, inv, profile_census(ctx, inv), beta_exact=4)
     assert rep.beta_exact == 4 and rep.bound == 3
 
 
@@ -208,9 +244,10 @@ def test_report_with_exact_beta():
 def test_summary_matches_explicit_graph(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    table = psi2_structural(ctx, inv)
+    census = profile_census(ctx, inv)
+    table = psi2_structural(census)
     g = lambda_graph(ctx, table, inv, plus=True)
-    s = lambda_summary(ctx, inv)
+    s = lambda_summary(ctx, inv, census, verify_2covering(ctx, inv))
     assert s.psi2_count == len(table)
     assert s.vertices_plus == len(g.vertices)
     assert s.edge_count == g.edge_count()
@@ -227,7 +264,9 @@ def test_summary_matches_explicit_graph(q):
 def balance_counts(ctx, t):
     inv = inventory(ctx)
     p1, _ = verify_2covering(ctx, inv).parts()
-    g = lambda_power(ctx, t, inv=inv, plus=True)
+    psi2 = psi2_structural(profile_census(ctx, inv))
+    orbit_of = beta(aut_action(ctx, inv), psi2).orbit_of
+    g = lambda_power(ctx, t, psi2, orbit_of, inv, plus=True)
     return [len(part_pattern(v, p1)) for v in g.vertices]
 
 
@@ -252,7 +291,7 @@ def test_balance_fails_below_beta_q7():
 # ---------------------------------------------------------------------------
 
 def test_dot_export():
-    g = lambda_graph(gf_for_q(7), plus=True)
+    g = graph_of(7, plus=True)
     ok, parts = is_bipartite(g)
     dot = to_dot(g, parts)
     assert dot.startswith("graph lambda {")
@@ -262,8 +301,7 @@ def test_dot_export():
 
 
 def test_json_export():
-    ctx = gf_for_q(9)
-    g = lambda_graph(ctx, plus=False)
+    g = graph_of(9, plus=False)
     js = graph_to_json(g)
     assert js["q"] == 9 and js["t"] == 1
     assert len(js["vertices"]) == 6

@@ -8,11 +8,11 @@ from invgen.oracle import (
     OracleCapError,
     OracleSession,
     _table,
-    oracle_isolated_vertices,
 )
 from invgen.structure import (
     label_meets,
     maximal_subgroup_classes,
+    profile_census,
     psi2_structural,
 )
 
@@ -91,7 +91,7 @@ def test_cap_env_override(monkeypatch):
 @pytest.mark.parametrize("q", FAST_QS)
 def test_oracle_matches_structural(q, sessions):
     sess = sessions(q)
-    assert sess.psi2().pairs == psi2_structural(sess.ctx, sess.inv).pairs
+    assert sess.psi2().pairs == psi2_structural(profile_census(sess.ctx, sess.inv)).pairs
 
 
 def test_oracle_counts(sessions):
@@ -103,7 +103,7 @@ def test_isolated_vertices(sessions):
     assert sessions(7).isolated_vertices() == {ClassLabel("split", 1)}
     assert {l.str_form() for l in sessions(9).isolated_vertices()} == {
         "inv", "unip:sq", "unip:nsq"}
-    assert oracle_isolated_vertices(gf_for_q(11)) == set()
+    assert OracleSession(gf_for_q(11)).isolated_vertices() == set()
 
 
 def test_representative_choice_is_irrelevant(sessions):

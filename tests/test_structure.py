@@ -90,7 +90,7 @@ def test_subgroup_orders_divide_group_order(q):
 def test_profiles_q7_exact():
     ctx = gf_for_q(7)
     profs = {lab.str_form(): sorted(ids)
-             for lab, ids in build_profiles(ctx).items()}
+             for lab, ids in build_profiles(ctx, inventory(ctx), maximal_subgroup_classes(ctx)).items()}
     assert profs["inv"] == ["dih_nonsplit", "exc_s4:v1", "exc_s4:v2"]
     assert profs["split:t=1"] == ["borel", "exc_s4:v1", "exc_s4:v2"]
     assert profs["nonsplit:t=3"] == ["dih_nonsplit", "exc_s4:v1", "exc_s4:v2"]
@@ -100,7 +100,7 @@ def test_profiles_q7_exact():
 
 def test_profiles_q9_variant_split():
     ctx = gf_for_q(9)
-    profs = {lab.str_form(): ids for lab, ids in build_profiles(ctx).items()}
+    profs = {lab.str_form(): ids for lab, ids in build_profiles(ctx, inventory(ctx), maximal_subgroup_classes(ctx)).items()}
     for n5 in ("nonsplit:t=4", "nonsplit:t=5"):
         assert {"dih_nonsplit", "exc_a5:v1", "exc_a5:v2"} <= profs[n5]
     assert "exc_a5:v1" in profs["unip:sq"] and "exc_a5:v2" not in profs["unip:sq"]
@@ -112,7 +112,7 @@ def test_profiles_q9_variant_split():
 def test_profiles_q25_subfield_traces():
     ctx = gf_for_q(25)
     inv = inventory(ctx)
-    profs = build_profiles(ctx, inv)
+    profs = build_profiles(ctx, inv, maximal_subgroup_classes(ctx))
     for entry in inv:
         if entry.label.kind != "split":
             continue
@@ -131,8 +131,9 @@ def test_profiles_q25_subfield_traces():
 def test_profile_invariants(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    profs = maximal_profiles(ctx, inv)
-    full = build_profiles(ctx, inv)
+    classes = maximal_subgroup_classes(ctx)
+    profs = maximal_profiles(ctx, inv, classes)
+    full = build_profiles(ctx, inv, classes)
     for entry in inv:
         if entry.label.kind == "id":
             continue
@@ -153,7 +154,7 @@ def test_profile_invariants(q):
 
 def test_psi2_q5_exact():
     ctx = gf_for_q(5)
-    table = psi2_structural(ctx)
+    table = psi2_structural(profile_census(ctx, inventory(ctx)))
     n3 = ClassLabel("nonsplit", 1)
     usq = ClassLabel("unip", sq=True)
     unsq = ClassLabel("unip", sq=False)
@@ -163,7 +164,7 @@ def test_psi2_q5_exact():
 def test_psi2_q7():
     ctx = gf_for_q(7)
     inv = inventory(ctx)
-    table = psi2_structural(ctx, inv)
+    table = psi2_structural(profile_census(ctx, inv))
     assert len(table) == 8
     assert table.isolated(inv) == {ClassLabel("split", 1)}
 
@@ -171,7 +172,7 @@ def test_psi2_q7():
 def test_psi2_q9():
     ctx = gf_for_q(9)
     inv = inventory(ctx)
-    table = psi2_structural(ctx, inv)
+    table = psi2_structural(profile_census(ctx, inv))
     s4 = ClassLabel("split", 3)
     pairs = {(a.str_form(), b.str_form()) for a, b in table.pairs}
     assert pairs == {
@@ -184,7 +185,7 @@ def test_psi2_q9():
 @pytest.mark.parametrize("q", MANDATORY_QS + [16, 17, 19, 23, 25, 27, 29, 31, 49])
 def test_psi2_symmetry_and_no_identity(q):
     ctx = gf_for_q(q)
-    table = psi2_structural(ctx)
+    table = psi2_structural(profile_census(ctx, inventory(ctx)))
     for a, b in table.pairs:
         assert (b, a) in table.pairs
         assert a.kind != "id" and b.kind != "id"
@@ -192,7 +193,8 @@ def test_psi2_symmetry_and_no_identity(q):
 
 
 def test_psi2_serialization():
-    table = psi2_structural(gf_for_q(5))
+    ctx = gf_for_q(5)
+    table = psi2_structural(profile_census(ctx, inventory(ctx)))
     js = table.to_json()
     assert js["q"] == 5 and js["method"] == "structural" and js["count"] == 4
     assert js["pairs"] == sorted(js["pairs"])
@@ -206,25 +208,29 @@ def test_psi2_serialization():
 # ---------------------------------------------------------------------------
 
 def test_covering_q7_empty_both():
-    cov = verify_2covering(gf_for_q(7))
+    ctx = gf_for_q(7)
+    cov = verify_2covering(ctx, inventory(ctx))
     assert cov.ok and cov.both == set()
     assert {l.str_form() for l in cov.only_dihedral} == {"inv", "nonsplit:t=3"}
 
 
 def test_covering_q13_both_is_involution():
-    cov = verify_2covering(gf_for_q(13))
+    ctx = gf_for_q(13)
+    cov = verify_2covering(ctx, inventory(ctx))
     assert cov.ok and {l.str_form() for l in cov.both} == {"inv"}
 
 
 def test_covering_q8_both_is_unipotent():
-    cov = verify_2covering(gf_for_q(8))
+    ctx = gf_for_q(8)
+    cov = verify_2covering(ctx, inventory(ctx))
     assert cov.ok and {l.str_form() for l in cov.both} == {"unip"}
 
 
 def test_covering_holds_widely():
     for q in range(4, 200):
         if prime_power_split(q):
-            assert verify_2covering(gf_for_q(q)).ok, q
+            ctx = gf_for_q(q)
+            assert verify_2covering(ctx, inventory(ctx)).ok, q
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +241,27 @@ def test_covering_holds_widely():
 def test_census_count_matches_explicit(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    assert profile_census(ctx, inv).psi2_count() == len(psi2_structural(ctx, inv))
+    assert profile_census(ctx, inv).psi2_count() == len(psi2_structural(profile_census(ctx, inv)))
+
+
+@pytest.mark.parametrize("q", MANDATORY_QS + [16, 25, 27, 49, 64, 81, 121, 128, 243, 256])
+def test_psi2_equals_label_pair_sweep(q):
+    # reference: test every unordered label pair for profile disjointness
+    ctx = gf_for_q(q)
+    inv = inventory(ctx)
+    profs = maximal_profiles(ctx, inv, maximal_subgroup_classes(ctx))
+    labels = inv.nonidentity_labels()
+    expected = set()
+    for i, c in enumerate(labels):
+        for d in labels[i:]:
+            if profs[c].isdisjoint(profs[d]):
+                expected |= {(c, d), (d, c)}
+    assert psi2_structural(profile_census(ctx, inv)).pairs == expected
 
 
 def test_profiles_to_json():
     from invgen.structure import profiles_to_json
-    dump = profiles_to_json(build_profiles(gf_for_q(7)))
+    ctx = gf_for_q(7)
+    dump = profiles_to_json(build_profiles(ctx, inventory(ctx), maximal_subgroup_classes(ctx)))
     assert dump["unip:sq"] == ["borel"]
     assert list(dump) == sorted(dump)

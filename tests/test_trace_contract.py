@@ -1,0 +1,60 @@
+"""The per-q objects are built once, as seen by the benchmark's tracer.
+
+Each command runs under ``perfbench/traced_cli.py``, which wraps the layer
+functions and records spans and counters; the tests read its output file.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "traced_cli.py"
+
+
+def traced(tmp_path, *argv):
+    """Run one CLI command under the tracer; return (span counts, counters)."""
+    out = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(TRACER), str(out), *argv],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(out.read_text())
+    return Counter(span[0] for span in data["spans"]), data["counters"]
+
+
+def test_verify_builds_census_and_covering_once_per_q(tmp_path):
+    spans, counters = traced(tmp_path, "verify", "--q-range", "4..16")
+    n_q = 8  # 4, 5, 7, 8, 9, 11, 13, 16
+    assert counters["gf.contexts"] == n_q
+    assert counters["structure.census_calls"] == n_q
+    assert counters["structure.covering_calls"] == n_q
+    assert spans["iggraph.summary"] == spans["autorbits.beta_fast"] == n_q
+    assert "autorbits.beta" not in spans
+
+
+def test_beta_counts_without_the_orbit_partition(tmp_path):
+    spans, counters = traced(tmp_path, "beta", "--q", "64", "--format", "json")
+    assert "autorbits.beta" not in spans
+    assert "structure.psi2" not in spans
+    assert spans["autorbits.beta_fast"] == 1
+    assert counters["structure.census_calls"] == 1
+
+
+def test_power_graph_builds_the_partition_once(tmp_path):
+    spans, counters = traced(tmp_path, "graph", "--q", "5", "--power", "2", "--plus")
+    assert spans["autorbits.beta"] == 1
+    assert counters["autorbits.orbits"] == 2
+    assert counters["structure.census_calls"] == 1
+    assert counters["iggraph.power_pairs"] == 120  # 16 vertices of S^2
+
+
+def test_psi2_both_runs_each_route_once(tmp_path):
+    spans, counters = traced(tmp_path, "psi2", "--q", "8", "--method", "both")
+    assert spans["structure.psi2"] == spans["oracle.psi2"] == 1
+    assert counters["structure.census_calls"] == 1
+    assert counters["structure.psi2_pairs"] == 24
+    assert counters["oracle.closures"] > 0
