@@ -30,6 +30,7 @@ from invgen.iggraph import (
     lambda_graph,
     lambda_power,
     lambda_summary,
+    expected_isolated,
     components,
     is_bipartite,
     diameter,
@@ -49,7 +50,7 @@ __all__ = [
     "AutAction", "OrbitPartition", "aut_action", "beta", "beta_fast",
     "OracleSession", "OracleCapError",
     "IGGraph", "BoundReport", "GraphCapError",
-    "lambda_graph", "lambda_power", "lambda_summary",
+    "lambda_graph", "lambda_power", "lambda_summary", "expected_isolated",
     "components", "is_bipartite", "diameter", "clique_number", "chromatic_number",
     "component_bound", "n_lower_bound_report", "gamma_upper",
 ]

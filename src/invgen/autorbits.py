@@ -44,23 +44,20 @@ class AutAction:
         """The full induced permutation group (order divides d*f)."""
         labels = list(self.frobenius)
         ident = {lab: lab for lab in labels}
-        seen = {self._key(ident): ident}
+        # a permutation is keyed by its images in the fixed label order
+        seen = {tuple(labels): ident}
         frontier = [ident]
         while frontier:
             nxt = []
             for perm in frontier:
                 for gen in self.generators():
                     comp = {lab: gen[perm[lab]] for lab in labels}
-                    k = self._key(comp)
+                    k = tuple(comp[lab] for lab in labels)
                     if k not in seen:
                         seen[k] = comp
                         nxt.append(comp)
             frontier = nxt
         return list(seen.values())
-
-    @staticmethod
-    def _key(perm: LabelPerm) -> tuple:
-        return tuple(sorted((a.str_form(), b.str_form()) for a, b in perm.items()))
 
 
 def aut_action(ctx: GFContext, inv: ClassInventory) -> AutAction:

@@ -21,6 +21,7 @@ from invgen.iggraph import (
     GraphCapError,
     components,
     diameter,
+    expected_isolated,
     graph_to_json,
     is_bipartite,
     lambda_graph,
@@ -206,20 +207,6 @@ def cmd_beta(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _expected_isolated(ctx: GFContext, inv) -> set[str]:
-    """Isolated-vertex census from the published case analysis."""
-    q, p = ctx.q, ctx.p
-    if q == 7:
-        return {e.label.str_form() for e in inv if e.order == 3}
-    if q == 9:
-        return {"inv", "unip:sq", "unip:nsq"}
-    if q % 2 == 0:
-        return {"unip"}
-    if q % 4 == 1 or q != p:
-        return {"inv"}
-    return set()  # q = p = 3 mod 4, q != 7
-
-
 def verify_q(ctx: GFContext, oracle: bool = False) -> dict:
     """Run every per-q check; returns {check_name: bool}."""
     q = ctx.q
@@ -234,7 +221,7 @@ def verify_q(ctx: GFContext, oracle: bool = False) -> dict:
     checks["bipartite"] = s.bipartite and s.parts_match_covering
     checks["connected"] = s.component_count == 1
     checks["diameter"] = s.diameter <= 3
-    expected = _expected_isolated(ctx, inv)
+    expected = expected_isolated(ctx, inv)
     checks["isolated_census"] = set(s.isolated) == expected
     b = beta_fast(aut_action(ctx, inv), census)
     checks["beta_even"] = b % 2 == 0

@@ -8,10 +8,11 @@ Aut(S)-orbit.  Tuples with an identity coordinate are provably isolated
 (an identity column lies in no Psi2 pair), so the enumeration skips them;
 the plus filter then drops everything else that is isolated.
 
-Analyses (components, bipartiteness, diameter, exact clique/chromatic
-numbers on small graphs) run on immutable adjacency sets.  The lower
-bounds on component counts of the power graph are reported with exact
-big-integer binomials.
+The graph keeps label-keyed adjacency sets.  Components, bipartiteness
+and diameter index the vertices once per call and walk BFS layers over
+integer bitmasks, one mask per vertex; exact clique/chromatic numbers on
+small graphs run on the adjacency sets.  The lower bounds on component
+counts of the power graph are reported with exact big-integer binomials.
 
 ``lambda_summary`` answers the standard per-q questions without building
 the label-level graph: labels with identical maximal profiles have
@@ -22,15 +23,15 @@ isolated vertices exactly; it runs the same analyses on that quotient.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from itertools import product
 from math import comb
 
 from invgen.gf import GFContext
 from invgen.psl2 import ClassInventory, ClassLabel
 from invgen.structure import CoveringResult, ProfileCensus, Psi2Table
 
-POWER_VERTEX_CAP = 10 ** 6
+POWER_WORK_CAP = 10 ** 6  # power-graph vertices, and candidate neighbour tuples
 EXACT_SOLVER_CAP = 64
 
 
@@ -79,14 +80,16 @@ def lambda_graph(ctx: GFContext, psi2: Psi2Table, inv: ClassInventory,
 
 def lambda_power(ctx: GFContext, t: int, psi2: Psi2Table, orbit_of: dict,
                  inv: ClassInventory, plus: bool = False,
-                 cap: int = POWER_VERTEX_CAP) -> IGGraph:
+                 cap: int = POWER_WORK_CAP) -> IGGraph:
     """The graph on classes of S^t via the product criterion.
 
     ``orbit_of`` maps each Psi2 pair to its Aut(S)-orbit, as in the
-    partition that ``autorbits.beta`` returns.
+    partition that ``autorbits.beta`` returns.  The neighbours of a tuple v
+    are drawn from the product of the Psi2 neighbour lists of its
+    coordinates, so exactly |Psi2|^t candidate tuples are visited; a
+    candidate is kept when its t columns lie in t distinct orbits.  Both
+    the vertex count and that candidate count must be at most ``cap``.
     """
-    from itertools import product
-
     n_orbits = len(set(orbit_of.values()))
     if t > n_orbits:
         raise ValueError(
@@ -94,25 +97,33 @@ def lambda_power(ctx: GFContext, t: int, psi2: Psi2Table, orbit_of: dict,
         )
     labels = inv.nonidentity_labels()
     n_vertices = len(labels) ** t
-    if n_vertices > cap:
+    n_candidates = len(psi2.pairs) ** t
+    if n_vertices > cap or n_candidates > cap:
         raise GraphCapError(
-            f"power graph would have {n_vertices} vertices, cap is {cap}"
+            f"power graph would have {n_vertices} vertices and {n_candidates} "
+            f"candidate neighbour tuples, cap is {cap}"
         )
-    vertices = list(product(labels, repeat=t))
-    pair_set = psi2.pairs
-    adj = {v: set() for v in vertices}
-    for i, v in enumerate(vertices):
-        for w in vertices[i + 1:]:
-            cols = tuple(zip(v, w))
-            if any(col not in pair_set for col in cols):
-                continue
-            orbits = [orbit_of[col] for col in cols]
-            if len(set(orbits)) == t:
-                adj[v].add(w)
-                adj[w].add(v)
-    if plus:
-        vertices = [v for v in vertices if adj[v]]
-        adj = {v: adj[v] for v in vertices}
+    pos = {lab: i for i, lab in enumerate(labels)}
+    nbrs: list[list[int]] = [[] for _ in labels]
+    orbit: dict[tuple[int, int], int] = {}
+    for a, b in psi2.pairs:
+        i, j = pos[a], pos[b]
+        nbrs[i].append(j)
+        orbit[i, j] = orbit_of[a, b]
+    # product() yields index tuples in lexicographic order, which is also the
+    # order of the label tuples below, so w > v means w comes later
+    index = {v: i for i, v in enumerate(product(range(len(labels)), repeat=t))}
+    near: list[list[int]] = [[] for _ in index]
+    for v, i in index.items():
+        for w in product(*(nbrs[a] for a in v)):
+            if w > v and len({orbit[col] for col in zip(v, w)}) == t:
+                j = index[w]
+                near[i].append(j)
+                near[j].append(i)
+    tuples = list(product(labels, repeat=t))
+    keep = [i for i in range(len(tuples)) if near[i]] if plus else range(len(tuples))
+    vertices = [tuples[i] for i in keep]
+    adj = {tuples[i]: {tuples[j] for j in near[i]} for i in keep}
     return IGGraph(ctx.q, t, psi2.method, vertices, adj)
 
 
@@ -120,68 +131,86 @@ def lambda_power(ctx: GFContext, t: int, psi2: Psi2Table, orbit_of: dict,
 # graph analyses
 # ---------------------------------------------------------------------------
 
-def components(g: IGGraph) -> list[list]:
-    seen = set()
+def _masks(g: IGGraph) -> list[int]:
+    """Adjacency as bitmasks: bit j of entry i is set when vertices i and j
+    (positions in ``g.vertices``) are adjacent."""
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    masks = []
+    for v in g.vertices:
+        mask = 0
+        for w in g.adj[v]:
+            mask |= 1 << pos[w]
+        masks.append(mask)
+    return masks
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of a non-negative mask, ascending."""
     out = []
-    for start in g.vertices:
-        if start in seen:
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _layers(masks: list[int], source: int) -> list[int]:
+    """BFS layers from ``source`` as bitmasks; layer k holds the vertices at
+    distance k, so the layers partition the source's component."""
+    frontier = seen = 1 << source
+    layers = []
+    while frontier:
+        layers.append(frontier)
+        reach = 0
+        for i in _bits(frontier):
+            reach |= masks[i]
+        frontier = reach & ~seen
+        seen |= frontier
+    return layers
+
+
+def components(g: IGGraph) -> list[list]:
+    """Vertex lists of the components, each in vertex order, ordered by
+    their first vertex."""
+    masks = _masks(g)
+    seen = 0
+    out = []
+    for i in range(len(g.vertices)):
+        if seen >> i & 1:
             continue
-        comp = [start]
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in g.adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    queue.append(w)
-        out.append(comp)
+        comp = 0
+        for layer in _layers(masks, i):
+            comp |= layer
+        seen |= comp
+        out.append([g.vertices[j] for j in _bits(comp)])
     return out
 
 
 def is_bipartite(g: IGGraph) -> tuple[bool, tuple[list, list]]:
-    color = {}
-    for start in g.vertices:
-        if start in color:
+    """Bipartite verdict and parts; each component's part 0 holds the even
+    BFS layers from its first vertex.  A graph is bipartite exactly when
+    no edge joins two vertices of one layer."""
+    masks = _masks(g)
+    seen = odd = 0
+    for i in range(len(g.vertices)):
+        if seen >> i & 1:
             continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in g.adj[v]:
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return False, ([], [])
-    part0 = [v for v in g.vertices if color[v] == 0]
-    part1 = [v for v in g.vertices if color[v] == 1]
+        for depth, layer in enumerate(_layers(masks, i)):
+            if any(masks[j] & layer for j in _bits(layer)):
+                return False, ([], [])
+            seen |= layer
+            if depth % 2:
+                odd |= layer
+    part0 = [v for i, v in enumerate(g.vertices) if not odd >> i & 1]
+    part1 = [v for i, v in enumerate(g.vertices) if odd >> i & 1]
     return True, (part0, part1)
 
 
-def _bfs_ecc(g: IGGraph, start) -> int:
-    dist = {start: 0}
-    queue = deque([start])
-    ecc = 0
-    while queue:
-        v = queue.popleft()
-        for w in g.adj[v]:
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                ecc = max(ecc, dist[w])
-                queue.append(w)
-    return ecc
-
-
 def diameter(g: IGGraph) -> int:
-    """Max eccentricity per component, reported over components with >= 2 vertices."""
-    best = 0
-    for comp in components(g):
-        if len(comp) < 2:
-            continue
-        best = max(best, max(_bfs_ecc(g, v) for v in comp))
-    return best
+    """Largest eccentricity within a component, over all vertices (0 when
+    there are no edges)."""
+    masks = _masks(g)
+    return max((len(_layers(masks, i)) - 1 for i in range(len(masks))), default=0)
 
 
 def clique_number(g: IGGraph) -> int:
@@ -411,6 +440,21 @@ def _parts_match_covering(cover: CoveringResult, census: ProfileCensus,
             if bucket_side[j] == bucket_side[i]:
                 return False
     return True
+
+
+def expected_isolated(ctx: GFContext, inv: ClassInventory) -> set[str]:
+    """Isolated vertices of the graph of S by the published case analysis,
+    as label strings; ``lambda_summary(...).isolated`` must equal them."""
+    q, p = ctx.q, ctx.p
+    if q == 7:
+        return {e.label.str_form() for e in inv if e.order == 3}
+    if q == 9:
+        return {"inv", "unip:sq", "unip:nsq"}
+    if q % 2 == 0:
+        return {"unip"}
+    if q % 4 == 1 or q != p:
+        return {"inv"}
+    return set()  # q = p = 3 mod 4, q != 7
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,12 @@ def test_graph_q9_keeps_isolated_without_plus(capsys):
     assert sorted(isolated) == ["inv", "unip:nsq", "unip:sq"]
 
 
+def test_graph_power_cap_bounds_candidates(capsys):
+    # 8^5 = 32,768 vertices is under the cap; 24^5 candidate tuples is not
+    code, _, err = run(capsys, "graph", "--q", "8", "--power", "5")
+    assert code == 3 and "cap" in err
+
+
 def test_graph_out_file(tmp_path, capsys):
     target = tmp_path / "g.dot"
     code, out, _ = run(capsys, "graph", "--q", "7", "--plus", "--format", "dot",

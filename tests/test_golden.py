@@ -57,7 +57,25 @@ GOLDEN = [
      "8c88f2650c062a8d9727a4a1862868139344e2b5e3cb9b8432e95ad4f0cdf66d"),
     ("verify --q-range 4..32",
      "10c98fbc012dcc616397e6e4d9f2ebbf2fe933b4ae025ec895f3c4282cffc46e"),
+    # recorded at commit 256da34, before the graph analyses moved to bitmasks
+    ("graph --q 13 --power 3 --plus",
+     "39cef47ce79e961dacb43ef76a190cb378849d556b7dff846622feb4b06069bf"),
+    ("graph --q 256 --plus --format dot",
+     "b12abcebe9396241db55737f1f2958ea29c186b2270d0c0b10224c2a1a1c963d"),
+    ("graph --q 8 --power 2 --plus --format dot",
+     "e26a303172e2207d8691119a5e100a3cd6d934da5eda1db0a7461a2e204705cd"),
 ]
+
+# The graph summary goes to stderr; it is the only output that carries the
+# component count and the diameter.  Recorded at commit 256da34.
+GOLDEN_SUMMARY = {
+    "graph --q 13 --power 3 --plus":
+        "q=13 t=3 vertices=343 edges=5676 components=4 bipartite=True diameter=3",
+    "graph --q 256 --plus --format dot":
+        "q=256 t=1 vertices=255 edges=16256 components=1 bipartite=True diameter=2",
+    "graph --q 8 --power 2 --plus --format dot":
+        "q=8 t=2 vertices=48 edges=252 components=2 bipartite=True diameter=3",
+}
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -65,8 +83,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 @pytest.mark.parametrize("command,digest", GOLDEN, ids=[c for c, _ in GOLDEN])
 def test_stdout_matches_golden(capsys, command, digest):
     assert main(command.split()) == 0
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if command in GOLDEN_SUMMARY:
+        assert err == GOLDEN_SUMMARY[command] + "\n"
 
 
 def test_dot_output_is_independent_of_hash_seed():

@@ -1,8 +1,12 @@
 import decimal
 import sys
+from collections import deque
+from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invgen.gf import gf_for_q
 from invgen.psl2 import ClassLabel, inventory
@@ -16,6 +20,7 @@ from invgen.iggraph import (
     component_bound,
     components,
     diameter,
+    expected_isolated,
     gamma_upper,
     graph_to_json,
     int_log2,
@@ -28,6 +33,79 @@ from invgen.iggraph import (
     to_dot,
 )
 from invgen.structure import profile_census, psi2_structural, verify_2covering
+
+
+# ---------------------------------------------------------------------------
+# references: the label-keyed BFS analyses and the all-pairs power graph
+# ---------------------------------------------------------------------------
+
+def ref_components(g):
+    seen = set()
+    out = []
+    for start in g.vertices:
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in g.adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+                    queue.append(w)
+        out.append(comp)
+    return out
+
+
+def ref_is_bipartite(g):
+    color = {}
+    for start in g.vertices:
+        if start in color:
+            continue
+        color[start] = 0
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in g.adj[v]:
+                if w not in color:
+                    color[w] = 1 - color[v]
+                    queue.append(w)
+                elif color[w] == color[v]:
+                    return False, ([], [])
+    return True, ([v for v in g.vertices if color[v] == 0],
+                  [v for v in g.vertices if color[v] == 1])
+
+
+def ref_diameter(g):
+    def ecc(start):
+        dist = {start: 0}
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in g.adj[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        return max(dist.values())
+
+    return max((ecc(v) for comp in ref_components(g) if len(comp) >= 2
+                for v in comp), default=0)
+
+
+def ref_power_adj(t, psi2, orbit_of, inv):
+    """Every pair of t-tuples put to the product criterion."""
+    vertices = list(product(inv.nonidentity_labels(), repeat=t))
+    adj = {v: set() for v in vertices}
+    for i, v in enumerate(vertices):
+        for w in vertices[i + 1:]:
+            cols = tuple(zip(v, w))
+            if all(col in psi2.pairs for col in cols) and \
+                    len({orbit_of[col] for col in cols}) == t:
+                adj[v].add(w)
+                adj[w].add(v)
+    return vertices, adj
 
 
 def synthetic(edges, extra_vertices=()):
@@ -110,6 +188,27 @@ def test_lambda_power_cap():
         power_of(5, 2, cap=10)
 
 
+@pytest.mark.parametrize("q,t,kwargs", [(7, 2, {"cap": 30}), (8, 5, {})])
+def test_lambda_power_cap_bounds_candidates(q, t, kwargs):
+    # 25 <= 30 vertices but 8^2 = 64 candidates; 8^5 = 32,768 vertices under
+    # the default cap but 24^5 = 7,962,624 candidates over it
+    with pytest.raises(GraphCapError, match="candidate"):
+        power_of(q, t, **kwargs)
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
+def test_lambda_power_equals_pair_test(q):
+    ctx, inv, psi2 = structural(q)
+    part = beta(aut_action(ctx, inv), psi2)
+    for t in range(1, min(part.beta, 3) + 1):
+        vertices, adj = ref_power_adj(t, psi2, part.orbit_of, inv)
+        g = lambda_power(ctx, t, psi2, part.orbit_of, inv)
+        assert g.vertices == vertices and g.adj == adj, t
+        live = [v for v in vertices if adj[v]]
+        g = lambda_power(ctx, t, psi2, part.orbit_of, inv, plus=True)
+        assert g.vertices == live and g.adj == {v: adj[v] for v in live}, t
+
+
 def test_lambda_power_rejects_t_above_beta():
     with pytest.raises(ValueError):
         power_of(5, 3)  # beta(PSL(2,5)) = 2
@@ -138,6 +237,32 @@ def test_edgeless():
     assert clique_number(g) == 1 and chromatic_number(g) == 1
     assert diameter(g) == 0
     assert len(components(g)) == 2
+
+
+@st.composite
+def random_graphs(draw):
+    """Small graphs with random edges, plus an optional odd cycle and
+    isolated vertices, their vertices listed in a random order."""
+    n = draw(st.integers(0, 12))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    cycle = draw(st.sampled_from([0, 3, 5, 7]))
+    edges += [(n + i, n + (i + 1) % cycle) for i in range(cycle)]
+    total = n + cycle + draw(st.integers(0, 3))
+    order = draw(st.permutations(range(total)))
+    adj = {v: set() for v in order}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return IGGraph(0, 1, "synthetic", list(order), adj)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_graphs())
+def test_analyses_match_references(g):
+    assert [set(c) for c in components(g)] == [set(c) for c in ref_components(g)]
+    assert is_bipartite(g) == ref_is_bipartite(g)
+    assert diameter(g) == ref_diameter(g)
 
 
 def test_five_cycle():
@@ -255,6 +380,7 @@ def test_summary_matches_explicit_graph(q):
     assert s.bipartite == is_bipartite(g)[0]
     assert s.diameter == diameter(g)
     assert set(s.isolated) == {l.str_form() for l in table.isolated(inv)}
+    assert set(s.isolated) == expected_isolated(ctx, inv)
 
 
 # ---------------------------------------------------------------------------
