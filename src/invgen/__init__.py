@@ -34,11 +34,8 @@ from invgen.iggraph import (
     components,
     is_bipartite,
     diameter,
-    clique_number,
-    chromatic_number,
     component_bound,
     n_lower_bound_report,
-    gamma_upper,
 )
 
 __all__ = [
@@ -51,6 +48,6 @@ __all__ = [
     "OracleSession", "OracleCapError",
     "IGGraph", "BoundReport", "GraphCapError",
     "lambda_graph", "lambda_power", "lambda_summary", "expected_isolated",
-    "components", "is_bipartite", "diameter", "clique_number", "chromatic_number",
-    "component_bound", "n_lower_bound_report", "gamma_upper",
+    "components", "is_bipartite", "diameter",
+    "component_bound", "n_lower_bound_report",
 ]

@@ -185,9 +185,6 @@ class GFContext:
             raise ValueError("coefficient vector must have length f with entries in [0, p)")
         return _pack(cs, self.p)
 
-    def elements(self):
-        return range(self.q)
-
     def _check(self, a: int) -> int:
         if not 0 <= a < self.q:
             raise ValueError(f"element {a} out of range for q={self.q}")
@@ -245,9 +242,6 @@ class GFContext:
         if self._exp is not None:
             return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
         return self.pow(a, self.q - 2)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:

@@ -8,11 +8,15 @@ Aut(S)-orbit.  Tuples with an identity coordinate are provably isolated
 (an identity column lies in no Psi2 pair), so the enumeration skips them;
 the plus filter then drops everything else that is isolated.
 
-The graph keeps label-keyed adjacency sets.  Components, bipartiteness
-and diameter index the vertices once per call and walk BFS layers over
-integer bitmasks, one mask per vertex; exact clique/chromatic numbers on
-small graphs run on the adjacency sets.  The lower bounds on component
-counts of the power graph are reported with exact big-integer binomials.
+Adjacency is stored as one integer bitmask per vertex: bit j of
+``nbrs[i]`` is set when vertices i and j are adjacent.  Components,
+bipartiteness and diameter walk BFS layers over those masks.  The lower
+bounds on component counts of the power graph are reported with exact
+big-integer binomials.  Clique and chromatic numbers need no solver: every
+graph built here is bipartite, since colouring a vertex by the side of the
+{Borel, nonsplit dihedral} 2-covering that its first coordinate meets
+gives adjacent vertices different colours (one that meets both sides is
+isolated), so both numbers are 2 whenever there is an edge.
 
 ``lambda_summary`` answers the standard per-q questions without building
 the label-level graph: labels with identical maximal profiles have
@@ -25,18 +29,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from math import comb
+from math import comb, log2
 
 from invgen.gf import GFContext
 from invgen.psl2 import ClassInventory, ClassLabel
 from invgen.structure import CoveringResult, ProfileCensus, Psi2Table
 
 POWER_WORK_CAP = 10 ** 6  # power-graph vertices, and candidate neighbour tuples
-EXACT_SOLVER_CAP = 64
 
 
 class GraphCapError(Exception):
     """Requested graph exceeds a configured size cap."""
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of a non-negative mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @dataclass
@@ -45,37 +58,58 @@ class IGGraph:
     t: int
     method: str
     vertices: list
-    adj: dict
+    nbrs: list[int]  # bit j of nbrs[i]: vertices[i] and vertices[j] are adjacent
 
     def __post_init__(self):
-        for v, nbrs in self.adj.items():
-            for w in nbrs:
-                if v not in self.adj.get(w, ()):  # pragma: no cover - sanity
-                    raise ValueError("adjacency is not symmetric")
-            if v in nbrs:  # pragma: no cover - sanity
+        if len(self.nbrs) != len(self.vertices):
+            raise ValueError("one neighbour mask per vertex is required")
+        for i, mask in enumerate(self.nbrs):
+            if mask < 0 or mask >> len(self.vertices):
+                raise ValueError("neighbour bit past the last vertex")
+            if mask >> i & 1:
                 raise ValueError("loops are not allowed")
+            if any(not self.nbrs[j] >> i & 1 for j in _bits(mask)):
+                raise ValueError("adjacency is not symmetric")
 
     def edge_count(self) -> int:
-        return sum(len(n) for n in self.adj.values()) // 2
+        return sum(mask.bit_count() for mask in self.nbrs) // 2
 
     def vertex_name(self, v) -> str:
-        if isinstance(v, tuple):
+        if self.t > 1:
             return "(" + ",".join(lab.str_form() for lab in v) + ")"
         return v.str_form()
+
+
+def _graph(q: int, t: int, method: str, vertices: list, near: list[list[int]],
+           plus: bool) -> IGGraph:
+    """The graph on ``vertices`` whose entry i of ``near`` lists the indices
+    of the neighbours of vertex i; plus keeps only the vertices with a
+    neighbour, re-indexed in their original order."""
+    keep = [i for i, js in enumerate(near) if js] if plus else range(len(vertices))
+    new = {i: k for k, i in enumerate(keep)}
+    nbrs = []
+    for i in keep:
+        mask = 0
+        for j in near[i]:
+            mask |= 1 << new[j]
+        nbrs.append(mask)
+    return IGGraph(q, t, method, [vertices[i] for i in keep], nbrs)
+
+
+def _psi2_lists(labels: list[ClassLabel], psi2: Psi2Table) -> list[list[int]]:
+    """Psi2 neighbours of each label, as indices into ``labels``."""
+    pos = {lab: i for i, lab in enumerate(labels)}
+    near: list[list[int]] = [[] for _ in labels]
+    for a, b in psi2.pairs:
+        near[pos[a]].append(pos[b])
+    return near
 
 
 def lambda_graph(ctx: GFContext, psi2: Psi2Table, inv: ClassInventory,
                  plus: bool = False) -> IGGraph:
     """The graph on nonidentity classes of S; plus drops isolated vertices."""
-    vertices = list(inv.nonidentity_labels())
-    adj = {v: set() for v in vertices}
-    for a, b in psi2.pairs:
-        adj[a].add(b)
-        adj[b].add(a)
-    if plus:
-        vertices = [v for v in vertices if adj[v]]
-        adj = {v: adj[v] for v in vertices}
-    return IGGraph(ctx.q, 1, psi2.method, vertices, adj)
+    labels = inv.nonidentity_labels()
+    return _graph(ctx.q, 1, psi2.method, labels, _psi2_lists(labels, psi2), plus)
 
 
 def lambda_power(ctx: GFContext, t: int, psi2: Psi2Table, orbit_of: dict,
@@ -103,13 +137,9 @@ def lambda_power(ctx: GFContext, t: int, psi2: Psi2Table, orbit_of: dict,
             f"power graph would have {n_vertices} vertices and {n_candidates} "
             f"candidate neighbour tuples, cap is {cap}"
         )
+    nbrs = _psi2_lists(labels, psi2)
     pos = {lab: i for i, lab in enumerate(labels)}
-    nbrs: list[list[int]] = [[] for _ in labels]
-    orbit: dict[tuple[int, int], int] = {}
-    for a, b in psi2.pairs:
-        i, j = pos[a], pos[b]
-        nbrs[i].append(j)
-        orbit[i, j] = orbit_of[a, b]
+    orbit = {(pos[a], pos[b]): orbit_of[a, b] for a, b in psi2.pairs}
     # product() yields index tuples in lexicographic order, which is also the
     # order of the label tuples below, so w > v means w comes later
     index = {v: i for i, v in enumerate(product(range(len(labels)), repeat=t))}
@@ -120,41 +150,14 @@ def lambda_power(ctx: GFContext, t: int, psi2: Psi2Table, orbit_of: dict,
                 j = index[w]
                 near[i].append(j)
                 near[j].append(i)
-    tuples = list(product(labels, repeat=t))
-    keep = [i for i in range(len(tuples)) if near[i]] if plus else range(len(tuples))
-    vertices = [tuples[i] for i in keep]
-    adj = {tuples[i]: {tuples[j] for j in near[i]} for i in keep}
-    return IGGraph(ctx.q, t, psi2.method, vertices, adj)
+    return _graph(ctx.q, t, psi2.method, list(product(labels, repeat=t)), near, plus)
 
 
 # ---------------------------------------------------------------------------
 # graph analyses
 # ---------------------------------------------------------------------------
 
-def _masks(g: IGGraph) -> list[int]:
-    """Adjacency as bitmasks: bit j of entry i is set when vertices i and j
-    (positions in ``g.vertices``) are adjacent."""
-    pos = {v: i for i, v in enumerate(g.vertices)}
-    masks = []
-    for v in g.vertices:
-        mask = 0
-        for w in g.adj[v]:
-            mask |= 1 << pos[w]
-        masks.append(mask)
-    return masks
-
-
-def _bits(mask: int) -> list[int]:
-    """Positions of the set bits of a non-negative mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _layers(masks: list[int], source: int) -> list[int]:
+def _layers(nbrs: list[int], source: int) -> list[int]:
     """BFS layers from ``source`` as bitmasks; layer k holds the vertices at
     distance k, so the layers partition the source's component."""
     frontier = seen = 1 << source
@@ -163,7 +166,7 @@ def _layers(masks: list[int], source: int) -> list[int]:
         layers.append(frontier)
         reach = 0
         for i in _bits(frontier):
-            reach |= masks[i]
+            reach |= nbrs[i]
         frontier = reach & ~seen
         seen |= frontier
     return layers
@@ -172,14 +175,13 @@ def _layers(masks: list[int], source: int) -> list[int]:
 def components(g: IGGraph) -> list[list]:
     """Vertex lists of the components, each in vertex order, ordered by
     their first vertex."""
-    masks = _masks(g)
     seen = 0
     out = []
     for i in range(len(g.vertices)):
         if seen >> i & 1:
             continue
         comp = 0
-        for layer in _layers(masks, i):
+        for layer in _layers(g.nbrs, i):
             comp |= layer
         seen |= comp
         out.append([g.vertices[j] for j in _bits(comp)])
@@ -190,13 +192,12 @@ def is_bipartite(g: IGGraph) -> tuple[bool, tuple[list, list]]:
     """Bipartite verdict and parts; each component's part 0 holds the even
     BFS layers from its first vertex.  A graph is bipartite exactly when
     no edge joins two vertices of one layer."""
-    masks = _masks(g)
     seen = odd = 0
     for i in range(len(g.vertices)):
         if seen >> i & 1:
             continue
-        for depth, layer in enumerate(_layers(masks, i)):
-            if any(masks[j] & layer for j in _bits(layer)):
+        for depth, layer in enumerate(_layers(g.nbrs, i)):
+            if any(g.nbrs[j] & layer for j in _bits(layer)):
                 return False, ([], [])
             seen |= layer
             if depth % 2:
@@ -209,87 +210,7 @@ def is_bipartite(g: IGGraph) -> tuple[bool, tuple[list, list]]:
 def diameter(g: IGGraph) -> int:
     """Largest eccentricity within a component, over all vertices (0 when
     there are no edges)."""
-    masks = _masks(g)
-    return max((len(_layers(masks, i)) - 1 for i in range(len(masks))), default=0)
-
-
-def clique_number(g: IGGraph) -> int:
-    if not g.vertices:
-        return 0
-    if g.edge_count() == 0:
-        return 1
-    ok, _ = is_bipartite(g)
-    if ok:
-        return 2
-    if len(g.vertices) > EXACT_SOLVER_CAP:
-        raise GraphCapError(
-            f"exact clique needs <= {EXACT_SOLVER_CAP} vertices off the bipartite path"
-        )
-    best = 1
-
-    def extend(clique: list, candidates: set):
-        nonlocal best
-        if len(clique) + len(candidates) <= best:
-            return
-        if not candidates:
-            best = max(best, len(clique))
-            return
-        for v in list(candidates):
-            candidates.discard(v)
-            extend(clique + [v], {w for w in candidates if w in g.adj[v]})
-
-    extend([], set(g.vertices))
-    return best
-
-
-def chromatic_number(g: IGGraph) -> int:
-    if not g.vertices:
-        return 0
-    if g.edge_count() == 0:
-        return 1
-    ok, _ = is_bipartite(g)
-    if ok:
-        return 2
-    if len(g.vertices) > EXACT_SOLVER_CAP:
-        raise GraphCapError(
-            f"exact coloring needs <= {EXACT_SOLVER_CAP} vertices off the bipartite path"
-        )
-    lo = clique_number(g)
-    order = sorted(g.vertices, key=lambda v: -len(g.adj[v]))
-
-    def colorable(k: int) -> bool:
-        assign: dict = {}
-
-        def place(i: int) -> bool:
-            if i == len(order):
-                return True
-            v = order[i]
-            used = {assign[w] for w in g.adj[v] if w in assign}
-            for c in range(k):
-                if c not in used:
-                    assign[v] = c
-                    if place(i + 1):
-                        return True
-                    del assign[v]
-                if c not in assign.values():
-                    break  # first untouched color; later ones are symmetric
-            return False
-
-        return place(0)
-
-    k = lo
-    while not colorable(k):
-        k += 1
-    return k
-
-
-def gamma_upper(ctx: GFContext, cover: CoveringResult) -> tuple[int, tuple[str, str]]:
-    """Normal covering number of PSL(2,q): exactly 2, with the witness pair."""
-    if not cover.ok:
-        raise RuntimeError(
-            f"2-covering check failed for q={ctx.q}; structural model is broken"
-        )
-    return 2, ("borel", "dih_nonsplit")
+    return max((len(_layers(g.nbrs, i)) - 1 for i in range(len(g.nbrs))), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +223,7 @@ def int_log2(n: int) -> float:
         raise ValueError("log2 of a non-positive integer")
     bits = n.bit_length()
     if bits <= 53:
-        from math import log2
         return log2(n)
-    from math import log2
     shift = bits - 53
     return shift + log2(n >> shift)
 
@@ -392,14 +311,14 @@ def lambda_summary(ctx: GFContext, inv: ClassInventory, census: ProfileCensus,
     which lifts the diameter to 2 when a live bucket has two members.
     """
     sizes = [len(m) for m in census.members]
-    qadj: dict[int, set[int]] = {i: set() for i in range(len(sizes))}
+    near: list[list[int]] = [[] for _ in sizes]
     for i, j in census.disjoint_pairs():
         if i != j:
-            qadj[i].add(j)
-    live = [i for i in qadj if qadj[i]]
-    quotient = IGGraph(ctx.q, 1, "structural", live, {i: qadj[i] for i in live})
+            near[i].append(j)
+    quotient = _graph(ctx.q, 1, "structural", list(range(len(sizes))), near, plus=True)
+    live = quotient.vertices
     isolated = sorted(
-        lab.str_form() for i in qadj if not qadj[i] for lab in census.members[i]
+        lab.str_form() for i, js in enumerate(near) if not js for lab in census.members[i]
     )
     bipartite, _ = is_bipartite(quotient)
     diam = diameter(quotient)
@@ -410,7 +329,7 @@ def lambda_summary(ctx: GFContext, inv: ClassInventory, census: ProfileCensus,
         class_count=len(inv),
         psi2_count=census.psi2_count(),
         vertices_plus=sum(sizes[i] for i in live),
-        edge_count=sum(sizes[i] * sizes[j] for i in live for j in qadj[i] if i < j),
+        edge_count=sum(sizes[i] * sizes[j] for i, js in enumerate(near) for j in js if i < j),
         component_count=len(components(quotient)),
         bipartite=bipartite,
         parts_match_covering=bipartite and _parts_match_covering(cover, census, quotient),
@@ -433,12 +352,11 @@ def _parts_match_covering(cover: CoveringResult, census: ProfileCensus,
         if len(tags) != 1:
             return False
         bucket_side.append(tags.pop())
-    for i in quotient.vertices:
+    for i, mask in zip(quotient.vertices, quotient.nbrs):
         if bucket_side[i] is None:  # covered by both sides yet not isolated
             return False
-        for j in quotient.adj[i]:
-            if bucket_side[j] == bucket_side[i]:
-                return False
+        if any(bucket_side[quotient.vertices[k]] == bucket_side[i] for k in _bits(mask)):
+            return False
     return True
 
 
@@ -468,38 +386,36 @@ def part_pattern(vertex: tuple, part1: set[ClassLabel]) -> frozenset[int]:
 
 def to_dot(g: IGGraph, parts: tuple[list, list] | None = None) -> str:
     """DOT text; each edge is written once, from its earlier end in vertex
-    order, with the later ends in vertex order too (not set order, which
-    depends on the hash seed)."""
-    names = {v: g.vertex_name(v) for v in g.vertices}
-    position = {v: i for i, v in enumerate(g.vertices)}
+    order, with the later ends in vertex order too."""
+    names = [g.vertex_name(v) for v in g.vertices]
     lines = ["graph lambda {"]
     part1 = set(parts[0]) if parts else set()
-    for v in g.vertices:
+    for v, name in zip(g.vertices, names):
         attrs = f' [part="{1 if v in part1 else 2}"]' if parts else ""
-        lines.append(f'  "{names[v]}"{attrs};')
-    for v in g.vertices:
-        for w in sorted(g.adj[v], key=position.__getitem__):
-            if position[v] < position[w]:
-                lines.append(f'  "{names[v]}" -- "{names[w]}";')
+        lines.append(f'  "{name}"{attrs};')
+    for i, mask in enumerate(g.nbrs):
+        for j in _bits(mask):
+            if i < j:
+                lines.append(f'  "{names[i]}" -- "{names[j]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def graph_to_json(g: IGGraph, parts: tuple[list, list] | None = None) -> dict:
-    names = {v: g.vertex_name(v) for v in g.vertices}
-    comps = components(g)
+    names = [g.vertex_name(v) for v in g.vertices]
+    name_of = dict(zip(g.vertices, names))
     out = {
         "q": g.q,
         "t": g.t,
         "method": g.method,
-        "vertices": sorted(names.values()),
+        "vertices": sorted(names),
         "edges": sorted(
-            sorted((names[v], names[w]))
-            for v in g.vertices for w in g.adj[v] if names[v] < names[w]
+            [names[i], names[j]]
+            for i, mask in enumerate(g.nbrs) for j in _bits(mask) if names[i] < names[j]
         ),
-        "components": sorted(sorted(names[v] for v in comp) for comp in comps),
+        "components": sorted(sorted(name_of[v] for v in comp) for comp in components(g)),
     }
     if parts is not None:
-        out["parts"] = [sorted(names[v] for v in parts[0]),
-                        sorted(names[v] for v in parts[1])]
+        out["parts"] = [sorted(name_of[v] for v in parts[0]),
+                        sorted(name_of[v] for v in parts[1])]
     return out

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from invgen.gf import GFContext, factorize
 
@@ -35,8 +36,7 @@ Mat = tuple[int, int, int, int]
 # labels
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class ClassLabel:
+class ClassLabel(NamedTuple):
     kind: str  # "id" | "inv" | "unip" | "split" | "nonsplit"
     trace: int = -1  # canonical trace key for split/nonsplit, else -1
     sq: bool | None = None  # square-class flag for unipotents, q odd only

@@ -22,7 +22,7 @@ oracle certifies the variant split as a multiset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 from invgen.gf import GFContext
 from invgen.psl2 import ClassInventory, ClassLabel
@@ -240,14 +240,9 @@ class Psi2Table:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def __contains__(self, pair) -> bool:
-        return pair in self.pairs
-
-    def unordered_edges(self) -> set[frozenset[ClassLabel]]:
-        return {frozenset(p) for p in self.pairs}
-
     def sorted_pairs(self) -> list[tuple[str, str]]:
-        return sorted((a.str_form(), b.str_form()) for a, b in self.pairs)
+        name = {lab: lab.str_form() for lab in set(chain.from_iterable(self.pairs))}
+        return sorted((name[a], name[b]) for a, b in self.pairs)
 
     def isolated(self, inv: ClassInventory) -> set[ClassLabel]:
         touched = {c for pair in self.pairs for c in pair}
