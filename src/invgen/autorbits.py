@@ -12,8 +12,9 @@ The number of orbits of the diagonal action on Psi2 equals beta(S), the
 largest t for which S^t is invariably 2-generated.  ``beta_fast`` counts
 them by Burnside's lemma over profile buckets; it is the one production
 route to beta.  ``beta`` builds the orbit partition itself, as the images
-of one pair per orbit under every element of the induced group, for the
-callers that need the orbits (``beta --orbits`` and the power graph).
+of one pair per orbit under every element of the induced group, for
+``beta --orbits``.  The power graph needs no partition: it names the orbit
+of a pair by the pair's least image under ``AutAction.elements``.
 """
 
 from __future__ import annotations
@@ -112,17 +113,18 @@ def beta(action: AutAction, psi2: Psi2Table) -> OrbitPartition:
     reached because the bipartition parts are Aut-invariant, and a
     violation would falsify the evenness of beta.
     """
-    if not psi2.pairs:
+    pairs = psi2.pairs()
+    if not pairs:
         raise ValueError("Psi2 is empty")
     elements = action.elements()
     seen: set[Pair] = set()
     orbits: list[list[Pair]] = []
-    for c, dlab in psi2.pairs:
+    for c, dlab in pairs:
         if (c, dlab) in seen:
             continue
         orbit = {(g[c], g[dlab]) for g in elements}
         for image in orbit:
-            if image not in psi2.pairs:
+            if image not in pairs:
                 raise RuntimeError(
                     f"automorphism image {image} left Psi2; the action is broken"
                 )

@@ -14,6 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
+from itertools import chain, starmap
 
 from invgen.autorbits import aut_action, beta, beta_fast
 from invgen.gf import GFContext, gf_make, prime_power_split
@@ -40,7 +42,7 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 ORACLE_VERIFY_DEFAULT = 13  # oracle cross-check in `verify` runs for q up to this
-ORACLE_VERIFY_EXTENDED = (16, 25, 27)
+ORACLE_VERIFY_EXTENDED = (16, 25, 27, 31)
 
 
 class UsageError(Exception):
@@ -65,12 +67,12 @@ def _context(args) -> GFContext:
     return ctx
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _parse_range(spec: str) -> list[int]:
@@ -93,16 +95,16 @@ def cmd_classes(args) -> int:
     inv = inventory(ctx)
     rows = inv.to_json()
     if args.format == "json":
-        _emit(json.dumps({"q": ctx.q, "classes": rows}, indent=2) + "\n", args.out)
+        _emit([json.dumps({"q": ctx.q, "classes": rows}, indent=2) + "\n"], args.out)
     elif args.format == "csv":
         lines = ["label,order,size"]
         lines += [f"{r['label']},{r['order']},{r['size']}" for r in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
     else:
         width = max(len(r["label"]) for r in rows)
         lines = [f"{'label':<{width}}  order  size"]
         lines += [f"{r['label']:<{width}}  {r['order']:>5}  {r['size']}" for r in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
     return EXIT_OK
 
 
@@ -119,21 +121,20 @@ def cmd_psi2(args) -> int:
     prob = len(table) / (k * k)
     match = None
     if args.method == "both":
-        match = tables["structural"].pairs == tables["oracle"].pairs
+        match = tables["structural"].near == tables["oracle"].near
     if args.format == "json":
         payload = table.to_json()
         payload["probability"] = prob
         if match is not None:
             payload["match"] = match
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit([json.dumps(payload, indent=2) + "\n"], args.out)
     elif args.format == "csv":
-        _emit(table.to_csv(), args.out)
+        _emit(table.csv_lines(), args.out)
     else:
-        lines = [f"{a}  {b}" for a, b in table.sorted_pairs()]
-        lines.append(f"count={len(table)} probability={prob:.6f}")
+        tail = [f"count={len(table)} probability={prob:.6f}\n"]
         if match is not None:
-            lines.append(f"match={match}")
-        _emit("\n".join(lines) + "\n", args.out)
+            tail.append(f"match={match}\n")
+        _emit(chain(starmap("{}  {}\n".format, table.rows()), tail), args.out)
     if match is False:
         print(f"psi2 mismatch between methods at q={ctx.q}", file=sys.stderr)
         return EXIT_FAIL
@@ -147,14 +148,13 @@ def cmd_graph(args) -> int:
     if args.power == 1:
         g = lambda_graph(ctx, psi2, inv, plus=args.plus)
     else:
-        orbit_of = beta(aut_action(ctx, inv), psi2).orbit_of
-        g = lambda_power(ctx, args.power, psi2, orbit_of, inv, plus=args.plus)
+        g = lambda_power(ctx, args.power, psi2, aut_action(ctx, inv), inv, plus=args.plus)
     ok, parts = is_bipartite(g)
     parts_arg = parts if ok else None
     if args.format == "dot":
-        _emit(to_dot(g, parts_arg), args.out)
+        _emit([to_dot(g, parts_arg)], args.out)
     else:
-        _emit(json.dumps(graph_to_json(g, parts_arg), indent=2) + "\n", args.out)
+        _emit([json.dumps(graph_to_json(g, parts_arg), indent=2) + "\n"], args.out)
     summary = (
         f"q={ctx.q} t={args.power} vertices={len(g.vertices)} edges={g.edge_count()} "
         f"components={len(components(g))} bipartite={ok} diameter={diameter(g)}"
@@ -171,8 +171,12 @@ def cmd_beta(args) -> int:
     b = beta_fast(action, census)
     count = census.psi2_count()
     df = inv.d * ctx.f
-    floor_report = n_lower_bound_report(ctx, inv, census).to_json()
-    exact_report = n_lower_bound_report(ctx, inv, census, beta_exact=b).to_json()
+    floor = n_lower_bound_report(ctx, inv, census)
+    floor_report = floor.to_json()
+    if b == floor.beta_lower:  # the same bound: evaluate the binomial once
+        exact_report = dict(floor_report, beta_exact=b)
+    else:
+        exact_report = n_lower_bound_report(ctx, inv, census, beta_exact=b).to_json()
     payload = {
         "q": ctx.q,
         "psi2_count": count,
@@ -191,7 +195,7 @@ def cmd_beta(args) -> int:
             )
         payload["orbits"] = part.to_json()["orbits"]
     if args.format == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit([json.dumps(payload, indent=2) + "\n"], args.out)
     else:
         lines = [f"q={ctx.q} |Psi2|={count} |Out|={df} beta={b}",
                  f"even={payload['beta_even']} bounds_ok={payload['bounds_ok']}",
@@ -199,7 +203,7 @@ def cmd_beta(args) -> int:
                  f"(log2 {floor_report['log2_bound']:.3f})",
                  f"component bound at beta: {exact_report['component_bound']} "
                  f"(log2 {exact_report['log2_bound']:.3f})"]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
     return EXIT_OK
 
 
@@ -233,7 +237,7 @@ def verify_q(ctx: GFContext, oracle: bool = False) -> dict:
     if oracle:
         table = OracleSession(ctx).psi2()
         structural = psi2_structural(census)
-        checks["oracle_equals_structural"] = table.pairs == structural.pairs
+        checks["oracle_equals_structural"] = table.near == structural.near
     return checks
 
 
@@ -260,8 +264,7 @@ def cmd_verify(args) -> int:
         "failures": failures,
         "checks": {str(q): results[q] for q in qs},
     }
-    text = json.dumps(payload, indent=2) + "\n"
-    _emit(text, args.out)
+    _emit([json.dumps(payload, indent=2) + "\n"], args.out)
     if failures:
         print("FAILED: " + ", ".join(failures), file=sys.stderr)
         return EXIT_FAIL
@@ -314,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv = subs.add_parser("verify", help="run the verification suite over a q range")
     sv.add_argument("--q-range", required=True, help="inclusive range, e.g. 4..13")
     sv.add_argument("--extended", action="store_true",
-                    help="also run the extended oracle set {16,25,27}")
+                    help="also run the extended oracle set {16,25,27,31}")
     sv.add_argument("--out", default=None)
     sv.set_defaults(func=cmd_verify)
     return parser

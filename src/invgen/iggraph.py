@@ -4,9 +4,12 @@ For t = 1 the vertices are the nonidentity class labels and the edges are
 the unordered Psi2 pairs.  For t > 1 the vertices are t-tuples of
 nonidentity labels and adjacency follows the product criterion: every
 coordinate column must lie in Psi2 and no two columns may share an
-Aut(S)-orbit.  Tuples with an identity coordinate are provably isolated
-(an identity column lies in no Psi2 pair), so the enumeration skips them;
-the plus filter then drops everything else that is isolated.
+Aut(S)-orbit.  Both read Psi2 as the neighbour lists ``Psi2Table.near``,
+and a column's orbit is named by its least image under the induced
+Aut(S) group, so no orbit partition is built.  Tuples with an identity
+coordinate are provably isolated (an identity column lies in no Psi2
+pair), so the enumeration skips them; the plus filter then drops
+everything else that is isolated.
 
 Adjacency is stored as one integer bitmask per vertex: bit j of
 ``nbrs[i]`` is set when vertices i and j are adjacent.  Components,
@@ -27,10 +30,12 @@ isolated vertices exactly; it runs the same analyses on that quotient.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import product
 from math import comb, log2
 
+from invgen.autorbits import AutAction
 from invgen.gf import GFContext
 from invgen.psl2 import ClassInventory, ClassLabel
 from invgen.structure import CoveringResult, ProfileCensus, Psi2Table
@@ -80,7 +85,7 @@ class IGGraph:
         return v.str_form()
 
 
-def _graph(q: int, t: int, method: str, vertices: list, near: list[list[int]],
+def _graph(q: int, t: int, method: str, vertices: list, near: Sequence[Sequence[int]],
            plus: bool) -> IGGraph:
     """The graph on ``vertices`` whose entry i of ``near`` lists the indices
     of the neighbours of vertex i; plus keeps only the vertices with a
@@ -96,56 +101,48 @@ def _graph(q: int, t: int, method: str, vertices: list, near: list[list[int]],
     return IGGraph(q, t, method, [vertices[i] for i in keep], nbrs)
 
 
-def _psi2_lists(labels: list[ClassLabel], psi2: Psi2Table) -> list[list[int]]:
-    """Psi2 neighbours of each label, as indices into ``labels``."""
-    pos = {lab: i for i, lab in enumerate(labels)}
-    near: list[list[int]] = [[] for _ in labels]
-    for a, b in psi2.pairs:
-        near[pos[a]].append(pos[b])
-    return near
-
-
 def lambda_graph(ctx: GFContext, psi2: Psi2Table, inv: ClassInventory,
                  plus: bool = False) -> IGGraph:
     """The graph on nonidentity classes of S; plus drops isolated vertices."""
-    labels = inv.nonidentity_labels()
-    return _graph(ctx.q, 1, psi2.method, labels, _psi2_lists(labels, psi2), plus)
+    return _graph(ctx.q, 1, psi2.method, inv.nonidentity_labels(), psi2.near, plus)
 
 
-def lambda_power(ctx: GFContext, t: int, psi2: Psi2Table, orbit_of: dict,
+def lambda_power(ctx: GFContext, t: int, psi2: Psi2Table, action: AutAction,
                  inv: ClassInventory, plus: bool = False,
                  cap: int = POWER_WORK_CAP) -> IGGraph:
     """The graph on classes of S^t via the product criterion.
 
-    ``orbit_of`` maps each Psi2 pair to its Aut(S)-orbit, as in the
-    partition that ``autorbits.beta`` returns.  The neighbours of a tuple v
-    are drawn from the product of the Psi2 neighbour lists of its
-    coordinates, so exactly |Psi2|^t candidate tuples are visited; a
-    candidate is kept when its t columns lie in t distinct orbits.  Both
-    the vertex count and that candidate count must be at most ``cap``.
+    The neighbours of a tuple v are drawn from the product of the Psi2
+    neighbour lists of its coordinates, so exactly |Psi2|^t candidate
+    tuples are visited; a candidate is kept when its t columns lie in t
+    distinct Aut(S)-orbits.  A column's orbit is named by its least image
+    under the elements of ``action``.  Both the vertex count and the
+    candidate count must be at most ``cap``; that is checked before any
+    orbit work.
     """
-    n_orbits = len(set(orbit_of.values()))
-    if t > n_orbits:
-        raise ValueError(
-            f"t={t} exceeds beta={n_orbits}; S^t is not invariably 2-generated there"
-        )
     labels = inv.nonidentity_labels()
     n_vertices = len(labels) ** t
-    n_candidates = len(psi2.pairs) ** t
+    n_candidates = len(psi2) ** t
     if n_vertices > cap or n_candidates > cap:
         raise GraphCapError(
             f"power graph would have {n_vertices} vertices and {n_candidates} "
             f"candidate neighbour tuples, cap is {cap}"
         )
-    nbrs = _psi2_lists(labels, psi2)
     pos = {lab: i for i, lab in enumerate(labels)}
-    orbit = {(pos[a], pos[b]): orbit_of[a, b] for a, b in psi2.pairs}
+    images = [[pos[g[lab]] for lab in labels] for g in action.elements()]
+    orbit = {(a, b): min((g[a], g[b]) for g in images)
+             for a, bs in enumerate(psi2.near) for b in bs}
+    n_orbits = len(set(orbit.values()))
+    if t > n_orbits:
+        raise ValueError(
+            f"t={t} exceeds beta={n_orbits}; S^t is not invariably 2-generated there"
+        )
     # product() yields index tuples in lexicographic order, which is also the
     # order of the label tuples below, so w > v means w comes later
     index = {v: i for i, v in enumerate(product(range(len(labels)), repeat=t))}
     near: list[list[int]] = [[] for _ in index]
     for v, i in index.items():
-        for w in product(*(nbrs[a] for a in v)):
+        for w in product(*(psi2.near[a] for a in v)):
             if w > v and len({orbit[col] for col in zip(v, w)}) == t:
                 j = index[w]
                 near[i].append(j)

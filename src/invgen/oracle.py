@@ -199,16 +199,15 @@ class OracleSession:
 
     def psi2(self, early_exit: bool = True) -> Psi2Table:
         labels = self.inv.nonidentity_labels()
-        pairs: set[tuple[ClassLabel, ClassLabel]] = set()
+        near: list[list[int]] = [[] for _ in labels]
         for i, c in enumerate(labels):
-            for d in labels[i:]:
-                if self.pair_generates(c, d, early_exit=early_exit):
-                    pairs.add((c, d))
-                    pairs.add((d, c))
-        return Psi2Table(self.ctx.q, "oracle", pairs)
-
-    def isolated_vertices(self) -> set[ClassLabel]:
-        return self.psi2().isolated(self.inv)
+            for j in range(i, len(labels)):
+                if self.pair_generates(c, labels[j], early_exit=early_exit):
+                    near[i].append(j)
+                    if j != i:
+                        near[j].append(i)
+        # row i gets the j < i from earlier rows, then its own j >= i: ascending
+        return Psi2Table(self.ctx.q, "oracle", labels, [tuple(js) for js in near])
 
     # -- subgroup representatives ---------------------------------------------
 

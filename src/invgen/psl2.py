@@ -139,20 +139,6 @@ def psl2_inv(ctx: GFContext, x: Mat) -> Mat:
     return canon(ctx, (d, ctx.neg(b), ctx.neg(c), a))
 
 
-def psl2_order(x_ctx: GFContext, x: Mat) -> int:
-    """Least n >= 1 with x^n = 1; divides p, (q-1)/d or (q+1)/d."""
-    ident = identity_mat(x_ctx)
-    acc = x
-    n = 1
-    bound = max(x_ctx.p, x_ctx.q + 1)
-    while acc != ident:
-        acc = psl2_mul(x_ctx, acc, x)
-        n += 1
-        if n > bound:
-            raise RuntimeError("order iteration exceeded the group exponent bound")
-    return n
-
-
 def trace(ctx: GFContext, m: Mat) -> int:
     return ctx.add(m[0], m[3])
 

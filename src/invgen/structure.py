@@ -9,7 +9,8 @@ Class-intersection profiles are computed symbolically: a profile maps each
 conjugacy-class label to the set of subgroup-class ids whose members meet
 it.  The profile universe is the maximal classes plus the nonsplit-dihedral
 covering record.  Two nonidentity classes invariably generate iff no single
-maximal subgroup class meets both, which is what ``psi2_structural`` tests.
+maximal subgroup class meets both, so ``psi2_structural`` reads Psi2 off
+the census of labels grouped by maximal profile, one neighbour tuple per group.
 
 Conventions for the kinds that come as two classes (q odd): variant 1 of a
 subfield PGL is the copy whose unipotents have square parameter, variant 2
@@ -21,8 +22,9 @@ oracle certifies the variant split as a multiset.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, repeat, starmap
 
 from invgen.gf import GFContext
 from invgen.psl2 import ClassInventory, ClassLabel
@@ -207,6 +209,7 @@ def maximal_profiles(ctx: GFContext, inv: ClassInventory, classes: list[Subgroup
 @dataclass
 class ProfileCensus:
     q: int
+    labels: list[ClassLabel]  # nonidentity labels, inventory order
     buckets: list[frozenset[str]]  # distinct maximal profiles
     members: list[list[ClassLabel]]  # labels per bucket, same order
 
@@ -222,40 +225,46 @@ class ProfileCensus:
 
 def profile_census(ctx: GFContext, inv: ClassInventory) -> ProfileCensus:
     profs = maximal_profiles(ctx, inv, maximal_subgroup_classes(ctx))
+    labels = inv.nonidentity_labels()
     grouped: dict[frozenset[str], list[ClassLabel]] = {}
-    for label in inv.nonidentity_labels():
+    for label in labels:
         grouped.setdefault(profs[label], []).append(label)
     buckets = sorted(grouped, key=sorted)
-    return ProfileCensus(ctx.q, buckets, [grouped[b] for b in buckets])
+    return ProfileCensus(ctx.q, labels, buckets, [grouped[b] for b in buckets])
 
 
 @dataclass
 class Psi2Table:
-    """Ordered pairs of nonidentity class labels that invariably generate S."""
+    """Ordered pairs of nonidentity class labels that invariably generate S:
+    ``near[i]`` is the ascending tuple of the j with (labels[i], labels[j])
+    in Psi2.  Labels may share one tuple, so tuples are never mutated."""
 
     q: int
     method: str  # "structural" | "oracle"
-    pairs: set[tuple[ClassLabel, ClassLabel]]
+    labels: list[ClassLabel]  # nonidentity labels, inventory order
+    near: list[tuple[int, ...]]
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return sum(map(len, self.near))
 
-    def sorted_pairs(self) -> list[tuple[str, str]]:
-        name = {lab: lab.str_form() for lab in set(chain.from_iterable(self.pairs))}
-        return sorted((name[a], name[b]) for a, b in self.pairs)
+    def pairs(self) -> set[tuple[ClassLabel, ClassLabel]]:
+        """The pairs as a set of label pairs, built on each call."""
+        labels = self.labels
+        return {(labels[i], labels[j]) for i, js in enumerate(self.near) for j in js}
 
-    def isolated(self, inv: ClassInventory) -> set[ClassLabel]:
-        touched = {c for pair in self.pairs for c in pair}
-        return {lab for lab in inv.nonidentity_labels() if lab not in touched}
+    def rows(self) -> Iterator[tuple[str, str]]:
+        """The pairs as (name, name) in sorted order: labels by name, and
+        the neighbours of each label by name."""
+        names = [lab.str_form() for lab in self.labels]
+        for i in sorted(range(len(names)), key=names.__getitem__):
+            yield from zip(repeat(names[i]), sorted(names[j] for j in self.near[i]))
 
     def to_json(self) -> dict:
-        return {"q": self.q, "method": self.method, "count": len(self.pairs),
-                "pairs": self.sorted_pairs()}
+        return {"q": self.q, "method": self.method, "count": len(self),
+                "pairs": list(self.rows())}
 
-    def to_csv(self) -> str:
-        lines = ["label1,label2"]
-        lines += [f"{a},{b}" for a, b in self.sorted_pairs()]
-        return "\n".join(lines) + "\n"
+    def csv_lines(self) -> Iterator[str]:
+        return chain(["label1,label2\n"], starmap("{},{}\n".format, self.rows()))
 
 
 def psi2_structural(census: ProfileCensus) -> Psi2Table:
@@ -263,13 +272,19 @@ def psi2_structural(census: ProfileCensus) -> Psi2Table:
 
     A pair fails to invariably generate iff some representatives lie in a
     common maximal subgroup, i.e. iff some maximal class meets both; so
-    membership is exactly profile disjointness, and Psi2 is the union of
-    the member products of the disjoint bucket pairs of the census.
+    membership is exactly profile disjointness, and a label's neighbours are
+    the members of the census buckets disjoint from its own.
     """
-    pairs: set[tuple[ClassLabel, ClassLabel]] = set()
+    pos = {lab: i for i, lab in enumerate(census.labels)}
+    partners: list[list[int]] = [[] for _ in census.buckets]
     for i, j in census.disjoint_pairs():
-        pairs.update(product(census.members[i], census.members[j]))
-    return Psi2Table(census.q, "structural", pairs)
+        partners[i] += (pos[lab] for lab in census.members[j])
+    near: list[tuple[int, ...]] = [()] * len(census.labels)
+    for members, js in zip(census.members, partners):
+        shared = tuple(sorted(js))
+        for lab in members:
+            near[pos[lab]] = shared
+    return Psi2Table(census.q, "structural", census.labels, near)
 
 
 @dataclass
@@ -312,8 +327,3 @@ def verify_2covering(ctx: GFContext, inv: ClassInventory) -> CoveringResult:
             ok = False
     return CoveringResult(ok, only_b, only_d, both)
 
-
-def profiles_to_json(profiles: dict[ClassLabel, frozenset[str]]) -> dict[str, list[str]]:
-    """Debug dump: stable label string -> sorted subgroup-class ids."""
-    return {lab.str_form(): sorted(ids) for lab, ids in sorted(
-        profiles.items(), key=lambda kv: kv[0].str_form())}

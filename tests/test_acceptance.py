@@ -3,7 +3,7 @@
 Each test prints a PASS line with its measured runtime; the stated budget
 is asserted (they are generous on desk hardware).  The extended oracle set
 {16, 25, 27, 31} only runs when INVGEN_EXTENDED=1; `invgen verify
---extended` runs {16, 25, 27}.
+--extended` runs the same set.
 """
 
 import os
@@ -32,6 +32,7 @@ from invgen.iggraph import (
 )
 from invgen.oracle import OracleSession
 from invgen.structure import profile_census, psi2_structural, verify_2covering
+from helpers import isolated
 
 ALL_QS = [q for q in range(4, 1025) if prime_power_split(q)]
 MANDATORY_ORACLE_QS = [4, 5, 7, 8, 9, 11, 13]
@@ -79,14 +80,14 @@ def test_c02_oracle_equivalence_mandatory():
     with Budget("criterion 2: oracle == structural on {4,5,7,8,9,11,13}", 120):
         for q in MANDATORY_ORACLE_QS:
             sess = OracleSession(gf_for_q(q))
-            assert sess.psi2().pairs == psi2_structural(profile_census(sess.ctx, sess.inv)).pairs, q
+            assert sess.psi2().pairs() == psi2_structural(profile_census(sess.ctx, sess.inv)).pairs(), q
 
 
 def test_c02_oracle_equivalence_wider():
     with Budget("criterion 2 wider: oracle == structural on {16,19}", 60):
         for q in WIDER_ORACLE_QS:
             sess = OracleSession(gf_for_q(q))
-            assert sess.psi2().pairs == psi2_structural(profile_census(sess.ctx, sess.inv)).pairs, q
+            assert sess.psi2().pairs() == psi2_structural(profile_census(sess.ctx, sess.inv)).pairs(), q
 
 
 @pytest.mark.skipif(not EXTENDED, reason="extended oracle set needs INVGEN_EXTENDED=1")
@@ -94,26 +95,24 @@ def test_c02_oracle_equivalence_extended():
     with Budget("criterion 2 extended: oracle == structural on {16,25,27,31}", 900):
         for q in EXTENDED_ORACLE_QS:
             sess = OracleSession(gf_for_q(q))
-            assert sess.psi2().pairs == psi2_structural(profile_census(sess.ctx, sess.inv)).pairs, q
+            assert sess.psi2().pairs() == psi2_structural(profile_census(sess.ctx, sess.inv)).pairs(), q
 
 
 def test_c03_isolated_vertex_census():
     with Budget("criterion 3: isolated-vertex census", 60):
-        def isolated(q):
-            ctx = gf_for_q(q)
+        def isolated_names(q):
             if q <= 13:
-                table = OracleSession(ctx).psi2()
-                return {l.str_form() for l in table.isolated(inventory(ctx))}
+                return {l.str_form() for l in isolated(OracleSession(gf_for_q(q)).psi2())}
             return set(summary_of(q).isolated)
 
-        assert isolated(7) == {"split:t=1"}  # the order-3 class
-        assert isolated(9) == {"inv", "unip:sq", "unip:nsq"}
+        assert isolated_names(7) == {"split:t=1"}  # the order-3 class
+        assert isolated_names(9) == {"inv", "unip:sq", "unip:nsq"}
         for q in (13, 17, 25, 29):
-            assert isolated(q) == {"inv"}, q
+            assert isolated_names(q) == {"inv"}, q
         for q in (8, 16):
-            assert isolated(q) == {"unip"}, q  # involutions are the order-2 class
+            assert isolated_names(q) == {"unip"}, q  # involutions are the order-2 class
         for q in (11, 19, 23):
-            assert isolated(q) == set(), q
+            assert isolated_names(q) == set(), q
 
 
 def test_c04_bipartite_connected_diameter():
@@ -168,9 +167,9 @@ def test_c08_power_graph_ground_truth():
         ctx = gf_for_q(5)
         inv = inventory(ctx)
         psi2 = psi2_structural(profile_census(ctx, inv))
-        part = beta(aut_action(ctx, inv), psi2)
-        assert part.beta == 2
-        g = lambda_power(ctx, 2, psi2, part.orbit_of, inv, plus=True)
+        action = aut_action(ctx, inv)
+        assert beta(action, psi2).beta == 2
+        g = lambda_power(ctx, 2, psi2, action, inv, plus=True)
         assert len(g.vertices) == 4
         comps = components(g)
         assert len(comps) == 1
@@ -197,13 +196,13 @@ def test_c10_self_consistency():
         for q in MANDATORY_ORACLE_QS:
             ctx = gf_for_q(q)
             inv = inventory(ctx)
-            table = psi2_structural(profile_census(ctx, inv))
-            for a, b in table.pairs:
-                assert (b, a) in table.pairs
+            pairs = psi2_structural(profile_census(ctx, inv)).pairs()
+            for a, b in pairs:
+                assert (b, a) in pairs
             action = aut_action(ctx, inv)
             for gen in action.generators():
-                for a, b in table.pairs:
-                    assert (gen[a], gen[b]) in table.pairs
+                for a, b in pairs:
+                    assert (gen[a], gen[b]) in pairs
 
         # x^S meet <x> = {x, x^-1} for semisimple orders >= 3, q <= 13
         for q in MANDATORY_ORACLE_QS:

@@ -1,11 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from invgen.gf import gf_for_q
+from invgen.gf import gf_for_q, prime_power_split
 from invgen.psl2 import ClassLabel, inventory
 from invgen.autorbits import aut_action, beta, beta_fast
 from invgen.structure import Psi2Table, profile_census, psi2_structural, verify_2covering
 
 VALIDATION_QS = [4, 5, 7, 8, 9, 11, 13, 16, 25, 27]
+PRIME_POWERS = [q for q in range(4, 1025) if prime_power_split(q)]
 
 
 # ---------------------------------------------------------------------------
@@ -62,11 +65,33 @@ def test_action_group_order_divides_out(q):
 def test_psi2_is_aut_invariant(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    table = psi2_structural(profile_census(ctx, inv))
+    pairs = psi2_structural(profile_census(ctx, inv)).pairs()
     act = aut_action(ctx, inv)
     for gen in act.generators():
-        for a, b in table.pairs:
-            assert (gen[a], gen[b]) in table.pairs
+        for a, b in pairs:
+            assert (gen[a], gen[b]) in pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(PRIME_POWERS))
+def test_psi2_near_is_symmetric_and_aut_invariant(q):
+    ctx = gf_for_q(q)
+    inv = inventory(ctx)
+    table = psi2_structural(profile_census(ctx, inv))
+    near = table.near
+    transpose = [[] for _ in near]
+    for i, js in enumerate(near):
+        for j in js:
+            transpose[j].append(i)
+    assert [tuple(js) for js in transpose] == near  # j in near[i] iff i in near[j]
+    pos = {lab: i for i, lab in enumerate(table.labels)}
+    for g in aut_action(ctx, inv).elements():
+        image = [pos[g[lab]] for lab in table.labels]
+        moved = {}  # image of each distinct neighbour tuple
+        for i, js in enumerate(near):
+            if js not in moved:
+                moved[js] = tuple(sorted(image[j] for j in js))
+            assert near[image[i]] == moved[js], (q, table.labels[i])
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +161,9 @@ def test_orbits_equal_union_find_closure(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
     table = psi2_structural(profile_census(ctx, inv))
+    pairs = table.pairs()
     action = aut_action(ctx, inv)
-    parent = {pair: pair for pair in table.pairs}
+    parent = {pair: pair for pair in pairs}
 
     def find(x):
         while parent[x] != x:
@@ -145,10 +171,10 @@ def test_orbits_equal_union_find_closure(q):
         return x
 
     for gen in action.generators():
-        for a, b in table.pairs:
+        for a, b in pairs:
             parent[find((a, b))] = find((gen[a], gen[b]))
     groups = {}
-    for pair in table.pairs:
+    for pair in pairs:
         groups.setdefault(find(pair), set()).add(pair)
     part = beta(action, table)
     assert sorted(map(sorted, groups.values())) == sorted(map(sorted, part.orbits))
@@ -158,8 +184,10 @@ def test_orbits_equal_union_find_closure(q):
 
 def test_beta_rejects_empty_table():
     ctx = gf_for_q(5)
+    labels = inventory(ctx).nonidentity_labels()
+    empty = Psi2Table(5, "structural", labels, [()] * len(labels))
     with pytest.raises(ValueError):
-        beta(aut_action(ctx, inventory(ctx)), Psi2Table(5, "structural", set()))
+        beta(aut_action(ctx, inventory(ctx)), empty)
 
 
 def test_orbit_partition_json_has_orbit_ids():

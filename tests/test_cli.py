@@ -3,7 +3,8 @@ import sys
 
 import pytest
 
-from invgen import cli
+from invgen import cli, iggraph
+from invgen.autorbits import AutAction
 from invgen.cli import main
 
 # exit-code contract: 0 ok, 1 verification failure, 2 usage, 3 cap
@@ -123,6 +124,16 @@ def test_graph_power_cap_bounds_candidates(capsys):
     assert code == 3 and "cap" in err
 
 
+def test_graph_power_cap_comes_before_orbit_work(capsys, monkeypatch):
+    # 1023^2 vertices are over the cap; no Aut(S) element may be built first
+    def refuse(self):
+        raise AssertionError("Aut(S) elements built before the cap check")
+
+    monkeypatch.setattr(AutAction, "elements", refuse)
+    code, _, err = run(capsys, "graph", "--q", "1024", "--power", "2")
+    assert code == 3 and "cap" in err
+
+
 def test_graph_out_file(tmp_path, capsys):
     target = tmp_path / "g.dot"
     code, out, _ = run(capsys, "graph", "--q", "7", "--plus", "--format", "dot",
@@ -167,6 +178,19 @@ def test_beta_table_prints_bounds_above_digit_limit(capsys):
     for line in lines[2:]:
         assert len(line.split(": ")[1].split()[0]) == 4364
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_beta_evaluates_one_binomial_when_the_floor_is_exact(capsys, monkeypatch):
+    # |Psi2| / (d*f) = 130536 / 9 = 14504 = beta at q=512
+    calls = []
+    bound = iggraph.component_bound
+    monkeypatch.setattr(iggraph, "component_bound", lambda b: calls.append(b) or bound(b))
+    code, out, _ = run(capsys, "beta", "--q", "512", "--format", "json")
+    assert code == 0 and calls == [14504]
+    payload = json.loads(out)
+    floor, exact = payload["n_lower_bound"], payload["component_bound_at_beta"]
+    assert floor["beta_exact"] is None and exact["beta_exact"] == 14504
+    assert exact == dict(floor, beta_exact=14504)
 
 
 def test_beta_orbits_must_agree_with_burnside(capsys, monkeypatch):

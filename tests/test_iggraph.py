@@ -30,6 +30,7 @@ from invgen.iggraph import (
     to_dot,
 )
 from invgen.structure import profile_census, psi2_structural, verify_2covering
+from helpers import isolated
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +110,15 @@ def ref_diameter(g):
 
 
 def ref_power_adj(t, psi2, orbit_of, inv):
-    """Every pair of t-tuples put to the product criterion."""
+    """Every pair of t-tuples put to the product criterion, with the orbits
+    of the partition that ``autorbits.beta`` returns."""
+    pairs = psi2.pairs()
     vertices = list(product(inv.nonidentity_labels(), repeat=t))
     adj = {v: set() for v in vertices}
     for i, v in enumerate(vertices):
         for w in vertices[i + 1:]:
             cols = tuple(zip(v, w))
-            if all(col in psi2.pairs for col in cols) and \
+            if all(col in pairs for col in cols) and \
                     len({orbit_of[col] for col in cols}) == t:
                 adj[v].add(w)
                 adj[w].add(v)
@@ -145,8 +148,7 @@ def graph_of(q, plus):
 
 def power_of(q, t, **kwargs):
     ctx, inv, psi2 = structural(q)
-    orbit_of = beta(aut_action(ctx, inv), psi2).orbit_of
-    return lambda_power(ctx, t, psi2, orbit_of, inv, **kwargs)
+    return lambda_power(ctx, t, psi2, aut_action(ctx, inv), inv, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +215,14 @@ def test_lambda_power_cap_bounds_candidates(q, t, kwargs):
 @pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
 def test_lambda_power_equals_pair_test(q):
     ctx, inv, psi2 = structural(q)
-    part = beta(aut_action(ctx, inv), psi2)
+    action = aut_action(ctx, inv)
+    part = beta(action, psi2)
     for t in range(1, min(part.beta, 3) + 1):
         vertices, adj = ref_power_adj(t, psi2, part.orbit_of, inv)
-        g = lambda_power(ctx, t, psi2, part.orbit_of, inv)
+        g = lambda_power(ctx, t, psi2, action, inv)
         assert g.vertices == vertices and adjacency(g) == adj, t
         live = [v for v in vertices if adj[v]]
-        g = lambda_power(ctx, t, psi2, part.orbit_of, inv, plus=True)
+        g = lambda_power(ctx, t, psi2, action, inv, plus=True)
         assert g.vertices == live and adjacency(g) == {v: adj[v] for v in live}, t
 
 
@@ -234,10 +237,11 @@ def test_lambda_graph_edges_are_psi2_pairs(q, plus):
     ctx, inv, psi2 = structural(q)
     g = lambda_graph(ctx, psi2, inv, plus=plus)
     labels = inv.nonidentity_labels()
-    touched = {a for a, _ in psi2.pairs}
+    pairs = psi2.pairs()
+    touched = {a for a, _ in pairs}
     assert g.vertices == ([v for v in labels if v in touched] if plus else labels)
     adj = adjacency(g)
-    assert {(v, w) for v in g.vertices for w in adj[v]} == psi2.pairs
+    assert {(v, w) for v in g.vertices for w in adj[v]} == pairs
 
 
 @pytest.mark.parametrize("nbrs,match", [
@@ -333,16 +337,18 @@ def test_component_bound_values():
 
 def test_bound_meets_actual_components_q5():
     ctx, inv, psi2 = structural(5)
-    part = beta(aut_action(ctx, inv), psi2)
+    action = aut_action(ctx, inv)
+    part = beta(action, psi2)
     assert part.beta == 2
-    g = lambda_power(ctx, part.beta, psi2, part.orbit_of, inv, plus=True)
+    g = lambda_power(ctx, part.beta, psi2, action, inv, plus=True)
     assert len(components(g)) >= component_bound(part.beta) == 1
 
 
 def test_bound_meets_actual_components_q7():
     ctx, inv, psi2 = structural(7)
-    part = beta(aut_action(ctx, inv), psi2)
-    g = lambda_power(ctx, part.beta, psi2, part.orbit_of, inv, plus=True)
+    action = aut_action(ctx, inv)
+    part = beta(action, psi2)
+    g = lambda_power(ctx, part.beta, psi2, action, inv, plus=True)
     assert len(components(g)) >= component_bound(part.beta) == 3
 
 
@@ -412,7 +418,7 @@ def test_summary_matches_explicit_graph(q):
     assert s.component_count == len(components(g))
     assert s.bipartite == is_bipartite(g)[0]
     assert s.diameter == diameter(g)
-    assert set(s.isolated) == {l.str_form() for l in table.isolated(inv)}
+    assert set(s.isolated) == {l.str_form() for l in isolated(table)}
     assert set(s.isolated) == expected_isolated(ctx, inv)
 
 
@@ -424,8 +430,7 @@ def balance_counts(ctx, t):
     inv = inventory(ctx)
     p1, _ = verify_2covering(ctx, inv).parts()
     psi2 = psi2_structural(profile_census(ctx, inv))
-    orbit_of = beta(aut_action(ctx, inv), psi2).orbit_of
-    g = lambda_power(ctx, t, psi2, orbit_of, inv, plus=True)
+    g = lambda_power(ctx, t, psi2, aut_action(ctx, inv), inv, plus=True)
     return [len(part_pattern(v, p1)) for v in g.vertices]
 
 

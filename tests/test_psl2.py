@@ -15,8 +15,8 @@ from invgen.psl2 import (
     psl2_class_of,
     psl2_inv,
     psl2_mul,
-    psl2_order,
 )
+from helpers import psl2_order
 
 ORACLE_QS = [4, 5, 7, 8, 9, 11, 13]
 

@@ -45,11 +45,16 @@ def test_beta_counts_without_the_orbit_partition(tmp_path):
 
 
 def test_power_graph_builds_the_partition_once(tmp_path):
+    # the power graph names orbits by least images; only beta --orbits
+    # builds the partition
     spans, counters = traced(tmp_path, "graph", "--q", "5", "--power", "2", "--plus")
-    assert spans["autorbits.beta"] == 1
-    assert counters["autorbits.orbits"] == 2
+    assert "autorbits.beta" not in spans
     assert counters["structure.census_calls"] == 1
     assert counters["iggraph.power_pairs"] == 120  # 16 vertices of S^2
+    spans, counters = traced(tmp_path, "beta", "--q", "7", "--orbits")
+    assert spans["autorbits.beta"] == 1
+    assert counters["autorbits.orbits"] == 4
+    assert counters["structure.census_calls"] == 1
 
 
 def test_psi2_both_runs_each_route_once(tmp_path):
