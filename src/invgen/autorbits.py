@@ -93,6 +93,10 @@ class OrbitPartition:
     orbits: list[list[Pair]]
     orbit_of: dict[Pair, int]
 
+    def named_orbits(self) -> list[list[tuple[str, str]]]:
+        """Each orbit's pairs as (name, name); orbits are already sorted by name."""
+        return [list(map(_pair_key, orbit)) for orbit in self.orbits]
+
     def to_json(self) -> dict:
         return {
             "beta": self.beta,
@@ -100,7 +104,7 @@ class OrbitPartition:
                 "|".join(_pair_key(pair)): i
                 for pair, i in sorted(self.orbit_of.items(), key=lambda kv: _pair_key(kv[0]))
             },
-            "orbits": [sorted(map(_pair_key, orbit)) for orbit in self.orbits],
+            "orbits": self.named_orbits(),
         }
 
 

@@ -6,7 +6,7 @@ deterministic (labels sorted by their stable string form) so emitted files
 are byte-stable across runs.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-cap exceeded.
+cap exceeded, 4 internal error (an invariant of the computation failed).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 from collections.abc import Iterable
-from itertools import chain, starmap
+from itertools import chain
 
 from invgen.autorbits import aut_action, beta, beta_fast
 from invgen.gf import GFContext, gf_make, prime_power_split
@@ -40,6 +40,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 ORACLE_VERIFY_DEFAULT = 13  # oracle cross-check in `verify` runs for q up to this
 ORACLE_VERIFY_EXTENDED = (16, 25, 27, 31)
@@ -129,12 +130,12 @@ def cmd_psi2(args) -> int:
             payload["match"] = match
         _emit([json.dumps(payload, indent=2) + "\n"], args.out)
     elif args.format == "csv":
-        _emit(table.csv_lines(), args.out)
+        _emit(chain(["label1,label2\n"], table.text_blocks(",")), args.out)
     else:
         tail = [f"count={len(table)} probability={prob:.6f}\n"]
         if match is not None:
             tail.append(f"match={match}\n")
-        _emit(chain(starmap("{}  {}\n".format, table.rows()), tail), args.out)
+        _emit(chain(table.text_blocks("  "), tail), args.out)
     if match is False:
         print(f"psi2 mismatch between methods at q={ctx.q}", file=sys.stderr)
         return EXIT_FAIL
@@ -193,7 +194,7 @@ def cmd_beta(args) -> int:
             raise RuntimeError(
                 f"orbit partition has {part.beta} orbits but Burnside counts {b}"
             )
-        payload["orbits"] = part.to_json()["orbits"]
+        payload["orbits"] = part.named_orbits()
     if args.format == "json":
         _emit([json.dumps(payload, indent=2) + "\n"], args.out)
     else:
@@ -340,6 +341,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:

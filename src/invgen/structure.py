@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, repeat, starmap
+from itertools import repeat
 
 from invgen.gf import GFContext
 from invgen.psl2 import ClassInventory, ClassLabel
@@ -237,7 +237,11 @@ def profile_census(ctx: GFContext, inv: ClassInventory) -> ProfileCensus:
 class Psi2Table:
     """Ordered pairs of nonidentity class labels that invariably generate S:
     ``near[i]`` is the ascending tuple of the j with (labels[i], labels[j])
-    in Psi2.  Labels may share one tuple, so tuples are never mutated."""
+    in Psi2.  Labels may share one tuple, so tuples are never mutated.
+
+    Text output comes from ``text_blocks``, one string per label; ``rows``
+    yields one tuple per pair and serves the JSON payload and tests.  Both
+    read ``_named_near``, the one place that fixes the output order."""
 
     q: int
     method: str  # "structural" | "oracle"
@@ -252,19 +256,35 @@ class Psi2Table:
         labels = self.labels
         return {(labels[i], labels[j]) for i, js in enumerate(self.near) for j in js}
 
+    def _named_near(self) -> Iterator[tuple[str, list[str]]]:
+        """(name, sorted neighbour names) for every label with neighbours,
+        labels in name order.  Each distinct tuple is named and sorted once."""
+        names = [lab.str_form() for lab in self.labels]
+        named: dict[tuple[int, ...], list[str]] = {}
+        for i in sorted(range(len(names)), key=names.__getitem__):
+            js = self.near[i]
+            if not js:
+                continue
+            near = named.get(js)
+            if near is None:
+                near = named[js] = sorted(map(names.__getitem__, js))
+            yield names[i], near
+
     def rows(self) -> Iterator[tuple[str, str]]:
         """The pairs as (name, name) in sorted order: labels by name, and
         the neighbours of each label by name."""
-        names = [lab.str_form() for lab in self.labels]
-        for i in sorted(range(len(names)), key=names.__getitem__):
-            yield from zip(repeat(names[i]), sorted(names[j] for j in self.near[i]))
+        for name, near in self._named_near():
+            yield from zip(repeat(name), near)
+
+    def text_blocks(self, sep: str) -> Iterator[str]:
+        """The rows as ``name + sep + name`` lines, one string per label."""
+        for name, near in self._named_near():
+            head = name + sep
+            yield head + ("\n" + head).join(near) + "\n"
 
     def to_json(self) -> dict:
         return {"q": self.q, "method": self.method, "count": len(self),
                 "pairs": list(self.rows())}
-
-    def csv_lines(self) -> Iterator[str]:
-        return chain(["label1,label2\n"], starmap("{},{}\n".format, self.rows()))
 
 
 def psi2_structural(census: ProfileCensus) -> Psi2Table:

@@ -7,7 +7,7 @@ from invgen import cli, iggraph
 from invgen.autorbits import AutAction
 from invgen.cli import main
 
-# exit-code contract: 0 ok, 1 verification failure, 2 usage, 3 cap
+# exit-code contract: 0 ok, 1 verification failure, 2 usage, 3 cap, 4 internal
 
 
 def run(capsys, *argv):
@@ -89,6 +89,17 @@ def test_psi2_csv(capsys):
     assert code == 0
     assert out.splitlines()[0] == "label1,label2"
     assert len(out.splitlines()) == 5
+
+
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+def test_psi2_out_file_matches_stdout(tmp_path, capsys, fmt):
+    argv = ["psi2", "--q", "64", "--format", fmt]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    target = tmp_path / f"psi2.{fmt}"
+    code, to_stdout, _ = run(capsys, *argv, "--out", str(target))
+    assert code == 0 and to_stdout == ""
+    assert target.read_bytes() == out.encode()
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +206,9 @@ def test_beta_evaluates_one_binomial_when_the_floor_is_exact(capsys, monkeypatch
 
 def test_beta_orbits_must_agree_with_burnside(capsys, monkeypatch):
     monkeypatch.setattr(cli, "beta_fast", lambda action, census: 6)
-    with pytest.raises(RuntimeError, match="Burnside counts 6"):
-        main(["beta", "--q", "7", "--orbits"])
+    code, out, err = run(capsys, "beta", "--q", "7", "--orbits")
+    assert code == 4 and out == ""
+    assert err.startswith("internal error: ") and "Burnside counts 6" in err
     code, _, _ = run(capsys, "beta", "--q", "7")  # no partition, no cross-check
     assert code == 0
 

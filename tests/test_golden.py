@@ -64,6 +64,14 @@ GOLDEN = [
      "b12abcebe9396241db55737f1f2958ea29c186b2270d0c0b10224c2a1a1c963d"),
     ("graph --q 8 --power 2 --plus --format dot",
      "e26a303172e2207d8691119a5e100a3cd6d934da5eda1db0a7461a2e204705cd"),
+    # recorded at commit babc304, before Psi2 text was written one label
+    # block at a time; the q=1024 CSV digest is the one perfbench checks
+    ("psi2 --q 1024 --format csv",
+     "403e707a52eaaef705d8a99ba28825926db6b99cad9148b79a4032bb88352127"),
+    ("psi2 --q 256",
+     "0f6e8391533afedb424647c3741d27100e102f269d59ad4ec099f0ecb801a7ac"),
+    ("psi2 --q 16 --method both",
+     "c98413983be3b4f2123650909bc330f0e1217b75394d5d312572d0b562533a0c"),
 ]
 
 # The graph summary goes to stderr; it is the only output that carries the

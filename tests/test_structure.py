@@ -1,6 +1,7 @@
 import pytest
 
 from invgen.gf import gf_for_q, prime_power_split
+from invgen.oracle import OracleSession
 from invgen.psl2 import ClassLabel, inventory
 from invgen.structure import (
     BOREL,
@@ -11,6 +12,7 @@ from invgen.structure import (
     EXC_S4,
     SUBFIELD_PGL,
     SUBFIELD_PSL,
+    Psi2Table,
     build_profiles,
     maximal_profiles,
     maximal_subgroup_classes,
@@ -199,9 +201,44 @@ def test_psi2_serialization():
     js = table.to_json()
     assert js["q"] == 5 and js["method"] == "structural" and js["count"] == 4
     assert js["pairs"] == sorted(js["pairs"])
-    csv = "".join(table.csv_lines())
-    assert csv.splitlines()[0] == "label1,label2"
-    assert len(csv.splitlines()) == 5
+    csv = "".join(table.text_blocks(","))
+    assert len(csv.splitlines()) == 4
+    assert all(line.count(",") == 1 for line in csv.splitlines())
+
+
+def assert_blocks_match_rows(table):
+    for sep in (",", "  "):
+        blocks = list(table.text_blocks(sep))
+        assert all(block.endswith("\n") for block in blocks)
+        assert "".join(blocks) == "".join(f"{a}{sep}{b}\n" for a, b in table.rows())
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 16, 25, 49, 64, 81, 121])
+def test_text_blocks_match_rows_structural(q):
+    ctx = gf_for_q(q)
+    assert_blocks_match_rows(psi2_structural(profile_census(ctx, inventory(ctx))))
+
+
+@pytest.mark.parametrize("q", MANDATORY_QS)
+def test_text_blocks_match_rows_oracle(q):
+    assert_blocks_match_rows(OracleSession(gf_for_q(q)).psi2())
+
+
+def test_text_blocks_sort_names_per_tuple_and_skip_empty():
+    labels = [ClassLabel("split", 3), ClassLabel("nonsplit", 4), ClassLabel("inv"),
+              ClassLabel("unip", sq=True), ClassLabel("split", 1)]
+    shared = (1, 3)
+    equal = tuple([0, 4]), tuple([0, 4])
+    assert equal[0] == equal[1] and equal[0] is not equal[1]
+    table = Psi2Table(7, "structural", labels, [shared, equal[0], (), equal[1], shared])
+    assert_blocks_match_rows(table)
+    assert list(table.text_blocks(",")) == [
+        "nonsplit:t=4,split:t=1\nnonsplit:t=4,split:t=3\n",
+        "split:t=1,nonsplit:t=4\nsplit:t=1,unip:sq\n",
+        "split:t=3,nonsplit:t=4\nsplit:t=3,unip:sq\n",
+        "unip:sq,split:t=1\nunip:sq,split:t=3\n",
+    ]
+    assert len(list(table.rows())) == len(table) == 8
 
 
 # ---------------------------------------------------------------------------
