@@ -11,10 +11,10 @@ Inner automorphisms fix every label, so the induced action is generated by
 The number of orbits of the diagonal action on Psi2 equals beta(S), the
 largest t for which S^t is invariably 2-generated.  ``beta_fast`` counts
 them by Burnside's lemma over profile buckets; it is the one production
-route to beta.  ``beta`` builds the orbit partition itself, as the images
-of one pair per orbit under every element of the induced group, for
-``beta --orbits``.  The power graph needs no partition: it names the orbit
-of a pair by the pair's least image under ``AutAction.elements``.
+route to beta.  ``pair_orbits`` names the orbit of every Psi2 pair by
+the pair's least image under ``AutAction.elements``; the power graph reads
+those names for its columns, and ``beta`` groups the pairs by them into the
+orbit partition that ``beta --orbits`` prints.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from invgen.psl2 import ClassInventory, ClassLabel, trace_key
 from invgen.structure import ProfileCensus, Psi2Table
 
 LabelPerm = dict[ClassLabel, ClassLabel]
-Pair = tuple[ClassLabel, ClassLabel]
 
 
 @dataclass
@@ -83,64 +82,57 @@ def aut_action(ctx: GFContext, inv: ClassInventory) -> AutAction:
     return AutAction(ctx, diagonal, frob)
 
 
-def _pair_key(pair: Pair) -> tuple[str, str]:
-    return pair[0].str_form(), pair[1].str_form()
+def _index_images(action: AutAction, labels: list[ClassLabel]) -> list[list[int]]:
+    """Every element of the induced group as the list of the positions in
+    ``labels`` of the images of ``labels``."""
+    pos = {lab: i for i, lab in enumerate(labels)}
+    return [[pos[g[lab]] for lab in labels] for g in action.elements()]
+
+
+def pair_orbits(action: AutAction, psi2: Psi2Table) -> dict[tuple[int, int], tuple[int, int]]:
+    """Each Psi2 index pair (i, j) mapped to its least image under the
+    elements of ``action``: two pairs share an Aut(S)-orbit exactly when
+    they share a key, and the key is itself a member of the orbit."""
+    images = _index_images(action, psi2.labels)
+    return {(a, b): min((g[a], g[b]) for g in images)
+            for a, bs in enumerate(psi2.near) for b in bs}
 
 
 @dataclass
 class OrbitPartition:
     beta: int
-    orbits: list[list[Pair]]
-    orbit_of: dict[Pair, int]
-
-    def named_orbits(self) -> list[list[tuple[str, str]]]:
-        """Each orbit's pairs as (name, name); orbits are already sorted by name."""
-        return [list(map(_pair_key, orbit)) for orbit in self.orbits]
-
-    def to_json(self) -> dict:
-        return {
-            "beta": self.beta,
-            "orbit_of": {
-                "|".join(_pair_key(pair)): i
-                for pair, i in sorted(self.orbit_of.items(), key=lambda kv: _pair_key(kv[0]))
-            },
-            "orbits": self.named_orbits(),
-        }
+    orbits: list[list[tuple[str, str]]]  # (name, name) pairs, sorted within and across orbits
 
 
 def beta(action: AutAction, psi2: Psi2Table) -> OrbitPartition:
     """Orbit partition of the diagonal Aut(S)-action on Psi2.
 
-    Each orbit is the set of images of one of its pairs under every element
-    of the induced group.  Checks that every image stays in Psi2 and that no
-    orbit contains both (C, D) and (D, C): the swap direction can never be
-    reached because the bipartition parts are Aut-invariant, and a
+    The pairs are grouped by their ``pair_orbits`` key.  Checks that every
+    image of each key stays in Psi2, so each group is a whole orbit, and
+    that no orbit contains both (C, D) and (D, C): the swap direction can
+    never be reached because the bipartition parts are Aut-invariant, and a
     violation would falsify the evenness of beta.
     """
-    pairs = psi2.pairs()
-    if not pairs:
-        raise ValueError("Psi2 is empty")
-    elements = action.elements()
-    seen: set[Pair] = set()
-    orbits: list[list[Pair]] = []
-    for c, dlab in pairs:
-        if (c, dlab) in seen:
-            continue
-        orbit = {(g[c], g[dlab]) for g in elements}
-        for image in orbit:
-            if image not in pairs:
+    key = pair_orbits(action, psi2)
+    if not key:
+        raise RuntimeError("Psi2 is empty")
+    names = [lab.str_form() for lab in psi2.labels]
+    images = _index_images(action, psi2.labels)
+    groups: dict[tuple[int, int], list[tuple[str, str]]] = {}
+    for (a, b), k in key.items():
+        groups.setdefault(k, []).append((names[a], names[b]))
+    for a, b in groups:
+        for g in images:
+            if (g[a], g[b]) not in key:
                 raise RuntimeError(
-                    f"automorphism image {image} left Psi2; the action is broken"
+                    f"automorphism image ({names[g[a]]}, {names[g[b]]}) left Psi2; "
+                    "the action is broken"
                 )
-            if (image[1], image[0]) in orbit:
-                raise RuntimeError(
-                    f"orbit of ({c}, {dlab}) contains its swap; the action is broken"
-                )
-        seen |= orbit
-        orbits.append(sorted(orbit, key=_pair_key))
-    orbits.sort(key=lambda o: [_pair_key(pair) for pair in o])
-    orbit_of = {pair: i for i, orbit in enumerate(orbits) for pair in orbit}
-    return OrbitPartition(len(orbits), orbits, orbit_of)
+        if key.get((b, a)) == (a, b):
+            raise RuntimeError(
+                f"orbit of ({names[a]}, {names[b]}) contains its swap; the action is broken"
+            )
+    return OrbitPartition(len(groups), sorted(map(sorted, groups.values())))
 
 
 def beta_fast(action: AutAction, census: ProfileCensus) -> int:

@@ -194,7 +194,7 @@ def cmd_beta(args) -> int:
             raise RuntimeError(
                 f"orbit partition has {part.beta} orbits but Burnside counts {b}"
             )
-        payload["orbits"] = part.named_orbits()
+        payload["orbits"] = part.orbits
     if args.format == "json":
         _emit([json.dumps(payload, indent=2) + "\n"], args.out)
     else:

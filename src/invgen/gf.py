@@ -19,6 +19,8 @@ coefficient encoding stays canonical.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
+from math import gcd
 
 Q_CAP = 1 << 20  # contexts refuse q above this
 TABLE_CAP = 1 << 12  # build exp/log tables when q <= this
@@ -137,7 +139,6 @@ def _find_modulus(p: int, f: int) -> list[int]:
     if f == 1:
         return [0, 1]
     # lex order on (c0, c1, ...) with c0 most significant
-    from itertools import product
     for tail in product(range(p), repeat=f):
         m = list(tail) + [1]
         if _is_irreducible(m, p):
@@ -301,7 +302,6 @@ class GFContext:
             raise ValueError("zero has no multiplicative order")
         n = self.q - 1
         if self._log is not None:
-            from math import gcd
             return n // gcd(self._log[a], n) if n else 1
         order = n
         for r in factorize(n):

@@ -5,11 +5,11 @@ the unordered Psi2 pairs.  For t > 1 the vertices are t-tuples of
 nonidentity labels and adjacency follows the product criterion: every
 coordinate column must lie in Psi2 and no two columns may share an
 Aut(S)-orbit.  Both read Psi2 as the neighbour lists ``Psi2Table.near``,
-and a column's orbit is named by its least image under the induced
-Aut(S) group, so no orbit partition is built.  Tuples with an identity
-coordinate are provably isolated (an identity column lies in no Psi2
-pair), so the enumeration skips them; the plus filter then drops
-everything else that is isolated.
+and a column's orbit is named by ``autorbits.pair_orbits`` (its least
+image under the induced Aut(S) group), so no orbit partition is built.
+Tuples with an identity coordinate are provably isolated (an identity
+column lies in no Psi2 pair), so the enumeration skips them; the plus
+filter then drops everything else that is isolated.
 
 Adjacency is stored as one integer bitmask per vertex: bit j of
 ``nbrs[i]`` is set when vertices i and j are adjacent.  Components,
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from math import comb, log2
 
-from invgen.autorbits import AutAction
+from invgen.autorbits import AutAction, pair_orbits
 from invgen.gf import GFContext
 from invgen.psl2 import ClassInventory, ClassLabel
 from invgen.structure import CoveringResult, ProfileCensus, Psi2Table
@@ -115,10 +115,9 @@ def lambda_power(ctx: GFContext, t: int, psi2: Psi2Table, action: AutAction,
     The neighbours of a tuple v are drawn from the product of the Psi2
     neighbour lists of its coordinates, so exactly |Psi2|^t candidate
     tuples are visited; a candidate is kept when its t columns lie in t
-    distinct Aut(S)-orbits.  A column's orbit is named by its least image
-    under the elements of ``action``.  Both the vertex count and the
-    candidate count must be at most ``cap``; that is checked before any
-    orbit work.
+    distinct Aut(S)-orbits, as named by ``pair_orbits``.  Both the vertex
+    count and the candidate count must be at most ``cap``; that is checked
+    before any orbit work.
     """
     labels = inv.nonidentity_labels()
     n_vertices = len(labels) ** t
@@ -128,10 +127,7 @@ def lambda_power(ctx: GFContext, t: int, psi2: Psi2Table, action: AutAction,
             f"power graph would have {n_vertices} vertices and {n_candidates} "
             f"candidate neighbour tuples, cap is {cap}"
         )
-    pos = {lab: i for i, lab in enumerate(labels)}
-    images = [[pos[g[lab]] for lab in labels] for g in action.elements()]
-    orbit = {(a, b): min((g[a], g[b]) for g in images)
-             for a, bs in enumerate(psi2.near) for b in bs}
+    orbit = pair_orbits(action, psi2)
     n_orbits = len(set(orbit.values()))
     if t > n_orbits:
         raise ValueError(
@@ -255,7 +251,7 @@ def _big_int_str(n: int) -> str:
 def component_bound(beta_value: int) -> int:
     """Exact (1/2) * C(beta, beta/2); beta must be even (it always is)."""
     if beta_value < 2 or beta_value % 2 != 0:
-        raise ValueError(
+        raise RuntimeError(
             f"beta must be even and >= 2, got {beta_value}; an odd orbit count "
             "signals an upstream bug"
         )

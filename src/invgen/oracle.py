@@ -33,10 +33,12 @@ from invgen.gf import GFContext
 from invgen.psl2 import (
     ClassLabel,
     Mat,
+    canon,
     enumerate_psl2,
     inventory,
     psl2_class_of,
     psl2_inv,
+    psl2_mul,
 )
 from invgen.structure import (
     BOREL,
@@ -237,7 +239,6 @@ class OracleSession:
         x = self.by_label[gen_label][0]
         torus = [x]
         acc = x
-        from invgen.psl2 import psl2_mul
         for _ in range(torus_order - 1):
             acc = psl2_mul(ctx, acc, x)
             torus.append(acc)
@@ -274,7 +275,6 @@ class OracleSession:
             return [v1]
         mu = next(a for a in range(1, ctx.q) if not ctx.is_square(a))
         mu_inv = ctx.inv(mu)
-        from invgen.psl2 import canon
         twisted = [
             canon(ctx, (m[0], ctx.mul(mu, m[1]), ctx.mul(mu_inv, m[2]), m[3]))
             for m in members

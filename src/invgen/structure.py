@@ -251,11 +251,6 @@ class Psi2Table:
     def __len__(self) -> int:
         return sum(map(len, self.near))
 
-    def pairs(self) -> set[tuple[ClassLabel, ClassLabel]]:
-        """The pairs as a set of label pairs, built on each call."""
-        labels = self.labels
-        return {(labels[i], labels[j]) for i, js in enumerate(self.near) for j in js}
-
     def _named_near(self) -> Iterator[tuple[str, list[str]]]:
         """(name, sorted neighbour names) for every label with neighbours,
         labels in name order.  Each distinct tuple is named and sorted once."""

@@ -32,7 +32,7 @@ from invgen.iggraph import (
 )
 from invgen.oracle import OracleSession
 from invgen.structure import profile_census, psi2_structural, verify_2covering
-from helpers import isolated
+from helpers import isolated, pairs
 
 ALL_QS = [q for q in range(4, 1025) if prime_power_split(q)]
 MANDATORY_ORACLE_QS = [4, 5, 7, 8, 9, 11, 13]
@@ -80,14 +80,14 @@ def test_c02_oracle_equivalence_mandatory():
     with Budget("criterion 2: oracle == structural on {4,5,7,8,9,11,13}", 120):
         for q in MANDATORY_ORACLE_QS:
             sess = OracleSession(gf_for_q(q))
-            assert sess.psi2().pairs() == psi2_structural(profile_census(sess.ctx, sess.inv)).pairs(), q
+            assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.ctx, sess.inv))), q
 
 
 def test_c02_oracle_equivalence_wider():
     with Budget("criterion 2 wider: oracle == structural on {16,19}", 60):
         for q in WIDER_ORACLE_QS:
             sess = OracleSession(gf_for_q(q))
-            assert sess.psi2().pairs() == psi2_structural(profile_census(sess.ctx, sess.inv)).pairs(), q
+            assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.ctx, sess.inv))), q
 
 
 @pytest.mark.skipif(not EXTENDED, reason="extended oracle set needs INVGEN_EXTENDED=1")
@@ -95,7 +95,7 @@ def test_c02_oracle_equivalence_extended():
     with Budget("criterion 2 extended: oracle == structural on {16,25,27,31}", 900):
         for q in EXTENDED_ORACLE_QS:
             sess = OracleSession(gf_for_q(q))
-            assert sess.psi2().pairs() == psi2_structural(profile_census(sess.ctx, sess.inv)).pairs(), q
+            assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.ctx, sess.inv))), q
 
 
 def test_c03_isolated_vertex_census():
@@ -196,13 +196,13 @@ def test_c10_self_consistency():
         for q in MANDATORY_ORACLE_QS:
             ctx = gf_for_q(q)
             inv = inventory(ctx)
-            pairs = psi2_structural(profile_census(ctx, inv)).pairs()
-            for a, b in pairs:
-                assert (b, a) in pairs
+            psi2_pairs = pairs(psi2_structural(profile_census(ctx, inv)))
+            for a, b in psi2_pairs:
+                assert (b, a) in psi2_pairs
             action = aut_action(ctx, inv)
             for gen in action.generators():
-                for a, b in pairs:
-                    assert (gen[a], gen[b]) in pairs
+                for a, b in psi2_pairs:
+                    assert (gen[a], gen[b]) in psi2_pairs
 
         # x^S meet <x> = {x, x^-1} for semisimple orders >= 3, q <= 13
         for q in MANDATORY_ORACLE_QS:

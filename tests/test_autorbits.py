@@ -4,8 +4,10 @@ from hypothesis import strategies as st
 
 from invgen.gf import gf_for_q, prime_power_split
 from invgen.psl2 import ClassLabel, inventory
-from invgen.autorbits import aut_action, beta, beta_fast
+from invgen import cli
+from invgen.autorbits import AutAction, aut_action, beta, beta_fast
 from invgen.structure import Psi2Table, profile_census, psi2_structural, verify_2covering
+from helpers import pairs, ref_orbits
 
 VALIDATION_QS = [4, 5, 7, 8, 9, 11, 13, 16, 25, 27]
 PRIME_POWERS = [q for q in range(4, 1025) if prime_power_split(q)]
@@ -65,11 +67,11 @@ def test_action_group_order_divides_out(q):
 def test_psi2_is_aut_invariant(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    pairs = psi2_structural(profile_census(ctx, inv)).pairs()
+    psi2_pairs = pairs(psi2_structural(profile_census(ctx, inv)))
     act = aut_action(ctx, inv)
     for gen in act.generators():
-        for a, b in pairs:
-            assert (gen[a], gen[b]) in pairs
+        for a, b in psi2_pairs:
+            assert (gen[a], gen[b]) in psi2_pairs
 
 
 @settings(max_examples=100, deadline=None)
@@ -102,12 +104,10 @@ def test_beta_q5():
     ctx = gf_for_q(5)
     part = beta(aut_action(ctx, inventory(ctx)), psi2_structural(profile_census(ctx, inventory(ctx))))
     assert part.beta == 2
-    orbit_sets = {frozenset((a.str_form(), b.str_form()) for a, b in orbit)
-                  for orbit in part.orbits}
-    assert orbit_sets == {
-        frozenset({("nonsplit:t=1", "unip:sq"), ("nonsplit:t=1", "unip:nsq")}),
-        frozenset({("unip:sq", "nonsplit:t=1"), ("unip:nsq", "nonsplit:t=1")}),
-    }
+    assert part.orbits == [
+        [("nonsplit:t=1", "unip:nsq"), ("nonsplit:t=1", "unip:sq")],
+        [("unip:nsq", "nonsplit:t=1"), ("unip:sq", "nonsplit:t=1")],
+    ]
 
 
 @pytest.mark.parametrize("q,expected", [(4, 2), (5, 2), (7, 4), (8, 8), (9, 2)])
@@ -157,46 +157,65 @@ def test_burnside_agrees_with_union_find(q):
 
 @pytest.mark.parametrize("q", VALIDATION_QS + [17, 49, 64, 81, 121])
 def test_orbits_equal_union_find_closure(q):
-    # reference: merge each pair with its image under every generator
     ctx = gf_for_q(q)
     inv = inventory(ctx)
     table = psi2_structural(profile_census(ctx, inv))
-    pairs = table.pairs()
     action = aut_action(ctx, inv)
-    parent = {pair: pair for pair in pairs}
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    for gen in action.generators():
-        for a, b in pairs:
-            parent[find((a, b))] = find((gen[a], gen[b]))
     groups = {}
-    for pair in pairs:
-        groups.setdefault(find(pair), set()).add(pair)
-    part = beta(action, table)
-    assert sorted(map(sorted, groups.values())) == sorted(map(sorted, part.orbits))
-    assert all(part.orbit_of[pair] == i
-               for i, orbit in enumerate(part.orbits) for pair in orbit)
+    for (a, b), rep in ref_orbits(action, table).items():
+        groups.setdefault(rep, []).append((a.str_form(), b.str_form()))
+    assert beta(action, table).orbits == sorted(map(sorted, groups.values()))
 
 
 def test_beta_rejects_empty_table():
     ctx = gf_for_q(5)
     labels = inventory(ctx).nonidentity_labels()
     empty = Psi2Table(5, "structural", labels, [()] * len(labels))
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError, match="Psi2 is empty"):
         beta(aut_action(ctx, inventory(ctx)), empty)
 
 
-def test_orbit_partition_json_has_orbit_ids():
+def broken_image_case():
+    """q=7 with an action generated by the permutation that swaps unip:sq
+    and split:t=1; it sends (unip:sq, inv) to (split:t=1, inv), which is
+    not in Psi2.  (With the diagonal map as well, the group is Sym(3) and
+    Burnside's count is not an integer, so ``beta_fast`` would fail first.)"""
+    ctx = gf_for_q(7)
+    inv = inventory(ctx)
+    usq, s1 = ClassLabel("unip", sq=True), ClassLabel("split", 1)
+    perm = {lab: lab for lab in inv.labels()}
+    perm[usq], perm[s1] = s1, usq
+    return 7, AutAction(ctx, None, perm), psi2_structural(profile_census(ctx, inv)), "left Psi2"
+
+
+def swapped_pair_case():
+    """q=5 with a two-label Psi2 {(unip:sq, unip:nsq), (unip:nsq, unip:sq)}
+    and a permutation that swaps the two labels, so one orbit holds a pair
+    and its swap."""
     ctx = gf_for_q(5)
-    part = beta(aut_action(ctx, inventory(ctx)), psi2_structural(profile_census(ctx, inventory(ctx))))
-    js = part.to_json()
-    assert js["beta"] == 2
-    assert set(js["orbit_of"].values()) == {0, 1}
-    assert len(js["orbit_of"]) == 4
+    usq, unsq = ClassLabel("unip", sq=True), ClassLabel("unip", sq=False)
+    perm = {lab: lab for lab in inventory(ctx).labels()}
+    perm[usq], perm[unsq] = unsq, usq
+    table = Psi2Table(5, "structural", [usq, unsq], [(1,), (0,)])
+    return 5, AutAction(ctx, None, perm), table, "contains its swap"
+
+
+@pytest.mark.parametrize("case", [broken_image_case, swapped_pair_case])
+def test_beta_checks_the_action(case):
+    _, action, table, message = case()
+    with pytest.raises(RuntimeError, match=message):
+        beta(action, table)
+
+
+@pytest.mark.parametrize("case", [broken_image_case, swapped_pair_case])
+def test_beta_orbits_reports_a_broken_action_as_internal(case, capsys, monkeypatch):
+    q, action, table, message = case()
+    monkeypatch.setattr(cli, "aut_action", lambda ctx, inv: action)
+    monkeypatch.setattr(cli, "psi2_structural", lambda census: table)
+    assert cli.main(["beta", "--q", str(q), "--orbits"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: ") and message in err
 
 
 def test_orbits_respect_bipartition():
@@ -204,7 +223,11 @@ def test_orbits_respect_bipartition():
     ctx = gf_for_q(7)
     inv = inventory(ctx)
     p1, p2 = verify_2covering(ctx, inv).parts()
+    p1_names = {lab.str_form() for lab in p1}
     part = beta(aut_action(ctx, inv), psi2_structural(profile_census(ctx, inv)))
+    seen = set()
     for orbit in part.orbits:
-        directions = {(a in p1) for a, b in orbit}
+        directions = {a in p1_names for a, b in orbit}
         assert len(directions) == 1
+        seen |= directions
+    assert seen == {True, False}  # both directions occur

@@ -72,6 +72,14 @@ GOLDEN = [
      "0f6e8391533afedb424647c3741d27100e102f269d59ad4ec099f0ecb801a7ac"),
     ("psi2 --q 16 --method both",
      "c98413983be3b4f2123650909bc330f0e1217b75394d5d312572d0b562533a0c"),
+    # recorded at commit bcbd31a, before beta --orbits and the power graph
+    # shared one least-image orbit naming
+    ("graph --q 7 --power 4 --plus --format json",
+     "41bc0322bb9eb38186cca813be9377cc93c8b7103958989ec09b4b470cc59c1a"),
+    ("graph --q 13 --power 3 --plus --format dot",
+     "52a9d957830f7a3555966e8377fcf60f6950b27070c8dda5d4b0216f2defe53f"),
+    ("beta --q 256 --format json --orbits",
+     "e637fdf9fb383379ea4027294b1961cce4924da147ca257a06376dc5862db4f3"),
 ]
 
 # The graph summary goes to stderr; it is the only output that carries the
@@ -83,6 +91,11 @@ GOLDEN_SUMMARY = {
         "q=256 t=1 vertices=255 edges=16256 components=1 bipartite=True diameter=2",
     "graph --q 8 --power 2 --plus --format dot":
         "q=8 t=2 vertices=48 edges=252 components=2 bipartite=True diameter=3",
+    # recorded at commit bcbd31a
+    "graph --q 7 --power 4 --plus --format json":
+        "q=7 t=4 vertices=48 edges=192 components=3 bipartite=True diameter=2",
+    "graph --q 13 --power 3 --plus --format dot":
+        "q=13 t=3 vertices=343 edges=5676 components=4 bipartite=True diameter=3",
 }
 
 SRC = Path(__file__).resolve().parents[1] / "src"

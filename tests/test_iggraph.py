@@ -1,4 +1,5 @@
 import decimal
+import os
 import sys
 from collections import deque
 from itertools import product
@@ -8,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invgen.gf import gf_for_q
+from invgen.gf import gf_for_q, prime_power_split
 from invgen.psl2 import ClassLabel, inventory
-from invgen.autorbits import aut_action, beta
+from invgen.autorbits import aut_action, beta_fast
 from invgen.iggraph import (
+    POWER_WORK_CAP,
     GraphCapError,
     _big_int_str,
     IGGraph,
@@ -30,7 +32,9 @@ from invgen.iggraph import (
     to_dot,
 )
 from invgen.structure import profile_census, psi2_structural, verify_2covering
-from helpers import isolated
+from helpers import isolated, pairs, ref_orbits
+
+EXTENDED = os.environ.get("INVGEN_EXTENDED") == "1"
 
 
 # ---------------------------------------------------------------------------
@@ -109,16 +113,16 @@ def ref_diameter(g):
                 for v in comp), default=0)
 
 
-def ref_power_adj(t, psi2, orbit_of, inv):
+def ref_power_adj(t, psi2, action, inv):
     """Every pair of t-tuples put to the product criterion, with the orbits
-    of the partition that ``autorbits.beta`` returns."""
-    pairs = psi2.pairs()
+    found by union-find over the generators of ``action``."""
+    orbit_of = ref_orbits(action, psi2)  # keyed by the Psi2 pairs
     vertices = list(product(inv.nonidentity_labels(), repeat=t))
     adj = {v: set() for v in vertices}
     for i, v in enumerate(vertices):
         for w in vertices[i + 1:]:
             cols = tuple(zip(v, w))
-            if all(col in pairs for col in cols) and \
+            if all(col in orbit_of for col in cols) and \
                     len({orbit_of[col] for col in cols}) == t:
                 adj[v].add(w)
                 adj[w].add(v)
@@ -216,9 +220,9 @@ def test_lambda_power_cap_bounds_candidates(q, t, kwargs):
 def test_lambda_power_equals_pair_test(q):
     ctx, inv, psi2 = structural(q)
     action = aut_action(ctx, inv)
-    part = beta(action, psi2)
-    for t in range(1, min(part.beta, 3) + 1):
-        vertices, adj = ref_power_adj(t, psi2, part.orbit_of, inv)
+    n_orbits = len(set(ref_orbits(action, psi2).values()))
+    for t in range(1, min(n_orbits, 3) + 1):
+        vertices, adj = ref_power_adj(t, psi2, action, inv)
         g = lambda_power(ctx, t, psi2, action, inv)
         assert g.vertices == vertices and adjacency(g) == adj, t
         live = [v for v in vertices if adj[v]]
@@ -237,11 +241,11 @@ def test_lambda_graph_edges_are_psi2_pairs(q, plus):
     ctx, inv, psi2 = structural(q)
     g = lambda_graph(ctx, psi2, inv, plus=plus)
     labels = inv.nonidentity_labels()
-    pairs = psi2.pairs()
-    touched = {a for a, _ in pairs}
+    psi2_pairs = pairs(psi2)
+    touched = {a for a, _ in psi2_pairs}
     assert g.vertices == ([v for v in labels if v in touched] if plus else labels)
     adj = adjacency(g)
-    assert {(v, w) for v in g.vertices for w in adj[v]} == pairs
+    assert {(v, w) for v in g.vertices for w in adj[v]} == psi2_pairs
 
 
 @pytest.mark.parametrize("nbrs,match", [
@@ -329,27 +333,46 @@ def test_component_bound_values():
     assert component_bound(2) == 1
     assert component_bound(4) == 3
     assert component_bound(20) == comb(20, 10) // 2
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError):
         component_bound(5)
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError):
         component_bound(0)
 
 
-def test_bound_meets_actual_components_q5():
-    ctx, inv, psi2 = structural(5)
-    action = aut_action(ctx, inv)
-    part = beta(action, psi2)
-    assert part.beta == 2
-    g = lambda_power(ctx, part.beta, psi2, action, inv, plus=True)
-    assert len(components(g)) >= component_bound(part.beta) == 1
+def power_cases():
+    """Every (q, t, beta) with q <= 27 and 2 <= t <= beta whose power graph
+    is within POWER_WORK_CAP; the six slowest run only when extended."""
+    slow = {(8, 4), (13, 4), (19, 3), (23, 3), (25, 3), (27, 3)}
+    cases = []
+    for q in range(4, 28):
+        if not prime_power_split(q):
+            continue
+        ctx, inv, psi2 = structural(q)
+        b = beta_fast(aut_action(ctx, inv), profile_census(ctx, inv))
+        n = len(inv.nonidentity_labels())
+        for t in range(2, b + 1):
+            if max(n, len(psi2)) ** t <= POWER_WORK_CAP:
+                marks = [pytest.mark.skipif(not EXTENDED, reason="needs INVGEN_EXTENDED=1")
+                         ] if (q, t) in slow else []
+                cases.append(pytest.param(q, t, b, marks=marks, id=f"q{q}-t{t}"))
+    return cases
 
 
-def test_bound_meets_actual_components_q7():
-    ctx, inv, psi2 = structural(7)
-    action = aut_action(ctx, inv)
-    part = beta(action, psi2)
-    g = lambda_power(ctx, part.beta, psi2, action, inv, plus=True)
-    assert len(components(g)) >= component_bound(part.beta) == 3
+@pytest.mark.parametrize("q,t,beta_value", power_cases())
+def test_components_equal_pattern_pairs(q, t, beta_value):
+    # the paper's bound, measured: every edge moves each coordinate to the
+    # other side of the 2-covering, so each component realises one pattern
+    # pair {P, P^c}, and every realised pair is one component
+    ctx, inv, psi2 = structural(q)
+    g = lambda_power(ctx, t, psi2, aut_action(ctx, inv), inv, plus=True)
+    p1, _ = verify_2covering(ctx, inv).parts()
+    every = frozenset(range(t))
+    patterns = {frozenset({part_pattern(v, p1), every - part_pattern(v, p1)})
+                for v in g.vertices}
+    count = len(components(g))
+    assert count == len(patterns)
+    if t == beta_value:
+        assert count >= component_bound(beta_value)
 
 
 def test_report_q5():

@@ -15,7 +15,7 @@ from invgen.structure import (
     profile_census,
     psi2_structural,
 )
-from helpers import isolated, psl2_order
+from helpers import isolated, pairs, psl2_order
 
 FAST_QS = [4, 5, 7, 8, 9]
 
@@ -92,7 +92,7 @@ def test_cap_env_override(monkeypatch):
 @pytest.mark.parametrize("q", FAST_QS)
 def test_oracle_matches_structural(q, sessions):
     sess = sessions(q)
-    assert sess.psi2().pairs() == psi2_structural(profile_census(sess.ctx, sess.inv)).pairs()
+    assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.ctx, sess.inv)))
 
 
 def test_oracle_counts(sessions):
@@ -112,7 +112,7 @@ def test_representative_choice_is_irrelevant(sessions):
     for q in (5, 7, 9, 11):
         sess = sessions(q)
         labels = sess.inv.nonidentity_labels()
-        base = sess.psi2().pairs()
+        base = pairs(sess.psi2())
         for _ in range(10):
             c, d = rng.choice(labels), rng.choice(labels)
             verdict = sess.pair_generates(c, d, rep_index=rng.randrange(1000))
@@ -157,7 +157,7 @@ def test_centralizer_orbits_partition_each_class(q, sessions):
 @pytest.mark.parametrize("q", FAST_QS)
 def test_early_exit_changes_nothing(q, sessions):
     sess = sessions(q)
-    assert sess.psi2(early_exit=True).pairs() == sess.psi2(early_exit=False).pairs()
+    assert pairs(sess.psi2(early_exit=True)) == pairs(sess.psi2(early_exit=False))
 
 
 # ---------------------------------------------------------------------------
