@@ -80,6 +80,21 @@ GOLDEN = [
      "52a9d957830f7a3555966e8377fcf60f6950b27070c8dda5d4b0216f2defe53f"),
     ("beta --q 256 --format json --orbits",
      "e637fdf9fb383379ea4027294b1961cce4924da147ca257a06376dc5862db4f3"),
+    # recorded at commit 412c7e2, before the rules ran once per class
+    # signature, the inventory read the exp table, the Aut(S) maps held only
+    # the labels they move and Psi2 JSON was written one label at a time
+    ("verify --q-range 4..1024",
+     "92b390352728b01ec8ff38143125cd1b20121eea5f6984600048e80063b13cdc"),
+    ("classes --q 1021 --format json",
+     "597c9945e9166cc59054b2b1654b388dfe958059eed02dea52b991ecd19ab544"),
+    ("classes --q 961 --format json",
+     "f6af07304ebcfdf4e65c5c6920d994214561ad7cea8e4823be9d268e5222c798"),
+    ("classes --q 1024 --format json",
+     "7bca717c13a78e597914c1e9358d3d1d2544a420d2bf6913fe5ca94e8c3c65ed"),
+    ("beta --q 729 --format json",
+     "6c1828f33a45fd44421ab25f5a3ebb85772dd67aa483f15772b65946ea794a0e"),
+    ("psi2 --q 256 --format json",
+     "160c25153a55b016e9c39bcb127bc8aa6f0085258a17869101ea768f1f9e50f1"),
 ]
 
 # The graph summary goes to stderr; it is the only output that carries the
