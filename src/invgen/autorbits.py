@@ -8,9 +8,17 @@ Inner automorphisms fix every label, so the induced action is generated by
   * the field map: entrywise Frobenius; it sends a trace pair {t, -t} to
     {t^p, -t^p} and preserves unipotent square-class flags.
 
+Each permutation is held as the map of the labels it moves, and a label
+missing from a map is fixed: the Frobenius map moves no label when f = 1
+and the diagonal map moves only the two unipotent classes, so the few
+elements of the induced group (at most d*f) cost O(moved labels) each,
+not O(labels).
+
 The number of orbits of the diagonal action on Psi2 equals beta(S), the
 largest t for which S^t is invariably 2-generated.  ``beta_fast`` counts
-them by Burnside's lemma over profile buckets; it is the one production
+them by Burnside's lemma over profile buckets: an element fixes the
+bucket-product count over the labels it leaves in place, which is each
+bucket's size less the moved labels in it.  It is the one production
 route to beta.  ``pair_orbits`` names the orbit of every Psi2 pair by
 the pair's least image under ``AutAction.elements``; the power graph reads
 those names for its columns, and ``beta`` groups the pairs by them into the
@@ -25,14 +33,14 @@ from invgen.gf import GFContext
 from invgen.psl2 import ClassInventory, ClassLabel, trace_key
 from invgen.structure import ProfileCensus, Psi2Table
 
-LabelPerm = dict[ClassLabel, ClassLabel]
+LabelPerm = dict[ClassLabel, ClassLabel]  # the labels it moves; the rest are fixed
 
 
 @dataclass
 class AutAction:
     ctx: GFContext
     diagonal: LabelPerm | None  # None for q even
-    frobenius: LabelPerm  # identity map when f = 1
+    frobenius: LabelPerm  # empty when f = 1
 
     def generators(self) -> list[LabelPerm]:
         gens = [self.frobenius]
@@ -41,44 +49,41 @@ class AutAction:
         return gens
 
     def elements(self) -> list[LabelPerm]:
-        """The full induced permutation group (order divides d*f)."""
-        labels = list(self.frobenius)
-        ident = {lab: lab for lab in labels}
-        # a permutation is keyed by its images in the fixed label order
-        seen = {tuple(labels): ident}
-        frontier = [ident]
+        """The full induced permutation group (order divides d*f), each
+        element as the map of the labels it moves; the identity is ``{}``.
+        Costs O(moved labels) per element."""
+        moved = list(dict.fromkeys(lab for gen in self.generators() for lab in gen))
+        # an element is keyed by the images of the moved labels, in that order
+        seen: dict[tuple[ClassLabel, ...], LabelPerm] = {tuple(moved): {}}
+        frontier: list[LabelPerm] = [{}]
         while frontier:
             nxt = []
             for perm in frontier:
                 for gen in self.generators():
-                    comp = {lab: gen[perm[lab]] for lab in labels}
-                    k = tuple(comp[lab] for lab in labels)
-                    if k not in seen:
-                        seen[k] = comp
+                    images = [gen.get(im, im) for im in (perm.get(lab, lab) for lab in moved)]
+                    key = tuple(images)
+                    if key not in seen:
+                        seen[key] = comp = {lab: im for lab, im in zip(moved, images)
+                                            if im != lab}
                         nxt.append(comp)
             frontier = nxt
         return list(seen.values())
 
 
 def aut_action(ctx: GFContext, inv: ClassInventory) -> AutAction:
-    labels = inv.labels()
     diagonal: LabelPerm | None = None
     if ctx.q % 2 == 1:
-        diagonal = {}
-        for lab in labels:
-            if lab.kind == "unip":
-                diagonal[lab] = ClassLabel("unip", sq=not lab.sq)
-            else:
-                diagonal[lab] = lab
+        usq, unsq = ClassLabel("unip", sq=True), ClassLabel("unip", sq=False)
+        diagonal = {usq: unsq, unsq: usq}
     frob: LabelPerm = {}
-    for lab in labels:
-        if lab.kind in ("split", "nonsplit"):
-            image = ClassLabel(lab.kind, trace_key(ctx, ctx.frobenius(lab.trace)))
-            if image not in inv.index:
-                raise RuntimeError(f"Frobenius image {image} missing from inventory")
-            frob[lab] = image
-        else:
-            frob[lab] = lab
+    if ctx.f > 1:
+        for lab in inv.labels():
+            if lab.kind in ("split", "nonsplit"):
+                image = ClassLabel(lab.kind, trace_key(ctx, ctx.frobenius(lab.trace)))
+                if image not in inv.index:
+                    raise RuntimeError(f"Frobenius image {image} missing from inventory")
+                if image != lab:
+                    frob[lab] = image
     return AutAction(ctx, diagonal, frob)
 
 
@@ -86,7 +91,14 @@ def _index_images(action: AutAction, labels: list[ClassLabel]) -> list[list[int]
     """Every element of the induced group as the list of the positions in
     ``labels`` of the images of ``labels``."""
     pos = {lab: i for i, lab in enumerate(labels)}
-    return [[pos[g[lab]] for lab in labels] for g in action.elements()]
+    out = []
+    for g in action.elements():
+        image = list(range(len(labels)))
+        for lab, im in g.items():
+            if lab in pos:
+                image[pos[lab]] = pos[im]
+        out.append(image)
+    return out
 
 
 def pair_orbits(action: AutAction, psi2: Psi2Table) -> dict[tuple[int, int], tuple[int, int]]:
@@ -140,15 +152,18 @@ def beta_fast(action: AutAction, census: ProfileCensus) -> int:
 
     Psi2 membership depends only on the maximal profile, so the number of
     fixed pairs of an automorphism sigma is the bucket-product count taken
-    over sigma-fixed labels.  Avoids materializing Psi2 for large q.
+    over sigma-fixed labels: each bucket's size less the labels sigma moves
+    out of it.  Avoids materializing Psi2 for large q.
     """
     elements = action.elements()
     disjoint = census.disjoint_pairs()
+    sizes = [len(mem) for mem in census.members]
     total = 0
     for perm in elements:
-        fixed_sizes = [sum(1 for lab in mem if perm[lab] == lab)
-                       for mem in census.members]
-        total += sum(fixed_sizes[i] * fixed_sizes[j] for i, j in disjoint)
+        fixed = sizes[:]
+        for lab in perm:
+            fixed[census.bucket_of[lab]] -= 1
+        total += sum(fixed[i] * fixed[j] for i, j in disjoint)
     count, rem = divmod(total, len(elements))
     if rem:
         raise RuntimeError("Burnside count is not an integer; action is inconsistent")

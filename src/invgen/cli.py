@@ -124,11 +124,10 @@ def cmd_psi2(args) -> int:
     if args.method == "both":
         match = tables["structural"].near == tables["oracle"].near
     if args.format == "json":
-        payload = table.to_json()
-        payload["probability"] = prob
+        extra = {"probability": prob}
         if match is not None:
-            payload["match"] = match
-        _emit([json.dumps(payload, indent=2) + "\n"], args.out)
+            extra["match"] = match
+        _emit(table.json_chunks(extra), args.out)
     elif args.format == "csv":
         _emit(chain(["label1,label2\n"], table.text_blocks(",")), args.out)
     else:

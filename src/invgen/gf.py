@@ -161,7 +161,7 @@ class GFContext:
         self.f = f
         self.q = q
         self.modulus = _find_modulus(p, f)
-        self._exp: list[int] | None = None
+        self._exp: tuple[int, ...] | None = None
         self._log: dict[int, int] | None = None
         self._generator: int | None = None
         if q <= table_cap:
@@ -277,7 +277,7 @@ class GFContext:
     def in_subfield(self, a: int, e: int) -> bool:
         """True iff a lies in the subfield GF(p^e); requires e | f."""
         if e < 1 or self.f % e != 0:
-            raise ValueError(f"e={e} does not divide f={self.f}")
+            raise RuntimeError(f"e={e} does not divide f={self.f}")
         if a == 0 or e == self.f:
             return True
         pe = self.p ** e
@@ -326,13 +326,24 @@ class GFContext:
                 return a
         raise RuntimeError("no multiplicative generator found")  # unreachable
 
+    def exp_table(self) -> tuple[int, ...]:
+        """The powers (g^0, g^1, ..., g^(q-2)) of ``generator``: the stored
+        table, or above the table cap the same powers computed afresh."""
+        if self._exp is not None:
+            return self._exp
+        return self._powers(self.generator)
+
+    def _powers(self, g: int) -> tuple[int, ...]:
+        n = self.q - 1
+        exp = [1] * n
+        for i in range(1, n):
+            exp[i] = self.mul(exp[i - 1], g)
+        return tuple(exp)
+
     def _build_tables(self) -> None:
         g = self._find_generator()
         self._generator = g
-        n = self.q - 1
-        exp = [1] * n
-        for i in range(1, n):  # mul takes the table-free path until installed below
-            exp[i] = self.mul(exp[i - 1], g)
+        exp = self._powers(g)  # mul takes the table-free path until installed below
         self._exp = exp
         self._log = {v: i for i, v in enumerate(exp)}
 

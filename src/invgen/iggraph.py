@@ -213,7 +213,7 @@ def diameter(g: IGGraph) -> int:
 def int_log2(n: int) -> float:
     """log2 of a positive big int without float overflow."""
     if n <= 0:
-        raise ValueError("log2 of a non-positive integer")
+        raise RuntimeError("log2 of a non-positive integer")
     bits = n.bit_length()
     if bits <= 53:
         return log2(n)

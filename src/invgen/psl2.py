@@ -23,7 +23,8 @@ where K is the canonical trace key: the smaller int of the trace pair
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 from math import gcd
 from typing import NamedTuple
 
@@ -52,11 +53,23 @@ class ClassLabel(NamedTuple):
         return self.str_form()
 
 
-@dataclass(frozen=True)
-class ClassEntry:
+class ClassEntry(NamedTuple):
     label: ClassLabel
     order: int
     size: int
+
+
+class ClassSignature(NamedTuple):
+    """What the structural rules may know of a class: its kind, the
+    square-class flag of a unipotent (q odd), its element order, and the
+    divisors e of f for which the trace, and the trace squared, lie in
+    GF(p^e).  Classes with one signature meet the same subgroup classes."""
+
+    kind: str
+    sq: bool | None
+    order: int
+    trace_in: tuple[int, ...]
+    trace_sq_in: tuple[int, ...]
 
 
 class ClassInventory:
@@ -67,8 +80,28 @@ class ClassInventory:
         self.q = ctx.q
         self.d = 2 if ctx.q % 2 == 1 else 1
         self.entries = entries
-        self.index = {e.label: i for i, e in enumerate(entries)}
-        self.order_of = {e.label: e.order for e in entries}
+        self.index = dict(zip((e.label for e in entries), range(len(entries))))
+
+    @cached_property
+    def signatures(self) -> tuple[list[ClassSignature], list[int]]:
+        """The distinct class signatures, in order of first appearance, and
+        for every entry, in entry order, the position of its signature in
+        that list.  Only split and nonsplit traces can miss a subfield: the
+        other kinds have trace 0 or +-2, which lie in the prime field."""
+        ctx = self.ctx
+        degrees = tuple(e for e in range(1, ctx.f + 1) if ctx.f % e == 0)
+        extension = ctx.f > 1
+
+        def within(t: int) -> tuple[int, ...]:
+            return tuple(e for e in degrees if ctx.in_subfield(t, e))
+
+        keys = [(label.kind, label.sq, order, within(t), within(ctx.mul(t, t)))
+                if extension and (t := label.trace) >= 0
+                else (label.kind, label.sq, order, degrees, degrees)
+                for label, order, _ in self.entries]
+        position: dict[tuple, int] = {}
+        of_entry = [position.setdefault(key, len(position)) for key in keys]
+        return [ClassSignature(*key) for key in position], of_entry
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -110,7 +143,7 @@ def canon(ctx: GFContext, m: Mat) -> Mat:
             if x > ctx.neg(x):
                 return (ctx.neg(m[0]), ctx.neg(m[1]), ctx.neg(m[2]), ctx.neg(m[3]))
             return m
-    raise ValueError("zero matrix")
+    raise RuntimeError("zero matrix")
 
 
 def make(ctx: GFContext, a: int, b: int, c: int, d: int) -> Mat:
@@ -239,12 +272,6 @@ def dickson(ctx: GFContext, t: int, k: int) -> int:
     return dm
 
 
-def _psl_order_from_sl(ctx: GFContext, n: int) -> int:
-    if ctx.p == 2:
-        return n
-    return n // 2 if n % 2 == 0 else n
-
-
 def nonsplit_generator_trace(ctx: GFContext) -> int:
     """Trace of a generator of the nonsplit torus (cyclic of order q+1)."""
     n = ctx.q + 1
@@ -259,6 +286,33 @@ def nonsplit_generator_trace(ctx: GFContext) -> int:
         if all(dickson(ctx, t, n // r) != two for r in primes):
             return t
     raise RuntimeError(f"no nonsplit torus generator trace found for q={ctx.q}")
+
+
+def _trace_keys(ctx: GFContext, traces: list[int]) -> list[int]:
+    """``trace_key`` of every trace in the list."""
+    if ctx.p == 2:
+        return traces
+    if ctx.f == 1:
+        p = ctx.p
+        return [t if 2 * t < p else p - t for t in traces]
+    neg = ctx.neg
+    return [min(t, neg(t)) for t in traces]
+
+
+def _fold_traces(kind: str, n: int, d: int, keys: list[int]) -> dict[int, int]:
+    """Trace key -> element order of the classes of a cyclic torus of order n
+    in SL(2,q), given the trace key of the k-th power of a generator as
+    keys[k-1] for k = 1..len(keys).  An element of SL-order m has PSL-order
+    m/d when d divides m.  Orders below 3 (the identity and the involution
+    class) are left out.  For q odd two powers fold onto each key (traces t
+    and -t); they must agree on the order."""
+    sl_orders = [n // gcd(k, n) for k in range(1, len(keys) + 1)]
+    pairs = {(key, order) for key, m in zip(keys, sl_orders)
+             if (order := m // d if m % d == 0 else m) >= 3}
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        raise RuntimeError(f"inconsistent {kind} trace fold")
+    return out
 
 
 def inventory(ctx: GFContext) -> ClassInventory:
@@ -277,40 +331,33 @@ def inventory(ctx: GFContext) -> ClassInventory:
     else:
         entries.append(ClassEntry(ClassLabel("unip"), 2, q * q - 1))
 
-    # split classes: powers of a generator of GF(q)* give the whole torus
-    split: dict[int, int] = {}
-    g = ctx.generator
-    lam = 1
-    for k in range(1, (q - 1) // 2 + 1):
-        lam = ctx.mul(lam, g)
-        n = (q - 1) // gcd(k, q - 1)
-        order = _psl_order_from_sl(ctx, n)
-        if order < 3:
-            continue
-        t = ctx.add(lam, ctx.inv(lam))
-        key = trace_key(ctx, t)
-        prev = split.setdefault(key, order)
-        if prev != order:
-            raise RuntimeError("inconsistent split trace fold")
-    for key in sorted(split):
-        entries.append(ClassEntry(ClassLabel("split", key), split[key], q * (q + 1)))
-
-    # nonsplit classes: Dickson recursion along a generator of the order-(q+1) torus
-    nonsplit: dict[int, int] = {}
+    # split classes: g^k + g^-k = exp[k] + exp[q-1-k] along the generator g
+    # of GF(q)*; nonsplit classes: the Dickson recursion D_(k+1) = t0*D_k - D_(k-1)
+    # along a generator of the order-(q+1) torus, with D_0 = 2 and D_1 = t0.
+    # In a prime field (q >= 4 makes p odd) the arithmetic is written out.
+    exp = ctx.exp_table()
     t0 = nonsplit_generator_trace(ctx)
-    two = ctx.scalar(2)
-    dk_prev, dk = two, t0
-    for k in range(1, (q + 1) // 2 + 1):
-        n = (q + 1) // gcd(k, q + 1)
-        order = _psl_order_from_sl(ctx, n)
-        if order >= 3:
-            key = trace_key(ctx, dk)
-            prev = nonsplit.setdefault(key, order)
-            if prev != order:
-                raise RuntimeError("inconsistent nonsplit trace fold")
-        dk_prev, dk = dk, ctx.sub(ctx.mul(t0, dk), dk_prev)
-    for key in sorted(nonsplit):
-        entries.append(ClassEntry(ClassLabel("nonsplit", key), nonsplit[key], q * (q - 1)))
+    half = range(1, (q - 1) // 2 + 1)
+    dickson_seq = [0] * ((q + 1) // 2)
+    dk_prev, dk = ctx.scalar(2), t0
+    if ctx.f == 1:
+        p = ctx.p
+        split_traces = [(exp[k] + exp[-k]) % p for k in half]
+        for k in range(len(dickson_seq)):
+            dickson_seq[k] = dk
+            dk_prev, dk = dk, (t0 * dk - dk_prev) % p
+    else:
+        add, mul, sub = ctx.add, ctx.mul, ctx.sub
+        split_traces = [add(exp[k], exp[-k]) for k in half]
+        for k in range(len(dickson_seq)):
+            dickson_seq[k] = dk
+            dk_prev, dk = dk, sub(mul(t0, dk), dk_prev)
+    for kind, n, traces, size in (("split", q - 1, split_traces, q * (q + 1)),
+                                  ("nonsplit", q + 1, dickson_seq, q * (q - 1))):
+        order_of = _fold_traces(kind, n, d, _trace_keys(ctx, traces))
+        keys = sorted(order_of)
+        entries += map(ClassEntry, map(ClassLabel, repeat(kind), keys, repeat(None)),
+                       map(order_of.__getitem__, keys), repeat(size))
 
     inv = ClassInventory(ctx, entries)
     expected = (q + 4 * d - 3) // d
@@ -318,6 +365,6 @@ def inventory(ctx: GFContext) -> ClassInventory:
         raise RuntimeError(
             f"class count mismatch for q={q}: built {len(inv)}, formula gives {expected}"
         )
-    if sum(e.size for e in entries) != inv.group_order():
+    if sum(size for _, _, size in entries) != inv.group_order():
         raise RuntimeError(f"class sizes do not sum to |PSL(2,{q})|")
     return inv

@@ -22,12 +22,12 @@ oracle certifies the variant split as a multiset.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import repeat
 
 from invgen.gf import GFContext
-from invgen.psl2 import ClassInventory, ClassLabel
+from invgen.psl2 import ClassInventory, ClassLabel, ClassSignature
 
 BOREL = "borel"
 DIH_SPLIT = "dih_split"
@@ -113,12 +113,12 @@ def _is_prime_small(n: int) -> bool:
     return n >= 2 and all(n % k for k in range(2, int(n ** 0.5) + 1))
 
 
-def label_meets(ctx: GFContext, label: ClassLabel, order: int, sc: SubgroupClass) -> bool:
-    """Does the conjugacy class `label` (element order `order`) meet a
-    conjugate of the subgroup class `sc`?"""
+def label_meets(ctx: GFContext, sig: ClassSignature, sc: SubgroupClass) -> bool:
+    """Does a conjugacy class with signature `sig` meet a conjugate of the
+    subgroup class `sc`?"""
     q = ctx.q
     even = q % 2 == 0
-    kind = label.kind
+    kind = sig.kind
     if kind == "id":
         return True
     if sc.kind == BOREL:
@@ -144,7 +144,7 @@ def label_meets(ctx: GFContext, label: ClassLabel, order: int, sc: SubgroupClass
     if sc.kind == SUBFIELD_PSL:
         if kind in ("unip", "inv"):
             return True  # odd-degree extensions preserve square classes
-        return ctx.in_subfield(label.trace, sc.sub_degree)
+        return sc.sub_degree in sig.trace_in
     if sc.kind == SUBFIELD_PGL:
         if kind == "inv":
             return True
@@ -153,9 +153,8 @@ def label_meets(ctx: GFContext, label: ClassLabel, order: int, sc: SubgroupClass
                 return True
             # GF(q0)* consists of squares of GF(q0^2), so the standard copy
             # meets the square class and its twisted conjugate the other
-            return label.sq is (sc.variant == 1)
-        t2 = ctx.mul(label.trace, label.trace)
-        return ctx.in_subfield(t2, sc.sub_degree)
+            return sig.sq is (sc.variant == 1)
+        return sc.sub_degree in sig.trace_sq_in
     if sc.kind in _EXC_ORDERS:
         orders = _EXC_ORDERS[sc.kind]
         if kind == "inv":
@@ -168,9 +167,9 @@ def label_meets(ctx: GFContext, label: ClassLabel, order: int, sc: SubgroupClass
                     "single-class exceptional subgroup with unipotent members "
                     "cannot occur for q >= 4"
                 )
-            return label.sq is (sc.variant == 1)
-        return order in orders
-    raise ValueError(f"unknown subgroup kind {sc.kind}")
+            return sig.sq is (sc.variant == 1)
+        return sig.order in orders
+    raise RuntimeError(f"unknown subgroup kind {sc.kind}")
 
 
 def profile_universe(classes: list[SubgroupClass]) -> list[SubgroupClass]:
@@ -180,24 +179,24 @@ def profile_universe(classes: list[SubgroupClass]) -> list[SubgroupClass]:
 
 def build_profiles(ctx: GFContext, inv: ClassInventory, classes: list[SubgroupClass],
                    ) -> dict[ClassLabel, frozenset[str]]:
-    """Profile of every nonidentity label over the profile universe."""
+    """Profile of every nonidentity label over the profile universe, in
+    inventory order; the rules run once per distinct class signature."""
     universe = profile_universe(classes)
-    out: dict[ClassLabel, frozenset[str]] = {}
-    for entry in inv:
-        if entry.label.kind == "id":
-            continue
-        out[entry.label] = frozenset(
-            sc.id for sc in universe if label_meets(ctx, entry.label, entry.order, sc)
-        )
-    return out
+    sigs, of_entry = inv.signatures
+    profiles = [frozenset(sc.id for sc in universe if label_meets(ctx, sig, sc))
+                for sig in sigs]
+    return {entry.label: profiles[i]
+            for entry, i in zip(inv.entries, of_entry) if entry.label.kind != "id"}
 
 
 def maximal_profiles(ctx: GFContext, inv: ClassInventory, classes: list[SubgroupClass],
                      ) -> dict[ClassLabel, frozenset[str]]:
-    """Profiles restricted to maximal subgroup classes (the Psi2 universe)."""
-    maximal_ids = {sc.id for sc in classes if sc.maximal}
+    """Profiles restricted to maximal subgroup classes (the Psi2 universe);
+    each distinct profile is cut once."""
+    maximal_ids = frozenset(sc.id for sc in classes if sc.maximal)
     full = build_profiles(ctx, inv, classes)
-    return {label: prof & maximal_ids for label, prof in full.items()}
+    cut = {prof: prof & maximal_ids for prof in set(full.values())}
+    return {label: cut[prof] for label, prof in full.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +211,7 @@ class ProfileCensus:
     labels: list[ClassLabel]  # nonidentity labels, inventory order
     buckets: list[frozenset[str]]  # distinct maximal profiles
     members: list[list[ClassLabel]]  # labels per bucket, same order
+    bucket_of: dict[ClassLabel, int]  # label -> index of its bucket
 
     def disjoint_pairs(self) -> list[tuple[int, int]]:
         """Ordered index pairs (i, j) of buckets with disjoint profiles."""
@@ -225,12 +225,13 @@ class ProfileCensus:
 
 def profile_census(ctx: GFContext, inv: ClassInventory) -> ProfileCensus:
     profs = maximal_profiles(ctx, inv, maximal_subgroup_classes(ctx))
-    labels = inv.nonidentity_labels()
     grouped: dict[frozenset[str], list[ClassLabel]] = {}
-    for label in labels:
-        grouped.setdefault(profs[label], []).append(label)
+    for label, prof in profs.items():
+        grouped.setdefault(prof, []).append(label)
     buckets = sorted(grouped, key=sorted)
-    return ProfileCensus(ctx.q, labels, buckets, [grouped[b] for b in buckets])
+    bucket_of = {label: i for i, b in enumerate(buckets) for label in grouped[b]}
+    return ProfileCensus(ctx.q, list(profs), buckets, [grouped[b] for b in buckets],
+                         bucket_of)
 
 
 @dataclass
@@ -239,9 +240,10 @@ class Psi2Table:
     ``near[i]`` is the ascending tuple of the j with (labels[i], labels[j])
     in Psi2.  Labels may share one tuple, so tuples are never mutated.
 
-    Text output comes from ``text_blocks``, one string per label; ``rows``
-    yields one tuple per pair and serves the JSON payload and tests.  Both
-    read ``_named_near``, the one place that fixes the output order."""
+    Text output comes from ``text_blocks`` and JSON from ``json_chunks``,
+    one string per label; both read ``_named_near``, the one place that
+    fixes the output order: labels by name, and the neighbours of each
+    label by name."""
 
     q: int
     method: str  # "structural" | "oracle"
@@ -265,21 +267,28 @@ class Psi2Table:
                 near = named[js] = sorted(map(names.__getitem__, js))
             yield names[i], near
 
-    def rows(self) -> Iterator[tuple[str, str]]:
-        """The pairs as (name, name) in sorted order: labels by name, and
-        the neighbours of each label by name."""
-        for name, near in self._named_near():
-            yield from zip(repeat(name), near)
-
     def text_blocks(self, sep: str) -> Iterator[str]:
         """The rows as ``name + sep + name`` lines, one string per label."""
         for name, near in self._named_near():
             head = name + sep
             yield head + ("\n" + head).join(near) + "\n"
 
-    def to_json(self) -> dict:
-        return {"q": self.q, "method": self.method, "count": len(self),
-                "pairs": list(self.rows())}
+    def json_chunks(self, extra: dict) -> Iterator[str]:
+        """The text of ``json.dumps(payload, indent=2) + "\n"`` for the
+        payload {q, method, count, pairs, **extra}, where pairs lists the
+        rows as [name, name]; written one string per label, so the pair
+        list is never built.  Label names need no JSON escaping."""
+        head = {"q": self.q, "method": self.method, "count": len(self)}
+        yield "{\n" + "".join(f"  {json.dumps(k)}: {json.dumps(v)},\n"
+                              for k, v in head.items()) + '  "pairs": ['
+        sep = "\n"
+        for name, near in self._named_near():
+            start = f'    [\n      "{name}",\n      "'
+            end = '"\n    ]'
+            yield sep + start + (end + ",\n" + start).join(near) + end
+            sep = ",\n"
+        yield ("\n  ]" if sep != "\n" else "]") + "".join(
+            f",\n  {json.dumps(k)}: {json.dumps(v)}" for k, v in extra.items()) + "\n}\n"
 
 
 def psi2_structural(census: ProfileCensus) -> Psi2Table:
@@ -326,19 +335,19 @@ def verify_2covering(ctx: GFContext, inv: ClassInventory) -> CoveringResult:
     only_b: set[ClassLabel] = set()
     only_d: set[ClassLabel] = set()
     both: set[ClassLabel] = set()
+    sigs, of_entry = inv.signatures
+    parts: list[set[ClassLabel] | None] = []
+    for sig in sigs:
+        in_b = label_meets(ctx, sig, borel)
+        in_d = label_meets(ctx, sig, dihedral)
+        parts.append(both if in_b and in_d else only_b if in_b else only_d if in_d else None)
     ok = True
-    for entry in inv:
+    for entry, i in zip(inv.entries, of_entry):
         if entry.label.kind == "id":
             continue
-        in_b = label_meets(ctx, entry.label, entry.order, borel)
-        in_d = label_meets(ctx, entry.label, entry.order, dihedral)
-        if in_b and in_d:
-            both.add(entry.label)
-        elif in_b:
-            only_b.add(entry.label)
-        elif in_d:
-            only_d.add(entry.label)
-        else:
+        if parts[i] is None:
             ok = False
+        else:
+            parts[i].add(entry.label)
     return CoveringResult(ok, only_b, only_d, both)
 

@@ -1,6 +1,7 @@
 """Reference helpers that only the tests need."""
 
-from invgen.psl2 import identity_mat, psl2_mul
+from invgen.psl2 import ClassSignature, identity_mat, psl2_mul
+from invgen.structure import label_meets, profile_universe
 
 
 def psl2_order(ctx, x) -> int:
@@ -29,6 +30,13 @@ def pairs(table) -> set:
     return {(labels[i], labels[j]) for i, js in enumerate(table.near) for j in js}
 
 
+def rows(table) -> list:
+    """The Psi2 pairs of a table as (name, name) tuples in sorted order,
+    the order of the text and JSON output."""
+    names = [lab.str_form() for lab in table.labels]
+    return sorted((names[i], names[j]) for i, js in enumerate(table.near) for j in js)
+
+
 def ref_orbits(action, table) -> dict:
     """Each Psi2 label pair mapped to a representative of its Aut(S)-orbit,
     by union-find: every pair is merged with its image under each generator
@@ -43,5 +51,31 @@ def ref_orbits(action, table) -> dict:
 
     for gen in action.generators():
         for a, b in parent:
-            parent[find((a, b))] = find((gen[a], gen[b]))
+            parent[find((a, b))] = find((gen.get(a, a), gen.get(b, b)))
     return {pair: find(pair) for pair in parent}
+
+
+def ref_signature(ctx, entry) -> ClassSignature:
+    """The class signature of one inventory entry, from that entry alone:
+    the trace is the label's key, 0 for the involution class and 2 for the
+    identity and the unipotent classes (up to sign)."""
+    label = entry.label
+    t = label.trace if label.trace >= 0 else 0 if label.kind == "inv" else ctx.scalar(2)
+    t2 = ctx.mul(t, t)
+    degrees = [e for e in range(1, ctx.f + 1) if ctx.f % e == 0]
+    return ClassSignature(label.kind, label.sq, entry.order,
+                          tuple(e for e in degrees if ctx.in_subfield(t, e)),
+                          tuple(e for e in degrees if ctx.in_subfield(t2, e)))
+
+
+def ref_profiles(ctx, inv, classes) -> dict:
+    """``build_profiles`` one label at a time: every rule evaluated for every
+    nonidentity label, on a signature built for that label alone."""
+    universe = profile_universe(classes)
+    out = {}
+    for entry in inv:
+        if entry.label.kind == "id":
+            continue
+        sig = ref_signature(ctx, entry)
+        out[entry.label] = frozenset(sc.id for sc in universe if label_meets(ctx, sig, sc))
+    return out

@@ -21,9 +21,8 @@ def test_action_q7():
     ctx = gf_for_q(7)
     act = aut_action(ctx, inventory(ctx))
     usq, unsq = ClassLabel("unip", sq=True), ClassLabel("unip", sq=False)
-    assert act.diagonal[usq] == unsq and act.diagonal[unsq] == usq
-    assert all(act.diagonal[l] == l for l in act.diagonal if l.kind != "unip")
-    assert all(act.frobenius[l] == l for l in act.frobenius)  # f = 1
+    assert act.diagonal == {usq: unsq, unsq: usq}  # the labels it moves
+    assert act.frobenius == {}  # f = 1
 
 
 def test_action_q9_frobenius_swaps_order5_classes():
@@ -31,7 +30,7 @@ def test_action_q9_frobenius_swaps_order5_classes():
     act = aut_action(ctx, inventory(ctx))
     n5a, n5b = ClassLabel("nonsplit", 4), ClassLabel("nonsplit", 5)
     assert act.frobenius[n5a] == n5b and act.frobenius[n5b] == n5a
-    assert act.frobenius[ClassLabel("split", 3)] == ClassLabel("split", 3)
+    assert ClassLabel("split", 3) not in act.frobenius  # fixed
     assert act.diagonal[ClassLabel("unip", sq=True)] == ClassLabel("unip", sq=False)
 
 
@@ -47,11 +46,12 @@ def test_action_q4_no_diagonal():
 def test_action_preserves_order_and_size(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
+    orders = {e.label: e.order for e in inv}
     sizes = {e.label: e.size for e in inv}
     act = aut_action(ctx, inv)
     for gen in act.generators():
         for lab, image in gen.items():
-            assert inv.order_of[lab] == inv.order_of[image]
+            assert orders[lab] == orders[image]
             assert sizes[lab] == sizes[image]
 
 
@@ -71,7 +71,7 @@ def test_psi2_is_aut_invariant(q):
     act = aut_action(ctx, inv)
     for gen in act.generators():
         for a, b in psi2_pairs:
-            assert (gen[a], gen[b]) in psi2_pairs
+            assert (gen.get(a, a), gen.get(b, b)) in psi2_pairs
 
 
 @settings(max_examples=100, deadline=None)
@@ -88,7 +88,7 @@ def test_psi2_near_is_symmetric_and_aut_invariant(q):
     assert [tuple(js) for js in transpose] == near  # j in near[i] iff i in near[j]
     pos = {lab: i for i, lab in enumerate(table.labels)}
     for g in aut_action(ctx, inv).elements():
-        image = [pos[g[lab]] for lab in table.labels]
+        image = [pos[g.get(lab, lab)] for lab in table.labels]
         moved = {}  # image of each distinct neighbour tuple
         for i, js in enumerate(near):
             if js not in moved:

@@ -3,9 +3,11 @@ import sys
 
 import pytest
 
-from invgen import cli, iggraph
+from invgen import cli, iggraph, structure
 from invgen.autorbits import AutAction
 from invgen.cli import main
+from invgen.psl2 import canon
+from invgen.structure import SubgroupClass
 
 # exit-code contract: 0 ok, 1 verification failure, 2 usage, 3 cap, 4 internal
 
@@ -211,6 +213,37 @@ def test_beta_orbits_must_agree_with_burnside(capsys, monkeypatch):
     assert err.startswith("internal error: ") and "Burnside counts 6" in err
     code, _, _ = run(capsys, "beta", "--q", "7")  # no partition, no cross-check
     assert code == 0
+
+
+def break_canon(monkeypatch):
+    monkeypatch.setattr(cli, "inventory", lambda ctx: canon(ctx, (0, 0, 0, 0)))
+    return ["classes", "--q", "5"], "zero matrix"
+
+
+def break_subgroup_list(monkeypatch):
+    real = structure.maximal_subgroup_classes
+    monkeypatch.setattr(structure, "maximal_subgroup_classes",
+                        lambda ctx: real(ctx) + [SubgroupClass("bogus", 1, True)])
+    return ["beta", "--q", "7"], "unknown subgroup kind bogus"
+
+
+def break_subfield_degree(monkeypatch):
+    monkeypatch.setattr(cli, "inventory", lambda ctx: ctx.in_subfield(1, 2))
+    return ["classes", "--q", "27"], "e=2 does not divide f=3"
+
+
+def break_bound(monkeypatch):
+    monkeypatch.setattr(iggraph, "component_bound", lambda beta: 0)
+    return ["beta", "--q", "7"], "log2 of a non-positive integer"
+
+
+@pytest.mark.parametrize("breaker", [break_canon, break_subgroup_list,
+                                     break_subfield_degree, break_bound])
+def test_invariant_failures_exit_internal(breaker, capsys, monkeypatch):
+    argv, message = breaker(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == ""
+    assert err.startswith("internal error: ") and message in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,16 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from invgen.gf import GFContext, Q_CAP, gf_make, gf_for_q, is_prime, prime_power_split
+from invgen.gf import (
+    GFContext,
+    Q_CAP,
+    TABLE_CAP,
+    gf_make,
+    gf_for_q,
+    is_prime,
+    prime_power_split,
+)
 
 SMALL_QS = [4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128]
 
@@ -200,7 +210,7 @@ def test_in_subfield_basics():
     g = ctx.generator
     assert not ctx.in_subfield(g, 1)
     assert ctx.in_subfield(g, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError, match="does not divide"):
         ctx.in_subfield(g, 2)  # 2 does not divide 3
 
 
@@ -240,3 +250,88 @@ def test_element_order():
     assert ctx.element_order(g) == 15
     assert ctx.element_order(ctx.pow(g, 3)) == 5
     assert ctx.element_order(1) == 1
+
+
+# ---------------------------------------------------------------------------
+# properties: field axioms on both sides of TABLE_CAP, and the table-free
+# arithmetic against the exp/log tables
+# ---------------------------------------------------------------------------
+
+TABLED = [(2, 2), (5, 1), (3, 3), (2, 8), (7, 2), (31, 2), (5, 4), (2, 12), (4093, 1)]
+UNTABLED = [(2, 13), (3, 8), (101, 2), (5, 6), (4099, 1)]
+assert all(p ** f <= TABLE_CAP for p, f in TABLED)
+assert all(p ** f > TABLE_CAP for p, f in UNTABLED)
+
+_TABLE_FREE: dict = {}
+_POWERS: dict = {}
+
+
+def table_free(p, f):
+    """A context for GF(p^f) that never builds exp/log tables."""
+    if (p, f) not in _TABLE_FREE:
+        _TABLE_FREE[p, f] = GFContext(p, f, table_cap=0)
+    return _TABLE_FREE[p, f]
+
+
+def powers(ctx):
+    """``ctx.exp_table()``, computed once per field for the slow contexts."""
+    key = (ctx.p, ctx.f, ctx._exp is None)
+    if key not in _POWERS:
+        _POWERS[key] = ctx.exp_table()
+    return _POWERS[key]
+
+
+@st.composite
+def field_and_elements(draw, fields):
+    p, f = draw(st.sampled_from(fields))
+    q = p ** f
+    return (p, f), [draw(st.integers(0, q - 1)) for _ in range(3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_and_elements(TABLED + UNTABLED))
+def test_field_axioms(case):
+    (p, f), (a, b, c) = case
+    ctx = gf_make(p, f)
+    assert (ctx._exp is not None) == (ctx.q <= TABLE_CAP)
+    add, mul = ctx.add, ctx.mul
+    assert add(a, b) == add(b, a) and mul(a, b) == mul(b, a)
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert add(a, 0) == a and mul(a, 1) == a and mul(a, 0) == 0
+    assert add(a, ctx.neg(a)) == 0 and ctx.sub(add(a, b), b) == a
+    if a:
+        assert mul(a, ctx.inv(a)) == 1
+        assert ctx.pow(a, ctx.q - 1) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_and_elements(TABLED), st.integers(-3 * TABLE_CAP, 3 * TABLE_CAP))
+def test_table_free_context_agrees_with_tables(case, e):
+    (p, f), (a, b, _) = case
+    fast, slow = gf_make(p, f), table_free(p, f)
+    assert fast._exp is not None and slow._exp is None
+    assert fast.modulus == slow.modulus and fast.generator == slow.generator
+    assert fast.mul(a, b) == slow.mul(a, b)
+    assert fast.is_square(a) == slow.is_square(a)
+    if a:
+        assert fast.inv(a) == slow.inv(a)
+        assert fast.pow(a, e) == slow.pow(a, e)
+    for d in range(1, f + 1):
+        if f % d == 0:
+            assert fast.in_subfield(a, d) == slow.in_subfield(a, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(TABLED + UNTABLED[:3]), st.data())
+def test_exp_table_lists_generator_powers(field, data):
+    p, f = field
+    ctx = gf_make(p, f)
+    exp = powers(ctx)
+    assert len(exp) == ctx.q - 1
+    k = data.draw(st.integers(0, ctx.q - 2))
+    reference = table_free(p, f) if ctx.q <= TABLE_CAP else ctx
+    assert exp[k] == reference.pow(ctx.generator, k)
+    if ctx.q <= TABLE_CAP:
+        assert powers(table_free(p, f))[k] == exp[k]

@@ -412,7 +412,7 @@ def test_big_int_str_leaves_digit_limit():
 def test_int_log2_big():
     n = (1 << 200) + 12345
     assert abs(int_log2(n) - 200.0) < 1e-9
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError, match="non-positive"):
         int_log2(0)
 
 

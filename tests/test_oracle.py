@@ -167,11 +167,12 @@ def test_early_exit_changes_nothing(q, sessions):
 def expected_fusion(sess):
     """Invert label_meets into per-subgroup-class label sets."""
     ctx = sess.ctx
+    distinct, sigs = sess.inv.signatures
     out = {}
     for sc in maximal_subgroup_classes(ctx):
         out[sc.id] = {
-            e.label for e in sess.inv
-            if e.label.kind != "id" and label_meets(ctx, e.label, e.order, sc)
+            e.label for e, i in zip(sess.inv, sigs)
+            if e.label.kind != "id" and label_meets(ctx, distinct[i], sc)
         }
     return out
 

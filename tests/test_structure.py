@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from invgen.gf import gf_for_q, prime_power_split
@@ -20,7 +22,7 @@ from invgen.structure import (
     psi2_structural,
     verify_2covering,
 )
-from helpers import isolated, pairs
+from helpers import isolated, pairs, ref_profiles, ref_signature, rows
 
 MANDATORY_QS = [4, 5, 7, 8, 9, 11, 13]
 
@@ -89,6 +91,19 @@ def test_subgroup_orders_divide_group_order(q):
 # ---------------------------------------------------------------------------
 # profiles
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q", [q for q in range(4, 1025) if prime_power_split(q)])
+def test_build_profiles_match_per_label_reference(q):
+    ctx = gf_for_q(q)
+    inv = inventory(ctx)
+    classes = maximal_subgroup_classes(ctx)
+    sigs, of_entry = inv.signatures
+    assert [sigs[i] for i in of_entry] == [ref_signature(ctx, e) for e in inv]
+    assert len(set(sigs)) == len(sigs)
+    profiles = build_profiles(ctx, inv, classes)
+    assert list(profiles) == inv.nonidentity_labels()
+    assert profiles == ref_profiles(ctx, inv, classes)
+
 
 def test_profiles_q7_exact():
     ctx = gf_for_q(7)
@@ -198,9 +213,9 @@ def test_psi2_symmetry_and_no_identity(q):
 def test_psi2_serialization():
     ctx = gf_for_q(5)
     table = psi2_structural(profile_census(ctx, inventory(ctx)))
-    js = table.to_json()
+    js = json.loads("".join(table.json_chunks({"probability": 0.16})))
     assert js["q"] == 5 and js["method"] == "structural" and js["count"] == 4
-    assert js["pairs"] == sorted(js["pairs"])
+    assert js["pairs"] == sorted(js["pairs"]) and js["probability"] == 0.16
     csv = "".join(table.text_blocks(","))
     assert len(csv.splitlines()) == 4
     assert all(line.count(",") == 1 for line in csv.splitlines())
@@ -210,7 +225,11 @@ def assert_blocks_match_rows(table):
     for sep in (",", "  "):
         blocks = list(table.text_blocks(sep))
         assert all(block.endswith("\n") for block in blocks)
-        assert "".join(blocks) == "".join(f"{a}{sep}{b}\n" for a, b in table.rows())
+        assert "".join(blocks) == "".join(f"{a}{sep}{b}\n" for a, b in rows(table))
+    for extra in ({}, {"probability": 0.25, "match": True}):
+        payload = {"q": table.q, "method": table.method, "count": len(table),
+                   "pairs": [list(row) for row in rows(table)], **extra}
+        assert "".join(table.json_chunks(extra)) == json.dumps(payload, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 16, 25, 49, 64, 81, 121])
@@ -222,6 +241,13 @@ def test_text_blocks_match_rows_structural(q):
 @pytest.mark.parametrize("q", MANDATORY_QS)
 def test_text_blocks_match_rows_oracle(q):
     assert_blocks_match_rows(OracleSession(gf_for_q(q)).psi2())
+
+
+def test_json_chunks_of_an_empty_table():
+    labels = inventory(gf_for_q(5)).nonidentity_labels()
+    table = Psi2Table(5, "oracle", labels, [()] * len(labels))
+    assert_blocks_match_rows(table)
+    assert list(table.text_blocks(",")) == []
 
 
 def test_text_blocks_sort_names_per_tuple_and_skip_empty():
@@ -238,7 +264,7 @@ def test_text_blocks_sort_names_per_tuple_and_skip_empty():
         "split:t=3,nonsplit:t=4\nsplit:t=3,unip:sq\n",
         "unip:sq,split:t=1\nunip:sq,split:t=3\n",
     ]
-    assert len(list(table.rows())) == len(table) == 8
+    assert len(rows(table)) == len(table) == 8
 
 
 # ---------------------------------------------------------------------------
