@@ -95,6 +95,18 @@ GOLDEN = [
      "6c1828f33a45fd44421ab25f5a3ebb85772dd67aa483f15772b65946ea794a0e"),
     ("psi2 --q 256 --format json",
      "160c25153a55b016e9c39bcb127bc8aa6f0085258a17869101ea768f1f9e50f1"),
+    # recorded at commit acb99ca, where fields above q = 4096 multiplied by
+    # polynomials instead of exp/log tables
+    ("classes --q 8192 --format json",
+     "3d107d31bd3790f784dcb29ae6809cfcf4ea709a977bbfcd0f6fa481ce8e02c1"),
+    ("classes --q 6561 --format json",
+     "bdee1040c5e4f78e530de6f16e5b73a3a8a529e6c7e46211e7c8f1fcee7974c8"),
+    ("classes --q 10201 --format json",
+     "f81e9809e74d5638b650e9803ab71ce6babd9622e35a4980deacbcfcbb6eb305"),
+    ("psi2 --q 4099 --format csv",
+     "311ad1cc7d2b76ac30f8e1773e79fd0754fb03a1f37cd5e13798e55aa73d5c55"),
+    ("verify --q-range 4096..4200",
+     "27c7c396c6e06a6f4cc13f7d39bc36732798fc7f60892a6f983f8aba00c8d56a"),
 ]
 
 # The graph summary goes to stderr; it is the only output that carries the
