@@ -116,7 +116,7 @@ def cmd_psi2(args) -> int:
     if args.method in ("structural", "both"):
         tables["structural"] = psi2_structural(profile_census(ctx, inv))
     if args.method in ("oracle", "both"):
-        tables["oracle"] = OracleSession(ctx).psi2()
+        tables["oracle"] = OracleSession(inv).psi2()
     table = tables.get("oracle") or tables["structural"]
     k = len(inv)
     prob = len(table) / (k * k)
@@ -235,7 +235,7 @@ def verify_q(ctx: GFContext, oracle: bool = False) -> dict:
         checks["probability"] = abs(s.psi2_count / (k * k) - 0.5) <= 10 / q
         checks["psi2_asymptotic"] = 0.8 <= s.psi2_count * 2 * d * d / (q * q) <= 1.2
     if oracle:
-        table = OracleSession(ctx).psi2()
+        table = OracleSession(inv).psi2()
         structural = psi2_structural(census)
         checks["oracle_equals_structural"] = table.near == structural.near
     return checks

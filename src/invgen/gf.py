@@ -11,8 +11,11 @@ least monic irreducible of degree f, comparing the coefficient tuple
 certified by trial division against every monic polynomial of degree
 at most f/2 (a plain root check for f <= 3).
 
-For small fields the context precomputes exp/log tables over a fixed
-multiplicative generator; these are an internal accelerator only, the
+Every context builds exp/log tables over a fixed multiplicative generator
+(the least one by int value) when it is made, in O(q) time and memory.
+Products, inverses and powers read them (prime fields multiply and invert
+mod p directly), and so do the square, subfield and order tests.  The
+build multiplies polynomials mod the modulus; no other code does.  The
 coefficient encoding stays canonical.
 """
 
@@ -23,7 +26,6 @@ from itertools import product
 from math import gcd
 
 Q_CAP = 1 << 20  # contexts refuse q above this
-TABLE_CAP = 1 << 12  # build exp/log tables when q <= this
 
 
 def is_prime(n: int) -> bool:
@@ -149,7 +151,7 @@ def _find_modulus(p: int, f: int) -> list[int]:
 class GFContext:
     """Fixed field GF(p^f); immutable after construction, all ops pure."""
 
-    def __init__(self, p: int, f: int, table_cap: int = TABLE_CAP):
+    def __init__(self, p: int, f: int):
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         if f < 1:
@@ -161,11 +163,12 @@ class GFContext:
         self.f = f
         self.q = q
         self.modulus = _find_modulus(p, f)
-        self._exp: tuple[int, ...] | None = None
-        self._log: dict[int, int] | None = None
-        self._generator: int | None = None
-        if q <= table_cap:
-            self._build_tables()
+        self.generator = self._find_generator()  # the least by int value
+        self._exp = self._powers(self.generator)
+        log = [0] * q  # log[a] is the k with g^k = a; log[0] is never read
+        for k, a in enumerate(self._exp):
+            log[a] = k
+        self._log = log
 
     def __repr__(self) -> str:
         return f"GFContext(p={self.p}, f={self.f})"
@@ -230,35 +233,21 @@ class GFContext:
             return 0
         if self.f == 1:
             return (a * b) % self.p
-        if self._exp is not None:
-            return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
-        prod = _poly_mul(_unpack(a, self.p, self.f), _unpack(b, self.p, self.f), self.p)
-        return _pack(_poly_mod(prod, self.modulus, self.p), self.p)
+        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inversion of zero")
         if self.f == 1:
             return pow(a, self.p - 2, self.p)
-        if self._exp is not None:
-            return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
-        return self.pow(a, self.q - 2)
+        return self._exp[-self._log[a] % (self.q - 1)]
 
     def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
         if a == 0:
+            if e < 0:
+                raise ZeroDivisionError("inversion of zero")
             return 0 if e else 1
-        if self._exp is not None:
-            return self._exp[(self._log[a] * e) % (self.q - 1)]
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return self._exp[self._log[a] * e % (self.q - 1)]
 
     # -- field predicates ----------------------------------------------------
 
@@ -266,9 +255,7 @@ class GFContext:
         """True iff a = b^2 for some b; zero counts, everything for q even."""
         if self.p == 2 or a == 0:
             return True
-        if self._log is not None:
-            return self._log[a] % 2 == 0
-        return self.pow(a, (self.q - 1) // 2) == 1
+        return self._log[a] % 2 == 0
 
     def frobenius(self, a: int) -> int:
         """a -> a^p (generates the Galois group; f-fold iterate is identity)."""
@@ -280,10 +267,7 @@ class GFContext:
             raise RuntimeError(f"e={e} does not divide f={self.f}")
         if a == 0 or e == self.f:
             return True
-        pe = self.p ** e
-        if self._log is not None:
-            return self._log[a] % ((self.q - 1) // (pe - 1)) == 0
-        return self.pow(a, pe) == a
+        return self._log[a] % ((self.q - 1) // (self.p ** e - 1)) == 0
 
     def absolute_trace(self, a: int) -> int:
         """Trace down to the prime field: sum of a^(p^i), i < f (an int < p)."""
@@ -301,51 +285,47 @@ class GFContext:
         if a == 0:
             raise ValueError("zero has no multiplicative order")
         n = self.q - 1
-        if self._log is not None:
-            return n // gcd(self._log[a], n) if n else 1
-        order = n
-        for r in factorize(n):
-            while order % r == 0 and self.pow(a, order // r) == 1:
-                order //= r
-        return order
+        return n // gcd(self._log[a], n)
 
-    @property
-    def generator(self) -> int:
-        """A fixed generator of the multiplicative group (least by int value)."""
-        if self._generator is None:
-            self._generator = self._find_generator()
-        return self._generator
+    def exp_table(self) -> tuple[int, ...]:
+        """The powers (g^0, g^1, ..., g^(q-2)) of ``generator``."""
+        return self._exp
+
+    # -- table construction ----------------------------------------------------
+
+    def _poly_product(self, a: int, b: int) -> int:
+        """a*b as polynomials reduced mod the modulus, without the tables."""
+        p = self.p
+        if self.f == 1:
+            return (a * b) % p
+        prod = _poly_mul(_unpack(a, p, self.f), _unpack(b, p, self.f), p)
+        return _pack(_poly_mod(prod, self.modulus, p), p)
 
     def _find_generator(self) -> int:
+        """The least a (by int value) with a^((q-1)/r) != 1 for every prime r | q-1."""
         n = self.q - 1
         if n == 1:
             return 1
-        primes = list(factorize(n))
+        cofactors = [n // r for r in factorize(n)]
         for a in range(2, self.q):
-            if all(self.pow(a, n // r) != 1 for r in primes):
+            if all(self._poly_power(a, e) != 1 for e in cofactors):
                 return a
         raise RuntimeError("no multiplicative generator found")  # unreachable
 
-    def exp_table(self) -> tuple[int, ...]:
-        """The powers (g^0, g^1, ..., g^(q-2)) of ``generator``: the stored
-        table, or above the table cap the same powers computed afresh."""
-        if self._exp is not None:
-            return self._exp
-        return self._powers(self.generator)
+    def _poly_power(self, a: int, e: int) -> int:
+        result = 1
+        while e:
+            if e & 1:
+                result = self._poly_product(result, a)
+            a = self._poly_product(a, a)
+            e >>= 1
+        return result
 
     def _powers(self, g: int) -> tuple[int, ...]:
-        n = self.q - 1
-        exp = [1] * n
-        for i in range(1, n):
-            exp[i] = self.mul(exp[i - 1], g)
+        exp = [1] * (self.q - 1)
+        for k in range(1, self.q - 1):
+            exp[k] = self._poly_product(exp[k - 1], g)
         return tuple(exp)
-
-    def _build_tables(self) -> None:
-        g = self._find_generator()
-        self._generator = g
-        exp = self._powers(g)  # mul takes the table-free path until installed below
-        self._exp = exp
-        self._log = {v: i for i, v in enumerate(exp)}
 
 
 @lru_cache(maxsize=None)

@@ -67,14 +67,14 @@ class IGGraph:
 
     def __post_init__(self):
         if len(self.nbrs) != len(self.vertices):
-            raise ValueError("one neighbour mask per vertex is required")
+            raise RuntimeError("one neighbour mask per vertex is required")
         for i, mask in enumerate(self.nbrs):
             if mask < 0 or mask >> len(self.vertices):
-                raise ValueError("neighbour bit past the last vertex")
+                raise RuntimeError("neighbour bit past the last vertex")
             if mask >> i & 1:
-                raise ValueError("loops are not allowed")
+                raise RuntimeError("loops are not allowed")
             if any(not self.nbrs[j] >> i & 1 for j in _bits(mask)):
-                raise ValueError("adjacency is not symmetric")
+                raise RuntimeError("adjacency is not symmetric")
 
     def edge_count(self) -> int:
         return sum(mask.bit_count() for mask in self.nbrs) // 2

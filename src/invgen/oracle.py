@@ -31,11 +31,11 @@ import random
 
 from invgen.gf import GFContext
 from invgen.psl2 import (
+    ClassInventory,
     ClassLabel,
     Mat,
     canon,
     enumerate_psl2,
-    inventory,
     psl2_class_of,
     psl2_inv,
     psl2_mul,
@@ -100,14 +100,19 @@ def _perm_inverse(p: Perm) -> Perm:
 
 
 class OracleSession:
-    """Enumerated PSL(2,q) with per-class element lists, q <= cap."""
+    """Enumerated PSL(2,q) with per-class element lists, q <= cap.
 
-    def __init__(self, ctx: GFContext, cap: int | None = None):
+    Reads the caller's class inventory and certifies it: every class of the
+    enumeration must have the size the inventory gives it.
+    """
+
+    def __init__(self, inv: ClassInventory, cap: int | None = None):
+        ctx = inv.ctx
         cap = oracle_cap() if cap is None else cap
         if ctx.q > min(cap, MAX_Q):
             raise OracleCapError(f"q={ctx.q} exceeds oracle cap {min(cap, MAX_Q)}")
         self.ctx = ctx
-        self.inv = inventory(ctx)
+        self.inv = inv
         self.mats: list[Mat] = list(enumerate_psl2(ctx, cap=cap))
         self.perm_of: dict[Mat, Perm] = {m: _mobius_perm(ctx, m) for m in self.mats}
         self.label_of_perm: dict[Perm, ClassLabel] = {}

@@ -26,7 +26,7 @@ import json
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from invgen.gf import GFContext
+from invgen.gf import GFContext, is_prime
 from invgen.psl2 import ClassInventory, ClassLabel, ClassSignature
 
 BOREL = "borel"
@@ -79,7 +79,7 @@ def maximal_subgroup_classes(ctx: GFContext) -> list[SubgroupClass]:
         SubgroupClass(DIH_SPLIT, 2 * (q - 1) // d, q % 2 == 0 or q >= 13),
         SubgroupClass(DIH_NONSPLIT, 2 * (q + 1) // d, q % 2 == 0 or q not in (7, 9)),
     ]
-    for r in (r for r in range(3, f + 1, 2) if f % r == 0 and _is_prime_small(r)):
+    for r in (r for r in range(3, f + 1, 2) if f % r == 0 and is_prime(r)):
         q0 = p ** (f // r)
         if q0 == 2:
             continue
@@ -107,10 +107,6 @@ def maximal_subgroup_classes(ctx: GFContext) -> list[SubgroupClass]:
         out.append(SubgroupClass(EXC_A5, 60, True, variant=1))
         out.append(SubgroupClass(EXC_A5, 60, True, variant=2))
     return out
-
-
-def _is_prime_small(n: int) -> bool:
-    return n >= 2 and all(n % k for k in range(2, int(n ** 0.5) + 1))
 
 
 def label_meets(ctx: GFContext, sig: ClassSignature, sc: SubgroupClass) -> bool:

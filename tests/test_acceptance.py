@@ -79,14 +79,14 @@ def test_c01_class_count_formula():
 def test_c02_oracle_equivalence_mandatory():
     with Budget("criterion 2: oracle == structural on {4,5,7,8,9,11,13}", 120):
         for q in MANDATORY_ORACLE_QS:
-            sess = OracleSession(gf_for_q(q))
+            sess = OracleSession(inventory(gf_for_q(q)))
             assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.ctx, sess.inv))), q
 
 
 def test_c02_oracle_equivalence_wider():
     with Budget("criterion 2 wider: oracle == structural on {16,19}", 60):
         for q in WIDER_ORACLE_QS:
-            sess = OracleSession(gf_for_q(q))
+            sess = OracleSession(inventory(gf_for_q(q)))
             assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.ctx, sess.inv))), q
 
 
@@ -94,7 +94,7 @@ def test_c02_oracle_equivalence_wider():
 def test_c02_oracle_equivalence_extended():
     with Budget("criterion 2 extended: oracle == structural on {16,25,27,31}", 900):
         for q in EXTENDED_ORACLE_QS:
-            sess = OracleSession(gf_for_q(q))
+            sess = OracleSession(inventory(gf_for_q(q)))
             assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.ctx, sess.inv))), q
 
 
@@ -102,7 +102,7 @@ def test_c03_isolated_vertex_census():
     with Budget("criterion 3: isolated-vertex census", 60):
         def isolated_names(q):
             if q <= 13:
-                return {l.str_form() for l in isolated(OracleSession(gf_for_q(q)).psi2())}
+                return {l.str_form() for l in isolated(OracleSession(inventory(gf_for_q(q))).psi2())}
             return set(summary_of(q).isolated)
 
         assert isolated_names(7) == {"split:t=1"}  # the order-3 class
@@ -148,7 +148,7 @@ def test_c07_beta_pipeline():
     with Budget("criterion 7: beta values and parity/bounds on [4,1024]", 60):
         # oracle-certified Psi2 for the three named values
         for q, expected in ((5, 2), (7, 4), (9, 2)):
-            sess = OracleSession(gf_for_q(q))
+            sess = OracleSession(inventory(gf_for_q(q)))
             part = beta(aut_action(sess.ctx, sess.inv), sess.psi2())
             assert part.beta == expected, q
         for q in ALL_QS:

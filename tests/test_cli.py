@@ -237,8 +237,14 @@ def break_bound(monkeypatch):
     return ["beta", "--q", "7"], "log2 of a non-positive integer"
 
 
+def break_graph(monkeypatch):
+    monkeypatch.setattr(cli, "lambda_graph",
+                        lambda *a, **k: iggraph.IGGraph(7, 1, "structural", ["a", "b"], [0b10, 0]))
+    return ["graph", "--q", "7", "--plus"], "adjacency is not symmetric"
+
+
 @pytest.mark.parametrize("breaker", [break_canon, break_subgroup_list,
-                                     break_subfield_degree, break_bound])
+                                     break_subfield_degree, break_bound, break_graph])
 def test_invariant_failures_exit_internal(breaker, capsys, monkeypatch):
     argv, message = breaker(monkeypatch)
     code, out, err = run(capsys, *argv)

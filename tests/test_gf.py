@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from invgen.gf import (
     GFContext,
     Q_CAP,
-    TABLE_CAP,
+    factorize,
     gf_make,
     gf_for_q,
     is_prime,
@@ -72,7 +72,7 @@ def test_make_errors():
 
 
 def test_cap_boundary_context_is_usable():
-    ctx = GFContext(1021, 2)  # q = 1042441 < 2^20, above the table cap
+    ctx = GFContext(1021, 2)  # q = 1042441 < 2^20, tables of about 10^6 entries
     assert ctx.q <= Q_CAP
     a = ctx.from_coeffs([3, 7])
     assert ctx.mul(a, ctx.inv(a)) == 1
@@ -135,17 +135,15 @@ def test_pow_matches_repeated_mul():
             assert ctx.pow(a, e) == acc
 
 
-def test_untabled_matches_tabled():
-    fast = GFContext(3, 4)
-    slow = GFContext(3, 4, table_cap=1)
-    assert fast.modulus == slow.modulus
+def test_tables_match_polynomial_product_gf81():
+    ctx = GFContext(3, 4)
     for a in range(0, 81, 7):
         for b in range(0, 81, 5):
-            assert fast.mul(a, b) == slow.mul(a, b)
+            assert ctx.mul(a, b) == ctx._poly_product(a, b)
         if a:
-            assert fast.inv(a) == slow.inv(a)
-            assert fast.is_square(a) == slow.is_square(a)
-        assert fast.frobenius(a) == slow.frobenius(a)
+            assert ctx._poly_product(a, ctx.inv(a)) == 1
+            assert ctx.is_square(a) == (ref_pow(ctx, a, 40) == 1)
+        assert ctx.frobenius(a) == ref_pow(ctx, a, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -253,31 +251,44 @@ def test_element_order():
 
 
 # ---------------------------------------------------------------------------
-# properties: field axioms on both sides of TABLE_CAP, and the table-free
-# arithmetic against the exp/log tables
+# properties: field axioms, and every table read against the polynomial
+# product, for fields on both sides of q = 4096
 # ---------------------------------------------------------------------------
 
-TABLED = [(2, 2), (5, 1), (3, 3), (2, 8), (7, 2), (31, 2), (5, 4), (2, 12), (4093, 1)]
-UNTABLED = [(2, 13), (3, 8), (101, 2), (5, 6), (4099, 1)]
-assert all(p ** f <= TABLE_CAP for p, f in TABLED)
-assert all(p ** f > TABLE_CAP for p, f in UNTABLED)
+FIELDS = [(2, 2), (5, 1), (3, 3), (2, 8), (7, 2), (31, 2), (5, 4), (2, 12), (4093, 1),
+          (2, 13), (3, 8), (101, 2), (5, 6), (4099, 1)]
 
-_TABLE_FREE: dict = {}
 _POWERS: dict = {}
 
 
-def table_free(p, f):
-    """A context for GF(p^f) that never builds exp/log tables."""
-    if (p, f) not in _TABLE_FREE:
-        _TABLE_FREE[p, f] = GFContext(p, f, table_cap=0)
-    return _TABLE_FREE[p, f]
+def ref_pow(ctx, a, e):
+    """a^e for e >= 0, by square-and-multiply over the polynomial product."""
+    result = 1
+    while e:
+        if e & 1:
+            result = ctx._poly_product(result, a)
+        a = ctx._poly_product(a, a)
+        e >>= 1
+    return result
 
 
-def powers(ctx):
-    """``ctx.exp_table()``, computed once per field for the slow contexts."""
-    key = (ctx.p, ctx.f, ctx._exp is None)
+def ref_order(ctx, a):
+    """Multiplicative order of a nonzero a, from ``ref_pow``."""
+    order = ctx.q - 1
+    for r in factorize(ctx.q - 1):
+        while order % r == 0 and ref_pow(ctx, a, order // r) == 1:
+            order //= r
+    return order
+
+
+def ref_powers(ctx):
+    """g^0, ..., g^(q-2) by repeated polynomial products, once per field."""
+    key = (ctx.p, ctx.f)
     if key not in _POWERS:
-        _POWERS[key] = ctx.exp_table()
+        out = [1]
+        for _ in range(ctx.q - 2):
+            out.append(ctx._poly_product(out[-1], ctx.generator))
+        _POWERS[key] = out
     return _POWERS[key]
 
 
@@ -289,11 +300,10 @@ def field_and_elements(draw, fields):
 
 
 @settings(max_examples=300, deadline=None)
-@given(field_and_elements(TABLED + UNTABLED))
+@given(field_and_elements(FIELDS))
 def test_field_axioms(case):
     (p, f), (a, b, c) = case
     ctx = gf_make(p, f)
-    assert (ctx._exp is not None) == (ctx.q <= TABLE_CAP)
     add, mul = ctx.add, ctx.mul
     assert add(a, b) == add(b, a) and mul(a, b) == mul(b, a)
     assert add(add(a, b), c) == add(a, add(b, c))
@@ -307,31 +317,35 @@ def test_field_axioms(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(field_and_elements(TABLED), st.integers(-3 * TABLE_CAP, 3 * TABLE_CAP))
-def test_table_free_context_agrees_with_tables(case, e):
+@given(field_and_elements(FIELDS), st.integers(-3 * 4096, 3 * 4096))
+def test_table_reads_match_polynomial_reference(case, e):
     (p, f), (a, b, _) = case
-    fast, slow = gf_make(p, f), table_free(p, f)
-    assert fast._exp is not None and slow._exp is None
-    assert fast.modulus == slow.modulus and fast.generator == slow.generator
-    assert fast.mul(a, b) == slow.mul(a, b)
-    assert fast.is_square(a) == slow.is_square(a)
+    ctx = gf_make(p, f)
+    q = ctx.q
+    assert ctx.mul(a, b) == ctx._poly_product(a, b)
+    assert ctx.is_square(a) == (p == 2 or a == 0 or ref_pow(ctx, a, (q - 1) // 2) == 1)
     if a:
-        assert fast.inv(a) == slow.inv(a)
-        assert fast.pow(a, e) == slow.pow(a, e)
+        assert ctx.inv(a) == ref_pow(ctx, a, q - 2)
+        assert ctx.pow(a, e) == (ref_pow(ctx, a, e) if e >= 0
+                                 else ref_pow(ctx, ref_pow(ctx, a, q - 2), -e))
+        assert ctx.element_order(a) == ref_order(ctx, a)
     for d in range(1, f + 1):
         if f % d == 0:
-            assert fast.in_subfield(a, d) == slow.in_subfield(a, d)
+            assert ctx.in_subfield(a, d) == (ref_pow(ctx, a, p ** d) == a)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=[f"{p}^{f}" for p, f in FIELDS])
+def test_generator_is_least(field):
+    ctx = gf_make(*field)
+    assert ref_order(ctx, ctx.generator) == ctx.q - 1
+    assert all(ref_order(ctx, a) < ctx.q - 1 for a in range(2, ctx.generator))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(TABLED + UNTABLED[:3]), st.data())
+@given(st.sampled_from(FIELDS), st.data())
 def test_exp_table_lists_generator_powers(field, data):
-    p, f = field
-    ctx = gf_make(p, f)
-    exp = powers(ctx)
+    ctx = gf_make(*field)
+    exp = ctx.exp_table()
     assert len(exp) == ctx.q - 1
     k = data.draw(st.integers(0, ctx.q - 2))
-    reference = table_free(p, f) if ctx.q <= TABLE_CAP else ctx
-    assert exp[k] == reference.pow(ctx.generator, k)
-    if ctx.q <= TABLE_CAP:
-        assert powers(table_free(p, f))[k] == exp[k]
+    assert exp[k] == ref_powers(ctx)[k]

@@ -255,7 +255,7 @@ def test_lambda_graph_edges_are_psi2_pairs(q, plus):
     ([0b10], "one neighbour mask per vertex"),
 ])
 def test_iggraph_rejects_bad_masks(nbrs, match):
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(RuntimeError, match=match):
         IGGraph(0, 1, "synthetic", ["a", "b"], nbrs)
 
 

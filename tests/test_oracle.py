@@ -3,7 +3,7 @@ import random
 import pytest
 
 from invgen.gf import gf_for_q
-from invgen.psl2 import ClassLabel, make, psl2_mul
+from invgen.psl2 import ClassLabel, inventory, make, psl2_mul
 from invgen.oracle import (
     OracleCapError,
     OracleSession,
@@ -26,7 +26,7 @@ def sessions():
 
     def get(q):
         if q not in cache:
-            cache[q] = OracleSession(gf_for_q(q))
+            cache[q] = OracleSession(inventory(gf_for_q(q)))
         return cache[q]
 
     return get
@@ -72,17 +72,17 @@ def test_perm_of_product_is_composition(q, sessions):
 
 def test_cap_enforced():
     with pytest.raises(OracleCapError):
-        OracleSession(gf_for_q(37))
+        OracleSession(inventory(gf_for_q(37)))
     with pytest.raises(OracleCapError):
-        OracleSession(gf_for_q(11), cap=7)
+        OracleSession(inventory(gf_for_q(11)), cap=7)
 
 
 def test_cap_env_override(monkeypatch):
     monkeypatch.setenv("INVGEN_ORACLE_CAP", "7")
     with pytest.raises(OracleCapError):
-        OracleSession(gf_for_q(11))
+        OracleSession(inventory(gf_for_q(11)))
     monkeypatch.delenv("INVGEN_ORACLE_CAP")
-    OracleSession(gf_for_q(11))
+    OracleSession(inventory(gf_for_q(11)))
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +104,7 @@ def test_isolated_vertices(sessions):
     assert isolated(sessions(7).psi2()) == {ClassLabel("split", 1)}
     assert {l.str_form() for l in isolated(sessions(9).psi2())} == {
         "inv", "unip:sq", "unip:nsq"}
-    assert isolated(OracleSession(gf_for_q(11)).psi2()) == set()
+    assert isolated(OracleSession(inventory(gf_for_q(11))).psi2()) == set()
 
 
 def test_representative_choice_is_irrelevant(sessions):

@@ -240,7 +240,7 @@ def test_text_blocks_match_rows_structural(q):
 
 @pytest.mark.parametrize("q", MANDATORY_QS)
 def test_text_blocks_match_rows_oracle(q):
-    assert_blocks_match_rows(OracleSession(gf_for_q(q)).psi2())
+    assert_blocks_match_rows(OracleSession(inventory(gf_for_q(q))).psi2())
 
 
 def test_json_chunks_of_an_empty_table():
