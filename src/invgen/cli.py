@@ -18,7 +18,7 @@ from collections.abc import Iterable
 from itertools import chain
 
 from invgen.autorbits import aut_action, beta, beta_fast
-from invgen.gf import GFContext, gf_make, prime_power_split
+from invgen.gf import GFContext, prime_power_split
 from invgen.iggraph import (
     GraphCapError,
     components,
@@ -62,7 +62,7 @@ def _context(args) -> GFContext:
         if args.p is None:
             raise UsageError("one of --q or --p is required")
         p, f = args.p, args.f if args.f is not None else 1
-    ctx = gf_make(p, f)
+    ctx = GFContext(p, f)
     if ctx.q < 4:
         raise UsageError(f"q must be at least 4, got {ctx.q}")
     return ctx
@@ -249,8 +249,7 @@ def cmd_verify(args) -> int:
     results = {}
     failures = []
     for q in qs:
-        p, f = prime_power_split(q)
-        ctx = gf_make(p, f)
+        ctx = GFContext(*prime_power_split(q))
         use_oracle = q <= min(ORACLE_VERIFY_DEFAULT, cap) or (
             args.extended and q in ORACLE_VERIFY_EXTENDED and q <= cap
         )

@@ -15,8 +15,9 @@ Every context builds exp/log tables over a fixed multiplicative generator
 (the least one by int value) when it is made, in O(q) time and memory.
 Products, inverses and powers read them (prime fields multiply and invert
 mod p directly), and so do the square, subfield and order tests.  The
-build multiplies polynomials mod the modulus; no other code does.  The
-coefficient encoding stays canonical.
+power walk multiplies a digit vector by the generator with shift-and-reduce
+steps; only the generator search multiplies polynomials mod the modulus.
+The coefficient encoding stays canonical.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from math import gcd
+from operator import mul
 
 Q_CAP = 1 << 20  # contexts refuse q above this
 
@@ -302,13 +304,20 @@ class GFContext:
         return _pack(_poly_mod(prod, self.modulus, p), p)
 
     def _find_generator(self) -> int:
-        """The least a (by int value) with a^((q-1)/r) != 1 for every prime r | q-1."""
+        """The least a (by int value) with a^((q-1)/r) != 1 for every prime r | q-1.
+
+        A candidate a < p lies in the prime field, where a^e is pow(a, e, p).
+        """
         n = self.q - 1
         if n == 1:
             return 1
+        p = self.p
         cofactors = [n // r for r in factorize(n)]
         for a in range(2, self.q):
-            if all(self._poly_power(a, e) != 1 for e in cofactors):
+            if a < p:
+                if all(pow(a, e, p) != 1 for e in cofactors):
+                    return a
+            elif all(self._poly_power(a, e) != 1 for e in cofactors):
                 return a
         raise RuntimeError("no multiplicative generator found")  # unreachable
 
@@ -322,9 +331,31 @@ class GFContext:
         return result
 
     def _powers(self, g: int) -> tuple[int, ...]:
-        exp = [1] * (self.q - 1)
-        for k in range(1, self.q - 1):
-            exp[k] = self._poly_product(exp[k - 1], g)
+        """(g^0, ..., g^(q-2)).  For f > 1 each step multiplies the digit
+        vector v of the last power by g directly, by Horner's rule over the
+        digits of g: acc <- acc*x + g_i*v, one shift-and-reduce against the
+        modulus per degree of g."""
+        p, f, q = self.p, self.f, self.q
+        exp = [1] * (q - 1)
+        if f == 1:
+            x = 1
+            for k in range(1, q - 1):
+                x = x * g % p
+                exp[k] = x
+            return tuple(exp)
+        digits = _unpack(g, p, f)
+        deg = max(i for i, c in enumerate(digits) if c)  # >= 1: g is not in GF(p)
+        lead, lower = digits[deg], digits[deg - 1::-1]
+        red = [-c % p for c in self.modulus[:f]]  # x^f = sum of red[j] x^j
+        weights = [p ** j for j in range(f)]
+        v = [1] + [0] * (f - 1)
+        for k in range(1, q - 1):
+            acc = v if lead == 1 else [lead * c % p for c in v]
+            for gi in lower:  # shift acc up one degree, fold its top digit back
+                top = acc[-1]
+                acc = [(c + top * r + gi * w) % p for c, r, w in zip([0, *acc], red, v)]
+            v = acc
+            exp[k] = sum(map(mul, v, weights))
         return tuple(exp)
 
 

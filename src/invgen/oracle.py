@@ -2,7 +2,18 @@
 
 Elements are realized as permutations of the projective line (the action
 is faithful), each stored once as a ``bytes`` value of length q + 1, and
-composed with ``bytes.translate`` against a 256-byte table.  Generation is
+composed with ``bytes.translate`` against a 256-byte table.  Point 0 is
+infinity and point 1+v is v.  An element's permutation is itself composed
+from the tables of v -> v + s, v -> s*v and v -> 1/v, by field algebra
+alone: for m = (a, b, c, d) with ad - bc = 1,
+
+    c = 0:   v -> a^2 v + ab,
+    c != 0:  v -> a/c - 1/(c^2 (v + d/c)) = a/c + 1/(-c^2 (v + d/c)),
+
+so the image of v under (av + b)/(cv + d) is never evaluated point by
+point.  The pointwise map is the reference in the tests
+(``tests/helpers.py``, ``mobius_perm``).  Inverses are read off
+``bytes.maketrans``.  Generation is
 decided by literal subgroup closure: a pair generates iff the closure of
 the two elements under multiplication is the whole group.  The closure
 returns early once it outgrows every maximal subgroup order; disabling
@@ -21,7 +32,9 @@ Representatives of the maximal subgroup classes are built explicitly
 (Borel and dihedral and subfield copies by direct matrix filters, the
 exceptional ones by seeded random search verified by exact order checks)
 so that the structural class-intersection profiles can be certified
-against literal fusion.
+against literal fusion.  Two exceptional subgroups are told apart by the
+conjugacy orbit of the first, a breadth-first search under conjugation by
+one generating pair of S.
 """
 
 from __future__ import annotations
@@ -72,19 +85,30 @@ def oracle_cap() -> int:
     return int(value) if value else DEFAULT_CAP
 
 
-def _mobius_perm(ctx: GFContext, m: Mat) -> Perm:
-    """Action of m on the projective line; point 0 is infinity, 1+v is v."""
-    a, b, c, d = m
-    img = [0] * (ctx.q + 1)
-    img[0] = 0 if c == 0 else 1 + ctx.mul(a, ctx.inv(c))
-    for v in range(ctx.q):
-        den = ctx.add(ctx.mul(c, v), d)
-        if den == 0:
-            img[1 + v] = 0
-        else:
-            num = ctx.add(ctx.mul(a, v), b)
-            img[1 + v] = 1 + ctx.mul(num, ctx.inv(den))
-    return bytes(img)
+def _line_action(ctx: GFContext):
+    """The map from m to its permutation of the projective line.
+
+    Composes the translate tables of v -> v + s, v -> s*v and v -> 1/v
+    (built here in O(q^2) field operations) by the identity of the module
+    docstring: at most four translates and five field operations per m.
+    """
+    q, n = ctx.q, ctx.q + 1
+    pad = _POINTS[n:]
+    shift = [bytes([0] + [1 + ctx.add(v, s) for v in range(q)]) + pad for s in range(q)]
+    scale = [b""] + [bytes([0] + [1 + ctx.mul(s, v) for v in range(q)]) + pad
+                     for s in range(1, q)]
+    recip = bytes([1, 0] + [1 + ctx.inv(v) for v in range(1, q)]) + pad
+    mul, inv, neg = ctx.mul, ctx.inv, ctx.neg
+
+    def perm(m: Mat) -> Perm:
+        a, b, c, d = m
+        if c == 0:
+            return scale[mul(a, a)][:n].translate(shift[mul(a, b)])
+        ic = inv(c)
+        return (shift[mul(d, ic)][:n].translate(scale[neg(mul(c, c))])
+                .translate(recip).translate(shift[mul(a, ic)]))
+
+    return perm
 
 
 def _table(p: Perm) -> bytes:
@@ -92,11 +116,9 @@ def _table(p: Perm) -> bytes:
     return p + _POINTS[len(p):]
 
 
-def _perm_inverse(p: Perm) -> Perm:
-    out = bytearray(len(p))
-    for i, v in enumerate(p):
-        out[v] = i
-    return bytes(out)
+def _inverse(p: Perm) -> Perm:
+    """p^-1: the table that sends each image p[i] back to i."""
+    return bytes.maketrans(p, _POINTS[:len(p)])[:len(p)]
 
 
 class OracleSession:
@@ -114,7 +136,8 @@ class OracleSession:
         self.ctx = ctx
         self.inv = inv
         self.mats: list[Mat] = list(enumerate_psl2(ctx, cap=cap))
-        self.perm_of: dict[Mat, Perm] = {m: _mobius_perm(ctx, m) for m in self.mats}
+        perm = _line_action(ctx)
+        self.perm_of: dict[Mat, Perm] = {m: perm(m) for m in self.mats}
         self.label_of_perm: dict[Perm, ClassLabel] = {}
         self.by_label: dict[ClassLabel, list[Mat]] = {lab: [] for lab in self.inv.labels()}
         for m in self.mats:
@@ -156,9 +179,6 @@ class OracleSession:
         closure = self._closure(gens, self.exit_bound if early_exit else self.order)
         return closure is None or len(closure) == self.order
 
-    def generates(self, x: Mat, y: Mat, early_exit: bool = True) -> bool:
-        return self.closure_generates([self.perm_of[x], self.perm_of[y]], early_exit)
-
     # -- Psi2 ----------------------------------------------------------------
 
     def centralizer(self, x: Perm) -> list[Perm]:
@@ -177,7 +197,7 @@ class OracleSession:
         ys must be closed under conjugation by C_S(x), as a class is; y is
         the first member of its orbit in the order of ys.
         """
-        cent = [(_perm_inverse(g), _table(g)) for g in self.centralizer(x)]
+        cent = [(_inverse(g), _table(g)) for g in self.centralizer(x)]
         seen: set[Perm] = set()
         for y in ys:
             if y in seen:
@@ -321,13 +341,29 @@ class OracleSession:
             f"located only {len(found)}/{wanted} classes of {kind} in {attempts} tries"
         )
 
+    def _generators(self) -> list[Perm]:
+        """Two elements that generate S: the first seeded random pair that
+        closure_generates accepts."""
+        rng = random.Random(20260810)
+        for _ in range(1000):
+            pair = [self.perm_of[rng.choice(self.mats)] for _ in range(2)]
+            if self.closure_generates(pair):
+                return pair
+        raise RuntimeError("no generating pair of S in 1000 tries")
+
     def _conjugacy_orbit(self, h: frozenset[Perm]) -> set[frozenset[Perm]]:
-        tables = [_table(x) for x in h]
-        orbit = set()
-        for m in self.mats:
-            g = self.perm_of[m]
-            ginv, gt = _perm_inverse(g), _table(g)
-            orbit.add(frozenset(ginv.translate(xt).translate(gt) for xt in tables))
+        """The S-conjugates of h: breadth-first search under conjugation by
+        the generating pair, which reaches every conjugate."""
+        gens = [(_inverse(g), _table(g)) for g in self._generators()]
+        orbit = {h}
+        queue = [h]
+        for k in queue:  # breadth first: the loop reaches what it appends
+            tables = [_table(x) for x in k]
+            for ginv, gt in gens:
+                conj = frozenset(ginv.translate(xt).translate(gt) for xt in tables)
+                if conj not in orbit:
+                    orbit.add(conj)
+                    queue.append(conj)
         return orbit
 
     def class_fusion(self, seed: int = 20260810) -> dict[str, set[ClassLabel]]:

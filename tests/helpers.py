@@ -1,7 +1,7 @@
 """Reference helpers that only the tests need."""
 
 from invgen.psl2 import ClassSignature, identity_mat, psl2_mul
-from invgen.structure import label_meets, profile_universe
+from invgen.structure import label_meets, maximal_subgroup_classes, profile_universe
 
 
 def psl2_order(ctx, x) -> int:
@@ -78,4 +78,60 @@ def ref_profiles(ctx, inv, classes) -> dict:
             continue
         sig = ref_signature(ctx, entry)
         out[entry.label] = frozenset(sc.id for sc in universe if label_meets(ctx, sig, sc))
+    return out
+
+
+def mobius_perm(ctx, m) -> bytes:
+    """The action of m = (a, b, c, d) on the projective line, point by point:
+    v -> (av + b)/(cv + d), with point 0 for infinity and 1+v for v.  The
+    reference for ``OracleSession.perm_of``."""
+    a, b, c, d = m
+    img = [0] * (ctx.q + 1)
+    img[0] = 0 if c == 0 else 1 + ctx.mul(a, ctx.inv(c))
+    for v in range(ctx.q):
+        den = ctx.add(ctx.mul(c, v), d)
+        if den == 0:
+            img[1 + v] = 0
+        else:
+            num = ctx.add(ctx.mul(a, v), b)
+            img[1 + v] = 1 + ctx.mul(num, ctx.inv(den))
+    return bytes(img)
+
+
+def generates(sess, x, y, early_exit=True) -> bool:
+    """Whether the matrices x and y generate S, by the session's closure."""
+    return sess.closure_generates([sess.perm_of[x], sess.perm_of[y]], early_exit)
+
+
+def expected_fusion(sess) -> dict:
+    """``label_meets`` inverted into per-subgroup-class label sets."""
+    ctx = sess.ctx
+    distinct, sigs = sess.inv.signatures
+    out = {}
+    for sc in maximal_subgroup_classes(ctx):
+        out[sc.id] = {
+            e.label for e, i in zip(sess.inv, sigs)
+            if e.label.kind != "id" and label_meets(ctx, distinct[i], sc)
+        }
+    return out
+
+
+RANDOM_KINDS = ("exc_a4", "exc_s4", "exc_a5")
+
+
+def fusion_key(fusion) -> dict:
+    """Per-subgroup-class label sets as comparable names.  Kinds that
+    ``class_fusion`` locates by random search do not tie a subgroup to a
+    variant id, so their label sets are compared as a sorted multiset per
+    kind; every other class is compared by its id."""
+    out = {}
+    for sid, labels in fusion.items():
+        kind = sid.split(":")[0]
+        names = sorted(lab.str_form() for lab in labels)
+        if kind in RANDOM_KINDS:
+            out.setdefault(kind, []).append(names)
+        else:
+            out[sid] = names
+    for kind in RANDOM_KINDS:
+        out.get(kind, []).sort()
     return out

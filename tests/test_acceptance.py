@@ -32,12 +32,17 @@ from invgen.iggraph import (
 )
 from invgen.oracle import OracleSession
 from invgen.structure import profile_census, psi2_structural, verify_2covering
-from helpers import isolated, pairs
+from helpers import expected_fusion, fusion_key, isolated, pairs
 
 ALL_QS = [q for q in range(4, 1025) if prime_power_split(q)]
 MANDATORY_ORACLE_QS = [4, 5, 7, 8, 9, 11, 13]
 WIDER_ORACLE_QS = [16, 19]  # characteristic 2 with subfield PSL(2,4); A5 at q=19
 EXTENDED_ORACLE_QS = [16, 25, 27, 31]
+# class fusion against label_meets, with the Dickson branches no Psi2 run
+# above reaches: subfield PGL(2,5) (25), subfield PSL(2,3) at odd f (27),
+# A5 at f = 2 and subfield PGL(2,7) (49), subfield PSL(2,4) and PGL(2,8)
+# (64), subfield PGL(2,9) at f = 4 (81)
+EXTENDED_FUSION_QS = [25, 27, 49, 64, 81]
 
 EXTENDED = os.environ.get("INVGEN_EXTENDED") == "1"
 
@@ -96,6 +101,14 @@ def test_c02_oracle_equivalence_extended():
         for q in EXTENDED_ORACLE_QS:
             sess = OracleSession(inventory(gf_for_q(q)))
             assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.ctx, sess.inv))), q
+
+
+@pytest.mark.skipif(not EXTENDED, reason="extended oracle set needs INVGEN_EXTENDED=1")
+def test_c02_class_fusion_extended():
+    with Budget("criterion 2 extended: class fusion == label_meets on {25,27,49,64,81}", 60):
+        for q in EXTENDED_FUSION_QS:
+            sess = OracleSession(inventory(gf_for_q(q)), cap=255)
+            assert fusion_key(sess.class_fusion()) == fusion_key(expected_fusion(sess)), q
 
 
 def test_c03_isolated_vertex_census():

@@ -1,23 +1,34 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from invgen.gf import gf_for_q
-from invgen.psl2 import ClassLabel, inventory, make, psl2_mul
+from invgen.gf import gf_for_q, prime_power_split
+from invgen.psl2 import ClassLabel, inventory, make, psl2_inv, psl2_mul
 from invgen.oracle import (
     OracleCapError,
     OracleSession,
+    _inverse,
     _table,
 )
 from invgen.structure import (
-    label_meets,
     maximal_subgroup_classes,
     profile_census,
     psi2_structural,
 )
-from helpers import isolated, pairs, psl2_order
+from helpers import (
+    expected_fusion,
+    fusion_key,
+    generates,
+    isolated,
+    mobius_perm,
+    pairs,
+    psl2_order,
+)
 
 FAST_QS = [4, 5, 7, 8, 9]
+QS_TO_31 = [q for q in range(4, 32) if prime_power_split(q)]
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +50,7 @@ def sessions():
 def test_identity_pair_never_generates(sessions):
     sess = sessions(5)
     ident = (1, 0, 0, 1)
-    assert not sess.generates(ident, ident)
+    assert not generates(sess, ident, ident)
 
 
 def test_standard_a5_pair_generates(sessions):
@@ -47,7 +58,7 @@ def test_standard_a5_pair_generates(sessions):
     ctx = sess.ctx
     x = next(m for m in sess.mats if psl2_order(ctx, m) == 3)
     y = make(ctx, 1, 1, 0, 1)  # unipotent of order 5
-    assert sess.generates(x, y)
+    assert generates(sess, x, y)
 
 
 def test_common_borel_never_generates(sessions):
@@ -55,7 +66,15 @@ def test_common_borel_never_generates(sessions):
     ctx = sess.ctx
     x = make(ctx, 1, 1, 0, 1)
     y = make(ctx, 3, 0, 0, 5)  # diagonal, so <x, y> is upper triangular
-    assert not sess.generates(x, y)
+    assert not generates(sess, x, y)
+
+
+# q = 4, 8, 16 have p = 2; 5, 7 are prime; 9, 25 have f = 2; 27 has odd f = 3
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 16, 25, 27])
+def test_perm_of_matches_pointwise_mobius(q, sessions):
+    sess = sessions(q)
+    for m, perm in sess.perm_of.items():
+        assert perm == mobius_perm(sess.ctx, m), m
 
 
 @pytest.mark.parametrize("q", [5, 8, 9, 16])
@@ -68,6 +87,17 @@ def test_perm_of_product_is_composition(q, sessions):
         a_after_b = bytes(pa[i] for i in pb)  # matrices act on the left
         assert sess.perm_of[psl2_mul(sess.ctx, a, b)] == a_after_b
         assert pb.translate(_table(pa)) == a_after_b
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_perm_of_is_a_homomorphism(data, sessions):
+    sess = sessions(data.draw(st.sampled_from(QS_TO_31)))
+    x = data.draw(st.sampled_from(sess.mats))
+    y = data.draw(st.sampled_from(sess.mats))
+    px, py = sess.perm_of[x], sess.perm_of[y]
+    assert sess.perm_of[psl2_mul(sess.ctx, x, y)] == py.translate(_table(px))
+    assert _inverse(px) == sess.perm_of[psl2_inv(sess.ctx, x)]
 
 
 def test_cap_enforced():
@@ -164,42 +194,10 @@ def test_early_exit_changes_nothing(q, sessions):
 # class fusion certifies the profile rules
 # ---------------------------------------------------------------------------
 
-def expected_fusion(sess):
-    """Invert label_meets into per-subgroup-class label sets."""
-    ctx = sess.ctx
-    distinct, sigs = sess.inv.signatures
-    out = {}
-    for sc in maximal_subgroup_classes(ctx):
-        out[sc.id] = {
-            e.label for e, i in zip(sess.inv, sigs)
-            if e.label.kind != "id" and label_meets(ctx, distinct[i], sc)
-        }
-    return out
-
-
-RANDOM_KINDS = ("exc_a4", "exc_s4", "exc_a5")
-
-
 @pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
 def test_class_fusion_matches_rules(q, sessions):
     sess = sessions(q)
-    fusion = sess.class_fusion()
-    want = expected_fusion(sess)
-    for sid, got in fusion.items():
-        kind = sid.split(":")[0]
-        if kind in RANDOM_KINDS:
-            continue  # variant ids of randomly located kinds compared below
-        assert got == want[sid], sid
-    for kind in RANDOM_KINDS:
-        got_sets = sorted(
-            [sorted(l.str_form() for l in got)
-             for sid, got in fusion.items() if sid.startswith(kind)]
-        )
-        want_sets = sorted(
-            [sorted(l.str_form() for l in want[sid])
-             for sid in want if sid.startswith(kind)]
-        )
-        assert got_sets == want_sets, (q, kind)
+    assert fusion_key(sess.class_fusion()) == fusion_key(expected_fusion(sess))
 
 
 def test_q9_each_a5_class_meets_one_unipotent(sessions):
@@ -213,6 +211,22 @@ def test_q9_each_a5_class_meets_one_unipotent(sessions):
         assert len(unips) == 1
         unip_hits.append(unips.pop())
     assert unip_hits[0] != unip_hits[1]
+
+
+@pytest.mark.parametrize("q, kind", [(5, "exc_a4"), (9, "exc_a5"), (11, "exc_a5"), (13, "exc_a4")])
+def test_conjugacy_orbit_is_every_conjugate(q, kind, sessions):
+    sess = sessions(q)
+    for h in sess.exceptional_subgroups(kind):
+        tables = [_table(x) for x in h]
+        every = {frozenset(_inverse(g).translate(xt).translate(_table(g)) for xt in tables)
+                 for g in sess.perm_of.values()}
+        assert sess._conjugacy_orbit(h) == every
+
+
+def test_conjugation_generators_generate(sessions):
+    for q in (4, 8, 13):
+        sess = sessions(q)
+        assert sess.closure_generates(sess._generators(), early_exit=False)
 
 
 def test_q7_borel_fusion(sessions):
