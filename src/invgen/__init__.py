@@ -8,8 +8,6 @@ from invgen.psl2 import (
     inventory,
     enumerate_psl2,
     psl2_class_of,
-    psl2_mul,
-    psl2_inv,
 )
 from invgen.structure import (
     SubgroupClass,
@@ -40,7 +38,7 @@ from invgen.iggraph import (
 __all__ = [
     "GFContext", "gf_make", "gf_for_q", "prime_power_split",
     "ClassLabel", "ClassEntry", "ClassInventory", "inventory",
-    "enumerate_psl2", "psl2_class_of", "psl2_mul", "psl2_inv",
+    "enumerate_psl2", "psl2_class_of",
     "SubgroupClass", "Psi2Table", "maximal_subgroup_classes",
     "build_profiles", "psi2_structural", "verify_2covering", "profile_census",
     "AutAction", "OrbitPartition", "aut_action", "beta", "beta_fast",

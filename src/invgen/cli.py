@@ -274,6 +274,17 @@ def cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _exponent(text: str) -> int:
+    """A direct-power exponent t >= 1, as ``--power`` takes it."""
+    try:
+        t = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if t < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {t}")
+    return t
+
+
 def _add_q_args(sub) -> None:
     sub.add_argument("--q", type=int, default=None, help="field size, a prime power >= 4")
     sub.add_argument("--p", type=int, default=None, help="characteristic (with --f)")
@@ -302,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sg = subs.add_parser("graph", help="generating graph of S or S^t")
     _add_q_args(sg)
-    sg.add_argument("--power", type=int, default=1, help="direct-power exponent t")
+    sg.add_argument("--power", type=_exponent, default=1, help="direct-power exponent t")
     sg.add_argument("--plus", action="store_true", help="drop isolated vertices")
     sg.add_argument("--format", choices=("dot", "json"), default="json")
     sg.set_defaults(func=cmd_graph)

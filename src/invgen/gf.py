@@ -177,24 +177,9 @@ class GFContext:
 
     # -- representation -----------------------------------------------------
 
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        """Coefficient vector (c0, ..., c_{f-1}) of a."""
-        return tuple(_unpack(a, self.p, self.f))
-
     def scalar(self, n: int) -> int:
         """The prime-field constant n mod p as a field element."""
         return n % self.p
-
-    def from_coeffs(self, coeffs) -> int:
-        cs = list(coeffs)
-        if len(cs) != self.f or any(not 0 <= c < self.p for c in cs):
-            raise ValueError("coefficient vector must have length f with entries in [0, p)")
-        return _pack(cs, self.p)
-
-    def _check(self, a: int) -> int:
-        if not 0 <= a < self.q:
-            raise ValueError(f"element {a} out of range for q={self.q}")
-        return a
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -372,11 +372,6 @@ def expected_isolated(ctx: GFContext, inv: ClassInventory) -> set[str]:
 # exports
 # ---------------------------------------------------------------------------
 
-def part_pattern(vertex: tuple, part1: set[ClassLabel]) -> frozenset[int]:
-    """Coordinates of a power-graph vertex whose label lies in part 1."""
-    return frozenset(i for i, lab in enumerate(vertex) if lab in part1)
-
-
 def to_dot(g: IGGraph, parts: tuple[list, list] | None = None) -> str:
     """DOT text; each edge is written once, from its earlier end in vertex
     order, with the later ends in vertex order too."""

@@ -12,12 +12,13 @@ alone: for m = (a, b, c, d) with ad - bc = 1,
 
 so the image of v under (av + b)/(cv + d) is never evaluated point by
 point.  The pointwise map is the reference in the tests
-(``tests/helpers.py``, ``mobius_perm``).  Inverses are read off
-``bytes.maketrans``.  Generation is
+(``tests/helpers.py``, ``mobius_perm``).  Matrices exist only while the
+session is built: each enumerated matrix is turned into its permutation
+and its class label, and from then on the permutation is the element's
+only form.  Inverses are read off ``bytes.maketrans``.  Generation is
 decided by literal subgroup closure: a pair generates iff the closure of
 the two elements under multiplication is the whole group.  The closure
-returns early once it outgrows every maximal subgroup order; disabling
-the early exit is supported so the shortcut itself can be tested.
+returns early once it outgrows every maximal subgroup order.
 
 ``pair_generates`` decides the class pair (C, D) by fixing one element x
 of the smaller class and sweeping one element y of each orbit of the
@@ -28,13 +29,32 @@ sound because for g in C_S(x), (x, y^g) = (x, y)^g has the same verdict
 as (x, y).  The centralizer is found by testing which enumerated elements
 commute with x, so the sweep never uses a structural rule.
 
-Representatives of the maximal subgroup classes are built explicitly
-(Borel and dihedral and subfield copies by direct matrix filters, the
-exceptional ones by seeded random search verified by exact order checks)
-so that the structural class-intersection profiles can be certified
-against literal fusion.  Two exceptional subgroups are told apart by the
-conjugacy orbit of the first, a breadth-first search under conjugation by
-one generating pair of S.
+Representatives of the maximal subgroup classes are built explicitly, so
+that the structural class-intersection profiles can be certified against
+literal fusion.  Most are setwise stabilisers of point sets of the line:
+
+    Borel                    the stabiliser of {inf}
+    split dihedral           the stabiliser of {inf, 0}
+    subfield PSL/PGL(2,q0)   the stabiliser of the subline {inf} u GF(q0)
+    twisted PGL(2,q0)        the stabiliser of {inf} u mu*GF(q0), mu the
+                             least nonsquare (q odd)
+
+An element of PGL(2,q) that maps the subline into itself agrees on
+{inf, 0, 1} with an element of PGL(2,q0), which is transitive on ordered
+triples of the subline; PGL(2,q) is sharply 3-transitive on the line, so
+the two are equal.  The stabiliser in PGL(2,q) is therefore PGL(2,q0), and
+in S it is the part of PGL(2,q0) with square determinant in GF(q): all of
+PGL(2,q0) when q is even or [GF(q):GF(q0)] is even (every element of
+GF(q0) is then a square in GF(q)), and PSL(2,q0) when the degree is odd.
+That is exactly the subfield class Dickson's list has for that q0.  The
+map v -> mu*v comes from diag(mu, 1), which lies in PGL(2,q) but not in
+S, so the twisted subline gives the other S-class of PGL(2,q0).
+
+The nonsplit dihedral group is a cyclic torus and one inverting
+involution, composed as permutations.  The exceptional subgroups are
+found by seeded random search verified by exact order checks.  Two
+exceptional subgroups are told apart by the conjugacy orbit of the first,
+a breadth-first search under conjugation by one generating pair of S.
 """
 
 from __future__ import annotations
@@ -47,11 +67,8 @@ from invgen.psl2 import (
     ClassInventory,
     ClassLabel,
     Mat,
-    canon,
     enumerate_psl2,
     psl2_class_of,
-    psl2_inv,
-    psl2_mul,
 )
 from invgen.structure import (
     BOREL,
@@ -135,22 +152,24 @@ class OracleSession:
             raise OracleCapError(f"q={ctx.q} exceeds oracle cap {min(cap, MAX_Q)}")
         self.ctx = ctx
         self.inv = inv
-        self.mats: list[Mat] = list(enumerate_psl2(ctx, cap=cap))
+        mats = list(enumerate_psl2(ctx))
         perm = _line_action(ctx)
-        self.perm_of: dict[Mat, Perm] = {m: perm(m) for m in self.mats}
+        # every element once, in enumeration order
         self.label_of_perm: dict[Perm, ClassLabel] = {}
-        self.by_label: dict[ClassLabel, list[Mat]] = {lab: [] for lab in self.inv.labels()}
-        for m in self.mats:
-            lab = psl2_class_of(ctx, m)
-            self.by_label[lab].append(m)
-            self.label_of_perm[self.perm_of[m]] = lab
-        for entry in self.inv:
+        self.by_label: dict[ClassLabel, list[Perm]] = {lab: [] for lab in inv.labels()}
+        for m in mats:
+            p, lab = perm(m), psl2_class_of(ctx, m)
+            self.by_label[lab].append(p)
+            self.label_of_perm[p] = lab
+        self.order = len(mats)
+        if len(self.label_of_perm) != self.order:
+            raise RuntimeError("two enumerated elements act alike on the projective line")
+        for entry in inv:
             got = len(self.by_label[entry.label])
             if got != entry.size:
                 raise RuntimeError(
                     f"class {entry.label} has {got} elements, formula says {entry.size}"
                 )
-        self.order = len(self.mats)
         self.npoints = ctx.q + 1
         self.identity: Perm = _POINTS[:self.npoints]
         self.exit_bound = max(
@@ -175,8 +194,8 @@ class OracleSession:
                 return None
         return seen
 
-    def closure_generates(self, gens: list[Perm], early_exit: bool = True) -> bool:
-        closure = self._closure(gens, self.exit_bound if early_exit else self.order)
+    def closure_generates(self, gens: list[Perm]) -> bool:
+        closure = self._closure(gens, self.exit_bound)
         return closure is None or len(closure) == self.order
 
     # -- Psi2 ----------------------------------------------------------------
@@ -186,7 +205,7 @@ class OracleSession:
         if x not in self._centralizers:
             xt = _table(x)
             self._centralizers[x] = [
-                g for g in self.perm_of.values()
+                g for g in self.label_of_perm
                 if g.translate(xt) == x.translate(_table(g))
             ]
         return self._centralizers[x]
@@ -207,8 +226,7 @@ class OracleSession:
             seen |= orbit
             yield y, orbit
 
-    def pair_generates(self, c: ClassLabel, d: ClassLabel, rep_index: int = 0,
-                       early_exit: bool = True) -> bool:
+    def pair_generates(self, c: ClassLabel, d: ClassLabel) -> bool:
         """Invariable generation verdict for the class pair (c, d).
 
         Fixes x in the smaller class and sweeps one y per C_S(x)-orbit on
@@ -217,19 +235,15 @@ class OracleSession:
         cs, ds = self.by_label[c], self.by_label[d]
         if len(ds) < len(cs):
             cs, ds = ds, cs
-        x = self.perm_of[cs[rep_index % len(cs)]]
-        ys = [self.perm_of[m] for m in ds]
-        return all(
-            self.closure_generates([x, y], early_exit)
-            for y, _ in self.centralizer_orbits(x, ys)
-        )
+        x = cs[0]
+        return all(self.closure_generates([x, y]) for y, _ in self.centralizer_orbits(x, ds))
 
-    def psi2(self, early_exit: bool = True) -> Psi2Table:
+    def psi2(self) -> Psi2Table:
         labels = self.inv.nonidentity_labels()
         near: list[list[int]] = [[] for _ in labels]
         for i, c in enumerate(labels):
             for j in range(i, len(labels)):
-                if self.pair_generates(c, labels[j], early_exit=early_exit):
+                if self.pair_generates(c, labels[j]):
                     near[i].append(j)
                     if j != i:
                         near[j].append(i)
@@ -238,20 +252,25 @@ class OracleSession:
 
     # -- subgroup representatives ---------------------------------------------
 
-    def _perm_set(self, mats) -> frozenset[Perm]:
-        return frozenset(self.perm_of[m] for m in mats)
-
     def _labels_met(self, perms) -> set[ClassLabel]:
         return {self.label_of_perm[p] for p in perms} - {ClassLabel("id")}
 
-    def borel_subgroup(self) -> frozenset[Perm]:
-        return self._perm_set(m for m in self.mats if m[2] == 0)
+    def _stabiliser(self, points: set[int]) -> frozenset[Perm]:
+        """The elements that map the point set P into itself.
 
-    def dihedral_split_subgroup(self) -> frozenset[Perm]:
-        return self._perm_set(
-            m for m in self.mats
-            if (m[1] == 0 and m[2] == 0) or (m[0] == 0 and m[3] == 0)
-        )
+        A permutation maps P into P iff it maps P onto P and the rest onto
+        the rest, iff it carries the membership marks of the points to
+        themselves.
+        """
+        mark = bytes(i in points for i in range(256))
+        want = mark[:self.npoints]
+        return frozenset(g for g in self.label_of_perm if g.translate(mark) == want)
+
+    def _subline(self, sub_degree: int, scale: int = 1) -> set[int]:
+        """The points {inf} u scale*GF(p^sub_degree)."""
+        ctx = self.ctx
+        return {0} | {1 + ctx.mul(scale, v) for v in range(ctx.q)
+                      if ctx.in_subfield(v, sub_degree)}
 
     def dihedral_nonsplit_subgroup(self) -> frozenset[Perm]:
         ctx = self.ctx
@@ -262,49 +281,20 @@ class OracleSession:
             if e.label.kind == "nonsplit" and e.order == torus_order
         )
         x = self.by_label[gen_label][0]
+        xt = _table(x)
         torus = [x]
-        acc = x
         for _ in range(torus_order - 1):
-            acc = psl2_mul(ctx, acc, x)
-            torus.append(acc)
-        xinv = psl2_inv(ctx, x)
+            torus.append(torus[-1].translate(xt))
+        xinv = _inverse(x)
         inv_label = ClassLabel("inv") if ctx.q % 2 == 1 else ClassLabel("unip")
         for s in self.by_label[inv_label]:
-            sinv = psl2_inv(ctx, s)
-            if psl2_mul(ctx, psl2_mul(ctx, s, x), sinv) == xinv:
-                coset = [psl2_mul(ctx, s, t) for t in torus]
-                group = self._perm_set(torus + coset)
+            st = _table(s)
+            if _inverse(s).translate(xt).translate(st) == xinv:  # s x s^-1 = x^-1
+                group = frozenset(torus + [t.translate(st) for t in torus])
                 if len(group) != 2 * torus_order:
                     raise RuntimeError("nonsplit dihedral construction came out wrong")
                 return group
         raise RuntimeError("no inverting involution found for the nonsplit torus")
-
-    def subfield_psl_subgroup(self, sub_degree: int) -> frozenset[Perm]:
-        ctx = self.ctx
-        return self._perm_set(
-            m for m in self.mats
-            if all(ctx.in_subfield(x, sub_degree) for x in m)
-        )
-
-    def subfield_pgl_subgroups(self, sub_degree: int) -> list[frozenset[Perm]]:
-        """Standard PGL(2,q0) copy and, for q odd, its twisted conjugate."""
-        ctx = self.ctx
-        members = []
-        for m in self.mats:
-            lead = next(x for x in m if x != 0)
-            scale = ctx.inv(lead)
-            if all(ctx.in_subfield(ctx.mul(scale, x), sub_degree) for x in m):
-                members.append(m)
-        v1 = self._perm_set(members)
-        if ctx.q % 2 == 0:
-            return [v1]
-        mu = next(a for a in range(1, ctx.q) if not ctx.is_square(a))
-        mu_inv = ctx.inv(mu)
-        twisted = [
-            canon(ctx, (m[0], ctx.mul(mu, m[1]), ctx.mul(mu_inv, m[2]), m[3]))
-            for m in members
-        ]
-        return [v1, self._perm_set(twisted)]
 
     def exceptional_subgroups(self, kind: str, seed: int = 20260810,
                               attempts: int = 20000) -> list[frozenset[Perm]]:
@@ -325,8 +315,8 @@ class OracleSession:
         found: list[frozenset[Perm]] = []
         orbits: list[set[frozenset[Perm]]] = []
         for _ in range(attempts):
-            a = self.perm_of[rng.choice(invols)]
-            b = self.perm_of[rng.choice(order3)]
+            a = rng.choice(invols)
+            b = rng.choice(order3)
             closure = self._closure([a, b], target)
             if closure is None or len(closure) != target:
                 continue
@@ -345,8 +335,9 @@ class OracleSession:
         """Two elements that generate S: the first seeded random pair that
         closure_generates accepts."""
         rng = random.Random(20260810)
+        elements = list(self.label_of_perm)
         for _ in range(1000):
-            pair = [self.perm_of[rng.choice(self.mats)] for _ in range(2)]
+            pair = [rng.choice(elements) for _ in range(2)]
             if self.closure_generates(pair):
                 return pair
         raise RuntimeError("no generating pair of S in 1000 tries")
@@ -376,11 +367,16 @@ class OracleSession:
         """
         ctx = self.ctx
         out: dict[str, set[ClassLabel]] = {}
+        # q odd: the second PGL(2,q0) class fixes the subline scaled by mu
+        scales = [1] if ctx.q % 2 == 0 else [
+            1, next(a for a in range(1, ctx.q) if not ctx.is_square(a))]
         builders = {
-            BOREL: lambda sc: [self.borel_subgroup()],
-            DIH_SPLIT: lambda sc: [self.dihedral_split_subgroup()],
+            BOREL: lambda sc: [self._stabiliser({0})],
+            DIH_SPLIT: lambda sc: [self._stabiliser({0, 1})],
             DIH_NONSPLIT: lambda sc: [self.dihedral_nonsplit_subgroup()],
-            SUBFIELD_PSL: lambda sc: [self.subfield_psl_subgroup(sc.sub_degree)],
+            SUBFIELD_PSL: lambda sc: [self._stabiliser(self._subline(sc.sub_degree))],
+            SUBFIELD_PGL: lambda sc: [self._stabiliser(self._subline(sc.sub_degree, s))
+                                      for s in scales],
         }
         classes = maximal_subgroup_classes(ctx)
         done_kinds: set[tuple] = set()
@@ -392,8 +388,6 @@ class OracleSession:
             variants = [v for v in classes if v.kind == sc.kind and v.q0 == sc.q0]
             if sc.kind in builders:
                 groups = builders[sc.kind](sc)
-            elif sc.kind == SUBFIELD_PGL:
-                groups = self.subfield_pgl_subgroups(sc.sub_degree)
             else:
                 groups = self.exceptional_subgroups(sc.kind, seed=seed)
             for g in groups:

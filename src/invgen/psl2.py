@@ -1,10 +1,13 @@
 """Elements and conjugacy classes of S = PSL(2,q).
 
-An element is a 4-tuple (a, b, c, d) of field elements with ad - bc = 1,
-stored as the canonical representative of the matrix pair {M, -M}: scan
-the entries in order and negate the whole matrix if the first nonzero
-entry is not the smaller (as an int) of itself and its negative.  For q
-even M = -M and every determinant-1 tuple is canonical.
+Matrices appear only in enumeration and labelling: ``enumerate_psl2``
+yields every element once as a 4-tuple (a, b, c, d) of field elements with
+ad - bc = 1, and ``psl2_class_of`` names its conjugacy class.  The tuple
+is the canonical representative of the matrix pair {M, -M}: its first
+nonzero entry is the smaller (as an int) of itself and its negative.  For
+q even M = -M and every determinant-1 tuple is canonical.  Group
+arithmetic is done elsewhere, on the permutations the oracle makes of
+these matrices (``invgen.oracle``).
 
 Conjugacy classes are symbolic labels:
 
@@ -127,50 +130,8 @@ class ClassInventory:
 
 
 # ---------------------------------------------------------------------------
-# matrix arithmetic
+# matrices: enumeration and labelling
 # ---------------------------------------------------------------------------
-
-def identity_mat(ctx: GFContext) -> Mat:
-    return (1, 0, 0, 1)
-
-
-def canon(ctx: GFContext, m: Mat) -> Mat:
-    """Canonical representative of {M, -M}."""
-    if ctx.p == 2:
-        return m
-    for x in m:
-        if x != 0:
-            if x > ctx.neg(x):
-                return (ctx.neg(m[0]), ctx.neg(m[1]), ctx.neg(m[2]), ctx.neg(m[3]))
-            return m
-    raise RuntimeError("zero matrix")
-
-
-def make(ctx: GFContext, a: int, b: int, c: int, d: int) -> Mat:
-    for x in (a, b, c, d):
-        ctx._check(x)
-    det = ctx.sub(ctx.mul(a, d), ctx.mul(b, c))
-    if det != 1:
-        raise ValueError(f"determinant must be 1, got {det}")
-    return canon(ctx, (a, b, c, d))
-
-
-def psl2_mul(ctx: GFContext, x: Mat, y: Mat) -> Mat:
-    a, b, c, d = x
-    e, f, g, h = y
-    mul, add = ctx.mul, ctx.add
-    return canon(ctx, (
-        add(mul(a, e), mul(b, g)),
-        add(mul(a, f), mul(b, h)),
-        add(mul(c, e), mul(d, g)),
-        add(mul(c, f), mul(d, h)),
-    ))
-
-
-def psl2_inv(ctx: GFContext, x: Mat) -> Mat:
-    a, b, c, d = x
-    return canon(ctx, (d, ctx.neg(b), ctx.neg(c), a))
-
 
 def trace(ctx: GFContext, m: Mat) -> int:
     return ctx.add(m[0], m[3])
@@ -193,8 +154,7 @@ def is_split_trace(ctx: GFContext, t: int) -> bool:
 def psl2_class_of(ctx: GFContext, m: Mat) -> ClassLabel:
     if ctx.q < 4:
         raise ValueError("class labels are defined for q >= 4")
-    ident = identity_mat(ctx)
-    if m == ident:
+    if m == (1, 0, 0, 1):
         return ClassLabel("id")
     t = trace(ctx, m)
     if ctx.p == 2:
@@ -217,31 +177,26 @@ def psl2_class_of(ctx: GFContext, m: Mat) -> ClassLabel:
     return ClassLabel(kind, trace_key(ctx, t))
 
 
-def enumerate_psl2(ctx: GFContext, cap: int = 31):
+def enumerate_psl2(ctx: GFContext):
     """Yield each element of PSL(2,q) exactly once, in canonical form.
 
-    Runs over the standard SL(2,q) parametrization and keeps only the
-    canonical member of each pair {M, -M}.
+    Runs over the standard SL(2,q) parametrization with its first nonzero
+    entry (a, or b when a = 0) restricted to the values v <= -v, so the
+    canonical member of each pair {M, -M} is the one reached.
     """
-    if ctx.q > cap:
-        raise ValueError(f"q={ctx.q} exceeds the enumeration cap {cap}")
     q = ctx.q
-    mul, inv, sub = ctx.mul, ctx.inv, ctx.sub
-    for a in range(1, q):
+    mul, inv, add, neg = ctx.mul, ctx.inv, ctx.add, ctx.neg
+    leads = [v for v in range(1, q) if v <= neg(v)]
+    for a in leads:
         ia = inv(a)
         for b in range(q):
             for c in range(q):
-                d = mul(ia, ctx.add(1, mul(b, c)))
-                m = (a, b, c, d)
-                if canon(ctx, m) == m:
-                    yield m
+                yield a, b, c, mul(ia, add(1, mul(b, c)))
     # a = 0: need bc = -1
-    for b in range(1, q):
-        c = ctx.neg(inv(b))
+    for b in leads:
+        c = neg(inv(b))
         for d in range(q):
-            m = (0, b, c, d)
-            if canon(ctx, m) == m:
-                yield m
+            yield 0, b, c, d
 
 
 # ---------------------------------------------------------------------------

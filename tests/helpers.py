@@ -1,17 +1,82 @@
 """Reference helpers that only the tests need."""
 
-from invgen.psl2 import ClassSignature, identity_mat, psl2_mul
+from invgen.gf import _pack, _unpack
+from invgen.oracle import _line_action
+from invgen.psl2 import ClassSignature, enumerate_psl2
 from invgen.structure import label_meets, maximal_subgroup_classes, profile_universe
+
+
+# ---------------------------------------------------------------------------
+# field elements as coefficient vectors
+# ---------------------------------------------------------------------------
+
+def coeffs(ctx, a) -> tuple:
+    """Coefficient vector (c0, ..., c_{f-1}) of a."""
+    return tuple(_unpack(a, ctx.p, ctx.f))
+
+
+def from_coeffs(ctx, cs) -> int:
+    cs = list(cs)
+    if len(cs) != ctx.f or any(not 0 <= c < ctx.p for c in cs):
+        raise ValueError("coefficient vector must have length f with entries in [0, p)")
+    return _pack(cs, ctx.p)
+
+
+# ---------------------------------------------------------------------------
+# PSL(2,q) as matrices: the reference arithmetic for the oracle's permutations
+# ---------------------------------------------------------------------------
+
+IDENTITY = (1, 0, 0, 1)
+
+
+def canon(ctx, m):
+    """Canonical representative of {M, -M}: the first nonzero entry is the
+    smaller int of itself and its negative."""
+    if ctx.p == 2:
+        return m
+    for x in m:
+        if x != 0:
+            if x > ctx.neg(x):
+                return tuple(ctx.neg(y) for y in m)
+            return m
+    raise RuntimeError("zero matrix")
+
+
+def make(ctx, a, b, c, d):
+    """The element with matrix (a, b; c, d), which must have determinant 1."""
+    for x in (a, b, c, d):
+        if not 0 <= x < ctx.q:
+            raise ValueError(f"element {x} out of range for q={ctx.q}")
+    det = ctx.sub(ctx.mul(a, d), ctx.mul(b, c))
+    if det != 1:
+        raise ValueError(f"determinant must be 1, got {det}")
+    return canon(ctx, (a, b, c, d))
+
+
+def psl2_mul(ctx, x, y):
+    a, b, c, d = x
+    e, f, g, h = y
+    mul, add = ctx.mul, ctx.add
+    return canon(ctx, (
+        add(mul(a, e), mul(b, g)),
+        add(mul(a, f), mul(b, h)),
+        add(mul(c, e), mul(d, g)),
+        add(mul(c, f), mul(d, h)),
+    ))
+
+
+def psl2_inv(ctx, x):
+    a, b, c, d = x
+    return canon(ctx, (d, ctx.neg(b), ctx.neg(c), a))
 
 
 def psl2_order(ctx, x) -> int:
     """Least n >= 1 with x^n = 1, by repeated multiplication; an order
     reference independent of the class inventory."""
-    ident = identity_mat(ctx)
     acc = x
     n = 1
     bound = max(ctx.p, ctx.q + 1)
-    while acc != ident:
+    while acc != IDENTITY:
         acc = psl2_mul(ctx, acc, x)
         n += 1
         if n > bound:
@@ -84,7 +149,7 @@ def ref_profiles(ctx, inv, classes) -> dict:
 def mobius_perm(ctx, m) -> bytes:
     """The action of m = (a, b, c, d) on the projective line, point by point:
     v -> (av + b)/(cv + d), with point 0 for infinity and 1+v for v.  The
-    reference for ``OracleSession.perm_of``."""
+    reference for ``oracle._line_action``."""
     a, b, c, d = m
     img = [0] * (ctx.q + 1)
     img[0] = 0 if c == 0 else 1 + ctx.mul(a, ctx.inv(c))
@@ -98,9 +163,48 @@ def mobius_perm(ctx, m) -> bytes:
     return bytes(img)
 
 
-def generates(sess, x, y, early_exit=True) -> bool:
+def generates(sess, x, y) -> bool:
     """Whether the matrices x and y generate S, by the session's closure."""
-    return sess.closure_generates([sess.perm_of[x], sess.perm_of[y]], early_exit)
+    perm = _line_action(sess.ctx)
+    return sess.closure_generates([perm(x), perm(y)])
+
+
+def matrix_subgroups(ctx) -> dict:
+    """Borel, split dihedral and subfield subgroups by filters on matrix
+    entries, as permutations of the projective line: the reference for the
+    oracle's point-set stabilisers.  Keys name the kind, and the subfield
+    degree e with q0 = p^e; the twisted PGL(2,q0) copy for q odd is the
+    conjugate by diag(mu, 1), mu the least nonsquare."""
+    perm = _line_action(ctx)
+    mats = list(enumerate_psl2(ctx))
+    out = {
+        "borel": {m for m in mats if m[2] == 0},
+        "dih_split": {m for m in mats
+                      if (m[1] == 0 and m[2] == 0) or (m[0] == 0 and m[3] == 0)},
+    }
+    for e in (e for e in range(1, ctx.f) if ctx.f % e == 0):
+        if (ctx.f // e) % 2:
+            out[f"subfield_psl:{e}"] = {
+                m for m in mats if all(ctx.in_subfield(x, e) for x in m)}
+            continue
+        members = set()
+        for m in mats:  # PGL(2,q0): the matrix over GF(q0) up to a scalar
+            scale = ctx.inv(next(x for x in m if x != 0))
+            if all(ctx.in_subfield(ctx.mul(scale, x), e) for x in m):
+                members.add(m)
+        out[f"subfield_pgl:{e}"] = members
+        if ctx.q % 2:
+            mu = next(a for a in range(1, ctx.q) if not ctx.is_square(a))
+            mu_inv = ctx.inv(mu)
+            out[f"subfield_pgl:{e}:twisted"] = {
+                canon(ctx, (m[0], ctx.mul(mu, m[1]), ctx.mul(mu_inv, m[2]), m[3]))
+                for m in members}
+    return {key: frozenset(map(perm, ms)) for key, ms in out.items()}
+
+
+def part_pattern(vertex: tuple, part1: set) -> frozenset:
+    """Coordinates of a power-graph vertex whose label lies in part 1."""
+    return frozenset(i for i, lab in enumerate(vertex) if lab in part1)
 
 
 def expected_fusion(sess) -> dict:

@@ -14,25 +14,26 @@ import pytest
 
 from invgen.autorbits import aut_action, beta, beta_fast
 from invgen.gf import gf_make, gf_for_q, prime_power_split
-from invgen.psl2 import (
-    enumerate_psl2,
-    identity_mat,
-    inventory,
-    psl2_class_of,
-    psl2_inv,
-    psl2_mul,
-)
+from invgen.psl2 import enumerate_psl2, inventory, psl2_class_of
 from invgen.iggraph import (
     component_bound,
     components,
     lambda_power,
     lambda_summary,
     n_lower_bound_report,
-    part_pattern,
 )
 from invgen.oracle import OracleSession
 from invgen.structure import profile_census, psi2_structural, verify_2covering
-from helpers import expected_fusion, fusion_key, isolated, pairs
+from helpers import (
+    IDENTITY,
+    expected_fusion,
+    fusion_key,
+    isolated,
+    pairs,
+    part_pattern,
+    psl2_inv,
+    psl2_mul,
+)
 
 ALL_QS = [q for q in range(4, 1025) if prime_power_split(q)]
 MANDATORY_ORACLE_QS = [4, 5, 7, 8, 9, 11, 13]
@@ -228,7 +229,7 @@ def test_c10_self_consistency():
                     continue
                 x = by_label[entry.label][0]
                 cyc, acc = [], x
-                while acc != identity_mat(ctx):
+                while acc != IDENTITY:
                     cyc.append(acc)
                     acc = psl2_mul(ctx, acc, x)
                 hits = {m for m in cyc if psl2_class_of(ctx, m) == entry.label}

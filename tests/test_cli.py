@@ -6,8 +6,8 @@ import pytest
 from invgen import cli, iggraph, structure
 from invgen.autorbits import AutAction
 from invgen.cli import main
-from invgen.psl2 import canon
 from invgen.structure import SubgroupClass
+from helpers import canon
 
 # exit-code contract: 0 ok, 1 verification failure, 2 usage, 3 cap, 4 internal
 
@@ -119,6 +119,13 @@ def test_graph_power_summary(capsys):
     code, out, err = run(capsys, "graph", "--q", "5", "--power", "2", "--plus")
     assert code == 0
     assert "components=1" in err
+
+
+@pytest.mark.parametrize("t", ["0", "-1"])
+def test_graph_power_below_one_is_usage(t, capsys):
+    code, out, err = run(capsys, "graph", "--q", "5", "--power", t)
+    assert code == 2 and out == ""
+    assert "--power" in err and "at least 1" in err
 
 
 def test_graph_q9_keeps_isolated_without_plus(capsys):

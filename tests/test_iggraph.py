@@ -28,11 +28,10 @@ from invgen.iggraph import (
     lambda_power,
     lambda_summary,
     n_lower_bound_report,
-    part_pattern,
     to_dot,
 )
 from invgen.structure import profile_census, psi2_structural, verify_2covering
-from helpers import isolated, pairs, ref_orbits
+from helpers import isolated, pairs, part_pattern, ref_orbits
 
 EXTENDED = os.environ.get("INVGEN_EXTENDED") == "1"
 

@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invgen.gf import gf_for_q, prime_power_split
-from invgen.psl2 import ClassLabel, inventory, make, psl2_inv, psl2_mul
+from invgen.psl2 import ClassLabel, enumerate_psl2, inventory
 from invgen.oracle import (
     OracleCapError,
     OracleSession,
     _inverse,
+    _line_action,
     _table,
 )
 from invgen.structure import (
@@ -22,8 +23,12 @@ from helpers import (
     fusion_key,
     generates,
     isolated,
+    make,
+    matrix_subgroups,
     mobius_perm,
     pairs,
+    psl2_inv,
+    psl2_mul,
     psl2_order,
 )
 
@@ -43,6 +48,21 @@ def sessions():
     return get
 
 
+@pytest.fixture(scope="module")
+def elements():
+    """q -> (the field, the enumerated matrices, the map from a matrix to
+    its permutation)."""
+    cache = {}
+
+    def get(q):
+        if q not in cache:
+            ctx = gf_for_q(q)
+            cache[q] = ctx, list(enumerate_psl2(ctx)), _line_action(ctx)
+        return cache[q]
+
+    return get
+
+
 # ---------------------------------------------------------------------------
 # generation closure
 # ---------------------------------------------------------------------------
@@ -56,7 +76,7 @@ def test_identity_pair_never_generates(sessions):
 def test_standard_a5_pair_generates(sessions):
     sess = sessions(5)
     ctx = sess.ctx
-    x = next(m for m in sess.mats if psl2_order(ctx, m) == 3)
+    x = next(m for m in enumerate_psl2(ctx) if psl2_order(ctx, m) == 3)
     y = make(ctx, 1, 1, 0, 1)  # unipotent of order 5
     assert generates(sess, x, y)
 
@@ -69,35 +89,47 @@ def test_common_borel_never_generates(sessions):
     assert not generates(sess, x, y)
 
 
+# perm_of is oracle._line_action: the map from a matrix to its permutation.
 # q = 4, 8, 16 have p = 2; 5, 7 are prime; 9, 25 have f = 2; 27 has odd f = 3
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 16, 25, 27])
-def test_perm_of_matches_pointwise_mobius(q, sessions):
-    sess = sessions(q)
-    for m, perm in sess.perm_of.items():
-        assert perm == mobius_perm(sess.ctx, m), m
+def test_perm_of_matches_pointwise_mobius(q, elements):
+    ctx, mats, perm_of = elements(q)
+    for m in mats:
+        assert perm_of(m) == mobius_perm(ctx, m), m
 
 
 @pytest.mark.parametrize("q", [5, 8, 9, 16])
-def test_perm_of_product_is_composition(q, sessions):
-    sess = sessions(q)
+def test_perm_of_product_is_composition(q, elements):
+    ctx, mats, perm_of = elements(q)
     rng = random.Random(q)
     for _ in range(50):
-        a, b = rng.choice(sess.mats), rng.choice(sess.mats)
-        pa, pb = sess.perm_of[a], sess.perm_of[b]
+        a, b = rng.choice(mats), rng.choice(mats)
+        pa, pb = perm_of(a), perm_of(b)
         a_after_b = bytes(pa[i] for i in pb)  # matrices act on the left
-        assert sess.perm_of[psl2_mul(sess.ctx, a, b)] == a_after_b
+        assert perm_of(psl2_mul(ctx, a, b)) == a_after_b
         assert pb.translate(_table(pa)) == a_after_b
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_perm_of_is_a_homomorphism(data, sessions):
+def test_perm_of_is_a_homomorphism(data, elements):
+    ctx, mats, perm_of = elements(data.draw(st.sampled_from(QS_TO_31)))
+    x = data.draw(st.sampled_from(mats))
+    y = data.draw(st.sampled_from(mats))
+    px, py = perm_of(x), perm_of(y)
+    assert perm_of(psl2_mul(ctx, x, y)) == py.translate(_table(px))
+    assert _inverse(px) == perm_of(psl2_inv(ctx, x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_labels_are_invariant_under_conjugation(data, sessions):
     sess = sessions(data.draw(st.sampled_from(QS_TO_31)))
-    x = data.draw(st.sampled_from(sess.mats))
-    y = data.draw(st.sampled_from(sess.mats))
-    px, py = sess.perm_of[x], sess.perm_of[y]
-    assert sess.perm_of[psl2_mul(sess.ctx, x, y)] == py.translate(_table(px))
-    assert _inverse(px) == sess.perm_of[psl2_inv(sess.ctx, x)]
+    labels = sess.inv.labels()
+    x = data.draw(st.sampled_from(sess.by_label[data.draw(st.sampled_from(labels))]))
+    g = data.draw(st.sampled_from(sess.by_label[data.draw(st.sampled_from(labels))]))
+    conj = g.translate(_table(x)).translate(_table(_inverse(g)))  # g^-1 x g
+    assert sess.label_of_perm[conj] == sess.label_of_perm[x]
 
 
 def test_cap_enforced():
@@ -145,8 +177,18 @@ def test_representative_choice_is_irrelevant(sessions):
         base = pairs(sess.psi2())
         for _ in range(10):
             c, d = rng.choice(labels), rng.choice(labels)
-            verdict = sess.pair_generates(c, d, rep_index=rng.randrange(1000))
+            verdict = sweep_from(sess, c, d, rng.randrange(1000))
             assert verdict == ((c, d) in base), (q, c, d)
+
+
+def sweep_from(sess, c, d, index):
+    """``pair_generates`` with x the index-th element of the smaller class
+    (mod its size) in place of the first."""
+    cs, ds = sess.by_label[c], sess.by_label[d]
+    if len(ds) < len(cs):
+        cs, ds = ds, cs
+    x = cs[index % len(cs)]
+    return all(sess.closure_generates([x, y]) for y, _ in sess.centralizer_orbits(x, ds))
 
 
 def literal_full_sweep(sess, c, d):
@@ -154,8 +196,7 @@ def literal_full_sweep(sess, c, d):
     cs, ds = sess.by_label[c], sess.by_label[d]
     if len(ds) < len(cs):
         cs, ds = ds, cs
-    x = sess.perm_of[cs[0]]
-    return all(sess.closure_generates([x, sess.perm_of[y]]) for y in ds)
+    return all(sess.closure_generates([cs[0], y]) for y in ds)
 
 
 @pytest.mark.parametrize("q", FAST_QS)
@@ -172,11 +213,11 @@ def test_centralizer_orbits_partition_each_class(q, sessions):
     sess = sessions(q)
     labels = sess.inv.nonidentity_labels()
     for c in labels:
-        x = sess.perm_of[sess.by_label[c][0]]
+        x = sess.by_label[c][0]
         cent = sess.centralizer(x)
         assert len(cent) * len(sess.by_label[c]) == sess.order, (q, c)
         for d in labels:
-            ys = [sess.perm_of[m] for m in sess.by_label[d]]
+            ys = sess.by_label[d]
             orbits = [orbit for _, orbit in sess.centralizer_orbits(x, ys)]
             assert sum(len(o) for o in orbits) == len(ys), (q, c, d)
             assert set().union(*orbits) == set(ys), (q, c, d)
@@ -185,9 +226,11 @@ def test_centralizer_orbits_partition_each_class(q, sessions):
 
 
 @pytest.mark.parametrize("q", FAST_QS)
-def test_early_exit_changes_nothing(q, sessions):
+def test_early_exit_changes_nothing(q, sessions, monkeypatch):
     sess = sessions(q)
-    assert pairs(sess.psi2(early_exit=True)) == pairs(sess.psi2(early_exit=False))
+    early = pairs(sess.psi2())
+    monkeypatch.setattr(sess, "exit_bound", sess.order)  # every closure runs to the end
+    assert early == pairs(sess.psi2())
 
 
 # ---------------------------------------------------------------------------
@@ -219,19 +262,20 @@ def test_conjugacy_orbit_is_every_conjugate(q, kind, sessions):
     for h in sess.exceptional_subgroups(kind):
         tables = [_table(x) for x in h]
         every = {frozenset(_inverse(g).translate(xt).translate(_table(g)) for xt in tables)
-                 for g in sess.perm_of.values()}
+                 for g in sess.label_of_perm}
         assert sess._conjugacy_orbit(h) == every
 
 
-def test_conjugation_generators_generate(sessions):
+def test_conjugation_generators_generate(sessions, monkeypatch):
     for q in (4, 8, 13):
         sess = sessions(q)
-        assert sess.closure_generates(sess._generators(), early_exit=False)
+        monkeypatch.setattr(sess, "exit_bound", sess.order)  # the full closure
+        assert sess.closure_generates(sess._generators())
 
 
 def test_q7_borel_fusion(sessions):
     sess = sessions(7)
-    labels = sess._labels_met(sess.borel_subgroup())
+    labels = sess._labels_met(sess._stabiliser({0}))
     assert {l.str_form() for l in labels} == {"unip:sq", "unip:nsq", "split:t=1"}
 
 
@@ -239,13 +283,61 @@ def test_subgroup_representative_orders(sessions):
     for q in (5, 7, 8, 9, 13):
         sess = sessions(q)
         classes = {sc.kind: sc for sc in maximal_subgroup_classes(sess.ctx)}
-        assert len(sess.borel_subgroup()) == classes["borel"].order
-        assert len(sess.dihedral_split_subgroup()) == classes["dih_split"].order
-        assert len(sess.dihedral_nonsplit_subgroup()) == classes["dih_nonsplit"].order
+        for kind, group in (("borel", sess._stabiliser({0})),
+                            ("dih_split", sess._stabiliser({0, 1})),
+                            ("dih_nonsplit", sess.dihedral_nonsplit_subgroup())):
+            assert len(group) == classes[kind].order, (q, kind)
+            assert sess._closure(list(group), len(group)) == group, (q, kind)
 
 
 def test_subfield_subgroups_q9(sessions):
     sess = sessions(9)
-    v1, v2 = sess.subfield_pgl_subgroups(1)
+    v1, v2 = (sess._stabiliser(sess._subline(1, s)) for s in (1, 3))  # 3 = least nonsquare
     assert len(v1) == len(v2) == 24  # PGL(2,3) is S4
     assert v1 != v2
+
+
+# ---------------------------------------------------------------------------
+# stabilisers against the matrix filters of tests/helpers.py
+# ---------------------------------------------------------------------------
+
+STABILISER_QS = [9, 16, 25, 27]
+
+
+@pytest.fixture(scope="module")
+def reference_subgroups():
+    cache = {}
+
+    def get(q):
+        if q not in cache:
+            cache[q] = matrix_subgroups(gf_for_q(q))
+        return cache[q]
+
+    return get
+
+
+@pytest.mark.parametrize("q", STABILISER_QS)
+def test_borel_is_the_stabiliser_of_infinity(q, sessions, reference_subgroups):
+    assert sessions(q)._stabiliser({0}) == reference_subgroups(q)["borel"]
+
+
+@pytest.mark.parametrize("q", STABILISER_QS)
+def test_split_dihedral_is_the_stabiliser_of_infinity_and_zero(q, sessions,
+                                                                reference_subgroups):
+    assert sessions(q)._stabiliser({0, 1}) == reference_subgroups(q)["dih_split"]
+
+
+@pytest.mark.parametrize("q", STABILISER_QS)
+def test_subfield_groups_are_subline_stabilisers(q, sessions, reference_subgroups):
+    # PGL(2,3) and its twisted copy at 9; PGL(2,2) and PGL(2,4) at 16;
+    # PGL(2,5) and its twisted copy at 25; PSL(2,3) at 27
+    sess = sessions(q)
+    ctx = sess.ctx
+    mu = next((a for a in range(1, q) if not ctx.is_square(a)), None)  # q odd
+    subfield = {key: group for key, group in reference_subgroups(q).items()
+                if key.startswith("subfield")}
+    assert subfield
+    for key, group in subfield.items():
+        degree = int(key.split(":")[1])
+        scale = mu if key.endswith("twisted") else 1
+        assert sess._stabiliser(sess._subline(degree, scale)) == group, key

@@ -5,18 +5,8 @@ from math import gcd
 import pytest
 
 from invgen.gf import gf_for_q
-from invgen.psl2 import (
-    ClassLabel,
-    canon,
-    enumerate_psl2,
-    identity_mat,
-    inventory,
-    make,
-    psl2_class_of,
-    psl2_inv,
-    psl2_mul,
-)
-from helpers import psl2_order
+from invgen.psl2 import ClassLabel, enumerate_psl2, inventory, psl2_class_of
+from helpers import IDENTITY, canon, make, psl2_inv, psl2_mul, psl2_order
 
 ORACLE_QS = [4, 5, 7, 8, 9, 11, 13]
 
@@ -38,11 +28,10 @@ def test_make_rejects_bad_determinant():
 def test_group_laws_q5():
     ctx = gf_for_q(5)
     elems = list(enumerate_psl2(ctx))
-    ident = identity_mat(ctx)
     rng = random.Random(5)
     for x in elems:
-        assert psl2_mul(ctx, x, psl2_inv(ctx, x)) == ident
-        assert psl2_mul(ctx, x, ident) == x
+        assert psl2_mul(ctx, x, psl2_inv(ctx, x)) == IDENTITY
+        assert psl2_mul(ctx, x, IDENTITY) == x
     for _ in range(300):
         x, y, z = (rng.choice(elems) for _ in range(3))
         assert psl2_mul(ctx, psl2_mul(ctx, x, y), z) == psl2_mul(ctx, x, psl2_mul(ctx, y, z))
@@ -57,7 +46,7 @@ def test_canonical_form_identifies_negatives():
 
 def test_order_examples():
     ctx5 = gf_for_q(5)
-    assert psl2_order(ctx5, identity_mat(ctx5)) == 1
+    assert psl2_order(ctx5, IDENTITY) == 1
     assert psl2_order(ctx5, make(ctx5, 1, 1, 0, 1)) == 5
     ctx7 = gf_for_q(7)
     # order 4 in SL(2,7), the square is -I, so order 2 in PSL
@@ -152,9 +141,15 @@ def test_enumeration_counts(q, size):
     assert len(set(elems)) == size
 
 
-def test_enumeration_cap():
-    with pytest.raises(ValueError):
-        list(enumerate_psl2(gf_for_q(37)))
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 32, 49])
+def test_enumeration_yields_canonical_elements_once(q):
+    ctx = gf_for_q(q)
+    elems = list(enumerate_psl2(ctx))
+    assert len(elems) == len(set(elems)) == inventory(ctx).group_order()
+    for m in elems:
+        a, b, c, d = m
+        assert ctx.sub(ctx.mul(a, d), ctx.mul(b, c)) == 1, m
+        assert canon(ctx, m) == m, m
 
 
 @pytest.mark.parametrize("q", ORACLE_QS + [16, 17, 19, 23, 25, 27, 29, 31])
@@ -209,7 +204,7 @@ def test_class_meets_cyclic_subgroup_in_inverse_pair(q):
         x = by_label[entry.label][0]
         cyc = []
         acc = x
-        while acc != identity_mat(ctx):
+        while acc != IDENTITY:
             cyc.append(acc)
             acc = psl2_mul(ctx, acc, x)
         same_class = {m for m in cyc if psl2_class_of(ctx, m) == entry.label}

@@ -69,3 +69,7 @@ def test_psi2_both_runs_each_route_once(tmp_path):
     assert counters["structure.census_calls"] == 1
     assert counters["structure.psi2_pairs"] == 24
     assert counters["oracle.closures"] > 0
+    # enumerate_psl2 stays a generator that yields each element of PSL(2,8)
+    # once, and the oracle decides each of the 8*9/2 class pairs once
+    assert counters["psl2.elements"] == 504
+    assert counters["oracle.pair_verdicts"] == 36
