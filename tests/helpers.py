@@ -89,6 +89,12 @@ def isolated(table) -> set:
     return {lab for lab, js in zip(table.labels, table.near) if not js}
 
 
+def covering_parts(cover) -> tuple:
+    """Bipartition parts (P1, P2) = (dihedral side, Borel side) of a
+    ``verify_2covering`` result."""
+    return set(cover.only_dihedral), set(cover.only_borel)
+
+
 def pairs(table) -> set:
     """The Psi2 pairs of a table as a set of label pairs."""
     labels = table.labels

@@ -26,6 +26,7 @@ from invgen.oracle import OracleSession
 from invgen.structure import profile_census, psi2_structural, verify_2covering
 from helpers import (
     IDENTITY,
+    covering_parts,
     expected_fusion,
     fusion_key,
     isolated,
@@ -188,7 +189,7 @@ def test_c08_power_graph_ground_truth():
         comps = components(g)
         assert len(comps) == 1
         assert len(comps) >= component_bound(2) == 1
-        p1, _ = verify_2covering(ctx, inv).parts()
+        p1, _ = covering_parts(verify_2covering(ctx, inv))
         for v in g.vertices:
             assert len(part_pattern(v, p1)) == 1, v  # one coordinate per part
 

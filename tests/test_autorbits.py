@@ -7,7 +7,7 @@ from invgen.psl2 import ClassLabel, inventory
 from invgen import cli
 from invgen.autorbits import AutAction, aut_action, beta, beta_fast
 from invgen.structure import Psi2Table, profile_census, psi2_structural, verify_2covering
-from helpers import pairs, ref_orbits
+from helpers import covering_parts, pairs, ref_orbits
 
 VALIDATION_QS = [4, 5, 7, 8, 9, 11, 13, 16, 25, 27]
 PRIME_POWERS = [q for q in range(4, 1025) if prime_power_split(q)]
@@ -222,7 +222,7 @@ def test_orbits_respect_bipartition():
     # parts are Aut-invariant, so orbits stay within one direction
     ctx = gf_for_q(7)
     inv = inventory(ctx)
-    p1, p2 = verify_2covering(ctx, inv).parts()
+    p1, p2 = covering_parts(verify_2covering(ctx, inv))
     p1_names = {lab.str_form() for lab in p1}
     part = beta(aut_action(ctx, inv), psi2_structural(profile_census(ctx, inv)))
     seen = set()

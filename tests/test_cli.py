@@ -1,9 +1,10 @@
 import json
 import sys
+import time
 
 import pytest
 
-from invgen import cli, iggraph, structure
+from invgen import cli, gf, iggraph, structure
 from invgen.autorbits import AutAction
 from invgen.cli import main
 from invgen.structure import SubgroupClass
@@ -292,6 +293,66 @@ def test_verify_respects_cap_env(monkeypatch, capsys):
     payload = json.loads(out)
     assert "oracle_equals_structural" in payload["checks"]["4"]
     assert "oracle_equals_structural" not in payload["checks"]["7"]
+
+
+# ---------------------------------------------------------------------------
+# caps before work: input above the field cap is refused before it is
+# factorised, tested for primality, raised to a power or enumerated
+# ---------------------------------------------------------------------------
+
+BIG = 10 ** 30 + 57  # 31 digits: trial division up to its square root never ends
+
+
+@pytest.fixture
+def no_work_above_cap(monkeypatch):
+    """Fail the test if factorize or is_prime is asked about an n above Q_CAP."""
+    for name in ("factorize", "is_prime"):
+        def spy(n, real=getattr(gf, name), name=name):
+            if n > gf.Q_CAP:
+                raise AssertionError(f"{name}({n}) ran before the cap check")
+            return real(n)
+        monkeypatch.setattr(gf, name, spy)
+
+
+@pytest.mark.parametrize("argv", [
+    ["classes", "--q", str(BIG)],
+    ["classes", "--p", str(BIG), "--f", "1"],
+    ["verify", "--q-range", "4..3000000"],
+    ["verify", "--q-range", "1048570..1048600"],
+], ids=["q", "p", "range-end", "range-above-cap"])
+def test_cap_comes_before_work(argv, capsys, no_work_above_cap):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "exceeds the supported cap" in err
+
+
+def test_cap_comes_before_the_power(capsys):
+    # 2^3000000000 would take seconds and hundreds of MB to form
+    start = time.perf_counter()
+    code, out, err = run(capsys, "classes", "--p", "2", "--f", "3000000000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and "exceeds the supported cap" in err
+
+
+def test_psi2_oracle_cap_comes_before_structural_work(capsys, monkeypatch):
+    def refuse(ctx):
+        raise AssertionError("class inventory built before the oracle cap check")
+
+    monkeypatch.setattr(cli, "inventory", refuse)
+    code, out, err = run(capsys, "psi2", "--q", "101", "--method", "both")
+    assert code == 3 and out == "" and "cap" in err
+
+
+@pytest.mark.parametrize("argv", [["classes", "--q", "7"], ["verify", "--q-range", "4..5"]])
+def test_unwritable_out_is_usage_before_work(argv, tmp_path, capsys, monkeypatch):
+    def refuse(ctx):
+        raise RuntimeError("class inventory built before --out was opened")
+
+    monkeypatch.setattr(cli, "inventory", refuse)
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(target) in err
 
 
 def test_usage_no_command(capsys):

@@ -31,7 +31,7 @@ from invgen.iggraph import (
     to_dot,
 )
 from invgen.structure import profile_census, psi2_structural, verify_2covering
-from helpers import isolated, pairs, part_pattern, ref_orbits
+from helpers import covering_parts, isolated, pairs, part_pattern, ref_orbits
 
 EXTENDED = os.environ.get("INVGEN_EXTENDED") == "1"
 
@@ -364,7 +364,7 @@ def test_components_equal_pattern_pairs(q, t, beta_value):
     # pair {P, P^c}, and every realised pair is one component
     ctx, inv, psi2 = structural(q)
     g = lambda_power(ctx, t, psi2, aut_action(ctx, inv), inv, plus=True)
-    p1, _ = verify_2covering(ctx, inv).parts()
+    p1, _ = covering_parts(verify_2covering(ctx, inv))
     every = frozenset(range(t))
     patterns = {frozenset({part_pattern(v, p1), every - part_pattern(v, p1)})
                 for v in g.vertices}
@@ -450,7 +450,7 @@ def test_summary_matches_explicit_graph(q):
 
 def balance_counts(ctx, t):
     inv = inventory(ctx)
-    p1, _ = verify_2covering(ctx, inv).parts()
+    p1, _ = covering_parts(verify_2covering(ctx, inv))
     psi2 = psi2_structural(profile_census(ctx, inv))
     g = lambda_power(ctx, t, psi2, aut_action(ctx, inv), inv, plus=True)
     return [len(part_pattern(v, p1)) for v in g.vertices]
