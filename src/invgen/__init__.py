@@ -1,50 +1,32 @@
-"""Invariably generating graphs of PSL(2,q) and its direct powers."""
+"""Invariably generating graphs of PSL(2,q) and its direct powers.
 
-from invgen.gf import GFContext, gf_make, gf_for_q, prime_power_split
-from invgen.psl2 import (
-    ClassLabel,
-    ClassEntry,
-    ClassInventory,
-    inventory,
-    enumerate_psl2,
-    psl2_class_of,
-)
-from invgen.structure import (
-    SubgroupClass,
-    Psi2Table,
-    maximal_subgroup_classes,
-    build_profiles,
-    psi2_structural,
-    verify_2covering,
-    profile_census,
-)
-from invgen.autorbits import AutAction, OrbitPartition, aut_action, beta, beta_fast
-from invgen.oracle import OracleSession, OracleCapError
-from invgen.iggraph import (
-    IGGraph,
-    BoundReport,
-    GraphCapError,
-    lambda_graph,
-    lambda_power,
-    lambda_summary,
-    expected_isolated,
-    components,
-    is_bipartite,
-    diameter,
-    component_bound,
-    n_lower_bound_report,
-)
+The names below are loaded on first use (PEP 562), so ``import invgen``
+imports no layer module until one of its names is read.
+"""
 
-__all__ = [
-    "GFContext", "gf_make", "gf_for_q", "prime_power_split",
-    "ClassLabel", "ClassEntry", "ClassInventory", "inventory",
-    "enumerate_psl2", "psl2_class_of",
-    "SubgroupClass", "Psi2Table", "maximal_subgroup_classes",
-    "build_profiles", "psi2_structural", "verify_2covering", "profile_census",
-    "AutAction", "OrbitPartition", "aut_action", "beta", "beta_fast",
-    "OracleSession", "OracleCapError",
-    "IGGraph", "BoundReport", "GraphCapError",
-    "lambda_graph", "lambda_power", "lambda_summary", "expected_isolated",
-    "components", "is_bipartite", "diameter",
-    "component_bound", "n_lower_bound_report",
-]
+import importlib
+
+_OWNER = {
+    "gf": ("GFContext", "gf_make", "gf_for_q", "prime_power_split"),
+    "psl2": ("ClassLabel", "ClassEntry", "ClassInventory", "inventory",
+             "enumerate_psl2", "psl2_class_of"),
+    "structure": ("SubgroupClass", "Psi2Table", "maximal_subgroup_classes",
+                  "build_profiles", "psi2_structural", "verify_2covering",
+                  "profile_census"),
+    "autorbits": ("AutAction", "OrbitPartition", "aut_action", "beta", "beta_fast"),
+    "oracle": ("OracleSession", "OracleCapError"),
+    "iggraph": ("IGGraph", "BoundReport", "GraphCapError",
+                "lambda_graph", "lambda_power", "lambda_summary", "expected_isolated",
+                "components", "is_bipartite", "diameter",
+                "component_bound", "n_lower_bound_report"),
+}
+_MODULE_OF = {name: module for module, names in _OWNER.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

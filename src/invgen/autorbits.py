@@ -27,7 +27,7 @@ orbit partition that ``beta --orbits`` prints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from invgen.gf import GFContext
 from invgen.psl2 import ClassInventory, ClassLabel, trace_key
@@ -36,8 +36,7 @@ from invgen.structure import ProfileCensus, Psi2Table
 LabelPerm = dict[ClassLabel, ClassLabel]  # the labels it moves; the rest are fixed
 
 
-@dataclass
-class AutAction:
+class AutAction(NamedTuple):
     ctx: GFContext
     diagonal: LabelPerm | None  # None for q even
     frobenius: LabelPerm  # empty when f = 1
@@ -111,8 +110,7 @@ def pair_orbits(action: AutAction, psi2: Psi2Table) -> dict[tuple[int, int], tup
             for a, bs in enumerate(psi2.near) for b in bs}
 
 
-@dataclass
-class OrbitPartition:
+class OrbitPartition(NamedTuple):
     beta: int
     orbits: list[list[tuple[str, str]]]  # (name, name) pairs, sorted within and across orbits
 

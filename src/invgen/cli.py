@@ -3,7 +3,8 @@
 Subcommands: classes, psi2, graph, beta, verify.  Every number printed is
 produced by a library call; the CLI only formats.  Output ordering is
 deterministic (labels sorted by their stable string form) so emitted files
-are byte-stable across runs.
+are byte-stable across runs.  Each subcommand imports only the layers it
+runs, so a command does not pay to load the rest of the package.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 cap exceeded, 4 internal error (an invariant of the computation failed).
@@ -21,24 +22,7 @@ from collections.abc import Iterable
 from itertools import chain
 from typing import TextIO
 
-from invgen.autorbits import aut_action, beta, beta_fast
-from invgen.gf import Q_CAP, GFContext, prime_power_split
-from invgen.iggraph import (
-    GraphCapError,
-    components,
-    diameter,
-    expected_isolated,
-    graph_to_json,
-    is_bipartite,
-    lambda_graph,
-    lambda_power,
-    lambda_summary,
-    n_lower_bound_report,
-    to_dot,
-)
-from invgen.oracle import OracleCapError, OracleSession, check_oracle_cap, oracle_cap
-from invgen.psl2 import inventory
-from invgen.structure import profile_census, psi2_structural, verify_2covering
+from invgen.gf import Q_CAP, CapError, GFContext, prime_power_split
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -106,6 +90,8 @@ def _parse_range(spec: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def cmd_classes(args) -> int:
+    from invgen.psl2 import inventory
+
     ctx = _context(args)
     inv = inventory(ctx)
     rows = inv.to_json()
@@ -124,8 +110,13 @@ def cmd_classes(args) -> int:
 
 
 def cmd_psi2(args) -> int:
+    from invgen.psl2 import inventory
+    from invgen.structure import profile_census, psi2_structural
+
     ctx = _context(args)
     if args.method != "structural":
+        from invgen.oracle import OracleSession, check_oracle_cap
+
         check_oracle_cap(ctx.q)
     inv = inventory(ctx)
     tables = {}
@@ -158,6 +149,13 @@ def cmd_psi2(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    from invgen.autorbits import aut_action
+    from invgen.iggraph import (
+        components, diameter, graph_to_json, is_bipartite, lambda_graph, lambda_power, to_dot,
+    )
+    from invgen.psl2 import inventory
+    from invgen.structure import profile_census, psi2_structural
+
     ctx = _context(args)
     inv = inventory(ctx)
     psi2 = psi2_structural(profile_census(ctx, inv))
@@ -180,6 +178,11 @@ def cmd_graph(args) -> int:
 
 
 def cmd_beta(args) -> int:
+    from invgen.autorbits import aut_action, beta, beta_fast
+    from invgen.iggraph import n_lower_bound_report
+    from invgen.psl2 import inventory
+    from invgen.structure import profile_census, psi2_structural
+
     ctx = _context(args)
     inv = inventory(ctx)
     census = profile_census(ctx, inv)
@@ -229,6 +232,12 @@ def cmd_beta(args) -> int:
 
 def verify_q(ctx: GFContext, oracle: bool = False) -> dict:
     """Run every per-q check; returns {check_name: bool}."""
+    from invgen.autorbits import aut_action, beta_fast
+    from invgen.iggraph import expected_isolated, lambda_summary
+    from invgen.oracle import OracleSession
+    from invgen.psl2 import inventory
+    from invgen.structure import profile_census, psi2_structural, verify_2covering
+
     q = ctx.q
     inv = inventory(ctx)
     d = inv.d
@@ -258,6 +267,8 @@ def verify_q(ctx: GFContext, oracle: bool = False) -> dict:
 
 
 def cmd_verify(args) -> int:
+    from invgen.oracle import oracle_cap
+
     qs = _parse_range(args.q_range)
     if not qs:
         raise UsageError(f"no prime powers in range {args.q_range}")
@@ -361,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OracleCapError, GraphCapError) as exc:
+    except CapError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
     except ValueError as exc:

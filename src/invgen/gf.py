@@ -33,6 +33,10 @@ from operator import mul
 Q_CAP = 1 << 20  # contexts refuse q above this
 
 
+class CapError(Exception):
+    """A requested computation exceeds a work cap; the CLI exits 3."""
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization as {prime: multiplicity}."""
     out: dict[int, int] = {}

@@ -31,19 +31,19 @@ isolated vertices exactly; it runs the same analyses on that quotient.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from itertools import product
 from math import comb, log2
+from typing import NamedTuple
 
 from invgen.autorbits import AutAction, pair_orbits
-from invgen.gf import GFContext
+from invgen.gf import CapError, GFContext
 from invgen.psl2 import ClassInventory, ClassLabel
 from invgen.structure import CoveringResult, ProfileCensus, Psi2Table
 
 POWER_WORK_CAP = 10 ** 6  # power-graph vertices, and candidate neighbour tuples
 
 
-class GraphCapError(Exception):
+class GraphCapError(CapError):
     """Requested graph exceeds a configured size cap."""
 
 
@@ -57,15 +57,13 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-@dataclass
 class IGGraph:
-    q: int
-    t: int
-    method: str
-    vertices: list
-    nbrs: list[int]  # bit j of nbrs[i]: vertices[i] and vertices[j] are adjacent
-
-    def __post_init__(self):
+    def __init__(self, q: int, t: int, method: str, vertices: list, nbrs: list[int]):
+        self.q = q
+        self.t = t
+        self.method = method
+        self.vertices = vertices
+        self.nbrs = nbrs  # bit j of nbrs[i]: vertices[i] and vertices[j] are adjacent
         if len(self.nbrs) != len(self.vertices):
             raise RuntimeError("one neighbour mask per vertex is required")
         for i, mask in enumerate(self.nbrs):
@@ -221,8 +219,7 @@ def int_log2(n: int) -> float:
     return shift + log2(n >> shift)
 
 
-@dataclass
-class BoundReport:
+class BoundReport(NamedTuple):
     q: int
     psi2_count: int
     beta_lower: int
@@ -280,8 +277,7 @@ def n_lower_bound_report(ctx: GFContext, inv: ClassInventory, census: ProfileCen
 # fast per-q summary over profile buckets
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LambdaSummary:
+class LambdaSummary(NamedTuple):
     q: int
     class_count: int  # labels including identity
     psi2_count: int
@@ -291,7 +287,7 @@ class LambdaSummary:
     bipartite: bool
     parts_match_covering: bool
     diameter: int
-    isolated: list[str] = field(default_factory=list)
+    isolated: list[str]
 
 
 def lambda_summary(ctx: GFContext, inv: ClassInventory, census: ProfileCensus,

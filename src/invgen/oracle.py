@@ -62,7 +62,7 @@ from __future__ import annotations
 import os
 import random
 
-from invgen.gf import GFContext
+from invgen.gf import CapError, GFContext
 from invgen.psl2 import (
     ClassInventory,
     ClassLabel,
@@ -94,7 +94,7 @@ Perm = bytes  # images of the points 0..q of the projective line
 _POINTS = bytes(range(256))
 
 
-class OracleCapError(Exception):
+class OracleCapError(CapError):
     """q exceeds the configured oracle cap."""
 
 

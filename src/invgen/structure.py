@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from invgen.gf import GFContext, is_prime
 from invgen.psl2 import ClassInventory, ClassLabel, ClassSignature
@@ -42,8 +42,7 @@ EXC_A5 = "exc_a5"
 _EXC_ORDERS = {EXC_A4: (2, 3), EXC_S4: (2, 3, 4), EXC_A5: (2, 3, 5)}
 
 
-@dataclass(frozen=True)
-class SubgroupClass:
+class SubgroupClass(NamedTuple):
     kind: str
     order: int
     maximal: bool
@@ -201,8 +200,7 @@ def maximal_profiles(ctx: GFContext, inv: ClassInventory, classes: list[Subgroup
 # the up-to-q^2/4 pair sweep to a handful of bucket products.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ProfileCensus:
+class ProfileCensus(NamedTuple):
     q: int
     labels: list[ClassLabel]  # nonidentity labels, inventory order
     buckets: list[frozenset[str]]  # distinct maximal profiles
@@ -230,7 +228,6 @@ def profile_census(ctx: GFContext, inv: ClassInventory) -> ProfileCensus:
                          bucket_of)
 
 
-@dataclass
 class Psi2Table:
     """Ordered pairs of nonidentity class labels that invariably generate S:
     ``near[i]`` is the ascending tuple of the j with (labels[i], labels[j])
@@ -241,10 +238,12 @@ class Psi2Table:
     fixes the output order: labels by name, and the neighbours of each
     label by name."""
 
-    q: int
-    method: str  # "structural" | "oracle"
-    labels: list[ClassLabel]  # nonidentity labels, inventory order
-    near: list[tuple[int, ...]]
+    def __init__(self, q: int, method: str, labels: list[ClassLabel],
+                 near: list[tuple[int, ...]]):
+        self.q = q
+        self.method = method  # "structural" | "oracle"
+        self.labels = labels  # nonidentity labels, inventory order
+        self.near = near
 
     def __len__(self) -> int:
         return sum(map(len, self.near))
@@ -307,8 +306,7 @@ def psi2_structural(census: ProfileCensus) -> Psi2Table:
     return Psi2Table(census.q, "structural", census.labels, near)
 
 
-@dataclass
-class CoveringResult:
+class CoveringResult(NamedTuple):
     ok: bool
     only_borel: set[ClassLabel]  # covered by the Borel side only
     only_dihedral: set[ClassLabel]  # covered by the nonsplit-dihedral side only

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from invgen.gf import gf_for_q, prime_power_split
 from invgen.psl2 import ClassLabel, inventory
-from invgen import cli
+from invgen import autorbits, cli, structure
 from invgen.autorbits import AutAction, aut_action, beta, beta_fast
 from invgen.structure import Psi2Table, profile_census, psi2_structural, verify_2covering
 from helpers import covering_parts, pairs, ref_orbits
@@ -210,8 +210,8 @@ def test_beta_checks_the_action(case):
 @pytest.mark.parametrize("case", [broken_image_case, swapped_pair_case])
 def test_beta_orbits_reports_a_broken_action_as_internal(case, capsys, monkeypatch):
     q, action, table, message = case()
-    monkeypatch.setattr(cli, "aut_action", lambda ctx, inv: action)
-    monkeypatch.setattr(cli, "psi2_structural", lambda census: table)
+    monkeypatch.setattr(autorbits, "aut_action", lambda ctx, inv: action)
+    monkeypatch.setattr(structure, "psi2_structural", lambda census: table)
     assert cli.main(["beta", "--q", str(q), "--orbits"]) == 4
     out, err = capsys.readouterr()
     assert out == ""

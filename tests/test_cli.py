@@ -1,10 +1,15 @@
+import importlib
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from invgen import cli, gf, iggraph, structure
+import invgen
+from invgen import autorbits, cli, gf, iggraph, psl2, structure
 from invgen.autorbits import AutAction
 from invgen.cli import main
 from invgen.structure import SubgroupClass
@@ -215,7 +220,7 @@ def test_beta_evaluates_one_binomial_when_the_floor_is_exact(capsys, monkeypatch
 
 
 def test_beta_orbits_must_agree_with_burnside(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "beta_fast", lambda action, census: 6)
+    monkeypatch.setattr(autorbits, "beta_fast", lambda action, census: 6)
     code, out, err = run(capsys, "beta", "--q", "7", "--orbits")
     assert code == 4 and out == ""
     assert err.startswith("internal error: ") and "Burnside counts 6" in err
@@ -224,7 +229,7 @@ def test_beta_orbits_must_agree_with_burnside(capsys, monkeypatch):
 
 
 def break_canon(monkeypatch):
-    monkeypatch.setattr(cli, "inventory", lambda ctx: canon(ctx, (0, 0, 0, 0)))
+    monkeypatch.setattr(psl2, "inventory", lambda ctx: canon(ctx, (0, 0, 0, 0)))
     return ["classes", "--q", "5"], "zero matrix"
 
 
@@ -236,7 +241,7 @@ def break_subgroup_list(monkeypatch):
 
 
 def break_subfield_degree(monkeypatch):
-    monkeypatch.setattr(cli, "inventory", lambda ctx: ctx.in_subfield(1, 2))
+    monkeypatch.setattr(psl2, "inventory", lambda ctx: ctx.in_subfield(1, 2))
     return ["classes", "--q", "27"], "e=2 does not divide f=3"
 
 
@@ -246,7 +251,7 @@ def break_bound(monkeypatch):
 
 
 def break_graph(monkeypatch):
-    monkeypatch.setattr(cli, "lambda_graph",
+    monkeypatch.setattr(iggraph, "lambda_graph",
                         lambda *a, **k: iggraph.IGGraph(7, 1, "structural", ["a", "b"], [0b10, 0]))
     return ["graph", "--q", "7", "--plus"], "adjacency is not symmetric"
 
@@ -338,7 +343,7 @@ def test_psi2_oracle_cap_comes_before_structural_work(capsys, monkeypatch):
     def refuse(ctx):
         raise AssertionError("class inventory built before the oracle cap check")
 
-    monkeypatch.setattr(cli, "inventory", refuse)
+    monkeypatch.setattr(psl2, "inventory", refuse)
     code, out, err = run(capsys, "psi2", "--q", "101", "--method", "both")
     assert code == 3 and out == "" and "cap" in err
 
@@ -348,7 +353,7 @@ def test_unwritable_out_is_usage_before_work(argv, tmp_path, capsys, monkeypatch
     def refuse(ctx):
         raise RuntimeError("class inventory built before --out was opened")
 
-    monkeypatch.setattr(cli, "inventory", refuse)
+    monkeypatch.setattr(psl2, "inventory", refuse)
     target = tmp_path / "missing" / "x"
     code, out, err = run(capsys, *argv, "--out", str(target))
     assert code == 2 and out == ""
@@ -363,3 +368,104 @@ def test_byte_stable_output(capsys):
     code1, out1, _ = run(capsys, "psi2", "--q", "13", "--format", "json")
     code2, out2, _ = run(capsys, "psi2", "--q", "13", "--format", "json")
     assert out1 == out2
+
+
+# ---------------------------------------------------------------------------
+# imports: each subcommand loads only the layers it runs, and the package
+# namespace loads a layer on first use of one of its names
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Runs in a fresh interpreter (pytest itself loads dataclasses): imports the
+# CLI, runs argv through cli.main if given, and prints the invgen modules
+# then loaded and whether dataclasses is.
+PROBE = """
+import contextlib, io, json, sys
+import invgen.cli
+code = None
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = invgen.cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "dataclasses": "dataclasses" in sys.modules,
+                  "invgen": sorted(m for m in sys.modules if m.split(".")[0] == "invgen")}))
+"""
+
+GRAPH_LAYERS = ("psl2", "structure", "autorbits", "iggraph")
+
+
+def loaded_after(*argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_importing_the_cli_loads_no_layer():
+    result = loaded_after()
+    assert result["invgen"] == ["invgen", "invgen.cli", "invgen.gf"]
+    assert not result["dataclasses"]
+
+
+@pytest.mark.parametrize("argv,layers", [
+    (["classes", "--q", "7"], ("psl2",)),
+    (["psi2", "--q", "7"], ("psl2", "structure")),
+    (["psi2", "--q", "7", "--method", "oracle"], ("psl2", "structure", "oracle")),
+    (["psi2", "--q", "7", "--method", "both"], ("psl2", "structure", "oracle")),
+    (["graph", "--q", "7"], GRAPH_LAYERS),
+    (["beta", "--q", "7"], GRAPH_LAYERS),
+    (["verify", "--q-range", "4..5"], GRAPH_LAYERS + ("oracle",)),
+], ids=["classes", "psi2", "psi2-oracle", "psi2-both", "graph", "beta", "verify"])
+def test_each_subcommand_loads_only_its_layers(argv, layers):
+    result = loaded_after(*argv)
+    assert result["code"] == 0
+    assert result["invgen"] == sorted(
+        ["invgen", "invgen.cli", "invgen.gf"] + [f"invgen.{m}" for m in layers])
+    assert not result["dataclasses"]
+
+
+PUBLIC = {
+    "gf": ["GFContext", "gf_make", "gf_for_q", "prime_power_split"],
+    "psl2": ["ClassLabel", "ClassEntry", "ClassInventory", "inventory",
+             "enumerate_psl2", "psl2_class_of"],
+    "structure": ["SubgroupClass", "Psi2Table", "maximal_subgroup_classes",
+                  "build_profiles", "psi2_structural", "verify_2covering",
+                  "profile_census"],
+    "autorbits": ["AutAction", "OrbitPartition", "aut_action", "beta", "beta_fast"],
+    "oracle": ["OracleSession", "OracleCapError"],
+    "iggraph": ["IGGraph", "BoundReport", "GraphCapError", "lambda_graph",
+                "lambda_power", "lambda_summary", "expected_isolated", "components",
+                "is_bipartite", "diameter", "component_bound", "n_lower_bound_report"],
+}
+
+
+def test_package_names_resolve_to_their_owning_module():
+    assert sorted(invgen.__all__) == sorted(n for names in PUBLIC.values() for n in names)
+    for module, names in PUBLIC.items():
+        owner = importlib.import_module(f"invgen.{module}")
+        for name in names:
+            obj = getattr(invgen, name)
+            assert obj is getattr(owner, name)
+            assert obj.__module__ == owner.__name__
+
+
+def test_package_star_import():
+    namespace = {}
+    exec("from invgen import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(invgen.__all__)
+    assert all(namespace[name] is getattr(invgen, name) for name in namespace)
+
+
+def test_package_unknown_name_is_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        invgen.no_such_name
+    assert not hasattr(invgen, "check_oracle_cap")  # public on invgen.oracle only
+    with pytest.raises(ImportError):
+        exec("from invgen import no_such_name", {})
+
+
+@pytest.mark.parametrize("error", [iggraph.GraphCapError, invgen.OracleCapError])
+def test_cap_errors_share_one_base(error):
+    assert issubclass(error, gf.CapError)

@@ -258,6 +258,24 @@ def test_iggraph_rejects_bad_masks(nbrs, match):
         IGGraph(0, 1, "synthetic", ["a", "b"], nbrs)
 
 
+@pytest.mark.parametrize("nbrs,match", [
+    ([0b010, 0b101, 0b000], "not symmetric"),
+    ([0b010, 0b011, 0b000], "loops"),
+    ([-1, 0b000, 0b000], "past the last vertex"),
+    ([0b010, 0b001, 0b000, 0b000], "one neighbour mask per vertex"),
+])
+def test_iggraph_checks_each_invariant_on_construction(nbrs, match):
+    with pytest.raises(RuntimeError, match=match):
+        IGGraph(0, 1, "synthetic", ["a", "b", "c"], nbrs)
+
+
+def test_iggraph_keeps_its_fields():
+    g = IGGraph(7, 2, "structural", ["a", "b", "c"], [0b010, 0b101, 0b010])
+    assert (g.q, g.t, g.method, g.vertices, g.nbrs) == (
+        7, 2, "structural", ["a", "b", "c"], [0b010, 0b101, 0b010])
+    assert g.edge_count() == 2
+
+
 # ---------------------------------------------------------------------------
 # analyses on synthetic graphs
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from invgen.structure import (
     SUBFIELD_PGL,
     SUBFIELD_PSL,
     Psi2Table,
+    SubgroupClass,
     build_profiles,
     maximal_profiles,
     maximal_subgroup_classes,
@@ -45,6 +46,17 @@ def test_subgroups_q7():
     assert kinds[DIH_NONSPLIT][0].order == 8 and not kinds[DIH_NONSPLIT][0].maximal
     assert len(kinds[EXC_S4]) == 2 and all(sc.maximal for sc in kinds[EXC_S4])
     assert EXC_A4 not in kinds and EXC_A5 not in kinds
+
+
+def test_subgroup_class_is_hashable_and_immutable():
+    classes = maximal_subgroup_classes(gf_for_q(25))
+    again = maximal_subgroup_classes(gf_for_q(25))
+    assert len(set(classes) | set(again)) == len(classes)
+    sc = SubgroupClass(SUBFIELD_PGL, 120, True, variant=1, q0=5, sub_degree=1)
+    assert sc in set(classes) and hash(sc) == hash(classes[classes.index(sc)])
+    assert str(sc) == sc.id == "subfield_pgl:q0=5:v1"
+    with pytest.raises(AttributeError):
+        sc.order = 60
 
 
 def test_subgroups_q9():
@@ -248,6 +260,14 @@ def test_json_chunks_of_an_empty_table():
     table = Psi2Table(5, "oracle", labels, [()] * len(labels))
     assert_blocks_match_rows(table)
     assert list(table.text_blocks(",")) == []
+
+
+def test_psi2_table_len_is_the_pair_count():
+    labels = inventory(gf_for_q(5)).nonidentity_labels()
+    table = Psi2Table(5, "structural", labels, [(1, 2), (), (0,), (0, 1, 2)])
+    assert len(table) == sum(map(len, table.near)) == len(rows(table))
+    census = profile_census(gf_for_q(13), inventory(gf_for_q(13)))
+    assert len(psi2_structural(census)) == census.psi2_count()
 
 
 def test_text_blocks_sort_names_per_tuple_and_skip_empty():
