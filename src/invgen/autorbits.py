@@ -8,17 +8,19 @@ Inner automorphisms fix every label, so the induced action is generated by
   * the field map: entrywise Frobenius; it sends a trace pair {t, -t} to
     {t^p, -t^p} and preserves unipotent square-class flags.
 
-Each permutation is held as the map of the labels it moves, and a label
-missing from a map is fixed: the Frobenius map moves no label when f = 1
-and the diagonal map moves only the two unipotent classes, so the few
-elements of the induced group (at most d*f) cost O(moved labels) each,
-not O(labels).
+A class is named by its position among the nonidentity labels of the
+inventory, the index of ``Psi2Table.labels`` and of the profile census.
+Each permutation is held as the map of the positions it moves, and a
+position missing from a map is fixed: the Frobenius map moves no class
+when f = 1 and the diagonal map moves only the two unipotent classes, so
+the few elements of the induced group (at most d*f) cost O(moved classes)
+each, not O(classes), and no label is built.
 
 The number of orbits of the diagonal action on Psi2 equals beta(S), the
 largest t for which S^t is invariably 2-generated.  ``beta_fast`` counts
 them by Burnside's lemma over profile buckets: an element fixes the
-bucket-product count over the labels it leaves in place, which is each
-bucket's size less the moved labels in it.  It is the one production
+bucket-product count over the classes it leaves in place, which is each
+bucket's size less the moved classes in it.  It is the one production
 route to beta.  ``pair_orbits`` names the orbit of every Psi2 pair by
 the pair's least image under ``AutAction.elements``; the power graph reads
 those names for its columns, and ``beta`` groups the pairs by them into the
@@ -30,73 +32,74 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from invgen.gf import GFContext
-from invgen.psl2 import ClassInventory, ClassLabel, trace_key
+from invgen.psl2 import ClassInventory, trace_key
 from invgen.structure import ProfileCensus, Psi2Table
 
-LabelPerm = dict[ClassLabel, ClassLabel]  # the labels it moves; the rest are fixed
+ClassPerm = dict[int, int]  # the positions it moves; the rest are fixed
 
 
 class AutAction(NamedTuple):
     ctx: GFContext
-    diagonal: LabelPerm | None  # None for q even
-    frobenius: LabelPerm  # empty when f = 1
+    diagonal: ClassPerm | None  # None for q even
+    frobenius: ClassPerm  # empty when f = 1
 
-    def generators(self) -> list[LabelPerm]:
+    def generators(self) -> list[ClassPerm]:
         gens = [self.frobenius]
         if self.diagonal is not None:
             gens.append(self.diagonal)
         return gens
 
-    def elements(self) -> list[LabelPerm]:
+    def elements(self) -> list[ClassPerm]:
         """The full induced permutation group (order divides d*f), each
-        element as the map of the labels it moves; the identity is ``{}``.
-        Costs O(moved labels) per element."""
-        moved = list(dict.fromkeys(lab for gen in self.generators() for lab in gen))
-        # an element is keyed by the images of the moved labels, in that order
-        seen: dict[tuple[ClassLabel, ...], LabelPerm] = {tuple(moved): {}}
-        frontier: list[LabelPerm] = [{}]
+        element as the map of the positions it moves; the identity is ``{}``.
+        Costs O(moved classes) per element."""
+        moved = list(dict.fromkeys(i for gen in self.generators() for i in gen))
+        # an element is keyed by the images of the moved positions, in that order
+        seen: dict[tuple[int, ...], ClassPerm] = {tuple(moved): {}}
+        frontier: list[ClassPerm] = [{}]
         while frontier:
             nxt = []
             for perm in frontier:
                 for gen in self.generators():
-                    images = [gen.get(im, im) for im in (perm.get(lab, lab) for lab in moved)]
+                    images = [gen.get(im, im) for im in (perm.get(i, i) for i in moved)]
                     key = tuple(images)
                     if key not in seen:
-                        seen[key] = comp = {lab: im for lab, im in zip(moved, images)
-                                            if im != lab}
+                        seen[key] = comp = {i: im for i, im in zip(moved, images) if im != i}
                         nxt.append(comp)
             frontier = nxt
         return list(seen.values())
 
 
 def aut_action(ctx: GFContext, inv: ClassInventory) -> AutAction:
-    diagonal: LabelPerm | None = None
+    diagonal: ClassPerm | None = None
     if ctx.q % 2 == 1:
-        usq, unsq = ClassLabel("unip", sq=True), ClassLabel("unip", sq=False)
+        usq, unsq = (i - 1 for i, e in enumerate(inv.head) if e.label.kind == "unip")
         diagonal = {usq: unsq, unsq: usq}
-    frob: LabelPerm = {}
-    # Frobenius fixes GF(p); verify 4..1024 CPU 0.55 s, 0.67 s without (2-core Xeon)
+    frob: ClassPerm = {}
+    # Frobenius fixes GF(p); verify 4..1024 CPU 0.45 s, 0.47 s without (2-core Xeon)
     if ctx.f > 1:
-        for lab in inv.labels():
-            if lab.kind in ("split", "nonsplit"):
-                image = ClassLabel(lab.kind, trace_key(ctx, ctx.frobenius(lab.trace)))
-                if image not in inv.index:
-                    raise RuntimeError(f"Frobenius image {image} missing from inventory")
-                if image != lab:
-                    frob[lab] = image
+        start = len(inv.head) - 1  # position of the first torus class
+        for kind, keys, _, _ in inv.tori:
+            where = dict(zip(keys, range(start, start + len(keys))))
+            for key, i in where.items():
+                j = where.get(trace_key(ctx, ctx.frobenius(key)))
+                if j is None:
+                    raise RuntimeError(
+                        f"Frobenius image of {kind}:t={key} missing from inventory")
+                if j != i:
+                    frob[i] = j
+            start += len(keys)
     return AutAction(ctx, diagonal, frob)
 
 
-def _index_images(action: AutAction, labels: list[ClassLabel]) -> list[list[int]]:
-    """Every element of the induced group as the list of the positions in
-    ``labels`` of the images of ``labels``."""
-    pos = {lab: i for i, lab in enumerate(labels)}
+def _index_images(action: AutAction, n: int) -> list[list[int]]:
+    """Every element of the induced group as the list of the images of the
+    positions 0..n-1."""
     out = []
     for g in action.elements():
-        image = list(range(len(labels)))
-        for lab, im in g.items():
-            if lab in pos:
-                image[pos[lab]] = pos[im]
+        image = list(range(n))
+        for i, im in g.items():
+            image[i] = im
         out.append(image)
     return out
 
@@ -105,7 +108,7 @@ def pair_orbits(action: AutAction, psi2: Psi2Table) -> dict[tuple[int, int], tup
     """Each Psi2 index pair (i, j) mapped to its least image under the
     elements of ``action``: two pairs share an Aut(S)-orbit exactly when
     they share a key, and the key is itself a member of the orbit."""
-    images = _index_images(action, psi2.labels)
+    images = _index_images(action, len(psi2.labels))
     return {(a, b): min((g[a], g[b]) for g in images)
             for a, bs in enumerate(psi2.near) for b in bs}
 
@@ -128,7 +131,7 @@ def beta(action: AutAction, psi2: Psi2Table) -> OrbitPartition:
     if not key:
         raise RuntimeError("Psi2 is empty")
     names = [lab.str_form() for lab in psi2.labels]
-    images = _index_images(action, psi2.labels)
+    images = _index_images(action, len(psi2.labels))
     groups: dict[tuple[int, int], list[tuple[str, str]]] = {}
     for (a, b), k in key.items():
         groups.setdefault(k, []).append((names[a], names[b]))
@@ -151,18 +154,17 @@ def beta_fast(action: AutAction, census: ProfileCensus) -> int:
 
     Psi2 membership depends only on the maximal profile, so the number of
     fixed pairs of an automorphism sigma is the bucket-product count taken
-    over sigma-fixed labels: each bucket's size less the labels sigma moves
-    out of it.  Avoids materializing Psi2 for large q.
+    over sigma-fixed classes: each bucket's size less the classes sigma
+    moves out of it, read by position.  Avoids materializing Psi2 for large q.
     """
     elements = action.elements()
-    disjoint = census.disjoint_pairs()
-    sizes = [len(mem) for mem in census.members]
+    bucket = {i: census.bucket_of(i) for gen in action.generators() for i in gen}
     total = 0
     for perm in elements:
-        fixed = sizes[:]
-        for lab in perm:
-            fixed[census.bucket_of[lab]] -= 1
-        total += sum(fixed[i] * fixed[j] for i, j in disjoint)
+        fixed = census.sizes[:]
+        for i in perm:
+            fixed[bucket[i]] -= 1
+        total += sum(fixed[i] * fixed[j] for i, j in census.disjoint)
     count, rem = divmod(total, len(elements))
     if rem:
         raise RuntimeError("Burnside count is not an integer; action is inconsistent")

@@ -9,7 +9,9 @@ runs, so a command does not pay to load the rest of the package.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 cap exceeded, 4 internal error (an invariant of the computation failed).
 Field sizes are checked against ``Q_CAP`` and the ``--out`` file is opened
-before any computation, so either refusal (exit 2) comes without work.
+before any computation, so either refusal (exit 2) comes without work, and
+a ``verify`` range is refused (exit 3) before any field is built once its
+prime powers sum past ``VERIFY_Q_SUM_CAP``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,12 @@ EXIT_INTERNAL = 4
 
 ORACLE_VERIFY_DEFAULT = 13  # oracle cross-check in `verify` runs for q up to this
 ORACLE_VERIFY_EXTENDED = (16, 25, 27, 31)
+# `verify` refuses a range whose prime powers sum past this (exit 3).  A
+# field's tables, classes and Aut(S) elements grow with q (times f for the
+# elements), so the sum bounds the run: 4..1024 sums to 87,755 and verifies
+# in 0.32 s; q = 2^18 alone takes 6.8 s and 315 MB, q = 2^20 alone 35 s and
+# 1.2 GB (2-core Xeon).
+VERIFY_Q_SUM_CAP = 1 << 18
 
 
 class UsageError(Exception):
@@ -82,7 +90,15 @@ def _parse_range(spec: str) -> list[int]:
         raise UsageError(f"range must satisfy 4 <= lo <= hi, got {spec!r}")
     if hi > Q_CAP:
         raise UsageError(f"range end {hi} exceeds the supported cap {Q_CAP}")
-    return [q for q in range(lo, hi + 1) if prime_power_split(q)]
+    qs, total = [], 0
+    for q in range(lo, hi + 1):
+        if prime_power_split(q):
+            total += q
+            if total > VERIFY_Q_SUM_CAP:
+                raise CapError(
+                    f"the prime powers of range {spec} sum past the verify cap {VERIFY_Q_SUM_CAP}")
+            qs.append(q)
+    return qs
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,10 @@ from typing import NamedTuple
 
 from invgen.autorbits import AutAction, pair_orbits
 from invgen.gf import CapError, GFContext
-from invgen.psl2 import ClassInventory, ClassLabel
-from invgen.structure import CoveringResult, ProfileCensus, Psi2Table
+from invgen.psl2 import ClassInventory
+from invgen.structure import (
+    BOREL_SIDE, DIHEDRAL_SIDE, CoveringResult, ProfileCensus, Psi2Table,
+)
 
 POWER_WORK_CAP = 10 ** 6  # power-graph vertices, and candidate neighbour tuples
 
@@ -298,17 +300,18 @@ def lambda_summary(ctx: GFContext, inv: ClassInventory, census: ProfileCensus,
     adjacent), so the quotient graph on the buckets with a neighbor
     determines everything reported here; twins sit at distance exactly 2,
     which lifts the diameter to 2 when a live bucket has two members.
+    Only the isolated classes are named.
     """
-    sizes = [len(m) for m in census.members]
+    sizes = census.sizes
     near: list[list[int]] = [[] for _ in sizes]
-    for i, j in census.disjoint_pairs():
+    for i, j in census.disjoint:
         if i != j:
             near[i].append(j)
     quotient = _graph(ctx.q, 1, "structural", list(range(len(sizes))), near, plus=True)
     live = quotient.vertices
-    isolated = sorted(
-        lab.str_form() for i, js in enumerate(near) if not js for lab in census.members[i]
-    )
+    dead = {i for i, js in enumerate(near) if not js}
+    # position i is class i + 1: class 0 is the identity
+    isolated = sorted(inv.label(i + 1).str_form() for i in census.positions(dead))
     bipartite, _ = is_bipartite(quotient)
     diam = diameter(quotient)
     if any(sizes[i] >= 2 for i in live):
@@ -329,18 +332,17 @@ def lambda_summary(ctx: GFContext, inv: ClassInventory, census: ProfileCensus,
 
 def _parts_match_covering(cover: CoveringResult, census: ProfileCensus,
                           quotient: IGGraph) -> bool:
-    """Every quotient edge must join the Borel-only side to the dihedral-only side."""
-    side: dict[ClassLabel, int] = {}
-    for lab in cover.only_borel:
-        side[lab] = 0
-    for lab in cover.only_dihedral:
-        side[lab] = 1
-    bucket_side = []
-    for members in census.members:
-        tags = {side.get(lab) for lab in members}
-        if len(tags) != 1:
-            return False
-        bucket_side.append(tags.pop())
+    """Every quotient edge must join the Borel-only side to the dihedral-only
+    side.  Decided per signature: every signature of a bucket must be on
+    one side, where meeting both sides or neither counts as no side."""
+    one_side = (BOREL_SIDE, DIHEDRAL_SIDE)
+    tags: list[set] = [set() for _ in census.buckets]
+    for bucket, side in zip(census.sig_bucket, cover.sides):
+        if bucket >= 0:
+            tags[bucket].add(side if side in one_side else None)
+    if any(len(t) != 1 for t in tags):
+        return False
+    bucket_side = [t.pop() for t in tags]
     for i, mask in zip(quotient.vertices, quotient.nbrs):
         if bucket_side[i] is None:  # covered by both sides yet not isolated
             return False

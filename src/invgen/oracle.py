@@ -14,11 +14,13 @@ so the image of v under (av + b)/(cv + d) is never evaluated point by
 point.  The pointwise map is the reference in the tests
 (``tests/helpers.py``, ``mobius_perm``).  Matrices exist only while the
 session is built: each enumerated matrix is turned into its permutation
-and its class label, and from then on the permutation is the element's
-only form.  Inverses are read off ``bytes.maketrans``.  Generation is
-decided by literal subgroup closure: a pair generates iff the closure of
-the two elements under multiplication is the whole group.  The closure
-returns early once it outgrows every maximal subgroup order.
+and its class label, read from tables keyed by its trace (``_labeller``;
+``psl2.psl2_class_of`` is the reference in the tests), and from then on
+the permutation is the element's only form.  Inverses are read off
+``bytes.maketrans``.  Generation is decided by literal subgroup closure:
+a pair generates iff the closure of the two elements under multiplication
+is the whole group.  The closure returns early once it outgrows every
+maximal subgroup order.
 
 ``pair_generates`` decides the class pair (C, D) by fixing one element x
 of the smaller class and sweeping one element y of each orbit of the
@@ -68,7 +70,8 @@ from invgen.psl2 import (
     ClassLabel,
     Mat,
     enumerate_psl2,
-    psl2_class_of,
+    is_split_trace,
+    trace_key,
 )
 from invgen.structure import (
     BOREL,
@@ -137,6 +140,53 @@ def _line_action(ctx: GFContext):
     return perm
 
 
+def _labeller(ctx: GFContext):
+    """The map from m to its class label, read from tables built once per
+    field with ``is_split_trace`` and ``trace_key`` (never from an
+    inventory, which the session certifies).
+
+    The label of a non-identity element is a function of its trace t,
+    except for the unipotents of q odd (t = +-2), whose square class is
+    that of the upper-right entry of the unitriangular normal form: b when
+    c = 0 and -c otherwise once m is normalised to trace 2, and negating m
+    negates that entry.  So those are keyed by t, by whether c = 0, and by
+    that one entry.  The identity (trace 2, or 0 for q even) is matched first.
+    """
+    q, two = ctx.q, ctx.scalar(2)
+    identity, involution, unip = ClassLabel("id"), ClassLabel("inv"), ClassLabel("unip")
+    by_trace: list[ClassLabel | None] = []
+    for t in range(q):
+        if ctx.p == 2 and t == 0:
+            by_trace.append(unip)
+        elif ctx.p != 2 and t in (two, ctx.neg(two)):
+            by_trace.append(None)
+        elif t == 0:
+            by_trace.append(involution)
+        else:
+            kind = "split" if is_split_trace(ctx, t) else "nonsplit"
+            by_trace.append(ClassLabel(kind, trace_key(ctx, t)))
+    unipotent = {}
+    if ctx.p != 2:
+        square = [ClassLabel("unip", sq=ctx.is_square(v)) for v in range(q)]
+        negated = [square[ctx.neg(v)] for v in range(q)]
+        # (t, c == 0) -> square class of the read entry, b if c == 0 else c
+        unipotent = {(two, True): square, (two, False): negated,
+                     (ctx.neg(two), True): negated, (ctx.neg(two), False): square}
+    add = ctx.add
+
+    def label(m: Mat) -> ClassLabel:
+        if m == (1, 0, 0, 1):
+            return identity
+        a, b, c, d = m
+        t = add(a, d)
+        lab = by_trace[t]
+        if lab is None:
+            return unipotent[t, c == 0][b if c == 0 else c]
+        return lab
+
+    return label
+
+
 def _table(p: Perm) -> bytes:
     """p padded to a 256-byte translate table: w.translate(_table(p)) is p after w."""
     return p + _POINTS[len(p):]
@@ -160,12 +210,12 @@ class OracleSession:
         self.ctx = ctx
         self.inv = inv
         mats = list(enumerate_psl2(ctx))
-        perm = _line_action(ctx)
+        perm, label = _line_action(ctx), _labeller(ctx)
         # every element once, in enumeration order
         self.label_of_perm: dict[Perm, ClassLabel] = {}
         self.by_label: dict[ClassLabel, list[Perm]] = {lab: [] for lab in inv.labels()}
         for m in mats:
-            p, lab = perm(m), psl2_class_of(ctx, m)
+            p, lab = perm(m), label(m)
             self.by_label[lab].append(p)
             self.label_of_perm[p] = lab
         self.order = len(mats)

@@ -22,13 +22,25 @@ Conjugacy classes are symbolic labels:
 
 where K is the canonical trace key: the smaller int of the trace pair
 {t, -t}.  Every class of order l >= 3 is determined by its trace pair.
+
+A ``ClassInventory`` is held as arrays: its ``head`` (the identity, the
+involution class and the unipotent classes, at most four entries) and, for
+each torus kind, the ascending trace keys of its classes with the element
+order of each (``TorusClasses``).  The classes are numbered in that order:
+the head, then the split keys, then the nonsplit keys; entry 0 is the
+identity.  The class signatures the structural rules read come from the
+orders alone, once per distinct order (``signatures`` gives the argument).
+``ClassEntry`` and ``ClassLabel`` objects for the torus classes are built
+only when a name is needed: ``entries`` (and iteration, ``labels``,
+``to_json``) builds them all on first use, and ``label(i)`` builds one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import cached_property
-from itertools import repeat
-from math import gcd
+from itertools import compress, repeat
+from operator import add
 from typing import NamedTuple
 
 from invgen.gf import GFContext, factorize
@@ -75,49 +87,89 @@ class ClassSignature(NamedTuple):
     trace_sq_in: tuple[int, ...]
 
 
+class TorusClasses(NamedTuple):
+    """The classes of one torus kind: their trace keys, ascending, the
+    element order of each, and the size every one of them has."""
+
+    kind: str  # "split" | "nonsplit"
+    keys: list[int]
+    orders: list[int]
+    size: int
+
+
 class ClassInventory:
     """Complete class list of PSL(2,q), with sizes from centralizer formulas."""
 
-    def __init__(self, ctx: GFContext, entries: list[ClassEntry]):
+    def __init__(self, ctx: GFContext, head: list[ClassEntry], tori: list[TorusClasses]):
         self.ctx = ctx
         self.q = ctx.q
         self.d = 2 if ctx.q % 2 == 1 else 1
-        self.entries = entries
-        self.index = dict(zip((e.label for e in entries), range(len(entries))))
+        self.head = head  # the identity first, then the involution and unipotent classes
+        self.tori = tori  # split, then nonsplit
+
+    @cached_property
+    def entries(self) -> list[ClassEntry]:
+        """Every class as a ClassEntry, in class order; built on first use."""
+        out = list(self.head)
+        for kind, keys, orders, size in self.tori:
+            out += map(ClassEntry, map(ClassLabel, repeat(kind), keys), orders, repeat(size))
+        return out
+
+    def label(self, i: int) -> ClassLabel:
+        """The label of class i, without building the entry list."""
+        if i < len(self.head):
+            return self.head[i].label
+        k = i - len(self.head)
+        for torus in self.tori:
+            if k < len(torus.keys):
+                return ClassLabel(torus.kind, torus.keys[k])
+            k -= len(torus.keys)
+        raise IndexError(f"class {i} is past the inventory of PSL(2,{self.q})")
 
     @cached_property
     def signatures(self) -> tuple[list[ClassSignature], list[int]]:
         """The distinct class signatures, in order of first appearance, and
-        for every entry, in entry order, the position of its signature in
-        that list.  Only split and nonsplit traces can miss a subfield: the
-        other kinds have trace 0 or +-2, which lie in the prime field."""
-        ctx = self.ctx
-        degrees = tuple(e for e in range(1, ctx.f + 1) if ctx.f % e == 0)
-        # GF(p) skips subfield tests; verify 4..1024 CPU 0.55 s, 0.70 s without (2-core Xeon)
-        extension = ctx.f > 1
+        for every class, in class order, the position of its signature in
+        that list.
 
-        def within(t: int) -> tuple[int, ...]:
-            return tuple(e for e in degrees if ctx.in_subfield(t, e))
+        Only split and nonsplit traces can miss a subfield: the other kinds
+        have trace 0 or +-2, which lie in the prime field.  A torus class
+        of order j has trace t = z + 1/z, where z is an eigenvalue (in GF(q)
+        or GF(q^2)) of a preimage in SL(2,q), and z -> z + 1/z is two to one
+        with fibres {z, 1/z}.  So t lies in GF(p^e) iff z^(p^e) is z or 1/z,
+        iff p^e = +-1 mod the order of z, which is 2j for j even and j or
+        2j (the same condition, p^e -+ 1 being even for p odd) for j odd.
+        And t^2 lies in GF(p^e) iff t^(p^e) = +-t, iff z^(p^e) is one of
+        +-z, +-1/z, iff p^e = +-1 mod j.  The signature of a torus class
+        is therefore a function of its kind and order, and is built once
+        per distinct order."""
+        p, f = self.ctx.p, self.ctx.f
+        degrees = tuple(e for e in range(1, f + 1) if f % e == 0)
 
-        keys = [(label.kind, label.sq, order, within(t), within(ctx.mul(t, t)))
-                if extension and (t := label.trace) >= 0
-                else (label.kind, label.sq, order, degrees, degrees)
-                for label, order, _ in self.entries]
+        def within(m: int) -> tuple[int, ...]:
+            return tuple(e for e in degrees if (p ** e - 1) % m == 0 or (p ** e + 1) % m == 0)
+
         position: dict[tuple, int] = {}
-        of_entry = [position.setdefault(key, len(position)) for key in keys]
+        of_entry = [position.setdefault((e.label.kind, e.label.sq, e.order, degrees, degrees),
+                                        len(position)) for e in self.head]
+        for kind, _, orders, _ in self.tori:
+            of_order = {j: position.setdefault(
+                (kind, None, j, within(j if j % 2 else 2 * j), within(j)), len(position))
+                for j in dict.fromkeys(orders)}
+            of_entry += map(of_order.__getitem__, orders)
         return [ClassSignature(*key) for key in position], of_entry
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.head) + sum(len(torus.keys) for torus in self.tori)
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[ClassEntry]:
         return iter(self.entries)
 
     def labels(self) -> list[ClassLabel]:
         return [e.label for e in self.entries]
 
     def nonidentity_labels(self) -> list[ClassLabel]:
-        return [e.label for e in self.entries if e.label.kind != "id"]
+        return [e.label for e in self.entries[1:]]
 
     def group_order(self) -> int:
         q = self.q
@@ -244,30 +296,54 @@ def nonsplit_generator_trace(ctx: GFContext) -> int:
     raise RuntimeError(f"no nonsplit torus generator trace found for q={ctx.q}")
 
 
-def _trace_keys(ctx: GFContext, traces: list[int]) -> list[int]:
-    """``trace_key`` of every trace in the list (neg is the identity for p = 2)."""
-    # prime-field fast path; verify 4..1024 CPU 0.55 s, 0.59 s without (2-core Xeon)
+def _trace_keys(ctx: GFContext) -> list[int]:
+    """``trace_key`` of every field element, as a list indexed by element
+    (neg is the identity for p = 2)."""
+    q = ctx.q
+    # prime field: keys 0, 1, ..., (p-1)/2, then (p-1)/2, ..., 1;
+    # verify 4..1024 CPU 0.45 s, 0.48 s without (2-core Xeon)
     if ctx.f == 1:
-        p = ctx.p
-        return [t if 2 * t < p else p - t for t in traces]
+        return list(range((q + 1) // 2)) + list(range(q // 2, 0, -1))
     neg = ctx.neg
-    return [min(t, neg(t)) for t in traces]
+    return [min(t, neg(t)) for t in range(q)]
 
 
-def _fold_traces(kind: str, n: int, d: int, keys: list[int]) -> dict[int, int]:
-    """Trace key -> element order of the classes of a cyclic torus of order n
-    in SL(2,q), given the trace key of the k-th power of a generator as
-    keys[k-1] for k = 1..len(keys).  An element of SL-order m has PSL-order
-    m/d when d divides m.  Orders below 3 (the identity and the involution
-    class) are left out.  For q odd two powers fold onto each key (traces t
-    and -t); they must agree on the order."""
-    sl_orders = [n // gcd(k, n) for k in range(1, len(keys) + 1)]
-    pairs = {(key, order) for key, m in zip(keys, sl_orders)
-             if (order := m // d if m % d == 0 else m) >= 3}
-    out = dict(pairs)
-    if len(out) != len(pairs):
-        raise RuntimeError(f"inconsistent {kind} trace fold")
+def _divisors(n: int) -> list[int]:
+    """The divisors of n, ascending."""
+    out = [1]
+    for r, e in factorize(n).items():
+        out = [d * r ** i for d in out for i in range(e + 1)]
+    return sorted(out)
+
+
+def _power_orders(n: int, d: int, count: int) -> list[int]:
+    """PSL-orders of the powers x^1, ..., x^count of an element x of
+    SL-order n.  The SL-order of x^k is n/gcd(k, n), written by a divisor
+    slice sieve: for each divisor g of n, ascending, every k that g divides
+    gets n/g, so the last write at k is for the largest divisor of n that
+    divides k, which is gcd(k, n).  An element of SL-order m has PSL-order
+    m/d when d divides m."""
+    out = [0] * count
+    for g in _divisors(n):
+        if g > count:
+            break
+        m = n // g
+        out[g - 1::g] = [m // d if m % d == 0 else m] * (count // g)
     return out
+
+
+def _fold_traces(kind: str, keys: list[int], orders: list[int], size: int) -> TorusClasses:
+    """The classes of a cyclic torus, given the trace key and PSL-order of
+    each power x^k of a generator x as keys[k-1] and orders[k-1].  Orders
+    below 3 (the identity and the involution class) are left out.  For q
+    odd two powers fold onto each key (traces t and -t); they must agree
+    on the order."""
+    pairs = set(compress(zip(keys, orders), map((2).__lt__, orders)))
+    order_of = dict(pairs)
+    if len(order_of) != len(pairs):
+        raise RuntimeError(f"inconsistent {kind} trace fold")
+    classes = sorted(order_of)
+    return TorusClasses(kind, classes, list(map(order_of.__getitem__, classes)), size)
 
 
 def inventory(ctx: GFContext) -> ClassInventory:
@@ -276,51 +352,51 @@ def inventory(ctx: GFContext) -> ClassInventory:
     if q < 4:
         raise ValueError("PSL(2,q) class inventory requires q >= 4")
     d = 2 if q % 2 == 1 else 1
-    entries: list[ClassEntry] = [ClassEntry(ClassLabel("id"), 1, 1)]
+    head: list[ClassEntry] = [ClassEntry(ClassLabel("id"), 1, 1)]
     if d == 2:
         eps = 1 if q % 4 == 1 else -1
-        entries.append(ClassEntry(ClassLabel("inv"), 2, q * (q + eps) // 2))
+        head.append(ClassEntry(ClassLabel("inv"), 2, q * (q + eps) // 2))
         unip_size = (q * q - 1) // 2
-        entries.append(ClassEntry(ClassLabel("unip", sq=True), ctx.p, unip_size))
-        entries.append(ClassEntry(ClassLabel("unip", sq=False), ctx.p, unip_size))
+        head.append(ClassEntry(ClassLabel("unip", sq=True), ctx.p, unip_size))
+        head.append(ClassEntry(ClassLabel("unip", sq=False), ctx.p, unip_size))
     else:
-        entries.append(ClassEntry(ClassLabel("unip"), 2, q * q - 1))
+        head.append(ClassEntry(ClassLabel("unip"), 2, q * q - 1))
 
     # split classes: g^k + g^-k = exp[k] + exp[q-1-k] along the generator g
-    # of GF(q)*; nonsplit classes: the Dickson recursion D_(k+1) = t0*D_k - D_(k-1)
-    # along a generator of the order-(q+1) torus, with D_0 = 2 and D_1 = t0.
-    # In a prime field (q >= 4 makes p odd) the arithmetic is written out:
-    # verify 4..1024 CPU 0.55 s, 0.58 s through ctx.add/mul/sub (2-core Xeon).
+    # of GF(q)*, k = 1..(q-1)/2; nonsplit classes: the Dickson recursion
+    # D_(k+1) = t0*D_k - D_(k-1) along a generator of the order-(q+1) torus,
+    # with D_0 = 2 and D_1 = t0, k = 1..(q+1)/2.  In a prime field (q >= 4
+    # makes p odd) the arithmetic is written out: verify 4..1024 CPU 0.45 s,
+    # 0.48 s through ctx.add/mul/sub (2-core Xeon).
     exp = ctx.exp_table()
     t0 = nonsplit_generator_trace(ctx)
-    half = range(1, (q - 1) // 2 + 1)
+    n_split = (q - 1) // 2
     dickson_seq = [0] * ((q + 1) // 2)
     dk_prev, dk = ctx.scalar(2), t0
     if ctx.f == 1:
         p = ctx.p
-        split_traces = [(exp[k] + exp[-k]) % p for k in half]
+        split_traces = list(map(p.__rmod__, map(add, exp[1:n_split + 1], exp[:-n_split - 1:-1])))
         for k in range(len(dickson_seq)):
             dickson_seq[k] = dk
             dk_prev, dk = dk, (t0 * dk - dk_prev) % p
     else:
-        add, mul, sub = ctx.add, ctx.mul, ctx.sub
-        split_traces = [add(exp[k], exp[-k]) for k in half]
+        mul, sub = ctx.mul, ctx.sub
+        split_traces = list(map(ctx.add, exp[1:n_split + 1], exp[:-n_split - 1:-1]))
         for k in range(len(dickson_seq)):
             dickson_seq[k] = dk
             dk_prev, dk = dk, sub(mul(t0, dk), dk_prev)
-    for kind, n, traces, size in (("split", q - 1, split_traces, q * (q + 1)),
-                                  ("nonsplit", q + 1, dickson_seq, q * (q - 1))):
-        order_of = _fold_traces(kind, n, d, _trace_keys(ctx, traces))
-        keys = sorted(order_of)
-        entries += map(ClassEntry, map(ClassLabel, repeat(kind), keys, repeat(None)),
-                       map(order_of.__getitem__, keys), repeat(size))
+    key_of = _trace_keys(ctx).__getitem__
+    tori = [_fold_traces(kind, list(map(key_of, traces)), _power_orders(n, d, len(traces)), size)
+            for kind, n, traces, size in (("split", q - 1, split_traces, q * (q + 1)),
+                                          ("nonsplit", q + 1, dickson_seq, q * (q - 1)))]
 
-    inv = ClassInventory(ctx, entries)
+    inv = ClassInventory(ctx, head, tori)
     expected = (q + 4 * d - 3) // d
     if len(inv) != expected:
         raise RuntimeError(
             f"class count mismatch for q={q}: built {len(inv)}, formula gives {expected}"
         )
-    if sum(size for _, _, size in entries) != inv.group_order():
+    sizes = sum(e.size for e in head) + sum(len(t.keys) * t.size for t in tori)
+    if sizes != inv.group_order():
         raise RuntimeError(f"class sizes do not sum to |PSL(2,{q})|")
     return inv

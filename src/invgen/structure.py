@@ -5,12 +5,17 @@ congruence conditions on q deciding maximality.  Both dihedral records are
 always present (flagged) because the pair {Borel, nonsplit dihedral} is a
 2-covering of the group whether or not the dihedral is maximal.
 
-Class-intersection profiles are computed symbolically: a profile maps each
-conjugacy-class label to the set of subgroup-class ids whose members meet
-it.  The profile universe is the maximal classes plus the nonsplit-dihedral
-covering record.  Two nonidentity classes invariably generate iff no single
-maximal subgroup class meets both, so ``psi2_structural`` reads Psi2 off
-the census of labels grouped by maximal profile, one neighbour tuple per group.
+Class-intersection profiles are computed symbolically: the profile of a
+conjugacy class is the set of subgroup-class ids whose members meet it.
+The rules read only a class's signature (``ClassInventory.signatures``),
+so profiles, the census and the 2-covering are computed once per
+signature and the classes enter only as counts: the census holds, per
+bucket of equal maximal profile, the number of classes in it, and lists
+the classes of a bucket by position only when asked.  The profile universe
+is the maximal classes plus the nonsplit-dihedral covering record.  Two
+nonidentity classes invariably generate iff no single maximal subgroup
+class meets both, so ``psi2_structural`` reads Psi2 off the census, one
+neighbour tuple per bucket.
 
 Conventions for the kinds that come as two classes (q odd): variant 1 of a
 subfield PGL is the copy whose unipotents have square parameter, variant 2
@@ -23,7 +28,9 @@ oracle certifies the variant split as a multiset.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from collections.abc import Iterator
+from itertools import compress
 from typing import NamedTuple
 
 from invgen.gf import GFContext, is_prime
@@ -173,59 +180,71 @@ def profile_universe(classes: list[SubgroupClass]) -> list[SubgroupClass]:
 
 
 def build_profiles(ctx: GFContext, inv: ClassInventory, classes: list[SubgroupClass],
-                   ) -> dict[ClassLabel, frozenset[str]]:
-    """Profile of every nonidentity label over the profile universe, in
-    inventory order; the rules run once per distinct class signature."""
+                   ) -> list[frozenset[str]]:
+    """Profile over the profile universe of each class signature, in the
+    order of ``inv.signatures``; the rules run once per signature.
+    Signature 0 is the identity's, which meets every class."""
     universe = profile_universe(classes)
-    sigs, of_entry = inv.signatures
-    profiles = [frozenset(sc.id for sc in universe if label_meets(ctx, sig, sc))
-                for sig in sigs]
-    return {entry.label: profiles[i]
-            for entry, i in zip(inv.entries, of_entry) if entry.label.kind != "id"}
+    return [frozenset(sc.id for sc in universe if label_meets(ctx, sig, sc))
+            for sig in inv.signatures[0]]
 
 
 def maximal_profiles(ctx: GFContext, inv: ClassInventory, classes: list[SubgroupClass],
-                     ) -> dict[ClassLabel, frozenset[str]]:
-    """Profiles restricted to maximal subgroup classes (the Psi2 universe);
-    each distinct profile is cut once."""
+                     ) -> list[frozenset[str]]:
+    """Profiles restricted to maximal subgroup classes (the Psi2 universe),
+    one per class signature."""
     maximal_ids = frozenset(sc.id for sc in classes if sc.maximal)
-    full = build_profiles(ctx, inv, classes)
-    cut = {prof: prof & maximal_ids for prof in set(full.values())}
-    return {label: cut[prof] for label, prof in full.items()}
+    return [prof & maximal_ids for prof in build_profiles(ctx, inv, classes)]
 
 
 # ---------------------------------------------------------------------------
-# profile census: labels grouped by identical maximal profile.  Labels with
+# profile census: classes grouped by identical maximal profile.  Classes with
 # the same profile are interchangeable for every pair test, which collapses
 # the up-to-q^2/4 pair sweep to a handful of bucket products.
 # ---------------------------------------------------------------------------
 
 class ProfileCensus(NamedTuple):
-    q: int
-    labels: list[ClassLabel]  # nonidentity labels, inventory order
-    buckets: list[frozenset[str]]  # distinct maximal profiles
-    members: list[list[ClassLabel]]  # labels per bucket, same order
-    bucket_of: dict[ClassLabel, int]  # label -> index of its bucket
+    """Buckets of nonidentity classes with equal maximal profile.  A class
+    is named by its position among ``inv.nonidentity_labels()`` (class
+    number less one), as in ``Psi2Table``."""
 
-    def disjoint_pairs(self) -> list[tuple[int, int]]:
-        """Ordered index pairs (i, j) of buckets with disjoint profiles."""
-        return [(i, j) for i, pi in enumerate(self.buckets)
-                for j, pj in enumerate(self.buckets) if pi.isdisjoint(pj)]
+    q: int
+    inv: ClassInventory
+    buckets: list[frozenset[str]]  # distinct maximal profiles, sorted
+    sizes: list[int]  # classes per bucket
+    sig_bucket: list[int]  # bucket of each signature; -1 for the identity's
+    disjoint: list[tuple[int, int]]  # ordered bucket pairs with disjoint profiles
+
+    def positions(self, buckets: set[int]) -> list[int]:
+        """Positions, ascending, of the classes in the given buckets."""
+        hit = [b in buckets for b in self.sig_bucket]
+        of_class = self.inv.signatures[1][1:]
+        return list(compress(range(len(of_class)), map(hit.__getitem__, of_class)))
+
+    def members(self) -> list[list[int]]:
+        """Positions of the classes of each bucket, ascending."""
+        return [self.positions({b}) for b in range(len(self.buckets))]
+
+    def bucket_of(self, i: int) -> int:
+        """The bucket of the class at position i."""
+        return self.sig_bucket[self.inv.signatures[1][i + 1]]
 
     def psi2_count(self) -> int:
-        return sum(len(self.members[i]) * len(self.members[j])
-                   for i, j in self.disjoint_pairs())
+        return sum(self.sizes[i] * self.sizes[j] for i, j in self.disjoint)
 
 
 def profile_census(ctx: GFContext, inv: ClassInventory) -> ProfileCensus:
     profs = maximal_profiles(ctx, inv, maximal_subgroup_classes(ctx))
-    grouped: dict[frozenset[str], list[ClassLabel]] = {}
-    for label, prof in profs.items():
-        grouped.setdefault(prof, []).append(label)
-    buckets = sorted(grouped, key=sorted)
-    bucket_of = {label: i for i, b in enumerate(buckets) for label in grouped[b]}
-    return ProfileCensus(ctx.q, list(profs), buckets, [grouped[b] for b in buckets],
-                         bucket_of)
+    buckets = sorted(set(profs[1:]), key=sorted)
+    index = {prof: b for b, prof in enumerate(buckets)}
+    sig_bucket = [-1] + [index[prof] for prof in profs[1:]]
+    sizes = [0] * len(buckets)
+    for sig, count in Counter(inv.signatures[1]).items():
+        if sig:
+            sizes[sig_bucket[sig]] += count
+    disjoint = [(i, j) for i, pi in enumerate(buckets)
+                for j, pj in enumerate(buckets) if pi.isdisjoint(pj)]
+    return ProfileCensus(ctx.q, inv, buckets, sizes, sig_bucket, disjoint)
 
 
 class Psi2Table:
@@ -294,50 +313,39 @@ def psi2_structural(census: ProfileCensus) -> Psi2Table:
     membership is exactly profile disjointness, and a label's neighbours are
     the members of the census buckets disjoint from its own.
     """
-    pos = {lab: i for i, lab in enumerate(census.labels)}
+    members = census.members()
     partners: list[list[int]] = [[] for _ in census.buckets]
-    for i, j in census.disjoint_pairs():
-        partners[i] += (pos[lab] for lab in census.members[j])
-    near: list[tuple[int, ...]] = [()] * len(census.labels)
-    for members, js in zip(census.members, partners):
+    for i, j in census.disjoint:
+        partners[i] += members[j]
+    labels = census.inv.nonidentity_labels()
+    near: list[tuple[int, ...]] = [()] * len(labels)
+    for positions, js in zip(members, partners):
         shared = tuple(sorted(js))
-        for lab in members:
-            near[pos[lab]] = shared
-    return Psi2Table(census.q, "structural", census.labels, near)
+        for i in positions:
+            near[i] = shared
+    return Psi2Table(census.q, "structural", labels, near)
+
+
+BOREL_SIDE = 1  # bits of a covering side: meets the Borel subgroup,
+DIHEDRAL_SIDE = 2  # meets the nonsplit dihedral subgroup
 
 
 class CoveringResult(NamedTuple):
     ok: bool
-    only_borel: set[ClassLabel]  # covered by the Borel side only
-    only_dihedral: set[ClassLabel]  # covered by the nonsplit-dihedral side only
-    both: set[ClassLabel]
+    sides: list[int]  # per class signature: BOREL_SIDE | DIHEDRAL_SIDE bits it meets
 
 
 def verify_2covering(ctx: GFContext, inv: ClassInventory) -> CoveringResult:
-    """Check that {Borel, nonsplit dihedral} covers S and classify labels.
+    """Check that {Borel, nonsplit dihedral} covers S, and give the side of
+    every class signature.
 
     Classes meeting both sides are isolated in the generating graph; the
-    remaining two sets give the bipartition of the plus graph.
+    classes that meet one side only give the bipartition of the plus graph.
     """
     classes = maximal_subgroup_classes(ctx)
     borel = next(sc for sc in classes if sc.kind == BOREL)
     dihedral = next(sc for sc in classes if sc.kind == DIH_NONSPLIT)
-    only_b: set[ClassLabel] = set()
-    only_d: set[ClassLabel] = set()
-    both: set[ClassLabel] = set()
-    sigs, of_entry = inv.signatures
-    parts: list[set[ClassLabel] | None] = []
-    for sig in sigs:
-        in_b = label_meets(ctx, sig, borel)
-        in_d = label_meets(ctx, sig, dihedral)
-        parts.append(both if in_b and in_d else only_b if in_b else only_d if in_d else None)
-    ok = True
-    for entry, i in zip(inv.entries, of_entry):
-        if entry.label.kind == "id":
-            continue
-        if parts[i] is None:
-            ok = False
-        else:
-            parts[i].add(entry.label)
-    return CoveringResult(ok, only_b, only_d, both)
-
+    sides = [BOREL_SIDE * label_meets(ctx, sig, borel)
+             | DIHEDRAL_SIDE * label_meets(ctx, sig, dihedral)
+             for sig in inv.signatures[0]]
+    return CoveringResult(all(sides[1:]), sides)

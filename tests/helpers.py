@@ -1,9 +1,17 @@
 """Reference helpers that only the tests need."""
 
+from math import comb, gcd
+
 from invgen.gf import _pack, _unpack
+from invgen.iggraph import _graph, components, diameter, is_bipartite, LambdaSummary
 from invgen.oracle import _line_action
-from invgen.psl2 import ClassSignature, enumerate_psl2
-from invgen.structure import label_meets, maximal_subgroup_classes, profile_universe
+from invgen.psl2 import (
+    ClassEntry, ClassLabel, ClassSignature, enumerate_psl2, nonsplit_generator_trace,
+)
+from invgen.structure import (
+    BOREL, BOREL_SIDE, DIH_NONSPLIT, DIHEDRAL_SIDE, label_meets, maximal_subgroup_classes,
+    profile_universe,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -89,10 +97,31 @@ def isolated(table) -> set:
     return {lab for lab, js in zip(table.labels, table.near) if not js}
 
 
-def covering_parts(cover) -> tuple:
+def covering_sets(inv, cover) -> tuple:
+    """The nonidentity labels of ``inv`` that meet only the Borel side,
+    only the nonsplit dihedral side, and both, by the per-signature sides
+    of a ``verify_2covering`` result."""
+    out = {BOREL_SIDE: set(), DIHEDRAL_SIDE: set(), BOREL_SIDE | DIHEDRAL_SIDE: set(), 0: set()}
+    for lab, sig in zip(inv.labels()[1:], inv.signatures[1][1:]):
+        out[cover.sides[sig]].add(lab)
+    return out[BOREL_SIDE], out[DIHEDRAL_SIDE], out[BOREL_SIDE | DIHEDRAL_SIDE]
+
+
+def covering_parts(inv, cover) -> tuple:
     """Bipartition parts (P1, P2) = (dihedral side, Borel side) of a
     ``verify_2covering`` result."""
-    return set(cover.only_dihedral), set(cover.only_borel)
+    only_borel, only_dihedral, _ = covering_sets(inv, cover)
+    return only_dihedral, only_borel
+
+
+def named(perm, labels) -> dict:
+    """An ``AutAction`` map of moved positions as a map of labels."""
+    return {labels[i]: labels[j] for i, j in perm.items()}
+
+
+def named_generators(action, labels) -> list:
+    """The generators of an ``AutAction`` as maps of the labels they move."""
+    return [named(gen, labels) for gen in action.generators()]
 
 
 def pairs(table) -> set:
@@ -120,7 +149,7 @@ def ref_orbits(action, table) -> dict:
             x = parent[x]
         return x
 
-    for gen in action.generators():
+    for gen in named_generators(action, table.labels):
         for a, b in parent:
             parent[find((a, b))] = find((gen.get(a, a), gen.get(b, b)))
     return {pair: find(pair) for pair in parent}
@@ -137,6 +166,13 @@ def ref_signature(ctx, entry) -> ClassSignature:
     return ClassSignature(label.kind, label.sq, entry.order,
                           tuple(e for e in degrees if ctx.in_subfield(t, e)),
                           tuple(e for e in degrees if ctx.in_subfield(t2, e)))
+
+
+def by_label(inv, per_signature) -> dict:
+    """Nonidentity label -> the value of its signature in a per-signature
+    list, such as ``build_profiles`` returns."""
+    return {lab: per_signature[sig]
+            for lab, sig in zip(inv.labels()[1:], inv.signatures[1][1:])}
 
 
 def ref_profiles(ctx, inv, classes) -> dict:
@@ -245,3 +281,187 @@ def fusion_key(fusion) -> dict:
     for kind in RANDOM_KINDS:
         out.get(kind, []).sort()
     return out
+
+
+# ---------------------------------------------------------------------------
+# the label-level route: inventory entries, signatures, profiles, census,
+# covering, summary and beta, one class label at a time.  The reference for
+# the array and per-signature route in src/.
+# ---------------------------------------------------------------------------
+
+def ref_entries(ctx) -> list:
+    """The class list of PSL(2,q), one ClassEntry per class, with the torus
+    classes folded from their traces by a gcd per power."""
+    q = ctx.q
+    d = 2 if q % 2 == 1 else 1
+    entries = [ClassEntry(ClassLabel("id"), 1, 1)]
+    if d == 2:
+        eps = 1 if q % 4 == 1 else -1
+        entries.append(ClassEntry(ClassLabel("inv"), 2, q * (q + eps) // 2))
+        entries.append(ClassEntry(ClassLabel("unip", sq=True), ctx.p, (q * q - 1) // 2))
+        entries.append(ClassEntry(ClassLabel("unip", sq=False), ctx.p, (q * q - 1) // 2))
+    else:
+        entries.append(ClassEntry(ClassLabel("unip"), 2, q * q - 1))
+    exp = ctx.exp_table()
+    split = [ctx.add(exp[k], exp[-k]) for k in range(1, (q - 1) // 2 + 1)]
+    t0 = nonsplit_generator_trace(ctx)
+    nonsplit, dk_prev, dk = [], ctx.scalar(2), t0
+    for _ in range((q + 1) // 2):
+        nonsplit.append(dk)
+        dk_prev, dk = dk, ctx.sub(ctx.mul(t0, dk), dk_prev)
+    for kind, n, traces, size in (("split", q - 1, split, q * (q + 1)),
+                                  ("nonsplit", q + 1, nonsplit, q * (q - 1))):
+        order_of = {}
+        for k, t in enumerate(traces, 1):
+            m = n // gcd(k, n)
+            order = m // d if m % d == 0 else m
+            if order >= 3:
+                key = min(t, ctx.neg(t))
+                if order_of.setdefault(key, order) != order:
+                    raise RuntimeError(f"inconsistent {kind} trace fold")
+        entries += [ClassEntry(ClassLabel(kind, key), order_of[key], size)
+                    for key in sorted(order_of)]
+    return entries
+
+
+def ref_signatures(ctx, entries) -> tuple:
+    """The distinct signatures of the entries, in order of first appearance,
+    and the position of each entry's signature, with the subfield tests run
+    on every label's trace key."""
+    degrees = tuple(e for e in range(1, ctx.f + 1) if ctx.f % e == 0)
+
+    def within(t):
+        return tuple(e for e in degrees if ctx.in_subfield(t, e))
+
+    keys = [(label.kind, label.sq, order, within(t), within(ctx.mul(t, t)))
+            if (t := label.trace) >= 0 else (label.kind, label.sq, order, degrees, degrees)
+            for label, order, _ in entries]
+    position = {}
+    of_entry = [position.setdefault(key, len(position)) for key in keys]
+    return [ClassSignature(*key) for key in position], of_entry
+
+
+def ref_build_profiles(ctx, entries, classes) -> dict:
+    """Nonidentity label -> profile over the profile universe."""
+    universe = profile_universe(classes)
+    sigs, of_entry = ref_signatures(ctx, entries)
+    profiles = [frozenset(sc.id for sc in universe if label_meets(ctx, sig, sc))
+                for sig in sigs]
+    return {entry.label: profiles[i]
+            for entry, i in zip(entries, of_entry) if entry.label.kind != "id"}
+
+
+def ref_maximal_profiles(ctx, entries, classes) -> dict:
+    maximal_ids = frozenset(sc.id for sc in classes if sc.maximal)
+    return {label: prof & maximal_ids
+            for label, prof in ref_build_profiles(ctx, entries, classes).items()}
+
+
+def ref_census(ctx, entries) -> tuple:
+    """(labels, buckets, members, bucket_of): the nonidentity labels, the
+    distinct maximal profiles sorted, the labels of each, and the bucket of
+    each label."""
+    profs = ref_maximal_profiles(ctx, entries, maximal_subgroup_classes(ctx))
+    grouped = {}
+    for label, prof in profs.items():
+        grouped.setdefault(prof, []).append(label)
+    buckets = sorted(grouped, key=sorted)
+    bucket_of = {label: i for i, b in enumerate(buckets) for label in grouped[b]}
+    return list(profs), buckets, [grouped[b] for b in buckets], bucket_of
+
+
+def ref_covering(ctx, entries) -> tuple:
+    """(ok, only_borel, only_dihedral, both) as label sets."""
+    classes = maximal_subgroup_classes(ctx)
+    borel = next(sc for sc in classes if sc.kind == BOREL)
+    dihedral = next(sc for sc in classes if sc.kind == DIH_NONSPLIT)
+    only_b, only_d, both = set(), set(), set()
+    ok = True
+    sigs, of_entry = ref_signatures(ctx, entries)
+    for entry, i in zip(entries, of_entry):
+        if entry.label.kind == "id":
+            continue
+        in_b, in_d = label_meets(ctx, sigs[i], borel), label_meets(ctx, sigs[i], dihedral)
+        if in_b and in_d:
+            both.add(entry.label)
+        elif in_b:
+            only_b.add(entry.label)
+        elif in_d:
+            only_d.add(entry.label)
+        else:
+            ok = False
+    return ok, only_b, only_d, both
+
+
+def _ref_disjoint(buckets) -> list:
+    return [(i, j) for i, pi in enumerate(buckets)
+            for j, pj in enumerate(buckets) if pi.isdisjoint(pj)]
+
+
+def ref_summary(ctx, entries) -> LambdaSummary:
+    """``lambda_summary`` on the label-level census and covering."""
+    _, buckets, members, _ = ref_census(ctx, entries)
+    _, only_b, only_d, _ = ref_covering(ctx, entries)
+    sizes = [len(m) for m in members]
+    near = [[] for _ in sizes]
+    for i, j in _ref_disjoint(buckets):
+        if i != j:
+            near[i].append(j)
+    quotient = _graph(ctx.q, 1, "structural", list(range(len(sizes))), near, plus=True)
+    live = quotient.vertices
+    bipartite, _ = is_bipartite(quotient)
+    diam = diameter(quotient)
+    if any(sizes[i] >= 2 for i in live):
+        diam = max(diam, 2)
+    side = {**{lab: 0 for lab in only_b}, **{lab: 1 for lab in only_d}}
+    bucket_side = []
+    match = bipartite
+    for mem in members:
+        tags = {side.get(lab) for lab in mem}
+        if len(tags) != 1:
+            match = False
+            break
+        bucket_side.append(tags.pop())
+    if match:
+        for i, js in enumerate(near):
+            if js and (bucket_side[i] is None
+                       or any(bucket_side[j] == bucket_side[i] for j in js)):
+                match = False
+    return LambdaSummary(
+        q=ctx.q,
+        class_count=len(entries),
+        psi2_count=sum(sizes[i] * sizes[j] for i, j in _ref_disjoint(buckets)),
+        vertices_plus=sum(sizes[i] for i in live),
+        edge_count=sum(sizes[i] * sizes[j] for i, js in enumerate(near) for j in js if i < j),
+        component_count=len(components(quotient)),
+        bipartite=bipartite,
+        parts_match_covering=match,
+        diameter=diam,
+        isolated=sorted(lab.str_form() for i, js in enumerate(near) if not js
+                        for lab in members[i]),
+    )
+
+
+def ref_beta_fast(ctx, entries, action) -> int:
+    """Burnside's count over the label-level census, with every element of
+    ``action`` named as a map of labels."""
+    labels, buckets, members, bucket_of = ref_census(ctx, entries)
+    disjoint = _ref_disjoint(buckets)
+    elements = [named(g, labels) for g in action.elements()]
+    total = 0
+    for perm in elements:
+        fixed = [len(m) for m in members]
+        for lab in perm:
+            fixed[bucket_of[lab]] -= 1
+        total += sum(fixed[i] * fixed[j] for i, j in disjoint)
+    count, rem = divmod(total, len(elements))
+    assert rem == 0
+    return count
+
+
+def component_count(beta, t) -> int:
+    """Components of the plus graph of S^t, t <= beta, in closed form: the
+    realised part-pattern pairs {P, P^c}, where a pattern with |P| = k is
+    realised iff k <= beta/2 and t - k <= beta/2."""
+    h = beta // 2
+    return sum(comb(t, k) for k in range(max(0, t - h), min(t, h) + 1)) // 2

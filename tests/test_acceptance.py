@@ -30,6 +30,7 @@ from helpers import (
     expected_fusion,
     fusion_key,
     isolated,
+    named_generators,
     pairs,
     part_pattern,
     psl2_inv,
@@ -189,7 +190,7 @@ def test_c08_power_graph_ground_truth():
         comps = components(g)
         assert len(comps) == 1
         assert len(comps) >= component_bound(2) == 1
-        p1, _ = covering_parts(verify_2covering(ctx, inv))
+        p1, _ = covering_parts(inv, verify_2covering(ctx, inv))
         for v in g.vertices:
             assert len(part_pattern(v, p1)) == 1, v  # one coordinate per part
 
@@ -215,7 +216,7 @@ def test_c10_self_consistency():
             for a, b in psi2_pairs:
                 assert (b, a) in psi2_pairs
             action = aut_action(ctx, inv)
-            for gen in action.generators():
+            for gen in named_generators(action, inv.nonidentity_labels()):
                 for a, b in psi2_pairs:
                     assert (gen.get(a, a), gen.get(b, b)) in psi2_pairs
 

@@ -7,7 +7,7 @@ from invgen.psl2 import ClassLabel, inventory
 from invgen import autorbits, cli, structure
 from invgen.autorbits import AutAction, aut_action, beta, beta_fast
 from invgen.structure import Psi2Table, profile_census, psi2_structural, verify_2covering
-from helpers import covering_parts, pairs, ref_orbits
+from helpers import covering_parts, named, named_generators, pairs, ref_orbits
 
 VALIDATION_QS = [4, 5, 7, 8, 9, 11, 13, 16, 25, 27]
 PRIME_POWERS = [q for q in range(4, 1025) if prime_power_split(q)]
@@ -19,27 +19,34 @@ PRIME_POWERS = [q for q in range(4, 1025) if prime_power_split(q)]
 
 def test_action_q7():
     ctx = gf_for_q(7)
-    act = aut_action(ctx, inventory(ctx))
+    inv = inventory(ctx)
+    act = aut_action(ctx, inv)
     usq, unsq = ClassLabel("unip", sq=True), ClassLabel("unip", sq=False)
-    assert act.diagonal == {usq: unsq, unsq: usq}  # the labels it moves
+    assert act.diagonal == {1: 2, 2: 1}  # the positions it moves
+    assert named(act.diagonal, inv.nonidentity_labels()) == {usq: unsq, unsq: usq}
     assert act.frobenius == {}  # f = 1
 
 
 def test_action_q9_frobenius_swaps_order5_classes():
     ctx = gf_for_q(9)
-    act = aut_action(ctx, inventory(ctx))
+    inv = inventory(ctx)
+    act = aut_action(ctx, inv)
+    frobenius = named(act.frobenius, inv.nonidentity_labels())
+    diagonal = named(act.diagonal, inv.nonidentity_labels())
     n5a, n5b = ClassLabel("nonsplit", 4), ClassLabel("nonsplit", 5)
-    assert act.frobenius[n5a] == n5b and act.frobenius[n5b] == n5a
-    assert ClassLabel("split", 3) not in act.frobenius  # fixed
-    assert act.diagonal[ClassLabel("unip", sq=True)] == ClassLabel("unip", sq=False)
+    assert frobenius[n5a] == n5b and frobenius[n5b] == n5a
+    assert ClassLabel("split", 3) not in frobenius  # fixed
+    assert diagonal[ClassLabel("unip", sq=True)] == ClassLabel("unip", sq=False)
 
 
 def test_action_q4_no_diagonal():
     ctx = gf_for_q(4)
-    act = aut_action(ctx, inventory(ctx))
+    inv = inventory(ctx)
+    act = aut_action(ctx, inv)
     assert act.diagonal is None
-    n5 = [l for l in act.frobenius if l.kind == "nonsplit"]
-    assert act.frobenius[n5[0]] == n5[1] and act.frobenius[n5[1]] == n5[0]
+    frobenius = named(act.frobenius, inv.nonidentity_labels())
+    n5 = [l for l in frobenius if l.kind == "nonsplit"]
+    assert frobenius[n5[0]] == n5[1] and frobenius[n5[1]] == n5[0]
 
 
 @pytest.mark.parametrize("q", VALIDATION_QS)
@@ -49,7 +56,7 @@ def test_action_preserves_order_and_size(q):
     orders = {e.label: e.order for e in inv}
     sizes = {e.label: e.size for e in inv}
     act = aut_action(ctx, inv)
-    for gen in act.generators():
+    for gen in named_generators(act, inv.nonidentity_labels()):
         for lab, image in gen.items():
             assert orders[lab] == orders[image]
             assert sizes[lab] == sizes[image]
@@ -69,7 +76,7 @@ def test_psi2_is_aut_invariant(q):
     inv = inventory(ctx)
     psi2_pairs = pairs(psi2_structural(profile_census(ctx, inv)))
     act = aut_action(ctx, inv)
-    for gen in act.generators():
+    for gen in named_generators(act, inv.nonidentity_labels()):
         for a, b in psi2_pairs:
             assert (gen.get(a, a), gen.get(b, b)) in psi2_pairs
 
@@ -86,9 +93,8 @@ def test_psi2_near_is_symmetric_and_aut_invariant(q):
         for j in js:
             transpose[j].append(i)
     assert [tuple(js) for js in transpose] == near  # j in near[i] iff i in near[j]
-    pos = {lab: i for i, lab in enumerate(table.labels)}
     for g in aut_action(ctx, inv).elements():
-        image = [pos[g.get(lab, lab)] for lab in table.labels]
+        image = [g.get(i, i) for i in range(len(table.labels))]
         moved = {}  # image of each distinct neighbour tuple
         for i, js in enumerate(near):
             if js not in moved:
@@ -182,9 +188,9 @@ def broken_image_case():
     Burnside's count is not an integer, so ``beta_fast`` would fail first.)"""
     ctx = gf_for_q(7)
     inv = inventory(ctx)
-    usq, s1 = ClassLabel("unip", sq=True), ClassLabel("split", 1)
-    perm = {lab: lab for lab in inv.labels()}
-    perm[usq], perm[s1] = s1, usq
+    labels = inv.nonidentity_labels()
+    usq, s1 = labels.index(ClassLabel("unip", sq=True)), labels.index(ClassLabel("split", 1))
+    perm = {usq: s1, s1: usq}
     return 7, AutAction(ctx, None, perm), psi2_structural(profile_census(ctx, inv)), "left Psi2"
 
 
@@ -194,10 +200,8 @@ def swapped_pair_case():
     and its swap."""
     ctx = gf_for_q(5)
     usq, unsq = ClassLabel("unip", sq=True), ClassLabel("unip", sq=False)
-    perm = {lab: lab for lab in inventory(ctx).labels()}
-    perm[usq], perm[unsq] = unsq, usq
     table = Psi2Table(5, "structural", [usq, unsq], [(1,), (0,)])
-    return 5, AutAction(ctx, None, perm), table, "contains its swap"
+    return 5, AutAction(ctx, None, {0: 1, 1: 0}), table, "contains its swap"
 
 
 @pytest.mark.parametrize("case", [broken_image_case, swapped_pair_case])
@@ -222,7 +226,7 @@ def test_orbits_respect_bipartition():
     # parts are Aut-invariant, so orbits stay within one direction
     ctx = gf_for_q(7)
     inv = inventory(ctx)
-    p1, p2 = covering_parts(verify_2covering(ctx, inv))
+    p1, p2 = covering_parts(inv, verify_2covering(ctx, inv))
     p1_names = {lab.str_form() for lab in p1}
     part = beta(aut_action(ctx, inv), psi2_structural(profile_census(ctx, inv)))
     seen = set()

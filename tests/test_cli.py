@@ -331,6 +331,24 @@ def test_cap_comes_before_work(argv, capsys, no_work_above_cap):
     assert err.startswith("error: ") and "exceeds the supported cap" in err
 
 
+@pytest.mark.parametrize("spec", ["1048573..1048576", "4..1048576", "262139..262147"])
+def test_verify_work_cap_comes_before_any_field(spec, capsys, monkeypatch):
+    def refuse(p, f):
+        raise AssertionError("a field was built before the verify work cap check")
+
+    monkeypatch.setattr(cli, "GFContext", refuse)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--q-range", spec)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err.startswith("cap exceeded: ") and str(cli.VERIFY_Q_SUM_CAP) in err
+
+
+@pytest.mark.parametrize("spec,n_q", [("4..1024", 196), ("4..27", 13), ("4096..4200", 11)])
+def test_verify_work_cap_admits_the_checked_ranges(spec, n_q):
+    assert len(cli._parse_range(spec)) == n_q
+
+
 def test_cap_comes_before_the_power(capsys):
     # 2^3000000000 would take seconds and hundreds of MB to form
     start = time.perf_counter()

@@ -31,7 +31,9 @@ from invgen.iggraph import (
     to_dot,
 )
 from invgen.structure import profile_census, psi2_structural, verify_2covering
-from helpers import covering_parts, isolated, pairs, part_pattern, ref_orbits
+from helpers import (
+    component_count, covering_parts, isolated, pairs, part_pattern, ref_orbits,
+)
 
 EXTENDED = os.environ.get("INVGEN_EXTENDED") == "1"
 
@@ -382,14 +384,16 @@ def test_components_equal_pattern_pairs(q, t, beta_value):
     # pair {P, P^c}, and every realised pair is one component
     ctx, inv, psi2 = structural(q)
     g = lambda_power(ctx, t, psi2, aut_action(ctx, inv), inv, plus=True)
-    p1, _ = covering_parts(verify_2covering(ctx, inv))
+    p1, _ = covering_parts(inv, verify_2covering(ctx, inv))
     every = frozenset(range(t))
     patterns = {frozenset({part_pattern(v, p1), every - part_pattern(v, p1)})
                 for v in g.vertices}
     count = len(components(g))
     assert count == len(patterns)
+    assert count == component_count(beta_value, t)
     if t == beta_value:
         assert count >= component_bound(beta_value)
+        assert component_count(beta_value, beta_value) == component_bound(beta_value)
 
 
 def test_report_q5():
@@ -468,7 +472,7 @@ def test_summary_matches_explicit_graph(q):
 
 def balance_counts(ctx, t):
     inv = inventory(ctx)
-    p1, _ = covering_parts(verify_2covering(ctx, inv))
+    p1, _ = covering_parts(inv, verify_2covering(ctx, inv))
     psi2 = psi2_structural(profile_census(ctx, inv))
     g = lambda_power(ctx, t, psi2, aut_action(ctx, inv), inv, plus=True)
     return [len(part_pattern(v, p1)) for v in g.vertices]

@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invgen.gf import gf_for_q, prime_power_split
-from invgen.psl2 import ClassLabel, enumerate_psl2, inventory
+from invgen.psl2 import ClassLabel, enumerate_psl2, inventory, psl2_class_of
 from invgen.oracle import (
     OracleCapError,
     OracleSession,
     _inverse,
+    _labeller,
     _line_action,
     _table,
 )
@@ -96,6 +97,16 @@ def test_perm_of_matches_pointwise_mobius(q, elements):
     ctx, mats, perm_of = elements(q)
     for m in mats:
         assert perm_of(m) == mobius_perm(ctx, m), m
+
+
+# the session's per-trace label tables against the matrix classifier, on
+# every element: q even (8, 16), f = 2 (9, 25, 49) and f = 3 (27)
+@pytest.mark.parametrize("q", [8, 9, 16, 25, 27, 49])
+def test_labeller_matches_class_of(q, elements):
+    ctx, mats, _ = elements(q)
+    label = _labeller(ctx)
+    for m in mats:
+        assert label(m) == psl2_class_of(ctx, m), m
 
 
 @pytest.mark.parametrize("q", [5, 8, 9, 16])

@@ -99,7 +99,7 @@ def test_class_of_order_consistent():
         inv = inventory(ctx)
         for m in enumerate_psl2(ctx):
             lab = psl2_class_of(ctx, m)
-            assert inv.entries[inv.index[lab]].order == psl2_order(ctx, m)
+            assert inv.entries[inv.labels().index(lab)].order == psl2_order(ctx, m)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +111,7 @@ def test_inventory_q7():
     assert len(inv) == 6  # (7 + 8 - 3) / 2
     kinds = Counter(e.label.kind for e in inv)
     assert kinds == Counter({"unip": 2, "id": 1, "inv": 1, "split": 1, "nonsplit": 1})
-    assert inv.entries[inv.index[ClassLabel("split", 1)]].order == 3
+    assert inv.entries[inv.labels().index(ClassLabel("split", 1))].order == 3
     assert {e.order for e in inv} == {1, 2, 3, 4, 7}
 
 

@@ -1,10 +1,15 @@
 import json
+from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from invgen.autorbits import aut_action, beta_fast
 from invgen.gf import gf_for_q, prime_power_split
+from invgen.iggraph import lambda_summary
 from invgen.oracle import OracleSession
-from invgen.psl2 import ClassLabel, inventory
+from invgen.psl2 import ClassLabel, _power_orders, inventory
 from invgen.structure import (
     BOREL,
     DIH_NONSPLIT,
@@ -23,7 +28,20 @@ from invgen.structure import (
     psi2_structural,
     verify_2covering,
 )
-from helpers import isolated, pairs, ref_profiles, ref_signature, rows
+from helpers import (
+    by_label,
+    covering_sets,
+    isolated,
+    pairs,
+    ref_beta_fast,
+    ref_census,
+    ref_covering,
+    ref_entries,
+    ref_profiles,
+    ref_signature,
+    ref_summary,
+    rows,
+)
 
 MANDATORY_QS = [4, 5, 7, 8, 9, 11, 13]
 
@@ -113,14 +131,15 @@ def test_build_profiles_match_per_label_reference(q):
     assert [sigs[i] for i in of_entry] == [ref_signature(ctx, e) for e in inv]
     assert len(set(sigs)) == len(sigs)
     profiles = build_profiles(ctx, inv, classes)
-    assert list(profiles) == inv.nonidentity_labels()
-    assert profiles == ref_profiles(ctx, inv, classes)
+    assert len(profiles) == len(sigs)
+    assert by_label(inv, profiles) == ref_profiles(ctx, inv, classes)
 
 
 def test_profiles_q7_exact():
     ctx = gf_for_q(7)
-    profs = {lab.str_form(): sorted(ids)
-             for lab, ids in build_profiles(ctx, inventory(ctx), maximal_subgroup_classes(ctx)).items()}
+    inv = inventory(ctx)
+    profs = {lab.str_form(): sorted(ids) for lab, ids in
+             by_label(inv, build_profiles(ctx, inv, maximal_subgroup_classes(ctx))).items()}
     assert profs["inv"] == ["dih_nonsplit", "exc_s4:v1", "exc_s4:v2"]
     assert profs["split:t=1"] == ["borel", "exc_s4:v1", "exc_s4:v2"]
     assert profs["nonsplit:t=3"] == ["dih_nonsplit", "exc_s4:v1", "exc_s4:v2"]
@@ -130,7 +149,9 @@ def test_profiles_q7_exact():
 
 def test_profiles_q9_variant_split():
     ctx = gf_for_q(9)
-    profs = {lab.str_form(): ids for lab, ids in build_profiles(ctx, inventory(ctx), maximal_subgroup_classes(ctx)).items()}
+    inv = inventory(ctx)
+    profs = {lab.str_form(): ids for lab, ids in
+             by_label(inv, build_profiles(ctx, inv, maximal_subgroup_classes(ctx))).items()}
     for n5 in ("nonsplit:t=4", "nonsplit:t=5"):
         assert {"dih_nonsplit", "exc_a5:v1", "exc_a5:v2"} <= profs[n5]
     assert "exc_a5:v1" in profs["unip:sq"] and "exc_a5:v2" not in profs["unip:sq"]
@@ -142,7 +163,7 @@ def test_profiles_q9_variant_split():
 def test_profiles_q25_subfield_traces():
     ctx = gf_for_q(25)
     inv = inventory(ctx)
-    profs = build_profiles(ctx, inv, maximal_subgroup_classes(ctx))
+    profs = by_label(inv, build_profiles(ctx, inv, maximal_subgroup_classes(ctx)))
     for entry in inv:
         if entry.label.kind != "split":
             continue
@@ -162,8 +183,8 @@ def test_profile_invariants(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
     classes = maximal_subgroup_classes(ctx)
-    profs = maximal_profiles(ctx, inv, classes)
-    full = build_profiles(ctx, inv, classes)
+    profs = by_label(inv, maximal_profiles(ctx, inv, classes))
+    full = by_label(inv, build_profiles(ctx, inv, classes))
     for entry in inv:
         if entry.label.kind == "id":
             continue
@@ -293,21 +314,25 @@ def test_text_blocks_sort_names_per_tuple_and_skip_empty():
 
 def test_covering_q7_empty_both():
     ctx = gf_for_q(7)
-    cov = verify_2covering(ctx, inventory(ctx))
-    assert cov.ok and cov.both == set()
-    assert {l.str_form() for l in cov.only_dihedral} == {"inv", "nonsplit:t=3"}
+    inv = inventory(ctx)
+    cov = verify_2covering(ctx, inv)
+    _, only_dihedral, both = covering_sets(inv, cov)
+    assert cov.ok and both == set()
+    assert {l.str_form() for l in only_dihedral} == {"inv", "nonsplit:t=3"}
 
 
 def test_covering_q13_both_is_involution():
     ctx = gf_for_q(13)
-    cov = verify_2covering(ctx, inventory(ctx))
-    assert cov.ok and {l.str_form() for l in cov.both} == {"inv"}
+    inv = inventory(ctx)
+    cov = verify_2covering(ctx, inv)
+    assert cov.ok and {l.str_form() for l in covering_sets(inv, cov)[2]} == {"inv"}
 
 
 def test_covering_q8_both_is_unipotent():
     ctx = gf_for_q(8)
-    cov = verify_2covering(ctx, inventory(ctx))
-    assert cov.ok and {l.str_form() for l in cov.both} == {"unip"}
+    inv = inventory(ctx)
+    cov = verify_2covering(ctx, inv)
+    assert cov.ok and {l.str_form() for l in covering_sets(inv, cov)[2]} == {"unip"}
 
 
 def test_covering_holds_widely():
@@ -333,7 +358,7 @@ def test_psi2_equals_label_pair_sweep(q):
     # reference: test every unordered label pair for profile disjointness
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    profs = maximal_profiles(ctx, inv, maximal_subgroup_classes(ctx))
+    profs = by_label(inv, maximal_profiles(ctx, inv, maximal_subgroup_classes(ctx)))
     labels = inv.nonidentity_labels()
     expected = set()
     for i, c in enumerate(labels):
@@ -341,3 +366,36 @@ def test_psi2_equals_label_pair_sweep(q):
             if profs[c].isdisjoint(profs[d]):
                 expected |= {(c, d), (d, c)}
     assert pairs(psi2_structural(profile_census(ctx, inv))) == expected
+
+
+# ---------------------------------------------------------------------------
+# the array and per-signature route against the label-level reference
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "q", [q for q in range(4, 1025) if prime_power_split(q)] + [2048, 2187, 4096])
+def test_signature_route_matches_label_reference(q):
+    ctx = gf_for_q(q)
+    inv = inventory(ctx)
+    entries = ref_entries(ctx)
+    assert len(inv) == len(entries)
+    assert [inv.label(i) for i in range(len(inv))] == [e.label for e in entries]
+    assert inv.entries == entries
+    census = profile_census(ctx, inv)
+    labels, buckets, members, _ = ref_census(ctx, entries)
+    assert census.buckets == buckets
+    assert census.sizes == [len(m) for m in members]
+    assert [[labels[i] for i in mem] for mem in census.members()] == members
+    cover = verify_2covering(ctx, inv)
+    ok, only_borel, only_dihedral, both = ref_covering(ctx, entries)
+    assert cover.ok == ok
+    assert covering_sets(inv, cover) == (only_borel, only_dihedral, both)
+    assert lambda_summary(ctx, inv, census, cover) == ref_summary(ctx, entries)
+    action = aut_action(ctx, inv)
+    assert beta_fast(action, census) == ref_beta_fast(ctx, entries, action)
+
+
+@given(st.integers(1, 5000), st.sampled_from([1, 2]), st.integers(0, 5000))
+def test_power_orders_sieve_is_the_gcd_order(n, d, count):
+    sl_orders = [n // gcd(k, n) for k in range(1, count + 1)]
+    assert _power_orders(n, d, count) == [m // d if m % d == 0 else m for m in sl_orders]
