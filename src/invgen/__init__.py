@@ -9,7 +9,7 @@ import importlib
 _OWNER = {
     "gf": ("GFContext", "gf_make", "gf_for_q", "prime_power_split"),
     "psl2": ("ClassLabel", "ClassEntry", "ClassInventory", "inventory",
-             "enumerate_psl2", "psl2_class_of"),
+             "enumerate_psl2"),
     "structure": ("SubgroupClass", "Psi2Table", "maximal_subgroup_classes",
                   "build_profiles", "psi2_structural", "verify_2covering",
                   "profile_census"),

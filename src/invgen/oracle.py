@@ -15,21 +15,28 @@ point.  The pointwise map is the reference in the tests
 (``tests/helpers.py``, ``mobius_perm``).  Matrices exist only while the
 session is built: each enumerated matrix is turned into its permutation
 and its class label, read from tables keyed by its trace (``_labeller``;
-``psl2.psl2_class_of`` is the reference in the tests), and from then on
-the permutation is the element's only form.  Inverses are read off
+``psl2_class_of`` in ``tests/helpers.py`` is the reference), and from then
+on the permutation is the element's only form.  Inverses are read off
 ``bytes.maketrans``.  Generation is decided by literal subgroup closure:
 a pair generates iff the closure of the two elements under multiplication
 is the whole group.  The closure returns early once it outgrows every
-maximal subgroup order.
+maximal subgroup order.  That early exit is the one place where the Psi2
+verdicts depend on the rules they certify: ``exit_bound`` is read from
+``structure.maximal_subgroup_classes``.  (``class_fusion`` reads that list
+too, since comparing with it is its job.)
 
 ``pair_generates`` decides the class pair (C, D) by fixing one element x
-of the smaller class and sweeping one element y of each orbit of the
-centralizer C_S(x), acting by conjugation, on the larger class.  Fixing x
-is sound because the pair property is invariant under simultaneous
-conjugation and symmetric in the two classes; sweeping one y per orbit is
-sound because for g in C_S(x), (x, y^g) = (x, y)^g has the same verdict
-as (x, y).  The centralizer is found by testing which enumerated elements
-commute with x, so the sweep never uses a structural rule.
+of the smaller class and sweeping one element y of each orbit, on the
+larger class, of the group generated by conjugation by N = N_S(<x>) and by
+inversion.  Fixing x is sound because the pair property is invariant under
+simultaneous conjugation and symmetric in the two classes.  Sweeping one y
+per orbit is sound because the verdict is constant on each orbit: for g in
+N, x^(g^-1) generates <x>, so <x, y^g> = <x^(g^-1), y>^g = <x, y>^g; and
+<x, y^-1> = <x, y>.  Inversion stays inside D only when D is real, so the
+orbit of y^-1 is added only when y^-1 has y's label (the unipotent classes
+are not real when q = 3 mod 4).  N is found by testing which enumerated
+elements conjugate x to one of its powers, so the sweep never uses a
+structural rule.
 
 Representatives of the maximal subgroup classes are built explicitly, so
 that the structural class-intersection profiles can be certified against
@@ -216,7 +223,12 @@ class OracleSession:
         self.by_label: dict[ClassLabel, list[Perm]] = {lab: [] for lab in inv.labels()}
         for m in mats:
             p, lab = perm(m), label(m)
-            self.by_label[lab].append(p)
+            try:
+                self.by_label[lab].append(p)
+            except KeyError:
+                raise RuntimeError(
+                    f"the enumeration meets class {lab}, which the inventory lacks"
+                ) from None
             self.label_of_perm[p] = lab
         self.order = len(mats)
         if len(self.label_of_perm) != self.order:
@@ -232,7 +244,7 @@ class OracleSession:
         self.exit_bound = max(
             sc.order for sc in maximal_subgroup_classes(ctx) if sc.maximal
         )
-        self._centralizers: dict[Perm, list[Perm]] = {}  # filled on demand
+        self._normalisers: dict[Perm, list[Perm]] = {}  # filled on demand
 
     # -- closure -------------------------------------------------------------
 
@@ -257,43 +269,61 @@ class OracleSession:
 
     # -- Psi2 ----------------------------------------------------------------
 
-    def centralizer(self, x: Perm) -> list[Perm]:
-        """C_S(x): the enumerated elements that commute with x."""
-        if x not in self._centralizers:
-            xt = _table(x)
-            self._centralizers[x] = [
-                g for g in self.label_of_perm
-                if g.translate(xt) == x.translate(_table(g))
-            ]
-        return self._centralizers[x]
+    def normaliser(self, x: Perm) -> list[Perm]:
+        """N_S(<x>): the enumerated g whose conjugate of x is a power of x.
 
-    def centralizer_orbits(self, x: Perm, ys: list[Perm]):
-        """Yield (y, orbit of y) for each C_S(x)-orbit on ys, lazily.
-
-        ys must be closed under conjugation by C_S(x), as a class is; y is
-        the first member of its orbit in the order of ys.
+        bytes.maketrans(g, x.translate(_table(g))) sends g(i) to g(x(i)), so
+        it is the padded table of g x g^-1 (g + pad is _table(g) inlined),
+        compared with the padded tables of the powers.
         """
-        cent = [(_inverse(g), _table(g)) for g in self.centralizer(x)]
+        if x not in self._normalisers:
+            xt = _table(x)
+            powers = set()
+            power = x
+            while power != self.identity:
+                powers.add(_table(power))
+                power = power.translate(xt)
+            pad, maketrans, after_x = _POINTS[self.npoints:], bytes.maketrans, x.translate
+            self._normalisers[x] = [
+                g for g in self.label_of_perm if maketrans(g, after_x(g + pad)) in powers
+            ]
+        return self._normalisers[x]
+
+    def normaliser_orbits(self, x: Perm, ys: list[Perm]):
+        """Yield (y, orbit of y) for each orbit on ys of the group generated
+        by N_S(<x>)-conjugation and inversion, lazily.
+
+        ys must be a class; y is the first member of its orbit in the order
+        of ys.  The orbit of y^-1 is added only when y^-1 has y's label, so
+        a non-real class is never left.
+        """
+        conj = [(_inverse(g), _table(g)) for g in self.normaliser(x)]
+        label = self.label_of_perm
         seen: set[Perm] = set()
         for y in ys:
             if y in seen:
                 continue
             yt = _table(y)
-            orbit = {ginv.translate(yt).translate(gt) for ginv, gt in cent}
+            orbit = {ginv.translate(yt).translate(gt) for ginv, gt in conj}
+            yinv = _inverse(y)
+            if yinv not in orbit and label[yinv] == label[y]:
+                yt = _table(yinv)
+                orbit.update(ginv.translate(yt).translate(gt) for ginv, gt in conj)
             seen |= orbit
             yield y, orbit
 
     def pair_generates(self, c: ClassLabel, d: ClassLabel) -> bool:
         """Invariable generation verdict for the class pair (c, d).
 
-        Fixes x in the smaller class and sweeps one y per C_S(x)-orbit on
-        the larger class (the verdict is symmetric in c and d).
+        Fixes x in the smaller class and sweeps one y per orbit of
+        N_S(<x>)-conjugation and inversion on the larger class (the verdict
+        is symmetric in c and d).
         """
         cs, ds = self.by_label[c], self.by_label[d]
         if len(ds) < len(cs):
             cs, ds = ds, cs
         x = cs[0]
-        return all(self.closure_generates([x, y]) for y, _ in self.centralizer_orbits(x, ds))
+        return all(self.closure_generates([x, y]) for y, _ in self.normaliser_orbits(x, ds))
 
     def psi2(self) -> Psi2Table:
         labels = self.inv.nonidentity_labels()

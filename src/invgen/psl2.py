@@ -1,11 +1,11 @@
 """Elements and conjugacy classes of S = PSL(2,q).
 
-Matrices appear only in enumeration and labelling: ``enumerate_psl2``
-yields every element once as a 4-tuple (a, b, c, d) of field elements with
-ad - bc = 1, and ``psl2_class_of`` names its conjugacy class.  The tuple
-is the canonical representative of the matrix pair {M, -M}: its first
-nonzero entry is the smaller (as an int) of itself and its negative.  For
-q even M = -M and every determinant-1 tuple is canonical.  Group
+Matrices appear only in enumeration: ``enumerate_psl2`` yields every
+element once as a 4-tuple (a, b, c, d) of field elements with ad - bc = 1
+(the oracle names its conjugacy class from its trace).  The tuple is the
+canonical representative of the matrix pair {M, -M}: its first nonzero
+entry is the smaller (as an int) of itself and its negative.  For q even
+M = -M and every determinant-1 tuple is canonical.  Group
 arithmetic is done elsewhere, on the permutations the oracle makes of
 these matrices (``invgen.oracle``).
 
@@ -186,10 +186,6 @@ class ClassInventory:
 # matrices: enumeration and labelling
 # ---------------------------------------------------------------------------
 
-def trace(ctx: GFContext, m: Mat) -> int:
-    return ctx.add(m[0], m[3])
-
-
 def trace_key(ctx: GFContext, t: int) -> int:
     return min(t, ctx.neg(t))
 
@@ -202,32 +198,6 @@ def is_split_trace(ctx: GFContext, t: int) -> bool:
     # q even: x^2 - tx + 1 splits iff the Artin-Schreier trace of 1/t^2 vanishes
     u = ctx.inv(ctx.mul(t, t))
     return ctx.absolute_trace(u) == 0
-
-
-def psl2_class_of(ctx: GFContext, m: Mat) -> ClassLabel:
-    if ctx.q < 4:
-        raise ValueError("class labels are defined for q >= 4")
-    if m == (1, 0, 0, 1):
-        return ClassLabel("id")
-    t = trace(ctx, m)
-    if ctx.p == 2:
-        if t == 0:
-            return ClassLabel("unip")
-        kind = "split" if is_split_trace(ctx, t) else "nonsplit"
-        return ClassLabel(kind, trace_key(ctx, t))
-    four = ctx.scalar(4)
-    two = ctx.scalar(2)
-    if ctx.mul(t, t) == four:
-        # order p; normalize to trace +2 and read off the unitriangular parameter
-        if t != two:
-            m = (ctx.neg(m[0]), ctx.neg(m[1]), ctx.neg(m[2]), ctx.neg(m[3]))
-        a, b, c, d = m
-        param = b if c == 0 else ctx.neg(c)
-        return ClassLabel("unip", sq=ctx.is_square(param))
-    if t == 0:
-        return ClassLabel("inv")
-    kind = "split" if is_split_trace(ctx, t) else "nonsplit"
-    return ClassLabel(kind, trace_key(ctx, t))
 
 
 def enumerate_psl2(ctx: GFContext):

@@ -4,9 +4,10 @@ from math import comb, gcd
 
 from invgen.gf import _pack, _unpack
 from invgen.iggraph import _graph, components, diameter, is_bipartite, LambdaSummary
-from invgen.oracle import _line_action
+from invgen.oracle import _inverse, _line_action, _table
 from invgen.psl2 import (
-    ClassEntry, ClassLabel, ClassSignature, enumerate_psl2, nonsplit_generator_trace,
+    ClassEntry, ClassInventory, ClassLabel, ClassSignature, TorusClasses, enumerate_psl2,
+    is_split_trace, nonsplit_generator_trace, trace_key,
 )
 from invgen.structure import (
     BOREL, BOREL_SIDE, DIH_NONSPLIT, DIHEDRAL_SIDE, label_meets, maximal_subgroup_classes,
@@ -76,6 +77,44 @@ def psl2_mul(ctx, x, y):
 def psl2_inv(ctx, x):
     a, b, c, d = x
     return canon(ctx, (d, ctx.neg(b), ctx.neg(c), a))
+
+
+def psl2_class_of(ctx, m) -> ClassLabel:
+    """The class label of the matrix m, from its trace and, for a unipotent
+    of q odd, the square class of the upper-right entry of its unitriangular
+    normal form.  The reference for ``oracle._labeller``."""
+    if ctx.q < 4:
+        raise ValueError("class labels are defined for q >= 4")
+    if m == IDENTITY:
+        return ClassLabel("id")
+    t = ctx.add(m[0], m[3])
+    if ctx.p == 2:
+        if t == 0:
+            return ClassLabel("unip")
+        kind = "split" if is_split_trace(ctx, t) else "nonsplit"
+        return ClassLabel(kind, trace_key(ctx, t))
+    four = ctx.scalar(4)
+    two = ctx.scalar(2)
+    if ctx.mul(t, t) == four:
+        # order p; normalize to trace +2 and read off the unitriangular parameter
+        if t != two:
+            m = tuple(ctx.neg(x) for x in m)
+        a, b, c, d = m
+        param = b if c == 0 else ctx.neg(c)
+        return ClassLabel("unip", sq=ctx.is_square(param))
+    if t == 0:
+        return ClassLabel("inv")
+    kind = "split" if is_split_trace(ctx, t) else "nonsplit"
+    return ClassLabel(kind, trace_key(ctx, t))
+
+
+def drop_class(inv, label) -> ClassInventory:
+    """A copy of the inventory without the torus class ``label``."""
+    tori = []
+    for t in inv.tori:
+        kept = [(k, o) for k, o in zip(t.keys, t.orders) if ClassLabel(t.kind, k) != label]
+        tori.append(TorusClasses(t.kind, [k for k, _ in kept], [o for _, o in kept], t.size))
+    return ClassInventory(inv.ctx, inv.head, tori)
 
 
 def psl2_order(ctx, x) -> int:
@@ -209,6 +248,23 @@ def generates(sess, x, y) -> bool:
     """Whether the matrices x and y generate S, by the session's closure."""
     perm = _line_action(sess.ctx)
     return sess.closure_generates([perm(x), perm(y)])
+
+
+def conjugate(x, g) -> bytes:
+    """g^-1 x g, the permutations composed as maps: apply g, x, then g^-1."""
+    return g.translate(_table(x)).translate(_table(_inverse(g)))
+
+
+def normaliser_reference(sess, x) -> set:
+    """N_S(<x>) from its definition: the g with g^-1 x g in the closure of
+    {x}, which is <x>.  The reference for ``OracleSession.normaliser``."""
+    cyclic = sess._closure([x], sess.order)
+    return {g for g in sess.label_of_perm if conjugate(x, g) in cyclic}
+
+
+def centraliser_reference(sess, x) -> set:
+    """C_S(x): the g with g^-1 x g = x."""
+    return {g for g in sess.label_of_perm if conjugate(x, g) == x}
 
 
 def matrix_subgroups(ctx) -> dict:

@@ -3,7 +3,8 @@
 Each test prints a PASS line with its measured runtime; the stated budget
 is asserted (they are generous on desk hardware).  The extended oracle set
 {16, 25, 27, 31} only runs when INVGEN_EXTENDED=1; `invgen verify
---extended` runs the same set.
+--extended` runs the same set.  Extended mode also runs the oracle's Psi2
+at q = 49 and its class fusion at {25, 27, 49, 64, 81}.
 """
 
 import os
@@ -14,7 +15,7 @@ import pytest
 
 from invgen.autorbits import aut_action, beta, beta_fast
 from invgen.gf import gf_make, gf_for_q, prime_power_split
-from invgen.psl2 import enumerate_psl2, inventory, psl2_class_of
+from invgen.psl2 import enumerate_psl2, inventory
 from invgen.iggraph import (
     component_bound,
     components,
@@ -33,6 +34,7 @@ from helpers import (
     named_generators,
     pairs,
     part_pattern,
+    psl2_class_of,
     psl2_inv,
     psl2_mul,
 )
@@ -41,10 +43,13 @@ ALL_QS = [q for q in range(4, 1025) if prime_power_split(q)]
 MANDATORY_ORACLE_QS = [4, 5, 7, 8, 9, 11, 13]
 WIDER_ORACLE_QS = [16, 19]  # characteristic 2 with subfield PSL(2,4); A5 at q=19
 EXTENDED_ORACLE_QS = [16, 25, 27, 31]
-# class fusion against label_meets, with the Dickson branches no Psi2 run
-# above reaches: subfield PGL(2,5) (25), subfield PSL(2,3) at odd f (27),
-# A5 at f = 2 and subfield PGL(2,7) (49), subfield PSL(2,4) and PGL(2,8)
-# (64), subfield PGL(2,9) at f = 4 (81)
+# Psi2 past the default cap: the first oracle Psi2 run that meets A5 at
+# f = 2 and subfield PGL(2,7)
+EXTENDED_PSI2_Q = 49
+# class fusion against label_meets, at the q of these Dickson branches:
+# subfield PGL(2,5) (25), subfield PSL(2,3) at odd f (27), A5 at f = 2 and
+# subfield PGL(2,7) (49, also run through Psi2 above), subfield PSL(2,4) and
+# PGL(2,8) (64), subfield PGL(2,9) at f = 4 (81)
 EXTENDED_FUSION_QS = [25, 27, 49, 64, 81]
 
 EXTENDED = os.environ.get("INVGEN_EXTENDED") == "1"
@@ -104,6 +109,13 @@ def test_c02_oracle_equivalence_extended():
         for q in EXTENDED_ORACLE_QS:
             sess = OracleSession(inventory(gf_for_q(q)))
             assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.ctx, sess.inv))), q
+
+
+@pytest.mark.skipif(not EXTENDED, reason="extended oracle set needs INVGEN_EXTENDED=1")
+def test_c02_oracle_equivalence_q49():
+    with Budget("criterion 2 extended: oracle == structural at q=49", 60):
+        sess = OracleSession(inventory(gf_for_q(EXTENDED_PSI2_Q)), cap=255)
+        assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.ctx, sess.inv)))
 
 
 @pytest.mark.skipif(not EXTENDED, reason="extended oracle set needs INVGEN_EXTENDED=1")

@@ -13,7 +13,7 @@ from invgen import autorbits, cli, gf, iggraph, psl2, structure
 from invgen.autorbits import AutAction
 from invgen.cli import main
 from invgen.structure import SubgroupClass
-from helpers import canon
+from helpers import canon, drop_class
 
 # exit-code contract: 0 ok, 1 verification failure, 2 usage, 3 cap, 4 internal
 
@@ -256,8 +256,15 @@ def break_graph(monkeypatch):
     return ["graph", "--q", "7", "--plus"], "adjacency is not symmetric"
 
 
-@pytest.mark.parametrize("breaker", [break_canon, break_subgroup_list,
-                                     break_subfield_degree, break_bound, break_graph])
+def break_inventory(monkeypatch):
+    real = psl2.inventory
+    monkeypatch.setattr(psl2, "inventory",
+                        lambda ctx: drop_class(real(ctx), psl2.ClassLabel("split", 1)))
+    return ["psi2", "--q", "7", "--method", "oracle"], "split:t=1"
+
+
+@pytest.mark.parametrize("breaker", [break_canon, break_subgroup_list, break_subfield_degree,
+                                     break_bound, break_graph, break_inventory])
 def test_invariant_failures_exit_internal(breaker, capsys, monkeypatch):
     argv, message = breaker(monkeypatch)
     code, out, err = run(capsys, *argv)
@@ -446,7 +453,7 @@ def test_each_subcommand_loads_only_its_layers(argv, layers):
 PUBLIC = {
     "gf": ["GFContext", "gf_make", "gf_for_q", "prime_power_split"],
     "psl2": ["ClassLabel", "ClassEntry", "ClassInventory", "inventory",
-             "enumerate_psl2", "psl2_class_of"],
+             "enumerate_psl2"],
     "structure": ["SubgroupClass", "Psi2Table", "maximal_subgroup_classes",
                   "build_profiles", "psi2_structural", "verify_2covering",
                   "profile_census"],

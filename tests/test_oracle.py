@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invgen.gf import gf_for_q, prime_power_split
-from invgen.psl2 import ClassLabel, enumerate_psl2, inventory, psl2_class_of
+from invgen.psl2 import ClassLabel, enumerate_psl2, inventory
 from invgen.oracle import (
     OracleCapError,
     OracleSession,
@@ -20,6 +20,9 @@ from invgen.structure import (
     psi2_structural,
 )
 from helpers import (
+    centraliser_reference,
+    conjugate,
+    drop_class,
     expected_fusion,
     fusion_key,
     generates,
@@ -27,7 +30,9 @@ from helpers import (
     make,
     matrix_subgroups,
     mobius_perm,
+    normaliser_reference,
     pairs,
+    psl2_class_of,
     psl2_inv,
     psl2_mul,
     psl2_order,
@@ -199,7 +204,7 @@ def sweep_from(sess, c, d, index):
     if len(ds) < len(cs):
         cs, ds = ds, cs
     x = cs[index % len(cs)]
-    return all(sess.closure_generates([x, y]) for y, _ in sess.centralizer_orbits(x, ds))
+    return all(sess.closure_generates([x, y]) for y, _ in sess.normaliser_orbits(x, ds))
 
 
 def literal_full_sweep(sess, c, d):
@@ -210,7 +215,8 @@ def literal_full_sweep(sess, c, d):
     return all(sess.closure_generates([cs[0], y]) for y in ds)
 
 
-@pytest.mark.parametrize("q", FAST_QS)
+# q = 11 has unipotent classes that are not real, so inversion leaves them
+@pytest.mark.parametrize("q", FAST_QS + [11, 13])
 def test_orbit_sweep_matches_full_sweep(q, sessions):
     sess = sessions(q)
     labels = sess.inv.nonidentity_labels()
@@ -220,20 +226,36 @@ def test_orbit_sweep_matches_full_sweep(q, sessions):
 
 
 @pytest.mark.parametrize("q", [7, 8, 9, 11])
-def test_centralizer_orbits_partition_each_class(q, sessions):
+def test_normaliser_orbits_partition_each_class(q, sessions):
     sess = sessions(q)
     labels = sess.inv.nonidentity_labels()
     for c in labels:
         x = sess.by_label[c][0]
-        cent = sess.centralizer(x)
+        norm = sess.normaliser(x)
+        cent = centraliser_reference(sess, x)
         assert len(cent) * len(sess.by_label[c]) == sess.order, (q, c)
+        assert set(norm) == normaliser_reference(sess, x), (q, c)
+        assert cent <= set(norm), (q, c)
         for d in labels:
             ys = sess.by_label[d]
-            orbits = [orbit for _, orbit in sess.centralizer_orbits(x, ys)]
+            real = sess.label_of_perm[_inverse(ys[0])] == d
+            # the unipotent classes are not real exactly when q = 3 mod 4
+            assert real == (d.kind != "unip" or q % 4 != 3), (q, d)
+            orbits = [orbit for _, orbit in sess.normaliser_orbits(x, ys)]
             assert sum(len(o) for o in orbits) == len(ys), (q, c, d)
             assert set().union(*orbits) == set(ys), (q, c, d)
             for orbit in orbits:
-                assert len(cent) % len(orbit) == 0, (q, c, d)
+                assert 2 * len(norm) % len(orbit) == 0, (q, c, d)
+                for y in orbit:
+                    assert {conjugate(y, g) for g in norm} <= orbit, (q, c, d)
+                    assert (_inverse(y) in orbit) == real, (q, c, d)
+
+
+def test_session_names_a_class_missing_from_the_inventory():
+    inv = drop_class(inventory(gf_for_q(7)), ClassLabel("split", 1))
+    assert len(inv) == 5
+    with pytest.raises(RuntimeError, match="split:t=1"):
+        OracleSession(inv)
 
 
 @pytest.mark.parametrize("q", FAST_QS)

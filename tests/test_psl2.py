@@ -5,8 +5,8 @@ from math import gcd
 import pytest
 
 from invgen.gf import gf_for_q
-from invgen.psl2 import ClassLabel, enumerate_psl2, inventory, psl2_class_of
-from helpers import IDENTITY, canon, make, psl2_inv, psl2_mul, psl2_order
+from invgen.psl2 import ClassLabel, enumerate_psl2, inventory
+from helpers import IDENTITY, canon, make, psl2_class_of, psl2_inv, psl2_mul, psl2_order
 
 ORACLE_QS = [4, 5, 7, 8, 9, 11, 13]
 
