@@ -7,7 +7,7 @@ imports no layer module until one of its names is read.
 import importlib
 
 _OWNER = {
-    "gf": ("GFContext", "gf_make", "gf_for_q", "prime_power_split"),
+    "gf": ("GFContext", "gf_for_q", "prime_power_split"),
     "psl2": ("ClassLabel", "ClassEntry", "ClassInventory", "inventory",
              "enumerate_psl2"),
     "structure": ("SubgroupClass", "Psi2Table", "maximal_subgroup_classes",

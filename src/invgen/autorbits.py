@@ -6,32 +6,47 @@ Inner automorphisms fix every label, so the induced action is generated by
     element of PGL; it swaps the two unipotent labels and fixes all
     semisimple labels (traces are conjugation invariants), and
   * the field map: entrywise Frobenius; it sends a trace pair {t, -t} to
-    {t^p, -t^p} and preserves unipotent square-class flags.
+    {t^p, -t^p} and fixes the involution and unipotent labels (their
+    traces lie in GF(p), and u^p is a square iff u is).
 
-A class is named by its position among the nonidentity labels of the
-inventory, the index of ``Psi2Table.labels`` and of the profile census.
-Each permutation is held as the map of the positions it moves, and a
-position missing from a map is fixed: the Frobenius map moves no class
-when f = 1 and the diagonal map moves only the two unipotent classes, so
-the few elements of the induced group (at most d*f) cost O(moved classes)
-each, not O(classes), and no label is built.
+The two move disjoint sets of classes, so they commute, and the induced
+group is the d*f products diag^e * Frob^i (e < d, i < f), with d = 2 for q
+odd and 1 for q even.
+
+Which of these products fix a class follows from the class signature
+(``ClassInventory.signatures``).  diag^e * Frob^i fixes the involution
+class; it fixes the unipotent classes exactly when e = 0; and it fixes a
+torus class exactly when gcd(i, f) lies in the signature's ``trace_sq_in``.
+Proof of the last: Frob^i sends the trace pair {t, -t} to
+{t^(p^i), -t^(p^i)}, which is the same pair iff t^(p^i) = +-t, iff
+(t^2)^(p^i) = t^2, iff t^2 lies in GF(p^i) meet GF(q) = GF(p^gcd(i,f)).
+The head classes have every divisor of f in ``trace_sq_in``, so the
+Frobenius test passes for them.
 
 The number of orbits of the diagonal action on Psi2 equals beta(S), the
 largest t for which S^t is invariably 2-generated.  ``beta_fast`` counts
-them by Burnside's lemma over profile buckets: an element fixes the
-bucket-product count over the classes it leaves in place, which is each
-bucket's size less the moved classes in it.  It is the one production
-route to beta.  ``pair_orbits`` names the orbit of every Psi2 pair by
-the pair's least image under ``AutAction.elements``; the power graph reads
-those names for its columns, and ``beta`` groups the pairs by them into the
-orbit partition that ``beta --orbits`` prints.
+them by Burnside's lemma from the census alone: Psi2 membership depends
+only on the maximal profile, so an element fixes the bucket-product count
+over the classes it fixes, and a bucket's fixed classes are the classes of
+its fixed signatures.  It is the one production route to beta and builds
+no map.
+
+``aut_action`` builds the two generators as maps of class positions, for
+the callers that move pairs: ``pair_orbits`` names the orbit of every Psi2
+pair by the pair's least image under ``AutAction.elements``; the power
+graph reads those names for its columns, and ``beta`` groups the pairs by
+them into the orbit partition that ``beta --orbits`` prints.  A class is
+named by its position among the nonidentity labels of the inventory, the
+index of ``Psi2Table.labels``.  Each permutation is held as the map of the
+positions it moves, and a position missing from a map is fixed.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import NamedTuple
 
-from invgen.gf import GFContext
+from invgen.gf import GFContext, prime_power_split
 from invgen.psl2 import ClassInventory, trace_key
 from invgen.structure import ProfileCensus, Psi2Table
 
@@ -43,31 +58,18 @@ class AutAction(NamedTuple):
     diagonal: ClassPerm | None  # None for q even
     frobenius: ClassPerm  # empty when f = 1
 
-    def generators(self) -> list[ClassPerm]:
-        gens = [self.frobenius]
-        if self.diagonal is not None:
-            gens.append(self.diagonal)
-        return gens
-
     def elements(self) -> list[ClassPerm]:
-        """The full induced permutation group (order divides d*f), each
-        element as the map of the positions it moves; the identity is ``{}``.
-        Costs O(moved classes) per element."""
-        moved = list(dict.fromkeys(i for gen in self.generators() for i in gen))
-        # an element is keyed by the images of the moved positions, in that order
-        seen: dict[tuple[int, ...], ClassPerm] = {tuple(moved): {}}
-        frontier: list[ClassPerm] = [{}]
-        while frontier:
-            nxt = []
-            for perm in frontier:
-                for gen in self.generators():
-                    images = [gen.get(im, im) for im in (perm.get(i, i) for i in moved)]
-                    key = tuple(images)
-                    if key not in seen:
-                        seen[key] = comp = {i: im for i, im in zip(moved, images) if im != i}
-                        nxt.append(comp)
-            frontier = nxt
-        return list(seen.values())
+        """The products diag^e * Frob^i (e < d, i < f), Frob^i first, each
+        as the map of the positions it moves; the identity is ``{}``.  The
+        generators commute, so this is the whole induced group."""
+        frob = self.frobenius
+        powers: list[ClassPerm] = [{}]
+        for _ in range(1, self.ctx.f):
+            last = powers[-1]
+            powers.append({i: im for i in frob if (im := frob[last.get(i, i)]) != i})
+        if self.diagonal is None:
+            return powers
+        return powers + [{**self.diagonal, **g} for g in powers]
 
 
 def aut_action(ctx: GFContext, inv: ClassInventory) -> AutAction:
@@ -76,19 +78,17 @@ def aut_action(ctx: GFContext, inv: ClassInventory) -> AutAction:
         usq, unsq = (i - 1 for i, e in enumerate(inv.head) if e.label.kind == "unip")
         diagonal = {usq: unsq, unsq: usq}
     frob: ClassPerm = {}
-    # Frobenius fixes GF(p); verify 4..1024 CPU 0.45 s, 0.47 s without (2-core Xeon)
-    if ctx.f > 1:
-        start = len(inv.head) - 1  # position of the first torus class
-        for kind, keys, _, _ in inv.tori:
-            where = dict(zip(keys, range(start, start + len(keys))))
-            for key, i in where.items():
-                j = where.get(trace_key(ctx, ctx.frobenius(key)))
-                if j is None:
-                    raise RuntimeError(
-                        f"Frobenius image of {kind}:t={key} missing from inventory")
-                if j != i:
-                    frob[i] = j
-            start += len(keys)
+    start = len(inv.head) - 1  # position of the first torus class
+    for kind, keys, _, _ in inv.tori:
+        where = dict(zip(keys, range(start, start + len(keys))))
+        for key, i in where.items():
+            j = where.get(trace_key(ctx, ctx.frobenius(key)))
+            if j is None:
+                raise RuntimeError(
+                    f"Frobenius image of {kind}:t={key} missing from inventory")
+            if j != i:
+                frob[i] = j
+        start += len(keys)
     return AutAction(ctx, diagonal, frob)
 
 
@@ -149,23 +149,28 @@ def beta(action: AutAction, psi2: Psi2Table) -> OrbitPartition:
     return OrbitPartition(len(groups), sorted(map(sorted, groups.values())))
 
 
-def beta_fast(action: AutAction, census: ProfileCensus) -> int:
-    """Orbit count by Burnside's lemma over profile buckets.
+def beta_fast(census: ProfileCensus) -> int:
+    """Orbit count by Burnside's lemma over the d*f elements
+    diag^e * Frob^i, per signature and bucket.
 
-    Psi2 membership depends only on the maximal profile, so the number of
-    fixed pairs of an automorphism sigma is the bucket-product count taken
-    over sigma-fixed classes: each bucket's size less the classes sigma
-    moves out of it, read by position.  Avoids materializing Psi2 for large q.
+    An element's fixed Psi2 pairs number the bucket-product count over the
+    classes it fixes; a bucket's fixed classes are those of the signatures
+    the element fixes, by the rule in the module docstring.  Reads only the
+    census, so it needs no field, no map and no Psi2.
     """
-    elements = action.elements()
-    bucket = {i: census.bucket_of(i) for gen in action.generators() for i in gen}
+    sigs = census.inv.signatures[0]
+    _, f = prime_power_split(census.q)
+    d = census.inv.d
     total = 0
-    for perm in elements:
-        fixed = census.sizes[:]
-        for i in perm:
-            fixed[bucket[i]] -= 1
-        total += sum(fixed[i] * fixed[j] for i, j in census.disjoint)
-    count, rem = divmod(total, len(elements))
+    for e in range(d):
+        for i in range(f):
+            g = gcd(i, f)
+            fixed = [0] * len(census.sizes)
+            for sig, bucket, n in zip(sigs, census.sig_bucket, census.sig_sizes):
+                if bucket >= 0 and g in sig.trace_sq_in and not (e and sig.kind == "unip"):
+                    fixed[bucket] += n
+            total += sum(fixed[j] * fixed[k] for j, k in census.disjoint)
+    count, rem = divmod(total, d * f)
     if rem:
-        raise RuntimeError("Burnside count is not an integer; action is inconsistent")
+        raise RuntimeError("Burnside count is not an integer; the signatures are inconsistent")
     return count

@@ -24,7 +24,7 @@ from collections.abc import Iterable
 from itertools import chain
 from typing import TextIO
 
-from invgen.gf import Q_CAP, CapError, GFContext, prime_power_split
+from invgen.gf import Q_CAP, CapError, GFContext, gf_for_q, prime_power_split
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -35,10 +35,9 @@ EXIT_INTERNAL = 4
 ORACLE_VERIFY_DEFAULT = 13  # oracle cross-check in `verify` runs for q up to this
 ORACLE_VERIFY_EXTENDED = (16, 25, 27, 31)
 # `verify` refuses a range whose prime powers sum past this (exit 3).  A
-# field's tables, classes and Aut(S) elements grow with q (times f for the
-# elements), so the sum bounds the run: 4..1024 sums to 87,755 and verifies
-# in 0.32 s; q = 2^18 alone takes 6.8 s and 315 MB, q = 2^20 alone 35 s and
-# 1.2 GB (2-core Xeon).
+# field's tables and classes grow with q, so the sum bounds the run:
+# 4..1024 sums to 87,755 and verifies in 0.32 s; q = 2^18 alone takes about
+# 2.7 s and 83 MB, q = 2^20 alone about 11 s and 290 MB (2-core Xeon).
 VERIFY_Q_SUM_CAP = 1 << 18
 
 
@@ -50,17 +49,11 @@ def _context(args) -> GFContext:
     if args.q is not None:
         if args.p is not None or args.f is not None:
             raise UsageError("give either --q or --p/--f, not both")
-        if args.q > Q_CAP:
-            raise UsageError(f"q={args.q} exceeds the supported cap {Q_CAP}")
-        pf = prime_power_split(args.q)
-        if pf is None:
-            raise UsageError(f"{args.q} is not a prime power")
-        p, f = pf
+        ctx = gf_for_q(args.q)
+    elif args.p is None:
+        raise UsageError("one of --q or --p is required")
     else:
-        if args.p is None:
-            raise UsageError("one of --q or --p is required")
-        p, f = args.p, args.f if args.f is not None else 1
-    ctx = GFContext(p, f)
+        ctx = GFContext(args.p, args.f if args.f is not None else 1)
     if ctx.q < 4:
         raise UsageError(f"q must be at least 4, got {ctx.q}")
     return ctx
@@ -202,8 +195,7 @@ def cmd_beta(args) -> int:
     ctx = _context(args)
     inv = inventory(ctx)
     census = profile_census(ctx, inv)
-    action = aut_action(ctx, inv)
-    b = beta_fast(action, census)
+    b = beta_fast(census)
     count = census.psi2_count()
     df = inv.d * ctx.f
     floor = n_lower_bound_report(ctx, inv, census)
@@ -223,7 +215,7 @@ def cmd_beta(args) -> int:
         "component_bound_at_beta": exact_report,
     }
     if args.orbits:
-        part = beta(action, psi2_structural(census))
+        part = beta(aut_action(ctx, inv), psi2_structural(census))
         if part.beta != b:
             raise RuntimeError(
                 f"orbit partition has {part.beta} orbits but Burnside counts {b}"
@@ -248,7 +240,7 @@ def cmd_beta(args) -> int:
 
 def verify_q(ctx: GFContext, oracle: bool = False) -> dict:
     """Run every per-q check; returns {check_name: bool}."""
-    from invgen.autorbits import aut_action, beta_fast
+    from invgen.autorbits import beta_fast
     from invgen.iggraph import expected_isolated, lambda_summary
     from invgen.oracle import OracleSession
     from invgen.psl2 import inventory
@@ -268,7 +260,7 @@ def verify_q(ctx: GFContext, oracle: bool = False) -> dict:
     checks["diameter"] = s.diameter <= 3
     expected = expected_isolated(ctx, inv)
     checks["isolated_census"] = set(s.isolated) == expected
-    b = beta_fast(aut_action(ctx, inv), census)
+    b = beta_fast(census)
     checks["beta_even"] = b % 2 == 0
     checks["beta_bounds"] = s.psi2_count / (d * ctx.f) <= b <= s.psi2_count
     if q >= 64:

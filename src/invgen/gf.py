@@ -26,7 +26,6 @@ above the cap is refused without work proportional to its size.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 from operator import mul
 
@@ -315,17 +314,11 @@ class GFContext:
         return tuple(exp)
 
 
-@lru_cache(maxsize=None)
-def gf_make(p: int, f: int) -> GFContext:
-    """Shared immutable context for GF(p^f)."""
-    return GFContext(p, f)
-
-
-@lru_cache(maxsize=None)
 def gf_for_q(q: int) -> GFContext:
+    """A new context for GF(q), q a prime power."""
     if q > Q_CAP:
         raise ValueError(f"q={q} exceeds the supported cap {Q_CAP}")
     pf = prime_power_split(q)
     if pf is None:
         raise ValueError(f"{q} is not a prime power")
-    return gf_make(*pf)
+    return GFContext(*pf)

@@ -9,13 +9,13 @@ Class-intersection profiles are computed symbolically: the profile of a
 conjugacy class is the set of subgroup-class ids whose members meet it.
 The rules read only a class's signature (``ClassInventory.signatures``),
 so profiles, the census and the 2-covering are computed once per
-signature and the classes enter only as counts: the census holds, per
-bucket of equal maximal profile, the number of classes in it, and lists
-the classes of a bucket by position only when asked.  The profile universe
-is the maximal classes plus the nonsplit-dihedral covering record.  Two
-nonidentity classes invariably generate iff no single maximal subgroup
-class meets both, so ``psi2_structural`` reads Psi2 off the census, one
-neighbour tuple per bucket.
+signature and the classes enter only as counts: the census holds the
+number of classes per signature and per bucket of equal maximal profile,
+and lists the classes of a bucket by position only when asked.  The
+profile universe is the maximal classes plus the nonsplit-dihedral
+covering record.  Two nonidentity classes invariably generate iff no
+single maximal subgroup class meets both, so ``psi2_structural`` reads
+Psi2 off the census, one neighbour tuple per bucket.
 
 Conventions for the kinds that come as two classes (q odd): variant 1 of a
 subfield PGL is the copy whose unipotents have square parameter, variant 2
@@ -213,6 +213,7 @@ class ProfileCensus(NamedTuple):
     buckets: list[frozenset[str]]  # distinct maximal profiles, sorted
     sizes: list[int]  # classes per bucket
     sig_bucket: list[int]  # bucket of each signature; -1 for the identity's
+    sig_sizes: list[int]  # classes per signature
     disjoint: list[tuple[int, int]]  # ordered bucket pairs with disjoint profiles
 
     def positions(self, buckets: set[int]) -> list[int]:
@@ -225,10 +226,6 @@ class ProfileCensus(NamedTuple):
         """Positions of the classes of each bucket, ascending."""
         return [self.positions({b}) for b in range(len(self.buckets))]
 
-    def bucket_of(self, i: int) -> int:
-        """The bucket of the class at position i."""
-        return self.sig_bucket[self.inv.signatures[1][i + 1]]
-
     def psi2_count(self) -> int:
         return sum(self.sizes[i] * self.sizes[j] for i, j in self.disjoint)
 
@@ -238,13 +235,14 @@ def profile_census(ctx: GFContext, inv: ClassInventory) -> ProfileCensus:
     buckets = sorted(set(profs[1:]), key=sorted)
     index = {prof: b for b, prof in enumerate(buckets)}
     sig_bucket = [-1] + [index[prof] for prof in profs[1:]]
+    counts = Counter(inv.signatures[1])
+    sig_sizes = [counts[sig] for sig in range(len(profs))]
     sizes = [0] * len(buckets)
-    for sig, count in Counter(inv.signatures[1]).items():
-        if sig:
-            sizes[sig_bucket[sig]] += count
+    for b, count in zip(sig_bucket[1:], sig_sizes[1:]):
+        sizes[b] += count
     disjoint = [(i, j) for i, pi in enumerate(buckets)
                 for j, pj in enumerate(buckets) if pi.isdisjoint(pj)]
-    return ProfileCensus(ctx.q, inv, buckets, sizes, sig_bucket, disjoint)
+    return ProfileCensus(ctx.q, inv, buckets, sizes, sig_bucket, sig_sizes, disjoint)
 
 
 class Psi2Table:

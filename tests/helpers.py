@@ -1,8 +1,9 @@
 """Reference helpers that only the tests need."""
 
+from functools import lru_cache
 from math import comb, gcd
 
-from invgen.gf import _pack, _unpack
+from invgen.gf import GFContext, _pack, _unpack
 from invgen.iggraph import _graph, components, diameter, is_bipartite, LambdaSummary
 from invgen.oracle import _inverse, _line_action, _table
 from invgen.psl2 import (
@@ -18,6 +19,13 @@ from invgen.structure import (
 # ---------------------------------------------------------------------------
 # field elements as coefficient vectors
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def cached_field(p, f) -> GFContext:
+    """GF(p^f), built once per test session for the property tests that
+    draw the same few fields hundreds of times."""
+    return GFContext(p, f)
+
 
 def coeffs(ctx, a) -> tuple:
     """Coefficient vector (c0, ..., c_{f-1}) of a."""
@@ -158,9 +166,37 @@ def named(perm, labels) -> dict:
     return {labels[i]: labels[j] for i, j in perm.items()}
 
 
+def generators(action) -> list:
+    """The generators of an ``AutAction``: Frobenius, then the diagonal map
+    when q is odd."""
+    return [gen for gen in (action.frobenius, action.diagonal) if gen is not None]
+
+
 def named_generators(action, labels) -> list:
     """The generators of an ``AutAction`` as maps of the labels they move."""
-    return [named(gen, labels) for gen in action.generators()]
+    return [named(gen, labels) for gen in generators(action)]
+
+
+def ref_elements(action) -> list:
+    """The group the generators of ``action`` generate, closed by BFS from
+    the identity, each element as the map of the positions it moves.  The
+    reference for ``AutAction.elements``, which lists the products
+    diag^e * Frob^i directly."""
+    moved = list(dict.fromkeys(i for gen in generators(action) for i in gen))
+    # an element is keyed by the images of the moved positions, in that order
+    seen = {tuple(moved): {}}
+    frontier = [{}]
+    while frontier:
+        nxt = []
+        for perm in frontier:
+            for gen in generators(action):
+                images = [gen.get(im, im) for im in (perm.get(i, i) for i in moved)]
+                key = tuple(images)
+                if key not in seen:
+                    seen[key] = comp = {i: im for i, im in zip(moved, images) if im != i}
+                    nxt.append(comp)
+        frontier = nxt
+    return list(seen.values())
 
 
 def pairs(table) -> set:
@@ -500,10 +536,10 @@ def ref_summary(ctx, entries) -> LambdaSummary:
 
 def ref_beta_fast(ctx, entries, action) -> int:
     """Burnside's count over the label-level census, with every element of
-    ``action`` named as a map of labels."""
+    the BFS closure of ``action`` named as a map of labels."""
     labels, buckets, members, bucket_of = ref_census(ctx, entries)
     disjoint = _ref_disjoint(buckets)
-    elements = [named(g, labels) for g in action.elements()]
+    elements = [named(g, labels) for g in ref_elements(action)]
     total = 0
     for perm in elements:
         fixed = [len(m) for m in members]

@@ -4,7 +4,8 @@ Each test prints a PASS line with its measured runtime; the stated budget
 is asserted (they are generous on desk hardware).  The extended oracle set
 {16, 25, 27, 31} only runs when INVGEN_EXTENDED=1; `invgen verify
 --extended` runs the same set.  Extended mode also runs the oracle's Psi2
-at q = 49 and its class fusion at {25, 27, 49, 64, 81}.
+at q = 49, its class fusion at {25, 27, 49, 64, 81}, and beta against the
+label-level reference at q = 3^11 and 2^18.
 """
 
 import os
@@ -14,7 +15,7 @@ from math import comb
 import pytest
 
 from invgen.autorbits import aut_action, beta, beta_fast
-from invgen.gf import gf_make, gf_for_q, prime_power_split
+from invgen.gf import GFContext, gf_for_q, prime_power_split
 from invgen.psl2 import enumerate_psl2, inventory
 from invgen.iggraph import (
     component_bound,
@@ -37,6 +38,8 @@ from helpers import (
     psl2_class_of,
     psl2_inv,
     psl2_mul,
+    ref_beta_fast,
+    ref_entries,
 )
 
 ALL_QS = [q for q in range(4, 1025) if prime_power_split(q)]
@@ -51,6 +54,9 @@ EXTENDED_PSI2_Q = 49
 # subfield PGL(2,7) (49, also run through Psi2 above), subfield PSL(2,4) and
 # PGL(2,8) (64), subfield PGL(2,9) at f = 4 (81)
 EXTENDED_FUSION_QS = [25, 27, 49, 64, 81]
+# beta by signature against the label-level reference past the sweep: odd
+# f = 11 and the largest f within the verify cap
+EXTENDED_BETA_QS = [3 ** 11, 2 ** 18]
 
 EXTENDED = os.environ.get("INVGEN_EXTENDED") == "1"
 
@@ -184,10 +190,21 @@ def test_c07_beta_pipeline():
             inv = inventory(ctx)
             d = 2 if q % 2 == 1 else 1
             census = profile_census(ctx, inv)
-            b = beta_fast(aut_action(ctx, inv), census)
+            b = beta_fast(census)
             count = lambda_summary(ctx, inv, census, verify_2covering(ctx, inv)).psi2_count
             assert b % 2 == 0, q
             assert count / (d * ctx.f) <= b <= count, q
+
+
+@pytest.mark.skipif(not EXTENDED, reason="large-q beta needs INVGEN_EXTENDED=1")
+def test_c07_beta_large_q_extended():
+    with Budget("criterion 7 extended: beta_fast == label-level Burnside at q=3^11, 2^18",
+                120):
+        for q in EXTENDED_BETA_QS:
+            ctx = gf_for_q(q)
+            inv = inventory(ctx)
+            expected = ref_beta_fast(ctx, ref_entries(ctx), aut_action(ctx, inv))
+            assert beta_fast(profile_census(ctx, inv)) == expected, q
 
 
 def test_c08_power_graph_ground_truth():
@@ -251,7 +268,7 @@ def test_c10_self_consistency():
 
         # involution count q(q + eps)/2 for odd q <= 31
         for q in (5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31):
-            ctx = gf_make(*prime_power_split(q))
+            ctx = GFContext(*prime_power_split(q))
             eps = 1 if q % 4 == 1 else -1
             count = sum(
                 1 for m in enumerate_psl2(ctx)

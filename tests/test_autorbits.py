@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,10 +9,11 @@ from invgen.psl2 import ClassLabel, inventory
 from invgen import autorbits, cli, structure
 from invgen.autorbits import AutAction, aut_action, beta, beta_fast
 from invgen.structure import Psi2Table, profile_census, psi2_structural, verify_2covering
-from helpers import covering_parts, named, named_generators, pairs, ref_orbits
+from helpers import covering_parts, named, named_generators, pairs, ref_elements, ref_orbits
 
 VALIDATION_QS = [4, 5, 7, 8, 9, 11, 13, 16, 25, 27]
 PRIME_POWERS = [q for q in range(4, 1025) if prime_power_split(q)]
+NONPRIME_POWERS = [q for q in range(4, 4097) if (pf := prime_power_split(q)) and pf[1] > 1]
 
 
 # ---------------------------------------------------------------------------
@@ -62,12 +65,36 @@ def test_action_preserves_order_and_size(q):
             assert sizes[lab] == sizes[image]
 
 
-@pytest.mark.parametrize("q", VALIDATION_QS)
+@pytest.mark.parametrize("q", PRIME_POWERS)
 def test_action_group_order_divides_out(q):
+    """The induced group's order divides |Out(S)| = d*f, and in fact equals
+    it: the d*f products diag^e * Frob^i that ``elements`` lists are
+    distinct and are the group the BFS closure of the generators gives."""
     ctx = gf_for_q(q)
+    action = aut_action(ctx, inventory(ctx))
     d = 2 if q % 2 == 1 else 1
-    n = len(aut_action(ctx, inventory(ctx)).elements())
-    assert (d * ctx.f) % n == 0
+    elements = {frozenset(g.items()) for g in action.elements()}
+    assert len(elements) == len(action.elements()) == d * ctx.f
+    assert elements == {frozenset(g.items()) for g in ref_elements(action)}
+
+
+@pytest.mark.parametrize("q", NONPRIME_POWERS)
+def test_frobenius_fixes_the_classes_its_signatures_say(q):
+    # beta_fast reads Frobenius^i's fixed classes from the signatures; the
+    # map aut_action builds from the field must move exactly the others
+    ctx = gf_for_q(q)
+    inv = inventory(ctx)
+    frob = aut_action(ctx, inv).frobenius
+    sigs, of_class = inv.signatures
+    n = len(inv) - 1
+    image = list(range(n))  # Frobenius^i, position by position
+    for i in range(ctx.f):
+        moved = {k for k in range(n) if image[k] != k}
+        lacking = {k for k in range(n) if gcd(i, ctx.f) not in sigs[of_class[k + 1]].trace_sq_in}
+        assert moved == lacking, (q, i)
+        assert min(moved, default=n) >= len(inv.head) - 1  # torus classes only
+        image = [frob.get(k, k) for k in image]
+    assert image == list(range(n))  # Frobenius^f is the identity
 
 
 @pytest.mark.parametrize("q", VALIDATION_QS)
@@ -158,7 +185,7 @@ def test_burnside_agrees_with_union_find(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
     part = beta(aut_action(ctx, inv), psi2_structural(profile_census(ctx, inv)))
-    assert beta_fast(aut_action(ctx, inv), profile_census(ctx, inv)) == part.beta
+    assert beta_fast(profile_census(ctx, inv)) == part.beta
 
 
 @pytest.mark.parametrize("q", VALIDATION_QS + [17, 49, 64, 81, 121])
@@ -182,26 +209,24 @@ def test_beta_rejects_empty_table():
 
 
 def broken_image_case():
-    """q=7 with an action generated by the permutation that swaps unip:sq
-    and split:t=1; it sends (unip:sq, inv) to (split:t=1, inv), which is
-    not in Psi2.  (With the diagonal map as well, the group is Sym(3) and
-    Burnside's count is not an integer, so ``beta_fast`` would fail first.)"""
+    """q=7 with an action whose diagonal map swaps unip:sq and split:t=1;
+    it sends (unip:sq, inv) to (split:t=1, inv), which is not in Psi2."""
     ctx = gf_for_q(7)
     inv = inventory(ctx)
     labels = inv.nonidentity_labels()
     usq, s1 = labels.index(ClassLabel("unip", sq=True)), labels.index(ClassLabel("split", 1))
     perm = {usq: s1, s1: usq}
-    return 7, AutAction(ctx, None, perm), psi2_structural(profile_census(ctx, inv)), "left Psi2"
+    return 7, AutAction(ctx, perm, {}), psi2_structural(profile_census(ctx, inv)), "left Psi2"
 
 
 def swapped_pair_case():
     """q=5 with a two-label Psi2 {(unip:sq, unip:nsq), (unip:nsq, unip:sq)}
-    and a permutation that swaps the two labels, so one orbit holds a pair
+    and a diagonal map that swaps the two labels, so one orbit holds a pair
     and its swap."""
     ctx = gf_for_q(5)
     usq, unsq = ClassLabel("unip", sq=True), ClassLabel("unip", sq=False)
     table = Psi2Table(5, "structural", [usq, unsq], [(1,), (0,)])
-    return 5, AutAction(ctx, None, {0: 1, 1: 0}), table, "contains its swap"
+    return 5, AutAction(ctx, {0: 1, 1: 0}, {}), table, "contains its swap"
 
 
 @pytest.mark.parametrize("case", [broken_image_case, swapped_pair_case])

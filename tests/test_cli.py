@@ -220,7 +220,7 @@ def test_beta_evaluates_one_binomial_when_the_floor_is_exact(capsys, monkeypatch
 
 
 def test_beta_orbits_must_agree_with_burnside(capsys, monkeypatch):
-    monkeypatch.setattr(autorbits, "beta_fast", lambda action, census: 6)
+    monkeypatch.setattr(autorbits, "beta_fast", lambda census: 6)
     code, out, err = run(capsys, "beta", "--q", "7", "--orbits")
     assert code == 4 and out == ""
     assert err.startswith("internal error: ") and "Burnside counts 6" in err
@@ -451,7 +451,7 @@ def test_each_subcommand_loads_only_its_layers(argv, layers):
 
 
 PUBLIC = {
-    "gf": ["GFContext", "gf_make", "gf_for_q", "prime_power_split"],
+    "gf": ["GFContext", "gf_for_q", "prime_power_split"],
     "psl2": ["ClassLabel", "ClassEntry", "ClassInventory", "inventory",
              "enumerate_psl2"],
     "structure": ["SubgroupClass", "Psi2Table", "maximal_subgroup_classes",

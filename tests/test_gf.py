@@ -6,12 +6,11 @@ from invgen.gf import (
     GFContext,
     Q_CAP,
     factorize,
-    gf_make,
     gf_for_q,
     is_prime,
     prime_power_split,
 )
-from helpers import coeffs, from_coeffs
+from helpers import cached_field, coeffs, from_coeffs
 
 SMALL_QS = [4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128]
 
@@ -21,19 +20,19 @@ SMALL_QS = [4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128]
 # ---------------------------------------------------------------------------
 
 def test_make_gf4():
-    ctx = gf_make(2, 2)
+    ctx = GFContext(2, 2)
     assert ctx.q == 4
     assert ctx.modulus == [1, 1, 1]  # x^2 + x + 1
 
 
 def test_make_prime_field():
-    ctx = gf_make(5, 1)
+    ctx = GFContext(5, 1)
     assert ctx.q == 5
     assert ctx.mul(2, 3) == 1
 
 
 def test_make_gf27_modulus_has_no_root():
-    ctx = gf_make(3, 3)
+    ctx = GFContext(3, 3)
     m = ctx.modulus
     assert len(m) == 4 and m[-1] == 1
     for x in range(3):
@@ -44,7 +43,7 @@ def test_make_gf27_modulus_has_no_root():
 def test_modulus_is_lex_least_gf8():
     # brute check: no lex-smaller monic degree-3 polynomial over GF(2) is irreducible
     from itertools import product
-    ctx = gf_make(2, 3)
+    ctx = GFContext(2, 3)
     chosen = tuple(ctx.modulus[:3])
 
     def reducible(tail):
@@ -63,18 +62,18 @@ def test_modulus_is_lex_least_gf8():
 
 def test_make_errors():
     with pytest.raises(ValueError):
-        gf_make(6, 1)
+        GFContext(6, 1)
     with pytest.raises(ValueError):
-        gf_make(4, 2)
+        GFContext(4, 2)
     with pytest.raises(ValueError):
-        gf_make(2, 0)
+        GFContext(2, 0)
     with pytest.raises(ValueError):
-        gf_make(2, 21)  # q > 2^20
+        GFContext(2, 21)  # q > 2^20
     # refused on p and f alone, before p^f or a primality test is worked out
     with pytest.raises(ValueError, match="exceeds the supported cap"):
-        gf_make(2, 10 ** 9)
+        GFContext(2, 10 ** 9)
     with pytest.raises(ValueError, match="exceeds the supported cap"):
-        gf_make(10 ** 30 + 57, 1)
+        GFContext(10 ** 30 + 57, 1)
     with pytest.raises(ValueError, match="exceeds the supported cap"):
         gf_for_q(10 ** 30 + 57)  # refused before it is factorised
 
@@ -109,7 +108,7 @@ def test_prime_power_split():
 # ---------------------------------------------------------------------------
 
 def test_gf4_polynomial_reduction():
-    ctx = gf_make(2, 2)
+    ctx = GFContext(2, 2)
     x = from_coeffs(ctx, [0, 1])
     assert ctx.mul(x, x) == from_coeffs(ctx, [1, 1])  # x^2 = x + 1 mod x^2+x+1
 
@@ -123,7 +122,7 @@ def test_inverse_everywhere(q):
 
 def test_inversion_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        gf_make(7, 1).inv(0)
+        GFContext(7, 1).inv(0)
 
 
 @pytest.mark.parametrize("q", [8, 9])
@@ -144,7 +143,7 @@ def test_field_axioms_exhaustive(q):
 
 
 def test_pow_matches_repeated_mul():
-    ctx = gf_make(3, 3)
+    ctx = GFContext(3, 3)
     for a in range(1, ctx.q):
         acc = 1
         for e in range(1, 8):
@@ -168,7 +167,7 @@ def test_tables_match_polynomial_product_gf81():
 # ---------------------------------------------------------------------------
 
 def test_is_square_gf7_by_exhaustion():
-    ctx = gf_make(7, 1)
+    ctx = GFContext(7, 1)
     squares = {ctx.mul(b, b) for b in range(7)}
     assert squares == {0, 1, 2, 4}
     assert ctx.is_square(2)
@@ -176,7 +175,7 @@ def test_is_square_gf7_by_exhaustion():
 
 
 def test_is_square_gf4_everything():
-    ctx = gf_make(2, 2)
+    ctx = GFContext(2, 2)
     assert all(ctx.is_square(a) for a in range(4))
 
 
@@ -189,12 +188,12 @@ def test_nonzero_square_count(q):
 
 
 def test_frobenius_fixes_prime_field():
-    ctx = gf_make(13, 1)
+    ctx = GFContext(13, 1)
     assert all(ctx.frobenius(a) == a for a in range(13))
 
 
 def test_frobenius_gf9_is_cube():
-    ctx = gf_make(3, 2)
+    ctx = GFContext(3, 2)
     g = ctx.generator
     assert ctx.frobenius(g) == ctx.pow(g, 3)
 
@@ -219,7 +218,7 @@ def test_frobenius_additive(q):
 
 
 def test_in_subfield_basics():
-    ctx = gf_make(3, 3)
+    ctx = GFContext(3, 3)
     for a in range(3):  # prime-field constants pack as themselves
         assert ctx.in_subfield(a, 1)
     g = ctx.generator
@@ -240,7 +239,7 @@ def test_subfield_sizes(q):
 
 
 def test_absolute_trace_additive_and_onto():
-    ctx = gf_make(2, 4)
+    ctx = GFContext(2, 4)
     values = set()
     for a in range(16):
         ta = ctx.absolute_trace(a)
@@ -252,7 +251,7 @@ def test_absolute_trace_additive_and_onto():
 
 
 def test_coeffs_roundtrip():
-    ctx = gf_make(5, 3)
+    ctx = GFContext(5, 3)
     for a in (0, 1, 17, 124):
         cs = coeffs(ctx, a)
         assert len(cs) == 3
@@ -312,7 +311,7 @@ def field_and_elements(draw, fields):
 @given(field_and_elements(FIELDS))
 def test_field_axioms(case):
     (p, f), (a, b, c) = case
-    ctx = gf_make(p, f)
+    ctx = cached_field(p, f)
     add, mul = ctx.add, ctx.mul
     assert add(a, b) == add(b, a) and mul(a, b) == mul(b, a)
     assert add(add(a, b), c) == add(a, add(b, c))
@@ -329,7 +328,7 @@ def test_field_axioms(case):
 @given(field_and_elements(FIELDS), st.integers(-3 * 4096, 3 * 4096))
 def test_table_reads_match_polynomial_reference(case, e):
     (p, f), (a, b, _) = case
-    ctx = gf_make(p, f)
+    ctx = cached_field(p, f)
     q = ctx.q
     assert ctx.mul(a, b) == ctx._poly_product(a, b)
     assert ctx.is_square(a) == (p == 2 or a == 0 or ref_pow(ctx, a, (q - 1) // 2) == 1)
@@ -344,7 +343,7 @@ def test_table_reads_match_polynomial_reference(case, e):
 
 @pytest.mark.parametrize("field", FIELDS, ids=[f"{p}^{f}" for p, f in FIELDS])
 def test_generator_is_least(field):
-    ctx = gf_make(*field)
+    ctx = GFContext(*field)
     assert ref_order(ctx, ctx.generator) == ctx.q - 1
     assert all(ref_order(ctx, a) < ctx.q - 1 for a in range(2, ctx.generator))
 
@@ -352,7 +351,7 @@ def test_generator_is_least(field):
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(FIELDS), st.data())
 def test_exp_table_lists_generator_powers(field, data):
-    ctx = gf_make(*field)
+    ctx = cached_field(*field)
     exp = ctx.exp_table()
     assert len(exp) == ctx.q - 1
     k = data.draw(st.integers(0, ctx.q - 2))

@@ -367,7 +367,7 @@ def power_cases():
         if not prime_power_split(q):
             continue
         ctx, inv, psi2 = structural(q)
-        b = beta_fast(aut_action(ctx, inv), profile_census(ctx, inv))
+        b = beta_fast(profile_census(ctx, inv))
         n = len(inv.nonidentity_labels())
         for t in range(2, b + 1):
             if max(n, len(psi2)) ** t <= POWER_WORK_CAP:

@@ -39,7 +39,8 @@ def test_verify_builds_census_and_covering_once_per_q(tmp_path):
     # the oracle sessions for q <= 13 read the inventory verify_q built
     assert spans["psl2.inventory"] == counters["psl2.inventory_calls"] == n_q
     assert spans["structure.profiles"] == 2 * n_q  # maximal_profiles -> build_profiles
-    assert spans["autorbits.action"] == n_q
+    # beta comes from the census: no Aut(S) map is built
+    assert "autorbits.action" not in spans
 
 
 def test_beta_counts_without_the_orbit_partition(tmp_path):
@@ -47,6 +48,7 @@ def test_beta_counts_without_the_orbit_partition(tmp_path):
     assert "autorbits.beta" not in spans
     assert "structure.psi2" not in spans
     assert spans["autorbits.beta_fast"] == 1
+    assert "autorbits.action" not in spans
     assert counters["structure.census_calls"] == 1
 
 
@@ -57,8 +59,9 @@ def test_power_graph_builds_the_partition_once(tmp_path):
     assert "autorbits.beta" not in spans
     assert counters["structure.census_calls"] == 1
     assert counters["iggraph.power_pairs"] == 120  # 16 vertices of S^2
+    assert spans["autorbits.action"] == 1
     spans, counters = traced(tmp_path, "beta", "--q", "7", "--orbits")
-    assert spans["autorbits.beta"] == 1
+    assert spans["autorbits.beta"] == spans["autorbits.action"] == 1
     assert counters["autorbits.orbits"] == 4
     assert counters["structure.census_calls"] == 1
 
