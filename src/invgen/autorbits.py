@@ -47,7 +47,7 @@ from math import gcd
 from typing import NamedTuple
 
 from invgen.gf import GFContext, prime_power_split
-from invgen.psl2 import ClassInventory, trace_key
+from invgen.psl2 import ClassInventory, ClassSignature, trace_key
 from invgen.structure import ProfileCensus, Psi2Table
 
 ClassPerm = dict[int, int]  # the positions it moves; the rest are fixed
@@ -149,14 +149,20 @@ def beta(action: AutAction, psi2: Psi2Table) -> OrbitPartition:
     return OrbitPartition(len(groups), sorted(map(sorted, groups.values())))
 
 
+def fixes_signature(sig: ClassSignature, e: int, i: int, f: int) -> bool:
+    """Whether diag^e * Frob^i fixes the classes of signature ``sig``, by the
+    rule in the module docstring."""
+    return gcd(i, f) in sig.trace_sq_in and not (e and sig.kind == "unip")
+
+
 def beta_fast(census: ProfileCensus) -> int:
     """Orbit count by Burnside's lemma over the d*f elements
     diag^e * Frob^i, per signature and bucket.
 
     An element's fixed Psi2 pairs number the bucket-product count over the
     classes it fixes; a bucket's fixed classes are those of the signatures
-    the element fixes, by the rule in the module docstring.  Reads only the
-    census, so it needs no field, no map and no Psi2.
+    the element fixes, by ``fixes_signature``.  Reads only the census, so it
+    needs no field, no map and no Psi2.
     """
     sigs = census.inv.signatures[0]
     _, f = prime_power_split(census.q)
@@ -164,10 +170,9 @@ def beta_fast(census: ProfileCensus) -> int:
     total = 0
     for e in range(d):
         for i in range(f):
-            g = gcd(i, f)
             fixed = [0] * len(census.sizes)
             for sig, bucket, n in zip(sigs, census.sig_bucket, census.sig_sizes):
-                if bucket >= 0 and g in sig.trace_sq_in and not (e and sig.kind == "unip"):
+                if bucket >= 0 and fixes_signature(sig, e, i, f):
                     fixed[bucket] += n
             total += sum(fixed[j] * fixed[k] for j, k in census.disjoint)
     count, rem = divmod(total, d * f)

@@ -174,13 +174,14 @@ def cmd_graph(args) -> int:
         g = lambda_power(ctx, args.power, psi2, aut_action(ctx, inv), inv, plus=args.plus)
     ok, parts = is_bipartite(g)
     parts_arg = parts if ok else None
+    comps = components(g)
     if args.format == "dot":
-        _emit([to_dot(g, parts_arg)], args.out)
+        _emit(to_dot(g, parts_arg), args.out)
     else:
-        _emit([json.dumps(graph_to_json(g, parts_arg), indent=2) + "\n"], args.out)
+        _emit(graph_to_json(g, parts_arg, comps), args.out)
     summary = (
         f"q={ctx.q} t={args.power} vertices={len(g.vertices)} edges={g.edge_count()} "
-        f"components={len(components(g))} bipartite={ok} diameter={diameter(g)}"
+        f"components={len(comps)} bipartite={ok} diameter={diameter(g)}"
     )
     print(summary, file=sys.stderr if args.out is None else sys.stdout)
     return EXIT_OK

@@ -13,7 +13,19 @@ filter then drops everything else that is isolated.
 
 Adjacency is stored as one integer bitmask per vertex: bit j of
 ``nbrs[i]`` is set when vertices i and j are adjacent.  Components,
-bipartiteness and diameter walk BFS layers over those masks.  The lower
+bipartiteness and diameter walk BFS layers over those masks.
+
+Vertices with one neighbour mask are twins, and the work that depends only
+on the mask is done once per twin class.  These graphs have few classes
+(the q = 256 plus graph has 2 among 255 vertices, the q = 13, t = 3 power
+graph 22 among 343).  Construction checks the loop and range conditions
+per vertex but symmetry per class: every neighbour of the class must list
+all of its members, which is the per-edge check regrouped.  Twins have
+equal eccentricity (``diameter`` gives the argument), so the diameter
+takes one BFS per class.  The exporters are generators that write one
+chunk per vertex or row, each class naming and sorting its neighbours
+once; ``graph_to_json`` writes the text of ``json.dumps(indent=2)``
+without building the payload.  The lower
 bounds on component counts of the power graph are reported with exact
 big-integer binomials.  Clique and chromatic numbers need no solver: every
 graph built here is bipartite, since colouring a vertex by the side of the
@@ -30,7 +42,9 @@ isolated vertices exactly; it runs the same analyses on that quotient.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import json
+from bisect import bisect_right
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import product
 from math import comb, log2
 from typing import NamedTuple
@@ -68,12 +82,15 @@ class IGGraph:
         self.nbrs = nbrs  # bit j of nbrs[i]: vertices[i] and vertices[j] are adjacent
         if len(self.nbrs) != len(self.vertices):
             raise RuntimeError("one neighbour mask per vertex is required")
+        twins: dict[int, int] = {}  # neighbour mask -> bitmask of the vertices with it
         for i, mask in enumerate(self.nbrs):
             if mask < 0 or mask >> len(self.vertices):
                 raise RuntimeError("neighbour bit past the last vertex")
             if mask >> i & 1:
                 raise RuntimeError("loops are not allowed")
-            if any(not self.nbrs[j] >> i & 1 for j in _bits(mask)):
+            twins[mask] = twins.get(mask, 0) | 1 << i
+        for mask, members in twins.items():
+            if any(self.nbrs[j] & members != members for j in _bits(mask)):
                 raise RuntimeError("adjacency is not symmetric")
 
     def edge_count(self) -> int:
@@ -202,8 +219,15 @@ def is_bipartite(g: IGGraph) -> tuple[bool, tuple[list, list]]:
 
 def diameter(g: IGGraph) -> int:
     """Largest eccentricity within a component, over all vertices (0 when
-    there are no edges)."""
-    return max((len(_layers(g.nbrs, i)) - 1 for i in range(len(g.nbrs))), default=0)
+    there are no edges), from one BFS per twin class.
+
+    Twins have equal eccentricity: if N(u) = N(v) is not empty and u != v,
+    then u and v are not adjacent (u in N(v) = N(u) would be a loop), so
+    d(u, v) = 2; and every path from u to another vertex w leaves through
+    N(u) = N(v), so d(u, w) = d(v, w).  Vertices with no neighbour have
+    eccentricity 0 and need no BFS."""
+    sources = {mask: i for i, mask in enumerate(g.nbrs) if mask}
+    return max((len(_layers(g.nbrs, i)) - 1 for i in sources.values()), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -370,38 +394,88 @@ def expected_isolated(ctx: GFContext, inv: ClassInventory) -> set[str]:
 # exports
 # ---------------------------------------------------------------------------
 
-def to_dot(g: IGGraph, parts: tuple[list, list] | None = None) -> str:
-    """DOT text; each edge is written once, from its earlier end in vertex
-    order, with the later ends in vertex order too."""
+def to_dot(g: IGGraph, parts: tuple[list, list] | None = None) -> Iterator[str]:
+    """DOT text, one chunk for the vertex lines and then one per vertex
+    with a later neighbour: each edge is written once, from its earlier end
+    in vertex order, with the later ends in vertex order too.  Each twin
+    class names its neighbours once."""
     names = [g.vertex_name(v) for v in g.vertices]
-    lines = ["graph lambda {"]
     part1 = set(parts[0]) if parts else set()
-    for v, name in zip(g.vertices, names):
-        attrs = f' [part="{1 if v in part1 else 2}"]' if parts else ""
-        lines.append(f'  "{name}"{attrs};')
+    attrs = [f' [part="{1 if v in part1 else 2}"]' if parts else "" for v in g.vertices]
+    yield "graph lambda {\n" + "".join(
+        f'  "{name}"{attr};\n' for name, attr in zip(names, attrs))
+    ends: dict[int, tuple[list[int], list[str]]] = {}
     for i, mask in enumerate(g.nbrs):
-        for j in _bits(mask):
-            if i < j:
-                lines.append(f'  "{names[i]}" -- "{names[j]}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        near = ends.get(mask)
+        if near is None:
+            js = _bits(mask)
+            near = ends[mask] = (js, [names[j] for j in js])
+        later = near[1][bisect_right(near[0], i):]
+        if later:
+            head = f'  "{names[i]}" -- "'
+            yield head + ('";\n' + head).join(later) + '";\n'
+    yield "}\n"
 
 
-def graph_to_json(g: IGGraph, parts: tuple[list, list] | None = None) -> dict:
+def _json_strings(items: list[str], pad: str) -> str:
+    """A list of strings as ``json.dumps(indent=2)`` writes it when its
+    closing bracket is indented by ``pad``."""
+    if not items:
+        return "[]"
+    return f'[\n{pad}  "' + f'",\n{pad}  "'.join(items) + f'"\n{pad}]'
+
+
+def _json_list(key: str, items: Iterable[str]) -> Iterator[str]:
+    """The member ``key: [...]`` of a top-level object as ``json.dumps
+    (indent=2)`` writes it, from its items already written at depth 2, one
+    chunk per item; a chunk may hold several items joined by their
+    separator."""
+    yield f'  "{key}": ['
+    sep = "\n    "
+    for item in items:
+        yield sep + item
+        sep = ",\n    "
+    yield "]" if sep == "\n    " else "\n  ]"
+
+
+def _json_edges(nbrs: list[int], names: list[str], order: list[int]) -> Iterator[str]:
+    """The edges as [name, name] items, smaller name first, in name order:
+    one chunk per vertex, in name order, holding its edges to the vertices
+    with larger names.  Each twin class sorts its neighbour names once."""
+    named: dict[int, list[str]] = {}
+    end = '"\n    ]'
+    for i in order:
+        near = named.get(nbrs[i])
+        if near is None:
+            near = named[nbrs[i]] = sorted(map(names.__getitem__, _bits(nbrs[i])))
+        later = near[bisect_right(near, names[i]):]
+        if later:
+            start = f'[\n      "{names[i]}",\n      "'
+            yield start + (end + ",\n    " + start).join(later) + end
+
+
+def graph_to_json(g: IGGraph, parts: tuple[list, list] | None = None,
+                  comps: list[list] | None = None) -> Iterator[str]:
+    """The text of ``json.dumps(payload, indent=2) + "\n"`` for the payload
+    {q, t, method, vertices, edges, components[, parts]}: vertex names
+    sorted, each edge as its two names in order, the components and the
+    parts as sorted name lists, the components in order too.  Written one
+    chunk per row, so neither the payload nor the text is built whole.
+    ``comps`` is ``components(g)`` when the caller already has it.  Vertex
+    names need no JSON escaping."""
     names = [g.vertex_name(v) for v in g.vertices]
     name_of = dict(zip(g.vertices, names))
-    out = {
-        "q": g.q,
-        "t": g.t,
-        "method": g.method,
-        "vertices": sorted(names),
-        "edges": sorted(
-            [names[i], names[j]]
-            for i, mask in enumerate(g.nbrs) for j in _bits(mask) if names[i] < names[j]
-        ),
-        "components": sorted(sorted(name_of[v] for v in comp) for comp in components(g)),
-    }
+    order = sorted(range(len(names)), key=names.__getitem__)
+    head = {"q": g.q, "t": g.t, "method": g.method}
+    yield "{\n" + "".join(f"  {json.dumps(k)}: {json.dumps(v)},\n" for k, v in head.items())
+    yield '  "vertices": ' + _json_strings([names[i] for i in order], "  ") + ",\n"
+    yield from _json_list("edges", _json_edges(g.nbrs, names, order))
+    yield ",\n"
+    comp_names = sorted(sorted(name_of[v] for v in comp)
+                        for comp in (components(g) if comps is None else comps))
+    yield from _json_list("components", (_json_strings(c, "    ") for c in comp_names))
     if parts is not None:
-        out["parts"] = [sorted(name_of[v] for v in parts[0]),
-                        sorted(name_of[v] for v in parts[1])]
-    return out
+        yield ",\n"
+        yield from _json_list("parts", (_json_strings(sorted(name_of[v] for v in part), "    ")
+                                        for part in parts))
+    yield "\n}\n"

@@ -4,7 +4,7 @@ from functools import lru_cache
 from math import comb, gcd
 
 from invgen.gf import GFContext, _pack, _unpack
-from invgen.iggraph import _graph, components, diameter, is_bipartite, LambdaSummary
+from invgen.iggraph import _bits, _graph, components, diameter, is_bipartite, LambdaSummary
 from invgen.oracle import _inverse, _line_action, _table
 from invgen.psl2 import (
     ClassEntry, ClassInventory, ClassLabel, ClassSignature, TorusClasses, enumerate_psl2,
@@ -557,3 +557,46 @@ def component_count(beta, t) -> int:
     realised iff k <= beta/2 and t - k <= beta/2."""
     h = beta // 2
     return sum(comb(t, k) for k in range(max(0, t - h), min(t, h) + 1)) // 2
+
+
+# ---------------------------------------------------------------------------
+# the graph JSON payload, built whole
+# ---------------------------------------------------------------------------
+
+def ref_graph_json(g, parts=None) -> dict:
+    """The payload ``graph_to_json`` writes, as a dict: its text must be
+    ``json.dumps(ref_graph_json(g, parts), indent=2) + "\n"``."""
+    names = [g.vertex_name(v) for v in g.vertices]
+    name_of = dict(zip(g.vertices, names))
+    out = {
+        "q": g.q,
+        "t": g.t,
+        "method": g.method,
+        "vertices": sorted(names),
+        "edges": sorted(
+            [names[i], names[j]]
+            for i, mask in enumerate(g.nbrs) for j in _bits(mask) if names[i] < names[j]
+        ),
+        "components": sorted(sorted(name_of[v] for v in comp) for comp in components(g)),
+    }
+    if parts is not None:
+        out["parts"] = [sorted(name_of[v] for v in parts[0]),
+                        sorted(name_of[v] for v in parts[1])]
+    return out
+
+
+def ref_dot(g, parts=None) -> str:
+    """The DOT text ``to_dot`` writes, built whole: each edge once, from its
+    earlier end in vertex order."""
+    names = [g.vertex_name(v) for v in g.vertices]
+    lines = ["graph lambda {"]
+    part1 = set(parts[0]) if parts else set()
+    for v, name in zip(g.vertices, names):
+        attrs = f' [part="{1 if v in part1 else 2}"]' if parts else ""
+        lines.append(f'  "{name}"{attrs};')
+    for i, mask in enumerate(g.nbrs):
+        for j in _bits(mask):
+            if i < j:
+                lines.append(f'  "{names[i]}" -- "{names[j]}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -1,5 +1,3 @@
-from math import gcd
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,20 +78,25 @@ def test_action_group_order_divides_out(q):
 
 @pytest.mark.parametrize("q", NONPRIME_POWERS)
 def test_frobenius_fixes_the_classes_its_signatures_say(q):
-    # beta_fast reads Frobenius^i's fixed classes from the signatures; the
-    # map aut_action builds from the field must move exactly the others
+    # beta_fast reads the fixed classes of diag^e * Frob^i from the
+    # signatures through fixes_signature; the maps aut_action builds from
+    # the field must move exactly the others
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    frob = aut_action(ctx, inv).frobenius
+    action = aut_action(ctx, inv)
     sigs, of_class = inv.signatures
     n = len(inv) - 1
     image = list(range(n))  # Frobenius^i, position by position
     for i in range(ctx.f):
-        moved = {k for k in range(n) if image[k] != k}
-        lacking = {k for k in range(n) if gcd(i, ctx.f) not in sigs[of_class[k + 1]].trace_sq_in}
-        assert moved == lacking, (q, i)
-        assert min(moved, default=n) >= len(inv.head) - 1  # torus classes only
-        image = [frob.get(k, k) for k in image]
+        for e in range(inv.d):
+            diag = action.diagonal if e else {}
+            moved = {k for k in range(n) if diag.get(image[k], image[k]) != k}
+            lacking = {k for k in range(n)
+                       if not autorbits.fixes_signature(sigs[of_class[k + 1]], e, i, ctx.f)}
+            assert moved == lacking, (q, e, i)
+            if not e:
+                assert min(moved, default=n) >= len(inv.head) - 1  # torus classes only
+        image = [action.frobenius.get(k, k) for k in image]
     assert image == list(range(n))  # Frobenius^f is the identity
 
 

@@ -107,6 +107,14 @@ GOLDEN = [
      "311ad1cc7d2b76ac30f8e1773e79fd0754fb03a1f37cd5e13798e55aa73d5c55"),
     ("verify --q-range 4096..4200",
      "27c7c396c6e06a6f4cc13f7d39bc36732798fc7f60892a6f983f8aba00c8d56a"),
+    # recorded at commit 8c9227b, before graph JSON was written one row at a
+    # time and the graph analyses ran once per twin class
+    ("graph --q 9 --format json",
+     "86193dc2b609139ed184891cd877bb2da0de13fb3f40d55856aed4c19bea1e97"),
+    ("graph --q 7 --power 3 --format json",
+     "3993b767851c78747fbe8442688cbe88de23c134fcddb6ab55955247ad9342a4"),
+    ("graph --q 8 --power 2 --format json",
+     "89a1a09e6f31715e9e426575f3d813b8f17290524b35c31193bdf28daaa34178"),
 ]
 
 # The graph summary goes to stderr; it is the only output that carries the
@@ -123,6 +131,13 @@ GOLDEN_SUMMARY = {
         "q=7 t=4 vertices=48 edges=192 components=3 bipartite=True diameter=2",
     "graph --q 13 --power 3 --plus --format dot":
         "q=13 t=3 vertices=343 edges=5676 components=4 bipartite=True diameter=3",
+    # recorded at commit 8c9227b
+    "graph --q 9 --format json":
+        "q=9 t=1 vertices=6 edges=2 components=4 bipartite=True diameter=2",
+    "graph --q 7 --power 3 --format json":
+        "q=7 t=3 vertices=125 edges=96 components=92 bipartite=True diameter=2",
+    "graph --q 8 --power 2 --format json":
+        "q=8 t=2 vertices=64 edges=252 components=18 bipartite=True diameter=3",
 }
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -1,4 +1,5 @@
 import decimal
+import json
 import os
 import sys
 from collections import deque
@@ -32,7 +33,8 @@ from invgen.iggraph import (
 )
 from invgen.structure import profile_census, psi2_structural, verify_2covering
 from helpers import (
-    component_count, covering_parts, isolated, pairs, part_pattern, ref_orbits,
+    component_count, covering_parts, isolated, pairs, part_pattern, ref_dot, ref_graph_json,
+    ref_orbits,
 )
 
 EXTENDED = os.environ.get("INVGEN_EXTENDED") == "1"
@@ -265,6 +267,7 @@ def test_iggraph_rejects_bad_masks(nbrs, match):
     ([0b010, 0b011, 0b000], "loops"),
     ([-1, 0b000, 0b000], "past the last vertex"),
     ([0b010, 0b001, 0b000, 0b000], "one neighbour mask per vertex"),
+    ([0b100, 0b100, 0b001], "not symmetric"),  # twins a, b; c lists only a
 ])
 def test_iggraph_checks_each_invariant_on_construction(nbrs, match):
     with pytest.raises(RuntimeError, match=match):
@@ -303,19 +306,27 @@ def test_edgeless():
 
 @st.composite
 def random_graphs(draw):
-    """Small graphs with random edges, plus an optional odd cycle and
-    isolated vertices, their vertices listed in a random order."""
+    """Small graphs with random edges, plus an optional odd cycle, isolated
+    vertices and twins (new vertices given the neighbourhood of an existing
+    one), their vertices listed in a random order."""
     n = draw(st.integers(0, 12))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     edges = [e for e in pairs if draw(st.booleans())]
     cycle = draw(st.sampled_from([0, 3, 5, 7]))
     edges += [(n + i, n + (i + 1) % cycle) for i in range(cycle)]
     total = n + cycle + draw(st.integers(0, 3))
-    order = draw(st.permutations(range(total)))
-    adj = {v: set() for v in order}
+    adj = {v: set() for v in range(total)}
     for a, b in edges:
         adj[a].add(b)
         adj[b].add(a)
+    if total and draw(st.booleans()):
+        source = draw(st.integers(0, total - 1))
+        for twin in range(total, total + draw(st.integers(1, 3))):
+            adj[twin] = set(adj[source])
+            for w in adj[twin]:
+                adj[w].add(twin)
+        total = len(adj)
+    order = draw(st.permutations(range(total)))
     return from_adjacency(order, adj)
 
 
@@ -501,17 +512,68 @@ def test_balance_fails_below_beta_q7():
 def test_dot_export():
     g = graph_of(7, plus=True)
     ok, parts = is_bipartite(g)
-    dot = to_dot(g, parts)
+    dot = "".join(to_dot(g, parts))
     assert dot.startswith("graph lambda {")
     assert dot.count(" -- ") == 4
     assert '"inv"' in dot and 'part=' in dot
-    assert to_dot(g, parts) == dot  # deterministic
+    assert "".join(to_dot(g, parts)) == dot  # deterministic
 
 
 def test_json_export():
     g = graph_of(9, plus=False)
-    js = graph_to_json(g)
+    js = json.loads("".join(graph_to_json(g)))
     assert js["q"] == 9 and js["t"] == 1
     assert len(js["vertices"]) == 6
     assert len(js["edges"]) == 2
     assert len(js["components"]) == 4  # the path plus three isolated vertices
+    assert "parts" not in js
+
+
+def json_text(g, parts=None):
+    return json.dumps(ref_graph_json(g, parts), indent=2) + "\n"
+
+
+def labelled(g):
+    """``g`` with vertex k renamed to the label split:t=k, so the exporters
+    can name it; the names sort as strings, not as numbers."""
+    return IGGraph(g.q, g.t, g.method, [ClassLabel("split", v) for v in g.vertices], g.nbrs)
+
+
+def test_json_writer_on_the_empty_graph():
+    g = IGGraph(5, 1, "structural", [], [])
+    for parts in (None, ([], [])):
+        assert "".join(graph_to_json(g, parts)) == json_text(g, parts)
+    assert "".join(to_dot(g)) == "graph lambda {\n}\n" == ref_dot(g)
+
+
+def test_json_writer_on_an_edgeless_graph():
+    g = labelled(synthetic([], extra_vertices=[3, 10, 7]))
+    ok, parts = is_bipartite(g)
+    assert ok and parts[1] == []
+    for p in (parts, None):
+        assert "".join(graph_to_json(g, p)) == json_text(g, p)
+        assert "".join(to_dot(g, p)) == ref_dot(g, p)
+
+
+@pytest.mark.parametrize("q,t,plus", [
+    (4, 1, False), (7, 1, True), (9, 1, False), (16, 1, True), (5, 2, True),
+    (7, 2, False), (8, 2, True), (7, 3, False), (13, 2, True),
+])
+def test_json_writer_matches_reference(q, t, plus):
+    g = graph_of(q, plus) if t == 1 else power_of(q, t, plus=plus)
+    ok, parts = is_bipartite(g)
+    assert ok
+    for p in (parts, None):
+        assert "".join(graph_to_json(g, p)) == json_text(g, p)
+        assert "".join(to_dot(g, p)) == ref_dot(g, p)
+    assert "".join(graph_to_json(g, parts, components(g))) == json_text(g, parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_graphs())
+def test_writers_match_references_on_random_graphs(g):
+    g = labelled(g)
+    ok, parts = is_bipartite(g)
+    for p in ((parts, None) if ok else (None,)):
+        assert "".join(graph_to_json(g, p)) == json_text(g, p)
+        assert "".join(to_dot(g, p)) == ref_dot(g, p)

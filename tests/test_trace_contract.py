@@ -76,3 +76,13 @@ def test_psi2_both_runs_each_route_once(tmp_path):
     # once, and the oracle decides each of the 8*9/2 class pairs once
     assert counters["psl2.elements"] == 504
     assert counters["oracle.pair_verdicts"] == 36
+
+
+def test_graph_keeps_its_export_span(tmp_path):
+    # the exporters are generators and the tracer wraps them by name: a
+    # renamed writer would drop the span and zero iggraph.export_s
+    for fmt in ("json", "dot"):
+        spans, _ = traced(tmp_path, "graph", "--q", "7", "--plus", "--format", fmt)
+        assert spans["iggraph.export"] == 1, fmt
+        assert spans["iggraph.diameter"] == spans["iggraph.graph"] == 1, fmt
+        assert spans["iggraph.components"] == 1, fmt  # shared by the JSON and the summary
