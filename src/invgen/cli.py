@@ -8,6 +8,9 @@ runs, so a command does not pay to load the rest of the package.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 cap exceeded, 4 internal error (an invariant of the computation failed).
+A ``ValueError`` is a usage error only where the CLI hands user input to a
+layer and turns it into a ``UsageError`` there; from anywhere else it is
+internal.
 Field sizes are checked against ``Q_CAP`` and the ``--out`` file is opened
 before any computation, so either refusal (exit 2) comes without work, and
 a ``verify`` range is refused (exit 3) before any field is built once its
@@ -49,14 +52,28 @@ def _context(args) -> GFContext:
     if args.q is not None:
         if args.p is not None or args.f is not None:
             raise UsageError("give either --q or --p/--f, not both")
-        ctx = gf_for_q(args.q)
     elif args.p is None:
         raise UsageError("one of --q or --p is required")
-    else:
-        ctx = GFContext(args.p, args.f if args.f is not None else 1)
+    try:  # not a prime power, p not prime, f < 1, or q above Q_CAP
+        if args.q is not None:
+            ctx = gf_for_q(args.q)
+        else:
+            ctx = GFContext(args.p, args.f if args.f is not None else 1)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if ctx.q < 4:
         raise UsageError(f"q must be at least 4, got {ctx.q}")
     return ctx
+
+
+def _oracle_cap() -> int:
+    """``oracle_cap()``, with a malformed INVGEN_ORACLE_CAP refused as usage."""
+    from invgen.oracle import oracle_cap
+
+    try:
+        return oracle_cap()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _open_out(path: str | None) -> contextlib.AbstractContextManager:
@@ -126,7 +143,7 @@ def cmd_psi2(args) -> int:
     if args.method != "structural":
         from invgen.oracle import OracleSession, check_oracle_cap
 
-        check_oracle_cap(ctx.q)
+        check_oracle_cap(ctx.q, _oracle_cap())
     inv = inventory(ctx)
     tables = {}
     if args.method in ("structural", "both"):
@@ -171,7 +188,11 @@ def cmd_graph(args) -> int:
     if args.power == 1:
         g = lambda_graph(ctx, psi2, inv, plus=args.plus)
     else:
-        g = lambda_power(ctx, args.power, psi2, aut_action(ctx, inv), inv, plus=args.plus)
+        action = aut_action(ctx, inv)
+        try:  # t above beta
+            g = lambda_power(ctx, args.power, psi2, action, inv, plus=args.plus)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     ok, parts = is_bipartite(g)
     parts_arg = parts if ok else None
     comps = components(g)
@@ -276,12 +297,10 @@ def verify_q(ctx: GFContext, oracle: bool = False) -> dict:
 
 
 def cmd_verify(args) -> int:
-    from invgen.oracle import oracle_cap
-
     qs = _parse_range(args.q_range)
     if not qs:
         raise UsageError(f"no prime powers in range {args.q_range}")
-    cap = oracle_cap()
+    cap = _oracle_cap()
     results = {}
     failures = []
     for q in qs:
@@ -384,10 +403,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except RuntimeError as exc:
+    except (RuntimeError, ValueError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -226,44 +226,51 @@ def enumerate_psl2(ctx: GFContext):
 # trace/order bookkeeping for semisimple classes
 # ---------------------------------------------------------------------------
 
-def dickson(ctx: GFContext, t: int, k: int) -> int:
-    """Trace of the k-th power: D_k with D_0 = 2, D_1 = t, D_{k+1} = t*D_k - D_{k-1}.
+def _nonsplit_walk(ctx: GFContext) -> list[int]:
+    """The traces D_1, ..., D_(q//2) of the powers x^k of a generator x of
+    the nonsplit torus, by the Dickson recursion D_(k+1) = t*D_k - D_(k-1)
+    with D_0 = 2 and D_1 = t, the trace of x.
 
-    Computed by Lucas-sequence fast doubling.
+    The walk certifies its own generator.  x^k = +-1 exactly when
+    D_k = +-2, and the torus is cyclic of order q + 1, so x generates it
+    iff D_k != +-2 for 1 <= k < (q+1)/2 and, for q odd, D_((q+1)/2) = -2
+    (the one involution of the SL torus is -1).  For q even the first rule
+    is enough: a proper divisor of the odd q + 1 is at most (q+1)/3.
+    Without the second rule, a t of SL-order (q+1)/2 would pass when that
+    is odd (q = 1 mod 4); it gives the same classes but another walk.
+    Candidates t are taken in increasing order among the nonsplit traces
+    with t^2 != 4, and each walk stops at its first +-2.
     """
+    q = ctx.q
     two = ctx.scalar(2)
-    if k == 0:
-        return two
-    # maintain (D_m, D_{m+1}) over the bits of k
-    dm, dm1 = two, t
-    for bit in bin(k)[2:]:
-        if bit == "0":
-            dm, dm1 = (
-                ctx.sub(ctx.mul(dm, dm), two),
-                ctx.sub(ctx.mul(dm, dm1), t),
-            )
+    minus_two = ctx.neg(two)
+    stops = (two, minus_two)
+    steps = (q - 1) // 2  # D_2, ..., D_((q+1)//2)
+    for t in range(q):
+        if t in stops or is_split_trace(ctx, t):
+            continue
+        walk = [t]
+        dk_prev, dk = two, t
+        # In a prime field (q >= 4 makes p odd) the arithmetic is written
+        # out: verify 4..1024 CPU 0.45 s, 0.48 s through ctx.add/mul/sub
+        # (2-core Xeon).
+        if ctx.f == 1:
+            p = ctx.p
+            for _ in range(steps):
+                dk_prev, dk = dk, (t * dk - dk_prev) % p
+                if dk in stops:
+                    break
+                walk.append(dk)
         else:
-            dm, dm1 = (
-                ctx.sub(ctx.mul(dm, dm1), t),
-                ctx.sub(ctx.mul(dm1, dm1), two),
-            )
-    return dm
-
-
-def nonsplit_generator_trace(ctx: GFContext) -> int:
-    """Trace of a generator of the nonsplit torus (cyclic of order q+1)."""
-    n = ctx.q + 1
-    primes = list(factorize(n))
-    two = ctx.scalar(2)
-    four = ctx.scalar(4)
-    for t in range(ctx.q):
-        if ctx.mul(t, t) == four:
-            continue
-        if is_split_trace(ctx, t):
-            continue
-        if all(dickson(ctx, t, n // r) != two for r in primes):
-            return t
-    raise RuntimeError(f"no nonsplit torus generator trace found for q={ctx.q}")
+            mul, sub = ctx.mul, ctx.sub
+            for _ in range(steps):
+                dk_prev, dk = dk, sub(mul(t, dk), dk_prev)
+                if dk in stops:
+                    break
+                walk.append(dk)
+        if len(walk) == q // 2 and (q % 2 == 0 or dk == minus_two):
+            return walk
+    raise RuntimeError(f"no nonsplit torus generator trace found for q={q}")
 
 
 def _trace_keys(ctx: GFContext) -> list[int]:
@@ -320,7 +327,7 @@ def inventory(ctx: GFContext) -> ClassInventory:
     """Full conjugacy class inventory of PSL(2,q), q >= 4."""
     q = ctx.q
     if q < 4:
-        raise ValueError("PSL(2,q) class inventory requires q >= 4")
+        raise RuntimeError("PSL(2,q) class inventory requires q >= 4")
     d = 2 if q % 2 == 1 else 1
     head: list[ClassEntry] = [ClassEntry(ClassLabel("id"), 1, 1)]
     if d == 2:
@@ -333,32 +340,20 @@ def inventory(ctx: GFContext) -> ClassInventory:
         head.append(ClassEntry(ClassLabel("unip"), 2, q * q - 1))
 
     # split classes: g^k + g^-k = exp[k] + exp[q-1-k] along the generator g
-    # of GF(q)*, k = 1..(q-1)/2; nonsplit classes: the Dickson recursion
-    # D_(k+1) = t0*D_k - D_(k-1) along a generator of the order-(q+1) torus,
-    # with D_0 = 2 and D_1 = t0, k = 1..(q+1)/2.  In a prime field (q >= 4
-    # makes p odd) the arithmetic is written out: verify 4..1024 CPU 0.45 s,
-    # 0.48 s through ctx.add/mul/sub (2-core Xeon).
+    # of GF(q)*, k = 1..(q-1)/2, written out in a prime field as the walk
+    # is; nonsplit classes: the Dickson walk along a generator of the
+    # order-(q+1) torus, k = 1..q//2 (``_nonsplit_walk``).
     exp = ctx.exp_table()
-    t0 = nonsplit_generator_trace(ctx)
     n_split = (q - 1) // 2
-    dickson_seq = [0] * ((q + 1) // 2)
-    dk_prev, dk = ctx.scalar(2), t0
     if ctx.f == 1:
         p = ctx.p
         split_traces = list(map(p.__rmod__, map(add, exp[1:n_split + 1], exp[:-n_split - 1:-1])))
-        for k in range(len(dickson_seq)):
-            dickson_seq[k] = dk
-            dk_prev, dk = dk, (t0 * dk - dk_prev) % p
     else:
-        mul, sub = ctx.mul, ctx.sub
         split_traces = list(map(ctx.add, exp[1:n_split + 1], exp[:-n_split - 1:-1]))
-        for k in range(len(dickson_seq)):
-            dickson_seq[k] = dk
-            dk_prev, dk = dk, sub(mul(t0, dk), dk_prev)
     key_of = _trace_keys(ctx).__getitem__
     tori = [_fold_traces(kind, list(map(key_of, traces)), _power_orders(n, d, len(traces)), size)
             for kind, n, traces, size in (("split", q - 1, split_traces, q * (q + 1)),
-                                          ("nonsplit", q + 1, dickson_seq, q * (q - 1)))]
+                                          ("nonsplit", q + 1, _nonsplit_walk(ctx), q * (q - 1)))]
 
     inv = ClassInventory(ctx, head, tori)
     expected = (q + 4 * d - 3) // d

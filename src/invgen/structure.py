@@ -78,7 +78,7 @@ def maximal_subgroup_classes(ctx: GFContext) -> list[SubgroupClass]:
     """
     p, f, q = ctx.p, ctx.f, ctx.q
     if q < 4:
-        raise ValueError("subgroup classification requires q >= 4")
+        raise RuntimeError("subgroup classification requires q >= 4")
     d = 2 if q % 2 == 1 else 1
     out = [
         SubgroupClass(BOREL, q * (q - 1) // d, True),

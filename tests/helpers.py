@@ -3,12 +3,12 @@
 from functools import lru_cache
 from math import comb, gcd
 
-from invgen.gf import GFContext, _pack, _unpack
+from invgen.gf import GFContext, _pack, _unpack, factorize
 from invgen.iggraph import _bits, _graph, components, diameter, is_bipartite, LambdaSummary
 from invgen.oracle import _inverse, _line_action, _table
 from invgen.psl2 import (
     ClassEntry, ClassInventory, ClassLabel, ClassSignature, TorusClasses, enumerate_psl2,
-    is_split_trace, nonsplit_generator_trace, trace_key,
+    is_split_trace, trace_key,
 )
 from invgen.structure import (
     BOREL, BOREL_SIDE, DIH_NONSPLIT, DIHEDRAL_SIDE, label_meets, maximal_subgroup_classes,
@@ -306,8 +306,8 @@ def centraliser_reference(sess, x) -> set:
 def matrix_subgroups(ctx) -> dict:
     """Borel, split dihedral and subfield subgroups by filters on matrix
     entries, as permutations of the projective line: the reference for the
-    oracle's point-set stabilisers.  Keys name the kind, and the subfield
-    degree e with q0 = p^e; the twisted PGL(2,q0) copy for q odd is the
+    point-set stabilisers of ``tests/fusion.py``.  Keys name the kind, and
+    the subfield degree e with q0 = p^e; the twisted PGL(2,q0) copy for q odd is the
     conjugate by diag(mu, 1), mu the least nonsquare."""
     perm = _line_action(ctx)
     mats = list(enumerate_psl2(ctx))
@@ -380,6 +380,49 @@ def fusion_key(fusion) -> dict:
 # covering, summary and beta, one class label at a time.  The reference for
 # the array and per-signature route in src/.
 # ---------------------------------------------------------------------------
+
+def dickson(ctx, t, k) -> int:
+    """Trace of the k-th power: D_k with D_0 = 2, D_1 = t, D_{k+1} = t*D_k - D_{k-1}.
+
+    Computed by Lucas-sequence fast doubling.
+    """
+    two = ctx.scalar(2)
+    if k == 0:
+        return two
+    # maintain (D_m, D_{m+1}) over the bits of k
+    dm, dm1 = two, t
+    for bit in bin(k)[2:]:
+        if bit == "0":
+            dm, dm1 = (
+                ctx.sub(ctx.mul(dm, dm), two),
+                ctx.sub(ctx.mul(dm, dm1), t),
+            )
+        else:
+            dm, dm1 = (
+                ctx.sub(ctx.mul(dm, dm1), t),
+                ctx.sub(ctx.mul(dm1, dm1), two),
+            )
+    return dm
+
+
+def nonsplit_generator_trace(ctx) -> int:
+    """Trace of a generator of the nonsplit torus (cyclic of order q+1): the
+    least nonsplit t with t^2 != 4 whose D_(n/r) != 2 for every prime r of
+    n = q + 1.  The reference for the generator ``psl2._nonsplit_walk``
+    certifies by its own walk."""
+    n = ctx.q + 1
+    primes = list(factorize(n))
+    two = ctx.scalar(2)
+    four = ctx.scalar(4)
+    for t in range(ctx.q):
+        if ctx.mul(t, t) == four:
+            continue
+        if is_split_trace(ctx, t):
+            continue
+        if all(dickson(ctx, t, n // r) != two for r in primes):
+            return t
+    raise RuntimeError(f"no nonsplit torus generator trace found for q={ctx.q}")
+
 
 def ref_entries(ctx) -> list:
     """The class list of PSL(2,q), one ClassEntry per class, with the torus

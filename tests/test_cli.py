@@ -263,8 +263,16 @@ def break_inventory(monkeypatch):
     return ["psi2", "--q", "7", "--method", "oracle"], "split:t=1"
 
 
+def break_field_in_a_layer(monkeypatch):
+    # a ValueError from inside a layer is an internal failure, not usage:
+    # only the CLI's own calls on user input turn one into exit 2
+    monkeypatch.setattr(psl2, "inventory", lambda ctx: gf.GFContext(ctx.p, 0))
+    return ["classes", "--q", "5"], "f must be positive, got 0"
+
+
 @pytest.mark.parametrize("breaker", [break_canon, break_subgroup_list, break_subfield_degree,
-                                     break_bound, break_graph, break_inventory])
+                                     break_bound, break_graph, break_inventory,
+                                     break_field_in_a_layer])
 def test_invariant_failures_exit_internal(breaker, capsys, monkeypatch):
     argv, message = breaker(monkeypatch)
     code, out, err = run(capsys, *argv)
@@ -383,6 +391,29 @@ def test_unwritable_out_is_usage_before_work(argv, tmp_path, capsys, monkeypatch
     code, out, err = run(capsys, *argv, "--out", str(target))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and str(target) in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("classes --q 6", "6 is not a prime power"),
+    ("classes --q 3", "q must be at least 4, got 3"),
+    ("classes --p 4 --f 1", "p must be prime, got 4"),
+    ("classes --p 2 --f 0", "f must be positive, got 0"),
+    ("classes --q 1048577", "q=1048577 exceeds the supported cap 1048576"),
+    ("graph --q 5 --power 3", "t=3 exceeds beta=2; S^t is not invariably 2-generated there"),
+    ("verify --q-range 4..3", "range must satisfy 4 <= lo <= hi, got '4..3'"),
+])
+def test_refusals_are_usage(argv, message, capsys):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["psi2", "--q", "5", "--method", "oracle"],
+                                  ["verify", "--q-range", "4..5"]])
+def test_malformed_oracle_cap_is_usage(argv, capsys, monkeypatch):
+    monkeypatch.setenv("INVGEN_ORACLE_CAP", "abc")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: invalid literal for int() with base 10: 'abc'\n"
 
 
 def test_usage_no_command(capsys):

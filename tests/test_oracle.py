@@ -19,6 +19,16 @@ from invgen.structure import (
     profile_census,
     psi2_structural,
 )
+from fusion import (
+    class_fusion,
+    conjugacy_orbit,
+    dihedral_nonsplit_subgroup,
+    exceptional_subgroups,
+    generating_pair,
+    labels_met,
+    stabiliser,
+    subline,
+)
 from helpers import (
     centraliser_reference,
     conjugate,
@@ -273,16 +283,16 @@ def test_early_exit_changes_nothing(q, sessions, monkeypatch):
 @pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
 def test_class_fusion_matches_rules(q, sessions):
     sess = sessions(q)
-    assert fusion_key(sess.class_fusion()) == fusion_key(expected_fusion(sess))
+    assert fusion_key(class_fusion(sess)) == fusion_key(expected_fusion(sess))
 
 
 def test_q9_each_a5_class_meets_one_unipotent(sessions):
     sess = sessions(9)
-    groups = sess.exceptional_subgroups("exc_a5")
+    groups = exceptional_subgroups(sess, "exc_a5")
     assert len(groups) == 2
     unip_hits = []
     for g in groups:
-        labels = sess._labels_met(g)
+        labels = labels_met(sess, g)
         unips = {l for l in labels if l.kind == "unip"}
         assert len(unips) == 1
         unip_hits.append(unips.pop())
@@ -292,23 +302,23 @@ def test_q9_each_a5_class_meets_one_unipotent(sessions):
 @pytest.mark.parametrize("q, kind", [(5, "exc_a4"), (9, "exc_a5"), (11, "exc_a5"), (13, "exc_a4")])
 def test_conjugacy_orbit_is_every_conjugate(q, kind, sessions):
     sess = sessions(q)
-    for h in sess.exceptional_subgroups(kind):
+    for h in exceptional_subgroups(sess, kind):
         tables = [_table(x) for x in h]
         every = {frozenset(_inverse(g).translate(xt).translate(_table(g)) for xt in tables)
                  for g in sess.label_of_perm}
-        assert sess._conjugacy_orbit(h) == every
+        assert conjugacy_orbit(sess, h) == every
 
 
 def test_conjugation_generators_generate(sessions, monkeypatch):
     for q in (4, 8, 13):
         sess = sessions(q)
         monkeypatch.setattr(sess, "exit_bound", sess.order)  # the full closure
-        assert sess.closure_generates(sess._generators())
+        assert sess.closure_generates(generating_pair(sess))
 
 
 def test_q7_borel_fusion(sessions):
     sess = sessions(7)
-    labels = sess._labels_met(sess._stabiliser({0}))
+    labels = labels_met(sess, stabiliser(sess, {0}))
     assert {l.str_form() for l in labels} == {"unip:sq", "unip:nsq", "split:t=1"}
 
 
@@ -316,16 +326,16 @@ def test_subgroup_representative_orders(sessions):
     for q in (5, 7, 8, 9, 13):
         sess = sessions(q)
         classes = {sc.kind: sc for sc in maximal_subgroup_classes(sess.ctx)}
-        for kind, group in (("borel", sess._stabiliser({0})),
-                            ("dih_split", sess._stabiliser({0, 1})),
-                            ("dih_nonsplit", sess.dihedral_nonsplit_subgroup())):
+        for kind, group in (("borel", stabiliser(sess, {0})),
+                            ("dih_split", stabiliser(sess, {0, 1})),
+                            ("dih_nonsplit", dihedral_nonsplit_subgroup(sess))):
             assert len(group) == classes[kind].order, (q, kind)
             assert sess._closure(list(group), len(group)) == group, (q, kind)
 
 
 def test_subfield_subgroups_q9(sessions):
     sess = sessions(9)
-    v1, v2 = (sess._stabiliser(sess._subline(1, s)) for s in (1, 3))  # 3 = least nonsquare
+    v1, v2 = (stabiliser(sess, subline(sess, 1, s)) for s in (1, 3))  # 3 = least nonsquare
     assert len(v1) == len(v2) == 24  # PGL(2,3) is S4
     assert v1 != v2
 
@@ -351,13 +361,13 @@ def reference_subgroups():
 
 @pytest.mark.parametrize("q", STABILISER_QS)
 def test_borel_is_the_stabiliser_of_infinity(q, sessions, reference_subgroups):
-    assert sessions(q)._stabiliser({0}) == reference_subgroups(q)["borel"]
+    assert stabiliser(sessions(q), {0}) == reference_subgroups(q)["borel"]
 
 
 @pytest.mark.parametrize("q", STABILISER_QS)
 def test_split_dihedral_is_the_stabiliser_of_infinity_and_zero(q, sessions,
                                                                 reference_subgroups):
-    assert sessions(q)._stabiliser({0, 1}) == reference_subgroups(q)["dih_split"]
+    assert stabiliser(sessions(q), {0, 1}) == reference_subgroups(q)["dih_split"]
 
 
 @pytest.mark.parametrize("q", STABILISER_QS)
@@ -373,4 +383,4 @@ def test_subfield_groups_are_subline_stabilisers(q, sessions, reference_subgroup
     for key, group in subfield.items():
         degree = int(key.split(":")[1])
         scale = mu if key.endswith("twisted") else 1
-        assert sess._stabiliser(sess._subline(degree, scale)) == group, key
+        assert stabiliser(sess, subline(sess, degree, scale)) == group, key

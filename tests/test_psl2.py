@@ -4,9 +4,12 @@ from math import gcd
 
 import pytest
 
-from invgen.gf import gf_for_q
-from invgen.psl2 import ClassLabel, enumerate_psl2, inventory
-from helpers import IDENTITY, canon, make, psl2_class_of, psl2_inv, psl2_mul, psl2_order
+from invgen.gf import gf_for_q, prime_power_split
+from invgen.psl2 import ClassLabel, _nonsplit_walk, enumerate_psl2, inventory
+from helpers import (
+    IDENTITY, canon, dickson, make, nonsplit_generator_trace, psl2_class_of, psl2_inv, psl2_mul,
+    psl2_order,
+)
 
 ORACLE_QS = [4, 5, 7, 8, 9, 11, 13]
 
@@ -211,8 +214,20 @@ def test_class_meets_cyclic_subgroup_in_inverse_pair(q):
         assert same_class == {x, psl2_inv(ctx, x)}, (q, entry.label)
 
 
+def test_nonsplit_walk_certifies_the_reference_generator():
+    # at the 21 q = 1 mod 4 up to 1024 where a trace of SL-order (q+1)/2
+    # comes first, only the D_((q+1)/2) = -2 rule rejects it; the classes
+    # it gives are the same, so the inventory tests would not see it
+    for q in (q for q in range(4, 1025) if prime_power_split(q)):
+        ctx = gf_for_q(q)
+        walk = _nonsplit_walk(ctx)
+        t0 = nonsplit_generator_trace(ctx)
+        assert (walk[0], len(walk)) == (t0, q // 2), q
+        assert walk[-1] == dickson(ctx, t0, q // 2), q
+
+
 def test_inventory_rejects_small_q():
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError):
         inventory(gf_for_q(3))
 
 
