@@ -31,14 +31,14 @@ over the classes it fixes, and a bucket's fixed classes are the classes of
 its fixed signatures.  It is the one production route to beta and builds
 no map.
 
-``aut_action`` builds the two generators as maps of class positions, for
-the callers that move pairs: ``pair_orbits`` names the orbit of every Psi2
+``aut_action`` builds the two generators on class positions, for the
+callers that move pairs: ``pair_orbits`` names the orbit of every Psi2
 pair by the pair's least image under ``AutAction.elements``; the power
 graph reads those names for its columns, and ``beta`` groups the pairs by
 them into the orbit partition that ``beta --orbits`` prints.  A class is
 named by its position among the nonidentity labels of the inventory, the
-index of ``Psi2Table.labels``.  Each permutation is held as the map of the
-positions it moves, and a position missing from a map is fixed.
+index of ``Psi2Table.labels``, and an element of the induced group is the
+list of the images of the positions.
 """
 
 from __future__ import annotations
@@ -50,34 +50,31 @@ from invgen.gf import GFContext, prime_power_split
 from invgen.psl2 import ClassInventory, ClassSignature, trace_key
 from invgen.structure import ProfileCensus, Psi2Table
 
-ClassPerm = dict[int, int]  # the positions it moves; the rest are fixed
-
 
 class AutAction(NamedTuple):
     ctx: GFContext
-    diagonal: ClassPerm | None  # None for q even
-    frobenius: ClassPerm  # empty when f = 1
+    diagonal: list[int] | None  # None for q even
+    frobenius: list[int]  # the identity when f = 1
 
-    def elements(self) -> list[ClassPerm]:
-        """The products diag^e * Frob^i (e < d, i < f), Frob^i first, each
-        as the map of the positions it moves; the identity is ``{}``.  The
+    def elements(self) -> list[list[int]]:
+        """The products diag^e * Frob^i (e < d, i < f), Frob^i first.  The
         generators commute, so this is the whole induced group."""
         frob = self.frobenius
-        powers: list[ClassPerm] = [{}]
+        powers = [list(range(len(frob)))]
         for _ in range(1, self.ctx.f):
-            last = powers[-1]
-            powers.append({i: im for i in frob if (im := frob[last.get(i, i)]) != i})
+            powers.append([frob[im] for im in powers[-1]])
         if self.diagonal is None:
             return powers
-        return powers + [{**self.diagonal, **g} for g in powers]
+        return powers + [[self.diagonal[im] for im in g] for g in powers]
 
 
 def aut_action(ctx: GFContext, inv: ClassInventory) -> AutAction:
-    diagonal: ClassPerm | None = None
+    frob = list(range(len(inv) - 1))
+    diagonal: list[int] | None = None
     if ctx.q % 2 == 1:
         usq, unsq = (i - 1 for i, e in enumerate(inv.head) if e.label.kind == "unip")
-        diagonal = {usq: unsq, unsq: usq}
-    frob: ClassPerm = {}
+        diagonal = frob[:]
+        diagonal[usq], diagonal[unsq] = unsq, usq
     start = len(inv.head) - 1  # position of the first torus class
     for kind, keys, _, _ in inv.tori:
         where = dict(zip(keys, range(start, start + len(keys))))
@@ -86,29 +83,16 @@ def aut_action(ctx: GFContext, inv: ClassInventory) -> AutAction:
             if j is None:
                 raise RuntimeError(
                     f"Frobenius image of {kind}:t={key} missing from inventory")
-            if j != i:
-                frob[i] = j
+            frob[i] = j
         start += len(keys)
     return AutAction(ctx, diagonal, frob)
-
-
-def _index_images(action: AutAction, n: int) -> list[list[int]]:
-    """Every element of the induced group as the list of the images of the
-    positions 0..n-1."""
-    out = []
-    for g in action.elements():
-        image = list(range(n))
-        for i, im in g.items():
-            image[i] = im
-        out.append(image)
-    return out
 
 
 def pair_orbits(action: AutAction, psi2: Psi2Table) -> dict[tuple[int, int], tuple[int, int]]:
     """Each Psi2 index pair (i, j) mapped to its least image under the
     elements of ``action``: two pairs share an Aut(S)-orbit exactly when
     they share a key, and the key is itself a member of the orbit."""
-    images = _index_images(action, len(psi2.labels))
+    images = action.elements()
     return {(a, b): min((g[a], g[b]) for g in images)
             for a, bs in enumerate(psi2.near) for b in bs}
 
@@ -121,8 +105,8 @@ class OrbitPartition(NamedTuple):
 def beta(action: AutAction, psi2: Psi2Table) -> OrbitPartition:
     """Orbit partition of the diagonal Aut(S)-action on Psi2.
 
-    The pairs are grouped by their ``pair_orbits`` key.  Checks that every
-    image of each key stays in Psi2, so each group is a whole orbit, and
+    The pairs are grouped by their ``pair_orbits`` key.  Checks that the
+    generators map Psi2 into itself, so each group is a whole orbit, and
     that no orbit contains both (C, D) and (D, C): the swap direction can
     never be reached because the bipartition parts are Aut-invariant, and a
     violation would falsify the evenness of beta.
@@ -131,21 +115,20 @@ def beta(action: AutAction, psi2: Psi2Table) -> OrbitPartition:
     if not key:
         raise RuntimeError("Psi2 is empty")
     names = [lab.str_form() for lab in psi2.labels]
-    images = _index_images(action, len(psi2.labels))
+    gens = [g for g in (action.frobenius, action.diagonal) if g is not None]
     groups: dict[tuple[int, int], list[tuple[str, str]]] = {}
     for (a, b), k in key.items():
-        groups.setdefault(k, []).append((names[a], names[b]))
-    for a, b in groups:
-        for g in images:
+        for g in gens:
             if (g[a], g[b]) not in key:
                 raise RuntimeError(
                     f"automorphism image ({names[g[a]]}, {names[g[b]]}) left Psi2; "
                     "the action is broken"
                 )
-        if key.get((b, a)) == (a, b):
+        if key.get((b, a)) == k:
             raise RuntimeError(
                 f"orbit of ({names[a]}, {names[b]}) contains its swap; the action is broken"
             )
+        groups.setdefault(k, []).append((names[a], names[b]))
     return OrbitPartition(len(groups), sorted(map(sorted, groups.values())))
 
 

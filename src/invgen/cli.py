@@ -7,10 +7,11 @@ are byte-stable across runs.  Each subcommand imports only the layers it
 runs, so a command does not pay to load the rest of the package.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-cap exceeded, 4 internal error (an invariant of the computation failed).
-A ``ValueError`` is a usage error only where the CLI hands user input to a
-layer and turns it into a ``UsageError`` there; from anywhere else it is
-internal.
+cap exceeded, 4 internal error (an invariant of the computation failed, or
+any other ``Exception`` escaped a layer).  A ``ValueError`` is a usage
+error only where the CLI hands user input to a layer and turns it into a
+``UsageError`` there; from anywhere else it is internal.
+The oracle cap is read from ``INVGEN_ORACLE_CAP`` here and nowhere else.
 Field sizes are checked against ``Q_CAP`` and the ``--out`` file is opened
 before any computation, so either refusal (exit 2) comes without work, and
 a ``verify`` range is refused (exit 3) before any field is built once its
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from collections.abc import Iterable
 from itertools import chain
@@ -35,6 +37,8 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_INTERNAL = 4
 
+DEFAULT_CAP = 31  # the oracle cap when CAP_ENV is unset or empty
+CAP_ENV = "INVGEN_ORACLE_CAP"
 ORACLE_VERIFY_DEFAULT = 13  # oracle cross-check in `verify` runs for q up to this
 ORACLE_VERIFY_EXTENDED = (16, 25, 27, 31)
 # `verify` refuses a range whose prime powers sum past this (exit 3).  A
@@ -67,11 +71,11 @@ def _context(args) -> GFContext:
 
 
 def _oracle_cap() -> int:
-    """``oracle_cap()``, with a malformed INVGEN_ORACLE_CAP refused as usage."""
-    from invgen.oracle import oracle_cap
-
+    """The oracle cap: ``CAP_ENV`` if set and nonempty, else ``DEFAULT_CAP``;
+    a malformed value is refused as usage."""
+    value = os.environ.get(CAP_ENV)
     try:
-        return oracle_cap()
+        return int(value) if value else DEFAULT_CAP
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -141,9 +145,11 @@ def cmd_psi2(args) -> int:
 
     ctx = _context(args)
     if args.method != "structural":
-        from invgen.oracle import OracleSession, check_oracle_cap
+        from invgen.oracle import MAX_Q, OracleCapError, OracleSession
 
-        check_oracle_cap(ctx.q, _oracle_cap())
+        cap = min(_oracle_cap(), MAX_Q)
+        if ctx.q > cap:
+            raise OracleCapError(f"q={ctx.q} exceeds oracle cap {cap}")
     inv = inventory(ctx)
     tables = {}
     if args.method in ("structural", "both"):
@@ -403,7 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (RuntimeError, ValueError) as exc:
+    except Exception as exc:  # a failed invariant, or any other error from a layer
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

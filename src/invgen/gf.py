@@ -227,14 +227,6 @@ class GFContext:
         """a -> a^p (generates the Galois group; f-fold iterate is identity)."""
         return self.pow(a, self.p)
 
-    def in_subfield(self, a: int, e: int) -> bool:
-        """True iff a lies in the subfield GF(p^e); requires e | f."""
-        if e < 1 or self.f % e != 0:
-            raise RuntimeError(f"e={e} does not divide f={self.f}")
-        if a == 0 or e == self.f:
-            return True
-        return self._log[a] % ((self.q - 1) // (self.p ** e - 1)) == 0
-
     def absolute_trace(self, a: int) -> int:
         """Trace down to the prime field: sum of a^(p^i), i < f (an int < p)."""
         s = 0

@@ -307,8 +307,6 @@ class LambdaSummary(NamedTuple):
     q: int
     class_count: int  # labels including identity
     psi2_count: int
-    vertices_plus: int
-    edge_count: int
     component_count: int
     bipartite: bool
     parts_match_covering: bool
@@ -344,8 +342,6 @@ def lambda_summary(ctx: GFContext, inv: ClassInventory, census: ProfileCensus,
         q=ctx.q,
         class_count=len(inv),
         psi2_count=census.psi2_count(),
-        vertices_plus=sum(sizes[i] for i in live),
-        edge_count=sum(sizes[i] * sizes[j] for i, js in enumerate(near) for j in js if i < j),
         component_count=len(components(quotient)),
         bipartite=bipartite,
         parts_match_covering=bipartite and _parts_match_covering(cover, census, quotient),

@@ -40,8 +40,6 @@ structural rule.
 
 from __future__ import annotations
 
-import os
-
 from invgen.gf import CapError, GFContext
 from invgen.psl2 import (
     ClassInventory,
@@ -53,8 +51,6 @@ from invgen.psl2 import (
 )
 from invgen.structure import Psi2Table, maximal_subgroup_classes
 
-DEFAULT_CAP = 31
-CAP_ENV = "INVGEN_ORACLE_CAP"
 MAX_Q = 255  # q + 1 points must fit in a byte
 
 Perm = bytes  # images of the points 0..q of the projective line
@@ -63,20 +59,7 @@ _POINTS = bytes(range(256))
 
 
 class OracleCapError(CapError):
-    """q exceeds the configured oracle cap."""
-
-
-def oracle_cap() -> int:
-    value = os.environ.get(CAP_ENV)
-    return int(value) if value else DEFAULT_CAP
-
-
-def check_oracle_cap(q: int, cap: int | None = None) -> None:
-    """Raise OracleCapError if q exceeds the cap (``oracle_cap()`` by
-    default) or ``MAX_Q``."""
-    cap = min(oracle_cap() if cap is None else cap, MAX_Q)
-    if q > cap:
-        raise OracleCapError(f"q={q} exceeds oracle cap {cap}")
+    """q exceeds the oracle cap."""
 
 
 def _line_action(ctx: GFContext):
@@ -163,15 +146,16 @@ def _inverse(p: Perm) -> Perm:
 
 
 class OracleSession:
-    """Enumerated PSL(2,q) with per-class element lists, q <= cap.
+    """Enumerated PSL(2,q) with per-class element lists, q <= ``MAX_Q``.
 
     Reads the caller's class inventory and certifies it: every class of the
     enumeration must have the size the inventory gives it.
     """
 
-    def __init__(self, inv: ClassInventory, cap: int | None = None):
+    def __init__(self, inv: ClassInventory):
         ctx = inv.ctx
-        check_oracle_cap(ctx.q, cap)
+        if ctx.q > MAX_Q:
+            raise OracleCapError(f"q={ctx.q} exceeds oracle cap {MAX_Q}")
         self.ctx = ctx
         self.inv = inv
         mats = list(enumerate_psl2(ctx))

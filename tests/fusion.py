@@ -47,6 +47,7 @@ from invgen.structure import (
     SubgroupClass,
     maximal_subgroup_classes,
 )
+from helpers import in_subfield
 
 SEED = 20260810  # seeds every random search, so the certifier is deterministic
 
@@ -71,7 +72,7 @@ def subline(sess, sub_degree: int, scale: int = 1) -> set[int]:
     """The points {inf} u scale*GF(p^sub_degree)."""
     ctx = sess.ctx
     return {0} | {1 + ctx.mul(scale, v) for v in range(ctx.q)
-                  if ctx.in_subfield(v, sub_degree)}
+                  if in_subfield(ctx, v, sub_degree)}
 
 
 def dihedral_nonsplit_subgroup(sess) -> frozenset[Perm]:

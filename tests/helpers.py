@@ -39,6 +39,15 @@ def from_coeffs(ctx, cs) -> int:
     return _pack(cs, ctx.p)
 
 
+def in_subfield(ctx, a, e) -> bool:
+    """True iff a lies in the subfield GF(p^e) of ``ctx``; requires e | f."""
+    if e < 1 or ctx.f % e != 0:
+        raise RuntimeError(f"e={e} does not divide f={ctx.f}")
+    if a == 0 or e == ctx.f:
+        return True
+    return ctx._log[a] % ((ctx.q - 1) // (ctx.p ** e - 1)) == 0
+
+
 # ---------------------------------------------------------------------------
 # PSL(2,q) as matrices: the reference arithmetic for the oracle's permutations
 # ---------------------------------------------------------------------------
@@ -162,8 +171,8 @@ def covering_parts(inv, cover) -> tuple:
 
 
 def named(perm, labels) -> dict:
-    """An ``AutAction`` map of moved positions as a map of labels."""
-    return {labels[i]: labels[j] for i, j in perm.items()}
+    """An ``AutAction`` image list as the map of the labels it moves."""
+    return {labels[i]: labels[j] for i, j in enumerate(perm) if i != j}
 
 
 def generators(action) -> list:
@@ -179,21 +188,19 @@ def named_generators(action, labels) -> list:
 
 def ref_elements(action) -> list:
     """The group the generators of ``action`` generate, closed by BFS from
-    the identity, each element as the map of the positions it moves.  The
-    reference for ``AutAction.elements``, which lists the products
+    the identity, each element as the list of the images of the positions.
+    The reference for ``AutAction.elements``, which lists the products
     diag^e * Frob^i directly."""
-    moved = list(dict.fromkeys(i for gen in generators(action) for i in gen))
-    # an element is keyed by the images of the moved positions, in that order
-    seen = {tuple(moved): {}}
-    frontier = [{}]
+    identity = list(range(len(action.frobenius)))
+    seen = {tuple(identity): identity}
+    frontier = [identity]
     while frontier:
         nxt = []
         for perm in frontier:
             for gen in generators(action):
-                images = [gen.get(im, im) for im in (perm.get(i, i) for i in moved)]
-                key = tuple(images)
-                if key not in seen:
-                    seen[key] = comp = {i: im for i, im in zip(moved, images) if im != i}
+                comp = [gen[im] for im in perm]
+                if tuple(comp) not in seen:
+                    seen[tuple(comp)] = comp
                     nxt.append(comp)
         frontier = nxt
     return list(seen.values())
@@ -239,8 +246,8 @@ def ref_signature(ctx, entry) -> ClassSignature:
     t2 = ctx.mul(t, t)
     degrees = [e for e in range(1, ctx.f + 1) if ctx.f % e == 0]
     return ClassSignature(label.kind, label.sq, entry.order,
-                          tuple(e for e in degrees if ctx.in_subfield(t, e)),
-                          tuple(e for e in degrees if ctx.in_subfield(t2, e)))
+                          tuple(e for e in degrees if in_subfield(ctx, t, e)),
+                          tuple(e for e in degrees if in_subfield(ctx, t2, e)))
 
 
 def by_label(inv, per_signature) -> dict:
@@ -319,12 +326,12 @@ def matrix_subgroups(ctx) -> dict:
     for e in (e for e in range(1, ctx.f) if ctx.f % e == 0):
         if (ctx.f // e) % 2:
             out[f"subfield_psl:{e}"] = {
-                m for m in mats if all(ctx.in_subfield(x, e) for x in m)}
+                m for m in mats if all(in_subfield(ctx, x, e) for x in m)}
             continue
         members = set()
         for m in mats:  # PGL(2,q0): the matrix over GF(q0) up to a scalar
             scale = ctx.inv(next(x for x in m if x != 0))
-            if all(ctx.in_subfield(ctx.mul(scale, x), e) for x in m):
+            if all(in_subfield(ctx, ctx.mul(scale, x), e) for x in m):
                 members.add(m)
         out[f"subfield_pgl:{e}"] = members
         if ctx.q % 2:
@@ -466,7 +473,7 @@ def ref_signatures(ctx, entries) -> tuple:
     degrees = tuple(e for e in range(1, ctx.f + 1) if ctx.f % e == 0)
 
     def within(t):
-        return tuple(e for e in degrees if ctx.in_subfield(t, e))
+        return tuple(e for e in degrees if in_subfield(ctx, t, e))
 
     keys = [(label.kind, label.sq, order, within(t), within(ctx.mul(t, t)))
             if (t := label.trace) >= 0 else (label.kind, label.sq, order, degrees, degrees)
@@ -566,8 +573,6 @@ def ref_summary(ctx, entries) -> LambdaSummary:
         q=ctx.q,
         class_count=len(entries),
         psi2_count=sum(sizes[i] * sizes[j] for i, j in _ref_disjoint(buckets)),
-        vertices_plus=sum(sizes[i] for i in live),
-        edge_count=sum(sizes[i] * sizes[j] for i, js in enumerate(near) for j in js if i < j),
         component_count=len(components(quotient)),
         bipartite=bipartite,
         parts_match_covering=match,

@@ -121,7 +121,7 @@ def test_c02_oracle_equivalence_extended():
 @pytest.mark.skipif(not EXTENDED, reason="extended oracle set needs INVGEN_EXTENDED=1")
 def test_c02_oracle_equivalence_q49():
     with Budget("criterion 2 extended: oracle == structural at q=49", 60):
-        sess = OracleSession(inventory(gf_for_q(EXTENDED_PSI2_Q)), cap=255)
+        sess = OracleSession(inventory(gf_for_q(EXTENDED_PSI2_Q)))
         assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.ctx, sess.inv)))
 
 
@@ -129,7 +129,7 @@ def test_c02_oracle_equivalence_q49():
 def test_c02_class_fusion_extended():
     with Budget("criterion 2 extended: class fusion == label_meets on {25,27,49,64,81}", 60):
         for q in EXTENDED_FUSION_QS:
-            sess = OracleSession(inventory(gf_for_q(q)), cap=255)
+            sess = OracleSession(inventory(gf_for_q(q)))
             assert fusion_key(class_fusion(sess)) == fusion_key(expected_fusion(sess)), q
 
 

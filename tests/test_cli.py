@@ -92,6 +92,18 @@ def test_psi2_oracle_cap(capsys):
     assert code == 3 and "cap" in err
 
 
+@pytest.mark.parametrize("cap,q,code", [("7", 11, 3), ("7", 7, 0), ("", 37, 3), ("300", 257, 3)])
+def test_psi2_oracle_cap_from_env(cap, q, code, capsys, monkeypatch):
+    # the cap is the variable's value, the default when it is empty, and
+    # never above the 255 points of the line that fit in a byte
+    monkeypatch.setenv("INVGEN_ORACLE_CAP", cap)
+    got, out, err = run(capsys, "psi2", "--q", str(q), "--method", "oracle")
+    assert got == code
+    if code == 3:
+        limit = min(int(cap or 31), 255)
+        assert out == "" and err == f"cap exceeded: q={q} exceeds oracle cap {limit}\n"
+
+
 def test_psi2_csv(capsys):
     code, out, _ = run(capsys, "psi2", "--q", "5", "--format", "csv")
     assert code == 0
@@ -240,11 +252,6 @@ def break_subgroup_list(monkeypatch):
     return ["beta", "--q", "7"], "unknown subgroup kind bogus"
 
 
-def break_subfield_degree(monkeypatch):
-    monkeypatch.setattr(psl2, "inventory", lambda ctx: ctx.in_subfield(1, 2))
-    return ["classes", "--q", "27"], "e=2 does not divide f=3"
-
-
 def break_bound(monkeypatch):
     monkeypatch.setattr(iggraph, "component_bound", lambda beta: 0)
     return ["beta", "--q", "7"], "log2 of a non-positive integer"
@@ -270,9 +277,17 @@ def break_field_in_a_layer(monkeypatch):
     return ["classes", "--q", "5"], "f must be positive, got 0"
 
 
-@pytest.mark.parametrize("breaker", [break_canon, break_subgroup_list, break_subfield_degree,
-                                     break_bound, break_graph, break_inventory,
-                                     break_field_in_a_layer])
+def break_label_lookup(monkeypatch):
+    # neither a RuntimeError nor a ValueError: any other exception from a
+    # layer is internal too, not a traceback with exit 1
+    real = psl2.inventory
+    monkeypatch.setattr(psl2, "inventory", lambda ctx: real(ctx).label(10 ** 6))
+    return ["classes", "--q", "5"], "class 1000000 is past the inventory of PSL(2,5)"
+
+
+@pytest.mark.parametrize("breaker", [break_canon, break_subgroup_list, break_bound,
+                                     break_graph, break_inventory, break_field_in_a_layer,
+                                     break_label_lookup])
 def test_invariant_failures_exit_internal(breaker, capsys, monkeypatch):
     argv, message = breaker(monkeypatch)
     code, out, err = run(capsys, *argv)
@@ -517,7 +532,7 @@ def test_package_star_import():
 def test_package_unknown_name_is_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         invgen.no_such_name
-    assert not hasattr(invgen, "check_oracle_cap")  # public on invgen.oracle only
+    assert not hasattr(invgen, "MAX_Q")  # public on invgen.oracle only
     with pytest.raises(ImportError):
         exec("from invgen import no_such_name", {})
 

@@ -158,19 +158,13 @@ def test_labels_are_invariant_under_conjugation(data, sessions):
     assert sess.label_of_perm[conj] == sess.label_of_perm[x]
 
 
-def test_cap_enforced():
-    with pytest.raises(OracleCapError):
-        OracleSession(inventory(gf_for_q(37)))
-    with pytest.raises(OracleCapError):
-        OracleSession(inventory(gf_for_q(11)), cap=7)
-
-
-def test_cap_env_override(monkeypatch):
+def test_cap_enforced(monkeypatch):
+    # the session reads no environment; it refuses only the q whose q + 1
+    # points do not fit in a byte
     monkeypatch.setenv("INVGEN_ORACLE_CAP", "7")
-    with pytest.raises(OracleCapError):
-        OracleSession(inventory(gf_for_q(11)))
-    monkeypatch.delenv("INVGEN_ORACLE_CAP")
-    OracleSession(inventory(gf_for_q(11)))
+    with pytest.raises(OracleCapError, match="q=257 exceeds oracle cap 255"):
+        OracleSession(inventory(gf_for_q(257)))
+    assert OracleSession(inventory(gf_for_q(37))).order == 37 * 36 * 38 // 2
 
 
 # ---------------------------------------------------------------------------

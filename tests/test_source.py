@@ -1,0 +1,75 @@
+"""Rules on the library source itself, read with ``ast``: the runtime imports
+only the standard library and itself, and only the CLI reads the
+environment."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "invgen"
+MODULES = sorted(SRC.glob("*.py"))
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def imported_roots(tree) -> set[str]:
+    """The top-level package of every import; a relative import is invgen."""
+    roots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            roots.add("invgen" if node.level else node.module.split(".")[0])
+    return roots
+
+
+def reads_environment(tree) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT:
+            return True
+        if isinstance(node, ast.Name) and node.id in ENVIRONMENT:
+            return True
+        if isinstance(node, ast.ImportFrom) and any(a.name in ENVIRONMENT for a in node.names):
+            return True
+    return False
+
+
+def test_every_module_is_checked():
+    assert {p.name for p in MODULES} >= {"__init__.py", "cli.py", "gf.py", "oracle.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_are_stdlib_or_invgen(path):
+    foreign = imported_roots(parse(path)) - set(sys.stdlib_module_names) - {"invgen"}
+    assert not foreign, f"{path.name} imports {sorted(foreign)}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_only_the_cli_reads_the_environment(path):
+    assert not reads_environment(parse(path)), f"{path.name} reads the environment"
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("import os\nos.environ.get('X')", True),
+    ("import os\nos.getenv('X')", True),
+    ("from os import environ", True),
+    ("from os import getenv as g\ng('X')", True),
+    ("import os\nos.path.join('a', 'b')", False),
+], ids=["environ", "getenv", "from-environ", "from-getenv", "os-path"])
+def test_environment_reads_are_recognised(source, expected):
+    assert reads_environment(ast.parse(source)) is expected
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("import numpy.linalg", {"numpy"}),
+    ("from . import gf", {"invgen"}),
+    ("from invgen.gf import GFContext\nimport json", {"invgen", "json"}),
+], ids=["dotted", "relative", "from-and-import"])
+def test_import_roots_are_recognised(source, expected):
+    assert imported_roots(ast.parse(source)) == expected

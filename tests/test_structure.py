@@ -31,6 +31,7 @@ from invgen.structure import (
 from helpers import (
     by_label,
     covering_sets,
+    in_subfield,
     isolated,
     pairs,
     ref_beta_fast,
@@ -169,7 +170,7 @@ def test_profiles_q25_subfield_traces():
             continue
         has_pgl = any(i.startswith("subfield_pgl") for i in profs[entry.label])
         t2 = ctx.mul(entry.label.trace, entry.label.trace)
-        assert has_pgl == ctx.in_subfield(t2, 1)
+        assert has_pgl == in_subfield(ctx, t2, 1)
     # orders 3, 4, 6 live in PGL(2,5); the order-12 classes do not
     split_orders_with_pgl = sorted(
         e.order for e in inv if e.label.kind == "split"
