@@ -13,23 +13,56 @@ The two move disjoint sets of classes, so they commute, and the induced
 group is the d*f products diag^e * Frob^i (e < d, i < f), with d = 2 for q
 odd and 1 for q even.
 
-Which of these products fix a class follows from the class signature
-(``ClassInventory.signatures``).  diag^e * Frob^i fixes the involution
-class; it fixes the unipotent classes exactly when e = 0; and it fixes a
-torus class exactly when gcd(i, f) lies in the signature's ``trace_sq_in``.
-Proof of the last: Frob^i sends the trace pair {t, -t} to
-{t^(p^i), -t^(p^i)}, which is the same pair iff t^(p^i) = +-t, iff
-(t^2)^(p^i) = t^2, iff t^2 lies in GF(p^i) meet GF(q) = GF(p^gcd(i,f)).
-The head classes have every divisor of f in ``trace_sq_in``, so the
-Frobenius test passes for them.
+Frob^i sends the trace pair {t, -t} to {t^(p^i), -t^(p^i)}, the same pair
+iff (t^2)^(p^i) = t^2, iff t^2 lies in GF(p^i) meet GF(q) = GF(p^gcd(i,f)),
+that is iff gcd(i, f) lies in the ``trace_sq_in`` of the class signature
+(``ClassInventory.signatures``); diag * Frob^i fixes the same classes less
+the two unipotent ones.
+
+Lemma.  For 0 < i < f, no Psi2 pair has both classes fixed by Frob^i.
+
+Proof.  Let q0 = p^g with g = gcd(i, f) < f; the classes Frob^i fixes are
+those with t^2 in GF(q0).  It is enough to find a proper subgroup meeting
+both classes of such a pair (C, D).  Two unipotent classes both meet the
+Borel subgroup.  Otherwise let H be
+
+  * PSL(2,q0) when p = 2 or f/g is odd.  Then t lies in GF(q0) itself
+    (squaring is one to one for p = 2; for f/g odd, else GF(q0)(t) =
+    GF(q0^2) would lie in GF(q)), [[0, -1], [1, t]] lies in SL(2,q0),
+    and a class with t != +-2 is determined by its trace, so every such
+    class meets H.  So do the unipotent classes: for p odd, f/g odd keeps
+    a nonsquare of GF(q0) a nonsquare in GF(q).
+  * PGL(2,q0) when p is odd and f/g is even.  Then GF(q0^2) lies in
+    GF(q), so every element of GF(q0) is a square in GF(q), and M in
+    GL(2,q0) scaled to determinant 1 embeds PGL(2,q0) in PSL(2,q) with
+    t^2 = tr(M)^2/det(M).  [[0, -1], [1, 0]] gives t^2 = 0 and
+    [[0, -1/a], [1, 1]] gives any a != 0 of GF(q0), so every class with
+    t^2 in GF(q0) and t != +-2 meets H, and so does unip:sq (through
+    [[1, 1], [0, 1]]).  H's image under diag meets unip:nsq and, as diag
+    fixes them, every non-unipotent class that H meets.
+
+H is proper because q0 < q, and it or its image under diag meets C and
+D.  The smallest q0 need no special case, only a proper subgroup: at
+q0 = 2, PSL(2,2) = S3 in SL(2,2^f), with trace 0 on the involutions (the
+unipotent class of q even) and 1 on the elements of order 3; at q0 = 3,
+PSL(2,3) = A4 (f/g odd) and PGL(2,3) = S4 (f/g even) in PSL(2,3^f), with
+t^2 = 0 on the involutions, t = +-1 = -+2 on the unipotents and, in S4,
+t^2 = 2 on the elements of order 4.
+
+diag * Frob^i fixes no more classes than Frob^i, so of the d*f elements
+only 1 and diag fix a Psi2 pair, and Burnside's lemma reads
+
+    beta = (|Psi2| + fix(diag)) / (d*f),
+
+with fix(diag) the Psi2 pairs with no unipotent coordinate (q odd).  For
+q even, d = 1 and beta = |Psi2| / f.
 
 The number of orbits of the diagonal action on Psi2 equals beta(S), the
-largest t for which S^t is invariably 2-generated.  ``beta_fast`` counts
-them by Burnside's lemma from the census alone: Psi2 membership depends
-only on the maximal profile, so an element fixes the bucket-product count
-over the classes it fixes, and a bucket's fixed classes are the classes of
-its fixed signatures.  It is the one production route to beta and builds
-no map.
+largest t for which S^t is invariably 2-generated.  ``beta_fast``
+evaluates the closed form from the census alone: Psi2 membership depends
+only on the maximal profile, so fix(diag) is the bucket-product count
+with the two unipotent classes taken out of their buckets.  It is the one
+production route to beta and builds no map.
 
 ``aut_action`` builds the two generators on class positions, for the
 callers that move pairs: ``pair_orbits`` names the orbit of every Psi2
@@ -43,11 +76,10 @@ list of the images of the positions.
 
 from __future__ import annotations
 
-from math import gcd
 from typing import NamedTuple
 
-from invgen.gf import GFContext, prime_power_split
-from invgen.psl2 import ClassInventory, ClassSignature, trace_key
+from invgen.gf import GFContext
+from invgen.psl2 import ClassInventory, trace_key
 from invgen.structure import ProfileCensus, Psi2Table
 
 
@@ -132,33 +164,23 @@ def beta(action: AutAction, psi2: Psi2Table) -> OrbitPartition:
     return OrbitPartition(len(groups), sorted(map(sorted, groups.values())))
 
 
-def fixes_signature(sig: ClassSignature, e: int, i: int, f: int) -> bool:
-    """Whether diag^e * Frob^i fixes the classes of signature ``sig``, by the
-    rule in the module docstring."""
-    return gcd(i, f) in sig.trace_sq_in and not (e and sig.kind == "unip")
-
-
 def beta_fast(census: ProfileCensus) -> int:
-    """Orbit count by Burnside's lemma over the d*f elements
-    diag^e * Frob^i, per signature and bucket.
+    """Orbit count by the closed form (|Psi2| + fix(diag)) / (d*f) of the
+    module docstring.
 
-    An element's fixed Psi2 pairs number the bucket-product count over the
-    classes it fixes; a bucket's fixed classes are those of the signatures
-    the element fixes, by ``fixes_signature``.  Reads only the census, so it
+    fix(diag) is the bucket-product count over the classes diag fixes:
+    every bucket less its unipotent classes.  Reads only the census, so it
     needs no field, no map and no Psi2.
     """
-    sigs = census.inv.signatures[0]
-    _, f = prime_power_split(census.q)
-    d = census.inv.d
-    total = 0
-    for e in range(d):
-        for i in range(f):
-            fixed = [0] * len(census.sizes)
-            for sig, bucket, n in zip(sigs, census.sig_bucket, census.sig_sizes):
-                if bucket >= 0 and fixes_signature(sig, e, i, f):
-                    fixed[bucket] += n
-            total += sum(fixed[j] * fixed[k] for j, k in census.disjoint)
-    count, rem = divmod(total, d * f)
+    inv = census.inv
+    total = census.psi2_count()
+    if inv.d == 2:
+        fixed = census.sizes[:]
+        for k, entry in enumerate(inv.head):
+            if entry.label.kind == "unip":
+                fixed[census.sig_bucket[inv.signatures[1][k]]] -= 1
+        total += sum(fixed[j] * fixed[k] for j, k in census.disjoint)
+    count, rem = divmod(total, inv.d * inv.ctx.f)
     if rem:
-        raise RuntimeError("Burnside count is not an integer; the signatures are inconsistent")
+        raise RuntimeError("Burnside count is not an integer; the census is inconsistent")
     return count

@@ -134,14 +134,18 @@ def lambda_power(ctx: GFContext, t: int, psi2: Psi2Table, action: AutAction,
     tuples are visited; a candidate is kept when its t columns lie in t
     distinct Aut(S)-orbits, as named by ``pair_orbits``.  Both the vertex
     count and the candidate count must be at most ``cap``; that is checked
-    before any orbit work.
+    before any orbit work.  S has at least two nonidentity classes, so a t
+    past ``cap.bit_length()`` is over the cap without forming either count.
     """
+    if t > cap.bit_length():
+        raise GraphCapError(
+            f"power graph for t={t} would have at least 2^{t} vertices, cap is {cap}")
     labels = inv.nonidentity_labels()
     n_vertices = len(labels) ** t
     n_candidates = len(psi2) ** t
     if n_vertices > cap or n_candidates > cap:
         raise GraphCapError(
-            f"power graph would have {n_vertices} vertices and {n_candidates} "
+            f"power graph for t={t} would have {n_vertices} vertices and {n_candidates} "
             f"candidate neighbour tuples, cap is {cap}"
         )
     orbit = pair_orbits(action, psi2)
@@ -286,8 +290,10 @@ def n_lower_bound_report(ctx: GFContext, inv: ClassInventory, census: ProfileCen
     """Certified lower bound on the component count of the plus graph of S^beta.
 
     Uses beta >= |Psi2|/(d*f) rounded down to an even integer when the exact
-    orbit count is not supplied; the half-binomial is monotone in even beta,
-    so the report stays a true lower bound.
+    orbit count is not supplied; that bound is exactly the closed form
+    beta = (|Psi2| + fix(diag))/(d*f) of ``autorbits`` with fix(diag)
+    dropped.  The half-binomial is monotone in even beta, so the report
+    stays a true lower bound.
     """
     count = census.psi2_count()
     beta_lb = count // (inv.d * ctx.f)

@@ -213,7 +213,6 @@ class ProfileCensus(NamedTuple):
     buckets: list[frozenset[str]]  # distinct maximal profiles, sorted
     sizes: list[int]  # classes per bucket
     sig_bucket: list[int]  # bucket of each signature; -1 for the identity's
-    sig_sizes: list[int]  # classes per signature
     disjoint: list[tuple[int, int]]  # ordered bucket pairs with disjoint profiles
 
     def positions(self, buckets: set[int]) -> list[int]:
@@ -235,14 +234,12 @@ def profile_census(ctx: GFContext, inv: ClassInventory) -> ProfileCensus:
     buckets = sorted(set(profs[1:]), key=sorted)
     index = {prof: b for b, prof in enumerate(buckets)}
     sig_bucket = [-1] + [index[prof] for prof in profs[1:]]
-    counts = Counter(inv.signatures[1])
-    sig_sizes = [counts[sig] for sig in range(len(profs))]
     sizes = [0] * len(buckets)
-    for b, count in zip(sig_bucket[1:], sig_sizes[1:]):
-        sizes[b] += count
+    for sig, count in Counter(inv.signatures[1][1:]).items():
+        sizes[sig_bucket[sig]] += count
     disjoint = [(i, j) for i, pi in enumerate(buckets)
                 for j, pj in enumerate(buckets) if pi.isdisjoint(pj)]
-    return ProfileCensus(ctx.q, inv, buckets, sizes, sig_bucket, sig_sizes, disjoint)
+    return ProfileCensus(ctx.q, inv, buckets, sizes, sig_bucket, disjoint)
 
 
 class Psi2Table:

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,13 +80,17 @@ def test_action_group_order_divides_out(q):
 
 @pytest.mark.parametrize("q", NONPRIME_POWERS)
 def test_frobenius_fixes_the_classes_its_signatures_say(q):
-    # beta_fast reads the fixed classes of diag^e * Frob^i from the
-    # signatures through fixes_signature; the maps aut_action builds from
-    # the field must move exactly the others
+    # diag^e * Frob^i fixes a class iff gcd(i, f) lies in its signature's
+    # trace_sq_in and not (e and it is unipotent); the maps aut_action
+    # builds from the field must move exactly the other classes
     ctx = gf_for_q(q)
     inv = inventory(ctx)
     action = aut_action(ctx, inv)
     sigs, of_class = inv.signatures
+
+    def fixes(e, i, sig):
+        return gcd(i, ctx.f) in sig.trace_sq_in and not (e and sig.kind == "unip")
+
     n = len(inv) - 1
     identity = list(range(n))
     image = identity  # Frobenius^i, position by position
@@ -92,13 +98,32 @@ def test_frobenius_fixes_the_classes_its_signatures_say(q):
         for e in range(inv.d):
             diag = action.diagonal if e else identity
             moved = {k for k in range(n) if diag[image[k]] != k}
-            lacking = {k for k in range(n)
-                       if not autorbits.fixes_signature(sigs[of_class[k + 1]], e, i, ctx.f)}
+            lacking = {k for k in range(n) if not fixes(e, i, sigs[of_class[k + 1]])}
             assert moved == lacking, (q, e, i)
             if not e:
                 assert min(moved, default=n) >= len(inv.head) - 1  # torus classes only
         image = [action.frobenius[k] for k in image]
     assert image == identity  # Frobenius^f is the identity
+
+
+@pytest.mark.parametrize("q", NONPRIME_POWERS)
+def test_no_nontrivial_frobenius_power_fixes_a_psi2_pair(q):
+    # the lemma behind beta_fast's closed form: an element diag^e * Frob^i
+    # with i != 0 fixes no Psi2 pair.  Its fixed classes are read off its
+    # image list and counted per census bucket.
+    ctx = gf_for_q(q)
+    inv = inventory(ctx)
+    census = profile_census(ctx, inv)
+    bucket_of = [census.sig_bucket[sig] for sig in inv.signatures[1][1:]]
+    elements = aut_action(ctx, inv).elements()  # Frob^i is elements[i], then diag * Frob^i
+    for n, g in enumerate(elements):
+        if n % ctx.f == 0:  # i = 0: the identity and diag
+            continue
+        fixed = [0] * len(census.buckets)
+        for k, image in enumerate(g):
+            if image == k:
+                fixed[bucket_of[k]] += 1
+        assert sum(fixed[j] * fixed[k] for j, k in census.disjoint) == 0, (q, n)
 
 
 @pytest.mark.parametrize("q", VALIDATION_QS)

@@ -162,6 +162,18 @@ def test_graph_power_cap_bounds_candidates(capsys):
     assert code == 3 and "cap" in err
 
 
+@pytest.mark.parametrize("t", [1000, 100000, 10 ** 18])
+def test_graph_power_over_the_cap_names_t_and_the_cap(t, capsys):
+    # |labels|^t has hundreds of digits at t = 1000 and is past the
+    # interpreter's int-to-str limit at t = 100000; no count may be formed
+    start = time.perf_counter()
+    code, out, err = run(capsys, "graph", "--q", "5", "--power", str(t))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == (f"cap exceeded: power graph for t={t} would have at least 2^{t} "
+                   f"vertices, cap is {iggraph.POWER_WORK_CAP}\n")
+
+
 def test_graph_power_cap_comes_before_orbit_work(capsys, monkeypatch):
     # 1023^2 vertices are over the cap; no Aut(S) element may be built first
     def refuse(self):
