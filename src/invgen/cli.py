@@ -43,8 +43,8 @@ ORACLE_VERIFY_DEFAULT = 13  # oracle cross-check in `verify` runs for q up to th
 ORACLE_VERIFY_EXTENDED = (16, 25, 27, 31)
 # `verify` refuses a range whose prime powers sum past this (exit 3).  A
 # field's tables and classes grow with q, so the sum bounds the run:
-# 4..1024 sums to 87,755 and verifies in 0.32 s; q = 2^18 alone takes about
-# 2.7 s and 83 MB, q = 2^20 alone about 11 s and 290 MB (2-core Xeon).
+# 4..1024 sums to 87,755 and verifies in about 0.3 s; q = 2^18 alone takes
+# about 0.7 s and 67 MB, q = 2^20 alone about 3 s and 226 MB (2-core Xeon).
 VERIFY_Q_SUM_CAP = 1 << 18
 
 
@@ -216,7 +216,7 @@ def cmd_graph(args) -> int:
 
 def cmd_beta(args) -> int:
     from invgen.autorbits import aut_action, beta, beta_fast
-    from invgen.iggraph import n_lower_bound_report
+    from invgen.iggraph import check_bound_cap, n_lower_bound_report
     from invgen.psl2 import inventory
     from invgen.structure import profile_census, psi2_structural
 
@@ -224,6 +224,7 @@ def cmd_beta(args) -> int:
     inv = inventory(ctx)
     census = profile_census(ctx, inv)
     b = beta_fast(census)
+    check_bound_cap(b)  # the floor bound is at most b: refuse before either binomial
     count = census.psi2_count()
     df = inv.d * ctx.f
     floor = n_lower_bound_report(ctx, inv, census)

@@ -15,8 +15,13 @@ Every context builds exp/log tables over a fixed multiplicative generator
 (the least one by int value) when it is made, in O(q) time and memory.
 Products, inverses and powers read them in every field, prime fields
 included, and so do the square and subfield tests.  The power walk
-multiplies a digit vector by the generator with shift-and-reduce steps;
-only the generator search multiplies polynomials mod the modulus.  The
+multiplies the last power by the generator g with Horner's rule over the
+digits of g, one multiplication by x per degree of g.  In characteristic
+2 the packed int is the coefficient bit vector, so that step is a left
+shift and, when bit f comes up, an XOR with the packed modulus (x^f is
+the sum of its lower terms), and adding a multiple of the last power is
+an XOR too; for odd p the walk shifts and reduces a digit vector.  Only
+the generator search multiplies polynomials mod the modulus.  The
 coefficient encoding stays canonical.
 
 A context checks p and f against ``Q_CAP`` before it tests p for primality
@@ -242,6 +247,10 @@ class GFContext:
         """The powers (g^0, g^1, ..., g^(q-2)) of ``generator``."""
         return self._exp
 
+    def log_table(self) -> list[int]:
+        """The logs to base ``generator``, indexed by element (entry 0 unused)."""
+        return self._log
+
     # -- table construction ----------------------------------------------------
 
     def _poly_product(self, a: int, b: int) -> int:
@@ -278,10 +287,10 @@ class GFContext:
         return result
 
     def _powers(self, g: int) -> tuple[int, ...]:
-        """(g^0, ..., g^(q-2)).  For f > 1 each step multiplies the digit
-        vector v of the last power by g directly, by Horner's rule over the
-        digits of g: acc <- acc*x + g_i*v, one shift-and-reduce against the
-        modulus per degree of g."""
+        """(g^0, ..., g^(q-2)).  For f > 1 each step multiplies the last
+        power v by g directly, by Horner's rule over the digits of g:
+        acc <- acc*x + g_i*v, one shift-and-reduce against the modulus per
+        degree of g, on bit vectors for p = 2 and digit vectors otherwise."""
         p, f, q = self.p, self.f, self.q
         exp = [1] * (q - 1)
         if f == 1:
@@ -289,6 +298,20 @@ class GFContext:
             for k in range(1, q - 1):
                 x = x * g % p
                 exp[k] = x
+            return tuple(exp)
+        if p == 2:
+            modulus = _pack(self.modulus, 2)
+            lower = [g >> i & 1 for i in range(g.bit_length() - 2, -1, -1)]
+            v = 1
+            for k in range(1, q - 1):
+                acc = v
+                for gi in lower:
+                    acc <<= 1
+                    if acc >> f:
+                        acc ^= modulus
+                    if gi:
+                        acc ^= v
+                exp[k] = v = acc
             return tuple(exp)
         digits = _unpack(g, p, f)
         deg = max(i for i, c in enumerate(digits) if c)  # >= 1: g is not in GF(p)

@@ -27,11 +27,12 @@ chunk per vertex or row, each class naming and sorting its neighbours
 once; ``graph_to_json`` writes the text of ``json.dumps(indent=2)``
 without building the payload.  The lower
 bounds on component counts of the power graph are reported with exact
-big-integer binomials.  Clique and chromatic numbers need no solver: every
-graph built here is bipartite, since colouring a vertex by the side of the
-{Borel, nonsplit dihedral} 2-covering that its first coordinate meets
-gives adjacent vertices different colours (one that meets both sides is
-isolated), so both numbers are 2 whenever there is an edge.
+big-integer binomials, for beta up to ``BOUND_BETA_CAP``.  Clique and
+chromatic numbers need no solver: every graph built here is bipartite,
+since colouring a vertex by the side of the {Borel, nonsplit dihedral}
+2-covering that its first coordinate meets gives adjacent vertices
+different colours (one that meets both sides is isolated), so both
+numbers are 2 whenever there is an edge.
 
 ``lambda_summary`` answers the standard per-q questions without building
 the label-level graph: labels with identical maximal profiles have
@@ -57,6 +58,10 @@ from invgen.structure import (
 )
 
 POWER_WORK_CAP = 10 ** 6  # power-graph vertices, and candidate neighbour tuples
+# The largest beta whose exact (1/2) * C(beta, beta/2) is built: beta at
+# q = 4096, whose binomial takes about 6 s, against 0.06 s at q = 1024
+# (beta = 52,326; 2-core Xeon).
+BOUND_BETA_CAP = 698_700
 
 
 class GraphCapError(CapError):
@@ -275,13 +280,22 @@ def _big_int_str(n: int) -> str:
     return str(decimal.Decimal(n))
 
 
+def check_bound_cap(beta_value: int) -> None:
+    """Refuse (``CapError``) a beta past ``BOUND_BETA_CAP``, before any binomial."""
+    if beta_value > BOUND_BETA_CAP:
+        raise CapError(f"beta={beta_value} is above {BOUND_BETA_CAP}, the largest beta "
+                       "whose exact component bound is built")
+
+
 def component_bound(beta_value: int) -> int:
-    """Exact (1/2) * C(beta, beta/2); beta must be even (it always is)."""
+    """Exact (1/2) * C(beta, beta/2); beta must be even (it always is) and
+    at most ``BOUND_BETA_CAP``."""
     if beta_value < 2 or beta_value % 2 != 0:
         raise RuntimeError(
             f"beta must be even and >= 2, got {beta_value}; an odd orbit count "
             "signals an upstream bug"
         )
+    check_bound_cap(beta_value)
     return comb(beta_value, beta_value // 2) // 2
 
 

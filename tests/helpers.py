@@ -45,7 +45,7 @@ def in_subfield(ctx, a, e) -> bool:
         raise RuntimeError(f"e={e} does not divide f={ctx.f}")
     if a == 0 or e == ctx.f:
         return True
-    return ctx._log[a] % ((ctx.q - 1) // (ctx.p ** e - 1)) == 0
+    return ctx.log_table()[a] % ((ctx.q - 1) // (ctx.p ** e - 1)) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ is asserted (they are generous on desk hardware).  The extended oracle set
 {16, 25, 27, 31} only runs when INVGEN_EXTENDED=1; `invgen verify
 --extended` runs the same set.  Extended mode also runs the oracle's Psi2
 at q = 49, its class fusion at {25, 27, 49, 64, 81}, and beta against the
-label-level reference at q = 3^11 and 2^18.
+label-level reference at q = 3^11 and 2^18, and the beta report at the
+bound cap (q = 4096).
 """
 
+import hashlib
 import os
 import time
 from math import comb
@@ -15,6 +17,7 @@ from math import comb
 import pytest
 
 from invgen.autorbits import aut_action, beta, beta_fast
+from invgen.cli import main
 from invgen.gf import GFContext, gf_for_q, prime_power_split
 from invgen.psl2 import enumerate_psl2, inventory
 from invgen.iggraph import (
@@ -206,6 +209,17 @@ def test_c07_beta_large_q_extended():
             inv = inventory(ctx)
             expected = ref_beta_fast(ctx, ref_entries(ctx), aut_action(ctx, inv))
             assert beta_fast(profile_census(ctx, inv)) == expected, q
+
+
+@pytest.mark.skipif(not EXTENDED, reason="the bound at the cap needs INVGEN_EXTENDED=1")
+def test_c07_beta_at_the_bound_cap_extended(capsys):
+    # q = 4096 has beta = BOUND_BETA_CAP: its report is still built, byte
+    # for byte as at commit b4db116, before the cap existed
+    with Budget("criterion 7 extended: beta --q 4096 at the bound cap", 60):
+        assert main(["beta", "--q", "4096", "--format", "json"]) == 0
+        out = capsys.readouterr().out  # before the Budget prints its line
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "58b44d7318a2e00e4b4a4821b2054365f4b80bb9a929becd736a6d088aba4244")
 
 
 def test_c08_power_graph_ground_truth():

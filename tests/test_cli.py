@@ -243,6 +243,28 @@ def test_beta_evaluates_one_binomial_when_the_floor_is_exact(capsys, monkeypatch
     assert exact == dict(floor, beta_exact=14504)
 
 
+def test_beta_above_the_bound_cap_exits_before_any_binomial(capsys, monkeypatch):
+    # beta = 2,580,480 at q = 8192; the exact binomial would have about 777k digits
+    calls = []
+    monkeypatch.setattr(iggraph, "comb", lambda n, k: calls.append(n) or 0)
+    code, out, err = run(capsys, "beta", "--q", "8192", "--format", "json")
+    assert code == 3 and out == "" and calls == []
+    assert err == (f"cap exceeded: beta=2580480 is above {iggraph.BOUND_BETA_CAP}, the largest "
+                   "beta whose exact component bound is built\n")
+
+
+def test_beta_at_the_bound_cap_is_built(capsys, monkeypatch):
+    # beta = 14504 at q = 512, the cap moved down to it and then one below it
+    monkeypatch.setattr(iggraph, "BOUND_BETA_CAP", 14504)
+    code, out, _ = run(capsys, "beta", "--q", "512", "--format", "json")
+    assert code == 0 and json.loads(out)["beta"] == 14504
+    monkeypatch.setattr(iggraph, "BOUND_BETA_CAP", 14503)
+    code, out, err = run(capsys, "beta", "--q", "512", "--format", "json")
+    assert code == 3 and out == "" and "beta=14504 is above 14503" in err
+    with pytest.raises(gf.CapError):
+        iggraph.component_bound(14504)
+
+
 def test_beta_orbits_must_agree_with_burnside(capsys, monkeypatch):
     monkeypatch.setattr(autorbits, "beta_fast", lambda census: 6)
     code, out, err = run(capsys, "beta", "--q", "7", "--orbits")

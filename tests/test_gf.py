@@ -356,3 +356,17 @@ def test_exp_table_lists_generator_powers(field, data):
     assert len(exp) == ctx.q - 1
     k = data.draw(st.integers(0, ctx.q - 2))
     assert exp[k] == ref_powers(ctx)[k]
+
+
+# every power in characteristic 2 (the shift-and-XOR walk), up to 2^12, and
+# two odd fields of degree > 2 (the digit walk)
+WALK_FIELDS = [(2, f) for f in range(2, 13)] + [(3, 6), (5, 4)]
+
+
+@pytest.mark.parametrize("field", WALK_FIELDS, ids=[f"{p}^{f}" for p, f in WALK_FIELDS])
+def test_exp_table_is_the_whole_power_walk(field):
+    ctx = cached_field(*field)
+    exp = ctx.exp_table()
+    assert list(exp) == ref_powers(ctx)
+    log = ctx.log_table()
+    assert list(map(log.__getitem__, exp)) == list(range(ctx.q - 1))

@@ -115,6 +115,14 @@ GOLDEN = [
      "3993b767851c78747fbe8442688cbe88de23c134fcddb6ab55955247ad9342a4"),
     ("graph --q 8 --power 2 --format json",
      "89a1a09e6f31715e9e426575f3d813b8f17290524b35c31193bdf28daaa34178"),
+    # recorded at commit b4db116, before characteristic-2 fields walked their
+    # powers by shift and XOR, trace keys came from the rotated exp table and
+    # the torus fold read half of each walk; "verify --q-range 4..1024" above
+    # still gave its digest there
+    ("psi2 --q 729 --format csv",
+     "27ec141b2560279a4501563d96e233f3205651ae057d0c8e97da00da791e0dca"),
+    ("classes --q 1024 --format csv",
+     "4605be952a466deed879e87cd1a00f8a033a277bba6258866d28ae00312342e5"),
 ]
 
 # The graph summary goes to stderr; it is the only output that carries the

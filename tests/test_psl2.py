@@ -5,7 +5,10 @@ from math import gcd
 import pytest
 
 from invgen.gf import gf_for_q, prime_power_split
-from invgen.psl2 import ClassLabel, _nonsplit_walk, enumerate_psl2, inventory
+from invgen.psl2 import (
+    ClassLabel, _fold_traces, _nonsplit_walk, _power_orders, _trace_keys, enumerate_psl2,
+    inventory, trace_key,
+)
 from helpers import (
     IDENTITY, canon, dickson, make, nonsplit_generator_trace, psl2_class_of, psl2_inv, psl2_mul,
     psl2_order,
@@ -224,6 +227,78 @@ def test_nonsplit_walk_certifies_the_reference_generator():
         t0 = nonsplit_generator_trace(ctx)
         assert (walk[0], len(walk)) == (t0, q // 2), q
         assert walk[-1] == dickson(ctx, t0, q // 2), q
+
+
+# prime, odd f > 1 and characteristic-2 fields
+FOLD_QS = [4, 5, 7, 8, 9, 13, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128, 243, 343, 1021]
+
+
+@pytest.mark.parametrize("q", FOLD_QS)
+def test_trace_keys_are_the_least_of_t_and_minus_t(q):
+    ctx = gf_for_q(q)
+    assert list(_trace_keys(ctx)) == [trace_key(ctx, t) for t in range(q)]
+
+
+def ref_torus_classes(ctx, kind):
+    """{trace key: PSL-order} over every power x^k, 0 < k < n, of a generator
+    x of the SL torus of order n, dropping orders below 3, as sorted pairs."""
+    q = ctx.q
+    d = 2 if q % 2 else 1
+    if kind == "split":
+        n = q - 1
+        traces = [ctx.add(ctx.pow(ctx.generator, k), ctx.pow(ctx.generator, -k))
+                  for k in range(1, n)]
+    else:
+        n = q + 1
+        t0 = nonsplit_generator_trace(ctx)
+        traces = [dickson(ctx, t0, k) for k in range(1, n)]
+    order_of = {}
+    for k, t in enumerate(traces, 1):
+        m = n // gcd(k, n)
+        order = m // d if m % d == 0 else m
+        if order > 2:
+            assert order_of.setdefault(trace_key(ctx, t), order) == order, (q, kind, k)
+    return sorted(order_of.items())
+
+
+@pytest.mark.parametrize("q", FOLD_QS[:-1])
+def test_half_walk_fold_matches_the_whole_torus(q):
+    ctx = gf_for_q(q)
+    for torus in inventory(ctx).tori:
+        assert list(zip(torus.keys, torus.orders)) == ref_torus_classes(ctx, torus.kind)
+
+
+def split_walk(q):
+    """The keys and orders ``inventory`` folds for the split torus at q odd,
+    and the mirror (q-1)/2."""
+    ctx = gf_for_q(q)
+    exp, half = ctx.exp_table(), (q - 1) // 2
+    keys = [trace_key(ctx, ctx.add(exp[k], exp[-k])) for k in range(1, half + 1)]
+    return keys, _power_orders(q - 1, 2, half), half
+
+
+@pytest.mark.parametrize("q", [13, 25, 29])
+def test_fold_refuses_a_broken_mirror(q):
+    keys, orders, mirror = split_walk(q)
+    assert _fold_traces("split", keys, orders, 1, mirror).keys == sorted(set(keys[:-1]) - {0})
+    for k in range(1, (mirror + 1) // 2):  # k < mirror/2: the powers the classes are read from
+        for i in (k - 1, mirror - k - 1):  # break x^k, then its mirror x^(mirror-k)
+            bad_keys = keys.copy()
+            bad_keys[i] = keys[i] + 1
+            with pytest.raises(RuntimeError, match="inconsistent split trace fold"):
+                _fold_traces("split", bad_keys, orders, 1, mirror)
+            bad_orders = orders.copy()
+            bad_orders[i] = orders[i] + 1
+            with pytest.raises(RuntimeError, match="inconsistent split trace fold"):
+                _fold_traces("split", keys, bad_orders, 1, mirror)
+
+
+def test_fold_refuses_a_repeated_key():
+    keys, orders = [3, 5, 3], [7, 7, 7]
+    with pytest.raises(RuntimeError, match="inconsistent nonsplit trace fold"):
+        _fold_traces("nonsplit", keys, orders, 1, None)  # q even: no mirror
+    with pytest.raises(RuntimeError, match="inconsistent nonsplit trace fold"):
+        _fold_traces("nonsplit", keys + keys[::-1], orders * 2, 1, 7)
 
 
 def test_inventory_rejects_small_q():
