@@ -1,54 +1,50 @@
 """Brute-force ground truth for small q.
 
-Elements are realized as permutations of the projective line (the action
-is faithful), each stored once as a ``bytes`` value of length q + 1, and
-composed with ``bytes.translate`` against a 256-byte table.  Point 0 is
-infinity and point 1+v is v.  An element's permutation is itself composed
-from the tables of v -> v + s, v -> s*v and v -> 1/v, by field algebra
-alone: for m = (a, b, c, d) with ad - bc = 1,
+Elements are permutations of the projective line (the action is faithful),
+each stored once as ``bytes`` of length q + 1 and composed with
+``bytes.translate`` against a 256-byte table; point 0 is infinity and point
+1+v is v.  A permutation is composed from the tables of v -> v + s,
+v -> s*v and v -> 1/v: for m = (a, b, c, d) with ad - bc = 1,
 
     c = 0:   v -> a^2 v + ab,
     c != 0:  v -> a/c - 1/(c^2 (v + d/c)) = a/c + 1/(-c^2 (v + d/c)),
 
-so the image of v under (av + b)/(cv + d) is never evaluated point by
-point.  The pointwise map is the reference in the tests
-(``tests/helpers.py``, ``mobius_perm``).  Matrices exist only while the
-session is built: each enumerated matrix is turned into its permutation
-and its class label, read from tables keyed by its trace (``_labeller``;
-``psl2_class_of`` in ``tests/helpers.py`` is the reference), and from then
-on the permutation is the element's only form.  Inverses are read off
-``bytes.maketrans``.  Generation is decided by literal subgroup closure:
-a pair generates iff the closure of the two elements under multiplication
-is the whole group.  The closure returns early once it outgrows every
-maximal subgroup order.  That early exit is the one place where the Psi2
-verdicts depend on the rules they certify: ``exit_bound`` is read from
-``structure.maximal_subgroup_classes``.
+so no image is evaluated point by point (``mobius_perm`` in
+``tests/helpers.py`` is the pointwise reference).  Each enumerated matrix
+is turned into its permutation and its class label, read from tables keyed
+by its trace (``_labeller``; ``psl2_class_of`` in ``tests/helpers.py`` is
+the reference), and then dropped.  Inverses come from ``bytes.maketrans``.
+A pair generates iff its closure under multiplication is the whole group.
+The closure returns early once it outgrows every maximal subgroup order:
+that ``exit_bound``, read from ``structure.maximal_subgroup_classes``, is
+the one place where the Psi2 verdicts depend on the rules they certify.
 
-``pair_generates`` decides the class pair (C, D) by fixing one element x
-of the smaller class and sweeping one element y of each orbit, on the
-larger class, of the group generated by conjugation by N = N_S(<x>) and by
-inversion.  Fixing x is sound because the pair property is invariant under
-simultaneous conjugation and symmetric in the two classes.  Sweeping one y
-per orbit is sound because the verdict is constant on each orbit: for g in
-N, x^(g^-1) generates <x>, so <x, y^g> = <x^(g^-1), y>^g = <x, y>^g; and
+``psi2`` decides one class pair per pair of power classes.  The power class
+of C is the set of classes C^k with gcd(k, |x|) = 1, read off the powers of
+one enumerated x in C.  For such k and j, x -> x^k maps C onto C^k and
+<x^k, y^j> = <x, y>, so (C, D) and every (C^k, D^j) share one verdict, and
+all members of a power class share one row.  The representatives of two
+power classes never generate one cyclic subgroup, so no normaliser below
+is scanned twice.
+
+``pair_generates`` decides (C, D) by fixing one x in the smaller class and
+sweeping one y per orbit, on the larger class, of the group generated by
+conjugation by N = N_S(<x>) and by inversion.  Fixing x is sound because
+the pair property is invariant under simultaneous conjugation and symmetric
+in the two classes.  The verdict is constant on each orbit: for g in N,
+x^(g^-1) generates <x>, so <x, y^g> = <x^(g^-1), y>^g = <x, y>^g; and
 <x, y^-1> = <x, y>.  Inversion stays inside D only when D is real, so the
 orbit of y^-1 is added only when y^-1 has y's label (the unipotent classes
-are not real when q = 3 mod 4).  N is found by testing which enumerated
-elements conjugate x to one of its powers, so the sweep never uses a
-structural rule.
+are not real when q = 3 mod 4).  N is the set of enumerated elements that
+conjugate x to one of its powers, so no sweep uses a structural rule.
 """
 
 from __future__ import annotations
 
+from math import gcd
+
 from invgen.gf import CapError, GFContext
-from invgen.psl2 import (
-    ClassInventory,
-    ClassLabel,
-    Mat,
-    enumerate_psl2,
-    is_split_trace,
-    trace_key,
-)
+from invgen.psl2 import ClassInventory, ClassLabel, Mat, enumerate_psl2, is_split_trace, trace_key
 from invgen.structure import Psi2Table, maximal_subgroup_classes
 
 MAX_Q = 255  # q + 1 points must fit in a byte
@@ -63,12 +59,10 @@ class OracleCapError(CapError):
 
 
 def _line_action(ctx: GFContext):
-    """The map from m to its permutation of the projective line.
-
-    Composes the translate tables of v -> v + s, v -> s*v and v -> 1/v
-    (built here in O(q^2) field operations) by the identity of the module
-    docstring: at most four translates and five field operations per m.
-    """
+    """The map from m to its permutation of the projective line: the
+    translate tables of v -> v + s, v -> s*v and v -> 1/v (built here in
+    O(q^2) field operations), composed by the identity of the module
+    docstring, at most four translates and five field operations per m."""
     q, n = ctx.q, ctx.q + 1
     pad = _POINTS[n:]
     shift = [bytes([0] + [1 + ctx.add(v, s) for v in range(q)]) + pad for s in range(q)]
@@ -93,13 +87,12 @@ def _labeller(ctx: GFContext):
     field with ``is_split_trace`` and ``trace_key`` (never from an
     inventory, which the session certifies).
 
-    The label of a non-identity element is a function of its trace t,
-    except for the unipotents of q odd (t = +-2), whose square class is
-    that of the upper-right entry of the unitriangular normal form: b when
-    c = 0 and -c otherwise once m is normalised to trace 2, and negating m
-    negates that entry.  So those are keyed by t, by whether c = 0, and by
-    that one entry.  The identity (trace 2, or 0 for q even) is matched first.
-    """
+    A non-identity label is a function of the trace t, except for the
+    unipotents of q odd (t = +-2): their square class is that of the
+    upper-right entry of the unitriangular normal form, b when c = 0 and -c
+    otherwise once m has trace 2, and negating m negates it.  So those are
+    keyed by t, by whether c = 0, and by that entry.  The identity (trace 2,
+    or 0 for q even) is matched first."""
     q, two = ctx.q, ctx.scalar(2)
     identity, involution, unip = ClassLabel("id"), ClassLabel("inv"), ClassLabel("unip")
     by_trace: list[ClassLabel | None] = []
@@ -147,10 +140,8 @@ def _inverse(p: Perm) -> Perm:
 
 class OracleSession:
     """Enumerated PSL(2,q) with per-class element lists, q <= ``MAX_Q``.
-
-    Reads the caller's class inventory and certifies it: every class of the
-    enumeration must have the size the inventory gives it.
-    """
+    Certifies the caller's class inventory: every class of the enumeration
+    must have the size the inventory gives it."""
 
     def __init__(self, inv: ClassInventory):
         ctx = inv.ctx
@@ -168,9 +159,8 @@ class OracleSession:
             try:
                 self.by_label[lab].append(p)
             except KeyError:
-                raise RuntimeError(
-                    f"the enumeration meets class {lab}, which the inventory lacks"
-                ) from None
+                raise RuntimeError(f"the enumeration meets class {lab}, "
+                                   "which the inventory lacks") from None
             self.label_of_perm[p] = lab
         self.order = len(mats)
         if len(self.label_of_perm) != self.order:
@@ -178,14 +168,11 @@ class OracleSession:
         for entry in inv:
             got = len(self.by_label[entry.label])
             if got != entry.size:
-                raise RuntimeError(
-                    f"class {entry.label} has {got} elements, formula says {entry.size}"
-                )
+                raise RuntimeError(f"class {entry.label} has {got} elements, "
+                                   f"formula says {entry.size}")
         self.npoints = ctx.q + 1
         self.identity: Perm = _POINTS[:self.npoints]
-        self.exit_bound = max(
-            sc.order for sc in maximal_subgroup_classes(ctx) if sc.maximal
-        )
+        self.exit_bound = max(sc.order for sc in maximal_subgroup_classes(ctx) if sc.maximal)
         self._normalisers: dict[Perm, list[Perm]] = {}  # filled on demand
 
     # -- closure -------------------------------------------------------------
@@ -193,8 +180,7 @@ class OracleSession:
     def _closure(self, gens: list[Perm], limit: int) -> set[Perm] | None:
         """The subgroup generated by gens, or None once it exceeds limit elements."""
         tables = [_table(g) for g in gens]
-        seen = {self.identity}
-        queue = [self.identity]
+        seen, queue = {self.identity}, [self.identity]
         for w in queue:  # breadth first: the loop reaches what it appends
             for t in tables:
                 z = w.translate(t)
@@ -211,20 +197,20 @@ class OracleSession:
 
     # -- Psi2 ----------------------------------------------------------------
 
+    def _powers(self, x: Perm) -> list[Perm]:
+        """x, x^2, ... up to the last power before the identity."""
+        powers, xt = [], _table(x)
+        while x != self.identity:
+            powers.append(x)
+            x = x.translate(xt)
+        return powers
+
     def normaliser(self, x: Perm) -> list[Perm]:
         """N_S(<x>): the enumerated g whose conjugate of x is a power of x.
-
-        bytes.maketrans(g, x.translate(_table(g))) sends g(i) to g(x(i)), so
-        it is the padded table of g x g^-1 (g + pad is _table(g) inlined),
-        compared with the padded tables of the powers.
-        """
+        bytes.maketrans(g, x.translate(_table(g))) sends g(i) to g(x(i)): it
+        is the padded table of g x g^-1 (g + pad is _table(g) inlined)."""
         if x not in self._normalisers:
-            xt = _table(x)
-            powers = set()
-            power = x
-            while power != self.identity:
-                powers.add(_table(power))
-                power = power.translate(xt)
+            powers = {_table(p) for p in self._powers(x)}
             pad, maketrans, after_x = _POINTS[self.npoints:], bytes.maketrans, x.translate
             self._normalisers[x] = [
                 g for g in self.label_of_perm if maketrans(g, after_x(g + pad)) in powers
@@ -232,13 +218,10 @@ class OracleSession:
         return self._normalisers[x]
 
     def normaliser_orbits(self, x: Perm, ys: list[Perm]):
-        """Yield (y, orbit of y) for each orbit on ys of the group generated
-        by N_S(<x>)-conjugation and inversion, lazily.
-
-        ys must be a class; y is the first member of its orbit in the order
-        of ys.  The orbit of y^-1 is added only when y^-1 has y's label, so
-        a non-real class is never left.
-        """
+        """Yield (y, orbit of y), lazily, for each orbit on the class ys of
+        the group generated by N_S(<x>)-conjugation and inversion; y is the
+        first member of its orbit in ys.  The orbit of y^-1 is added only
+        when y^-1 has y's label, so a non-real class is never left."""
         conj = [(_inverse(g), _table(g)) for g in self.normaliser(x)]
         label = self.label_of_perm
         seen: set[Perm] = set()
@@ -255,26 +238,41 @@ class OracleSession:
             yield y, orbit
 
     def pair_generates(self, c: ClassLabel, d: ClassLabel) -> bool:
-        """Invariable generation verdict for the class pair (c, d).
-
-        Fixes x in the smaller class and sweeps one y per orbit of
-        N_S(<x>)-conjugation and inversion on the larger class (the verdict
-        is symmetric in c and d).
-        """
+        """Invariable generation verdict for the class pair (c, d): x fixed
+        in the smaller class, one y per ``normaliser_orbits`` orbit of the
+        larger (the verdict is symmetric in c and d)."""
         cs, ds = self.by_label[c], self.by_label[d]
         if len(ds) < len(cs):
             cs, ds = ds, cs
         x = cs[0]
         return all(self.closure_generates([x, y]) for y, _ in self.normaliser_orbits(x, ds))
 
-    def psi2(self) -> Psi2Table:
+    def power_classes(self) -> list[list[ClassLabel]]:
+        """The nonidentity labels in power classes, each in inventory order:
+        the first class C not yet grouped, with every C^k, gcd(k, |x|) = 1,
+        read off the powers of the first enumerated x in C."""
         labels = self.inv.nonidentity_labels()
-        near: list[list[int]] = [[] for _ in labels]
-        for i, c in enumerate(labels):
-            for j in range(i, len(labels)):
-                if self.pair_generates(c, labels[j]):
-                    near[i].append(j)
-                    if j != i:
-                        near[j].append(i)
-        # row i gets the j < i from earlier rows, then its own j >= i: ascending
-        return Psi2Table(self.ctx.q, "oracle", labels, [tuple(js) for js in near])
+        grouped: set[ClassLabel] = set()
+        classes = []
+        for lab in labels:
+            if lab not in grouped:
+                powers = self._powers(self.by_label[lab][0])
+                n = len(powers) + 1  # the order of x; powers[k - 1] is x^k
+                members = {self.label_of_perm[p] for k, p in enumerate(powers, 1)
+                           if gcd(k, n) == 1}
+                grouped |= members
+                classes.append([c for c in labels if c in members])
+        return classes
+
+    def psi2(self) -> Psi2Table:
+        """One ``pair_generates`` call per pair of power classes; each label
+        gets the row of its power class's first member (module docstring)."""
+        labels = self.inv.nonidentity_labels()
+        rep = {c: members[0] for members in self.power_classes() for c in members}
+        reps = list(dict.fromkeys(rep.values()))
+        verdict = {}
+        for a, c in enumerate(reps):
+            for d in reps[a:]:
+                verdict[c, d] = verdict[d, c] = self.pair_generates(c, d)
+        rows = {c: tuple(j for j, d in enumerate(labels) if verdict[c, rep[d]]) for c in reps}
+        return Psi2Table(self.ctx.q, "oracle", labels, [rows[rep[c]] for c in labels])

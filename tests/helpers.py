@@ -11,8 +11,8 @@ from invgen.psl2 import (
     is_split_trace, trace_key,
 )
 from invgen.structure import (
-    BOREL, BOREL_SIDE, DIH_NONSPLIT, DIHEDRAL_SIDE, label_meets, maximal_subgroup_classes,
-    profile_universe,
+    BOREL, BOREL_SIDE, DIH_NONSPLIT, DIHEDRAL_SIDE, Psi2Table, label_meets,
+    maximal_subgroup_classes, profile_universe,
 )
 
 
@@ -291,6 +291,21 @@ def generates(sess, x, y) -> bool:
     """Whether the matrices x and y generate S, by the session's closure."""
     perm = _line_action(sess.ctx)
     return sess.closure_generates([perm(x), perm(y)])
+
+
+def psi2_per_class_pair(sess) -> Psi2Table:
+    """The oracle Psi2 with one ``pair_generates`` call per pair of classes,
+    no power classes shared: the reference for ``OracleSession.psi2``."""
+    labels = sess.inv.nonidentity_labels()
+    near: list[list[int]] = [[] for _ in labels]
+    for i, c in enumerate(labels):
+        for j in range(i, len(labels)):
+            if sess.pair_generates(c, labels[j]):
+                near[i].append(j)
+                if j != i:
+                    near[j].append(i)
+    # row i gets the j < i from earlier rows, then its own j >= i: ascending
+    return Psi2Table(sess.ctx.q, "oracle", labels, [tuple(js) for js in near])
 
 
 def conjugate(x, g) -> bytes:

@@ -4,9 +4,9 @@ Each test prints a PASS line with its measured runtime; the stated budget
 is asserted (they are generous on desk hardware).  The extended oracle set
 {16, 25, 27, 31} only runs when INVGEN_EXTENDED=1; `invgen verify
 --extended` runs the same set.  Extended mode also runs the oracle's Psi2
-at q = 49, its class fusion at {25, 27, 49, 64, 81}, and beta against the
-label-level reference at q = 3^11 and 2^18, and the beta report at the
-bound cap (q = 4096).
+at q = 49, 64 and 81, its class fusion at {25, 27, 49, 64, 81}, and beta
+against the label-level reference at q = 3^11 and 2^18, and the beta report
+at the bound cap (q = 4096).
 """
 
 import hashlib
@@ -48,11 +48,16 @@ from helpers import (
 
 ALL_QS = [q for q in range(4, 1025) if prime_power_split(q)]
 MANDATORY_ORACLE_QS = [4, 5, 7, 8, 9, 11, 13]
-WIDER_ORACLE_QS = [16, 19]  # characteristic 2 with subfield PSL(2,4); A5 at q=19
+# characteristic 2 with subfield PSL(2,4) (16); A5 at q = 19; subfield
+# PGL(2,5) (25); subfield PSL(2,3) at odd f (27); the largest q of the cap (31)
+WIDER_ORACLE_QS = [16, 19, 25, 27, 31]
 EXTENDED_ORACLE_QS = [16, 25, 27, 31]
 # Psi2 past the default cap: the first oracle Psi2 run that meets A5 at
 # f = 2 and subfield PGL(2,7)
 EXTENDED_PSI2_Q = 49
+# the Dickson branches no smaller Psi2 run reaches: subfield PSL(2,4) and
+# PGL(2,8) at 64, subfield PGL(2,9) at f = 4 at 81
+EXTENDED_PSI2_LARGE_QS = [64, 81]
 # class fusion against label_meets, at the q of these Dickson branches:
 # subfield PGL(2,5) (25), subfield PSL(2,3) at odd f (27), A5 at f = 2 and
 # subfield PGL(2,7) (49, also run through Psi2 above), subfield PSL(2,4) and
@@ -107,7 +112,7 @@ def test_c02_oracle_equivalence_mandatory():
 
 
 def test_c02_oracle_equivalence_wider():
-    with Budget("criterion 2 wider: oracle == structural on {16,19}", 60):
+    with Budget("criterion 2 wider: oracle == structural on {16,19,25,27,31}", 60):
         for q in WIDER_ORACLE_QS:
             sess = OracleSession(inventory(gf_for_q(q)))
             assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.ctx, sess.inv))), q
@@ -126,6 +131,14 @@ def test_c02_oracle_equivalence_q49():
     with Budget("criterion 2 extended: oracle == structural at q=49", 60):
         sess = OracleSession(inventory(gf_for_q(EXTENDED_PSI2_Q)))
         assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.ctx, sess.inv)))
+
+
+@pytest.mark.skipif(not EXTENDED, reason="extended oracle set needs INVGEN_EXTENDED=1")
+def test_c02_oracle_equivalence_q64_q81():
+    with Budget("criterion 2 extended: oracle == structural at q=64, 81", 60):
+        for q in EXTENDED_PSI2_LARGE_QS:
+            sess = OracleSession(inventory(gf_for_q(q)))
+            assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.ctx, sess.inv))), q
 
 
 @pytest.mark.skipif(not EXTENDED, reason="extended oracle set needs INVGEN_EXTENDED=1")

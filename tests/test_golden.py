@@ -123,6 +123,13 @@ GOLDEN = [
      "27ec141b2560279a4501563d96e233f3205651ae057d0c8e97da00da791e0dca"),
     ("classes --q 1024 --format csv",
      "4605be952a466deed879e87cd1a00f8a033a277bba6258866d28ae00312342e5"),
+    # recorded at commit 9281f5a, before the oracle decided one class pair
+    # per pair of power classes; at q = 9 the two unipotent classes are
+    # separate power classes
+    ("psi2 --q 9 --method oracle --format json",
+     "dede7a5a960575e4d4a32c0c873d352d9cad0c8bee792977ec7cead0b0c6ba21"),
+    ("psi2 --q 19 --method both",
+     "b8818c4873686e0e121e8bc74a76be23a79b210f5f2bea04a6b0c2a46dceab25"),
 ]
 
 # The graph summary goes to stderr; it is the only output that carries the

@@ -46,6 +46,7 @@ from helpers import (
     psl2_inv,
     psl2_mul,
     psl2_order,
+    psi2_per_class_pair,
 )
 
 FAST_QS = [4, 5, 7, 8, 9]
@@ -175,6 +176,70 @@ def test_cap_enforced(monkeypatch):
 def test_oracle_matches_structural(q, sessions):
     sess = sessions(q)
     assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.ctx, sess.inv)))
+
+
+# ---------------------------------------------------------------------------
+# power classes: C with every C^k, gcd(k, |x|) = 1, share one Psi2 row
+# ---------------------------------------------------------------------------
+
+POWER_QS = FAST_QS + [11, 13, 16, 19, 25, 27]
+
+
+@pytest.mark.parametrize("q", POWER_QS)
+def test_power_classes_partition_the_nonidentity_labels(q, sessions):
+    sess = sessions(q)
+    classes = sess.power_classes()
+    labels = sess.inv.nonidentity_labels()
+    assert sum(map(len, classes)) == len(labels)
+    assert set().union(*classes) == set(labels)
+    for members in classes:  # each in inventory order, first member first
+        assert members == sorted(members, key=labels.index), (q, members)
+
+
+@pytest.mark.parametrize("q", POWER_QS)
+def test_power_class_members_share_size_and_order(q, sessions):
+    sess = sessions(q)
+    entry = {e.label: e for e in sess.inv}
+    for members in sess.power_classes():
+        x = sess.by_label[members[0]][0]
+        order = len(sess._closure([x], sess.order))  # |<x>|, by closure
+        for c in members:
+            assert len(sess.by_label[c]) == entry[c].size == entry[members[0]].size, (q, c)
+            assert entry[c].order == order, (q, c)
+
+
+# x^k for k in GF(p)* is unipotent with its entry scaled by k, and every k
+# in GF(p)* is a square in GF(q) exactly when f is even
+@pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 25, 27, 49])
+def test_unipotent_classes_merge_exactly_when_f_is_odd(q, sessions):
+    sess = sessions(q)
+    unip = [members for members in sess.power_classes()
+            if any(c.kind == "unip" for c in members)]
+    f = prime_power_split(q)[1]
+    assert [len(members) for members in unip] == ([2] if f % 2 else [1, 1]), q
+    assert all(c.kind == "unip" for members in unip for c in members), q
+
+
+@pytest.mark.parametrize("q", FAST_QS + [11, 13, 16, 19])
+def test_psi2_matches_the_per_class_pair_reference(q, sessions):
+    sess = sessions(q)
+    table, ref = sess.psi2(), psi2_per_class_pair(sess)
+    assert table.labels == ref.labels
+    assert table.near == ref.near
+
+
+@pytest.mark.parametrize("q", [8, 13, 19])
+def test_psi2_decides_each_pair_of_power_classes_once(q, monkeypatch):
+    sess = OracleSession(inventory(gf_for_q(q)))  # no normaliser cached yet
+    calls = []
+    decide = sess.pair_generates
+    monkeypatch.setattr(sess, "pair_generates", lambda c, d: calls.append((c, d)) or decide(c, d))
+    sess.psi2()
+    n = len(sess.power_classes())
+    assert len(calls) == len({frozenset(pair) for pair in calls}) == n * (n + 1) // 2
+    # one normaliser scan per cyclic subgroup: no two scanned x generate one
+    cyclic = [frozenset(sess._closure([x], sess.order)) for x in sess._normalisers]
+    assert len(set(cyclic)) == len(cyclic) <= n
 
 
 def test_oracle_counts(sessions):

@@ -73,9 +73,11 @@ def test_psi2_both_runs_each_route_once(tmp_path):
     assert counters["structure.psi2_pairs"] == 24
     assert counters["oracle.closures"] > 0
     # enumerate_psl2 stays a generator that yields each element of PSL(2,8)
-    # once, and the oracle decides each of the 8*9/2 class pairs once
+    # once, and the oracle decides one class pair per pair of its 4 power
+    # classes (the unipotents, orders 7, 9 and 3): 4*5/2, not the 8*9/2
+    # class pairs
     assert counters["psl2.elements"] == 504
-    assert counters["oracle.pair_verdicts"] == 36
+    assert counters["oracle.pair_verdicts"] == 10
 
 
 def test_graph_keeps_its_export_span(tmp_path):
