@@ -15,7 +15,7 @@ _OWNER = {
                   "profile_census"),
     "autorbits": ("AutAction", "OrbitPartition", "aut_action", "beta", "beta_fast"),
     "oracle": ("OracleSession", "OracleCapError"),
-    "iggraph": ("IGGraph", "BoundReport", "GraphCapError",
+    "iggraph": ("IGGraph", "GraphCapError",
                 "lambda_graph", "lambda_power", "lambda_summary", "expected_isolated",
                 "components", "is_bipartite", "diameter",
                 "component_bound", "n_lower_bound_report"),

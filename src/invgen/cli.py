@@ -218,7 +218,9 @@ def cmd_beta(args) -> int:
     from invgen.autorbits import aut_action, beta, beta_fast
     from invgen.iggraph import check_bound_cap, n_lower_bound_report
     from invgen.psl2 import inventory
-    from invgen.structure import profile_census, psi2_structural
+    from invgen.structure import (
+        json_document, json_pair_list, profile_census, psi2_structural,
+    )
 
     ctx = _context(args)
     inv = inventory(ctx)
@@ -227,12 +229,11 @@ def cmd_beta(args) -> int:
     check_bound_cap(b)  # the floor bound is at most b: refuse before either binomial
     count = census.psi2_count()
     df = inv.d * ctx.f
-    floor = n_lower_bound_report(ctx, inv, census)
-    floor_report = floor.to_json()
-    if b == floor.beta_lower:  # the same bound: evaluate the binomial once
+    floor_report = n_lower_bound_report(census)
+    if b == floor_report["beta_lower"]:  # the same bound: evaluate the binomial once
         exact_report = dict(floor_report, beta_exact=b)
     else:
-        exact_report = n_lower_bound_report(ctx, inv, census, beta_exact=b).to_json()
+        exact_report = n_lower_bound_report(census, beta_exact=b)
     payload = {
         "q": ctx.q,
         "psi2_count": count,
@@ -249,9 +250,9 @@ def cmd_beta(args) -> int:
             raise RuntimeError(
                 f"orbit partition has {part.beta} orbits but Burnside counts {b}"
             )
-        payload["orbits"] = part.orbits
+        payload["orbits"] = map(json_pair_list, part.orbits)  # streamed, never one string
     if args.format == "json":
-        _emit([json.dumps(payload, indent=2) + "\n"], args.out)
+        _emit(json_document(payload), args.out)
     else:
         lines = [f"q={ctx.q} |Psi2|={count} |Out|={df} beta={b}",
                  f"even={payload['beta_even']} bounds_ok={payload['bounds_ok']}",

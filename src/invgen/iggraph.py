@@ -24,10 +24,11 @@ all of its members, which is the per-edge check regrouped.  Twins have
 equal eccentricity (``diameter`` gives the argument), so the diameter
 takes one BFS per class.  The exporters are generators that write one
 chunk per vertex or row, each class naming and sorting its neighbours
-once; ``graph_to_json`` writes the text of ``json.dumps(indent=2)``
-without building the payload.  The lower
-bounds on component counts of the power graph are reported with exact
-big-integer binomials, for beta up to ``BOUND_BETA_CAP``.  Clique and
+once; ``graph_to_json`` writes through ``structure.json_document``, which
+streams the edge list without building it.  ``n_lower_bound_report``
+returns the JSON object ``beta`` prints: a lower bound on the component
+count of the power graph, an exact big-integer binomial written in
+decimal, for beta up to ``BOUND_BETA_CAP``.  Clique and
 chromatic numbers need no solver: every graph built here is bipartite,
 since colouring a vertex by the side of the {Borel, nonsplit dihedral}
 2-covering that its first coordinate meets gives adjacent vertices
@@ -43,9 +44,8 @@ isolated vertices exactly; it runs the same analyses on that quotient.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from itertools import product
 from math import comb, log2
 from typing import NamedTuple
@@ -54,7 +54,8 @@ from invgen.autorbits import AutAction, pair_orbits
 from invgen.gf import CapError, GFContext
 from invgen.psl2 import ClassInventory
 from invgen.structure import (
-    BOREL_SIDE, DIHEDRAL_SIDE, CoveringResult, ProfileCensus, Psi2Table,
+    BOREL_SIDE, DIHEDRAL_SIDE, CoveringResult, ProfileCensus, Psi2Table, json_document,
+    json_pair_rows,
 )
 
 POWER_WORK_CAP = 10 ** 6  # power-graph vertices, and candidate neighbour tuples
@@ -254,25 +255,6 @@ def int_log2(n: int) -> float:
     return shift + log2(n >> shift)
 
 
-class BoundReport(NamedTuple):
-    q: int
-    psi2_count: int
-    beta_lower: int
-    beta_exact: int | None
-    bound: int  # exact (1/2) * C(beta, beta/2) at the reported beta
-    log2_bound: float
-
-    def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "psi2_count": self.psi2_count,
-            "beta_lower": self.beta_lower,
-            "beta_exact": self.beta_exact,
-            "component_bound": _big_int_str(self.bound),
-            "log2_bound": self.log2_bound,
-        }
-
-
 def _big_int_str(n: int) -> str:
     """Exact decimal form of any size, leaving the interpreter's int-to-str
     digit limit alone (``decimal`` does not apply it)."""
@@ -299,9 +281,12 @@ def component_bound(beta_value: int) -> int:
     return comb(beta_value, beta_value // 2) // 2
 
 
-def n_lower_bound_report(ctx: GFContext, inv: ClassInventory, census: ProfileCensus,
-                         beta_exact: int | None = None) -> BoundReport:
-    """Certified lower bound on the component count of the plus graph of S^beta.
+def n_lower_bound_report(census: ProfileCensus, beta_exact: int | None = None) -> dict:
+    """Certified lower bound on the component count of the plus graph of
+    S^beta, as the JSON object that ``beta`` prints: {q, psi2_count,
+    beta_lower, beta_exact, component_bound, log2_bound}, where
+    component_bound is the exact (1/2) * C(beta_lower, beta_lower/2) in
+    decimal.
 
     Uses beta >= |Psi2|/(d*f) rounded down to an even integer when the exact
     orbit count is not supplied; that bound is exactly the closed form
@@ -310,13 +295,13 @@ def n_lower_bound_report(ctx: GFContext, inv: ClassInventory, census: ProfileCen
     stays a true lower bound.
     """
     count = census.psi2_count()
-    beta_lb = count // (inv.d * ctx.f)
+    beta_lb = count // (census.inv.d * census.inv.ctx.f)
     use = beta_exact if beta_exact is not None else beta_lb
-    use_even = use if use % 2 == 0 else use - 1
-    if use_even < 2:
-        use_even = 2
+    use_even = max(2, use - use % 2)
     bound = component_bound(use_even)
-    return BoundReport(ctx.q, count, use_even, beta_exact, bound, int_log2(bound))
+    return {"q": census.q, "psi2_count": count, "beta_lower": use_even,
+            "beta_exact": beta_exact, "component_bound": _big_int_str(bound),
+            "log2_bound": int_log2(bound)}
 
 
 # ---------------------------------------------------------------------------
@@ -433,41 +418,18 @@ def to_dot(g: IGGraph, parts: tuple[list, list] | None = None) -> Iterator[str]:
     yield "}\n"
 
 
-def _json_strings(items: list[str], pad: str) -> str:
-    """A list of strings as ``json.dumps(indent=2)`` writes it when its
-    closing bracket is indented by ``pad``."""
-    if not items:
-        return "[]"
-    return f'[\n{pad}  "' + f'",\n{pad}  "'.join(items) + f'"\n{pad}]'
-
-
-def _json_list(key: str, items: Iterable[str]) -> Iterator[str]:
-    """The member ``key: [...]`` of a top-level object as ``json.dumps
-    (indent=2)`` writes it, from its items already written at depth 2, one
-    chunk per item; a chunk may hold several items joined by their
-    separator."""
-    yield f'  "{key}": ['
-    sep = "\n    "
-    for item in items:
-        yield sep + item
-        sep = ",\n    "
-    yield "]" if sep == "\n    " else "\n  ]"
-
-
 def _json_edges(nbrs: list[int], names: list[str], order: list[int]) -> Iterator[str]:
     """The edges as [name, name] items, smaller name first, in name order:
     one chunk per vertex, in name order, holding its edges to the vertices
     with larger names.  Each twin class sorts its neighbour names once."""
     named: dict[int, list[str]] = {}
-    end = '"\n    ]'
     for i in order:
         near = named.get(nbrs[i])
         if near is None:
             near = named[nbrs[i]] = sorted(map(names.__getitem__, _bits(nbrs[i])))
         later = near[bisect_right(near, names[i]):]
         if later:
-            start = f'[\n      "{names[i]}",\n      "'
-            yield start + (end + ",\n    " + start).join(later) + end
+            yield json_pair_rows(names[i], later)
 
 
 def graph_to_json(g: IGGraph, parts: tuple[list, list] | None = None,
@@ -475,23 +437,17 @@ def graph_to_json(g: IGGraph, parts: tuple[list, list] | None = None,
     """The text of ``json.dumps(payload, indent=2) + "\n"`` for the payload
     {q, t, method, vertices, edges, components[, parts]}: vertex names
     sorted, each edge as its two names in order, the components and the
-    parts as sorted name lists, the components in order too.  Written one
-    chunk per row, so neither the payload nor the text is built whole.
-    ``comps`` is ``components(g)`` when the caller already has it.  Vertex
-    names need no JSON escaping."""
+    parts as sorted name lists, the components in order too.  The edges
+    are streamed one chunk per vertex, so the edge list is never built.
+    ``comps`` is ``components(g)`` when the caller already has it."""
     names = [g.vertex_name(v) for v in g.vertices]
     name_of = dict(zip(g.vertices, names))
     order = sorted(range(len(names)), key=names.__getitem__)
-    head = {"q": g.q, "t": g.t, "method": g.method}
-    yield "{\n" + "".join(f"  {json.dumps(k)}: {json.dumps(v)},\n" for k, v in head.items())
-    yield '  "vertices": ' + _json_strings([names[i] for i in order], "  ") + ",\n"
-    yield from _json_list("edges", _json_edges(g.nbrs, names, order))
-    yield ",\n"
-    comp_names = sorted(sorted(name_of[v] for v in comp)
-                        for comp in (components(g) if comps is None else comps))
-    yield from _json_list("components", (_json_strings(c, "    ") for c in comp_names))
+    members = {"q": g.q, "t": g.t, "method": g.method,
+               "vertices": [names[i] for i in order],
+               "edges": _json_edges(g.nbrs, names, order),
+               "components": sorted(sorted(name_of[v] for v in comp) for comp in
+                                    (components(g) if comps is None else comps))}
     if parts is not None:
-        yield ",\n"
-        yield from _json_list("parts", (_json_strings(sorted(name_of[v] for v in part), "    ")
-                                        for part in parts))
-    yield "\n}\n"
+        members["parts"] = [sorted(name_of[v] for v in part) for part in parts]
+    yield from json_document(members)

@@ -149,12 +149,12 @@ class OracleSession:
             raise OracleCapError(f"q={ctx.q} exceeds oracle cap {MAX_Q}")
         self.ctx = ctx
         self.inv = inv
-        mats = list(enumerate_psl2(ctx))
         perm, label = _line_action(ctx), _labeller(ctx)
-        # every element once, in enumeration order
+        # every element once, in enumeration order, counted as it arrives
         self.label_of_perm: dict[Perm, ClassLabel] = {}
         self.by_label: dict[ClassLabel, list[Perm]] = {lab: [] for lab in inv.labels()}
-        for m in mats:
+        self.order = 0
+        for m in enumerate_psl2(ctx):
             p, lab = perm(m), label(m)
             try:
                 self.by_label[lab].append(p)
@@ -162,7 +162,7 @@ class OracleSession:
                 raise RuntimeError(f"the enumeration meets class {lab}, "
                                    "which the inventory lacks") from None
             self.label_of_perm[p] = lab
-        self.order = len(mats)
+            self.order += 1
         if len(self.label_of_perm) != self.order:
             raise RuntimeError("two enumerated elements act alike on the projective line")
         for entry in inv:

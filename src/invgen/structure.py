@@ -23,6 +23,9 @@ the nonsquare one; the same convention labels the variants of an
 exceptional kind whose order is divisible by p.  Swapping the labels swaps
 two identical-shaped profiles, so no downstream count depends on it; the
 oracle certifies the variant split as a multiset.
+
+``json_document`` writes the JSON of ``psi2``, ``graph`` and ``beta``; it
+sits here, the lowest module that ``iggraph`` and ``beta`` both import.
 """
 
 from __future__ import annotations
@@ -285,19 +288,48 @@ class Psi2Table:
     def json_chunks(self, extra: dict) -> Iterator[str]:
         """The text of ``json.dumps(payload, indent=2) + "\n"`` for the
         payload {q, method, count, pairs, **extra}, where pairs lists the
-        rows as [name, name]; written one string per label, so the pair
-        list is never built.  Label names need no JSON escaping."""
-        head = {"q": self.q, "method": self.method, "count": len(self)}
-        yield "{\n" + "".join(f"  {json.dumps(k)}: {json.dumps(v)},\n"
-                              for k, v in head.items()) + '  "pairs": ['
-        sep = "\n"
-        for name, near in self._named_near():
-            start = f'    [\n      "{name}",\n      "'
-            end = '"\n    ]'
-            yield sep + start + (end + ",\n" + start).join(near) + end
-            sep = ",\n"
-        yield ("\n  ]" if sep != "\n" else "]") + "".join(
-            f",\n  {json.dumps(k)}: {json.dumps(v)}" for k, v in extra.items()) + "\n}\n"
+        rows as [name, name]; streamed one chunk per label, so the pair
+        list is never built."""
+        rows = (json_pair_rows(name, near) for name, near in self._named_near())
+        return json_document({"q": self.q, "method": self.method, "count": len(self),
+                              "pairs": rows, **extra})
+
+
+def json_document(members: dict) -> Iterator[str]:
+    """The text of ``json.dumps(members, indent=2) + "\n"`` for str keys.
+
+    A member given as an iterator is a list streamed one chunk per string it
+    yields: each chunk holds one or more items already written at depth 2,
+    several joined by ``",\n    "``.  Any other member goes through
+    ``json.dumps``, which never writes a raw newline inside a value."""
+    text, sep = "{", "\n  "
+    for key, value in members.items():
+        text += sep + json.dumps(key) + ": "
+        if isinstance(value, Iterator):
+            opening = "[\n    "
+            for chunk in value:
+                yield text + opening + chunk
+                text, opening = "", ",\n    "
+            text += "[]" if opening == "[\n    " else "\n  ]"
+        else:
+            text += json.dumps(value, indent=2).replace("\n", "\n  ")
+        sep = ",\n  "
+    yield text + ("\n}\n" if members else "}\n")
+
+
+def json_pair_rows(first: str, seconds: list[str]) -> str:
+    """The items [first, s], for every s in the nonempty ``seconds``, as one
+    chunk of ``json_document``.  Names need no JSON escaping."""
+    start = f'[\n      "{first}",\n      "'
+    end = '"\n    ]'
+    return start + (end + ",\n    " + start).join(seconds) + end
+
+
+def json_pair_list(pairs: list[tuple[str, str]]) -> str:
+    """The nonempty list of rows [a, b] as one item of a ``json_document``
+    chunk.  Names need no JSON escaping."""
+    row = '[\n        "{}",\n        "{}"\n      ]'.format
+    return "[\n      " + ",\n      ".join([row(a, b) for a, b in pairs]) + "\n    ]"
 
 
 def psi2_structural(census: ProfileCensus) -> Psi2Table:

@@ -256,12 +256,13 @@ def test_c09_bound_report_q25():
     with Budget("criterion 9: exact bound report at q=25", 10):
         ctx = gf_for_q(25)
         inv = inventory(ctx)
-        rep = n_lower_bound_report(ctx, inv, profile_census(ctx, inv))
-        assert rep.psi2_count == 84
-        assert rep.beta_lower == 20  # floor(84 / (d*f)) = 21, rounded down to even
-        assert rep.bound == comb(20, 10) // 2 == 92378
-        low = int(rep.log2_bound)
-        assert 2 ** low <= rep.bound <= 2 ** (low + 1)
+        rep = n_lower_bound_report(profile_census(ctx, inv))
+        assert rep["psi2_count"] == 84
+        assert rep["beta_lower"] == 20  # floor(84 / (d*f)) = 21, rounded down to even
+        bound = int(rep["component_bound"])
+        assert bound == comb(20, 10) // 2 == 92378
+        low = int(rep["log2_bound"])
+        assert 2 ** low <= bound <= 2 ** (low + 1)
 
 
 def test_c10_self_consistency():

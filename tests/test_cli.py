@@ -539,7 +539,7 @@ PUBLIC = {
                   "profile_census"],
     "autorbits": ["AutAction", "OrbitPartition", "aut_action", "beta", "beta_fast"],
     "oracle": ["OracleSession", "OracleCapError"],
-    "iggraph": ["IGGraph", "BoundReport", "GraphCapError", "lambda_graph",
+    "iggraph": ["IGGraph", "GraphCapError", "lambda_graph",
                 "lambda_power", "lambda_summary", "expected_isolated", "components",
                 "is_bipartite", "diameter", "component_bound", "n_lower_bound_report"],
 }

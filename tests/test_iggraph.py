@@ -410,26 +410,27 @@ def test_components_equal_pattern_pairs(q, t, beta_value):
 def test_report_q5():
     ctx = gf_for_q(5)
     inv = inventory(ctx)
-    rep = n_lower_bound_report(ctx, inv, profile_census(ctx, inv))
-    assert rep.psi2_count == 4 and rep.beta_lower == 2
-    assert rep.bound == 1 and rep.log2_bound == 0.0
+    rep = n_lower_bound_report(profile_census(ctx, inv))
+    assert rep["psi2_count"] == 4 and rep["beta_lower"] == 2
+    assert int(rep["component_bound"]) == 1 and rep["log2_bound"] == 0.0
 
 
 def test_report_q7():
     ctx = gf_for_q(7)
     inv = inventory(ctx)
-    rep = n_lower_bound_report(ctx, inv, profile_census(ctx, inv))
-    assert rep.beta_lower == 4 and rep.bound == 3
+    rep = n_lower_bound_report(profile_census(ctx, inv))
+    assert rep["beta_lower"] == 4 and int(rep["component_bound"]) == 3
 
 
 def test_report_q25():
     ctx = gf_for_q(25)
     inv = inventory(ctx)
-    rep = n_lower_bound_report(ctx, inv, profile_census(ctx, inv))
-    assert rep.psi2_count == 84
-    assert rep.beta_lower == 20  # 84 / (2*2) = 21 rounded down to even
-    assert rep.bound == comb(20, 10) // 2
-    assert 2 ** int(rep.log2_bound) <= rep.bound <= 2 ** (int(rep.log2_bound) + 1)
+    rep = n_lower_bound_report(profile_census(ctx, inv))
+    assert rep["psi2_count"] == 84
+    assert rep["beta_lower"] == 20  # 84 / (2*2) = 21 rounded down to even
+    bound = int(rep["component_bound"])
+    assert bound == comb(20, 10) // 2
+    assert 2 ** int(rep["log2_bound"]) <= bound <= 2 ** (int(rep["log2_bound"]) + 1)
 
 
 def test_big_int_str_leaves_digit_limit():
@@ -451,8 +452,8 @@ def test_int_log2_big():
 def test_report_with_exact_beta():
     ctx = gf_for_q(7)
     inv = inventory(ctx)
-    rep = n_lower_bound_report(ctx, inv, profile_census(ctx, inv), beta_exact=4)
-    assert rep.beta_exact == 4 and rep.bound == 3
+    rep = n_lower_bound_report(profile_census(ctx, inv), beta_exact=4)
+    assert rep["beta_exact"] == 4 and int(rep["component_bound"]) == 3
 
 
 # ---------------------------------------------------------------------------

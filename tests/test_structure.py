@@ -1,8 +1,9 @@
 import json
 from math import gcd
+from typing import NamedTuple
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from invgen.autorbits import aut_action, beta_fast
@@ -22,6 +23,9 @@ from invgen.structure import (
     Psi2Table,
     SubgroupClass,
     build_profiles,
+    json_document,
+    json_pair_list,
+    json_pair_rows,
     maximal_profiles,
     maximal_subgroup_classes,
     profile_census,
@@ -282,6 +286,72 @@ def test_json_chunks_of_an_empty_table():
     table = Psi2Table(5, "oracle", labels, [()] * len(labels))
     assert_blocks_match_rows(table)
     assert list(table.text_blocks(",")) == []
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer against json.dumps(indent=2)
+# ---------------------------------------------------------------------------
+
+NAMES = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789:=(),", min_size=1,
+                max_size=10)
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8))
+BOUND_REPORTS = st.fixed_dictionaries({
+    "q": st.integers(4, 1 << 20), "psi2_count": st.integers(0), "beta_lower": st.integers(2),
+    "beta_exact": st.none() | st.integers(2),
+    "component_bound": st.integers(1).map(str), "log2_bound": st.floats(0, 1e6)})
+ITEMS = st.one_of(NAMES, st.lists(NAMES, max_size=3), st.lists(NAMES, min_size=2, max_size=2),
+                  BOUND_REPORTS)
+
+
+def at_depth_2(item) -> str:
+    return json.dumps(item, indent=2).replace("\n", "\n    ")
+
+
+class Streamed(NamedTuple):
+    """A list member given to the writer as an iterator of chunks; ``cuts[i]``
+    ends a chunk after item i."""
+    items: list
+    cuts: list[bool]
+
+    def chunks(self):
+        chunk = []
+        for item, cut in zip(self.items, self.cuts):
+            chunk.append(at_depth_2(item))
+            if cut:
+                yield ",\n    ".join(chunk)
+                chunk = []
+        if chunk:
+            yield ",\n    ".join(chunk)
+
+
+@st.composite
+def streamed(draw):
+    items = draw(st.lists(ITEMS, max_size=6))
+    return Streamed(items, draw(st.lists(st.booleans(), min_size=len(items),
+                                         max_size=len(items))))
+
+
+@given(st.dictionaries(st.text(max_size=8),
+                       st.one_of(SCALARS, BOUND_REPORTS, st.lists(NAMES, max_size=4),
+                                 streamed()),
+                       max_size=6))
+@example({})
+@example({"q": 7, "empty": Streamed([], []), "one": Streamed(["inv"], [False]),
+          "several": Streamed([["a", "b"], ["c", "d"], "e"], [False, True, False]),
+          "report": {"q": 7, "beta_exact": None, "component_bound": "3"}, "names": ["a"]})
+def test_json_document_is_json_dumps(members):
+    given_members = {key: iter(value.chunks()) if isinstance(value, Streamed) else value
+                     for key, value in members.items()}
+    materialised = {key: value.items if isinstance(value, Streamed) else value
+                    for key, value in members.items()}
+    assert "".join(json_document(given_members)) == json.dumps(materialised, indent=2) + "\n"
+
+
+@given(NAMES, st.lists(NAMES, min_size=1, max_size=5))
+def test_pair_rows_and_pair_lists_are_items_at_depth_2(first, seconds):
+    pairs = [(first, s) for s in seconds]
+    assert json_pair_rows(first, seconds) == ",\n    ".join(map(at_depth_2, pairs))
+    assert json_pair_list(pairs) == at_depth_2(pairs)
 
 
 def test_psi2_table_len_is_the_pair_count():

@@ -4,12 +4,15 @@ Each command runs under ``perfbench/traced_cli.py``, which wraps the layer
 functions and records spans and counters; the tests read its output file.
 """
 
+import inspect
 import json
 import os
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+from invgen import iggraph
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "traced_cli.py"
@@ -88,3 +91,11 @@ def test_graph_keeps_its_export_span(tmp_path):
         assert spans["iggraph.export"] == 1, fmt
         assert spans["iggraph.diameter"] == spans["iggraph.graph"] == 1, fmt
         assert spans["iggraph.components"] == 1, fmt  # shared by the JSON and the summary
+
+
+def test_exporters_are_generator_functions():
+    # the tracer keeps a generator's iggraph.export span open until the
+    # generator is drained; a plain function returning a generator would
+    # close it at once and move the row work into cli.self_s
+    assert inspect.isgeneratorfunction(iggraph.graph_to_json)
+    assert inspect.isgeneratorfunction(iggraph.to_dot)
