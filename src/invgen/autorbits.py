@@ -178,7 +178,7 @@ def beta_fast(census: ProfileCensus) -> int:
         fixed = census.sizes[:]
         for k, entry in enumerate(inv.head):
             if entry.label.kind == "unip":
-                fixed[census.sig_bucket[inv.signatures[1][k]]] -= 1
+                fixed[census.sig_bucket[k]] -= 1  # head class k has signature k
         total += sum(fixed[j] * fixed[k] for j, k in census.disjoint)
     count, rem = divmod(total, inv.d * inv.ctx.f)
     if rem:

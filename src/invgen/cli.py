@@ -43,7 +43,7 @@ ORACLE_VERIFY_DEFAULT = 13  # oracle cross-check in `verify` runs for q up to th
 ORACLE_VERIFY_EXTENDED = (16, 25, 27, 31)
 # `verify` refuses a range whose prime powers sum past this (exit 3).  A
 # field's tables and classes grow with q, so the sum bounds the run:
-# 4..1024 sums to 87,755 and verifies in about 0.3 s; q = 2^18 alone takes
+# 4..1024 sums to 87,755 and verifies in about 0.25 s; q = 2^18 alone takes
 # about 0.7 s and 67 MB, q = 2^20 alone about 3 s and 226 MB (2-core Xeon).
 VERIFY_Q_SUM_CAP = 1 << 18
 
@@ -282,7 +282,7 @@ def verify_q(ctx: GFContext, oracle: bool = False) -> dict:
     census = profile_census(ctx, inv)
     checks: dict[str, bool] = {}
     checks["class_count"] = len(inv) == (q + 4 * d - 3) // d
-    cover = verify_2covering(ctx, inv)
+    cover = verify_2covering(census)
     checks["two_covering"] = cover.ok
     s = lambda_summary(ctx, inv, census, cover)
     checks["bipartite"] = s.bipartite and s.parts_match_covering

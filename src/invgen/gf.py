@@ -14,15 +14,17 @@ at most f/2 (a plain root check for f <= 3).
 Every context builds exp/log tables over a fixed multiplicative generator
 (the least one by int value) when it is made, in O(q) time and memory.
 Products, inverses and powers read them in every field, prime fields
-included, and so do the square and subfield tests.  The power walk
-multiplies the last power by the generator g with Horner's rule over the
-digits of g, one multiplication by x per degree of g.  In characteristic
-2 the packed int is the coefficient bit vector, so that step is a left
-shift and, when bit f comes up, an XOR with the packed modulus (x^f is
-the sum of its lower terms), and adding a multiple of the last power is
-an XOR too; for odd p the walk shifts and reduces a digit vector.  Only
-the generator search multiplies polynomials mod the modulus.  The
-coefficient encoding stays canonical.
+included, and so do the square and subfield tests; for odd p and f > 1
+so do sums, a + b = a * (1 + b/a) by the Zech table of log(1 + g^k), and
+negatives, -1 being g^((q-1)/2).  The power walk multiplies the last
+power by the generator g with Horner's rule over the digits of g, one
+multiplication by x per degree of g.  In characteristic 2 the packed int
+is the coefficient bit vector, so that step is a left shift and, when
+bit f comes up, an XOR with the packed modulus (x^f is the sum of its
+lower terms), and adding a multiple of the last power is an XOR too; for
+odd p the walk shifts and reduces a digit vector.  Only the generator
+search multiplies polynomials mod the modulus.  The coefficient encoding
+stays canonical.
 
 A context checks p and f against ``Q_CAP`` before it tests p for primality
 or forms p^f, and ``gf_for_q`` checks q before it factorises, so an input
@@ -159,6 +161,14 @@ class GFContext:
         for k, a in enumerate(self._exp):
             log[a] = k
         self._log = log
+        if p != 2 and f > 1:
+            # one_plus[a] = log(1 + a): 1 + a bumps digit 0 of a, p - 1 wrapping to 0
+            half = (q - 1) // 2
+            one_plus = log[1:] + log[:1]
+            one_plus[p - 1::p] = log[::p]
+            self._zech = list(map(one_plus.__getitem__, self._exp))  # log(1 + g^k)
+            self._zech[half] = None  # g^half = -1
+            self._neg = [0, *map((self._exp[half:] + self._exp[:half]).__getitem__, log[1:])]
 
     def __repr__(self) -> str:
         return f"GFContext(p={self.p}, f={self.f})"
@@ -177,14 +187,11 @@ class GFContext:
             return a ^ b
         if self.f == 1:
             return (a + b) % p
-        s = 0
-        mult = 1
-        while a or b:
-            a, ra = divmod(a, p)
-            b, rb = divmod(b, p)
-            s += ((ra + rb) % p) * mult
-            mult *= p
-        return s
+        if a == 0 or b == 0:
+            return a or b
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]  # a + b = a * (1 + b/a)
+        return 0 if z is None else self._exp[(la + z) % (self.q - 1)]
 
     def neg(self, a: int) -> int:
         p = self.p
@@ -192,13 +199,7 @@ class GFContext:
             return a
         if self.f == 1:
             return (-a) % p
-        s = 0
-        mult = 1
-        while a:
-            a, ra = divmod(a, p)
-            s += ((-ra) % p) * mult
-            mult *= p
-        return s
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -247,9 +248,9 @@ class GFContext:
         """The powers (g^0, g^1, ..., g^(q-2)) of ``generator``."""
         return self._exp
 
-    def log_table(self) -> list[int]:
-        """The logs to base ``generator``, indexed by element (entry 0 unused)."""
-        return self._log
+    def neg_table(self) -> list[int]:
+        """-a for every element a, indexed by element; odd p and f > 1 only."""
+        return self._neg
 
     # -- table construction ----------------------------------------------------
 

@@ -337,8 +337,12 @@ def lambda_summary(ctx: GFContext, inv: ClassInventory, census: ProfileCensus,
     quotient = _graph(ctx.q, 1, "structural", list(range(len(sizes))), near, plus=True)
     live = quotient.vertices
     dead = {i for i, js in enumerate(near) if not js}
-    # position i is class i + 1: class 0 is the identity
-    isolated = sorted(inv.label(i + 1).str_form() for i in census.positions(dead))
+    dead_sigs = [s for s, b in enumerate(census.sig_bucket) if b in dead]
+    if all(s < len(inv.head) for s in dead_sigs):  # head class k has signature k
+        isolated = [str(inv.head[s].label) for s in dead_sigs]
+    else:  # a torus class is isolated (q = 7): name every class of the dead buckets
+        members = census.members()
+        isolated = [str(inv.entries[i + 1].label) for b in dead for i in members[b]]
     bipartite, _ = is_bipartite(quotient)
     diam = diameter(quotient)
     if any(sizes[i] >= 2 for i in live):
@@ -351,7 +355,7 @@ def lambda_summary(ctx: GFContext, inv: ClassInventory, census: ProfileCensus,
         bipartite=bipartite,
         parts_match_covering=bipartite and _parts_match_covering(cover, census, quotient),
         diameter=diam,
-        isolated=isolated,
+        isolated=sorted(isolated),
     )
 
 

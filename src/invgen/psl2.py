@@ -28,15 +28,16 @@ involution class and the unipotent classes, at most four entries) and, for
 each torus kind, the ascending trace keys of its classes with the element
 order of each (``TorusClasses``).  The classes are numbered in that order:
 the head, then the split keys, then the nonsplit keys; entry 0 is the
-identity.  The class signatures the structural rules read come from the
-orders alone, once per distinct order (``signatures`` gives the argument).
-``ClassEntry`` and ``ClassLabel`` objects for the torus classes are built
-only when a name is needed: ``entries`` (and iteration, ``labels``,
-``to_json``) builds them all on first use, and ``label(i)`` builds one.
+identity.  The class signatures the structural rules read, and the number
+of classes with each, come from the orders alone, once per distinct order
+(``signatures`` gives the argument); the index from classes to signatures
+and the ``ClassEntry`` and ``ClassLabel`` objects of the torus classes are
+built only when classes are named, on first use.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator
 from functools import cached_property
 from itertools import repeat
@@ -115,22 +116,10 @@ class ClassInventory:
             out += map(ClassEntry, map(ClassLabel, repeat(kind), keys), orders, repeat(size))
         return out
 
-    def label(self, i: int) -> ClassLabel:
-        """The label of class i, without building the entry list."""
-        if i < len(self.head):
-            return self.head[i].label
-        k = i - len(self.head)
-        for torus in self.tori:
-            if k < len(torus.keys):
-                return ClassLabel(torus.kind, torus.keys[k])
-            k -= len(torus.keys)
-        raise IndexError(f"class {i} is past the inventory of PSL(2,{self.q})")
-
     @cached_property
     def signatures(self) -> tuple[list[ClassSignature], list[int]]:
         """The distinct class signatures, in order of first appearance, and
-        for every class, in class order, the position of its signature in
-        that list.
+        the number of classes with each.  Head class k has signature k.
 
         Only split and nonsplit traces can miss a subfield: the other kinds
         have trace 0 or +-2, which lie in the prime field.  A torus class
@@ -141,23 +130,36 @@ class ClassInventory:
         2j (the same condition, p^e -+ 1 being even for p odd) for j odd.
         And t^2 lies in GF(p^e) iff t^(p^e) = +-t, iff z^(p^e) is one of
         +-z, +-1/z, iff p^e = +-1 mod j.  The signature of a torus class
-        is therefore a function of its kind and order, and is built once
-        per distinct order."""
+        is therefore a function of its kind and order: one per distinct
+        order, counted from the orders alone."""
         p, f = self.ctx.p, self.ctx.f
-        degrees = tuple(e for e in range(1, f + 1) if f % e == 0)
+        every = tuple(e for e in range(1, f + 1) if f % e == 0)
+        proper = [(e, p ** e - 1, p ** e + 1) for e in every[:-1]]
 
-        def within(m: int) -> tuple[int, ...]:
-            return tuple(e for e in degrees if (p ** e - 1) % m == 0 or (p ** e + 1) % m == 0)
+        def within(m: int) -> tuple[int, ...]:  # f always: t lies in GF(q)
+            return (*[e for e, lo, hi in proper if lo % m == 0 or hi % m == 0], f)
 
-        position: dict[tuple, int] = {}
-        of_entry = [position.setdefault((e.label.kind, e.label.sq, e.order, degrees, degrees),
-                                        len(position)) for e in self.head]
+        sigs = [ClassSignature(e.label.kind, e.label.sq, e.order, every, every)
+                for e in self.head]
+        counts = [1] * len(sigs)
         for kind, _, orders, _ in self.tori:
-            of_order = {j: position.setdefault(
-                (kind, None, j, within(j if j % 2 else 2 * j), within(j)), len(position))
-                for j in dict.fromkeys(orders)}
-            of_entry += map(of_order.__getitem__, orders)
-        return [ClassSignature(*key) for key in position], of_entry
+            count = Counter(orders)
+            sigs += [ClassSignature(kind, None, j, within(j if j % 2 else 2 * j), within(j))
+                     for j in count]
+            counts += count.values()
+        return sigs, counts
+
+    @cached_property
+    def class_signatures(self) -> list[int]:
+        """For every class, in class order, the position of its signature in
+        ``signatures``; built on first use."""
+        out = list(range(len(self.head)))
+        start = len(out)
+        for _, _, orders, _ in self.tori:
+            of_order = {j: start + k for k, j in enumerate(dict.fromkeys(orders))}
+            start += len(of_order)
+            out += map(of_order.__getitem__, orders)
+        return out
 
     def __len__(self) -> int:
         return len(self.head) + sum(len(torus.keys) for torus in self.tori)
@@ -277,9 +279,8 @@ def _trace_keys(ctx: GFContext) -> list[int] | range:
     """``trace_key`` of every field element, as a sequence indexed by element.
 
     For p = 2, neg is the identity, so every element is its own key.  For p
-    odd, -1 = g^((q-1)/2) for the generator g, so -t is the exp table,
-    rotated by (q-1)/2, read at the log of t; each key is then the smaller
-    of t and -t, with no digit loop per element."""
+    odd each key is the smaller of t and -t, read off the context's
+    negation table, with no call per element."""
     q = ctx.q
     if ctx.p == 2:
         return range(q)
@@ -287,9 +288,7 @@ def _trace_keys(ctx: GFContext) -> list[int] | range:
     # verify 4..1024 CPU 0.45 s, 0.48 s without (2-core Xeon)
     if ctx.f == 1:
         return list(range((q + 1) // 2)) + list(range(q // 2, 0, -1))
-    exp, half = ctx.exp_table(), (q - 1) // 2
-    negs = [0, *map((exp[half:] + exp[:half]).__getitem__, ctx.log_table()[1:])]
-    return list(map(min, range(q), negs))
+    return list(map(min, range(q), ctx.neg_table()))
 
 
 def _divisors(n: int) -> list[int]:

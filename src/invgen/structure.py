@@ -8,14 +8,14 @@ always present (flagged) because the pair {Borel, nonsplit dihedral} is a
 Class-intersection profiles are computed symbolically: the profile of a
 conjugacy class is the set of subgroup-class ids whose members meet it.
 The rules read only a class's signature (``ClassInventory.signatures``),
-so profiles, the census and the 2-covering are computed once per
-signature and the classes enter only as counts: the census holds the
-number of classes per signature and per bucket of equal maximal profile,
-and lists the classes of a bucket by position only when asked.  The
-profile universe is the maximal classes plus the nonsplit-dihedral
-covering record.  Two nonidentity classes invariably generate iff no
-single maximal subgroup class meets both, so ``psi2_structural`` reads
-Psi2 off the census, one neighbour tuple per bucket.
+so each rule runs once per signature and profile-universe member (the
+maximal classes plus the nonsplit-dihedral covering record), and the
+2-covering reads its sides off those profiles.  Bucket sizes add the
+class count of each signature, counted from the torus orders; a bucket's
+classes are listed by position only when a command names them.  Two
+nonidentity classes invariably generate iff no single maximal subgroup
+class meets both, so ``psi2_structural`` reads Psi2 off the census, one
+neighbour tuple per bucket.
 
 Conventions for the kinds that come as two classes (q odd): variant 1 of a
 subfield PGL is the copy whose unipotents have square parameter, variant 2
@@ -31,7 +31,6 @@ sits here, the lowest module that ``iggraph`` and ``beta`` both import.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from collections.abc import Iterator
 from itertools import compress
 from typing import NamedTuple
@@ -123,10 +122,10 @@ def label_meets(ctx: GFContext, sig: ClassSignature, sc: SubgroupClass) -> bool:
     subgroup class `sc`?"""
     q = ctx.q
     even = q % 2 == 0
-    kind = sig.kind
+    kind, sub_kind = sig.kind, sc.kind
     if kind == "id":
         return True
-    if sc.kind == BOREL:
+    if sub_kind == BOREL:
         if kind == "unip":
             return True
         if kind == "split":
@@ -134,23 +133,23 @@ def label_meets(ctx: GFContext, sig: ClassSignature, sc: SubgroupClass) -> bool:
         if kind == "inv":
             return q % 4 == 1
         return False
-    if sc.kind == DIH_SPLIT:
+    if sub_kind == DIH_SPLIT:
         if kind == "split":
             return True
         if kind == "inv":
             return True
         return even and kind == "unip"  # reflections are the involution class
-    if sc.kind == DIH_NONSPLIT:
+    if sub_kind == DIH_NONSPLIT:
         if kind == "nonsplit":
             return True
         if kind == "inv":
             return True
         return even and kind == "unip"
-    if sc.kind == SUBFIELD_PSL:
+    if sub_kind == SUBFIELD_PSL:
         if kind in ("unip", "inv"):
             return True  # odd-degree extensions preserve square classes
         return sc.sub_degree in sig.trace_in
-    if sc.kind == SUBFIELD_PGL:
+    if sub_kind == SUBFIELD_PGL:
         if kind == "inv":
             return True
         if kind == "unip":
@@ -160,8 +159,8 @@ def label_meets(ctx: GFContext, sig: ClassSignature, sc: SubgroupClass) -> bool:
             # meets the square class and its twisted conjugate the other
             return sig.sq is (sc.variant == 1)
         return sc.sub_degree in sig.trace_sq_in
-    if sc.kind in _EXC_ORDERS:
-        orders = _EXC_ORDERS[sc.kind]
+    if sub_kind in _EXC_ORDERS:
+        orders = _EXC_ORDERS[sub_kind]
         if kind == "inv":
             return True
         if kind == "unip":
@@ -185,19 +184,20 @@ def profile_universe(classes: list[SubgroupClass]) -> list[SubgroupClass]:
 def build_profiles(ctx: GFContext, inv: ClassInventory, classes: list[SubgroupClass],
                    ) -> list[frozenset[str]]:
     """Profile over the profile universe of each class signature, in the
-    order of ``inv.signatures``; the rules run once per signature.
-    Signature 0 is the identity's, which meets every class."""
-    universe = profile_universe(classes)
-    return [frozenset(sc.id for sc in universe if label_meets(ctx, sig, sc))
+    order of ``inv.signatures``; each rule runs once per signature, and each
+    subgroup id is built once.  Signature 0 is the identity's, which meets
+    every class."""
+    universe = [(sc, sc.id) for sc in profile_universe(classes)]
+    return [frozenset([i for sc, i in universe if label_meets(ctx, sig, sc)])
             for sig in inv.signatures[0]]
 
 
-def maximal_profiles(ctx: GFContext, inv: ClassInventory, classes: list[SubgroupClass],
+def maximal_profiles(classes: list[SubgroupClass], profiles: list[frozenset[str]],
                      ) -> list[frozenset[str]]:
-    """Profiles restricted to maximal subgroup classes (the Psi2 universe),
-    one per class signature."""
+    """The ``build_profiles`` profiles restricted to maximal subgroup
+    classes (the Psi2 universe), one per class signature."""
     maximal_ids = frozenset(sc.id for sc in classes if sc.maximal)
-    return [prof & maximal_ids for prof in build_profiles(ctx, inv, classes)]
+    return [prof & maximal_ids for prof in profiles]
 
 
 # ---------------------------------------------------------------------------
@@ -217,32 +217,31 @@ class ProfileCensus(NamedTuple):
     sizes: list[int]  # classes per bucket
     sig_bucket: list[int]  # bucket of each signature; -1 for the identity's
     disjoint: list[tuple[int, int]]  # ordered bucket pairs with disjoint profiles
-
-    def positions(self, buckets: set[int]) -> list[int]:
-        """Positions, ascending, of the classes in the given buckets."""
-        hit = [b in buckets for b in self.sig_bucket]
-        of_class = self.inv.signatures[1][1:]
-        return list(compress(range(len(of_class)), map(hit.__getitem__, of_class)))
+    profiles: list[frozenset[str]]  # per signature, over the profile universe
 
     def members(self) -> list[list[int]]:
-        """Positions of the classes of each bucket, ascending."""
-        return [self.positions({b}) for b in range(len(self.buckets))]
+        """Positions, ascending, of the classes of each bucket, by ``inv.class_signatures``."""
+        bucket = list(map(self.sig_bucket.__getitem__, self.inv.class_signatures[1:]))
+        every = range(len(bucket))
+        return [list(compress(every, map(b.__eq__, bucket))) for b in range(len(self.buckets))]
 
     def psi2_count(self) -> int:
         return sum(self.sizes[i] * self.sizes[j] for i, j in self.disjoint)
 
 
 def profile_census(ctx: GFContext, inv: ClassInventory) -> ProfileCensus:
-    profs = maximal_profiles(ctx, inv, maximal_subgroup_classes(ctx))
+    classes = maximal_subgroup_classes(ctx)
+    full = build_profiles(ctx, inv, classes)
+    profs = maximal_profiles(classes, full)
     buckets = sorted(set(profs[1:]), key=sorted)
     index = {prof: b for b, prof in enumerate(buckets)}
     sig_bucket = [-1] + [index[prof] for prof in profs[1:]]
     sizes = [0] * len(buckets)
-    for sig, count in Counter(inv.signatures[1][1:]).items():
-        sizes[sig_bucket[sig]] += count
+    for b, count in zip(sig_bucket[1:], inv.signatures[1][1:]):
+        sizes[b] += count
     disjoint = [(i, j) for i, pi in enumerate(buckets)
                 for j, pj in enumerate(buckets) if pi.isdisjoint(pj)]
-    return ProfileCensus(ctx.q, inv, buckets, sizes, sig_bucket, disjoint)
+    return ProfileCensus(ctx.q, inv, buckets, sizes, sig_bucket, disjoint, full)
 
 
 class Psi2Table:
@@ -362,17 +361,14 @@ class CoveringResult(NamedTuple):
     sides: list[int]  # per class signature: BOREL_SIDE | DIHEDRAL_SIDE bits it meets
 
 
-def verify_2covering(ctx: GFContext, inv: ClassInventory) -> CoveringResult:
+def verify_2covering(census: ProfileCensus) -> CoveringResult:
     """Check that {Borel, nonsplit dihedral} covers S, and give the side of
-    every class signature.
+    every class signature, read off the census profiles (the ids of those
+    two records are their kinds).
 
     Classes meeting both sides are isolated in the generating graph; the
     classes that meet one side only give the bipartition of the plus graph.
     """
-    classes = maximal_subgroup_classes(ctx)
-    borel = next(sc for sc in classes if sc.kind == BOREL)
-    dihedral = next(sc for sc in classes if sc.kind == DIH_NONSPLIT)
-    sides = [BOREL_SIDE * label_meets(ctx, sig, borel)
-             | DIHEDRAL_SIDE * label_meets(ctx, sig, dihedral)
-             for sig in inv.signatures[0]]
+    sides = [BOREL_SIDE * (BOREL in prof) | DIHEDRAL_SIDE * (DIH_NONSPLIT in prof)
+             for prof in census.profiles]
     return CoveringResult(all(sides[1:]), sides)

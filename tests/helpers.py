@@ -1,5 +1,6 @@
 """Reference helpers that only the tests need."""
 
+from collections import Counter
 from functools import lru_cache
 from math import comb, gcd
 
@@ -11,7 +12,7 @@ from invgen.psl2 import (
     is_split_trace, trace_key,
 )
 from invgen.structure import (
-    BOREL, BOREL_SIDE, DIH_NONSPLIT, DIHEDRAL_SIDE, Psi2Table, label_meets,
+    BOREL, BOREL_SIDE, DIH_NONSPLIT, DIHEDRAL_SIDE, ProfileCensus, Psi2Table, label_meets,
     maximal_subgroup_classes, profile_universe,
 )
 
@@ -39,13 +40,37 @@ def from_coeffs(ctx, cs) -> int:
     return _pack(cs, ctx.p)
 
 
+def ref_add(ctx, a, b) -> int:
+    """a + b digit by digit in base p: the reference for the table reads of
+    ``GFContext.add``."""
+    p = ctx.p
+    s, mult = 0, 1
+    while a or b:
+        a, ra = divmod(a, p)
+        b, rb = divmod(b, p)
+        s += (ra + rb) % p * mult
+        mult *= p
+    return s
+
+
+def ref_neg(ctx, a) -> int:
+    """-a digit by digit in base p: the reference for ``GFContext.neg``."""
+    p = ctx.p
+    s, mult = 0, 1
+    while a:
+        a, ra = divmod(a, p)
+        s += -ra % p * mult
+        mult *= p
+    return s
+
+
 def in_subfield(ctx, a, e) -> bool:
     """True iff a lies in the subfield GF(p^e) of ``ctx``; requires e | f."""
     if e < 1 or ctx.f % e != 0:
         raise RuntimeError(f"e={e} does not divide f={ctx.f}")
     if a == 0 or e == ctx.f:
         return True
-    return ctx.log_table()[a] % ((ctx.q - 1) // (ctx.p ** e - 1)) == 0
+    return ctx._log[a] % ((ctx.q - 1) // (ctx.p ** e - 1)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +183,7 @@ def covering_sets(inv, cover) -> tuple:
     only the nonsplit dihedral side, and both, by the per-signature sides
     of a ``verify_2covering`` result."""
     out = {BOREL_SIDE: set(), DIHEDRAL_SIDE: set(), BOREL_SIDE | DIHEDRAL_SIDE: set(), 0: set()}
-    for lab, sig in zip(inv.labels()[1:], inv.signatures[1][1:]):
+    for lab, sig in zip(inv.labels()[1:], inv.class_signatures[1:]):
         out[cover.sides[sig]].add(lab)
     return out[BOREL_SIDE], out[DIHEDRAL_SIDE], out[BOREL_SIDE | DIHEDRAL_SIDE]
 
@@ -254,7 +279,7 @@ def by_label(inv, per_signature) -> dict:
     """Nonidentity label -> the value of its signature in a per-signature
     list, such as ``build_profiles`` returns."""
     return {lab: per_signature[sig]
-            for lab, sig in zip(inv.labels()[1:], inv.signatures[1][1:])}
+            for lab, sig in zip(inv.labels()[1:], inv.class_signatures[1:])}
 
 
 def ref_profiles(ctx, inv, classes) -> dict:
@@ -366,7 +391,7 @@ def part_pattern(vertex: tuple, part1: set) -> frozenset:
 def expected_fusion(sess) -> dict:
     """``label_meets`` inverted into per-subgroup-class label sets."""
     ctx = sess.ctx
-    distinct, sigs = sess.inv.signatures
+    distinct, sigs = sess.inv.signatures[0], sess.inv.class_signatures
     out = {}
     for sc in maximal_subgroup_classes(ctx):
         out[sc.id] = {
@@ -612,6 +637,59 @@ def ref_beta_fast(ctx, entries, action) -> int:
     count, rem = divmod(total, len(elements))
     assert rem == 0
     return count
+
+
+# ---------------------------------------------------------------------------
+# the census by a per-class signature index: the index is built by one dict
+# lookup per class, the bucket sizes by a Counter over it, and the covering
+# runs the Borel and nonsplit-dihedral rules a second time.  The reference
+# for the census from per-order class counts.
+# ---------------------------------------------------------------------------
+
+def ref_class_signatures(inv) -> tuple:
+    """(signatures, of_class): the distinct signatures in order of first
+    appearance, and the position of the signature of every class."""
+    p, f = inv.ctx.p, inv.ctx.f
+    degrees = tuple(e for e in range(1, f + 1) if f % e == 0)
+
+    def within(m):
+        return tuple(e for e in degrees if (p ** e - 1) % m == 0 or (p ** e + 1) % m == 0)
+
+    position = {}
+    of_class = [position.setdefault((e.label.kind, e.label.sq, e.order, degrees, degrees),
+                                    len(position)) for e in inv.head]
+    for kind, _, orders, _ in inv.tori:
+        of_order = {j: position.setdefault(
+            (kind, None, j, within(j if j % 2 else 2 * j), within(j)), len(position))
+            for j in dict.fromkeys(orders)}
+        of_class += map(of_order.__getitem__, orders)
+    return [ClassSignature(*key) for key in position], of_class
+
+
+def ref_index_census(ctx, inv) -> tuple:
+    """(census, members, sides): the ``ProfileCensus`` with sizes counted
+    over the per-class index, the positions of the classes of each bucket
+    read off that index, and the covering side of each signature."""
+    sigs, of_class = ref_class_signatures(inv)
+    classes = maximal_subgroup_classes(ctx)
+    maximal_ids = frozenset(sc.id for sc in classes if sc.maximal)
+    full = [frozenset(sc.id for sc in profile_universe(classes) if label_meets(ctx, sig, sc))
+            for sig in sigs]
+    profs = [prof & maximal_ids for prof in full]
+    buckets = sorted(set(profs[1:]), key=sorted)
+    index = {prof: b for b, prof in enumerate(buckets)}
+    sig_bucket = [-1] + [index[prof] for prof in profs[1:]]
+    sizes = [0] * len(buckets)
+    for sig, count in Counter(of_class[1:]).items():
+        sizes[sig_bucket[sig]] += count
+    members = [[i for i, sig in enumerate(of_class[1:]) if sig_bucket[sig] == b]
+               for b in range(len(buckets))]
+    borel = next(sc for sc in classes if sc.kind == BOREL)
+    dihedral = next(sc for sc in classes if sc.kind == DIH_NONSPLIT)
+    sides = [BOREL_SIDE * label_meets(ctx, sig, borel)
+             | DIHEDRAL_SIDE * label_meets(ctx, sig, dihedral) for sig in sigs]
+    census = ProfileCensus(ctx.q, inv, buckets, sizes, sig_bucket, _ref_disjoint(buckets), full)
+    return census, members, sides
 
 
 def component_count(beta, t) -> int:

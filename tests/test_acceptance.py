@@ -94,7 +94,8 @@ class Budget:
 def summary_of(q: int):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    return lambda_summary(ctx, inv, profile_census(ctx, inv), verify_2covering(ctx, inv))
+    census = profile_census(ctx, inv)
+    return lambda_summary(ctx, inv, census, verify_2covering(census))
 
 
 def test_c01_class_count_formula():
@@ -208,7 +209,7 @@ def test_c07_beta_pipeline():
             d = 2 if q % 2 == 1 else 1
             census = profile_census(ctx, inv)
             b = beta_fast(census)
-            count = lambda_summary(ctx, inv, census, verify_2covering(ctx, inv)).psi2_count
+            count = lambda_summary(ctx, inv, census, verify_2covering(census)).psi2_count
             assert b % 2 == 0, q
             assert count / (d * ctx.f) <= b <= count, q
 
@@ -247,7 +248,7 @@ def test_c08_power_graph_ground_truth():
         comps = components(g)
         assert len(comps) == 1
         assert len(comps) >= component_bound(2) == 1
-        p1, _ = covering_parts(inv, verify_2covering(ctx, inv))
+        p1, _ = covering_parts(inv, verify_2covering(profile_census(ctx, inv)))
         for v in g.vertices:
             assert len(part_pattern(v, p1)) == 1, v  # one coordinate per part
 

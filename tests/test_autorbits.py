@@ -86,7 +86,7 @@ def test_frobenius_fixes_the_classes_its_signatures_say(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
     action = aut_action(ctx, inv)
-    sigs, of_class = inv.signatures
+    sigs, of_class = inv.signatures[0], inv.class_signatures
 
     def fixes(e, i, sig):
         return gcd(i, ctx.f) in sig.trace_sq_in and not (e and sig.kind == "unip")
@@ -114,7 +114,7 @@ def test_no_nontrivial_frobenius_power_fixes_a_psi2_pair(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
     census = profile_census(ctx, inv)
-    bucket_of = [census.sig_bucket[sig] for sig in inv.signatures[1][1:]]
+    bucket_of = [census.sig_bucket[sig] for sig in inv.class_signatures[1:]]
     elements = aut_action(ctx, inv).elements()  # Frob^i is elements[i], then diag * Frob^i
     for n, g in enumerate(elements):
         if n % ctx.f == 0:  # i = 0: the identity and diag
@@ -281,7 +281,7 @@ def test_orbits_respect_bipartition():
     # parts are Aut-invariant, so orbits stay within one direction
     ctx = gf_for_q(7)
     inv = inventory(ctx)
-    p1, p2 = covering_parts(inv, verify_2covering(ctx, inv))
+    p1, p2 = covering_parts(inv, verify_2covering(profile_census(ctx, inv)))
     p1_names = {lab.str_form() for lab in p1}
     part = beta(aut_action(ctx, inv), psi2_structural(profile_census(ctx, inv)))
     seen = set()

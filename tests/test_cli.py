@@ -315,8 +315,8 @@ def break_label_lookup(monkeypatch):
     # neither a RuntimeError nor a ValueError: any other exception from a
     # layer is internal too, not a traceback with exit 1
     real = psl2.inventory
-    monkeypatch.setattr(psl2, "inventory", lambda ctx: real(ctx).label(10 ** 6))
-    return ["classes", "--q", "5"], "class 1000000 is past the inventory of PSL(2,5)"
+    monkeypatch.setattr(psl2, "inventory", lambda ctx: real(ctx).entries[10 ** 6])
+    return ["classes", "--q", "5"], "list index out of range"
 
 
 @pytest.mark.parametrize("breaker", [break_canon, break_subgroup_list, break_bound,

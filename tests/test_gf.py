@@ -10,7 +10,7 @@ from invgen.gf import (
     is_prime,
     prime_power_split,
 )
-from helpers import cached_field, coeffs, from_coeffs, in_subfield
+from helpers import cached_field, coeffs, from_coeffs, in_subfield, ref_add, ref_neg
 
 SMALL_QS = [4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128]
 
@@ -140,6 +140,27 @@ def test_field_axioms_exhaustive(q):
                 right = ctx.add(ctx.mul(a, b), ctx.mul(a, c))
                 assert left == right
                 assert ctx.mul(ctx.mul(a, b), c) == ctx.mul(a, ctx.mul(b, c))
+
+
+@pytest.mark.parametrize("q", [9, 25, 27, 49])
+def test_table_addition_matches_digits_every_pair(q):
+    # odd p, f > 1: add, sub and neg read the Zech and negation tables
+    ctx = gf_for_q(q)
+    for a in range(q):
+        assert ctx.neg(a) == ref_neg(ctx, a)
+        for b in range(q):
+            assert ctx.add(a, b) == ref_add(ctx, a, b)
+            assert ctx.sub(a, b) == ref_add(ctx, a, ref_neg(ctx, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([81, 243, 625, 729]), st.data())
+def test_table_addition_matches_digits_random_pairs(q, data):
+    ctx = cached_field(*prime_power_split(q))
+    a, b = (data.draw(st.integers(0, q - 1)) for _ in range(2))
+    assert ctx.neg(a) == ref_neg(ctx, a)
+    assert ctx.add(a, b) == ref_add(ctx, a, b)
+    assert ctx.sub(a, b) == ref_add(ctx, a, ref_neg(ctx, b))
 
 
 def test_pow_matches_repeated_mul():
@@ -368,5 +389,5 @@ def test_exp_table_is_the_whole_power_walk(field):
     ctx = cached_field(*field)
     exp = ctx.exp_table()
     assert list(exp) == ref_powers(ctx)
-    log = ctx.log_table()
+    log = ctx._log
     assert list(map(log.__getitem__, exp)) == list(range(ctx.q - 1))

@@ -130,6 +130,16 @@ GOLDEN = [
      "dede7a5a960575e4d4a32c0c873d352d9cad0c8bee792977ec7cead0b0c6ba21"),
     ("psi2 --q 19 --method both",
      "b8818c4873686e0e121e8bc74a76be23a79b210f5f2bea04a6b0c2a46dceab25"),
+    # recorded at commit 4f4f7c4, before odd extension fields added and
+    # negated through the Zech and negation tables
+    ("verify --q-range 4..31 --extended",
+     "b7101bd2f3c2006a357a4021c9e567c6ea98f50c136822da9848ece21838d52f"),
+    ("psi2 --q 27 --method both",
+     "fda3f7ca8a3d3c8d67762798d478a430114bafd69b97f543906ac9bf7c81af6e"),
+    ("classes --q 625 --format json",
+     "33c287ec4b5569ab59384cc7a561c6c9126f92e2d301271f6783090b14294892"),
+    ("classes --q 343 --format json",
+     "9187d956bf8a007b133a500a95f288dd1f7116f5a12b023b8e3fd17a43480527"),
 ]
 
 # The graph summary goes to stderr; it is the only output that carries the

@@ -352,7 +352,7 @@ def test_clique_chromatic_covering_chain(q):
     assert g.edge_count() >= 1
     assert is_bipartite(g)[0]
     ctx = gf_for_q(q)
-    assert verify_2covering(ctx, inventory(ctx)).ok
+    assert verify_2covering(profile_census(ctx, inventory(ctx))).ok
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +395,7 @@ def test_components_equal_pattern_pairs(q, t, beta_value):
     # pair {P, P^c}, and every realised pair is one component
     ctx, inv, psi2 = structural(q)
     g = lambda_power(ctx, t, psi2, aut_action(ctx, inv), inv, plus=True)
-    p1, _ = covering_parts(inv, verify_2covering(ctx, inv))
+    p1, _ = covering_parts(inv, verify_2covering(profile_census(ctx, inv)))
     every = frozenset(range(t))
     patterns = {frozenset({part_pattern(v, p1), every - part_pattern(v, p1)})
                 for v in g.vertices}
@@ -467,7 +467,7 @@ def test_summary_matches_explicit_graph(q):
     census = profile_census(ctx, inv)
     table = psi2_structural(census)
     g = lambda_graph(ctx, table, inv, plus=True)
-    s = lambda_summary(ctx, inv, census, verify_2covering(ctx, inv))
+    s = lambda_summary(ctx, inv, census, verify_2covering(census))
     assert s.psi2_count == len(table)
     assert s.component_count == len(components(g))
     assert s.bipartite == is_bipartite(g)[0]
@@ -482,7 +482,7 @@ def test_summary_matches_explicit_graph(q):
 
 def balance_counts(ctx, t):
     inv = inventory(ctx)
-    p1, _ = covering_parts(inv, verify_2covering(ctx, inv))
+    p1, _ = covering_parts(inv, verify_2covering(profile_census(ctx, inv)))
     psi2 = psi2_structural(profile_census(ctx, inv))
     g = lambda_power(ctx, t, psi2, aut_action(ctx, inv), inv, plus=True)
     return [len(part_pattern(v, p1)) for v in g.vertices]

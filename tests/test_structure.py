@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from math import gcd
 from typing import NamedTuple
 
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from invgen import psl2, structure
 from invgen.autorbits import aut_action, beta_fast
+from invgen.cli import verify_q
 from invgen.gf import gf_for_q, prime_power_split
 from invgen.iggraph import lambda_summary
 from invgen.oracle import OracleSession
@@ -20,6 +23,7 @@ from invgen.structure import (
     EXC_S4,
     SUBFIELD_PGL,
     SUBFIELD_PSL,
+    CoveringResult,
     Psi2Table,
     SubgroupClass,
     build_profiles,
@@ -29,6 +33,7 @@ from invgen.structure import (
     maximal_profiles,
     maximal_subgroup_classes,
     profile_census,
+    profile_universe,
     psi2_structural,
     verify_2covering,
 )
@@ -40,8 +45,10 @@ from helpers import (
     pairs,
     ref_beta_fast,
     ref_census,
+    ref_class_signatures,
     ref_covering,
     ref_entries,
+    ref_index_census,
     ref_profiles,
     ref_signature,
     ref_summary,
@@ -132,7 +139,7 @@ def test_build_profiles_match_per_label_reference(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
     classes = maximal_subgroup_classes(ctx)
-    sigs, of_entry = inv.signatures
+    sigs, of_entry = inv.signatures[0], inv.class_signatures
     assert [sigs[i] for i in of_entry] == [ref_signature(ctx, e) for e in inv]
     assert len(set(sigs)) == len(sigs)
     profiles = build_profiles(ctx, inv, classes)
@@ -188,8 +195,9 @@ def test_profile_invariants(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
     classes = maximal_subgroup_classes(ctx)
-    profs = by_label(inv, maximal_profiles(ctx, inv, classes))
-    full = by_label(inv, build_profiles(ctx, inv, classes))
+    profiles = build_profiles(ctx, inv, classes)
+    profs = by_label(inv, maximal_profiles(classes, profiles))
+    full = by_label(inv, profiles)
     for entry in inv:
         if entry.label.kind == "id":
             continue
@@ -386,7 +394,7 @@ def test_text_blocks_sort_names_per_tuple_and_skip_empty():
 def test_covering_q7_empty_both():
     ctx = gf_for_q(7)
     inv = inventory(ctx)
-    cov = verify_2covering(ctx, inv)
+    cov = verify_2covering(profile_census(ctx, inv))
     _, only_dihedral, both = covering_sets(inv, cov)
     assert cov.ok and both == set()
     assert {l.str_form() for l in only_dihedral} == {"inv", "nonsplit:t=3"}
@@ -395,14 +403,14 @@ def test_covering_q7_empty_both():
 def test_covering_q13_both_is_involution():
     ctx = gf_for_q(13)
     inv = inventory(ctx)
-    cov = verify_2covering(ctx, inv)
+    cov = verify_2covering(profile_census(ctx, inv))
     assert cov.ok and {l.str_form() for l in covering_sets(inv, cov)[2]} == {"inv"}
 
 
 def test_covering_q8_both_is_unipotent():
     ctx = gf_for_q(8)
     inv = inventory(ctx)
-    cov = verify_2covering(ctx, inv)
+    cov = verify_2covering(profile_census(ctx, inv))
     assert cov.ok and {l.str_form() for l in covering_sets(inv, cov)[2]} == {"unip"}
 
 
@@ -410,7 +418,7 @@ def test_covering_holds_widely():
     for q in range(4, 200):
         if prime_power_split(q):
             ctx = gf_for_q(q)
-            assert verify_2covering(ctx, inventory(ctx)).ok, q
+            assert verify_2covering(profile_census(ctx, inventory(ctx))).ok, q
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +437,8 @@ def test_psi2_equals_label_pair_sweep(q):
     # reference: test every unordered label pair for profile disjointness
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    profs = by_label(inv, maximal_profiles(ctx, inv, maximal_subgroup_classes(ctx)))
+    classes = maximal_subgroup_classes(ctx)
+    profs = by_label(inv, maximal_profiles(classes, build_profiles(ctx, inv, classes)))
     labels = inv.nonidentity_labels()
     expected = set()
     for i, c in enumerate(labels):
@@ -450,19 +459,64 @@ def test_signature_route_matches_label_reference(q):
     inv = inventory(ctx)
     entries = ref_entries(ctx)
     assert len(inv) == len(entries)
-    assert [inv.label(i) for i in range(len(inv))] == [e.label for e in entries]
     assert inv.entries == entries
     census = profile_census(ctx, inv)
     labels, buckets, members, _ = ref_census(ctx, entries)
     assert census.buckets == buckets
     assert census.sizes == [len(m) for m in members]
     assert [[labels[i] for i in mem] for mem in census.members()] == members
-    cover = verify_2covering(ctx, inv)
+    cover = verify_2covering(census)
     ok, only_borel, only_dihedral, both = ref_covering(ctx, entries)
     assert cover.ok == ok
     assert covering_sets(inv, cover) == (only_borel, only_dihedral, both)
     assert lambda_summary(ctx, inv, census, cover) == ref_summary(ctx, entries)
     assert beta_fast(census) == ref_beta_fast(ctx, entries, aut_action(ctx, inv))
+
+
+@pytest.mark.parametrize("q", [q for q in range(4, 1025) if prime_power_split(q)])
+def test_census_matches_class_index_reference(q):
+    # sizes from per-order class counts and sides from the census profiles
+    # against a per-class signature index, a Counter over it and the
+    # covering rules run again
+    ctx = gf_for_q(q)
+    inv = inventory(ctx)
+    census = profile_census(ctx, inv)
+    ref, members, sides = ref_index_census(ctx, inv)
+    sigs, of_class = ref_class_signatures(inv)
+    counts = Counter(of_class)
+    assert inv.signatures == (sigs, [counts[s] for s in range(len(sigs))])
+    assert census.profiles == ref.profiles
+    assert (census.buckets, census.sizes, census.sig_bucket, census.disjoint) == (
+        ref.buckets, ref.sizes, ref.sig_bucket, ref.disjoint)
+    cover = verify_2covering(census)
+    assert cover == (all(sides[1:]), sides)
+    # every summary field: isolated named through the index, the rest from
+    # the reference census and sides
+    dead = {b for b in range(len(ref.buckets))
+            if all(j == b for i, j in ref.disjoint if i == b)}
+    names = sorted(str(inv.entries[i + 1].label) for b in dead for i in members[b])
+    expected = lambda_summary(ctx, inv, ref, CoveringResult(all(sides[1:]), sides))._replace(
+        isolated=names)
+    assert lambda_summary(ctx, inv, census, cover) == expected
+    assert census.members() == members and inv.class_signatures == of_class
+
+
+@pytest.mark.parametrize("q", [7, 9, 13, 64, 729, 1021])
+def test_verify_runs_each_rule_once(q, monkeypatch):
+    # one label_meets call per signature and profile-universe member, the
+    # covering included; the per-class signature index is built only at
+    # q = 7, where a torus class is isolated and named
+    calls = []
+    meets, make = structure.label_meets, psl2.inventory
+    monkeypatch.setattr(structure, "label_meets", lambda *a: calls.append(a) or meets(*a))
+    invs = []
+    monkeypatch.setattr(psl2, "inventory", lambda ctx: invs.append(make(ctx)) or invs[-1])
+    ctx = gf_for_q(q)
+    assert all(verify_q(ctx).values())
+    inv, = invs
+    universe = profile_universe(maximal_subgroup_classes(ctx))
+    assert len(calls) == len(inv.signatures[0]) * len(universe)
+    assert ("class_signatures" in vars(inv)) == (q == 7)
 
 
 @given(st.integers(1, 5000), st.sampled_from([1, 2]), st.integers(0, 5000))

@@ -41,7 +41,7 @@ def test_verify_builds_census_and_covering_once_per_q(tmp_path):
     # function would drop it from the trace and zero the metric
     # the oracle sessions for q <= 13 read the inventory verify_q built
     assert spans["psl2.inventory"] == counters["psl2.inventory_calls"] == n_q
-    assert spans["structure.profiles"] == 2 * n_q  # maximal_profiles -> build_profiles
+    assert spans["structure.profiles"] == 2 * n_q  # build_profiles, maximal_profiles
     # beta comes from the census: no Aut(S) map is built
     assert "autorbits.action" not in spans
 
