@@ -25,7 +25,7 @@ import contextlib
 import json
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from itertools import chain
 from typing import TextIO
 
@@ -43,7 +43,7 @@ ORACLE_VERIFY_DEFAULT = 13  # oracle cross-check in `verify` runs for q up to th
 ORACLE_VERIFY_EXTENDED = (16, 25, 27, 31)
 # `verify` refuses a range whose prime powers sum past this (exit 3).  A
 # field's tables and classes grow with q, so the sum bounds the run:
-# 4..1024 sums to 87,755 and verifies in about 0.25 s; q = 2^18 alone takes
+# 4..1024 sums to 87,755 and verifies in about 0.23 s; q = 2^18 alone takes
 # about 0.7 s and 67 MB, q = 2^20 alone about 3 s and 226 MB (2-core Xeon).
 VERIFY_Q_SUM_CAP = 1 << 18
 
@@ -94,7 +94,8 @@ def _emit(chunks: Iterable[str], out: TextIO | None) -> None:
     (out or sys.stdout).writelines(chunks)
 
 
-def _parse_range(spec: str) -> list[int]:
+def _parse_range(spec: str) -> dict[int, tuple[int, int]]:
+    """{q: (p, f)} for every prime power q = p^f in the range, ascending."""
     try:
         lo_s, hi_s = spec.split("..")
         lo, hi = int(lo_s), int(hi_s)
@@ -104,15 +105,15 @@ def _parse_range(spec: str) -> list[int]:
         raise UsageError(f"range must satisfy 4 <= lo <= hi, got {spec!r}")
     if hi > Q_CAP:
         raise UsageError(f"range end {hi} exceeds the supported cap {Q_CAP}")
-    qs, total = [], 0
+    fields, total = {}, 0
     for q in range(lo, hi + 1):
-        if prime_power_split(q):
+        if pf := prime_power_split(q):
             total += q
             if total > VERIFY_Q_SUM_CAP:
                 raise CapError(
                     f"the prime powers of range {spec} sum past the verify cap {VERIFY_Q_SUM_CAP}")
-            qs.append(q)
-    return qs
+            fields[q] = pf
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -268,63 +269,60 @@ def cmd_beta(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def verify_q(ctx: GFContext, oracle: bool = False) -> dict:
-    """Run every per-q check; returns {check_name: bool}."""
+def verify_qs(runs: Iterable[tuple[GFContext, bool]]) -> Iterator[dict[str, bool]]:
+    """Run every per-q check for each (context, run the oracle) pair in
+    turn; yields {check_name: bool} for each.  The layers are imported once."""
     from invgen.autorbits import beta_fast
     from invgen.iggraph import expected_isolated, lambda_summary
     from invgen.oracle import OracleSession
     from invgen.psl2 import inventory
     from invgen.structure import profile_census, psi2_structural, verify_2covering
 
-    q = ctx.q
-    inv = inventory(ctx)
-    d = inv.d
-    census = profile_census(ctx, inv)
-    checks: dict[str, bool] = {}
-    checks["class_count"] = len(inv) == (q + 4 * d - 3) // d
-    cover = verify_2covering(census)
-    checks["two_covering"] = cover.ok
-    s = lambda_summary(ctx, inv, census, cover)
-    checks["bipartite"] = s.bipartite and s.parts_match_covering
-    checks["connected"] = s.component_count == 1
-    checks["diameter"] = s.diameter <= 3
-    expected = expected_isolated(ctx, inv)
-    checks["isolated_census"] = set(s.isolated) == expected
-    b = beta_fast(census)
-    checks["beta_even"] = b % 2 == 0
-    checks["beta_bounds"] = s.psi2_count / (d * ctx.f) <= b <= s.psi2_count
-    if q >= 64:
-        k = s.class_count
-        checks["probability"] = abs(s.psi2_count / (k * k) - 0.5) <= 10 / q
-        checks["psi2_asymptotic"] = 0.8 <= s.psi2_count * 2 * d * d / (q * q) <= 1.2
-    if oracle:
-        table = OracleSession(inv).psi2()
-        structural = psi2_structural(census)
-        checks["oracle_equals_structural"] = table.near == structural.near
-    return checks
+    for ctx, oracle in runs:
+        q, inv = ctx.q, inventory(ctx)
+        d, census = inv.d, profile_census(ctx, inv)
+        cover = verify_2covering(census)
+        s = lambda_summary(ctx, inv, census, cover)
+        b = beta_fast(census)
+        checks = {
+            "class_count": len(inv) == (q + 4 * d - 3) // d,
+            "two_covering": cover.ok,
+            "bipartite": s.bipartite and s.parts_match_covering,
+            "connected": s.component_count == 1,
+            "diameter": s.diameter <= 3,
+            "isolated_census": set(s.isolated) == expected_isolated(ctx, inv),
+            "beta_even": b % 2 == 0,
+            # implied by the closed form beta = (|Psi2| + fix(diag))/(d*f) of
+            # ``autorbits``: 0 <= fix(diag) <= |Psi2| and d*f >= 2, so it cannot fail
+            "beta_bounds": s.psi2_count / (d * ctx.f) <= b <= s.psi2_count,
+        }
+        if q >= 64:
+            k = s.class_count
+            checks["probability"] = abs(s.psi2_count / (k * k) - 0.5) <= 10 / q
+            checks["psi2_asymptotic"] = 0.8 <= s.psi2_count * 2 * d * d / (q * q) <= 1.2
+        if oracle:
+            checks["oracle_equals_structural"] = (
+                OracleSession(inv).psi2().near == psi2_structural(census).near)
+        yield checks
 
 
 def cmd_verify(args) -> int:
-    qs = _parse_range(args.q_range)
-    if not qs:
+    fields = _parse_range(args.q_range)
+    if not fields:
         raise UsageError(f"no prime powers in range {args.q_range}")
     cap = _oracle_cap()
-    results = {}
-    failures = []
-    for q in qs:
-        ctx = GFContext(*prime_power_split(q))
-        use_oracle = q <= min(ORACLE_VERIFY_DEFAULT, cap) or (
-            args.extended and q in ORACLE_VERIFY_EXTENDED and q <= cap
-        )
-        checks = verify_q(ctx, oracle=use_oracle)
-        results[q] = checks
-        failures += [f"q={q}:{name}" for name, ok in checks.items() if not ok]
+    runs = ((GFContext(p, f), q <= min(ORACLE_VERIFY_DEFAULT, cap) or (
+        args.extended and q in ORACLE_VERIFY_EXTENDED and q <= cap))
+        for q, (p, f) in fields.items())
+    results = dict(zip(fields, verify_qs(runs)))
+    failures = [f"q={q}:{name}" for q, checks in results.items()
+                for name, ok in checks.items() if not ok]
     payload = {
         "range": args.q_range,
         "extended": args.extended,
         "pass": not failures,
         "failures": failures,
-        "checks": {str(q): results[q] for q in qs},
+        "checks": {str(q): checks for q, checks in results.items()},
     }
     _emit([json.dumps(payload, indent=2) + "\n"], args.out)
     if failures:

@@ -17,14 +17,15 @@ Products, inverses and powers read them in every field, prime fields
 included, and so do the square and subfield tests; for odd p and f > 1
 so do sums, a + b = a * (1 + b/a) by the Zech table of log(1 + g^k), and
 negatives, -1 being g^((q-1)/2).  The power walk multiplies the last
-power by the generator g with Horner's rule over the digits of g, one
-multiplication by x per degree of g.  In characteristic 2 the packed int
-is the coefficient bit vector, so that step is a left shift and, when
-bit f comes up, an XOR with the packed modulus (x^f is the sum of its
-lower terms), and adding a multiple of the last power is an XOR too; for
-odd p the walk shifts and reduces a digit vector.  Only the generator
-search multiplies polynomials mod the modulus.  The coefficient encoding
-stays canonical.
+power by g with Horner's rule over the digits of g: in characteristic 2
+by shifts and XORs of the packed bit vector, with an XOR of the packed
+modulus when bit f comes up; for odd p on a digit vector, and over the
+first norm block g^0, ..., g^(L-1), L = (q-1)/(p-1), only.  The norm g^L
+lies in GF(p), so g^(k+L*m) = (g^L)^m * g^k, and a prime-field scalar
+scales each digit on its own: a later block is the one before with the
+low and the high half of its digits read through one table.  Only the
+generator search multiplies polynomials, sharing a candidate's squarings
+among the prime divisors of q - 1.
 
 A context checks p and f against ``Q_CAP`` before it tests p for primality
 or forms p^f, and ``gf_for_q`` checks q before it factorises, so an input
@@ -33,8 +34,9 @@ above the cap is refused without work proportional to its size.
 
 from __future__ import annotations
 
-from itertools import product
-from operator import mul
+from functools import reduce
+from itertools import compress, product, repeat
+from operator import add, mul
 
 Q_CAP = 1 << 20  # contexts refuse q above this
 
@@ -254,51 +256,43 @@ class GFContext:
 
     # -- table construction ----------------------------------------------------
 
-    def _poly_product(self, a: int, b: int) -> int:
-        """a*b as polynomials reduced mod the modulus, without the tables."""
-        p = self.p
-        prod = _poly_mul(_unpack(a, p, self.f), _unpack(b, p, self.f), p)
-        return _pack(_poly_mod(prod, self.modulus, p), p)
-
     def _find_generator(self) -> int:
         """The least a (by int value) with a^((q-1)/r) != 1 for every prime r | q-1.
 
-        A candidate a < p lies in the prime field, where a^e is pow(a, e, p).
-        """
-        n = self.q - 1
-        if n == 1:
-            return 1
-        p = self.p
+        In a prime field a^e is pow(a, e, p) (and GF(2)* is {1}).  Otherwise
+        an a < p has order dividing p - 1 < q - 1, and a^e is the product of
+        the squares a^(2^i) at the set bits of e, squared only as far as
+        the cofactors e tested so far need."""
+        n, p, f, modulus = self.q - 1, self.p, self.f, self.modulus
         cofactors = [n // r for r in factorize(n)]
-        for a in range(2, self.q):
-            if a < p:
+        if f == 1:
+            for a in range(2, p):
                 if all(pow(a, e, p) != 1 for e in cofactors):
                     return a
-            elif all(self._poly_power(a, e) != 1 for e in cofactors):
+            return 1
+
+        def times(a: list[int], b: list[int]) -> list[int]:
+            return _poly_mod(_poly_mul(a, b, p), modulus, p)
+        for a in range(p, self.q):
+            squares = [_unpack(a, p, f)]  # a^(2^i)
+            for e in cofactors:
+                while len(squares) < e.bit_length():
+                    squares.append(times(squares[-1], squares[-1]))
+                if _pack(reduce(times, compress(squares, map(int, bin(e)[:1:-1]))), p) == 1:
+                    break
+            else:
                 return a
         raise RuntimeError("no multiplicative generator found")  # unreachable
 
-    def _poly_power(self, a: int, e: int) -> int:
-        result = 1
-        while e:
-            if e & 1:
-                result = self._poly_product(result, a)
-            a = self._poly_product(a, a)
-            e >>= 1
-        return result
-
     def _powers(self, g: int) -> tuple[int, ...]:
-        """(g^0, ..., g^(q-2)).  For f > 1 each step multiplies the last
-        power v by g directly, by Horner's rule over the digits of g:
-        acc <- acc*x + g_i*v, one shift-and-reduce against the modulus per
-        degree of g, on bit vectors for p = 2 and digit vectors otherwise."""
+        """(g^0, ..., g^(q-2)) by the walk of the module docstring: v the last
+        power, acc <- acc*x + g_i*v over the digits g_i of g."""
         p, f, q = self.p, self.f, self.q
         exp = [1] * (q - 1)
         if f == 1:
             x = 1
             for k in range(1, q - 1):
-                x = x * g % p
-                exp[k] = x
+                exp[k] = x = x * g % p
             return tuple(exp)
         if p == 2:
             modulus = _pack(self.modulus, 2)
@@ -319,14 +313,25 @@ class GFContext:
         lead, lower = digits[deg], digits[deg - 1::-1]
         red = [-c % p for c in self.modulus[:f]]  # x^f = sum of red[j] x^j
         weights = [p ** j for j in range(f)]
+        block = (q - 1) // (p - 1)
         v = [1] + [0] * (f - 1)
-        for k in range(1, q - 1):
+        for k in range(1, block + 1):  # exp[block] is overwritten by the next block
             acc = v if lead == 1 else [lead * c % p for c in v]
             for gi in lower:  # shift acc up one degree, fold its top digit back
                 top = acc[-1]
                 acc = [(c + top * r + gi * w) % p for c, r, w in zip([0, *acc], red, v)]
             v = acc
             exp[k] = sum(map(mul, v, weights))
+        if (lam := exp[block]) >= p:  # the norm of g
+            raise RuntimeError(f"g^{block} is not in the prime field")
+        h = (f + 1) // 2  # a block value is lo + p^h * hi, lo < p^h
+        scale = [0]  # scale[u] = lam * u for u < p^h, digit by digit
+        for w in weights[:h]:
+            scale = [u + w * (lam * d % p) for d in range(p) for u in scale]
+        hi, lo = zip(*map(divmod, exp[:block], repeat(weights[h])))
+        for start in range(block, q - 1, block):
+            hi, lo = list(map(scale.__getitem__, hi)), list(map(scale.__getitem__, lo))
+            exp[start:start + block] = map(add, lo, map(weights[h].__mul__, hi))
         return tuple(exp)
 
 

@@ -13,7 +13,8 @@ filter then drops everything else that is isolated.
 
 Adjacency is stored as one integer bitmask per vertex: bit j of
 ``nbrs[i]`` is set when vertices i and j are adjacent.  Components,
-bipartiteness and diameter walk BFS layers over those masks.
+bipartiteness and diameter all read one BFS routine over those masks,
+``IGGraph.analysis``, run once per graph.
 
 Vertices with one neighbour mask are twins, and the work that depends only
 on the mask is done once per twin class.  These graphs have few classes
@@ -21,8 +22,8 @@ on the mask is done once per twin class.  These graphs have few classes
 graph 22 among 343).  Construction checks the loop and range conditions
 per vertex but symmetry per class: every neighbour of the class must list
 all of its members, which is the per-edge check regrouped.  Twins have
-equal eccentricity (``diameter`` gives the argument), so the diameter
-takes one BFS per class.  The exporters are generators that write one
+equal eccentricity (``IGGraph.analysis`` gives the argument), so one
+BFS per class is enough.  The exporters are generators that write one
 chunk per vertex or row, each class naming and sorting its neighbours
 once; ``graph_to_json`` writes through ``structure.json_document``, which
 streams the edge list without building it.  ``n_lower_bound_report``
@@ -39,7 +40,7 @@ numbers are 2 whenever there is an edge.
 the label-level graph: labels with identical maximal profiles have
 identical neighborhoods, so the quotient by profile buckets (a blow-up
 relationship) determines component count, bipartiteness, diameter and
-isolated vertices exactly; it runs the same analyses on that quotient.
+isolated vertices exactly; it reads ``IGGraph.analysis`` of that quotient.
 """
 
 from __future__ import annotations
@@ -98,6 +99,41 @@ class IGGraph:
         for mask, members in twins.items():
             if any(self.nbrs[j] & members != members for j in _bits(mask)):
                 raise RuntimeError("adjacency is not symmetric")
+        self.analysis = self._analyse()  # read by components, is_bipartite and diameter
+
+    def _analyse(self) -> tuple[list[int], int | None, int]:
+        """(components, odd, diameter) from one BFS from the first vertex of
+        each component and of each other twin class with a neighbour.  The
+        component masks are ordered by first vertex; odd masks the odd BFS
+        layers from each component's first vertex, or is None when an edge
+        joins two vertices of one layer, exactly when the graph is not
+        bipartite.  Twins u != v with N(u) = N(v) not empty are not adjacent
+        (that would be a loop), so d(u, v) = 2, and every path from u to
+        another w leaves through N(u) = N(v): twins have one eccentricity."""
+        nbrs, comps, searched = self.nbrs, [], set()  # the masks searched from
+        odd = ecc = seen = 0
+        for i, mask in enumerate(nbrs):
+            root = not seen >> i & 1
+            if not root and (not mask or mask in searched):
+                continue
+            searched.add(mask)
+            layers, inner, frontier, reached = [], 0, 1 << i, 1 << i
+            while frontier:  # layer k holds the vertices at distance k from i
+                layers.append(frontier)
+                reach, rest = 0, frontier
+                while rest:  # the bits of the layer, as in ``_bits``
+                    low = rest & -rest
+                    reach |= nbrs[low.bit_length() - 1]
+                    rest ^= low
+                inner |= reach & frontier  # vertices with a neighbour in their layer
+                frontier = reach & ~reached
+                reached |= frontier
+            ecc = max(ecc, len(layers) - 1)
+            if root:
+                comps.append(sum(layers))  # the layers are disjoint: their sum is their union
+                seen |= comps[-1]
+                odd = None if odd is None or inner else odd | sum(layers[1::2])
+        return comps, odd, ecc
 
     def edge_count(self) -> int:
         return sum(mask.bit_count() for mask in self.nbrs) // 2
@@ -177,51 +213,18 @@ def lambda_power(ctx: GFContext, t: int, psi2: Psi2Table, action: AutAction,
 # graph analyses
 # ---------------------------------------------------------------------------
 
-def _layers(nbrs: list[int], source: int) -> list[int]:
-    """BFS layers from ``source`` as bitmasks; layer k holds the vertices at
-    distance k, so the layers partition the source's component."""
-    frontier = seen = 1 << source
-    layers = []
-    while frontier:
-        layers.append(frontier)
-        reach = 0
-        for i in _bits(frontier):
-            reach |= nbrs[i]
-        frontier = reach & ~seen
-        seen |= frontier
-    return layers
-
-
 def components(g: IGGraph) -> list[list]:
     """Vertex lists of the components, each in vertex order, ordered by
     their first vertex."""
-    seen = 0
-    out = []
-    for i in range(len(g.vertices)):
-        if seen >> i & 1:
-            continue
-        comp = 0
-        for layer in _layers(g.nbrs, i):
-            comp |= layer
-        seen |= comp
-        out.append([g.vertices[j] for j in _bits(comp)])
-    return out
+    return [[g.vertices[j] for j in _bits(comp)] for comp in g.analysis[0]]
 
 
 def is_bipartite(g: IGGraph) -> tuple[bool, tuple[list, list]]:
     """Bipartite verdict and parts; each component's part 0 holds the even
-    BFS layers from its first vertex.  A graph is bipartite exactly when
-    no edge joins two vertices of one layer."""
-    seen = odd = 0
-    for i in range(len(g.vertices)):
-        if seen >> i & 1:
-            continue
-        for depth, layer in enumerate(_layers(g.nbrs, i)):
-            if any(g.nbrs[j] & layer for j in _bits(layer)):
-                return False, ([], [])
-            seen |= layer
-            if depth % 2:
-                odd |= layer
+    BFS layers from its first vertex."""
+    odd = g.analysis[1]
+    if odd is None:
+        return False, ([], [])
     part0 = [v for i, v in enumerate(g.vertices) if not odd >> i & 1]
     part1 = [v for i, v in enumerate(g.vertices) if odd >> i & 1]
     return True, (part0, part1)
@@ -229,15 +232,8 @@ def is_bipartite(g: IGGraph) -> tuple[bool, tuple[list, list]]:
 
 def diameter(g: IGGraph) -> int:
     """Largest eccentricity within a component, over all vertices (0 when
-    there are no edges), from one BFS per twin class.
-
-    Twins have equal eccentricity: if N(u) = N(v) is not empty and u != v,
-    then u and v are not adjacent (u in N(v) = N(u) would be a loop), so
-    d(u, v) = 2; and every path from u to another vertex w leaves through
-    N(u) = N(v), so d(u, w) = d(v, w).  Vertices with no neighbour have
-    eccentricity 0 and need no BFS."""
-    sources = {mask: i for i, mask in enumerate(g.nbrs) if mask}
-    return max((len(_layers(g.nbrs, i)) - 1 for i in sources.values()), default=0)
+    there are no edges)."""
+    return g.analysis[2]
 
 
 # ---------------------------------------------------------------------------
@@ -330,54 +326,47 @@ def lambda_summary(ctx: GFContext, inv: ClassInventory, census: ProfileCensus,
     Only the isolated classes are named.
     """
     sizes = census.sizes
-    near: list[list[int]] = [[] for _ in sizes]
+    nbrs = [0] * len(sizes)
     for i, j in census.disjoint:
         if i != j:
-            near[i].append(j)
-    quotient = _graph(ctx.q, 1, "structural", list(range(len(sizes))), near, plus=True)
-    live = quotient.vertices
-    dead = {i for i, js in enumerate(near) if not js}
+            nbrs[i] |= 1 << j
+    comps, odd, diam = IGGraph(ctx.q, 1, "structural", list(range(len(nbrs))), nbrs).analysis
+    dead = {i for i, mask in enumerate(nbrs) if not mask}
     dead_sigs = [s for s, b in enumerate(census.sig_bucket) if b in dead]
     if all(s < len(inv.head) for s in dead_sigs):  # head class k has signature k
         isolated = [str(inv.head[s].label) for s in dead_sigs]
     else:  # a torus class is isolated (q = 7): name every class of the dead buckets
         members = census.members()
         isolated = [str(inv.entries[i + 1].label) for b in dead for i in members[b]]
-    bipartite, _ = is_bipartite(quotient)
-    diam = diameter(quotient)
-    if any(sizes[i] >= 2 for i in live):
+    if any(size >= 2 and mask for size, mask in zip(sizes, nbrs)):
         diam = max(diam, 2)
     return LambdaSummary(
         q=ctx.q,
         class_count=len(inv),
         psi2_count=census.psi2_count(),
-        component_count=len(components(quotient)),
-        bipartite=bipartite,
-        parts_match_covering=bipartite and _parts_match_covering(cover, census, quotient),
+        component_count=len(comps) - len(dead),
+        bipartite=odd is not None,
+        parts_match_covering=odd is not None and _parts_match_covering(cover, census, nbrs),
         diameter=diam,
         isolated=sorted(isolated),
     )
 
 
 def _parts_match_covering(cover: CoveringResult, census: ProfileCensus,
-                          quotient: IGGraph) -> bool:
+                          nbrs: list[int]) -> bool:
     """Every quotient edge must join the Borel-only side to the dihedral-only
     side.  Decided per signature: every signature of a bucket must be on
     one side, where meeting both sides or neither counts as no side."""
-    one_side = (BOREL_SIDE, DIHEDRAL_SIDE)
-    tags: list[set] = [set() for _ in census.buckets]
+    tagged = [0] * 4  # by side bits: the buckets with a signature on that side
     for bucket, side in zip(census.sig_bucket, cover.sides):
         if bucket >= 0:
-            tags[bucket].add(side if side in one_side else None)
-    if any(len(t) != 1 for t in tags):
+            tagged[side] |= 1 << bucket
+    borel, dihedral = tagged[BOREL_SIDE], tagged[DIHEDRAL_SIDE]
+    neither = tagged[0] | tagged[BOREL_SIDE | DIHEDRAL_SIDE]  # no side
+    if borel & dihedral or (borel | dihedral) & neither:
         return False
-    bucket_side = [t.pop() for t in tags]
-    for i, mask in zip(quotient.vertices, quotient.nbrs):
-        if bucket_side[i] is None:  # covered by both sides yet not isolated
-            return False
-        if any(bucket_side[quotient.vertices[k]] == bucket_side[i] for k in _bits(mask)):
-            return False
-    return True
+    return not any(mask and (neither >> i & 1 or mask & (borel if borel >> i & 1 else dihedral))
+                   for i, mask in enumerate(nbrs))
 
 
 def expected_isolated(ctx: GFContext, inv: ClassInventory) -> set[str]:

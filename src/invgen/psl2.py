@@ -32,7 +32,8 @@ identity.  The class signatures the structural rules read, and the number
 of classes with each, come from the orders alone, once per distinct order
 (``signatures`` gives the argument); the index from classes to signatures
 and the ``ClassEntry`` and ``ClassLabel`` objects of the torus classes are
-built only when classes are named, on first use.
+built only when classes are named, on first use.  Each torus is folded
+into a key array, its keys missing every key of the other (``_fold_traces``).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator
 from functools import cached_property
-from itertools import repeat
+from itertools import compress, repeat
 from operator import add
 from typing import NamedTuple
 
@@ -316,7 +317,7 @@ def _power_orders(n: int, d: int, count: int) -> list[int]:
 
 
 def _fold_traces(kind: str, keys: list[int], orders: list[int], size: int,
-                 mirror: int | None) -> TorusClasses:
+                 mirror: int | None, slots: list[int], other: list[int]) -> TorusClasses:
     """The classes of a cyclic torus, given the trace key and PSL-order of
     each power x^k of a generator x along its walk as keys[k-1] and
     orders[k-1].
@@ -326,23 +327,24 @@ def _fold_traces(kind: str, keys: list[int], orders: list[int], size: int,
     Then x^(m-k) = -x^(-k), and x^(-k) has the trace of x^k, so powers k
     and m - k carry t and -t, one key and one order.  The powers k < m/2
     are one of each such pair; the rest are their mirrors, the involution
-    (k = m/2) and, last on the split walk, -1 (k = m).  So those powers
-    are the classes, and one
-    list comparison checks that every mirror agrees on the key and the
-    order.  For q even (``mirror`` None) -1 = 1, the walk stops short of
-    the inverses, and every power on it is a class of its own.  The keys
-    of the classes must be distinct."""
+    (k = m/2) and, last on the split walk, -1 (k = m).  So those powers are
+    the classes, and one list comparison checks that every mirror agrees
+    on the key and the order.  For q even (``mirror`` None) -1 = 1, the
+    walk stops short of the inverses, and every power on it is a class of
+    its own.  The orders go by key into the zero key array ``slots``; the
+    keys must be distinct and miss ``other``, the other torus's key array."""
     if mirror is not None:
         half = (mirror - 1) // 2
         if (keys[mirror - 1 - half:mirror - 1][::-1] != keys[:half]
                 or orders[mirror - 1 - half:mirror - 1][::-1] != orders[:half]):
             raise RuntimeError(f"inconsistent {kind} trace fold")
         keys, orders = keys[:half], orders[:half]
-    order_of = dict(zip(keys, orders))
-    if len(order_of) != len(keys):
+    for k, j in zip(keys, orders):
+        slots[k] = j  # every order is at least 3
+    classes = list(compress(range(len(slots)), slots))
+    if len(classes) != len(keys) or any(map(other.__getitem__, classes)):
         raise RuntimeError(f"inconsistent {kind} trace fold")
-    classes = sorted(order_of)
-    return TorusClasses(kind, classes, list(map(order_of.__getitem__, classes)), size)
+    return TorusClasses(kind, classes, list(filter(None, slots)), size)
 
 
 def inventory(ctx: GFContext) -> ClassInventory:
@@ -374,10 +376,14 @@ def inventory(ctx: GFContext) -> ClassInventory:
     else:
         split_traces = list(map(ctx.add, exp[1:n_split + 1], exp[:-n_split - 1:-1]))
     key_of = _trace_keys(ctx).__getitem__
+    # for q odd the smaller of t and -t has top digit <= (p-1)/2: keys < (q + q/p)/2
+    width = q if d == 1 else (q + q // ctx.p) // 2
+    slots = [0] * width, [0] * width  # split, nonsplit
     tori = [_fold_traces(kind, list(map(key_of, traces)), _power_orders(n, d, len(traces)), size,
-                         n // 2 if d == 2 else None)
-            for kind, n, traces, size in (("split", q - 1, split_traces, q * (q + 1)),
-                                          ("nonsplit", q + 1, _nonsplit_walk(ctx), q * (q - 1)))]
+                         n // 2 if d == 2 else None, slots[i], slots[1 - i])
+            for i, (kind, n, traces, size) in enumerate((
+                ("split", q - 1, split_traces, q * (q + 1)),
+                ("nonsplit", q + 1, _nonsplit_walk(ctx), q * (q - 1))))]
 
     inv = ClassInventory(ctx, head, tori)
     expected = (q + 4 * d - 3) // d

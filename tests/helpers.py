@@ -1,11 +1,13 @@
 """Reference helpers that only the tests need."""
 
+import time
 from collections import Counter
 from functools import lru_cache
 from math import comb, gcd
+from operator import mul
 
-from invgen.gf import GFContext, _pack, _unpack, factorize
-from invgen.iggraph import _bits, _graph, components, diameter, is_bipartite, LambdaSummary
+from invgen.gf import GFContext, _pack, _poly_mod, _poly_mul, _unpack, factorize
+from invgen.iggraph import _bits, _graph, LambdaSummary
 from invgen.oracle import _inverse, _line_action, _table
 from invgen.psl2 import (
     ClassEntry, ClassInventory, ClassLabel, ClassSignature, TorusClasses, enumerate_psl2,
@@ -15,6 +17,30 @@ from invgen.structure import (
     BOREL, BOREL_SIDE, DIH_NONSPLIT, DIHEDRAL_SIDE, ProfileCensus, Psi2Table, label_meets,
     maximal_subgroup_classes, profile_universe,
 )
+
+
+class Budget:
+    """Times a block; it must take under ``seconds``.  Prints a PASS or
+    FAIL line with the time taken."""
+
+    def __init__(self, name: str, seconds: float):
+        self.name = name
+        self.seconds = seconds
+
+    def __enter__(self):
+        self.t0 = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        elapsed = time.perf_counter() - self.t0
+        if exc_type is None:
+            print(f"PASS {self.name} ({elapsed:.2f}s, budget {self.seconds:.0f}s)")
+            assert elapsed < self.seconds, (
+                f"{self.name} exceeded its budget: {elapsed:.1f}s"
+            )
+        else:
+            print(f"FAIL {self.name} ({elapsed:.2f}s)")
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +88,63 @@ def ref_neg(ctx, a) -> int:
         s += -ra % p * mult
         mult *= p
     return s
+
+
+def poly_product(ctx, a, b) -> int:
+    """a*b as polynomials reduced mod the modulus, without the tables."""
+    p = ctx.p
+    prod = _poly_mul(_unpack(a, p, ctx.f), _unpack(b, p, ctx.f), p)
+    return _pack(_poly_mod(prod, ctx.modulus, p), p)
+
+
+def poly_power(ctx, a, e) -> int:
+    """a^e for e >= 0 by square-and-multiply over ``poly_product``."""
+    result = 1
+    while e:
+        if e & 1:
+            result = poly_product(ctx, result, a)
+        a = poly_product(ctx, a, a)
+        e >>= 1
+    return result
+
+
+def ref_generator(ctx) -> int:
+    """The least a with a^((q-1)/r) != 1 for every prime r | q-1, each
+    power by its own square-and-multiply: the reference for the generator
+    search that shares its squarings."""
+    n, p = ctx.q - 1, ctx.p
+    if n == 1:
+        return 1
+    cofactors = [n // r for r in factorize(n)]
+    for a in range(2, ctx.q):
+        if a < p:
+            if all(pow(a, e, p) != 1 for e in cofactors):
+                return a
+        elif all(poly_power(ctx, a, e) != 1 for e in cofactors):
+            return a
+    raise RuntimeError("no multiplicative generator found")
+
+
+def ref_horner_powers(ctx, g) -> list:
+    """(g^0, ..., g^(q-2)) for f > 1, every power by Horner's rule over the
+    digits of g applied to the last one: the reference for the walk that
+    scales its first norm block."""
+    p, f, q = ctx.p, ctx.f, ctx.q
+    exp = [1] * (q - 1)
+    digits = _unpack(g, p, f)
+    deg = max(i for i, c in enumerate(digits) if c)  # >= 1: g is not in GF(p)
+    lead, lower = digits[deg], digits[deg - 1::-1]
+    red = [-c % p for c in ctx.modulus[:f]]  # x^f = sum of red[j] x^j
+    weights = [p ** j for j in range(f)]
+    v = [1] + [0] * (f - 1)
+    for k in range(1, q - 1):
+        acc = v if lead == 1 else [lead * c % p for c in v]
+        for gi in lower:  # shift acc up one degree, fold its top digit back
+            top = acc[-1]
+            acc = [(c + top * r + gi * w) % p for c, r, w in zip([0, *acc], red, v)]
+        v = acc
+        exp[k] = sum(map(mul, v, weights))
+    return exp
 
 
 def in_subfield(ctx, a, e) -> bool:
@@ -591,8 +674,8 @@ def ref_summary(ctx, entries) -> LambdaSummary:
             near[i].append(j)
     quotient = _graph(ctx.q, 1, "structural", list(range(len(sizes))), near, plus=True)
     live = quotient.vertices
-    bipartite, _ = is_bipartite(quotient)
-    diam = diameter(quotient)
+    bipartite, _ = mask_is_bipartite(quotient)
+    diam = mask_diameter(quotient)
     if any(sizes[i] >= 2 for i in live):
         diam = max(diam, 2)
     side = {**{lab: 0 for lab in only_b}, **{lab: 1 for lab in only_d}}
@@ -613,7 +696,7 @@ def ref_summary(ctx, entries) -> LambdaSummary:
         q=ctx.q,
         class_count=len(entries),
         psi2_count=sum(sizes[i] * sizes[j] for i, j in _ref_disjoint(buckets)),
-        component_count=len(components(quotient)),
+        component_count=len(mask_components(quotient)),
         bipartite=bipartite,
         parts_match_covering=match,
         diameter=diam,
@@ -692,6 +775,112 @@ def ref_index_census(ctx, inv) -> tuple:
     return census, members, sides
 
 
+# ---------------------------------------------------------------------------
+# the graph analyses as three BFS routines over the neighbour masks, and the
+# bucket summary through an IGGraph on the plus quotient: the reference for
+# the one BFS routine that serves them all
+# ---------------------------------------------------------------------------
+
+def _layers(nbrs, source) -> list:
+    """BFS layers from ``source`` as bitmasks."""
+    frontier = seen = 1 << source
+    layers = []
+    while frontier:
+        layers.append(frontier)
+        reach = 0
+        for i in _bits(frontier):
+            reach |= nbrs[i]
+        frontier = reach & ~seen
+        seen |= frontier
+    return layers
+
+
+def mask_components(g) -> list:
+    """Vertex lists of the components, each in vertex order, ordered by
+    their first vertex."""
+    seen = 0
+    out = []
+    for i in range(len(g.vertices)):
+        if seen >> i & 1:
+            continue
+        comp = 0
+        for layer in _layers(g.nbrs, i):
+            comp |= layer
+        seen |= comp
+        out.append([g.vertices[j] for j in _bits(comp)])
+    return out
+
+
+def mask_is_bipartite(g) -> tuple:
+    """Bipartite verdict and parts; each component's part 0 holds the even
+    BFS layers from its first vertex."""
+    seen = odd = 0
+    for i in range(len(g.vertices)):
+        if seen >> i & 1:
+            continue
+        for depth, layer in enumerate(_layers(g.nbrs, i)):
+            if any(g.nbrs[j] & layer for j in _bits(layer)):
+                return False, ([], [])
+            seen |= layer
+            if depth % 2:
+                odd |= layer
+    part0 = [v for i, v in enumerate(g.vertices) if not odd >> i & 1]
+    part1 = [v for i, v in enumerate(g.vertices) if odd >> i & 1]
+    return True, (part0, part1)
+
+
+def mask_diameter(g) -> int:
+    """Largest eccentricity within a component, from one BFS per twin class."""
+    sources = {mask: i for i, mask in enumerate(g.nbrs) if mask}
+    return max((len(_layers(g.nbrs, i)) - 1 for i in sources.values()), default=0)
+
+
+def ref_quotient_summary(ctx, inv, census, cover) -> LambdaSummary:
+    """``lambda_summary`` through an IGGraph on the live buckets and the
+    three mask routines."""
+    sizes = census.sizes
+    near = [[] for _ in sizes]
+    for i, j in census.disjoint:
+        if i != j:
+            near[i].append(j)
+    quotient = _graph(ctx.q, 1, "structural", list(range(len(sizes))), near, plus=True)
+    live = quotient.vertices
+    dead = {i for i, js in enumerate(near) if not js}
+    members = census.members()
+    isolated = [str(inv.entries[i + 1].label) for b in dead for i in members[b]]
+    bipartite, _ = mask_is_bipartite(quotient)
+    diam = mask_diameter(quotient)
+    if any(sizes[i] >= 2 for i in live):
+        diam = max(diam, 2)
+    return LambdaSummary(
+        q=ctx.q,
+        class_count=len(inv),
+        psi2_count=census.psi2_count(),
+        component_count=len(mask_components(quotient)),
+        bipartite=bipartite,
+        parts_match_covering=bipartite and quotient_parts_match(cover, census, quotient),
+        diameter=diam,
+        isolated=sorted(isolated),
+    )
+
+
+def quotient_parts_match(cover, census, quotient) -> bool:
+    one_side = (BOREL_SIDE, DIHEDRAL_SIDE)
+    tags = [set() for _ in census.buckets]
+    for bucket, side in zip(census.sig_bucket, cover.sides):
+        if bucket >= 0:
+            tags[bucket].add(side if side in one_side else None)
+    if any(len(t) != 1 for t in tags):
+        return False
+    bucket_side = [t.pop() for t in tags]
+    for i, mask in zip(quotient.vertices, quotient.nbrs):
+        if bucket_side[i] is None:
+            return False
+        if any(bucket_side[quotient.vertices[k]] == bucket_side[i] for k in _bits(mask)):
+            return False
+    return True
+
+
 def component_count(beta, t) -> int:
     """Components of the plus graph of S^t, t <= beta, in closed form: the
     realised part-pattern pairs {P, P^c}, where a pattern with |P| = k is
@@ -718,7 +907,7 @@ def ref_graph_json(g, parts=None) -> dict:
             [names[i], names[j]]
             for i, mask in enumerate(g.nbrs) for j in _bits(mask) if names[i] < names[j]
         ),
-        "components": sorted(sorted(name_of[v] for v in comp) for comp in components(g)),
+        "components": sorted(sorted(name_of[v] for v in comp) for comp in mask_components(g)),
     }
     if parts is not None:
         out["parts"] = [sorted(name_of[v] for v in parts[0]),

@@ -11,7 +11,6 @@ at the bound cap (q = 4096).
 
 import hashlib
 import os
-import time
 from math import comb
 
 import pytest
@@ -32,6 +31,7 @@ from invgen.structure import profile_census, psi2_structural, verify_2covering
 from fusion import class_fusion
 from helpers import (
     IDENTITY,
+    Budget,
     covering_parts,
     expected_fusion,
     fusion_key,
@@ -68,27 +68,6 @@ EXTENDED_FUSION_QS = [25, 27, 49, 64, 81]
 EXTENDED_BETA_QS = [3 ** 11, 2 ** 18]
 
 EXTENDED = os.environ.get("INVGEN_EXTENDED") == "1"
-
-
-class Budget:
-    def __init__(self, name: str, seconds: float):
-        self.name = name
-        self.seconds = seconds
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        elapsed = time.perf_counter() - self.t0
-        if exc_type is None:
-            print(f"PASS {self.name} ({elapsed:.2f}s, budget {self.seconds:.0f}s)")
-            assert elapsed < self.seconds, (
-                f"{self.name} exceeded its budget: {elapsed:.1f}s"
-            )
-        else:
-            print(f"FAIL {self.name} ({elapsed:.2f}s)")
-        return False
 
 
 def summary_of(q: int):

@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -553,6 +554,28 @@ def test_package_names_resolve_to_their_owning_module():
             obj = getattr(invgen, name)
             assert obj is getattr(owner, name)
             assert obj.__module__ == owner.__name__
+
+
+def load_tracer():
+    """perfbench/traced_cli.py as a module; importing it wraps nothing."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
+    spec = importlib.util.spec_from_file_location("traced_cli", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_layer_names_resolve():
+    # a renamed layer function would otherwise surface only as a traceback
+    # inside the traced subprocess
+    missing = []
+    for module, attr, _, _ in load_tracer().LAYERS:
+        owner = importlib.import_module(f"invgen.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"invgen.{module}.{attr}")
+    assert not missing, f"traced layers missing from the package: {missing}"
 
 
 def test_package_star_import():

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +12,12 @@ from invgen.gf import (
     is_prime,
     prime_power_split,
 )
-from helpers import cached_field, coeffs, from_coeffs, in_subfield, ref_add, ref_neg
+from helpers import (
+    Budget, cached_field, coeffs, from_coeffs, in_subfield, poly_power, poly_product, ref_add,
+    ref_generator, ref_horner_powers, ref_neg,
+)
 
+EXTENDED = os.environ.get("INVGEN_EXTENDED") == "1"
 SMALL_QS = [4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128]
 
 
@@ -176,11 +182,11 @@ def test_tables_match_polynomial_product_gf81():
     ctx = GFContext(3, 4)
     for a in range(0, 81, 7):
         for b in range(0, 81, 5):
-            assert ctx.mul(a, b) == ctx._poly_product(a, b)
+            assert ctx.mul(a, b) == poly_product(ctx, a, b)
         if a:
-            assert ctx._poly_product(a, ctx.inv(a)) == 1
-            assert ctx.is_square(a) == (ref_pow(ctx, a, 40) == 1)
-        assert ctx.frobenius(a) == ref_pow(ctx, a, 3)
+            assert poly_product(ctx, a, ctx.inv(a)) == 1
+            assert ctx.is_square(a) == (poly_power(ctx, a, 40) == 1)
+        assert ctx.frobenius(a) == poly_power(ctx, a, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -290,22 +296,11 @@ FIELDS = [(2, 2), (5, 1), (3, 3), (2, 8), (7, 2), (31, 2), (5, 4), (2, 12), (409
 _POWERS: dict = {}
 
 
-def ref_pow(ctx, a, e):
-    """a^e for e >= 0, by square-and-multiply over the polynomial product."""
-    result = 1
-    while e:
-        if e & 1:
-            result = ctx._poly_product(result, a)
-        a = ctx._poly_product(a, a)
-        e >>= 1
-    return result
-
-
 def ref_order(ctx, a):
-    """Multiplicative order of a nonzero a, from ``ref_pow``."""
+    """Multiplicative order of a nonzero a, from ``poly_power``."""
     order = ctx.q - 1
     for r in factorize(ctx.q - 1):
-        while order % r == 0 and ref_pow(ctx, a, order // r) == 1:
+        while order % r == 0 and poly_power(ctx, a, order // r) == 1:
             order //= r
     return order
 
@@ -316,7 +311,7 @@ def ref_powers(ctx):
     if key not in _POWERS:
         out = [1]
         for _ in range(ctx.q - 2):
-            out.append(ctx._poly_product(out[-1], ctx.generator))
+            out.append(poly_product(ctx, out[-1], ctx.generator))
         _POWERS[key] = out
     return _POWERS[key]
 
@@ -351,15 +346,15 @@ def test_table_reads_match_polynomial_reference(case, e):
     (p, f), (a, b, _) = case
     ctx = cached_field(p, f)
     q = ctx.q
-    assert ctx.mul(a, b) == ctx._poly_product(a, b)
-    assert ctx.is_square(a) == (p == 2 or a == 0 or ref_pow(ctx, a, (q - 1) // 2) == 1)
+    assert ctx.mul(a, b) == poly_product(ctx, a, b)
+    assert ctx.is_square(a) == (p == 2 or a == 0 or poly_power(ctx, a, (q - 1) // 2) == 1)
     if a:
-        assert ctx.inv(a) == ref_pow(ctx, a, q - 2)
-        assert ctx.pow(a, e) == (ref_pow(ctx, a, e) if e >= 0
-                                 else ref_pow(ctx, ref_pow(ctx, a, q - 2), -e))
+        assert ctx.inv(a) == poly_power(ctx, a, q - 2)
+        assert ctx.pow(a, e) == (poly_power(ctx, a, e) if e >= 0
+                                 else poly_power(ctx, poly_power(ctx, a, q - 2), -e))
     for d in range(1, f + 1):
         if f % d == 0:
-            assert in_subfield(ctx, a, d) == (ref_pow(ctx, a, p ** d) == a)
+            assert in_subfield(ctx, a, d) == (poly_power(ctx, a, p ** d) == a)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=[f"{p}^{f}" for p, f in FIELDS])
@@ -391,3 +386,31 @@ def test_exp_table_is_the_whole_power_walk(field):
     assert list(exp) == ref_powers(ctx)
     log = ctx._log
     assert list(map(log.__getitem__, exp)) == list(range(ctx.q - 1))
+
+
+# every extension field up to 4096, and under INVGEN_EXTENDED the large
+# fields whose power walks scale the most norm blocks
+EXTENSION_FIELDS = [prime_power_split(q) for q in range(4, 4097)
+                    if prime_power_split(q) and prime_power_split(q)[1] > 1]
+LARGE_FIELDS = [(3, 10), (3, 11), (5, 7), (7, 6), (11, 5), (31, 4)]
+
+
+def check_tables_against_references(p, f):
+    ctx = GFContext(p, f)
+    assert ctx.generator == ref_generator(ctx)
+    exp = ref_horner_powers(ctx, ctx.generator)
+    assert ctx.exp_table() == tuple(exp)
+    block = (ctx.q - 1) // (p - 1)  # the norm g^block of g lies in GF(p)
+    assert exp[block % (ctx.q - 1)] < p
+
+
+@pytest.mark.parametrize("field", EXTENSION_FIELDS, ids=[f"{p}^{f}" for p, f in EXTENSION_FIELDS])
+def test_tables_match_the_per_cofactor_search_and_the_whole_walk(field):
+    check_tables_against_references(*field)
+
+
+@pytest.mark.skipif(not EXTENDED, reason="set INVGEN_EXTENDED=1")
+@pytest.mark.parametrize("field", LARGE_FIELDS, ids=[f"{p}^{f}" for p, f in LARGE_FIELDS])
+def test_large_field_tables_match_the_references_extended(field):
+    with Budget(f"tables of GF({field[0]}^{field[1]}) against the references", 60):
+        check_tables_against_references(*field)

@@ -140,6 +140,16 @@ GOLDEN = [
      "33c287ec4b5569ab59384cc7a561c6c9126f92e2d301271f6783090b14294892"),
     ("classes --q 343 --format json",
      "9187d956bf8a007b133a500a95f288dd1f7116f5a12b023b8e3fd17a43480527"),
+    # recorded at commit 82357df, before odd extension fields built their
+    # power tables in norm blocks and the generator search shared squarings
+    ("classes --q 2187 --format csv",
+     "c74f9db918d19089a65ec1bef9c78954c0962752505bd1dbacf893ce2580b297"),
+    ("classes --q 2401 --format csv",
+     "008f0404d3c894e520efdf5611ddc8ea293aa34a016f4a7eff3289532691d1f0"),
+    ("classes --q 3125 --format csv",
+     "44b1c0ce5359c079176274ae60eb0777c420e69f3f673b9513b4e31088eb326f"),
+    ("psi2 --q 243 --format csv",
+     "c960da78055ee4e77504f15f07ab726a412920dabf93f275abaf581d9f68cb11"),
 ]
 
 # The graph summary goes to stderr; it is the only output that carries the

@@ -5,6 +5,7 @@ import sys
 from collections import deque
 from itertools import product
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,9 @@ from invgen.iggraph import (
     POWER_WORK_CAP,
     GraphCapError,
     _big_int_str,
+    _bits,
+    _graph,
+    _parts_match_covering,
     IGGraph,
     component_bound,
     components,
@@ -31,10 +35,10 @@ from invgen.iggraph import (
     n_lower_bound_report,
     to_dot,
 )
-from invgen.structure import profile_census, psi2_structural, verify_2covering
+from invgen.structure import CoveringResult, profile_census, psi2_structural, verify_2covering
 from helpers import (
-    component_count, covering_parts, isolated, pairs, part_pattern, ref_dot, ref_graph_json,
-    ref_orbits,
+    component_count, covering_parts, isolated, mask_components, mask_diameter, mask_is_bipartite,
+    pairs, part_pattern, quotient_parts_match, ref_dot, ref_graph_json, ref_orbits,
 )
 
 EXTENDED = os.environ.get("INVGEN_EXTENDED") == "1"
@@ -336,6 +340,10 @@ def test_analyses_match_references(g):
     assert [set(c) for c in components(g)] == [set(c) for c in ref_components(g)]
     assert is_bipartite(g) == ref_is_bipartite(g)
     assert diameter(g) == ref_diameter(g)
+    # the one BFS routine against the three mask routines it replaced
+    assert components(g) == mask_components(g)
+    assert is_bipartite(g) == mask_is_bipartite(g)
+    assert diameter(g) == mask_diameter(g)
 
 
 def test_five_cycle():
@@ -474,6 +482,35 @@ def test_summary_matches_explicit_graph(q):
     assert s.diameter == diameter(g)
     assert set(s.isolated) == {l.str_form() for l in isolated(table)}
     assert set(s.isolated) == expected_isolated(ctx, inv)
+
+
+@st.composite
+def bucket_quotients(draw):
+    """Neighbour masks of a few buckets, the bucket of each signature (every
+    bucket has one; signature 0 is the identity's) and each signature's
+    covering side, mostly the side drawn for its bucket."""
+    n = draw(st.integers(1, 6))
+    nbrs = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                nbrs[i] |= 1 << j
+                nbrs[j] |= 1 << i
+    sig_bucket = [-1, *range(n), *draw(st.lists(st.integers(0, n - 1), max_size=6))]
+    usual = [draw(st.integers(0, 3)) for _ in range(n)]
+    sides = [3] + [draw(st.one_of(st.just(usual[b]), st.integers(0, 3))) for b in sig_bucket[1:]]
+    return nbrs, sig_bucket, sides
+
+
+@settings(max_examples=300, deadline=None)
+@given(bucket_quotients())
+def test_parts_match_covering_matches_the_quotient_reference(case):
+    nbrs, sig_bucket, sides = case
+    census = SimpleNamespace(sig_bucket=sig_bucket, buckets=[None] * len(nbrs))
+    cover = CoveringResult(all(sides[1:]), sides)
+    quotient = _graph(0, 1, "synthetic", list(range(len(nbrs))), list(map(_bits, nbrs)), True)
+    assert (_parts_match_covering(cover, census, nbrs)
+            == quotient_parts_match(cover, census, quotient))
 
 
 # ---------------------------------------------------------------------------

@@ -280,25 +280,51 @@ def split_walk(q):
 @pytest.mark.parametrize("q", [13, 25, 29])
 def test_fold_refuses_a_broken_mirror(q):
     keys, orders, mirror = split_walk(q)
-    assert _fold_traces("split", keys, orders, 1, mirror).keys == sorted(set(keys[:-1]) - {0})
+    slots = [0] * q
+    torus = _fold_traces("split", keys, orders, 1, mirror, slots, [0] * q)
+    assert torus.keys == sorted(set(keys[:-1]) - {0})
+    assert [k for k, j in enumerate(slots) if j] == torus.keys
+    assert list(filter(None, slots)) == torus.orders
     for k in range(1, (mirror + 1) // 2):  # k < mirror/2: the powers the classes are read from
         for i in (k - 1, mirror - k - 1):  # break x^k, then its mirror x^(mirror-k)
             bad_keys = keys.copy()
             bad_keys[i] = keys[i] + 1
             with pytest.raises(RuntimeError, match="inconsistent split trace fold"):
-                _fold_traces("split", bad_keys, orders, 1, mirror)
+                _fold_traces("split", bad_keys, orders, 1, mirror, [0] * q, [0] * q)
             bad_orders = orders.copy()
             bad_orders[i] = orders[i] + 1
             with pytest.raises(RuntimeError, match="inconsistent split trace fold"):
-                _fold_traces("split", keys, bad_orders, 1, mirror)
+                _fold_traces("split", keys, bad_orders, 1, mirror, [0] * q, [0] * q)
 
 
 def test_fold_refuses_a_repeated_key():
     keys, orders = [3, 5, 3], [7, 7, 7]
     with pytest.raises(RuntimeError, match="inconsistent nonsplit trace fold"):
-        _fold_traces("nonsplit", keys, orders, 1, None)  # q even: no mirror
+        _fold_traces("nonsplit", keys, orders, 1, None, [0] * 8, [0] * 8)  # q even: no mirror
     with pytest.raises(RuntimeError, match="inconsistent nonsplit trace fold"):
-        _fold_traces("nonsplit", keys + keys[::-1], orders * 2, 1, 7)
+        _fold_traces("nonsplit", keys + keys[::-1], orders * 2, 1, 7, [0] * 8, [0] * 8)
+
+
+@pytest.mark.parametrize("q", [8, 13])
+def test_fold_refuses_a_key_of_the_other_torus(q):
+    # the nonsplit keys must miss every slot the split fold wrote: here the
+    # first nonsplit power is given the key of a split class
+    ctx = gf_for_q(q)
+    split, nonsplit = inventory(ctx).tori
+    d = 2 if q % 2 else 1
+    keys = [trace_key(ctx, t) for t in _nonsplit_walk(ctx)]
+    orders = _power_orders(q + 1, d, len(keys))
+    mirror = (q + 1) // 2 if d == 2 else None
+    split_slots = [0] * q
+    _fold_traces("split", split.keys, split.orders, 1, None, split_slots, [0] * q)
+    torus = _fold_traces("nonsplit", keys, orders, 1, mirror, [0] * q, split_slots)
+    assert torus == nonsplit._replace(size=1)
+    clash = keys.copy()
+    clash[0] = split.keys[0]  # x^1, and for q odd its mirror x^(mirror-1)
+    if d == 2:
+        clash[mirror - 2] = split.keys[0]
+    with pytest.raises(RuntimeError, match="inconsistent nonsplit trace fold"):
+        _fold_traces("nonsplit", clash, orders, 1, mirror, [0] * q, split_slots)
 
 
 def test_inventory_rejects_small_q():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from invgen import psl2, structure
 from invgen.autorbits import aut_action, beta_fast
-from invgen.cli import verify_q
+from invgen.cli import verify_qs
 from invgen.gf import gf_for_q, prime_power_split
 from invgen.iggraph import lambda_summary
 from invgen.oracle import OracleSession
@@ -50,6 +50,7 @@ from helpers import (
     ref_entries,
     ref_index_census,
     ref_profiles,
+    ref_quotient_summary,
     ref_signature,
     ref_summary,
     rows,
@@ -498,6 +499,7 @@ def test_census_matches_class_index_reference(q):
     expected = lambda_summary(ctx, inv, ref, CoveringResult(all(sides[1:]), sides))._replace(
         isolated=names)
     assert lambda_summary(ctx, inv, census, cover) == expected
+    assert lambda_summary(ctx, inv, census, cover) == ref_quotient_summary(ctx, inv, census, cover)
     assert census.members() == members and inv.class_signatures == of_class
 
 
@@ -512,7 +514,7 @@ def test_verify_runs_each_rule_once(q, monkeypatch):
     invs = []
     monkeypatch.setattr(psl2, "inventory", lambda ctx: invs.append(make(ctx)) or invs[-1])
     ctx = gf_for_q(q)
-    assert all(verify_q(ctx).values())
+    assert all(next(verify_qs([(ctx, False)])).values())
     inv, = invs
     universe = profile_universe(maximal_subgroup_classes(ctx))
     assert len(calls) == len(inv.signatures[0]) * len(universe)
