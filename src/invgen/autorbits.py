@@ -100,10 +100,10 @@ class AutAction(NamedTuple):
         return powers + [[self.diagonal[im] for im in g] for g in powers]
 
 
-def aut_action(ctx: GFContext, inv: ClassInventory) -> AutAction:
+def aut_action(inv: ClassInventory) -> AutAction:
     frob = list(range(len(inv) - 1))
     diagonal: list[int] | None = None
-    if ctx.q % 2 == 1:
+    if inv.d == 2:
         usq, unsq = (i - 1 for i, e in enumerate(inv.head) if e.label.kind == "unip")
         diagonal = frob[:]
         diagonal[usq], diagonal[unsq] = unsq, usq
@@ -111,13 +111,13 @@ def aut_action(ctx: GFContext, inv: ClassInventory) -> AutAction:
     for kind, keys, _, _ in inv.tori:
         where = dict(zip(keys, range(start, start + len(keys))))
         for key, i in where.items():
-            j = where.get(trace_key(ctx, ctx.frobenius(key)))
+            j = where.get(trace_key(inv.ctx, inv.ctx.frobenius(key)))
             if j is None:
                 raise RuntimeError(
                     f"Frobenius image of {kind}:t={key} missing from inventory")
             frob[i] = j
         start += len(keys)
-    return AutAction(ctx, diagonal, frob)
+    return AutAction(inv.ctx, diagonal, frob)
 
 
 def pair_orbits(action: AutAction, psi2: Psi2Table) -> dict[tuple[int, int], tuple[int, int]]:
@@ -173,7 +173,7 @@ def beta_fast(census: ProfileCensus) -> int:
     needs no field, no map and no Psi2.
     """
     inv = census.inv
-    total = census.psi2_count()
+    total = census.psi2_count
     if inv.d == 2:
         fixed = census.sizes[:]
         for k, entry in enumerate(inv.head):

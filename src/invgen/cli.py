@@ -154,10 +154,10 @@ def cmd_psi2(args) -> int:
     inv = inventory(ctx)
     tables = {}
     if args.method in ("structural", "both"):
-        tables["structural"] = psi2_structural(profile_census(ctx, inv))
+        tables["structural"] = psi2_structural(profile_census(inv))
     if args.method in ("oracle", "both"):
         tables["oracle"] = OracleSession(inv).psi2()
-    table = tables.get("oracle") or tables["structural"]
+    table = tables["structural" if args.method == "structural" else "oracle"]
     k = len(inv)
     prob = len(table) / (k * k)
     match = None
@@ -191,25 +191,23 @@ def cmd_graph(args) -> int:
 
     ctx = _context(args)
     inv = inventory(ctx)
-    psi2 = psi2_structural(profile_census(ctx, inv))
+    psi2 = psi2_structural(profile_census(inv))
     if args.power == 1:
-        g = lambda_graph(ctx, psi2, inv, plus=args.plus)
+        g = lambda_graph(psi2, plus=args.plus)
     else:
-        action = aut_action(ctx, inv)
+        action = aut_action(inv)
         try:  # t above beta
             g = lambda_power(ctx, args.power, psi2, action, inv, plus=args.plus)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-    ok, parts = is_bipartite(g)
-    parts_arg = parts if ok else None
-    comps = components(g)
     if args.format == "dot":
-        _emit(to_dot(g, parts_arg), args.out)
+        _emit(to_dot(g), args.out)
     else:
-        _emit(graph_to_json(g, parts_arg, comps), args.out)
+        _emit(graph_to_json(g), args.out)
     summary = (
         f"q={ctx.q} t={args.power} vertices={len(g.vertices)} edges={g.edge_count()} "
-        f"components={len(comps)} bipartite={ok} diameter={diameter(g)}"
+        f"components={len(components(g))} bipartite={is_bipartite(g)[0]} "
+        f"diameter={diameter(g)}"
     )
     print(summary, file=sys.stderr if args.out is None else sys.stdout)
     return EXIT_OK
@@ -225,10 +223,10 @@ def cmd_beta(args) -> int:
 
     ctx = _context(args)
     inv = inventory(ctx)
-    census = profile_census(ctx, inv)
+    census = profile_census(inv)
     b = beta_fast(census)
     check_bound_cap(b)  # the floor bound is at most b: refuse before either binomial
-    count = census.psi2_count()
+    count = census.psi2_count
     df = inv.d * ctx.f
     floor_report = n_lower_bound_report(census)
     if b == floor_report["beta_lower"]:  # the same bound: evaluate the binomial once
@@ -241,12 +239,13 @@ def cmd_beta(args) -> int:
         "out_order": df,
         "beta": b,
         "beta_even": b % 2 == 0,
+        # implied by the closed form, as verify's beta_bounds is: it cannot fail
         "bounds_ok": count / df <= b <= count,
         "n_lower_bound": floor_report,
         "component_bound_at_beta": exact_report,
     }
     if args.orbits:
-        part = beta(aut_action(ctx, inv), psi2_structural(census))
+        part = beta(aut_action(inv), psi2_structural(census))
         if part.beta != b:
             raise RuntimeError(
                 f"orbit partition has {part.beta} orbits but Burnside counts {b}"
@@ -280,9 +279,9 @@ def verify_qs(runs: Iterable[tuple[GFContext, bool]]) -> Iterator[dict[str, bool
 
     for ctx, oracle in runs:
         q, inv = ctx.q, inventory(ctx)
-        d, census = inv.d, profile_census(ctx, inv)
+        d, census = inv.d, profile_census(inv)
         cover = verify_2covering(census)
-        s = lambda_summary(ctx, inv, census, cover)
+        s = lambda_summary(census, cover)
         b = beta_fast(census)
         checks = {
             "class_count": len(inv) == (q + 4 * d - 3) // d,
@@ -290,16 +289,16 @@ def verify_qs(runs: Iterable[tuple[GFContext, bool]]) -> Iterator[dict[str, bool
             "bipartite": s.bipartite and s.parts_match_covering,
             "connected": s.component_count == 1,
             "diameter": s.diameter <= 3,
-            "isolated_census": set(s.isolated) == expected_isolated(ctx, inv),
+            "isolated_census": set(s.isolated) == expected_isolated(inv),
             "beta_even": b % 2 == 0,
             # implied by the closed form beta = (|Psi2| + fix(diag))/(d*f) of
             # ``autorbits``: 0 <= fix(diag) <= |Psi2| and d*f >= 2, so it cannot fail
-            "beta_bounds": s.psi2_count / (d * ctx.f) <= b <= s.psi2_count,
+            "beta_bounds": census.psi2_count / (d * ctx.f) <= b <= census.psi2_count,
         }
         if q >= 64:
-            k = s.class_count
-            checks["probability"] = abs(s.psi2_count / (k * k) - 0.5) <= 10 / q
-            checks["psi2_asymptotic"] = 0.8 <= s.psi2_count * 2 * d * d / (q * q) <= 1.2
+            k = len(inv)
+            checks["probability"] = abs(census.psi2_count / (k * k) - 0.5) <= 10 / q
+            checks["psi2_asymptotic"] = 0.8 <= census.psi2_count * 2 * d * d / (q * q) <= 1.2
         if oracle:
             checks["oracle_equals_structural"] = (
                 OracleSession(inv).psi2().near == psi2_structural(census).near)

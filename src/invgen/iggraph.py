@@ -22,25 +22,27 @@ on the mask is done once per twin class.  These graphs have few classes
 graph 22 among 343).  Construction checks the loop and range conditions
 per vertex but symmetry per class: every neighbour of the class must list
 all of its members, which is the per-edge check regrouped.  Twins have
-equal eccentricity (``IGGraph.analysis`` gives the argument), so one
-BFS per class is enough.  The exporters are generators that write one
-chunk per vertex or row, each class naming and sorting its neighbours
-once; ``graph_to_json`` writes through ``structure.json_document``, which
-streams the edge list without building it.  ``n_lower_bound_report``
-returns the JSON object ``beta`` prints: a lower bound on the component
-count of the power graph, an exact big-integer binomial written in
-decimal, for beta up to ``BOUND_BETA_CAP``.  Clique and
-chromatic numbers need no solver: every graph built here is bipartite,
-since colouring a vertex by the side of the {Borel, nonsplit dihedral}
-2-covering that its first coordinate meets gives adjacent vertices
-different colours (one that meets both sides is isolated), so both
-numbers are 2 whenever there is an edge.
+equal eccentricity (``IGGraph.analysis`` gives the argument), so one BFS
+per class is enough.  The exporters are generators that write one chunk
+per vertex or row, each class naming and sorting its neighbours once, and
+read the components and the parts (written exactly when the graph is
+bipartite) off ``IGGraph.analysis``; ``graph_to_json`` writes through
+``structure.json_document``, which streams the edge list without building
+it.  ``n_lower_bound_report`` returns the JSON object ``beta`` prints: a
+lower bound on the component count of the power graph, an exact
+big-integer binomial written in decimal, for beta up to
+``BOUND_BETA_CAP``.  Clique and chromatic numbers need no solver: every
+graph built here is bipartite, since colouring a vertex by the side of the
+{Borel, nonsplit dihedral} 2-covering that its first coordinate meets
+gives adjacent vertices different colours (one that meets both sides is
+isolated), so both numbers are 2 whenever there is an edge.
 
 ``lambda_summary`` answers the standard per-q questions without building
 the label-level graph: labels with identical maximal profiles have
 identical neighborhoods, so the quotient by profile buckets (a blow-up
 relationship) determines component count, bipartiteness, diameter and
-isolated vertices exactly; it reads ``IGGraph.analysis`` of that quotient.
+isolated vertices exactly, the fields of ``LambdaSummary``; it reads
+``IGGraph.analysis`` of that quotient.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ class IGGraph:
         for mask, members in twins.items():
             if any(self.nbrs[j] & members != members for j in _bits(mask)):
                 raise RuntimeError("adjacency is not symmetric")
-        self.analysis = self._analyse()  # read by components, is_bipartite and diameter
+        self.analysis = self._analyse()  # read by the analyses below and the exporters
 
     def _analyse(self) -> tuple[list[int], int | None, int]:
         """(components, odd, diameter) from one BFS from the first vertex of
@@ -160,10 +162,9 @@ def _graph(q: int, t: int, method: str, vertices: list, near: Sequence[Sequence[
     return IGGraph(q, t, method, [vertices[i] for i in keep], nbrs)
 
 
-def lambda_graph(ctx: GFContext, psi2: Psi2Table, inv: ClassInventory,
-                 plus: bool = False) -> IGGraph:
+def lambda_graph(psi2: Psi2Table, plus: bool = False) -> IGGraph:
     """The graph on nonidentity classes of S; plus drops isolated vertices."""
-    return _graph(ctx.q, 1, psi2.method, inv.nonidentity_labels(), psi2.near, plus)
+    return _graph(psi2.q, 1, psi2.method, psi2.labels, psi2.near, plus)
 
 
 def lambda_power(ctx: GFContext, t: int, psi2: Psi2Table, action: AutAction,
@@ -290,12 +291,11 @@ def n_lower_bound_report(census: ProfileCensus, beta_exact: int | None = None) -
     dropped.  The half-binomial is monotone in even beta, so the report
     stays a true lower bound.
     """
-    count = census.psi2_count()
-    beta_lb = count // (census.inv.d * census.inv.ctx.f)
+    beta_lb = census.psi2_count // (census.inv.d * census.inv.ctx.f)
     use = beta_exact if beta_exact is not None else beta_lb
     use_even = max(2, use - use % 2)
     bound = component_bound(use_even)
-    return {"q": census.q, "psi2_count": count, "beta_lower": use_even,
+    return {"q": census.inv.q, "psi2_count": census.psi2_count, "beta_lower": use_even,
             "beta_exact": beta_exact, "component_bound": _big_int_str(bound),
             "log2_bound": int_log2(bound)}
 
@@ -305,9 +305,6 @@ def n_lower_bound_report(census: ProfileCensus, beta_exact: int | None = None) -
 # ---------------------------------------------------------------------------
 
 class LambdaSummary(NamedTuple):
-    q: int
-    class_count: int  # labels including identity
-    psi2_count: int
     component_count: int
     bipartite: bool
     parts_match_covering: bool
@@ -315,8 +312,7 @@ class LambdaSummary(NamedTuple):
     isolated: list[str]
 
 
-def lambda_summary(ctx: GFContext, inv: ClassInventory, census: ProfileCensus,
-                   cover: CoveringResult) -> LambdaSummary:
+def lambda_summary(census: ProfileCensus, cover: CoveringResult) -> LambdaSummary:
     """Exact plus-graph facts computed on the profile-bucket quotient.
 
     Same-profile labels are twins (identical neighborhoods, never mutually
@@ -325,12 +321,12 @@ def lambda_summary(ctx: GFContext, inv: ClassInventory, census: ProfileCensus,
     which lifts the diameter to 2 when a live bucket has two members.
     Only the isolated classes are named.
     """
-    sizes = census.sizes
-    nbrs = [0] * len(sizes)
+    inv = census.inv
+    nbrs = [0] * len(census.sizes)
     for i, j in census.disjoint:
         if i != j:
             nbrs[i] |= 1 << j
-    comps, odd, diam = IGGraph(ctx.q, 1, "structural", list(range(len(nbrs))), nbrs).analysis
+    comps, odd, diam = IGGraph(inv.q, 1, "structural", list(range(len(nbrs))), nbrs).analysis
     dead = {i for i, mask in enumerate(nbrs) if not mask}
     dead_sigs = [s for s, b in enumerate(census.sig_bucket) if b in dead]
     if all(s < len(inv.head) for s in dead_sigs):  # head class k has signature k
@@ -338,12 +334,9 @@ def lambda_summary(ctx: GFContext, inv: ClassInventory, census: ProfileCensus,
     else:  # a torus class is isolated (q = 7): name every class of the dead buckets
         members = census.members()
         isolated = [str(inv.entries[i + 1].label) for b in dead for i in members[b]]
-    if any(size >= 2 and mask for size, mask in zip(sizes, nbrs)):
+    if any(size >= 2 and mask for size, mask in zip(census.sizes, nbrs)):
         diam = max(diam, 2)
     return LambdaSummary(
-        q=ctx.q,
-        class_count=len(inv),
-        psi2_count=census.psi2_count(),
         component_count=len(comps) - len(dead),
         bipartite=odd is not None,
         parts_match_covering=odd is not None and _parts_match_covering(cover, census, nbrs),
@@ -369,10 +362,10 @@ def _parts_match_covering(cover: CoveringResult, census: ProfileCensus,
                    for i, mask in enumerate(nbrs))
 
 
-def expected_isolated(ctx: GFContext, inv: ClassInventory) -> set[str]:
+def expected_isolated(inv: ClassInventory) -> set[str]:
     """Isolated vertices of the graph of S by the published case analysis,
     as label strings; ``lambda_summary(...).isolated`` must equal them."""
-    q, p = ctx.q, ctx.p
+    q, p = inv.q, inv.ctx.p
     if q == 7:
         return {e.label.str_form() for e in inv if e.order == 3}
     if q == 9:
@@ -388,14 +381,14 @@ def expected_isolated(ctx: GFContext, inv: ClassInventory) -> set[str]:
 # exports
 # ---------------------------------------------------------------------------
 
-def to_dot(g: IGGraph, parts: tuple[list, list] | None = None) -> Iterator[str]:
+def to_dot(g: IGGraph) -> Iterator[str]:
     """DOT text, one chunk for the vertex lines and then one per vertex
     with a later neighbour: each edge is written once, from its earlier end
     in vertex order, with the later ends in vertex order too.  Each twin
-    class names its neighbours once."""
+    class names its neighbours once; parts as in ``graph_to_json``."""
     names = [g.vertex_name(v) for v in g.vertices]
-    part1 = set(parts[0]) if parts else set()
-    attrs = [f' [part="{1 if v in part1 else 2}"]' if parts else "" for v in g.vertices]
+    odd = g.analysis[1]
+    attrs = ["" if odd is None else f' [part="{1 + (odd >> i & 1)}"]' for i in range(len(names))]
     yield "graph lambda {\n" + "".join(
         f'  "{name}"{attr};\n' for name, attr in zip(names, attrs))
     ends: dict[int, tuple[list[int], list[str]]] = {}
@@ -425,22 +418,21 @@ def _json_edges(nbrs: list[int], names: list[str], order: list[int]) -> Iterator
             yield json_pair_rows(names[i], later)
 
 
-def graph_to_json(g: IGGraph, parts: tuple[list, list] | None = None,
-                  comps: list[list] | None = None) -> Iterator[str]:
+def graph_to_json(g: IGGraph) -> Iterator[str]:
     """The text of ``json.dumps(payload, indent=2) + "\n"`` for the payload
     {q, t, method, vertices, edges, components[, parts]}: vertex names
-    sorted, each edge as its two names in order, the components and the
-    parts as sorted name lists, the components in order too.  The edges
-    are streamed one chunk per vertex, so the edge list is never built.
-    ``comps`` is ``components(g)`` when the caller already has it."""
+    sorted, each edge as its two names in order, the components and, for a
+    bipartite graph, the ``is_bipartite`` parts as sorted name lists, the
+    components in order too; both are read off ``g.analysis``.  The edges
+    are streamed one chunk per vertex, so the edge list is never built."""
     names = [g.vertex_name(v) for v in g.vertices]
-    name_of = dict(zip(g.vertices, names))
+    comps, odd, _ = g.analysis
     order = sorted(range(len(names)), key=names.__getitem__)
     members = {"q": g.q, "t": g.t, "method": g.method,
                "vertices": [names[i] for i in order],
                "edges": _json_edges(g.nbrs, names, order),
-               "components": sorted(sorted(name_of[v] for v in comp) for comp in
-                                    (components(g) if comps is None else comps))}
-    if parts is not None:
-        members["parts"] = [sorted(name_of[v] for v in part) for part in parts]
+               "components": sorted(sorted(map(names.__getitem__, _bits(c))) for c in comps)}
+    if odd is not None:
+        even = ((1 << len(names)) - 1) ^ odd
+        members["parts"] = [sorted(map(names.__getitem__, _bits(m))) for m in (even, odd)]
     yield from json_document(members)

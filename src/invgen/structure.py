@@ -181,14 +181,13 @@ def profile_universe(classes: list[SubgroupClass]) -> list[SubgroupClass]:
     return [sc for sc in classes if sc.maximal or sc.kind == DIH_NONSPLIT]
 
 
-def build_profiles(ctx: GFContext, inv: ClassInventory, classes: list[SubgroupClass],
-                   ) -> list[frozenset[str]]:
+def build_profiles(inv: ClassInventory, classes: list[SubgroupClass]) -> list[frozenset[str]]:
     """Profile over the profile universe of each class signature, in the
     order of ``inv.signatures``; each rule runs once per signature, and each
     subgroup id is built once.  Signature 0 is the identity's, which meets
     every class."""
     universe = [(sc, sc.id) for sc in profile_universe(classes)]
-    return [frozenset([i for sc, i in universe if label_meets(ctx, sig, sc)])
+    return [frozenset([i for sc, i in universe if label_meets(inv.ctx, sig, sc)])
             for sig in inv.signatures[0]]
 
 
@@ -211,13 +210,13 @@ class ProfileCensus(NamedTuple):
     is named by its position among ``inv.nonidentity_labels()`` (class
     number less one), as in ``Psi2Table``."""
 
-    q: int
     inv: ClassInventory
     buckets: list[frozenset[str]]  # distinct maximal profiles, sorted
     sizes: list[int]  # classes per bucket
     sig_bucket: list[int]  # bucket of each signature; -1 for the identity's
     disjoint: list[tuple[int, int]]  # ordered bucket pairs with disjoint profiles
     profiles: list[frozenset[str]]  # per signature, over the profile universe
+    psi2_count: int  # |Psi2|: the bucket products over the disjoint pairs
 
     def members(self) -> list[list[int]]:
         """Positions, ascending, of the classes of each bucket, by ``inv.class_signatures``."""
@@ -225,13 +224,10 @@ class ProfileCensus(NamedTuple):
         every = range(len(bucket))
         return [list(compress(every, map(b.__eq__, bucket))) for b in range(len(self.buckets))]
 
-    def psi2_count(self) -> int:
-        return sum(self.sizes[i] * self.sizes[j] for i, j in self.disjoint)
 
-
-def profile_census(ctx: GFContext, inv: ClassInventory) -> ProfileCensus:
-    classes = maximal_subgroup_classes(ctx)
-    full = build_profiles(ctx, inv, classes)
+def profile_census(inv: ClassInventory) -> ProfileCensus:
+    classes = maximal_subgroup_classes(inv.ctx)
+    full = build_profiles(inv, classes)
     profs = maximal_profiles(classes, full)
     buckets = sorted(set(profs[1:]), key=sorted)
     index = {prof: b for b, prof in enumerate(buckets)}
@@ -241,7 +237,8 @@ def profile_census(ctx: GFContext, inv: ClassInventory) -> ProfileCensus:
         sizes[b] += count
     disjoint = [(i, j) for i, pi in enumerate(buckets)
                 for j, pj in enumerate(buckets) if pi.isdisjoint(pj)]
-    return ProfileCensus(ctx.q, inv, buckets, sizes, sig_bucket, disjoint, full)
+    return ProfileCensus(inv, buckets, sizes, sig_bucket, disjoint, full,
+                         sum(sizes[i] * sizes[j] for i, j in disjoint))
 
 
 class Psi2Table:
@@ -349,7 +346,7 @@ def psi2_structural(census: ProfileCensus) -> Psi2Table:
         shared = tuple(sorted(js))
         for i in positions:
             near[i] = shared
-    return Psi2Table(census.q, "structural", labels, near)
+    return Psi2Table(census.inv.q, "structural", labels, near)
 
 
 BOREL_SIDE = 1  # bits of a covering side: meets the Borel subgroup,

@@ -7,7 +7,7 @@ from math import comb, gcd
 from operator import mul
 
 from invgen.gf import GFContext, _pack, _poly_mod, _poly_mul, _unpack, factorize
-from invgen.iggraph import _bits, _graph, LambdaSummary
+from invgen.iggraph import _bits, _graph, is_bipartite, LambdaSummary
 from invgen.oracle import _inverse, _line_action, _table
 from invgen.psl2 import (
     ClassEntry, ClassInventory, ClassLabel, ClassSignature, TorusClasses, enumerate_psl2,
@@ -663,6 +663,11 @@ def _ref_disjoint(buckets) -> list:
             for j, pj in enumerate(buckets) if pi.isdisjoint(pj)]
 
 
+def ref_psi2_count(buckets, members) -> int:
+    """|Psi2| as the bucket products of ``ref_census`` over its disjoint pairs."""
+    return sum(len(members[i]) * len(members[j]) for i, j in _ref_disjoint(buckets))
+
+
 def ref_summary(ctx, entries) -> LambdaSummary:
     """``lambda_summary`` on the label-level census and covering."""
     _, buckets, members, _ = ref_census(ctx, entries)
@@ -693,9 +698,6 @@ def ref_summary(ctx, entries) -> LambdaSummary:
                        or any(bucket_side[j] == bucket_side[i] for j in js)):
                 match = False
     return LambdaSummary(
-        q=ctx.q,
-        class_count=len(entries),
-        psi2_count=sum(sizes[i] * sizes[j] for i, j in _ref_disjoint(buckets)),
         component_count=len(mask_components(quotient)),
         bipartite=bipartite,
         parts_match_covering=match,
@@ -771,7 +773,9 @@ def ref_index_census(ctx, inv) -> tuple:
     dihedral = next(sc for sc in classes if sc.kind == DIH_NONSPLIT)
     sides = [BOREL_SIDE * label_meets(ctx, sig, borel)
              | DIHEDRAL_SIDE * label_meets(ctx, sig, dihedral) for sig in sigs]
-    census = ProfileCensus(ctx.q, inv, buckets, sizes, sig_bucket, _ref_disjoint(buckets), full)
+    disjoint = _ref_disjoint(buckets)
+    census = ProfileCensus(inv, buckets, sizes, sig_bucket, disjoint, full,
+                           sum(sizes[i] * sizes[j] for i, j in disjoint))
     return census, members, sides
 
 
@@ -835,15 +839,15 @@ def mask_diameter(g) -> int:
     return max((len(_layers(g.nbrs, i)) - 1 for i in sources.values()), default=0)
 
 
-def ref_quotient_summary(ctx, inv, census, cover) -> LambdaSummary:
+def ref_quotient_summary(census, cover) -> LambdaSummary:
     """``lambda_summary`` through an IGGraph on the live buckets and the
     three mask routines."""
-    sizes = census.sizes
+    inv, sizes = census.inv, census.sizes
     near = [[] for _ in sizes]
     for i, j in census.disjoint:
         if i != j:
             near[i].append(j)
-    quotient = _graph(ctx.q, 1, "structural", list(range(len(sizes))), near, plus=True)
+    quotient = _graph(inv.q, 1, "structural", list(range(len(sizes))), near, plus=True)
     live = quotient.vertices
     dead = {i for i, js in enumerate(near) if not js}
     members = census.members()
@@ -853,9 +857,6 @@ def ref_quotient_summary(ctx, inv, census, cover) -> LambdaSummary:
     if any(sizes[i] >= 2 for i in live):
         diam = max(diam, 2)
     return LambdaSummary(
-        q=ctx.q,
-        class_count=len(inv),
-        psi2_count=census.psi2_count(),
         component_count=len(mask_components(quotient)),
         bipartite=bipartite,
         parts_match_covering=bipartite and quotient_parts_match(cover, census, quotient),
@@ -893,9 +894,10 @@ def component_count(beta, t) -> int:
 # the graph JSON payload, built whole
 # ---------------------------------------------------------------------------
 
-def ref_graph_json(g, parts=None) -> dict:
+def ref_graph_json(g) -> dict:
     """The payload ``graph_to_json`` writes, as a dict: its text must be
-    ``json.dumps(ref_graph_json(g, parts), indent=2) + "\n"``."""
+    ``json.dumps(ref_graph_json(g), indent=2) + "\n"``.  The parts are
+    ``is_bipartite``'s, present exactly when the graph is bipartite."""
     names = [g.vertex_name(v) for v in g.vertices]
     name_of = dict(zip(g.vertices, names))
     out = {
@@ -909,20 +911,23 @@ def ref_graph_json(g, parts=None) -> dict:
         ),
         "components": sorted(sorted(name_of[v] for v in comp) for comp in mask_components(g)),
     }
-    if parts is not None:
+    bipartite, parts = is_bipartite(g)
+    if bipartite:
         out["parts"] = [sorted(name_of[v] for v in parts[0]),
                         sorted(name_of[v] for v in parts[1])]
     return out
 
 
-def ref_dot(g, parts=None) -> str:
+def ref_dot(g) -> str:
     """The DOT text ``to_dot`` writes, built whole: each edge once, from its
-    earlier end in vertex order."""
+    earlier end in vertex order, and ``is_bipartite``'s part of each vertex
+    when the graph is bipartite."""
     names = [g.vertex_name(v) for v in g.vertices]
     lines = ["graph lambda {"]
-    part1 = set(parts[0]) if parts else set()
+    bipartite, parts = is_bipartite(g)
+    part1 = set(parts[0])
     for v, name in zip(g.vertices, names):
-        attrs = f' [part="{1 if v in part1 else 2}"]' if parts else ""
+        attrs = f' [part="{1 if v in part1 else 2}"]' if bipartite else ""
         lines.append(f'  "{name}"{attrs};')
     for i, mask in enumerate(g.nbrs):
         for j in _bits(mask):

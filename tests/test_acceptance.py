@@ -70,11 +70,13 @@ EXTENDED_BETA_QS = [3 ** 11, 2 ** 18]
 EXTENDED = os.environ.get("INVGEN_EXTENDED") == "1"
 
 
+def census_of(q: int):
+    return profile_census(inventory(gf_for_q(q)))
+
+
 def summary_of(q: int):
-    ctx = gf_for_q(q)
-    inv = inventory(ctx)
-    census = profile_census(ctx, inv)
-    return lambda_summary(ctx, inv, census, verify_2covering(census))
+    census = census_of(q)
+    return lambda_summary(census, verify_2covering(census))
 
 
 def test_c01_class_count_formula():
@@ -88,14 +90,14 @@ def test_c02_oracle_equivalence_mandatory():
     with Budget("criterion 2: oracle == structural on {4,5,7,8,9,11,13}", 120):
         for q in MANDATORY_ORACLE_QS:
             sess = OracleSession(inventory(gf_for_q(q)))
-            assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.ctx, sess.inv))), q
+            assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.inv))), q
 
 
 def test_c02_oracle_equivalence_wider():
     with Budget("criterion 2 wider: oracle == structural on {16,19,25,27,31}", 60):
         for q in WIDER_ORACLE_QS:
             sess = OracleSession(inventory(gf_for_q(q)))
-            assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.ctx, sess.inv))), q
+            assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.inv))), q
 
 
 @pytest.mark.skipif(not EXTENDED, reason="extended oracle set needs INVGEN_EXTENDED=1")
@@ -103,14 +105,14 @@ def test_c02_oracle_equivalence_extended():
     with Budget("criterion 2 extended: oracle == structural on {16,25,27,31}", 900):
         for q in EXTENDED_ORACLE_QS:
             sess = OracleSession(inventory(gf_for_q(q)))
-            assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.ctx, sess.inv))), q
+            assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.inv))), q
 
 
 @pytest.mark.skipif(not EXTENDED, reason="extended oracle set needs INVGEN_EXTENDED=1")
 def test_c02_oracle_equivalence_q49():
     with Budget("criterion 2 extended: oracle == structural at q=49", 60):
         sess = OracleSession(inventory(gf_for_q(EXTENDED_PSI2_Q)))
-        assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.ctx, sess.inv)))
+        assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.inv)))
 
 
 @pytest.mark.skipif(not EXTENDED, reason="extended oracle set needs INVGEN_EXTENDED=1")
@@ -118,7 +120,7 @@ def test_c02_oracle_equivalence_q64_q81():
     with Budget("criterion 2 extended: oracle == structural at q=64, 81", 60):
         for q in EXTENDED_PSI2_LARGE_QS:
             sess = OracleSession(inventory(gf_for_q(q)))
-            assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.ctx, sess.inv))), q
+            assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.inv))), q
 
 
 @pytest.mark.skipif(not EXTENDED, reason="extended oracle set needs INVGEN_EXTENDED=1")
@@ -160,9 +162,9 @@ def test_c05_probability_convergence():
         for q in ALL_QS:
             if q < 64:
                 continue
-            s = summary_of(q)
-            k = s.class_count
-            assert abs(s.psi2_count / (k * k) - 0.5) <= 10 / q, q
+            census = census_of(q)
+            k = len(census.inv)
+            assert abs(census.psi2_count / (k * k) - 0.5) <= 10 / q, q
 
 
 def test_c06_psi2_asymptotic():
@@ -171,7 +173,7 @@ def test_c06_psi2_asymptotic():
             if q < 64:
                 continue
             d = 2 if q % 2 == 1 else 1
-            ratio = summary_of(q).psi2_count * 2 * d * d / (q * q)
+            ratio = census_of(q).psi2_count * 2 * d * d / (q * q)
             assert 0.8 <= ratio <= 1.2, (q, ratio)
 
 
@@ -180,15 +182,15 @@ def test_c07_beta_pipeline():
         # oracle-certified Psi2 for the three named values
         for q, expected in ((5, 2), (7, 4), (9, 2)):
             sess = OracleSession(inventory(gf_for_q(q)))
-            part = beta(aut_action(sess.ctx, sess.inv), sess.psi2())
+            part = beta(aut_action(sess.inv), sess.psi2())
             assert part.beta == expected, q
         for q in ALL_QS:
             ctx = gf_for_q(q)
             inv = inventory(ctx)
             d = 2 if q % 2 == 1 else 1
-            census = profile_census(ctx, inv)
+            census = profile_census(inv)
             b = beta_fast(census)
-            count = lambda_summary(ctx, inv, census, verify_2covering(census)).psi2_count
+            count = census.psi2_count
             assert b % 2 == 0, q
             assert count / (d * ctx.f) <= b <= count, q
 
@@ -200,8 +202,8 @@ def test_c07_beta_large_q_extended():
         for q in EXTENDED_BETA_QS:
             ctx = gf_for_q(q)
             inv = inventory(ctx)
-            expected = ref_beta_fast(ctx, ref_entries(ctx), aut_action(ctx, inv))
-            assert beta_fast(profile_census(ctx, inv)) == expected, q
+            expected = ref_beta_fast(ctx, ref_entries(ctx), aut_action(inv))
+            assert beta_fast(profile_census(inv)) == expected, q
 
 
 @pytest.mark.skipif(not EXTENDED, reason="the bound at the cap needs INVGEN_EXTENDED=1")
@@ -219,15 +221,15 @@ def test_c08_power_graph_ground_truth():
     with Budget("criterion 8: plus graph of PSL(2,5)^2", 10):
         ctx = gf_for_q(5)
         inv = inventory(ctx)
-        psi2 = psi2_structural(profile_census(ctx, inv))
-        action = aut_action(ctx, inv)
+        psi2 = psi2_structural(profile_census(inv))
+        action = aut_action(inv)
         assert beta(action, psi2).beta == 2
         g = lambda_power(ctx, 2, psi2, action, inv, plus=True)
         assert len(g.vertices) == 4
         comps = components(g)
         assert len(comps) == 1
         assert len(comps) >= component_bound(2) == 1
-        p1, _ = covering_parts(inv, verify_2covering(profile_census(ctx, inv)))
+        p1, _ = covering_parts(inv, verify_2covering(profile_census(inv)))
         for v in g.vertices:
             assert len(part_pattern(v, p1)) == 1, v  # one coordinate per part
 
@@ -236,7 +238,7 @@ def test_c09_bound_report_q25():
     with Budget("criterion 9: exact bound report at q=25", 10):
         ctx = gf_for_q(25)
         inv = inventory(ctx)
-        rep = n_lower_bound_report(profile_census(ctx, inv))
+        rep = n_lower_bound_report(profile_census(inv))
         assert rep["psi2_count"] == 84
         assert rep["beta_lower"] == 20  # floor(84 / (d*f)) = 21, rounded down to even
         bound = int(rep["component_bound"])
@@ -250,10 +252,10 @@ def test_c10_self_consistency():
         for q in MANDATORY_ORACLE_QS:
             ctx = gf_for_q(q)
             inv = inventory(ctx)
-            psi2_pairs = pairs(psi2_structural(profile_census(ctx, inv)))
+            psi2_pairs = pairs(psi2_structural(profile_census(inv)))
             for a, b in psi2_pairs:
                 assert (b, a) in psi2_pairs
-            action = aut_action(ctx, inv)
+            action = aut_action(inv)
             for gen in named_generators(action, inv.nonidentity_labels()):
                 for a, b in psi2_pairs:
                     assert (gen.get(a, a), gen.get(b, b)) in psi2_pairs

@@ -23,7 +23,7 @@ NONPRIME_POWERS = [q for q in range(4, 4097) if (pf := prime_power_split(q)) and
 def test_action_q7():
     ctx = gf_for_q(7)
     inv = inventory(ctx)
-    act = aut_action(ctx, inv)
+    act = aut_action(inv)
     usq, unsq = ClassLabel("unip", sq=True), ClassLabel("unip", sq=False)
     assert act.diagonal == [0, 2, 1, 3, 4]  # the image of each position
     assert named(act.diagonal, inv.nonidentity_labels()) == {usq: unsq, unsq: usq}
@@ -33,7 +33,7 @@ def test_action_q7():
 def test_action_q9_frobenius_swaps_order5_classes():
     ctx = gf_for_q(9)
     inv = inventory(ctx)
-    act = aut_action(ctx, inv)
+    act = aut_action(inv)
     frobenius = named(act.frobenius, inv.nonidentity_labels())
     diagonal = named(act.diagonal, inv.nonidentity_labels())
     n5a, n5b = ClassLabel("nonsplit", 4), ClassLabel("nonsplit", 5)
@@ -45,7 +45,7 @@ def test_action_q9_frobenius_swaps_order5_classes():
 def test_action_q4_no_diagonal():
     ctx = gf_for_q(4)
     inv = inventory(ctx)
-    act = aut_action(ctx, inv)
+    act = aut_action(inv)
     assert act.diagonal is None
     frobenius = named(act.frobenius, inv.nonidentity_labels())
     n5 = [l for l in frobenius if l.kind == "nonsplit"]
@@ -58,7 +58,7 @@ def test_action_preserves_order_and_size(q):
     inv = inventory(ctx)
     orders = {e.label: e.order for e in inv}
     sizes = {e.label: e.size for e in inv}
-    act = aut_action(ctx, inv)
+    act = aut_action(inv)
     for gen in named_generators(act, inv.nonidentity_labels()):
         for lab, image in gen.items():
             assert orders[lab] == orders[image]
@@ -71,7 +71,7 @@ def test_action_group_order_divides_out(q):
     it: the d*f products diag^e * Frob^i that ``elements`` lists are
     distinct and are the group the BFS closure of the generators gives."""
     ctx = gf_for_q(q)
-    action = aut_action(ctx, inventory(ctx))
+    action = aut_action(inventory(ctx))
     d = 2 if q % 2 == 1 else 1
     elements = {tuple(g) for g in action.elements()}
     assert len(elements) == len(action.elements()) == d * ctx.f
@@ -85,7 +85,7 @@ def test_frobenius_fixes_the_classes_its_signatures_say(q):
     # builds from the field must move exactly the other classes
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    action = aut_action(ctx, inv)
+    action = aut_action(inv)
     sigs, of_class = inv.signatures[0], inv.class_signatures
 
     def fixes(e, i, sig):
@@ -113,9 +113,9 @@ def test_no_nontrivial_frobenius_power_fixes_a_psi2_pair(q):
     # image list and counted per census bucket.
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    census = profile_census(ctx, inv)
+    census = profile_census(inv)
     bucket_of = [census.sig_bucket[sig] for sig in inv.class_signatures[1:]]
-    elements = aut_action(ctx, inv).elements()  # Frob^i is elements[i], then diag * Frob^i
+    elements = aut_action(inv).elements()  # Frob^i is elements[i], then diag * Frob^i
     for n, g in enumerate(elements):
         if n % ctx.f == 0:  # i = 0: the identity and diag
             continue
@@ -130,8 +130,8 @@ def test_no_nontrivial_frobenius_power_fixes_a_psi2_pair(q):
 def test_psi2_is_aut_invariant(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    psi2_pairs = pairs(psi2_structural(profile_census(ctx, inv)))
-    act = aut_action(ctx, inv)
+    psi2_pairs = pairs(psi2_structural(profile_census(inv)))
+    act = aut_action(inv)
     for gen in named_generators(act, inv.nonidentity_labels()):
         for a, b in psi2_pairs:
             assert (gen.get(a, a), gen.get(b, b)) in psi2_pairs
@@ -142,14 +142,14 @@ def test_psi2_is_aut_invariant(q):
 def test_psi2_near_is_symmetric_and_aut_invariant(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    table = psi2_structural(profile_census(ctx, inv))
+    table = psi2_structural(profile_census(inv))
     near = table.near
     transpose = [[] for _ in near]
     for i, js in enumerate(near):
         for j in js:
             transpose[j].append(i)
     assert [tuple(js) for js in transpose] == near  # j in near[i] iff i in near[j]
-    for image in aut_action(ctx, inv).elements():
+    for image in aut_action(inv).elements():
         moved = {}  # image of each distinct neighbour tuple
         for i, js in enumerate(near):
             if js not in moved:
@@ -163,7 +163,7 @@ def test_psi2_near_is_symmetric_and_aut_invariant(q):
 
 def test_beta_q5():
     ctx = gf_for_q(5)
-    part = beta(aut_action(ctx, inventory(ctx)), psi2_structural(profile_census(ctx, inventory(ctx))))
+    part = beta(aut_action(inventory(ctx)), psi2_structural(profile_census(inventory(ctx))))
     assert part.beta == 2
     assert part.orbits == [
         [("nonsplit:t=1", "unip:nsq"), ("nonsplit:t=1", "unip:sq")],
@@ -174,7 +174,7 @@ def test_beta_q5():
 @pytest.mark.parametrize("q,expected", [(4, 2), (5, 2), (7, 4), (8, 8), (9, 2)])
 def test_beta_values(q, expected):
     ctx = gf_for_q(q)
-    part = beta(aut_action(ctx, inventory(ctx)), psi2_structural(profile_census(ctx, inventory(ctx))))
+    part = beta(aut_action(inventory(ctx)), psi2_structural(profile_census(inventory(ctx))))
     assert part.beta == expected
 
 
@@ -182,8 +182,8 @@ def test_beta_values(q, expected):
 def test_beta_even_and_bounded(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    table = psi2_structural(profile_census(ctx, inv))
-    part = beta(aut_action(ctx, inv), table)
+    table = psi2_structural(profile_census(inv))
+    part = beta(aut_action(inv), table)
     d = 2 if q % 2 == 1 else 1
     assert part.beta % 2 == 0
     assert len(table) / (d * ctx.f) <= part.beta <= len(table)
@@ -192,7 +192,7 @@ def test_beta_even_and_bounded(q):
 @pytest.mark.parametrize("q", VALIDATION_QS)
 def test_no_orbit_contains_a_pair_and_its_swap(q):
     ctx = gf_for_q(q)
-    part = beta(aut_action(ctx, inventory(ctx)), psi2_structural(profile_census(ctx, inventory(ctx))))
+    part = beta(aut_action(inventory(ctx)), psi2_structural(profile_census(inventory(ctx))))
     for orbit in part.orbits:
         members = set(orbit)
         for a, b in orbit:
@@ -203,7 +203,7 @@ def test_no_orbit_contains_a_pair_and_its_swap(q):
 def test_orbit_sizes_divide_out_order(q):
     ctx = gf_for_q(q)
     d = 2 if q % 2 == 1 else 1
-    part = beta(aut_action(ctx, inventory(ctx)), psi2_structural(profile_census(ctx, inventory(ctx))))
+    part = beta(aut_action(inventory(ctx)), psi2_structural(profile_census(inventory(ctx))))
     for orbit in part.orbits:
         assert (d * ctx.f) % len(orbit) == 0
 
@@ -212,16 +212,16 @@ def test_orbit_sizes_divide_out_order(q):
 def test_burnside_agrees_with_union_find(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    part = beta(aut_action(ctx, inv), psi2_structural(profile_census(ctx, inv)))
-    assert beta_fast(profile_census(ctx, inv)) == part.beta
+    part = beta(aut_action(inv), psi2_structural(profile_census(inv)))
+    assert beta_fast(profile_census(inv)) == part.beta
 
 
 @pytest.mark.parametrize("q", VALIDATION_QS + [17, 49, 64, 81, 121])
 def test_orbits_equal_union_find_closure(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    table = psi2_structural(profile_census(ctx, inv))
-    action = aut_action(ctx, inv)
+    table = psi2_structural(profile_census(inv))
+    action = aut_action(inv)
     groups = {}
     for (a, b), rep in ref_orbits(action, table).items():
         groups.setdefault(rep, []).append((a.str_form(), b.str_form()))
@@ -233,7 +233,7 @@ def test_beta_rejects_empty_table():
     labels = inventory(ctx).nonidentity_labels()
     empty = Psi2Table(5, "structural", labels, [()] * len(labels))
     with pytest.raises(RuntimeError, match="Psi2 is empty"):
-        beta(aut_action(ctx, inventory(ctx)), empty)
+        beta(aut_action(inventory(ctx)), empty)
 
 
 def broken_image_case():
@@ -246,7 +246,7 @@ def broken_image_case():
     identity = list(range(len(labels)))
     perm = identity[:]
     perm[usq], perm[s1] = s1, usq
-    return 7, AutAction(ctx, perm, identity), psi2_structural(profile_census(ctx, inv)), "left Psi2"
+    return 7, AutAction(ctx, perm, identity), psi2_structural(profile_census(inv)), "left Psi2"
 
 
 def swapped_pair_case():
@@ -269,7 +269,7 @@ def test_beta_checks_the_action(case):
 @pytest.mark.parametrize("case", [broken_image_case, swapped_pair_case])
 def test_beta_orbits_reports_a_broken_action_as_internal(case, capsys, monkeypatch):
     q, action, table, message = case()
-    monkeypatch.setattr(autorbits, "aut_action", lambda ctx, inv: action)
+    monkeypatch.setattr(autorbits, "aut_action", lambda inv: action)
     monkeypatch.setattr(structure, "psi2_structural", lambda census: table)
     assert cli.main(["beta", "--q", str(q), "--orbits"]) == 4
     out, err = capsys.readouterr()
@@ -281,9 +281,9 @@ def test_orbits_respect_bipartition():
     # parts are Aut-invariant, so orbits stay within one direction
     ctx = gf_for_q(7)
     inv = inventory(ctx)
-    p1, p2 = covering_parts(inv, verify_2covering(profile_census(ctx, inv)))
+    p1, p2 = covering_parts(inv, verify_2covering(profile_census(inv)))
     p1_names = {lab.str_form() for lab in p1}
-    part = beta(aut_action(ctx, inv), psi2_structural(profile_census(ctx, inv)))
+    part = beta(aut_action(inv), psi2_structural(profile_census(inv)))
     seen = set()
     for orbit in part.orbits:
         directions = {a in p1_names for a, b in orbit}

@@ -78,6 +78,25 @@ def test_psi2_both_q5(capsys):
     assert "count=4" in out and "match=True" in out
 
 
+@pytest.mark.parametrize("method,code", [("both", 1), ("oracle", 0)])
+def test_psi2_prints_an_empty_oracle_table(method, code, capsys, monkeypatch):
+    # an empty table has length 0: the oracle's is still the one printed
+    from invgen.oracle import OracleSession
+    from invgen.structure import Psi2Table
+
+    def no_pairs(sess):
+        labels = sess.inv.nonidentity_labels()
+        return Psi2Table(sess.ctx.q, "oracle", labels, [()] * len(labels))
+
+    monkeypatch.setattr(OracleSession, "psi2", no_pairs)
+    got, out, err = run(capsys, "psi2", "--q", "5", "--method", method, "--format", "json")
+    payload = json.loads(out)
+    assert got == code
+    assert (payload["method"], payload["count"], payload["pairs"]) == ("oracle", 0, [])
+    assert payload.get("match") is (False if method == "both" else None)
+    assert ("mismatch" in err) == (method == "both")
+
+
 def test_psi2_structural_q7(capsys):
     code, out, _ = run(capsys, "psi2", "--q", "7", "--method", "structural",
                        "--format", "json")

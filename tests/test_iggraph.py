@@ -149,17 +149,17 @@ def structural(q):
     """Context, inventory and structural Psi2 of PSL(2,q)."""
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    return ctx, inv, psi2_structural(profile_census(ctx, inv))
+    return ctx, inv, psi2_structural(profile_census(inv))
 
 
 def graph_of(q, plus):
     ctx, inv, psi2 = structural(q)
-    return lambda_graph(ctx, psi2, inv, plus=plus)
+    return lambda_graph(psi2, plus=plus)
 
 
 def power_of(q, t, **kwargs):
     ctx, inv, psi2 = structural(q)
-    return lambda_power(ctx, t, psi2, aut_action(ctx, inv), inv, **kwargs)
+    return lambda_power(ctx, t, psi2, aut_action(inv), inv, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +226,7 @@ def test_lambda_power_cap_bounds_candidates(q, t, kwargs):
 @pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
 def test_lambda_power_equals_pair_test(q):
     ctx, inv, psi2 = structural(q)
-    action = aut_action(ctx, inv)
+    action = aut_action(inv)
     n_orbits = len(set(ref_orbits(action, psi2).values()))
     for t in range(1, min(n_orbits, 3) + 1):
         vertices, adj = ref_power_adj(t, psi2, action, inv)
@@ -246,7 +246,7 @@ def test_lambda_power_rejects_t_above_beta():
 @pytest.mark.parametrize("plus", [False, True])
 def test_lambda_graph_edges_are_psi2_pairs(q, plus):
     ctx, inv, psi2 = structural(q)
-    g = lambda_graph(ctx, psi2, inv, plus=plus)
+    g = lambda_graph(psi2, plus=plus)
     labels = inv.nonidentity_labels()
     psi2_pairs = pairs(psi2)
     touched = {a for a, _ in psi2_pairs}
@@ -360,7 +360,7 @@ def test_clique_chromatic_covering_chain(q):
     assert g.edge_count() >= 1
     assert is_bipartite(g)[0]
     ctx = gf_for_q(q)
-    assert verify_2covering(profile_census(ctx, inventory(ctx))).ok
+    assert verify_2covering(profile_census(inventory(ctx))).ok
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +386,7 @@ def power_cases():
         if not prime_power_split(q):
             continue
         ctx, inv, psi2 = structural(q)
-        b = beta_fast(profile_census(ctx, inv))
+        b = beta_fast(profile_census(inv))
         n = len(inv.nonidentity_labels())
         for t in range(2, b + 1):
             if max(n, len(psi2)) ** t <= POWER_WORK_CAP:
@@ -402,8 +402,8 @@ def test_components_equal_pattern_pairs(q, t, beta_value):
     # other side of the 2-covering, so each component realises one pattern
     # pair {P, P^c}, and every realised pair is one component
     ctx, inv, psi2 = structural(q)
-    g = lambda_power(ctx, t, psi2, aut_action(ctx, inv), inv, plus=True)
-    p1, _ = covering_parts(inv, verify_2covering(profile_census(ctx, inv)))
+    g = lambda_power(ctx, t, psi2, aut_action(inv), inv, plus=True)
+    p1, _ = covering_parts(inv, verify_2covering(profile_census(inv)))
     every = frozenset(range(t))
     patterns = {frozenset({part_pattern(v, p1), every - part_pattern(v, p1)})
                 for v in g.vertices}
@@ -418,7 +418,7 @@ def test_components_equal_pattern_pairs(q, t, beta_value):
 def test_report_q5():
     ctx = gf_for_q(5)
     inv = inventory(ctx)
-    rep = n_lower_bound_report(profile_census(ctx, inv))
+    rep = n_lower_bound_report(profile_census(inv))
     assert rep["psi2_count"] == 4 and rep["beta_lower"] == 2
     assert int(rep["component_bound"]) == 1 and rep["log2_bound"] == 0.0
 
@@ -426,14 +426,14 @@ def test_report_q5():
 def test_report_q7():
     ctx = gf_for_q(7)
     inv = inventory(ctx)
-    rep = n_lower_bound_report(profile_census(ctx, inv))
+    rep = n_lower_bound_report(profile_census(inv))
     assert rep["beta_lower"] == 4 and int(rep["component_bound"]) == 3
 
 
 def test_report_q25():
     ctx = gf_for_q(25)
     inv = inventory(ctx)
-    rep = n_lower_bound_report(profile_census(ctx, inv))
+    rep = n_lower_bound_report(profile_census(inv))
     assert rep["psi2_count"] == 84
     assert rep["beta_lower"] == 20  # 84 / (2*2) = 21 rounded down to even
     bound = int(rep["component_bound"])
@@ -460,7 +460,7 @@ def test_int_log2_big():
 def test_report_with_exact_beta():
     ctx = gf_for_q(7)
     inv = inventory(ctx)
-    rep = n_lower_bound_report(profile_census(ctx, inv), beta_exact=4)
+    rep = n_lower_bound_report(profile_census(inv), beta_exact=4)
     assert rep["beta_exact"] == 4 and int(rep["component_bound"]) == 3
 
 
@@ -472,16 +472,16 @@ def test_report_with_exact_beta():
 def test_summary_matches_explicit_graph(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    census = profile_census(ctx, inv)
+    census = profile_census(inv)
     table = psi2_structural(census)
-    g = lambda_graph(ctx, table, inv, plus=True)
-    s = lambda_summary(ctx, inv, census, verify_2covering(census))
-    assert s.psi2_count == len(table)
+    g = lambda_graph(table, plus=True)
+    s = lambda_summary(census, verify_2covering(census))
+    assert census.psi2_count == len(table)
     assert s.component_count == len(components(g))
     assert s.bipartite == is_bipartite(g)[0]
     assert s.diameter == diameter(g)
     assert set(s.isolated) == {l.str_form() for l in isolated(table)}
-    assert set(s.isolated) == expected_isolated(ctx, inv)
+    assert set(s.isolated) == expected_isolated(inv)
 
 
 @st.composite
@@ -519,9 +519,9 @@ def test_parts_match_covering_matches_the_quotient_reference(case):
 
 def balance_counts(ctx, t):
     inv = inventory(ctx)
-    p1, _ = covering_parts(inv, verify_2covering(profile_census(ctx, inv)))
-    psi2 = psi2_structural(profile_census(ctx, inv))
-    g = lambda_power(ctx, t, psi2, aut_action(ctx, inv), inv, plus=True)
+    p1, _ = covering_parts(inv, verify_2covering(profile_census(inv)))
+    psi2 = psi2_structural(profile_census(inv))
+    g = lambda_power(ctx, t, psi2, aut_action(inv), inv, plus=True)
     return [len(part_pattern(v, p1)) for v in g.vertices]
 
 
@@ -547,12 +547,11 @@ def test_balance_fails_below_beta_q7():
 
 def test_dot_export():
     g = graph_of(7, plus=True)
-    ok, parts = is_bipartite(g)
-    dot = "".join(to_dot(g, parts))
+    dot = "".join(to_dot(g))
     assert dot.startswith("graph lambda {")
     assert dot.count(" -- ") == 4
     assert '"inv"' in dot and 'part=' in dot
-    assert "".join(to_dot(g, parts)) == dot  # deterministic
+    assert "".join(to_dot(g)) == dot  # deterministic
 
 
 def test_json_export():
@@ -562,11 +561,11 @@ def test_json_export():
     assert len(js["vertices"]) == 6
     assert len(js["edges"]) == 2
     assert len(js["components"]) == 4  # the path plus three isolated vertices
-    assert "parts" not in js
+    assert sorted(js["parts"][0] + js["parts"][1]) == js["vertices"]  # bipartite
 
 
-def json_text(g, parts=None):
-    return json.dumps(ref_graph_json(g, parts), indent=2) + "\n"
+def json_text(g):
+    return json.dumps(ref_graph_json(g), indent=2) + "\n"
 
 
 def labelled(g):
@@ -577,8 +576,8 @@ def labelled(g):
 
 def test_json_writer_on_the_empty_graph():
     g = IGGraph(5, 1, "structural", [], [])
-    for parts in (None, ([], [])):
-        assert "".join(graph_to_json(g, parts)) == json_text(g, parts)
+    assert "".join(graph_to_json(g)) == json_text(g)
+    assert json.loads(json_text(g))["parts"] == [[], []]
     assert "".join(to_dot(g)) == "graph lambda {\n}\n" == ref_dot(g)
 
 
@@ -586,9 +585,8 @@ def test_json_writer_on_an_edgeless_graph():
     g = labelled(synthetic([], extra_vertices=[3, 10, 7]))
     ok, parts = is_bipartite(g)
     assert ok and parts[1] == []
-    for p in (parts, None):
-        assert "".join(graph_to_json(g, p)) == json_text(g, p)
-        assert "".join(to_dot(g, p)) == ref_dot(g, p)
+    assert "".join(graph_to_json(g)) == json_text(g)
+    assert "".join(to_dot(g)) == ref_dot(g)
 
 
 @pytest.mark.parametrize("q,t,plus", [
@@ -597,19 +595,33 @@ def test_json_writer_on_an_edgeless_graph():
 ])
 def test_json_writer_matches_reference(q, t, plus):
     g = graph_of(q, plus) if t == 1 else power_of(q, t, plus=plus)
-    ok, parts = is_bipartite(g)
-    assert ok
-    for p in (parts, None):
-        assert "".join(graph_to_json(g, p)) == json_text(g, p)
-        assert "".join(to_dot(g, p)) == ref_dot(g, p)
-    assert "".join(graph_to_json(g, parts, components(g))) == json_text(g, parts)
+    assert is_bipartite(g)[0]
+    assert "".join(graph_to_json(g)) == json_text(g)
+    assert "".join(to_dot(g)) == ref_dot(g)
 
 
 @settings(max_examples=200, deadline=None)
 @given(random_graphs())
 def test_writers_match_references_on_random_graphs(g):
     g = labelled(g)
+    assert "".join(graph_to_json(g)) == json_text(g)
+    assert "".join(to_dot(g)) == ref_dot(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_graphs())
+def test_exporters_write_the_parts_exactly_when_bipartite(g):
+    # the exporters read the parts off the analysis: JSON has them exactly
+    # when is_bipartite says the graph is bipartite, and DOT then tags every
+    # vertex with its is_bipartite part (1 or 2), and no vertex otherwise
+    g = labelled(g)
     ok, parts = is_bipartite(g)
-    for p in ((parts, None) if ok else (None,)):
-        assert "".join(graph_to_json(g, p)) == json_text(g, p)
-        assert "".join(to_dot(g, p)) == ref_dot(g, p)
+    js = json.loads("".join(graph_to_json(g)))
+    assert ("parts" in js) == ok
+    tags = dict(line.strip()[1:-3].split('" [part="')
+                for line in "".join(to_dot(g)).splitlines() if line.endswith('"];'))
+    names = [sorted(g.vertex_name(v) for v in part) for part in parts]
+    assert len(tags) == (len(g.vertices) if ok else 0)
+    assert [sorted(n for n, k in tags.items() if k == side) for side in "12"] == names
+    if ok:
+        assert js["parts"] == names

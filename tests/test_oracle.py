@@ -175,7 +175,7 @@ def test_cap_enforced(monkeypatch):
 @pytest.mark.parametrize("q", FAST_QS)
 def test_oracle_matches_structural(q, sessions):
     sess = sessions(q)
-    assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.ctx, sess.inv)))
+    assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.inv)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Rules on the library source itself, read with ``ast``: the runtime imports
-only the standard library and itself, and only the CLI reads the
-environment."""
+only the standard library and itself, every name a module imports is read
+in it, and only the CLI reads the environment."""
 
 import ast
 import sys
@@ -28,6 +28,18 @@ def imported_roots(tree) -> set[str]:
     return roots
 
 
+def unused_imports(tree) -> set[str]:
+    """The names an import binds that the module never reads, at any depth."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    return bound - {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
 def reads_environment(tree) -> bool:
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT:
@@ -47,6 +59,12 @@ def test_every_module_is_checked():
 def test_imports_are_stdlib_or_invgen(path):
     foreign = imported_roots(parse(path)) - set(sys.stdlib_module_names) - {"invgen"}
     assert not foreign, f"{path.name} imports {sorted(foreign)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    unused = unused_imports(parse(path))
+    assert not unused, f"{path.name} imports {sorted(unused)} without reading them"
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "cli.py"],
@@ -73,3 +91,15 @@ def test_environment_reads_are_recognised(source, expected):
 ], ids=["dotted", "relative", "from-and-import"])
 def test_import_roots_are_recognised(source, expected):
     assert imported_roots(ast.parse(source)) == expected
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("import os.path\nos.sep", set()),
+    ("from a import b, c\nb()", {"c"}),
+    ("from a import b as c\nb", {"c"}),
+    ("from __future__ import annotations", set()),
+    ("def f() -> None:\n    from a import B\nx: B", set()),
+    ("import json\njson = 1", {"json"}),
+], ids=["dotted", "one-of-two", "alias", "future", "annotation", "store-only"])
+def test_unused_imports_are_recognised(source, expected):
+    assert unused_imports(ast.parse(source)) == expected

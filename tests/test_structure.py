@@ -50,6 +50,7 @@ from helpers import (
     ref_entries,
     ref_index_census,
     ref_profiles,
+    ref_psi2_count,
     ref_quotient_summary,
     ref_signature,
     ref_summary,
@@ -143,7 +144,7 @@ def test_build_profiles_match_per_label_reference(q):
     sigs, of_entry = inv.signatures[0], inv.class_signatures
     assert [sigs[i] for i in of_entry] == [ref_signature(ctx, e) for e in inv]
     assert len(set(sigs)) == len(sigs)
-    profiles = build_profiles(ctx, inv, classes)
+    profiles = build_profiles(inv, classes)
     assert len(profiles) == len(sigs)
     assert by_label(inv, profiles) == ref_profiles(ctx, inv, classes)
 
@@ -152,7 +153,7 @@ def test_profiles_q7_exact():
     ctx = gf_for_q(7)
     inv = inventory(ctx)
     profs = {lab.str_form(): sorted(ids) for lab, ids in
-             by_label(inv, build_profiles(ctx, inv, maximal_subgroup_classes(ctx))).items()}
+             by_label(inv, build_profiles(inv, maximal_subgroup_classes(ctx))).items()}
     assert profs["inv"] == ["dih_nonsplit", "exc_s4:v1", "exc_s4:v2"]
     assert profs["split:t=1"] == ["borel", "exc_s4:v1", "exc_s4:v2"]
     assert profs["nonsplit:t=3"] == ["dih_nonsplit", "exc_s4:v1", "exc_s4:v2"]
@@ -164,7 +165,7 @@ def test_profiles_q9_variant_split():
     ctx = gf_for_q(9)
     inv = inventory(ctx)
     profs = {lab.str_form(): ids for lab, ids in
-             by_label(inv, build_profiles(ctx, inv, maximal_subgroup_classes(ctx))).items()}
+             by_label(inv, build_profiles(inv, maximal_subgroup_classes(ctx))).items()}
     for n5 in ("nonsplit:t=4", "nonsplit:t=5"):
         assert {"dih_nonsplit", "exc_a5:v1", "exc_a5:v2"} <= profs[n5]
     assert "exc_a5:v1" in profs["unip:sq"] and "exc_a5:v2" not in profs["unip:sq"]
@@ -176,7 +177,7 @@ def test_profiles_q9_variant_split():
 def test_profiles_q25_subfield_traces():
     ctx = gf_for_q(25)
     inv = inventory(ctx)
-    profs = by_label(inv, build_profiles(ctx, inv, maximal_subgroup_classes(ctx)))
+    profs = by_label(inv, build_profiles(inv, maximal_subgroup_classes(ctx)))
     for entry in inv:
         if entry.label.kind != "split":
             continue
@@ -196,7 +197,7 @@ def test_profile_invariants(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
     classes = maximal_subgroup_classes(ctx)
-    profiles = build_profiles(ctx, inv, classes)
+    profiles = build_profiles(inv, classes)
     profs = by_label(inv, maximal_profiles(classes, profiles))
     full = by_label(inv, profiles)
     for entry in inv:
@@ -219,7 +220,7 @@ def test_profile_invariants(q):
 
 def test_psi2_q5_exact():
     ctx = gf_for_q(5)
-    table = psi2_structural(profile_census(ctx, inventory(ctx)))
+    table = psi2_structural(profile_census(inventory(ctx)))
     n3 = ClassLabel("nonsplit", 1)
     usq = ClassLabel("unip", sq=True)
     unsq = ClassLabel("unip", sq=False)
@@ -229,7 +230,7 @@ def test_psi2_q5_exact():
 def test_psi2_q7():
     ctx = gf_for_q(7)
     inv = inventory(ctx)
-    table = psi2_structural(profile_census(ctx, inv))
+    table = psi2_structural(profile_census(inv))
     assert len(table) == 8
     assert isolated(table) == {ClassLabel("split", 1)}
 
@@ -237,7 +238,7 @@ def test_psi2_q7():
 def test_psi2_q9():
     ctx = gf_for_q(9)
     inv = inventory(ctx)
-    table = psi2_structural(profile_census(ctx, inv))
+    table = psi2_structural(profile_census(inv))
     s4 = ClassLabel("split", 3)
     psi2_pairs = {(a.str_form(), b.str_form()) for a, b in pairs(table)}
     assert psi2_pairs == {
@@ -250,7 +251,7 @@ def test_psi2_q9():
 @pytest.mark.parametrize("q", MANDATORY_QS + [16, 17, 19, 23, 25, 27, 29, 31, 49])
 def test_psi2_symmetry_and_no_identity(q):
     ctx = gf_for_q(q)
-    psi2_pairs = pairs(psi2_structural(profile_census(ctx, inventory(ctx))))
+    psi2_pairs = pairs(psi2_structural(profile_census(inventory(ctx))))
     for a, b in psi2_pairs:
         assert (b, a) in psi2_pairs
         assert a.kind != "id" and b.kind != "id"
@@ -259,7 +260,7 @@ def test_psi2_symmetry_and_no_identity(q):
 
 def test_psi2_serialization():
     ctx = gf_for_q(5)
-    table = psi2_structural(profile_census(ctx, inventory(ctx)))
+    table = psi2_structural(profile_census(inventory(ctx)))
     js = json.loads("".join(table.json_chunks({"probability": 0.16})))
     assert js["q"] == 5 and js["method"] == "structural" and js["count"] == 4
     assert js["pairs"] == sorted(js["pairs"]) and js["probability"] == 0.16
@@ -282,7 +283,7 @@ def assert_blocks_match_rows(table):
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 16, 25, 49, 64, 81, 121])
 def test_text_blocks_match_rows_structural(q):
     ctx = gf_for_q(q)
-    assert_blocks_match_rows(psi2_structural(profile_census(ctx, inventory(ctx))))
+    assert_blocks_match_rows(psi2_structural(profile_census(inventory(ctx))))
 
 
 @pytest.mark.parametrize("q", MANDATORY_QS)
@@ -367,8 +368,8 @@ def test_psi2_table_len_is_the_pair_count():
     labels = inventory(gf_for_q(5)).nonidentity_labels()
     table = Psi2Table(5, "structural", labels, [(1, 2), (), (0,), (0, 1, 2)])
     assert len(table) == sum(map(len, table.near)) == len(rows(table))
-    census = profile_census(gf_for_q(13), inventory(gf_for_q(13)))
-    assert len(psi2_structural(census)) == census.psi2_count()
+    census = profile_census(inventory(gf_for_q(13)))
+    assert len(psi2_structural(census)) == census.psi2_count
 
 
 def test_text_blocks_sort_names_per_tuple_and_skip_empty():
@@ -395,7 +396,7 @@ def test_text_blocks_sort_names_per_tuple_and_skip_empty():
 def test_covering_q7_empty_both():
     ctx = gf_for_q(7)
     inv = inventory(ctx)
-    cov = verify_2covering(profile_census(ctx, inv))
+    cov = verify_2covering(profile_census(inv))
     _, only_dihedral, both = covering_sets(inv, cov)
     assert cov.ok and both == set()
     assert {l.str_form() for l in only_dihedral} == {"inv", "nonsplit:t=3"}
@@ -404,14 +405,14 @@ def test_covering_q7_empty_both():
 def test_covering_q13_both_is_involution():
     ctx = gf_for_q(13)
     inv = inventory(ctx)
-    cov = verify_2covering(profile_census(ctx, inv))
+    cov = verify_2covering(profile_census(inv))
     assert cov.ok and {l.str_form() for l in covering_sets(inv, cov)[2]} == {"inv"}
 
 
 def test_covering_q8_both_is_unipotent():
     ctx = gf_for_q(8)
     inv = inventory(ctx)
-    cov = verify_2covering(profile_census(ctx, inv))
+    cov = verify_2covering(profile_census(inv))
     assert cov.ok and {l.str_form() for l in covering_sets(inv, cov)[2]} == {"unip"}
 
 
@@ -419,7 +420,7 @@ def test_covering_holds_widely():
     for q in range(4, 200):
         if prime_power_split(q):
             ctx = gf_for_q(q)
-            assert verify_2covering(profile_census(ctx, inventory(ctx))).ok, q
+            assert verify_2covering(profile_census(inventory(ctx))).ok, q
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +431,7 @@ def test_covering_holds_widely():
 def test_census_count_matches_explicit(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    assert profile_census(ctx, inv).psi2_count() == len(psi2_structural(profile_census(ctx, inv)))
+    assert profile_census(inv).psi2_count == len(psi2_structural(profile_census(inv)))
 
 
 @pytest.mark.parametrize("q", MANDATORY_QS + [16, 25, 27, 49, 64, 81, 121, 128, 243, 256])
@@ -439,14 +440,14 @@ def test_psi2_equals_label_pair_sweep(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
     classes = maximal_subgroup_classes(ctx)
-    profs = by_label(inv, maximal_profiles(classes, build_profiles(ctx, inv, classes)))
+    profs = by_label(inv, maximal_profiles(classes, build_profiles(inv, classes)))
     labels = inv.nonidentity_labels()
     expected = set()
     for i, c in enumerate(labels):
         for d in labels[i:]:
             if profs[c].isdisjoint(profs[d]):
                 expected |= {(c, d), (d, c)}
-    assert pairs(psi2_structural(profile_census(ctx, inv))) == expected
+    assert pairs(psi2_structural(profile_census(inv))) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -459,19 +460,20 @@ def test_signature_route_matches_label_reference(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
     entries = ref_entries(ctx)
-    assert len(inv) == len(entries)
+    assert len(inv) == len(entries)  # the class count
     assert inv.entries == entries
-    census = profile_census(ctx, inv)
+    census = profile_census(inv)
     labels, buckets, members, _ = ref_census(ctx, entries)
     assert census.buckets == buckets
     assert census.sizes == [len(m) for m in members]
+    assert census.psi2_count == ref_psi2_count(buckets, members)
     assert [[labels[i] for i in mem] for mem in census.members()] == members
     cover = verify_2covering(census)
     ok, only_borel, only_dihedral, both = ref_covering(ctx, entries)
     assert cover.ok == ok
     assert covering_sets(inv, cover) == (only_borel, only_dihedral, both)
-    assert lambda_summary(ctx, inv, census, cover) == ref_summary(ctx, entries)
-    assert beta_fast(census) == ref_beta_fast(ctx, entries, aut_action(ctx, inv))
+    assert lambda_summary(census, cover) == ref_summary(ctx, entries)
+    assert beta_fast(census) == ref_beta_fast(ctx, entries, aut_action(inv))
 
 
 @pytest.mark.parametrize("q", [q for q in range(4, 1025) if prime_power_split(q)])
@@ -481,14 +483,15 @@ def test_census_matches_class_index_reference(q):
     # covering rules run again
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    census = profile_census(ctx, inv)
+    census = profile_census(inv)
     ref, members, sides = ref_index_census(ctx, inv)
     sigs, of_class = ref_class_signatures(inv)
     counts = Counter(of_class)
     assert inv.signatures == (sigs, [counts[s] for s in range(len(sigs))])
     assert census.profiles == ref.profiles
-    assert (census.buckets, census.sizes, census.sig_bucket, census.disjoint) == (
-        ref.buckets, ref.sizes, ref.sig_bucket, ref.disjoint)
+    assert (census.buckets, census.sizes, census.sig_bucket, census.disjoint,
+            census.psi2_count) == (
+        ref.buckets, ref.sizes, ref.sig_bucket, ref.disjoint, ref.psi2_count)
     cover = verify_2covering(census)
     assert cover == (all(sides[1:]), sides)
     # every summary field: isolated named through the index, the rest from
@@ -496,10 +499,10 @@ def test_census_matches_class_index_reference(q):
     dead = {b for b in range(len(ref.buckets))
             if all(j == b for i, j in ref.disjoint if i == b)}
     names = sorted(str(inv.entries[i + 1].label) for b in dead for i in members[b])
-    expected = lambda_summary(ctx, inv, ref, CoveringResult(all(sides[1:]), sides))._replace(
+    expected = lambda_summary(ref, CoveringResult(all(sides[1:]), sides))._replace(
         isolated=names)
-    assert lambda_summary(ctx, inv, census, cover) == expected
-    assert lambda_summary(ctx, inv, census, cover) == ref_quotient_summary(ctx, inv, census, cover)
+    assert lambda_summary(census, cover) == expected
+    assert lambda_summary(census, cover) == ref_quotient_summary(census, cover)
     assert census.members() == members and inv.class_signatures == of_class
 
 

@@ -90,7 +90,7 @@ def test_graph_keeps_its_export_span(tmp_path):
         spans, _ = traced(tmp_path, "graph", "--q", "7", "--plus", "--format", fmt)
         assert spans["iggraph.export"] == 1, fmt
         assert spans["iggraph.diameter"] == spans["iggraph.graph"] == 1, fmt
-        assert spans["iggraph.components"] == 1, fmt  # shared by the JSON and the summary
+        assert spans["iggraph.components"] == 1, fmt  # the summary's; the writers read g.analysis
 
 
 def test_exporters_are_generator_functions():
