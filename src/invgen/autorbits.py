@@ -14,10 +14,10 @@ group is the d*f products diag^e * Frob^i (e < d, i < f), with d = 2 for q
 odd and 1 for q even.
 
 Frob^i sends the trace pair {t, -t} to {t^(p^i), -t^(p^i)}, the same pair
-iff (t^2)^(p^i) = t^2, iff t^2 lies in GF(p^i) meet GF(q) = GF(p^gcd(i,f)),
-that is iff gcd(i, f) lies in the ``trace_sq_in`` of the class signature
-(``ClassInventory.signatures``); diag * Frob^i fixes the same classes less
-the two unipotent ones.
+iff (t^2)^(p^i) = t^2, iff t^2 lies in GF(p^i) meet GF(q) = GF(p^gcd(i,f)).
+So Frob^i fixes a torus class of order j iff p^gcd(i,f) = +-1 (mod j),
+by the argument of the subfield rule in ``structure.label_meets``;
+diag * Frob^i fixes the same classes less the two unipotent ones.
 
 Lemma.  For 0 < i < f, no Psi2 pair has both classes fixed by Frob^i.
 

@@ -43,8 +43,9 @@ ORACLE_VERIFY_DEFAULT = 13  # oracle cross-check in `verify` runs for q up to th
 ORACLE_VERIFY_EXTENDED = (16, 25, 27, 31)
 # `verify` refuses a range whose prime powers sum past this (exit 3).  A
 # field's tables and classes grow with q, so the sum bounds the run:
-# 4..1024 sums to 87,755 and verifies in about 0.23 s; q = 2^18 alone takes
-# about 0.7 s and 67 MB, q = 2^20 alone about 3 s and 226 MB (2-core Xeon).
+# 4..1024 sums to 87,755 and verifies in about 0.12 s end to end; q = 2^18
+# alone takes about 0.25 s and 69 MB, and q = 2^20 alone about 0.9 s and
+# 229 MB through ``verify_qs`` in-process (2-core Xeon VM).
 VERIFY_Q_SUM_CAP = 1 << 18
 
 
@@ -72,12 +73,15 @@ def _context(args) -> GFContext:
 
 def _oracle_cap() -> int:
     """The oracle cap: ``CAP_ENV`` if set and nonempty, else ``DEFAULT_CAP``;
-    a malformed value is refused as usage."""
+    a malformed or negative value is refused as usage."""
     value = os.environ.get(CAP_ENV)
     try:
-        return int(value) if value else DEFAULT_CAP
+        cap = int(value) if value else DEFAULT_CAP
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if cap < 0:
+        raise UsageError(f"{CAP_ENV} must be at least 0, got {cap}")
+    return cap
 
 
 def _open_out(path: str | None) -> contextlib.AbstractContextManager:
@@ -274,17 +278,20 @@ def verify_qs(runs: Iterable[tuple[GFContext, bool]]) -> Iterator[dict[str, bool
     from invgen.autorbits import beta_fast
     from invgen.iggraph import expected_isolated, lambda_summary
     from invgen.oracle import OracleSession
-    from invgen.psl2 import inventory
+    from invgen.psl2 import inventory, torus_class_counts
     from invgen.structure import profile_census, psi2_structural, verify_2covering
 
     for ctx, oracle in runs:
         q, inv = ctx.q, inventory(ctx)
         d, census = inv.d, profile_census(inv)
+        sigs, counts = inv.signatures
+        head = len(inv.head)
         cover = verify_2covering(census)
         s = lambda_summary(census, cover)
         b = beta_fast(census)
         checks = {
-            "class_count": len(inv) == (q + 4 * d - 3) // d,
+            # the torus classes per signature, counted by the fold, against arithmetic
+            "class_count": dict(zip(sigs[head:], counts[head:])) == torus_class_counts(q),
             "two_covering": cover.ok,
             "bipartite": s.bipartite and s.parts_match_covering,
             "connected": s.component_count == 1,

@@ -63,8 +63,8 @@ from invgen.structure import (
 
 POWER_WORK_CAP = 10 ** 6  # power-graph vertices, and candidate neighbour tuples
 # The largest beta whose exact (1/2) * C(beta, beta/2) is built: beta at
-# q = 4096, whose binomial takes about 6 s, against 0.06 s at q = 1024
-# (beta = 52,326; 2-core Xeon).
+# q = 4096, whose binomial and its decimal text take about 3.2 s and 0.55 s,
+# against 0.03 s at q = 1024 (beta = 52,326; in-process, 2-core Xeon VM).
 BOUND_BETA_CAP = 698_700
 
 

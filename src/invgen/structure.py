@@ -57,7 +57,6 @@ class SubgroupClass(NamedTuple):
     maximal: bool
     variant: int | None = None  # 1 or 2 for kinds that come as two classes
     q0: int | None = None  # subfield size for subfield kinds
-    sub_degree: int | None = None  # e with q0 = p^e
 
     @property
     def id(self) -> str:
@@ -92,20 +91,16 @@ def maximal_subgroup_classes(ctx: GFContext) -> list[SubgroupClass]:
         if q0 == 2:
             continue
         d0 = 2 if q0 % 2 == 1 else 1
-        out.append(SubgroupClass(SUBFIELD_PSL, q0 * (q0 * q0 - 1) // d0, True,
-                                 q0=q0, sub_degree=f // r))
+        out.append(SubgroupClass(SUBFIELD_PSL, q0 * (q0 * q0 - 1) // d0, True, q0=q0))
     if f % 2 == 0:
         q0 = p ** (f // 2)
         if q0 != 2:
             order = q0 * (q0 * q0 - 1)
             if q % 2 == 1:
-                out.append(SubgroupClass(SUBFIELD_PGL, order, True, variant=1,
-                                         q0=q0, sub_degree=f // 2))
-                out.append(SubgroupClass(SUBFIELD_PGL, order, True, variant=2,
-                                         q0=q0, sub_degree=f // 2))
+                out.append(SubgroupClass(SUBFIELD_PGL, order, True, variant=1, q0=q0))
+                out.append(SubgroupClass(SUBFIELD_PGL, order, True, variant=2, q0=q0))
             else:
-                out.append(SubgroupClass(SUBFIELD_PGL, order, True,
-                                         q0=q0, sub_degree=f // 2))
+                out.append(SubgroupClass(SUBFIELD_PGL, order, True, q0=q0))
     if f == 1 and q % 40 in (3, 5, 13, 27, 37):
         out.append(SubgroupClass(EXC_A4, 12, True))
     if f == 1 and q % 8 in (1, 7):
@@ -145,20 +140,24 @@ def label_meets(ctx: GFContext, sig: ClassSignature, sc: SubgroupClass) -> bool:
         if kind == "inv":
             return True
         return even and kind == "unip"
-    if sub_kind == SUBFIELD_PSL:
-        if kind in ("unip", "inv"):
-            return True  # odd-degree extensions preserve square classes
-        return sc.sub_degree in sig.trace_in
-    if sub_kind == SUBFIELD_PGL:
-        if kind == "inv":
-            return True
-        if kind == "unip":
-            if even:
-                return True
+    if sub_kind in (SUBFIELD_PSL, SUBFIELD_PGL):
+        if kind == "unip" and sub_kind == SUBFIELD_PGL and not even:
             # GF(q0)* consists of squares of GF(q0^2), so the standard copy
             # meets the square class and its twisted conjugate the other
             return sig.sq is (sc.variant == 1)
-        return sc.sub_degree in sig.trace_sq_in
+        if kind in ("unip", "inv"):
+            # q even, or PSL(2,q0): odd-degree extensions preserve square classes
+            return True
+        # A torus class of PSL-order j has trace t = z + 1/z, z an
+        # eigenvalue (in GF(q) or GF(q^2)) of a preimage in SL(2,q), and
+        # z -> z + 1/z is two to one with fibres {z, 1/z}.  So t^2 lies in
+        # GF(q0) iff t^q0 = +-t, iff z^q0 is one of +-z, +-1/z, iff
+        # q0 = +-1 mod j.  PGL(2,q0) meets the class iff t^2 lies in
+        # GF(q0) (the ``autorbits`` docstring), PSL(2,q0) iff t does; for
+        # PSL the degree [GF(q):GF(q0)] is an odd prime, and t^2 in GF(q0)
+        # with t not would put GF(q0)(t) = GF(q0^2) in GF(q), so the one
+        # order test decides both.
+        return sc.q0 % sig.order in (1, sig.order - 1)
     if sub_kind in _EXC_ORDERS:
         orders = _EXC_ORDERS[sub_kind]
         if kind == "inv":

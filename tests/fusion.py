@@ -47,7 +47,7 @@ from invgen.structure import (
     SubgroupClass,
     maximal_subgroup_classes,
 )
-from helpers import in_subfield
+from helpers import in_subfield, subfield_degree
 
 SEED = 20260810  # seeds every random search, so the certifier is deterministic
 
@@ -68,11 +68,11 @@ def stabiliser(sess, points: set[int]) -> frozenset[Perm]:
     return frozenset(g for g in sess.label_of_perm if g.translate(mark) == want)
 
 
-def subline(sess, sub_degree: int, scale: int = 1) -> set[int]:
-    """The points {inf} u scale*GF(p^sub_degree)."""
+def subline(sess, q0: int, scale: int = 1) -> set[int]:
+    """The points {inf} u scale*GF(q0)."""
     ctx = sess.ctx
-    return {0} | {1 + ctx.mul(scale, v) for v in range(ctx.q)
-                  if in_subfield(ctx, v, sub_degree)}
+    e = subfield_degree(ctx, q0)
+    return {0} | {1 + ctx.mul(scale, v) for v in range(ctx.q) if in_subfield(ctx, v, e)}
 
 
 def dihedral_nonsplit_subgroup(sess) -> frozenset[Perm]:
@@ -181,8 +181,8 @@ def class_fusion(sess) -> dict[str, set[ClassLabel]]:
         BOREL: lambda sc: [stabiliser(sess, {0})],
         DIH_SPLIT: lambda sc: [stabiliser(sess, {0, 1})],
         DIH_NONSPLIT: lambda sc: [dihedral_nonsplit_subgroup(sess)],
-        SUBFIELD_PSL: lambda sc: [stabiliser(sess, subline(sess, sc.sub_degree))],
-        SUBFIELD_PGL: lambda sc: [stabiliser(sess, subline(sess, sc.sub_degree, s))
+        SUBFIELD_PSL: lambda sc: [stabiliser(sess, subline(sess, sc.q0))],
+        SUBFIELD_PGL: lambda sc: [stabiliser(sess, subline(sess, sc.q0, s))
                                   for s in scales],
     }
     classes = maximal_subgroup_classes(ctx)

@@ -14,8 +14,8 @@ from invgen.psl2 import (
     is_split_trace, trace_key,
 )
 from invgen.structure import (
-    BOREL, BOREL_SIDE, DIH_NONSPLIT, DIHEDRAL_SIDE, ProfileCensus, Psi2Table, label_meets,
-    maximal_subgroup_classes, profile_universe,
+    BOREL, BOREL_SIDE, DIH_NONSPLIT, DIHEDRAL_SIDE, SUBFIELD_PGL, SUBFIELD_PSL, ProfileCensus,
+    Psi2Table, label_meets, maximal_subgroup_classes, profile_universe,
 )
 
 
@@ -345,17 +345,46 @@ def ref_orbits(action, table) -> dict:
     return {pair: find(pair) for pair in parent}
 
 
-def ref_signature(ctx, entry) -> ClassSignature:
-    """The class signature of one inventory entry, from that entry alone:
-    the trace is the label's key, 0 for the involution class and 2 for the
-    identity and the unipotent classes (up to sign)."""
-    label = entry.label
-    t = label.trace if label.trace >= 0 else 0 if label.kind == "inv" else ctx.scalar(2)
-    t2 = ctx.mul(t, t)
-    degrees = [e for e in range(1, ctx.f + 1) if ctx.f % e == 0]
-    return ClassSignature(label.kind, label.sq, entry.order,
-                          tuple(e for e in degrees if in_subfield(ctx, t, e)),
-                          tuple(e for e in degrees if in_subfield(ctx, t2, e)))
+def ref_signature(entry) -> ClassSignature:
+    """The class signature of one inventory entry, from that entry alone."""
+    return ClassSignature(entry.label.kind, entry.label.sq, entry.order)
+
+
+def subfield_degree(ctx, q0) -> int:
+    """The e with q0 = p^e."""
+    e = 1
+    while ctx.p ** e < q0:
+        e += 1
+    assert ctx.p ** e == q0, (ctx.q, q0)
+    return e
+
+
+def ref_subfield_meets(ctx, label, sc, squared: bool) -> bool:
+    """Whether the trace key t of the torus class ``label`` (``squared``:
+    its square t^2) lies in GF(q0) of the subfield record ``sc``, by the
+    discrete log: the literal membership that the order test of
+    ``label_meets`` replaces.  PSL(2,q0) meets the class iff t lies in
+    GF(q0), PGL(2,q0) iff t^2 does."""
+    t = label.trace
+    return in_subfield(ctx, ctx.mul(t, t) if squared else t, subfield_degree(ctx, sc.q0))
+
+
+def subfield_order_test_mismatches(ctx, inv) -> list:
+    """The (label, subgroup id) pairs, over every torus class and subfield
+    record, where ``label_meets`` differs from t^2 in GF(q0) or, for a
+    subfield PSL record, from t in GF(q0)."""
+    records = [sc for sc in maximal_subgroup_classes(ctx)
+               if sc.kind in (SUBFIELD_PSL, SUBFIELD_PGL)]
+    out = []
+    for entry in inv.entries[len(inv.head):]:
+        sig = ref_signature(entry)
+        for sc in records:
+            meets = label_meets(ctx, sig, sc)
+            if meets != ref_subfield_meets(ctx, entry.label, sc, True) or (
+                    sc.kind == SUBFIELD_PSL
+                    and meets != ref_subfield_meets(ctx, entry.label, sc, False)):
+                out.append((entry.label, sc.id))
+    return out
 
 
 def by_label(inv, per_signature) -> dict:
@@ -365,16 +394,24 @@ def by_label(inv, per_signature) -> dict:
             for lab, sig in zip(inv.labels()[1:], inv.class_signatures[1:])}
 
 
-def ref_profiles(ctx, inv, classes) -> dict:
-    """``build_profiles`` one label at a time: every rule evaluated for every
-    nonidentity label, on a signature built for that label alone."""
+def ref_profiles(ctx, entries, classes) -> dict:
+    """Nonidentity label -> profile over the profile universe: ``build_profiles``
+    one label at a time, every rule evaluated for every nonidentity label,
+    on a signature built for that label alone, except that a torus class
+    meets a subfield record by literal membership of its trace
+    (``ref_subfield_meets``)."""
     universe = profile_universe(classes)
     out = {}
-    for entry in inv:
-        if entry.label.kind == "id":
+    for entry in entries:
+        label = entry.label
+        if label.kind == "id":
             continue
-        sig = ref_signature(ctx, entry)
-        out[entry.label] = frozenset(sc.id for sc in universe if label_meets(ctx, sig, sc))
+        sig = ref_signature(entry)
+        out[label] = frozenset(
+            sc.id for sc in universe
+            if (ref_subfield_meets(ctx, label, sc, sc.kind == SUBFIELD_PGL)
+                if label.trace >= 0 and sc.kind in (SUBFIELD_PSL, SUBFIELD_PGL)
+                else label_meets(ctx, sig, sc)))
     return out
 
 
@@ -589,37 +626,10 @@ def ref_entries(ctx) -> list:
     return entries
 
 
-def ref_signatures(ctx, entries) -> tuple:
-    """The distinct signatures of the entries, in order of first appearance,
-    and the position of each entry's signature, with the subfield tests run
-    on every label's trace key."""
-    degrees = tuple(e for e in range(1, ctx.f + 1) if ctx.f % e == 0)
-
-    def within(t):
-        return tuple(e for e in degrees if in_subfield(ctx, t, e))
-
-    keys = [(label.kind, label.sq, order, within(t), within(ctx.mul(t, t)))
-            if (t := label.trace) >= 0 else (label.kind, label.sq, order, degrees, degrees)
-            for label, order, _ in entries]
-    position = {}
-    of_entry = [position.setdefault(key, len(position)) for key in keys]
-    return [ClassSignature(*key) for key in position], of_entry
-
-
-def ref_build_profiles(ctx, entries, classes) -> dict:
-    """Nonidentity label -> profile over the profile universe."""
-    universe = profile_universe(classes)
-    sigs, of_entry = ref_signatures(ctx, entries)
-    profiles = [frozenset(sc.id for sc in universe if label_meets(ctx, sig, sc))
-                for sig in sigs]
-    return {entry.label: profiles[i]
-            for entry, i in zip(entries, of_entry) if entry.label.kind != "id"}
-
-
 def ref_maximal_profiles(ctx, entries, classes) -> dict:
     maximal_ids = frozenset(sc.id for sc in classes if sc.maximal)
     return {label: prof & maximal_ids
-            for label, prof in ref_build_profiles(ctx, entries, classes).items()}
+            for label, prof in ref_profiles(ctx, entries, classes).items()}
 
 
 def ref_census(ctx, entries) -> tuple:
@@ -642,11 +652,11 @@ def ref_covering(ctx, entries) -> tuple:
     dihedral = next(sc for sc in classes if sc.kind == DIH_NONSPLIT)
     only_b, only_d, both = set(), set(), set()
     ok = True
-    sigs, of_entry = ref_signatures(ctx, entries)
-    for entry, i in zip(entries, of_entry):
+    for entry in entries:
         if entry.label.kind == "id":
             continue
-        in_b, in_d = label_meets(ctx, sigs[i], borel), label_meets(ctx, sigs[i], dihedral)
+        sig = ref_signature(entry)
+        in_b, in_d = label_meets(ctx, sig, borel), label_meets(ctx, sig, dihedral)
         if in_b and in_d:
             both.add(entry.label)
         elif in_b:
@@ -734,21 +744,13 @@ def ref_beta_fast(ctx, entries, action) -> int:
 def ref_class_signatures(inv) -> tuple:
     """(signatures, of_class): the distinct signatures in order of first
     appearance, and the position of the signature of every class."""
-    p, f = inv.ctx.p, inv.ctx.f
-    degrees = tuple(e for e in range(1, f + 1) if f % e == 0)
-
-    def within(m):
-        return tuple(e for e in degrees if (p ** e - 1) % m == 0 or (p ** e + 1) % m == 0)
-
     position = {}
-    of_class = [position.setdefault((e.label.kind, e.label.sq, e.order, degrees, degrees),
+    of_class = [position.setdefault(ClassSignature(e.label.kind, e.label.sq, e.order),
                                     len(position)) for e in inv.head]
     for kind, _, orders, _ in inv.tori:
-        of_order = {j: position.setdefault(
-            (kind, None, j, within(j if j % 2 else 2 * j), within(j)), len(position))
-            for j in dict.fromkeys(orders)}
-        of_class += map(of_order.__getitem__, orders)
-    return [ClassSignature(*key) for key in position], of_class
+        of_class += [position.setdefault(ClassSignature(kind, None, j), len(position))
+                     for j in orders]
+    return list(position), of_class
 
 
 def ref_index_census(ctx, inv) -> tuple:

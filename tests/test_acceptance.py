@@ -5,8 +5,9 @@ is asserted (they are generous on desk hardware).  The extended oracle set
 {16, 25, 27, 31} only runs when INVGEN_EXTENDED=1; `invgen verify
 --extended` runs the same set.  Extended mode also runs the oracle's Psi2
 at q = 49, 64 and 81, its class fusion at {25, 27, 49, 64, 81}, and beta
-against the label-level reference at q = 3^11 and 2^18, and the beta report
-at the bound cap (q = 4096).
+against the label-level reference at q = 3^11 and 2^18, the subfield order
+test against trace membership at the same two q, and the beta report at
+the bound cap (q = 4096).
 """
 
 import hashlib
@@ -44,6 +45,7 @@ from helpers import (
     psl2_mul,
     ref_beta_fast,
     ref_entries,
+    subfield_order_test_mismatches,
 )
 
 ALL_QS = [q for q in range(4, 1025) if prime_power_split(q)]
@@ -66,6 +68,10 @@ EXTENDED_FUSION_QS = [25, 27, 49, 64, 81]
 # beta by signature against the label-level reference past the sweep: odd
 # f = 11 and the largest f within the verify cap
 EXTENDED_BETA_QS = [3 ** 11, 2 ** 18]
+# the subfield rules' order test against literal trace membership past the
+# tier-1 range q <= 4096: odd f = 11 (subfield PSL(2,3)) and f = 18
+# (subfield PSL(2,64) and PGL(2,512))
+EXTENDED_ORDER_TEST_QS = [3 ** 11, 2 ** 18]
 
 EXTENDED = os.environ.get("INVGEN_EXTENDED") == "1"
 
@@ -129,6 +135,14 @@ def test_c02_class_fusion_extended():
         for q in EXTENDED_FUSION_QS:
             sess = OracleSession(inventory(gf_for_q(q)))
             assert fusion_key(class_fusion(sess)) == fusion_key(expected_fusion(sess)), q
+
+
+@pytest.mark.skipif(not EXTENDED, reason="large-q order test needs INVGEN_EXTENDED=1")
+def test_c02_subfield_order_test_extended():
+    with Budget("criterion 2 extended: subfield order test at q = 3^11, 2^18", 60):
+        for q in EXTENDED_ORDER_TEST_QS:
+            ctx = gf_for_q(q)
+            assert subfield_order_test_mismatches(ctx, inventory(ctx)) == [], q
 
 
 def test_c03_isolated_vertex_census():

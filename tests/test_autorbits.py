@@ -80,16 +80,19 @@ def test_action_group_order_divides_out(q):
 
 @pytest.mark.parametrize("q", NONPRIME_POWERS)
 def test_frobenius_fixes_the_classes_its_signatures_say(q):
-    # diag^e * Frob^i fixes a class iff gcd(i, f) lies in its signature's
-    # trace_sq_in and not (e and it is unipotent); the maps aut_action
-    # builds from the field must move exactly the other classes
+    # diag^e * Frob^i fixes a class iff it is a head class, or a torus
+    # class of order j with p^gcd(i, f) = +-1 (mod j), and not (e and it is
+    # unipotent); the maps aut_action builds from the field must move
+    # exactly the other classes
     ctx = gf_for_q(q)
     inv = inventory(ctx)
     action = aut_action(inv)
     sigs, of_class = inv.signatures[0], inv.class_signatures
 
     def fixes(e, i, sig):
-        return gcd(i, ctx.f) in sig.trace_sq_in and not (e and sig.kind == "unip")
+        g = ctx.p ** gcd(i, ctx.f)
+        frob_fixes = sig.kind not in ("split", "nonsplit") or g % sig.order in (1, sig.order - 1)
+        return frob_fixes and not (e and sig.kind == "unip")
 
     n = len(inv) - 1
     identity = list(range(n))

@@ -375,6 +375,36 @@ def test_verify_bad_range(capsys):
     assert code == 2
 
 
+def drop_first(inv, torus):
+    t = inv.tori[torus]
+    return drop_class(inv, psl2.ClassLabel(t.kind, t.keys[0]))
+
+
+def move_first(inv, torus):
+    """The first class of the torus takes the order of another: the class
+    total, which the check compared before, still holds."""
+    t = inv.tori[torus]
+    tori = list(inv.tori)
+    tori[torus] = t._replace(orders=[next(j for j in t.orders if j != t.orders[0]),
+                                     *t.orders[1:]])
+    return psl2.ClassInventory(inv.ctx, inv.head, tori)
+
+
+@pytest.mark.parametrize("fault", [drop_first, move_first])
+@pytest.mark.parametrize("q,torus", [(16, 0), (25, 0), (29, 0), (29, 1)])
+def test_verify_class_count_fails_on_a_wrong_torus_count(q, torus, fault, monkeypatch, capsys):
+    # the per-signature torus counts are compared with arithmetic, so an
+    # inventory short of one class, or with one class under another order,
+    # reads false (q > 13: no oracle run; at q = 16 without a nonsplit class
+    # Burnside's count is not an integer, and beta_fast stops the run with
+    # exit 4 before the checks)
+    real = psl2.inventory
+    monkeypatch.setattr(psl2, "inventory", lambda ctx: fault(real(ctx), torus))
+    code, out, _ = run(capsys, "verify", "--q-range", f"{q}..{q}")
+    assert code == 1
+    assert json.loads(out)["checks"][str(q)]["class_count"] is False
+
+
 def test_verify_respects_cap_env(monkeypatch, capsys):
     monkeypatch.setenv("INVGEN_ORACLE_CAP", "5")
     code, out, _ = run(capsys, "verify", "--q-range", "4..8")
@@ -483,6 +513,14 @@ def test_malformed_oracle_cap_is_usage(argv, capsys, monkeypatch):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == "error: invalid literal for int() with base 10: 'abc'\n"
+
+
+@pytest.mark.parametrize("argv", [["psi2", "--q", "5", "--method", "oracle"],
+                                  ["verify", "--q-range", "4..5"]])
+def test_negative_oracle_cap_is_usage(argv, capsys, monkeypatch):
+    monkeypatch.setenv("INVGEN_ORACLE_CAP", "-5")
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: INVGEN_ORACLE_CAP must be at least 0, got -5\n")
 
 
 def test_usage_no_command(capsys):

@@ -394,7 +394,7 @@ def test_subgroup_representative_orders(sessions):
 
 def test_subfield_subgroups_q9(sessions):
     sess = sessions(9)
-    v1, v2 = (stabiliser(sess, subline(sess, 1, s)) for s in (1, 3))  # 3 = least nonsquare
+    v1, v2 = (stabiliser(sess, subline(sess, 3, s)) for s in (1, 3))  # 3 = least nonsquare
     assert len(v1) == len(v2) == 24  # PGL(2,3) is S4
     assert v1 != v2
 
@@ -442,4 +442,4 @@ def test_subfield_groups_are_subline_stabilisers(q, sessions, reference_subgroup
     for key, group in subfield.items():
         degree = int(key.split(":")[1])
         scale = mu if key.endswith("twisted") else 1
-        assert stabiliser(sess, subline(sess, degree, scale)) == group, key
+        assert stabiliser(sess, subline(sess, ctx.p ** degree, scale)) == group, key

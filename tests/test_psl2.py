@@ -6,8 +6,8 @@ import pytest
 
 from invgen.gf import gf_for_q, prime_power_split
 from invgen.psl2 import (
-    ClassLabel, _fold_traces, _nonsplit_walk, _power_orders, _trace_keys, enumerate_psl2,
-    inventory, trace_key,
+    ClassLabel, ClassSignature, _fold_traces, _nonsplit_walk, _power_orders, _trace_keys,
+    enumerate_psl2, inventory, torus_class_counts, trace_key,
 )
 from helpers import (
     IDENTITY, canon, dickson, make, nonsplit_generator_trace, psl2_class_of, psl2_inv, psl2_mul,
@@ -176,12 +176,21 @@ def test_enumerated_sizes_match_formulas(q):
 def test_phi_over_2_labels_per_order(q):
     inv = inventory(gf_for_q(q))
     d = 2 if q % 2 == 1 else 1
-    by_order = Counter(e.order for e in inv
-                       if e.label.kind in ("split", "nonsplit"))
-    for n in ((q - 1) // d, (q + 1) // d):
-        for ell in range(3, n + 1):
-            if n % ell == 0:
-                assert by_order[ell] == euler_phi(ell) // 2, (q, ell)
+    expected = {ClassSignature(kind, None, ell): euler_phi(ell) // 2
+                for kind, n in (("split", (q - 1) // d), ("nonsplit", (q + 1) // d))
+                for ell in range(3, n + 1) if n % ell == 0}
+    assert Counter(ClassSignature(e.label.kind, None, e.order) for e in inv
+                   if e.label.kind in ("split", "nonsplit")) == expected
+    assert torus_class_counts(q) == expected
+
+
+@pytest.mark.parametrize("q", [q for q in range(4, 1025) if prime_power_split(q)]
+                         + [2048, 2187, 4093, 4096])
+def test_torus_class_counts_are_the_inventory_counts(q):
+    inv = inventory(gf_for_q(q))
+    head = len(inv.head)
+    sigs, counts = inv.signatures
+    assert torus_class_counts(q) == dict(zip(sigs[head:], counts[head:]))
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 11, 13])

@@ -54,6 +54,7 @@ from helpers import (
     ref_quotient_summary,
     ref_signature,
     ref_summary,
+    subfield_order_test_mismatches,
     rows,
 )
 
@@ -84,7 +85,7 @@ def test_subgroup_class_is_hashable_and_immutable():
     classes = maximal_subgroup_classes(gf_for_q(25))
     again = maximal_subgroup_classes(gf_for_q(25))
     assert len(set(classes) | set(again)) == len(classes)
-    sc = SubgroupClass(SUBFIELD_PGL, 120, True, variant=1, q0=5, sub_degree=1)
+    sc = SubgroupClass(SUBFIELD_PGL, 120, True, variant=1, q0=5)
     assert sc in set(classes) and hash(sc) == hash(classes[classes.index(sc)])
     assert str(sc) == sc.id == "subfield_pgl:q0=5:v1"
     with pytest.raises(AttributeError):
@@ -142,11 +143,22 @@ def test_build_profiles_match_per_label_reference(q):
     inv = inventory(ctx)
     classes = maximal_subgroup_classes(ctx)
     sigs, of_entry = inv.signatures[0], inv.class_signatures
-    assert [sigs[i] for i in of_entry] == [ref_signature(ctx, e) for e in inv]
+    assert [sigs[i] for i in of_entry] == [ref_signature(e) for e in inv]
     assert len(set(sigs)) == len(sigs)
     profiles = build_profiles(inv, classes)
     assert len(profiles) == len(sigs)
     assert by_label(inv, profiles) == ref_profiles(ctx, inv, classes)
+
+
+NONPRIME_POWERS = [q for q in range(4, 4097) if (pf := prime_power_split(q)) and pf[1] > 1]
+
+
+@pytest.mark.parametrize("q", NONPRIME_POWERS)
+def test_subfield_order_test_is_trace_membership(q):
+    # the order test of label_meets against t^2 in GF(q0), and for a
+    # subfield PSL record also t in GF(q0), at every torus class
+    ctx = gf_for_q(q)
+    assert subfield_order_test_mismatches(ctx, inventory(ctx)) == []
 
 
 def test_profiles_q7_exact():

@@ -4,6 +4,8 @@ Each command runs under ``perfbench/traced_cli.py``, which wraps the layer
 functions and records spans and counters; the tests read its output file.
 """
 
+import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -12,10 +14,37 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from invgen import iggraph
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "traced_cli.py"
+
+
+def load_tracer():
+    """``perfbench/traced_cli.py`` as a module, its tracer not installed."""
+    spec = importlib.util.spec_from_file_location("traced_cli", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+LAYERS = load_tracer().LAYERS
+
+
+@pytest.mark.parametrize("module,attr", [(m, a) for m, a, _, _ in LAYERS],
+                         ids=[f"{m}.{a}" for m, a, _, _ in LAYERS])
+def test_every_traced_name_resolves(module, attr):
+    # the tracer wraps each LAYERS entry by name; a rename in the package
+    # fails here with the missing name.  A method must be the class's own,
+    # since the tracer reads it from vars(cls)
+    owner = importlib.import_module(f"invgen.{module}")
+    if "." in attr:
+        cls_name, method = attr.split(".")
+        assert method in vars(getattr(owner, cls_name)), attr
+    else:
+        assert hasattr(owner, attr), attr
 
 
 def traced(tmp_path, *argv):
