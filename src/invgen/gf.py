@@ -7,25 +7,35 @@ residues, so equality of elements is equality of ints.
 
 The reduction modulus is chosen deterministically: the lexicographically
 least monic irreducible of degree f, comparing the coefficient tuple
-(c0, c1, ..., c_{f-1}) with c0 most significant.  Irreducibility is
-certified by trial division against every monic polynomial of degree
-at most f/2 (a plain root check for f <= 3).
+(c0, c1, ..., c_{f-1}) with c0 most significant.  Only c0 != 0 is tried
+(else x | m).  A candidate is irreducible iff it has no root in GF(p),
+found by Horner's rule on ints, and no factor among the monic polynomials
+of degree 2..f/2 without a root: a reducible m without a root has an
+irreducible factor of such a degree.
 
-Every context builds exp/log tables over a fixed multiplicative generator
-(the least one by int value) when it is made, in O(q) time and memory.
-Products, inverses and powers read them in every field, prime fields
-included, and so do the square and subfield tests; for odd p and f > 1
-so do sums, a + b = a * (1 + b/a) by the Zech table of log(1 + g^k), and
-negatives, -1 being g^((q-1)/2).  The power walk multiplies the last
-power by g with Horner's rule over the digits of g: in characteristic 2
-by shifts and XORs of the packed bit vector, with an XOR of the packed
-modulus when bit f comes up; for odd p on a digit vector, and over the
-first norm block g^0, ..., g^(L-1), L = (q-1)/(p-1), only.  The norm g^L
-lies in GF(p), so g^(k+L*m) = (g^L)^m * g^k, and a prime-field scalar
-scales each digit on its own: a later block is the one before with the
-low and the high half of its digits read through one table.  Only the
-generator search multiplies polynomials, sharing a candidate's squarings
-among the prime divisors of q - 1.
+A prime field multiplies, inverts and takes powers and square classes
+(Euler's criterion) on ints mod p, and builds only the exp table of its
+least primitive root.  An extension field builds exp/log tables over its
+least multiplicative generator g (by int value) in O(q) time and memory;
+products, inverses, powers and the square and subfield tests read them,
+and for odd p so do sums, a + b = a * (1 + b/a) by the Zech table of
+log(1 + g^k), and negatives, -1 being g^((q-1)/2).  The generator
+certifies itself on its power walk.  With L = (q-1)/(p-1) the norm a^L
+lies in GF(p); the k with a^k in GF(p)* are the multiples of the least
+one, N, which divides L, so a has order N * ord(a^N) <= L * (p-1) = q - 1,
+with equality iff no a^k with 0 < k < L lies in GF(p) and a^L is a
+primitive root of GF(p).  The candidates a >= p (an a < p lies in GF(p))
+are tried in turn.  One of degree 1, a = c1 * (x - r), has norm
+(-c1)^f * m(r), m the modulus, and is passed over unwalked when that is
+not a primitive root; the others are walked, each up to its first power
+in GF(p), multiplying the last power by a with
+Horner's rule over the digits of a: in characteristic 2 by shifts and
+XORs of the packed bit vector, with an XOR of the packed modulus when bit
+f comes up; for odd p on a digit vector, over the first norm block g^0,
+..., g^(L-1) only.  The norm g^L lies in GF(p), so g^(k+L*m) = (g^L)^m *
+g^k, and a prime-field scalar scales each digit on its own: a later block
+is the one before with the low and the high half of its digits read
+through one table.
 
 A context checks p and f against ``Q_CAP`` before it tests p for primality
 or forms p^f, and ``gf_for_q`` checks q before it factorises, so an input
@@ -34,8 +44,7 @@ above the cap is refused without work proportional to its size.
 
 from __future__ import annotations
 
-from functools import reduce
-from itertools import compress, product, repeat
+from itertools import product, repeat
 from operator import add, mul
 
 Q_CAP = 1 << 20  # contexts refuse q above this
@@ -92,27 +101,17 @@ def _poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
     return a
 
 
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return out
+def _value(m: list[int], x: int, p: int) -> int:
+    """The polynomial m at x in GF(p), by Horner's rule."""
+    v = 0
+    for c in reversed(m):
+        v = (v * x + c) % p
+    return v
 
 
-def _is_irreducible(m: list[int], p: int) -> bool:
-    """Trial division by all monic polynomials of degree 1..deg(m)//2."""
-    f = len(m) - 1
-    # x | m: psi2 --q 1024 --format csv CPU 0.042 s, 0.044 s without (2-core Xeon)
-    if m[0] == 0 and f > 1:
-        return False
-    for deg in range(1, f // 2 + 1):
-        for packed in range(p ** deg):
-            if not any(_poly_mod(m, _unpack(packed, p, deg) + [1], p)):
-                return False
-    return True
+def _rootless(m: list[int], p: int) -> bool:
+    """True iff the polynomial m has no root in GF(p)."""
+    return all(_value(m, x, p) for x in range(p))
 
 
 def _unpack(v: int, p: int, f: int) -> list[int]:
@@ -132,10 +131,13 @@ def _pack(coeffs: list[int] | tuple[int, ...], p: int) -> int:
 
 def _find_modulus(p: int, f: int) -> list[int]:
     """Lexicographically least monic irreducible of degree f over GF(p)."""
-    # lex order on (c0, c1, ...) with c0 most significant
-    for tail in product(range(p), repeat=f):
-        m = list(tail) + [1]
-        if _is_irreducible(m, p):
+    if f == 1:
+        return [0, 1]
+    monic = ([*t, 1] for k in range(2, f // 2 + 1) for t in product(range(p), repeat=k))
+    divisors = [d for d in monic if _rootless(d, p)]
+    for tail in product(range(1, p), *repeat(range(p), f - 1)):
+        m = [*tail, 1]
+        if _rootless(m, p) and all(any(_poly_mod(m, d, p)) for d in divisors):
             return m
     raise RuntimeError(f"no irreducible of degree {f} over GF({p})")  # unreachable
 
@@ -157,12 +159,12 @@ class GFContext:
         self.f = f
         self.q = q
         self.modulus = _find_modulus(p, f)
-        self.generator = self._find_generator()  # the least by int value
-        self._exp = self._powers(self.generator)
-        log = [0] * q  # log[a] is the k with g^k = a; log[0] is never read
-        for k, a in enumerate(self._exp):
-            log[a] = k
-        self._log = log
+        self.generator, self._exp = self._generator_powers()  # the least generator
+        if f > 1:
+            log = [0] * q  # log[a] is the k with g^k = a; log[0] is never read
+            for k, a in enumerate(self._exp):
+                log[a] = k
+            self._log = log
         if p != 2 and f > 1:
             # one_plus[a] = log(1 + a): 1 + a bumps digit 0 of a, p - 1 wrapping to 0
             half = (q - 1) // 2
@@ -207,6 +209,8 @@ class GFContext:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
+        if self.f == 1:
+            return a * b % self.p
         if a == 0 or b == 0:
             return 0
         return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
@@ -214,6 +218,8 @@ class GFContext:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inversion of zero")
+        if self.f == 1:
+            return pow(a, -1, self.p)
         return self._exp[-self._log[a] % (self.q - 1)]
 
     def pow(self, a: int, e: int) -> int:
@@ -221,6 +227,8 @@ class GFContext:
             if e < 0:
                 raise ZeroDivisionError("inversion of zero")
             return 0 if e else 1
+        if self.f == 1:
+            return pow(a, e, self.p)
         return self._exp[self._log[a] * e % (self.q - 1)]
 
     # -- field predicates ----------------------------------------------------
@@ -229,6 +237,8 @@ class GFContext:
         """True iff a = b^2 for some b; zero counts, everything for q even."""
         if self.p == 2 or a == 0:
             return True
+        if self.f == 1:
+            return pow(a, (self.p - 1) // 2, self.p) == 1
         return self._log[a] % 2 == 0
 
     def frobenius(self, a: int) -> int:
@@ -256,49 +266,51 @@ class GFContext:
 
     # -- table construction ----------------------------------------------------
 
-    def _find_generator(self) -> int:
-        """The least a (by int value) with a^((q-1)/r) != 1 for every prime r | q-1.
-
-        In a prime field a^e is pow(a, e, p) (and GF(2)* is {1}).  Otherwise
-        an a < p has order dividing p - 1 < q - 1, and a^e is the product of
-        the squares a^(2^i) at the set bits of e, squared only as far as
-        the cofactors e tested so far need."""
-        n, p, f, modulus = self.q - 1, self.p, self.f, self.modulus
-        cofactors = [n // r for r in factorize(n)]
-        if f == 1:
-            for a in range(2, p):
-                if all(pow(a, e, p) != 1 for e in cofactors):
-                    return a
-            return 1
-
-        def times(a: list[int], b: list[int]) -> list[int]:
-            return _poly_mod(_poly_mul(a, b, p), modulus, p)
-        for a in range(p, self.q):
-            squares = [_unpack(a, p, f)]  # a^(2^i)
-            for e in cofactors:
-                while len(squares) < e.bit_length():
-                    squares.append(times(squares[-1], squares[-1]))
-                if _pack(reduce(times, compress(squares, map(int, bin(e)[:1:-1]))), p) == 1:
-                    break
-            else:
-                return a
-        raise RuntimeError("no multiplicative generator found")  # unreachable
-
-    def _powers(self, g: int) -> tuple[int, ...]:
-        """(g^0, ..., g^(q-2)) by the walk of the module docstring: v the last
-        power, acc <- acc*x + g_i*v over the digits g_i of g."""
+    def _generator_powers(self) -> tuple[int, tuple[int, ...]]:
+        """The least generator g of GF(q)* and its powers (g^0, ..., g^(q-2)),
+        by the self-certifying walk of the module docstring."""
         p, f, q = self.p, self.f, self.q
-        exp = [1] * (q - 1)
+        cofactors = [(p - 1) // r for r in factorize(p - 1)]  # c^e != 1 at a primitive root c
+        exp = [1] * q  # exp[q - 1] is dropped; characteristic 2 walks there
         if f == 1:
+            g = next((a for a in range(2, p) if all(pow(a, e, p) != 1 for e in cofactors)), 1)
             x = 1
             for k in range(1, q - 1):
                 exp[k] = x = x * g % p
-            return tuple(exp)
+            return g, tuple(exp[:-1])
+        block = (q - 1) // (p - 1)
+        for g in range(p, q):
+            if g < p * p:  # g = c1*x + c0 = c1*(x - r) has norm g^block = (-c1)^f * m(r)
+                lam = (p - g // p) ** f * _value(self.modulus, -g * pow(g // p, -1, p) % p, p)
+                if any(pow(lam, e, p) == 1 for e in cofactors):
+                    continue
+            if (self._walk(g, exp, block) == block and 0 < exp[block] < p
+                    and all(pow(exp[block], e, p) != 1 for e in cofactors)):
+                break
+        else:
+            raise RuntimeError("no multiplicative generator found")  # unreachable
+        if block < q - 1:  # odd p: scale the first norm block by the norm lam = g^block
+            lam, weights = exp[block], [p ** j for j in range(f)]
+            h = (f + 1) // 2  # a block value is lo + p^h * hi, lo < p^h
+            scale = [0]  # scale[u] = lam * u for u < p^h, digit by digit
+            for w in weights[:h]:
+                scale = [u + w * (lam * d % p) for d in range(p) for u in scale]
+            hi, lo = zip(*map(divmod, exp[:block], repeat(weights[h])))
+            for start in range(block, q - 1, block):
+                hi, lo = list(map(scale.__getitem__, hi)), list(map(scale.__getitem__, lo))
+                exp[start:start + block] = map(add, lo, map(weights[h].__mul__, hi))
+        return g, tuple(exp[:-1])
+
+    def _walk(self, g: int, exp: list[int], block: int) -> int:
+        """Write g^1, g^2, ... into ``exp`` up to the first power in GF(p) or
+        to g^block, and return its exponent: v the last power,
+        acc <- acc*x + g_i*v over the digits g_i of g."""
+        p, f = self.p, self.f
         if p == 2:
             modulus = _pack(self.modulus, 2)
             lower = [g >> i & 1 for i in range(g.bit_length() - 2, -1, -1)]
             v = 1
-            for k in range(1, q - 1):
+            for k in range(1, block + 1):
                 acc = v
                 for gi in lower:
                     acc <<= 1
@@ -307,32 +319,25 @@ class GFContext:
                     if gi:
                         acc ^= v
                 exp[k] = v = acc
-            return tuple(exp)
+                if v < 2:
+                    break
+            return k
         digits = _unpack(g, p, f)
         deg = max(i for i, c in enumerate(digits) if c)  # >= 1: g is not in GF(p)
         lead, lower = digits[deg], digits[deg - 1::-1]
         red = [-c % p for c in self.modulus[:f]]  # x^f = sum of red[j] x^j
         weights = [p ** j for j in range(f)]
-        block = (q - 1) // (p - 1)
         v = [1] + [0] * (f - 1)
-        for k in range(1, block + 1):  # exp[block] is overwritten by the next block
+        for k in range(1, block + 1):
             acc = v if lead == 1 else [lead * c % p for c in v]
             for gi in lower:  # shift acc up one degree, fold its top digit back
                 top = acc[-1]
                 acc = [(c + top * r + gi * w) % p for c, r, w in zip([0, *acc], red, v)]
             v = acc
             exp[k] = sum(map(mul, v, weights))
-        if (lam := exp[block]) >= p:  # the norm of g
-            raise RuntimeError(f"g^{block} is not in the prime field")
-        h = (f + 1) // 2  # a block value is lo + p^h * hi, lo < p^h
-        scale = [0]  # scale[u] = lam * u for u < p^h, digit by digit
-        for w in weights[:h]:
-            scale = [u + w * (lam * d % p) for d in range(p) for u in scale]
-        hi, lo = zip(*map(divmod, exp[:block], repeat(weights[h])))
-        for start in range(block, q - 1, block):
-            hi, lo = list(map(scale.__getitem__, hi)), list(map(scale.__getitem__, lo))
-            exp[start:start + block] = map(add, lo, map(weights[h].__mul__, hi))
-        return tuple(exp)
+            if exp[k] < p:
+                break
+        return k
 
 
 def gf_for_q(q: int) -> GFContext:

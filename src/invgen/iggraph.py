@@ -22,7 +22,7 @@ on the mask is done once per twin class.  These graphs have few classes
 graph 22 among 343).  Construction checks the loop and range conditions
 per vertex but symmetry per class: every neighbour of the class must list
 all of its members, which is the per-edge check regrouped.  Twins have
-equal eccentricity (``IGGraph.analysis`` gives the argument), so one BFS
+equal eccentricity (``_analyse`` gives the argument), so one BFS
 per class is enough.  The exporters are generators that write one chunk
 per vertex or row, each class naming and sorting its neighbours once, and
 read the components and the parts (written exactly when the graph is
@@ -41,13 +41,14 @@ isolated), so both numbers are 2 whenever there is an edge.
 the label-level graph: labels with identical maximal profiles have
 identical neighborhoods, so the quotient by profile buckets (a blow-up
 relationship) determines component count, bipartiteness, diameter and
-isolated vertices exactly, the fields of ``LambdaSummary``; it reads
-``IGGraph.analysis`` of that quotient.
+isolated vertices exactly, the fields of ``LambdaSummary``; it runs
+``_analyse``, the BFS routine behind ``IGGraph.analysis``, on the quotient's
+masks, which are symmetric and loop-free by construction.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
 from itertools import product
 from math import comb, log2
@@ -82,6 +83,41 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _analyse(nbrs: list[int]) -> tuple[list[int], int | None, int]:
+    """(components, odd, diameter) from one BFS from the first vertex of
+    each component and of each other twin class with a neighbour.  The
+    component masks are ordered by first vertex; odd masks the odd BFS
+    layers from each component's first vertex, or is None when an edge
+    joins two vertices of one layer, exactly when the graph is not
+    bipartite.  Twins u != v with N(u) = N(v) not empty are not adjacent
+    (that would be a loop), so d(u, v) = 2, and every path from u to
+    another w leaves through N(u) = N(v): twins have one eccentricity."""
+    comps, searched = [], set()  # the masks searched from
+    odd = ecc = seen = 0
+    for i, mask in enumerate(nbrs):
+        root = not seen >> i & 1
+        if not root and (not mask or mask in searched):
+            continue
+        searched.add(mask)
+        layers, inner, frontier, reached = [], 0, 1 << i, 1 << i
+        while frontier:  # layer k holds the vertices at distance k from i
+            layers.append(frontier)
+            reach, rest = 0, frontier
+            while rest:  # the bits of the layer, as in ``_bits``
+                low = rest & -rest
+                reach |= nbrs[low.bit_length() - 1]
+                rest ^= low
+            inner |= reach & frontier  # vertices with a neighbour in their layer
+            frontier = reach & ~reached
+            reached |= frontier
+        ecc = max(ecc, len(layers) - 1)
+        if root:
+            comps.append(sum(layers))  # the layers are disjoint: their sum is their union
+            seen |= comps[-1]
+            odd = None if odd is None or inner else odd | sum(layers[1::2])
+    return comps, odd, ecc
+
+
 class IGGraph:
     def __init__(self, q: int, t: int, method: str, vertices: list, nbrs: list[int]):
         self.q = q
@@ -101,41 +137,7 @@ class IGGraph:
         for mask, members in twins.items():
             if any(self.nbrs[j] & members != members for j in _bits(mask)):
                 raise RuntimeError("adjacency is not symmetric")
-        self.analysis = self._analyse()  # read by the analyses below and the exporters
-
-    def _analyse(self) -> tuple[list[int], int | None, int]:
-        """(components, odd, diameter) from one BFS from the first vertex of
-        each component and of each other twin class with a neighbour.  The
-        component masks are ordered by first vertex; odd masks the odd BFS
-        layers from each component's first vertex, or is None when an edge
-        joins two vertices of one layer, exactly when the graph is not
-        bipartite.  Twins u != v with N(u) = N(v) not empty are not adjacent
-        (that would be a loop), so d(u, v) = 2, and every path from u to
-        another w leaves through N(u) = N(v): twins have one eccentricity."""
-        nbrs, comps, searched = self.nbrs, [], set()  # the masks searched from
-        odd = ecc = seen = 0
-        for i, mask in enumerate(nbrs):
-            root = not seen >> i & 1
-            if not root and (not mask or mask in searched):
-                continue
-            searched.add(mask)
-            layers, inner, frontier, reached = [], 0, 1 << i, 1 << i
-            while frontier:  # layer k holds the vertices at distance k from i
-                layers.append(frontier)
-                reach, rest = 0, frontier
-                while rest:  # the bits of the layer, as in ``_bits``
-                    low = rest & -rest
-                    reach |= nbrs[low.bit_length() - 1]
-                    rest ^= low
-                inner |= reach & frontier  # vertices with a neighbour in their layer
-                frontier = reach & ~reached
-                reached |= frontier
-            ecc = max(ecc, len(layers) - 1)
-            if root:
-                comps.append(sum(layers))  # the layers are disjoint: their sum is their union
-                seen |= comps[-1]
-                odd = None if odd is None or inner else odd | sum(layers[1::2])
-        return comps, odd, ecc
+        self.analysis = _analyse(nbrs)  # read by the analyses below and the exporters
 
     def edge_count(self) -> int:
         return sum(mask.bit_count() for mask in self.nbrs) // 2
@@ -198,11 +200,13 @@ def lambda_power(ctx: GFContext, t: int, psi2: Psi2Table, action: AutAction,
             f"t={t} exceeds beta={n_orbits}; S^t is not invariably 2-generated there"
         )
     # product() yields index tuples in lexicographic order, which is also the
-    # order of the label tuples below, so w > v means w comes later
+    # order of the label tuples below, so w > v means w comes later: the
+    # first coordinate of w runs from v[0] up, and w > v decides the ties
     index = {v: i for i, v in enumerate(product(range(len(labels)), repeat=t))}
     near: list[list[int]] = [[] for _ in index]
     for v, i in index.items():
-        for w in product(*(psi2.near[a] for a in v)):
+        first = psi2.near[v[0]]
+        for w in product(first[bisect_left(first, v[0]):], *(psi2.near[a] for a in v[1:])):
             if w > v and len({orbit[col] for col in zip(v, w)}) == t:
                 j = index[w]
                 near[i].append(j)
@@ -326,7 +330,7 @@ def lambda_summary(census: ProfileCensus, cover: CoveringResult) -> LambdaSummar
     for i, j in census.disjoint:
         if i != j:
             nbrs[i] |= 1 << j
-    comps, odd, diam = IGGraph(inv.q, 1, "structural", list(range(len(nbrs))), nbrs).analysis
+    comps, odd, diam = _analyse(nbrs)
     dead = {i for i, mask in enumerate(nbrs) if not mask}
     dead_sigs = [s for s, b in enumerate(census.sig_bucket) if b in dead]
     if all(s < len(inv.head) for s in dead_sigs):  # head class k has signature k

@@ -44,7 +44,7 @@ from __future__ import annotations
 from math import gcd
 
 from invgen.gf import CapError, GFContext
-from invgen.psl2 import ClassInventory, ClassLabel, Mat, enumerate_psl2, is_split_trace, trace_key
+from invgen.psl2 import ClassInventory, ClassLabel, Mat, enumerate_psl2, trace_key
 from invgen.structure import Psi2Table, maximal_subgroup_classes
 
 MAX_Q = 255  # q + 1 points must fit in a byte
@@ -80,6 +80,16 @@ def _line_action(ctx: GFContext):
                 .translate(recip).translate(shift[mul(a, ic)]))
 
     return perm
+
+
+def is_split_trace(ctx: GFContext, t: int) -> bool:
+    """Eigenvalues of a trace-t det-1 matrix lie in GF(q); assumes t^2 != 4."""
+    if ctx.p != 2:
+        disc = ctx.sub(ctx.mul(t, t), ctx.scalar(4))
+        return ctx.is_square(disc)
+    # q even: x^2 - tx + 1 splits iff the Artin-Schreier trace of 1/t^2 vanishes
+    u = ctx.inv(ctx.mul(t, t))
+    return ctx.absolute_trace(u) == 0
 
 
 def _labeller(ctx: GFContext):

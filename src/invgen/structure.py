@@ -6,13 +6,15 @@ always present (flagged) because the pair {Borel, nonsplit dihedral} is a
 2-covering of the group whether or not the dihedral is maximal.
 
 Class-intersection profiles are computed symbolically: the profile of a
-conjugacy class is the set of subgroup-class ids whose members meet it.
-The rules read only a class's signature (``ClassInventory.signatures``),
-so each rule runs once per signature and profile-universe member (the
-maximal classes plus the nonsplit-dihedral covering record), and the
-2-covering reads its sides off those profiles.  Bucket sizes add the
-class count of each signature, counted from the torus orders; a bucket's
-classes are listed by position only when a command names them.  Two
+conjugacy class is the set of subgroup classes whose members meet it, held
+as an int mask over the profile universe (the maximal classes plus the
+nonsplit-dihedral covering record): bit i stands for member i of
+``profile_universe``.  The rules read only a class's signature
+(``ClassInventory.signatures``), so each rule runs once per signature and
+universe member, and the 2-covering reads its sides off those profiles.
+Bucket sizes add the class count of each signature, counted from the
+torus orders; a bucket's classes are listed by position only when a
+command names them.  Two
 nonidentity classes invariably generate iff no single maximal subgroup
 class meets both, so ``psi2_structural`` reads Psi2 off the census, one
 neighbour tuple per bucket.
@@ -117,34 +119,20 @@ def label_meets(ctx: GFContext, sig: ClassSignature, sc: SubgroupClass) -> bool:
     subgroup class `sc`?"""
     q = ctx.q
     even = q % 2 == 0
-    kind, sub_kind = sig.kind, sc.kind
+    (kind, sq, order), sub_kind = sig, sc.kind
     if kind == "id":
         return True
     if sub_kind == BOREL:
-        if kind == "unip":
-            return True
-        if kind == "split":
-            return True
-        if kind == "inv":
-            return q % 4 == 1
-        return False
-    if sub_kind == DIH_SPLIT:
-        if kind == "split":
-            return True
-        if kind == "inv":
-            return True
-        return even and kind == "unip"  # reflections are the involution class
+        return kind in ("unip", "split") or kind == "inv" and q % 4 == 1
+    if sub_kind == DIH_SPLIT:  # the reflections are the involution class
+        return kind in ("split", "inv") or even and kind == "unip"
     if sub_kind == DIH_NONSPLIT:
-        if kind == "nonsplit":
-            return True
-        if kind == "inv":
-            return True
-        return even and kind == "unip"
+        return kind in ("nonsplit", "inv") or even and kind == "unip"
     if sub_kind in (SUBFIELD_PSL, SUBFIELD_PGL):
         if kind == "unip" and sub_kind == SUBFIELD_PGL and not even:
             # GF(q0)* consists of squares of GF(q0^2), so the standard copy
             # meets the square class and its twisted conjugate the other
-            return sig.sq is (sc.variant == 1)
+            return sq is (sc.variant == 1)
         if kind in ("unip", "inv"):
             # q even, or PSL(2,q0): odd-degree extensions preserve square classes
             return True
@@ -157,7 +145,7 @@ def label_meets(ctx: GFContext, sig: ClassSignature, sc: SubgroupClass) -> bool:
         # PSL the degree [GF(q):GF(q0)] is an odd prime, and t^2 in GF(q0)
         # with t not would put GF(q0)(t) = GF(q0^2) in GF(q), so the one
         # order test decides both.
-        return sc.q0 % sig.order in (1, sig.order - 1)
+        return sc.q0 % order in (1, order - 1)
     if sub_kind in _EXC_ORDERS:
         orders = _EXC_ORDERS[sub_kind]
         if kind == "inv":
@@ -170,8 +158,8 @@ def label_meets(ctx: GFContext, sig: ClassSignature, sc: SubgroupClass) -> bool:
                     "single-class exceptional subgroup with unipotent members "
                     "cannot occur for q >= 4"
                 )
-            return sig.sq is (sc.variant == 1)
-        return sig.order in orders
+            return sq is (sc.variant == 1)
+        return order in orders
     raise RuntimeError(f"unknown subgroup kind {sc.kind}")
 
 
@@ -180,22 +168,23 @@ def profile_universe(classes: list[SubgroupClass]) -> list[SubgroupClass]:
     return [sc for sc in classes if sc.maximal or sc.kind == DIH_NONSPLIT]
 
 
-def build_profiles(inv: ClassInventory, classes: list[SubgroupClass]) -> list[frozenset[str]]:
+def build_profiles(inv: ClassInventory, classes: list[SubgroupClass]) -> list[int]:
     """Profile over the profile universe of each class signature, in the
-    order of ``inv.signatures``; each rule runs once per signature, and each
-    subgroup id is built once.  Signature 0 is the identity's, which meets
-    every class."""
-    universe = [(sc, sc.id) for sc in profile_universe(classes)]
-    return [frozenset([i for sc, i in universe if label_meets(inv.ctx, sig, sc)])
+    order of ``inv.signatures``, as a mask: bit i is set when the classes
+    of the signature meet member i of ``profile_universe(classes)``.  Each
+    rule runs once per signature and member.  Signature 0 is the
+    identity's, which meets every class."""
+    universe, ctx = profile_universe(classes), inv.ctx
+    bits = [1 << i for i in range(len(universe))]
+    return [sum(b for b, sc in zip(bits, universe) if label_meets(ctx, sig, sc))
             for sig in inv.signatures[0]]
 
 
-def maximal_profiles(classes: list[SubgroupClass], profiles: list[frozenset[str]],
-                     ) -> list[frozenset[str]]:
+def maximal_profiles(classes: list[SubgroupClass], profiles: list[int]) -> list[int]:
     """The ``build_profiles`` profiles restricted to maximal subgroup
     classes (the Psi2 universe), one per class signature."""
-    maximal_ids = frozenset(sc.id for sc in classes if sc.maximal)
-    return [prof & maximal_ids for prof in profiles]
+    maximal = sum(1 << i for i, sc in enumerate(profile_universe(classes)) if sc.maximal)
+    return [prof & maximal for prof in profiles]
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +199,13 @@ class ProfileCensus(NamedTuple):
     number less one), as in ``Psi2Table``."""
 
     inv: ClassInventory
-    buckets: list[frozenset[str]]  # distinct maximal profiles, sorted
+    buckets: list[int]  # distinct maximal profiles, ascending as masks
     sizes: list[int]  # classes per bucket
     sig_bucket: list[int]  # bucket of each signature; -1 for the identity's
     disjoint: list[tuple[int, int]]  # ordered bucket pairs with disjoint profiles
-    profiles: list[frozenset[str]]  # per signature, over the profile universe
+    profiles: list[int]  # per signature, over the profile universe
     psi2_count: int  # |Psi2|: the bucket products over the disjoint pairs
+    universe: list[SubgroupClass]  # the subgroup class of each profile bit
 
     def members(self) -> list[list[int]]:
         """Positions, ascending, of the classes of each bucket, by ``inv.class_signatures``."""
@@ -228,16 +218,16 @@ def profile_census(inv: ClassInventory) -> ProfileCensus:
     classes = maximal_subgroup_classes(inv.ctx)
     full = build_profiles(inv, classes)
     profs = maximal_profiles(classes, full)
-    buckets = sorted(set(profs[1:]), key=sorted)
+    buckets = sorted(set(profs[1:]))
     index = {prof: b for b, prof in enumerate(buckets)}
-    sig_bucket = [-1] + [index[prof] for prof in profs[1:]]
+    sig_bucket = [-1, *map(index.__getitem__, profs[1:])]
     sizes = [0] * len(buckets)
     for b, count in zip(sig_bucket[1:], inv.signatures[1][1:]):
         sizes[b] += count
-    disjoint = [(i, j) for i, pi in enumerate(buckets)
-                for j, pj in enumerate(buckets) if pi.isdisjoint(pj)]
+    disjoint = [(i, j) for i, pi in enumerate(buckets) for j, pj in enumerate(buckets)
+                if not pi & pj]
     return ProfileCensus(inv, buckets, sizes, sig_bucket, disjoint, full,
-                         sum(sizes[i] * sizes[j] for i, j in disjoint))
+                         sum(sizes[i] * sizes[j] for i, j in disjoint), profile_universe(classes))
 
 
 class Psi2Table:
@@ -359,12 +349,14 @@ class CoveringResult(NamedTuple):
 
 def verify_2covering(census: ProfileCensus) -> CoveringResult:
     """Check that {Borel, nonsplit dihedral} covers S, and give the side of
-    every class signature, read off the census profiles (the ids of those
-    two records are their kinds).
+    every class signature, read off the census profiles at the bits of
+    those two records.
 
     Classes meeting both sides are isolated in the generating graph; the
     classes that meet one side only give the bipartition of the plus graph.
     """
-    sides = [BOREL_SIDE * (BOREL in prof) | DIHEDRAL_SIDE * (DIH_NONSPLIT in prof)
+    kinds = [sc.kind for sc in census.universe]
+    borel, dihedral = 1 << kinds.index(BOREL), 1 << kinds.index(DIH_NONSPLIT)
+    sides = [BOREL_SIDE * (prof & borel > 0) | DIHEDRAL_SIDE * (prof & dihedral > 0)
              for prof in census.profiles]
     return CoveringResult(all(sides[1:]), sides)

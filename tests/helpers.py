@@ -3,19 +3,20 @@
 import time
 from collections import Counter
 from functools import lru_cache
+from itertools import product
 from math import comb, gcd
 from operator import mul
 
-from invgen.gf import GFContext, _pack, _poly_mod, _poly_mul, _unpack, factorize
+from invgen.gf import GFContext, _pack, _poly_mod, _unpack, factorize
 from invgen.iggraph import _bits, _graph, is_bipartite, LambdaSummary
-from invgen.oracle import _inverse, _line_action, _table
+from invgen.oracle import _inverse, _line_action, _table, is_split_trace
 from invgen.psl2 import (
-    ClassEntry, ClassInventory, ClassLabel, ClassSignature, TorusClasses, enumerate_psl2,
-    is_split_trace, trace_key,
+    ClassEntry, ClassInventory, ClassLabel, TorusClasses, enumerate_psl2, trace_key,
 )
 from invgen.structure import (
     BOREL, BOREL_SIDE, DIH_NONSPLIT, DIHEDRAL_SIDE, SUBFIELD_PGL, SUBFIELD_PSL, ProfileCensus,
-    Psi2Table, label_meets, maximal_subgroup_classes, profile_universe,
+    Psi2Table, build_profiles, label_meets, maximal_profiles, maximal_subgroup_classes,
+    profile_universe,
 )
 
 
@@ -88,6 +89,15 @@ def ref_neg(ctx, a) -> int:
         s += -ra % p * mult
         mult *= p
     return s
+
+
+def _poly_mul(a: list, b: list, p: int) -> list:
+    """The product of two coefficient lists over GF(p)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return out
 
 
 def poly_product(ctx, a, b) -> int:
@@ -345,9 +355,9 @@ def ref_orbits(action, table) -> dict:
     return {pair: find(pair) for pair in parent}
 
 
-def ref_signature(entry) -> ClassSignature:
+def ref_signature(entry) -> tuple:
     """The class signature of one inventory entry, from that entry alone."""
-    return ClassSignature(entry.label.kind, entry.label.sq, entry.order)
+    return entry.label.kind, entry.label.sq, entry.order
 
 
 def subfield_degree(ctx, q0) -> int:
@@ -392,6 +402,26 @@ def by_label(inv, per_signature) -> dict:
     list, such as ``build_profiles`` returns."""
     return {lab: per_signature[sig]
             for lab, sig in zip(inv.labels()[1:], inv.class_signatures[1:])}
+
+
+def ids(universe, mask) -> frozenset:
+    """The ids of the members of ``universe`` at the set bits of a profile mask."""
+    return frozenset(sc.id for i, sc in enumerate(universe) if mask >> i & 1)
+
+
+def mask(universe, names) -> int:
+    """The profile mask over ``universe`` of a set of subgroup ids."""
+    return sum(1 << i for i, sc in enumerate(universe) if sc.id in names)
+
+
+def label_profiles(inv, classes, maximal=False) -> dict:
+    """Nonidentity label -> the ``build_profiles`` profile of its signature
+    (restricted by ``maximal_profiles`` when ``maximal``), as subgroup ids."""
+    masks = build_profiles(inv, classes)
+    if maximal:
+        masks = maximal_profiles(classes, masks)
+    universe = profile_universe(classes)
+    return by_label(inv, [ids(universe, m) for m in masks])
 
 
 def ref_profiles(ctx, entries, classes) -> dict:
@@ -634,13 +664,15 @@ def ref_maximal_profiles(ctx, entries, classes) -> dict:
 
 def ref_census(ctx, entries) -> tuple:
     """(labels, buckets, members, bucket_of): the nonidentity labels, the
-    distinct maximal profiles sorted, the labels of each, and the bucket of
-    each label."""
-    profs = ref_maximal_profiles(ctx, entries, maximal_subgroup_classes(ctx))
+    distinct maximal profiles in the order of their masks, the labels of
+    each, and the bucket of each label."""
+    classes = maximal_subgroup_classes(ctx)
+    profs = ref_maximal_profiles(ctx, entries, classes)
     grouped = {}
     for label, prof in profs.items():
         grouped.setdefault(prof, []).append(label)
-    buckets = sorted(grouped, key=sorted)
+    universe = profile_universe(classes)
+    buckets = sorted(grouped, key=lambda prof: mask(universe, prof))
     bucket_of = {label: i for i, b in enumerate(buckets) for label in grouped[b]}
     return list(profs), buckets, [grouped[b] for b in buckets], bucket_of
 
@@ -745,11 +777,9 @@ def ref_class_signatures(inv) -> tuple:
     """(signatures, of_class): the distinct signatures in order of first
     appearance, and the position of the signature of every class."""
     position = {}
-    of_class = [position.setdefault(ClassSignature(e.label.kind, e.label.sq, e.order),
-                                    len(position)) for e in inv.head]
+    of_class = [position.setdefault(ref_signature(e), len(position)) for e in inv.head]
     for kind, _, orders, _ in inv.tori:
-        of_class += [position.setdefault(ClassSignature(kind, None, j), len(position))
-                     for j in orders]
+        of_class += [position.setdefault((kind, None, j), len(position)) for j in orders]
     return list(position), of_class
 
 
@@ -759,11 +789,12 @@ def ref_index_census(ctx, inv) -> tuple:
     read off that index, and the covering side of each signature."""
     sigs, of_class = ref_class_signatures(inv)
     classes = maximal_subgroup_classes(ctx)
-    maximal_ids = frozenset(sc.id for sc in classes if sc.maximal)
-    full = [frozenset(sc.id for sc in profile_universe(classes) if label_meets(ctx, sig, sc))
+    universe = profile_universe(classes)
+    maximal = sum(1 << i for i, sc in enumerate(universe) if sc.maximal)
+    full = [sum(1 << i for i, sc in enumerate(universe) if label_meets(ctx, sig, sc))
             for sig in sigs]
-    profs = [prof & maximal_ids for prof in full]
-    buckets = sorted(set(profs[1:]), key=sorted)
+    profs = [prof & maximal for prof in full]
+    buckets = sorted(set(profs[1:]))
     index = {prof: b for b, prof in enumerate(buckets)}
     sig_bucket = [-1] + [index[prof] for prof in profs[1:]]
     sizes = [0] * len(buckets)
@@ -775,9 +806,10 @@ def ref_index_census(ctx, inv) -> tuple:
     dihedral = next(sc for sc in classes if sc.kind == DIH_NONSPLIT)
     sides = [BOREL_SIDE * label_meets(ctx, sig, borel)
              | DIHEDRAL_SIDE * label_meets(ctx, sig, dihedral) for sig in sigs]
-    disjoint = _ref_disjoint(buckets)
+    disjoint = [(i, j) for i, pi in enumerate(buckets) for j, pj in enumerate(buckets)
+                if not pi & pj]
     census = ProfileCensus(inv, buckets, sizes, sig_bucket, disjoint, full,
-                           sum(sizes[i] * sizes[j] for i, j in disjoint))
+                           sum(sizes[i] * sizes[j] for i, j in disjoint), universe)
     return census, members, sides
 
 
@@ -937,3 +969,104 @@ def ref_dot(g) -> str:
                 lines.append(f'  "{names[i]}" -- "{names[j]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the field tables and walks through the context's methods, and the census
+# on frozensets of subgroup ids: the references for the searches on ints,
+# the walks that read the tables inline and the census on profile masks
+# ---------------------------------------------------------------------------
+
+def ref_modulus(p, f) -> list:
+    """The lexicographically least monic irreducible of degree f over GF(p),
+    every candidate tried by trial division against every monic
+    polynomial of degree 1..f/2."""
+    for tail in product(range(p), repeat=f):
+        m = list(tail) + [1]
+        if f == 1 or m[0] and all(any(_poly_mod(m, list(d) + [1], p))
+                                  for k in range(1, f // 2 + 1)
+                                  for d in product(range(p), repeat=k)):
+            return m
+    raise RuntimeError("no irreducible found")
+
+
+class PrimeTables:
+    """GF(p) arithmetic read from exp and log tables over the context's
+    generator: the reference for the int arithmetic of a prime field."""
+
+    def __init__(self, ctx):
+        self.p, self.exp = ctx.p, ctx.exp_table()
+        self.log = [0] * ctx.p
+        for k, a in enumerate(self.exp):
+            self.log[a] = k
+
+    def mul(self, a, b):
+        return 0 if a == 0 or b == 0 else self.exp[(self.log[a] + self.log[b]) % (self.p - 1)]
+
+    def inv(self, a):
+        return self.exp[-self.log[a] % (self.p - 1)]
+
+    def pow(self, a, e):
+        return self.exp[self.log[a] * e % (self.p - 1)]
+
+    def is_square(self, a):
+        return self.p == 2 or a == 0 or self.log[a] % 2 == 0
+
+
+def ref_split_traces(ctx) -> list:
+    """The split traces g^k + g^-k, k = 1..(q-1)/2, by ``ctx.add``."""
+    exp, half = ctx.exp_table(), (ctx.q - 1) // 2
+    return [ctx.add(exp[k], exp[-k]) for k in range(1, half + 1)]
+
+
+def ref_table_walk(ctx) -> list:
+    """The nonsplit walk of ``psl2._nonsplit_walk`` with the candidates
+    tested by ``is_split_trace`` and every step through ``ctx.mul`` and
+    ``ctx.sub``."""
+    q = ctx.q
+    two = ctx.scalar(2)
+    minus_two = ctx.neg(two)
+    for t in range(q):
+        if t in (two, minus_two) or is_split_trace(ctx, t):
+            continue
+        walk = [t]
+        dk_prev, dk = two, t
+        for _ in range((q - 1) // 2):
+            dk_prev, dk = dk, ctx.sub(ctx.mul(t, dk), dk_prev)
+            if dk in (two, minus_two):
+                break
+            walk.append(dk)
+        if len(walk) == q // 2 and (q % 2 == 0 or dk == minus_two):
+            return walk
+    raise RuntimeError(f"no nonsplit torus generator trace found for q={q}")
+
+
+def split_key_array(inv) -> list:
+    """The split torus's key array: the order of each split class at its key."""
+    width = inv.q if inv.d == 1 else (inv.q + inv.q // inv.ctx.p) // 2
+    slots = [0] * width
+    split = inv.tori[0]
+    for key, order in zip(split.keys, split.orders):
+        slots[key] = order
+    return slots
+
+
+def ref_frozenset_census(inv) -> tuple:
+    """(buckets, sizes, sig_bucket, disjoint, profiles, psi2_count) with each
+    profile the frozenset of the ids of the subgroup classes it meets, and
+    the buckets sorted by their sorted ids."""
+    classes = maximal_subgroup_classes(inv.ctx)
+    universe = [(sc, sc.id) for sc in profile_universe(classes)]
+    full = [frozenset([i for sc, i in universe if label_meets(inv.ctx, sig, sc)])
+            for sig in inv.signatures[0]]
+    maximal_ids = frozenset(sc.id for sc in classes if sc.maximal)
+    profs = [prof & maximal_ids for prof in full]
+    buckets = sorted(set(profs[1:]), key=sorted)
+    index = {prof: b for b, prof in enumerate(buckets)}
+    sig_bucket = [-1] + [index[prof] for prof in profs[1:]]
+    sizes = [0] * len(buckets)
+    for b, count in zip(sig_bucket[1:], inv.signatures[1][1:]):
+        sizes[b] += count
+    disjoint = _ref_disjoint(buckets)
+    return (buckets, sizes, sig_bucket, disjoint, full,
+            sum(sizes[i] * sizes[j] for i, j in disjoint))

@@ -1,4 +1,5 @@
 import os
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,8 @@ from invgen.gf import (
     prime_power_split,
 )
 from helpers import (
-    Budget, cached_field, coeffs, from_coeffs, in_subfield, poly_power, poly_product, ref_add,
-    ref_generator, ref_horner_powers, ref_neg,
+    Budget, PrimeTables, cached_field, coeffs, from_coeffs, in_subfield, poly_power, poly_product,
+    ref_add, ref_generator, ref_horner_powers, ref_modulus, ref_neg,
 )
 
 EXTENDED = os.environ.get("INVGEN_EXTENDED") == "1"
@@ -397,6 +398,7 @@ LARGE_FIELDS = [(3, 10), (3, 11), (5, 7), (7, 6), (11, 5), (31, 4)]
 
 def check_tables_against_references(p, f):
     ctx = GFContext(p, f)
+    assert ctx.modulus == ref_modulus(p, f)
     assert ctx.generator == ref_generator(ctx)
     exp = ref_horner_powers(ctx, ctx.generator)
     assert ctx.exp_table() == tuple(exp)
@@ -414,3 +416,43 @@ def test_tables_match_the_per_cofactor_search_and_the_whole_walk(field):
 def test_large_field_tables_match_the_references_extended(field):
     with Budget(f"tables of GF({field[0]}^{field[1]}) against the references", 60):
         check_tables_against_references(*field)
+
+
+# ---------------------------------------------------------------------------
+# prime fields: the arithmetic on ints against exp/log tables over the
+# context's generator
+# ---------------------------------------------------------------------------
+
+SMALL_PRIMES = [p for p in range(2, 102) if is_prime(p)]
+PRIMES = SMALL_PRIMES + [127, 251, 509, 1021, 4093, 8191, 65521, 131071, 524287, 1048573]
+
+
+@lru_cache(maxsize=None)
+def prime_tables(p):
+    return PrimeTables(cached_field(p, 1))
+
+
+@pytest.mark.parametrize("p", SMALL_PRIMES)
+def test_prime_field_arithmetic_is_the_tables_exhaustive(p):
+    ctx, ref = cached_field(p, 1), prime_tables(p)
+    assert not hasattr(ctx, "_log")  # a prime field builds no log table
+    for a in range(p):
+        assert ctx.is_square(a) == ref.is_square(a)
+        assert [ctx.mul(a, b) for b in range(p)] == [ref.mul(a, b) for b in range(p)]
+        if a:
+            assert ctx.inv(a) == ref.inv(a)
+            assert [ctx.pow(a, e) for e in range(-p, 2 * p)] == [
+                ref.pow(a, e) for e in range(-p, 2 * p)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PRIMES), st.data())
+def test_prime_field_arithmetic_is_the_tables(p, data):
+    ctx, ref = cached_field(p, 1), prime_tables(p)
+    a, b = (data.draw(st.integers(0, p - 1)) for _ in range(2))
+    e = data.draw(st.integers(-3 * p, 3 * p))
+    assert ctx.mul(a, b) == ref.mul(a, b)
+    assert ctx.is_square(a) == ref.is_square(a)
+    if a:
+        assert ctx.inv(a) == ref.inv(a)
+        assert ctx.pow(a, e) == ref.pow(a, e)

@@ -150,6 +150,51 @@ GOLDEN = [
      "44b1c0ce5359c079176274ae60eb0777c420e69f3f673b9513b4e31088eb326f"),
     ("psi2 --q 243 --format csv",
      "c960da78055ee4e77504f15f07ab726a412920dabf93f275abaf581d9f68cb11"),
+    # recorded at commit 5737c4c, before extension fields found their
+    # modulus and generator on packed ints and the inventory read the field
+    # tables inline: every extension field of 4..1024 not pinned above
+    ("classes --q 4 --format json",
+     "a018d2363dad102b46ebb2e0424f64e70ed63c1d3ff75eba9d733e1802358952"),
+    ("classes --q 8 --format json",
+     "30ef36db7ff542a58324dd1d37b9c582b78ced2b89416ec70f46458eacc26b44"),
+    ("classes --q 9 --format json",
+     "6d17d169f25aa849fdeb414cca35d9c8b82c3a0633d13aebeed9660b7b1d1856"),
+    ("classes --q 25 --format json",
+     "cb59514fbcaea6bbe5671727326b1fbeb64d6332c57d3d376ae8b7af6de425db"),
+    ("classes --q 27 --format json",
+     "13269f484ad479cd7035c6c046f8fb83ea10b1f5b65b5bbd02a4202a9bc71e79"),
+    ("classes --q 32 --format json",
+     "38b22eabbaf82ba2d52c033606d3669ccdd968d7e65c9148b291b6a3fa8fb782"),
+    ("classes --q 49 --format json",
+     "a6534fcfd39a9a83f562d0879c2a4f3ce25b99861c1e36db38ef72c5eb695278"),
+    ("classes --q 64 --format json",
+     "309174a3521b45d32d48080883c008fbf0849f7125af6f70e7f15c7f997580bf"),
+    ("classes --q 81 --format json",
+     "e8e644028267c74aaf0ee91f771f28580bfb40146947a5346dafe3da21768ef9"),
+    ("classes --q 121 --format json",
+     "c6f7ea7c21c4f49b263465d910654e9c7f7b6ac86723df33917f76a1c77b6cc3"),
+    ("classes --q 125 --format json",
+     "f028d849e0450af85fb66669d345dffd5c58a74b7001991d18c9c0853337f2c8"),
+    ("classes --q 128 --format json",
+     "a0f3a1fa9d4d0a6b68918b32d72ec8a9ae9e158d9ce80480eb835b2291756d80"),
+    ("classes --q 169 --format json",
+     "98c579ea12dd7ec1b59f5293f2e7096d99b8828d36e991c2122c543715abcec1"),
+    ("classes --q 243 --format json",
+     "39577379a7459c0c9b2f3ea340060bebda797baf4582b1a9c19fb47d82a93e41"),
+    ("classes --q 256 --format json",
+     "8db332c9e34f5c61448c5a2f8ea38aace6f9ef93be4dafe37e0bcb075ce0e921"),
+    ("classes --q 289 --format json",
+     "e8f97612fb063425c2f1a7bd3ec8f682eb70a2f95bc2facf189d99e2a5497bbf"),
+    ("classes --q 361 --format json",
+     "06cc34773c826f4f01407b2764185f6dda57d8dabdd7209af180aa6f2df9d7a2"),
+    ("classes --q 512 --format json",
+     "aa16ab3e62900b0c1d97f1b13de7513c4b70917297a8828881f944cb4a444ff9"),
+    ("classes --q 529 --format json",
+     "f11cad51ec1c25fbb150a4f0bb5508069bbb760d1b4e933dd14d6f771fd16a6a"),
+    ("classes --q 729 --format json",
+     "821c80a2cf990b8daeb1ae740be8cd553afcc62bb45858804ab51081f7558b84"),
+    ("classes --q 841 --format json",
+     "8c24c6245d983b879646d0773e22ad84ed359a9eed64105438eb474d92855d86"),
 ]
 
 # The graph summary goes to stderr; it is the only output that carries the

@@ -1,3 +1,4 @@
+import os
 import random
 from collections import Counter
 from math import gcd
@@ -6,15 +7,16 @@ import pytest
 
 from invgen.gf import gf_for_q, prime_power_split
 from invgen.psl2 import (
-    ClassLabel, ClassSignature, _fold_traces, _nonsplit_walk, _power_orders, _trace_keys,
+    ClassLabel, _fold_traces, _nonsplit_walk, _power_orders, _split_traces, _trace_keys,
     enumerate_psl2, inventory, torus_class_counts, trace_key,
 )
 from helpers import (
-    IDENTITY, canon, dickson, make, nonsplit_generator_trace, psl2_class_of, psl2_inv, psl2_mul,
-    psl2_order,
+    IDENTITY, canon, dickson, make, nonsplit_generator_trace, psl2_class_of, psl2_inv,
+    psl2_mul, psl2_order, ref_entries, ref_split_traces, ref_table_walk, split_key_array,
 )
 
 ORACLE_QS = [4, 5, 7, 8, 9, 11, 13]
+EXTENDED = os.environ.get("INVGEN_EXTENDED") == "1"
 
 
 def euler_phi(n: int) -> int:
@@ -176,10 +178,10 @@ def test_enumerated_sizes_match_formulas(q):
 def test_phi_over_2_labels_per_order(q):
     inv = inventory(gf_for_q(q))
     d = 2 if q % 2 == 1 else 1
-    expected = {ClassSignature(kind, None, ell): euler_phi(ell) // 2
+    expected = {(kind, None, ell): euler_phi(ell) // 2
                 for kind, n in (("split", (q - 1) // d), ("nonsplit", (q + 1) // d))
                 for ell in range(3, n + 1) if n % ell == 0}
-    assert Counter(ClassSignature(e.label.kind, None, e.order) for e in inv
+    assert Counter((e.label.kind, None, e.order) for e in inv
                    if e.label.kind in ("split", "nonsplit")) == expected
     assert torus_class_counts(q) == expected
 
@@ -226,16 +228,49 @@ def test_class_meets_cyclic_subgroup_in_inverse_pair(q):
         assert same_class == {x, psl2_inv(ctx, x)}, (q, entry.label)
 
 
+def nonsplit_walk(ctx):
+    """``_nonsplit_walk`` with the split key array of the field's inventory."""
+    return _nonsplit_walk(ctx, split_key_array(inventory(ctx)), _trace_keys(ctx).__getitem__)
+
+
 def test_nonsplit_walk_certifies_the_reference_generator():
     # at the 21 q = 1 mod 4 up to 1024 where a trace of SL-order (q+1)/2
     # comes first, only the D_((q+1)/2) = -2 rule rejects it; the classes
     # it gives are the same, so the inventory tests would not see it
     for q in (q for q in range(4, 1025) if prime_power_split(q)):
         ctx = gf_for_q(q)
-        walk = _nonsplit_walk(ctx)
+        walk = nonsplit_walk(ctx)
         t0 = nonsplit_generator_trace(ctx)
         assert (walk[0], len(walk)) == (t0, q // 2), q
         assert walk[-1] == dickson(ctx, t0, q // 2), q
+
+
+def check_walks_against_references(q):
+    """The walk, the split traces, their keys and the class orders against
+    the walk through ``ctx.mul``/``ctx.sub`` with ``is_split_trace``, the
+    sums through ``ctx.add``, ``trace_key`` and the per-power gcd fold."""
+    ctx = gf_for_q(q)
+    key_of = _trace_keys(ctx).__getitem__
+    walk = nonsplit_walk(ctx)
+    assert walk == ref_table_walk(ctx)
+    split = ref_split_traces(ctx)
+    traces = list(_split_traces(ctx))
+    assert [t % ctx.p if ctx.f == 1 else t for t in traces] == split
+    assert list(map(key_of, traces)) == [trace_key(ctx, t) for t in split]
+    assert list(map(key_of, walk)) == [trace_key(ctx, t) for t in walk]
+    assert inventory(ctx).entries == ref_entries(ctx)
+
+
+@pytest.mark.parametrize("q", [q for q in range(4, 1025) if prime_power_split(q)])
+def test_walks_and_traces_match_the_method_references(q):
+    check_walks_against_references(q)
+
+
+@pytest.mark.skipif(not EXTENDED, reason="set INVGEN_EXTENDED=1")
+@pytest.mark.parametrize("q", [q for q in range(1025, 4097)
+                               if (pf := prime_power_split(q)) and pf[1] > 1])
+def test_extension_walks_and_traces_match_the_method_references_extended(q):
+    check_walks_against_references(q)
 
 
 # prime, odd f > 1 and characteristic-2 fields
@@ -244,8 +279,10 @@ FOLD_QS = [4, 5, 7, 8, 9, 13, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128, 243, 34
 
 @pytest.mark.parametrize("q", FOLD_QS)
 def test_trace_keys_are_the_least_of_t_and_minus_t(q):
+    # a prime field also keys the unreduced sums t < 2p of _split_traces
     ctx = gf_for_q(q)
-    assert list(_trace_keys(ctx)) == [trace_key(ctx, t) for t in range(q)]
+    span = 2 * q if ctx.f == 1 else q
+    assert list(_trace_keys(ctx)) == [trace_key(ctx, t % q) for t in range(span)]
 
 
 def ref_torus_classes(ctx, kind):
@@ -321,7 +358,7 @@ def test_fold_refuses_a_key_of_the_other_torus(q):
     ctx = gf_for_q(q)
     split, nonsplit = inventory(ctx).tori
     d = 2 if q % 2 else 1
-    keys = [trace_key(ctx, t) for t in _nonsplit_walk(ctx)]
+    keys = [trace_key(ctx, t) for t in nonsplit_walk(ctx)]
     orders = _power_orders(q + 1, d, len(keys))
     mirror = (q + 1) // 2 if d == 2 else None
     split_slots = [0] * q

@@ -30,7 +30,6 @@ from invgen.structure import (
     json_document,
     json_pair_list,
     json_pair_rows,
-    maximal_profiles,
     maximal_subgroup_classes,
     profile_census,
     profile_universe,
@@ -38,16 +37,18 @@ from invgen.structure import (
     verify_2covering,
 )
 from helpers import (
-    by_label,
     covering_sets,
+    ids,
     in_subfield,
     isolated,
+    label_profiles,
     pairs,
     ref_beta_fast,
     ref_census,
     ref_class_signatures,
     ref_covering,
     ref_entries,
+    ref_frozenset_census,
     ref_index_census,
     ref_profiles,
     ref_psi2_count,
@@ -145,9 +146,8 @@ def test_build_profiles_match_per_label_reference(q):
     sigs, of_entry = inv.signatures[0], inv.class_signatures
     assert [sigs[i] for i in of_entry] == [ref_signature(e) for e in inv]
     assert len(set(sigs)) == len(sigs)
-    profiles = build_profiles(inv, classes)
-    assert len(profiles) == len(sigs)
-    assert by_label(inv, profiles) == ref_profiles(ctx, inv, classes)
+    assert len(build_profiles(inv, classes)) == len(sigs)
+    assert label_profiles(inv, classes) == ref_profiles(ctx, inv, classes)
 
 
 NONPRIME_POWERS = [q for q in range(4, 4097) if (pf := prime_power_split(q)) and pf[1] > 1]
@@ -165,7 +165,7 @@ def test_profiles_q7_exact():
     ctx = gf_for_q(7)
     inv = inventory(ctx)
     profs = {lab.str_form(): sorted(ids) for lab, ids in
-             by_label(inv, build_profiles(inv, maximal_subgroup_classes(ctx))).items()}
+             label_profiles(inv, maximal_subgroup_classes(ctx)).items()}
     assert profs["inv"] == ["dih_nonsplit", "exc_s4:v1", "exc_s4:v2"]
     assert profs["split:t=1"] == ["borel", "exc_s4:v1", "exc_s4:v2"]
     assert profs["nonsplit:t=3"] == ["dih_nonsplit", "exc_s4:v1", "exc_s4:v2"]
@@ -177,7 +177,7 @@ def test_profiles_q9_variant_split():
     ctx = gf_for_q(9)
     inv = inventory(ctx)
     profs = {lab.str_form(): ids for lab, ids in
-             by_label(inv, build_profiles(inv, maximal_subgroup_classes(ctx))).items()}
+             label_profiles(inv, maximal_subgroup_classes(ctx)).items()}
     for n5 in ("nonsplit:t=4", "nonsplit:t=5"):
         assert {"dih_nonsplit", "exc_a5:v1", "exc_a5:v2"} <= profs[n5]
     assert "exc_a5:v1" in profs["unip:sq"] and "exc_a5:v2" not in profs["unip:sq"]
@@ -189,7 +189,7 @@ def test_profiles_q9_variant_split():
 def test_profiles_q25_subfield_traces():
     ctx = gf_for_q(25)
     inv = inventory(ctx)
-    profs = by_label(inv, build_profiles(inv, maximal_subgroup_classes(ctx)))
+    profs = label_profiles(inv, maximal_subgroup_classes(ctx))
     for entry in inv:
         if entry.label.kind != "split":
             continue
@@ -209,9 +209,8 @@ def test_profile_invariants(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
     classes = maximal_subgroup_classes(ctx)
-    profiles = build_profiles(inv, classes)
-    profs = by_label(inv, maximal_profiles(classes, profiles))
-    full = by_label(inv, profiles)
+    profs = label_profiles(inv, classes, maximal=True)
+    full = label_profiles(inv, classes)
     for entry in inv:
         if entry.label.kind == "id":
             continue
@@ -452,7 +451,7 @@ def test_psi2_equals_label_pair_sweep(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
     classes = maximal_subgroup_classes(ctx)
-    profs = by_label(inv, maximal_profiles(classes, build_profiles(inv, classes)))
+    profs = label_profiles(inv, classes, maximal=True)
     labels = inv.nonidentity_labels()
     expected = set()
     for i, c in enumerate(labels):
@@ -476,7 +475,7 @@ def test_signature_route_matches_label_reference(q):
     assert inv.entries == entries
     census = profile_census(inv)
     labels, buckets, members, _ = ref_census(ctx, entries)
-    assert census.buckets == buckets
+    assert [ids(census.universe, b) for b in census.buckets] == buckets
     assert census.sizes == [len(m) for m in members]
     assert census.psi2_count == ref_psi2_count(buckets, members)
     assert [[labels[i] for i in mem] for mem in census.members()] == members
@@ -516,6 +515,25 @@ def test_census_matches_class_index_reference(q):
     assert lambda_summary(census, cover) == expected
     assert lambda_summary(census, cover) == ref_quotient_summary(census, cover)
     assert census.members() == members and inv.class_signatures == of_class
+
+
+@pytest.mark.parametrize("q", [q for q in range(4, 1025) if prime_power_split(q)])
+def test_census_on_masks_matches_the_frozenset_reference(q):
+    # every census field against the census on frozensets of subgroup ids,
+    # whose buckets are sorted by their sorted ids
+    inv = inventory(gf_for_q(q))
+    census = profile_census(inv)
+    buckets, sizes, sig_bucket, disjoint, profiles, count = ref_frozenset_census(inv)
+    assert census.universe == profile_universe(maximal_subgroup_classes(inv.ctx))
+    assert [ids(census.universe, m) for m in census.profiles] == profiles
+    assert census.buckets == sorted(census.buckets)
+    named = [ids(census.universe, b) for b in census.buckets]
+    assert sorted(named, key=sorted) == buckets
+    ref_of = [buckets.index(b) for b in named]  # the reference position of each bucket
+    assert census.sizes == [sizes[b] for b in ref_of]
+    assert [-1, *(ref_of[b] for b in census.sig_bucket[1:])] == sig_bucket
+    assert sorted((ref_of[i], ref_of[j]) for i, j in census.disjoint) == disjoint
+    assert census.psi2_count == count
 
 
 @pytest.mark.parametrize("q", [7, 9, 13, 64, 729, 1021])
