@@ -26,10 +26,11 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import chain
+from itertools import chain, compress
+from math import isqrt
 from typing import TextIO
 
-from invgen.gf import Q_CAP, CapError, GFContext, gf_for_q, prime_power_split
+from invgen.gf import Q_CAP, CapError, GFContext, gf_for_q
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -109,15 +110,35 @@ def _parse_range(spec: str) -> dict[int, tuple[int, int]]:
         raise UsageError(f"range must satisfy 4 <= lo <= hi, got {spec!r}")
     if hi > Q_CAP:
         raise UsageError(f"range end {hi} exceeds the supported cap {Q_CAP}")
-    fields, total = {}, 0
-    for q in range(lo, hi + 1):
-        if pf := prime_power_split(q):
-            total += q
-            if total > VERIFY_Q_SUM_CAP:
-                raise CapError(
-                    f"the prime powers of range {spec} sum past the verify cap {VERIFY_Q_SUM_CAP}")
-            fields[q] = pf
+    fields = _prime_powers(lo, hi)
+    if sum(fields) > VERIFY_Q_SUM_CAP:
+        raise CapError(
+            f"the prime powers of range {spec} sum past the verify cap {VERIFY_Q_SUM_CAP}")
     return fields
+
+
+def _prime_powers(lo: int, hi: int) -> dict[int, tuple[int, int]]:
+    """{q: (p, f)} for every prime power q = p^f in [lo, hi], ascending, by
+    a sieve with no trial division: each prime p up to sqrt(hi), itself
+    sieved from [2, sqrt(hi)], strikes its multiples from p^2 on out of
+    [lo, hi] and lists its own powers there; what [lo, hi] keeps is its
+    primes."""
+    root = isqrt(hi)
+    small = bytearray([1]) * (root + 1)
+    kept = bytearray([1]) * (hi - lo + 1)  # kept[n - lo]
+    found = {}
+    for p in range(2, root + 1):
+        if small[p]:
+            small[p * p::p] = bytes(len(range(p * p, root + 1, p)))
+            start = max(p * p, -(-lo // p) * p)
+            kept[start - lo::p] = bytes(len(range(start, hi + 1, p)))
+            q, f = p, 1
+            while q <= hi:
+                if q >= lo:
+                    found[q] = p, f
+                q, f = q * p, f + 1
+    found.update((n, (n, 1)) for n in compress(range(lo, hi + 1), kept))
+    return dict(sorted(found.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,15 @@
 Elements are permutations of the projective line (the action is faithful),
 each stored once as ``bytes`` of length q + 1 and composed with
 ``bytes.translate`` against a 256-byte table; point 0 is infinity and point
-1+v is v.  A permutation is composed from the tables of v -> v + s,
-v -> s*v and v -> 1/v: for m = (a, b, c, d) with ad - bc = 1,
+1+v is v.  A matrix m = (a, b, c, d) with ad - bc = 1 factors as
 
-    c = 0:   v -> a^2 v + ab,
-    c != 0:  v -> a/c - 1/(c^2 (v + d/c)) = a/c + 1/(-c^2 (v + d/c)),
+    a != 0:  m = L(c/a) U(a, b),    L(e) = (1, 0, e, 1),  U(a, b) = (a, b, 0, 1/a),
+    a = 0:   m = W U(-c, -d),       W = (0, 1, -1, 0),
 
-so no image is evaluated point by point (``mobius_perm`` in
+so its permutation is that of U(a, b), v -> a^2 v + ab, translated once by
+the table of L(c/a), v -> 1/(1/v + e), or by that of W, v -> -1/v.  The
+q(q - 1) permutations U(a, b) and the tables of L and W are built once per
+session, so no image is evaluated point by point (``mobius_perm`` in
 ``tests/helpers.py`` is the pointwise reference).  Each enumerated matrix
 is turned into its permutation and its class label, read from tables keyed
 by its trace (``_labeller``; ``psl2_class_of`` in ``tests/helpers.py`` is
@@ -25,7 +27,7 @@ one enumerated x in C.  For such k and j, x -> x^k maps C onto C^k and
 <x^k, y^j> = <x, y>, so (C, D) and every (C^k, D^j) share one verdict, and
 all members of a power class share one row.  The representatives of two
 power classes never generate one cyclic subgroup, so no normaliser below
-is scanned twice.
+is computed twice.
 
 ``pair_generates`` decides (C, D) by fixing one x in the smaller class and
 sweeping one y per orbit, on the larger class, of the group generated by
@@ -35,8 +37,12 @@ in the two classes.  The verdict is constant on each orbit: for g in N,
 x^(g^-1) generates <x>, so <x, y^g> = <x^(g^-1), y>^g = <x, y>^g; and
 <x, y^-1> = <x, y>.  Inversion stays inside D only when D is real, so the
 orbit of y^-1 is added only when y^-1 has y's label (the unipotent classes
-are not real when q = 3 mod 4).  N is the set of enumerated elements that
-conjugate x to one of its powers, so no sweep uses a structural rule.
+are not real when q = 3 mod 4).  N is found by linear algebra over GF(q)
+(``normaliser``), not by a scan of S: x's matrix is recovered from the
+images of infinity, 0 and 1, and N is the det-1 solutions G of
+G X = +-X^k G, turned into permutations by the session's line action.  So
+no sweep uses a structural rule, and a normaliser costs O(q) field
+operations and |N| translates.
 """
 
 from __future__ import annotations
@@ -59,25 +65,37 @@ class OracleCapError(CapError):
 
 
 def _line_action(ctx: GFContext):
-    """The map from m to its permutation of the projective line: the
-    translate tables of v -> v + s, v -> s*v and v -> 1/v (built here in
-    O(q^2) field operations), composed by the identity of the module
-    docstring, at most four translates and five field operations per m."""
+    """The map from a determinant-1 matrix m, either sign, to its
+    permutation of the projective line: one translate per m, by the
+    factorisations of the module docstring.  Built here from the translate
+    tables of v -> v + s and v -> 1/v, in O(q^2) field operations: the q
+    tables of L(e), v -> 1/(1/v + e), and the q(q - 1) permutations of
+    U(a, b), v -> a^2 v + ab, each one translate of v -> a^2 v; lower[a][c]
+    is the table of L(c/a)."""
     q, n = ctx.q, ctx.q + 1
     pad = _POINTS[n:]
-    shift = [bytes([0] + [1 + ctx.add(v, s) for v in range(q)]) + pad for s in range(q)]
-    scale = [b""] + [bytes([0] + [1 + ctx.mul(s, v) for v in range(q)]) + pad
-                     for s in range(1, q)]
-    recip = bytes([1, 0] + [1 + ctx.inv(v) for v in range(1, q)]) + pad
-    mul, inv, neg = ctx.mul, ctx.inv, ctx.neg
+    add, mul, inv, neg = ctx.add, ctx.mul, ctx.inv, ctx.neg
+    shift = [bytes([0] + [1 + add(v, s) for v in range(q)]) + pad for s in range(q)]
+    recip = bytes([1, 0] + [1 + inv(v) for v in range(1, q)]) + pad
+    flip = bytes([1, 0] + [1 + neg(inv(v)) for v in range(1, q)]) + pad  # W: v -> -1/v
+    lower_of = [recip.translate(t).translate(recip) for t in shift]
+    upper: list[list[Perm]] = [[]]
+    lower: list[list[bytes]] = [[]]
+    shifted_of: dict[int, list[Perm]] = {}  # s -> the maps v -> s v + u, u in GF(q)
+    for a in range(1, q):
+        s, ia = mul(a, a), inv(a)
+        if s not in shifted_of:  # a and -a share s
+            scale = bytes([0] + [1 + mul(s, v) for v in range(q)])
+            shifted_of[s] = [scale.translate(t) for t in shift]
+        shifted = shifted_of[s]
+        upper.append([shifted[mul(a, b)] for b in range(q)])
+        lower.append([lower_of[mul(c, ia)] for c in range(q)])
 
     def perm(m: Mat) -> Perm:
         a, b, c, d = m
-        if c == 0:
-            return scale[mul(a, a)][:n].translate(shift[mul(a, b)])
-        ic = inv(c)
-        return (shift[mul(d, ic)][:n].translate(scale[neg(mul(c, c))])
-                .translate(recip).translate(shift[mul(a, ic)]))
+        if a:
+            return upper[a][b].translate(lower[a][c])
+        return upper[neg(c)][neg(d)].translate(flip)
 
     return perm
 
@@ -101,39 +119,41 @@ def _labeller(ctx: GFContext):
     unipotents of q odd (t = +-2): their square class is that of the
     upper-right entry of the unitriangular normal form, b when c = 0 and -c
     otherwise once m has trace 2, and negating m negates it.  So those are
-    keyed by t, by whether c = 0, and by that entry.  The identity (trace 2,
-    or 0 for q even) is matched first."""
+    keyed by t, by whether c = 0, and by that entry.  The traces of the
+    identity (2, or 0 for q even) hold no label: such an m is the identity
+    when b = c = 0 and a unipotent otherwise.  The label of every other
+    trace a + d is read from row a of ``by_sum``, so no field operation is
+    made per m."""
     q, two = ctx.q, ctx.scalar(2)
-    identity, involution, unip = ClassLabel("id"), ClassLabel("inv"), ClassLabel("unip")
+    identity, involution = ClassLabel("id"), ClassLabel("inv")
     by_trace: list[ClassLabel | None] = []
     for t in range(q):
-        if ctx.p == 2 and t == 0:
-            by_trace.append(unip)
-        elif ctx.p != 2 and t in (two, ctx.neg(two)):
+        if t in (two, ctx.neg(two)):
             by_trace.append(None)
         elif t == 0:
             by_trace.append(involution)
         else:
             kind = "split" if is_split_trace(ctx, t) else "nonsplit"
             by_trace.append(ClassLabel(kind, trace_key(ctx, t)))
-    unipotent = {}
-    if ctx.p != 2:
+    if ctx.p == 2:
+        square = negated = [ClassLabel("unip")] * q
+    else:
         square = [ClassLabel("unip", sq=ctx.is_square(v)) for v in range(q)]
         negated = [square[ctx.neg(v)] for v in range(q)]
-        # (t, c == 0) -> square class of the read entry, b if c == 0 else c
-        unipotent = {(two, True): square, (two, False): negated,
-                     (ctx.neg(two), True): negated, (ctx.neg(two), False): square}
+    # (t, c == 0) -> square class of the read entry, b if c == 0 else c
+    unipotent = {(two, True): square, (two, False): negated,
+                 (ctx.neg(two), True): negated, (ctx.neg(two), False): square}
     add = ctx.add
+    by_sum = [[by_trace[add(a, d)] for d in range(q)] for a in range(q)]
 
     def label(m: Mat) -> ClassLabel:
-        if m == (1, 0, 0, 1):
-            return identity
         a, b, c, d = m
-        t = add(a, d)
-        lab = by_trace[t]
-        if lab is None:
-            return unipotent[t, c == 0][b if c == 0 else c]
-        return lab
+        lab = by_sum[a][d]
+        if lab is not None:
+            return lab
+        if b == c == 0:
+            return identity
+        return unipotent[add(a, d), c == 0][b if c == 0 else c]
 
     return label
 
@@ -160,20 +180,20 @@ class OracleSession:
         self.ctx = ctx
         self.inv = inv
         perm, label = _line_action(ctx), _labeller(ctx)
-        # every element once, in enumeration order, counted as it arrives
-        self.label_of_perm: dict[Perm, ClassLabel] = {}
-        self.by_label: dict[ClassLabel, list[Perm]] = {lab: [] for lab in inv.labels()}
-        self.order = 0
+        # every element once, in enumeration order
+        label_of_perm: dict[Perm, ClassLabel] = {}
+        by_label: dict[ClassLabel, list[Perm]] = {lab: [] for lab in inv.labels()}
         for m in enumerate_psl2(ctx):
             p, lab = perm(m), label(m)
             try:
-                self.by_label[lab].append(p)
+                by_label[lab].append(p)
             except KeyError:
                 raise RuntimeError(f"the enumeration meets class {lab}, "
                                    "which the inventory lacks") from None
-            self.label_of_perm[p] = lab
-            self.order += 1
-        if len(self.label_of_perm) != self.order:
+            label_of_perm[p] = lab
+        self.label_of_perm, self.by_label = label_of_perm, by_label
+        self.order = sum(map(len, by_label.values()))
+        if len(label_of_perm) != self.order:
             raise RuntimeError("two enumerated elements act alike on the projective line")
         for entry in inv:
             got = len(self.by_label[entry.label])
@@ -183,6 +203,10 @@ class OracleSession:
         self.npoints = ctx.q + 1
         self.identity: Perm = _POINTS[:self.npoints]
         self.exit_bound = max(sc.order for sc in maximal_subgroup_classes(ctx) if sc.maximal)
+        self._perm = perm
+        self._inv_root: list[int | None] = [None] * ctx.q  # 1/sqrt(v), None off the squares
+        for v in range(1, ctx.q):
+            self._inv_root[ctx.mul(v, v)] = ctx.inv(v)
         self._normalisers: dict[Perm, list[Perm]] = {}  # filled on demand
 
     # -- closure -------------------------------------------------------------
@@ -215,17 +239,85 @@ class OracleSession:
             x = x.translate(xt)
         return powers
 
+    def matrix(self, x: Perm) -> Mat:
+        """The determinant-1 matrix, up to sign, that acts as x: the Moebius
+        map sending infinity, 0 and 1 where x sends them (PGL(2,q) is
+        sharply 3-transitive), scaled by the inverse square root of its
+        determinant, a square since x lies in S."""
+        ctx = self.ctx
+        sub, mul, neg = ctx.sub, ctx.mul, ctx.neg
+        a, b, c = x[0] - 1, x[1] - 1, x[2] - 1  # the images; -1 is infinity
+        if a < 0:
+            m = (sub(c, b), b, 0, 1)
+        elif b < 0:
+            m = (neg(a), sub(a, c), neg(1), 0)
+        elif c < 0:
+            m = (a, neg(b), 1, neg(1))
+        else:
+            cb, ac = sub(c, b), sub(a, c)
+            m = (mul(a, cb), mul(b, ac), cb, ac)
+        s = self._inv_root[sub(mul(m[0], m[3]), mul(m[1], m[2]))]
+        m = (mul(m[0], s), mul(m[1], s), mul(m[2], s), mul(m[3], s))
+        if self._perm(m) != x:
+            raise RuntimeError("the recovered matrix does not act as its permutation")
+        return m
+
     def normaliser(self, x: Perm) -> list[Perm]:
-        """N_S(<x>): the enumerated g whose conjugate of x is a power of x.
-        bytes.maketrans(g, x.translate(_table(g))) sends g(i) to g(x(i)): it
-        is the padded table of g x g^-1 (g + pad is _table(g) inlined)."""
-        if x not in self._normalisers:
-            powers = {_table(p) for p in self._powers(x)}
-            pad, maketrans, after_x = _POINTS[self.npoints:], bytes.maketrans, x.translate
-            self._normalisers[x] = [
-                g for g in self.label_of_perm if maketrans(g, after_x(g + pad)) in powers
-            ]
-        return self._normalisers[x]
+        """N_S(<x>) by linear algebra over GF(q), no scan of S.  With X the
+        ``matrix`` of x and t its trace, X^k = a_k X + b_k I (X^2 = tX - I),
+        and x has order n, the least k with a_k = 0.  The g with
+        g x g^-1 = x^k are the G with G X = Y G for Y = +-X^k; such G
+        exist only when tr(Y) = t, and then, e a cyclic vector of X, they
+        are G0 C_GL(X) with G0 the map e -> e, Xe -> Ye, of determinant
+        alpha det[e | Xe]^2 for Y = alpha X + beta I.  C_GL(X) holds the
+        u I + w X, of determinant u^2 + tuw + w^2: the points (u : w) of
+        the line where that is a nonzero square give C_S(x), and one where
+        it is not (``twist``) fixes a G0 whose alpha is a nonsquare.  So
+        N is C_S(x) and, per other Y, one det-1 G times C_S(x)."""
+        if x in self._normalisers:
+            return self._normalisers[x]
+        ctx, perm, inv_root = self.ctx, self._perm, self._inv_root
+        add, sub, mul, neg = ctx.add, ctx.sub, ctx.mul, ctx.neg
+        x1, x2, x3, x4 = self.matrix(x)
+        t = add(x1, x4)
+        cent, twist = [x], None  # (0 : 1) is X itself
+        for w in range(ctx.q):  # the points (1 : w)
+            det = add(1, mul(w, add(t, w)))
+            s = inv_root[det]
+            if s is not None:
+                ws = mul(w, s)
+                cent.append(perm((add(s, mul(ws, x1)), mul(ws, x2), mul(ws, x3),
+                                  add(s, mul(ws, x4)))))
+            elif det and twist is None:
+                twist = (add(1, mul(w, x1)), mul(w, x2), mul(w, x3), add(1, mul(w, x4))), det
+        # E = [e | Xe] for the first e of (1, 0), (0, 1), (1, 1) that makes a basis
+        e1, e2, e3, e4 = (1, x1, 0, x3) if x3 else (0, x2, 1, x4) if x2 else (1, x1, 1, x4)
+        inv_det_e = ctx.inv(sub(mul(e1, e4), mul(e2, e3)))
+        signs = [1] if ctx.p == 2 else [1, neg(1)]
+        norm = list(cent)
+        ak, bk = 1, 0
+        while ak:
+            for sign in signs:
+                alpha, beta = mul(sign, ak), mul(sign, bk)
+                if (alpha, beta) == (1, 0) or add(mul(alpha, t), add(beta, beta)) != t:
+                    continue
+                f2, f4 = add(mul(beta, e1), mul(alpha, e2)), add(mul(beta, e3), mul(alpha, e4))
+                g = (sub(mul(e1, e4), mul(f2, e3)), mul(e1, sub(f2, e2)),
+                     mul(e3, sub(e4, f4)), sub(mul(f4, e1), mul(e3, e2)))  # [e | Ye] adj(E)
+                s = inv_root[alpha]
+                if s is None:
+                    if twist is None:  # every u I + w X has square determinant
+                        continue
+                    (t1, t2, t3, t4), det = twist
+                    g = (add(mul(g[0], t1), mul(g[1], t3)), add(mul(g[0], t2), mul(g[1], t4)),
+                         add(mul(g[2], t1), mul(g[3], t3)), add(mul(g[2], t2), mul(g[3], t4)))
+                    s = inv_root[mul(alpha, det)]
+                s = mul(s, inv_det_e)
+                gt = _table(perm((mul(g[0], s), mul(g[1], s), mul(g[2], s), mul(g[3], s))))
+                norm.extend(c.translate(gt) for c in cent)
+            ak, bk = add(mul(t, ak), bk), neg(ak)
+        self._normalisers[x] = norm
+        return norm
 
     def normaliser_orbits(self, x: Perm, ys: list[Perm]):
         """Yield (y, orbit of y), lazily, for each orbit on the class ys of

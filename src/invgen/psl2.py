@@ -175,7 +175,8 @@ def enumerate_psl2(ctx: GFContext):
 
     Runs over the standard SL(2,q) parametrization with its first nonzero
     entry (a, or b when a = 0) restricted to the values v <= -v, so the
-    canonical member of each pair {M, -M} is the one reached.
+    canonical member of each pair {M, -M} is the one reached.  In a prime
+    field d = (1 + bc)/a is worked out on ints mod p.
     """
     q = ctx.q
     mul, inv, add, neg = ctx.mul, ctx.inv, ctx.add, ctx.neg
@@ -183,8 +184,13 @@ def enumerate_psl2(ctx: GFContext):
     for a in leads:
         ia = inv(a)
         for b in range(q):
-            for c in range(q):
-                yield a, b, c, mul(ia, add(1, mul(b, c)))
+            if ctx.f == 1:
+                iab = ia * b
+                for c in range(q):
+                    yield a, b, c, (ia + iab * c) % q
+            else:
+                for c in range(q):
+                    yield a, b, c, mul(ia, add(1, mul(b, c)))
     # a = 0: need bc = -1
     for b in leads:
         c = neg(inv(b))

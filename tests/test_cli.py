@@ -470,6 +470,18 @@ def test_verify_work_cap_admits_the_checked_ranges(spec, n_q):
     assert len(cli._parse_range(spec)) == n_q
 
 
+# the sieve against one prime_power_split per integer: the benchmark's range,
+# a range with no prime power, squares of primes (181^2), 3^10, 3^11, 2^15, 2^16
+@pytest.mark.parametrize("lo,hi", [(4, 1024), (4, 4), (24, 24), (5, 30), (1000, 1100),
+                                   (1021, 1024), (32749, 32771), (59040, 59060),
+                                   (65521, 65537), (177140, 177150)])
+def test_parse_range_matches_the_per_integer_reference(lo, hi):
+    fields = cli._parse_range(f"{lo}..{hi}")
+    reference = {q: pf for q in range(lo, hi + 1) if (pf := gf.prime_power_split(q))}
+    assert fields == reference
+    assert list(fields) == sorted(reference)
+
+
 def test_cap_comes_before_the_power(capsys):
     # 2^3000000000 would take seconds and hundreds of MB to form
     start = time.perf_counter()

@@ -30,6 +30,7 @@ from fusion import (
     subline,
 )
 from helpers import (
+    canon,
     centraliser_reference,
     conjugate,
     drop_class,
@@ -107,8 +108,9 @@ def test_common_borel_never_generates(sessions):
 
 
 # perm_of is oracle._line_action: the map from a matrix to its permutation.
-# q = 4, 8, 16 have p = 2; 5, 7 are prime; 9, 25 have f = 2; 27 has odd f = 3
-@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 16, 25, 27])
+# q = 4, 8, 16 have p = 2; 5, 7, 11, 13, 19 are prime; 9, 25 have f = 2; 27
+# has odd f = 3
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 16, 19, 25, 27])
 def test_perm_of_matches_pointwise_mobius(q, elements):
     ctx, mats, perm_of = elements(q)
     for m in mats:
@@ -237,7 +239,7 @@ def test_psi2_decides_each_pair_of_power_classes_once(q, monkeypatch):
     sess.psi2()
     n = len(sess.power_classes())
     assert len(calls) == len({frozenset(pair) for pair in calls}) == n * (n + 1) // 2
-    # one normaliser scan per cyclic subgroup: no two scanned x generate one
+    # one normaliser per cyclic subgroup: no two x it was found for generate one
     cyclic = [frozenset(sess._closure([x], sess.order)) for x in sess._normalisers]
     assert len(set(cyclic)) == len(cyclic) <= n
 
@@ -318,6 +320,31 @@ def test_normaliser_orbits_partition_each_class(q, sessions):
                 for y in orbit:
                     assert {conjugate(y, g) for g in norm} <= orbit, (q, c, d)
                     assert (_inverse(y) in orbit) == real, (q, c, d)
+
+
+# the first x of each class beyond the q of the partition test above, whose
+# orbit checks would be slow here (q even at 16, f = 2 at 25, f = 3 at 27,
+# the A5 at 19), and a later x at 8, 9 and 11, whose matrix the normaliser
+# recovers from a permutation that is not the first of its class
+@pytest.mark.parametrize("q,first", [(13, True), (16, True), (19, True), (25, True), (27, True),
+                                     (8, False), (9, False), (11, False)])
+def test_normaliser_matches_the_reference(q, first, sessions):
+    sess = sessions(q)
+    rng = random.Random(q)
+    for c in sess.inv.nonidentity_labels():
+        xs = sess.by_label[c]
+        x = xs[0] if first else rng.choice(xs[1:])
+        norm = sess.normaliser(x)
+        assert len(norm) == len(set(norm)), (q, c)
+        assert set(norm) == normaliser_reference(sess, x), (q, c)
+
+
+@pytest.mark.parametrize("q", [4, 5, 8, 9, 11, 27])
+def test_matrix_is_the_enumerated_one_up_to_sign(q, sessions, elements):
+    sess = sessions(q)
+    ctx, mats, perm_of = elements(q)
+    for m in mats:
+        assert canon(ctx, sess.matrix(perm_of(m))) == m, m
 
 
 def test_session_names_a_class_missing_from_the_inventory():

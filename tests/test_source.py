@@ -1,6 +1,7 @@
 """Rules on the library source itself, read with ``ast``: the runtime imports
 only the standard library and itself, every name a module imports is read
-in it, and only the CLI reads the environment."""
+in it, only the CLI reads the environment, and the oracle takes from the
+structural rules it certifies only the two names it needs."""
 
 import ast
 import sys
@@ -40,6 +41,26 @@ def unused_imports(tree) -> set[str]:
                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
+def names_from(tree, module: str) -> set[str]:
+    """The names a from-import takes from ``module`` (a relative import is
+    read inside invgen), and the dotted name of ``module`` itself where the
+    whole module is imported."""
+    package, _, leaf = module.rpartition(".")
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {module for alias in node.names if alias.name == module}
+        elif isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if node.level:
+                source = f"invgen.{source}".rstrip(".")
+            if source == module:
+                names |= {alias.name for alias in node.names}
+            elif source == package:
+                names |= {module for alias in node.names if alias.name == leaf}
+    return names
+
+
 def reads_environment(tree) -> bool:
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT:
@@ -71,6 +92,25 @@ def test_every_import_is_read(path):
                          ids=lambda p: p.name)
 def test_only_the_cli_reads_the_environment(path):
     assert not reads_environment(parse(path)), f"{path.name} reads the environment"
+
+
+def test_the_oracle_reads_two_names_of_the_structural_rules():
+    # exit_bound (from maximal_subgroup_classes) is the oracle's one
+    # dependence on the rules it certifies; Psi2Table is the type it returns
+    assert names_from(parse(SRC / "oracle.py"), "invgen.structure") == {
+        "Psi2Table", "maximal_subgroup_classes"}
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("from invgen.structure import A, b", {"A", "b"}),
+    ("from .structure import A", {"A"}),
+    ("from invgen import structure", {"invgen.structure"}),
+    ("from . import gf, structure", {"invgen.structure"}),
+    ("import invgen.structure", {"invgen.structure"}),
+    ("from invgen.psl2 import A\nimport invgen.structures", set()),
+], ids=["names", "relative", "module", "relative-module", "import", "other"])
+def test_names_from_a_module_are_recognised(source, expected):
+    assert names_from(ast.parse(source), "invgen.structure") == expected
 
 
 @pytest.mark.parametrize("source,expected", [
