@@ -250,11 +250,11 @@ def cmd_beta(args) -> int:
     inv = inventory(ctx)
     census = profile_census(inv)
     b = beta_fast(census)
-    check_bound_cap(b)  # the floor bound is at most b: refuse before either binomial
+    check_bound_cap(b)  # the floor bound is at most b: refuse before either is built
     count = census.psi2_count
     df = inv.d * ctx.f
     floor_report = n_lower_bound_report(census)
-    if b == floor_report["beta_lower"]:  # the same bound: evaluate the binomial once
+    if b == floor_report["beta_lower"]:  # the same bound: build it once
         exact_report = dict(floor_report, beta_exact=b)
     else:
         exact_report = n_lower_bound_report(census, beta_exact=b)

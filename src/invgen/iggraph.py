@@ -29,9 +29,11 @@ read the components and the parts (written exactly when the graph is
 bipartite) off ``IGGraph.analysis``; ``graph_to_json`` writes through
 ``structure.json_document``, which streams the edge list without building
 it.  ``n_lower_bound_report`` returns the JSON object ``beta`` prints: a
-lower bound on the component count of the power graph, an exact
-big-integer binomial written in decimal, for beta up to
-``BOUND_BETA_CAP``.  Clique and chromatic numbers need no solver: every
+lower bound on the component count of the power graph, the exact
+half-binomial (1/2) * C(beta, beta/2) for beta up to ``BOUND_BETA_CAP``,
+multiplied out from its prime factorisation in balanced product trees of
+ints and of decimals, so its decimal text never passes through a big
+int.  Clique and chromatic numbers need no solver: every
 graph built here is bipartite, since colouring a vertex by the side of the
 {Borel, nonsplit dihedral} 2-covering that its first coordinate meets
 gives adjacent vertices different colours (one that meets both sides is
@@ -50,8 +52,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
-from itertools import product
-from math import comb, log2
+from itertools import compress, product
+from math import isqrt, log2, prod
+from operator import mul
 from typing import NamedTuple
 
 from invgen.autorbits import AutAction, pair_orbits
@@ -64,8 +67,9 @@ from invgen.structure import (
 
 POWER_WORK_CAP = 10 ** 6  # power-graph vertices, and candidate neighbour tuples
 # The largest beta whose exact (1/2) * C(beta, beta/2) is built: beta at
-# q = 4096, whose binomial and its decimal text take about 3.2 s and 0.55 s,
-# against 0.03 s at q = 1024 (beta = 52,326; in-process, 2-core Xeon VM).
+# q = 4096, whose factor list, int product and decimal text take about
+# 0.09 s, against 3 ms at q = 1024 (beta = 52,326; in-process, 2-core Xeon
+# VM, Python 3.11).
 BOUND_BETA_CAP = 698_700
 
 
@@ -256,30 +260,65 @@ def int_log2(n: int) -> float:
     return shift + log2(n >> shift)
 
 
-def _big_int_str(n: int) -> str:
-    """Exact decimal form of any size, leaving the interpreter's int-to-str
-    digit limit alone (``decimal`` does not apply it)."""
-    import decimal
-    return str(decimal.Decimal(n))
-
-
 def check_bound_cap(beta_value: int) -> None:
-    """Refuse (``CapError``) a beta past ``BOUND_BETA_CAP``, before any binomial."""
+    """Refuse (``CapError``) a beta past ``BOUND_BETA_CAP``, before any
+    factorisation or product."""
     if beta_value > BOUND_BETA_CAP:
         raise CapError(f"beta={beta_value} is above {BOUND_BETA_CAP}, the largest beta "
                        "whose exact component bound is built")
 
 
-def component_bound(beta_value: int) -> int:
-    """Exact (1/2) * C(beta, beta/2); beta must be even (it always is) and
-    at most ``BOUND_BETA_CAP``."""
+def _half_binomial_factors(beta_value: int) -> list[int]:
+    """Primes and one power of 2 whose product is (1/2) * C(beta, beta/2);
+    beta must be even (it always is) and at most ``BOUND_BETA_CAP``.
+
+    By Legendre's formula a prime r divides C(beta, h), h = beta/2, exactly
+    sum_k (floor(beta/r^k) - 2 floor(h/r^k)) times.  As beta = 2h, each term
+    is floor(beta/r^k) mod 2, so r is listed once per odd floor(beta/r^k),
+    and 2 has exponent popcount(h), less 1 for the half.
+    """
     if beta_value < 2 or beta_value % 2 != 0:
         raise RuntimeError(
             f"beta must be even and >= 2, got {beta_value}; an odd orbit count "
             "signals an upstream bug"
         )
     check_bound_cap(beta_value)
-    return comb(beta_value, beta_value // 2) // 2
+    sieve = bytearray([1]) * (beta_value + 1)  # read at odd r only: is r prime
+    for r in range(3, isqrt(beta_value) + 1, 2):
+        if sieve[r]:
+            sieve[r * r::2 * r] = bytes(len(range(r * r, beta_value + 1, 2 * r)))
+    factors = [1 << (beta_value // 2).bit_count() - 1]
+    for r in compress(range(3, beta_value + 1, 2), sieve[3::2]):
+        power = r
+        while power <= beta_value:
+            if beta_value // power & 1:
+                factors.append(r)
+            power *= r
+    return factors
+
+
+def _tree_product(xs: list, times):
+    """Product of a non-empty list by a balanced tree of ``times`` calls, so
+    the big multiplications are between operands of equal size."""
+    while len(xs) > 1:
+        xs = [*map(times, xs[::2], xs[1::2]), *xs[len(xs) & ~1:]]
+    return xs[0]
+
+
+def _big_int_str(factors: list[int]) -> str:
+    """Exact decimal text of the product of ``factors``, built as a product
+    tree of ``decimal.Decimal`` in a context of its own whose precision no
+    product reaches, so no big int is converted to text (that conversion is
+    quadratic in the digit count) and no interpreter-global setting is read
+    or changed."""
+    import decimal
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+    return str(_tree_product(list(map(decimal.Decimal, factors)), exact.multiply))
+
+
+def component_bound(beta_value: int) -> int:
+    """Exact (1/2) * C(beta, beta/2), by ``_half_binomial_factors``."""
+    return _tree_product(_half_binomial_factors(beta_value), mul)
 
 
 def n_lower_bound_report(census: ProfileCensus, beta_exact: int | None = None) -> dict:
@@ -287,7 +326,8 @@ def n_lower_bound_report(census: ProfileCensus, beta_exact: int | None = None) -
     S^beta, as the JSON object that ``beta`` prints: {q, psi2_count,
     beta_lower, beta_exact, component_bound, log2_bound}, where
     component_bound is the exact (1/2) * C(beta_lower, beta_lower/2) in
-    decimal.
+    decimal.  One factor list feeds both products: ints for log2_bound,
+    decimals for the text.
 
     Uses beta >= |Psi2|/(d*f) rounded down to an even integer when the exact
     orbit count is not supplied; that bound is exactly the closed form
@@ -298,10 +338,12 @@ def n_lower_bound_report(census: ProfileCensus, beta_exact: int | None = None) -
     beta_lb = census.psi2_count // (census.inv.d * census.inv.ctx.f)
     use = beta_exact if beta_exact is not None else beta_lb
     use_even = max(2, use - use % 2)
-    bound = component_bound(use_even)
+    factors = _half_binomial_factors(use_even)
+    # products of 8 factors are still small ints: an eighth as many decimals
+    factors = [prod(factors[i:i + 8]) for i in range(0, len(factors), 8)]
     return {"q": census.inv.q, "psi2_count": census.psi2_count, "beta_lower": use_even,
-            "beta_exact": beta_exact, "component_bound": _big_int_str(bound),
-            "log2_bound": int_log2(bound)}
+            "beta_exact": beta_exact, "component_bound": _big_int_str(factors),
+            "log2_bound": int_log2(_tree_product(factors, mul))}
 
 
 # ---------------------------------------------------------------------------

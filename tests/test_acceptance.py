@@ -224,7 +224,7 @@ def test_c07_beta_large_q_extended():
 def test_c07_beta_at_the_bound_cap_extended(capsys):
     # q = 4096 has beta = BOUND_BETA_CAP: its report is still built, byte
     # for byte as at commit b4db116, before the cap existed
-    with Budget("criterion 7 extended: beta --q 4096 at the bound cap", 60):
+    with Budget("criterion 7 extended: beta --q 4096 at the bound cap", 5):
         assert main(["beta", "--q", "4096", "--format", "json"]) == 0
         out = capsys.readouterr().out  # before the Budget prints its line
     assert hashlib.sha256(out.encode()).hexdigest() == (

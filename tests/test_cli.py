@@ -253,8 +253,9 @@ def test_beta_table_prints_bounds_above_digit_limit(capsys):
 def test_beta_evaluates_one_binomial_when_the_floor_is_exact(capsys, monkeypatch):
     # |Psi2| / (d*f) = 130536 / 9 = 14504 = beta at q=512
     calls = []
-    bound = iggraph.component_bound
-    monkeypatch.setattr(iggraph, "component_bound", lambda b: calls.append(b) or bound(b))
+    factors = iggraph._half_binomial_factors
+    monkeypatch.setattr(iggraph, "_half_binomial_factors",
+                        lambda b: calls.append(b) or factors(b))
     code, out, _ = run(capsys, "beta", "--q", "512", "--format", "json")
     assert code == 0 and calls == [14504]
     payload = json.loads(out)
@@ -266,7 +267,7 @@ def test_beta_evaluates_one_binomial_when_the_floor_is_exact(capsys, monkeypatch
 def test_beta_above_the_bound_cap_exits_before_any_binomial(capsys, monkeypatch):
     # beta = 2,580,480 at q = 8192; the exact binomial would have about 777k digits
     calls = []
-    monkeypatch.setattr(iggraph, "comb", lambda n, k: calls.append(n) or 0)
+    monkeypatch.setattr(iggraph, "_half_binomial_factors", lambda b: calls.append(b) or [0])
     code, out, err = run(capsys, "beta", "--q", "8192", "--format", "json")
     assert code == 3 and out == "" and calls == []
     assert err == (f"cap exceeded: beta=2580480 is above {iggraph.BOUND_BETA_CAP}, the largest "
@@ -307,7 +308,7 @@ def break_subgroup_list(monkeypatch):
 
 
 def break_bound(monkeypatch):
-    monkeypatch.setattr(iggraph, "component_bound", lambda beta: 0)
+    monkeypatch.setattr(iggraph, "_half_binomial_factors", lambda beta: [0])
     return ["beta", "--q", "7"], "log2 of a non-positive integer"
 
 

@@ -20,6 +20,7 @@ from invgen.iggraph import (
     _big_int_str,
     _bits,
     _graph,
+    _half_binomial_factors,
     _parts_match_covering,
     IGGraph,
     component_bound,
@@ -368,9 +369,10 @@ def test_clique_chromatic_covering_chain(q):
 # ---------------------------------------------------------------------------
 
 def test_component_bound_values():
-    assert component_bound(2) == 1
-    assert component_bound(4) == 3
-    assert component_bound(20) == comb(20, 10) // 2
+    for b in range(2, 4001, 2):
+        half = comb(b, b // 2) // 2  # the reference
+        assert component_bound(b) == half, b
+        assert _big_int_str(_half_binomial_factors(b)) == str(decimal.Decimal(half)), b
     with pytest.raises(RuntimeError):
         component_bound(5)
     with pytest.raises(RuntimeError):
@@ -442,12 +444,46 @@ def test_report_q25():
 
 
 def test_big_int_str_leaves_digit_limit():
+    # beta = 14504 at q = 512: 4364 digits, above the default int-to-str
+    # limit.  The thread's decimal context is set to one that would round
+    # the bound and trap the rounding, so the text is right only if every
+    # product is made in the report's own context
+    census = profile_census(inventory(gf_for_q(512)))
     limit = sys.get_int_max_str_digits()
-    n = component_bound(14504)  # beta(PSL(2,512))
-    text = _big_int_str(n)
+    with decimal.localcontext(decimal.Context(prec=5, traps=[decimal.Inexact])) as thread:
+        rep = n_lower_bound_report(census)
+        assert decimal.getcontext() is thread
+        assert thread.prec == 5 and thread.traps[decimal.Inexact]
+        assert not any(thread.flags.values())
     assert sys.get_int_max_str_digits() == limit
-    assert len(text) == 4364 > limit
-    assert int(decimal.Decimal(text)) == n
+    assert rep["beta_lower"] == 14504 and len(rep["component_bound"]) == 4364 > limit
+    assert rep["component_bound"] == str(decimal.Decimal(comb(14504, 7252) // 2))
+
+
+def sweep_cases():
+    """Every q of ``verify --q-range 4..1024``; those whose beta is above
+    30,000 (comb takes over 10 ms there) run only when extended."""
+    cases = []
+    for q in range(4, 1025):
+        if prime_power_split(q):
+            slow = beta_fast(profile_census(inventory(gf_for_q(q)))) > 30_000
+            marks = [pytest.mark.skipif(not EXTENDED, reason="needs INVGEN_EXTENDED=1")
+                     ] if slow else []
+            cases.append(pytest.param(q, marks=marks, id=f"q{q}"))
+    return cases
+
+
+@pytest.mark.parametrize("q", sweep_cases())
+def test_reports_equal_comb_on_the_sweep(q):
+    # the floor beta and the exact beta that ``beta --q`` reports
+    census = profile_census(inventory(gf_for_q(q)))
+    b = beta_fast(census)
+    for rep in (n_lower_bound_report(census), n_lower_bound_report(census, beta_exact=b)):
+        use = rep["beta_lower"]
+        half = comb(use, use // 2) // 2  # the reference
+        assert component_bound(use) == half
+        assert rep["component_bound"] == str(decimal.Decimal(half))
+        assert rep["log2_bound"] == int_log2(half)
 
 
 def test_int_log2_big():
