@@ -60,7 +60,7 @@ q even, d = 1 and beta = |Psi2| / f.
 The number of orbits of the diagonal action on Psi2 equals beta(S), the
 largest t for which S^t is invariably 2-generated.  ``beta_fast``
 evaluates the closed form from the census alone: Psi2 membership depends
-only on the maximal profile, so fix(diag) is the bucket-product count
+only on the profile, so fix(diag) is the bucket-product count
 with the two unipotent classes taken out of their buckets.  It is the one
 production route to beta and builds no map.
 

@@ -40,7 +40,7 @@ gives adjacent vertices different colours (one that meets both sides is
 isolated), so both numbers are 2 whenever there is an edge.
 
 ``lambda_summary`` answers the standard per-q questions without building
-the label-level graph: labels with identical maximal profiles have
+the label-level graph: labels with identical profiles have
 identical neighborhoods, so the quotient by profile buckets (a blow-up
 relationship) determines component count, bipartiteness, diameter and
 isolated vertices exactly, the fields of ``LambdaSummary``; it runs

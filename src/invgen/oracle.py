@@ -17,9 +17,10 @@ is turned into its permutation and its class label, read from tables keyed
 by its trace (``_labeller``; ``psl2_class_of`` in ``tests/helpers.py`` is
 the reference), and then dropped.  Inverses come from ``bytes.maketrans``.
 A pair generates iff its closure under multiplication is the whole group.
-The closure returns early once it outgrows every maximal subgroup order:
-that ``exit_bound``, read from ``structure.maximal_subgroup_classes``, is
-the one place where the Psi2 verdicts depend on the rules they certify.
+The closure returns early once it outgrows every proper-subgroup order:
+that ``exit_bound``, the largest order that
+``structure.maximal_subgroup_classes`` lists, is the one place where the
+Psi2 verdicts depend on the rules they certify.
 
 ``psi2`` decides one class pair per pair of power classes.  The power class
 of C is the set of classes C^k with gcd(k, |x|) = 1, read off the powers of
@@ -202,7 +203,7 @@ class OracleSession:
                                    f"formula says {entry.size}")
         self.npoints = ctx.q + 1
         self.identity: Perm = _POINTS[:self.npoints]
-        self.exit_bound = max(sc.order for sc in maximal_subgroup_classes(ctx) if sc.maximal)
+        self.exit_bound = max(sc.order for sc in maximal_subgroup_classes(ctx))
         self._perm = perm
         self._inv_root: list[int | None] = [None] * ctx.q  # 1/sqrt(v), None off the squares
         for v in range(1, ctx.q):

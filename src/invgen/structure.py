@@ -1,30 +1,31 @@
-"""Maximal subgroup classes of PSL(2,q) and the structural computation of Psi2.
+"""Dickson's subgroup classes of PSL(2,q) and the structural computation of Psi2.
 
-The subgroup-class list follows Dickson's classification, with the exact
-congruence conditions on q deciding maximality.  Both dihedral records are
-always present (flagged) because the pair {Borel, nonsplit dihedral} is a
-2-covering of the group whether or not the dihedral is maximal.
+Two nonidentity classes invariably generate iff no proper subgroup meets
+both, so Psi2 reads only which records meet both classes of a pair, and a
+record whose class set lies inside another's adds no pair.  So
+``maximal_subgroup_classes`` keeps only the inclusion-maximal class sets
+of Dickson's list, with no maximality flags (a non-maximal dihedral lies
+in a maximal subgroup, whose class set holds its own).  It drops subfield
+PGL(2,q0), whose class set lies inside the Borel's, and the second S4
+class, whose class set is the first's; it keeps A4, whose class set lies
+inside a dihedral's, because at q = 5 its order is the largest, which the
+oracle reads.  Its docstring gives the arguments.
 
 Class-intersection profiles are computed symbolically: the profile of a
-conjugacy class is the set of subgroup classes whose members meet it, held
-as an int mask over the profile universe (the maximal classes plus the
-nonsplit-dihedral covering record): bit i stands for member i of
-``profile_universe``.  The rules read only a class's signature
-(``ClassInventory.signatures``), so each rule runs once per signature and
-universe member, and the 2-covering reads its sides off those profiles.
-Bucket sizes add the class count of each signature, counted from the
-torus orders; a bucket's classes are listed by position only when a
-command names them.  Two
-nonidentity classes invariably generate iff no single maximal subgroup
-class meets both, so ``psi2_structural`` reads Psi2 off the census, one
-neighbour tuple per bucket.
+conjugacy class is the set of listed subgroup classes whose members meet
+it, held as an int mask over the list: bit i stands for member i.  The
+rules read only a class's signature (``ClassInventory.signatures``), so
+each rule runs once per signature and record, and the 2-covering reads
+its sides off those profiles.  Bucket sizes add the class count of each
+signature, counted from the torus orders; a bucket's classes are listed
+by position only when a command names them.  ``psi2_structural`` reads
+Psi2 off the census, one neighbour tuple per bucket.
 
-Conventions for the kinds that come as two classes (q odd): variant 1 of a
-subfield PGL is the copy whose unipotents have square parameter, variant 2
-the nonsquare one; the same convention labels the variants of an
-exceptional kind whose order is divisible by p.  Swapping the labels swaps
-two identical-shaped profiles, so no downstream count depends on it; the
-oracle certifies the variant split as a multiset.
+Conventions for the kinds that come as two classes (q odd): variant 1 of
+an exceptional kind whose order is divisible by p is the copy whose
+unipotents have square parameter, variant 2 the nonsquare one.  Swapping
+the labels swaps two identical-shaped profiles, so no downstream count
+depends on it; the oracle certifies the variant split as a multiset.
 
 ``json_document`` writes the JSON of ``psi2``, ``graph`` and ``beta``; it
 sits here, the lowest module that ``iggraph`` and ``beta`` both import.
@@ -44,7 +45,6 @@ BOREL = "borel"
 DIH_SPLIT = "dih_split"
 DIH_NONSPLIT = "dih_nonsplit"
 SUBFIELD_PSL = "subfield_psl"
-SUBFIELD_PGL = "subfield_pgl"
 EXC_A4 = "exc_a4"
 EXC_S4 = "exc_s4"
 EXC_A5 = "exc_a5"
@@ -56,7 +56,6 @@ _EXC_ORDERS = {EXC_A4: (2, 3), EXC_S4: (2, 3, 4), EXC_A5: (2, 3, 5)}
 class SubgroupClass(NamedTuple):
     kind: str
     order: int
-    maximal: bool
     variant: int | None = None  # 1 or 2 for kinds that come as two classes
     q0: int | None = None  # subfield size for subfield kinds
 
@@ -74,43 +73,46 @@ class SubgroupClass(NamedTuple):
 
 
 def maximal_subgroup_classes(ctx: GFContext) -> list[SubgroupClass]:
-    """Dickson's list for PSL(2,q) with exact maximality flags.
+    """The records of Dickson's list for PSL(2,q) whose class sets Psi2
+    can see, each listed whether or not it is maximal.
 
-    The two dihedral records are always present; the nonsplit one doubles
-    as the covering subgroup for the 2-covering check.
+    A non-maximal dihedral lies in a maximal subgroup, whose class set
+    holds its own; the nonsplit one doubles as the covering subgroup for
+    the 2-covering check.  Dropped because a listed class set holds theirs:
+
+      * subfield PGL(2,q0), q = q0^2: each semisimple element has its
+        eigenvalues in GF(q0^2) = GF(q), so it is split or an involution
+        (q = 1 mod 4) and lies in a Borel, as every unipotent does;
+      * the second S4 class (q = +-1 mod 8 prime): p >= 7 does not divide
+        24, so neither class meets a unipotent class and the two have one
+        class set, that of the one record, which has no variant.
+
+    A4 (f = 1, p >= 5) meets the involutions and one torus class of order
+    3, both of which the dihedral of that torus meets.  It stays because
+    at q = 5 its order 12 is the largest, the oracle's ``exit_bound``.
     """
     p, f, q = ctx.p, ctx.f, ctx.q
     if q < 4:
         raise RuntimeError("subgroup classification requires q >= 4")
     d = 2 if q % 2 == 1 else 1
     out = [
-        SubgroupClass(BOREL, q * (q - 1) // d, True),
-        SubgroupClass(DIH_SPLIT, 2 * (q - 1) // d, q % 2 == 0 or q >= 13),
-        SubgroupClass(DIH_NONSPLIT, 2 * (q + 1) // d, q % 2 == 0 or q not in (7, 9)),
+        SubgroupClass(BOREL, q * (q - 1) // d),
+        SubgroupClass(DIH_SPLIT, 2 * (q - 1) // d),
+        SubgroupClass(DIH_NONSPLIT, 2 * (q + 1) // d),
     ]
     for r in (r for r in range(3, f + 1, 2) if f % r == 0 and is_prime(r)):
         q0 = p ** (f // r)
         if q0 == 2:
             continue
         d0 = 2 if q0 % 2 == 1 else 1
-        out.append(SubgroupClass(SUBFIELD_PSL, q0 * (q0 * q0 - 1) // d0, True, q0=q0))
-    if f % 2 == 0:
-        q0 = p ** (f // 2)
-        if q0 != 2:
-            order = q0 * (q0 * q0 - 1)
-            if q % 2 == 1:
-                out.append(SubgroupClass(SUBFIELD_PGL, order, True, variant=1, q0=q0))
-                out.append(SubgroupClass(SUBFIELD_PGL, order, True, variant=2, q0=q0))
-            else:
-                out.append(SubgroupClass(SUBFIELD_PGL, order, True, q0=q0))
+        out.append(SubgroupClass(SUBFIELD_PSL, q0 * (q0 * q0 - 1) // d0, q0=q0))
     if f == 1 and q % 40 in (3, 5, 13, 27, 37):
-        out.append(SubgroupClass(EXC_A4, 12, True))
+        out.append(SubgroupClass(EXC_A4, 12))
     if f == 1 and q % 8 in (1, 7):
-        out.append(SubgroupClass(EXC_S4, 24, True, variant=1))
-        out.append(SubgroupClass(EXC_S4, 24, True, variant=2))
+        out.append(SubgroupClass(EXC_S4, 24))
     if (f == 1 and q % 10 in (1, 9)) or (f == 2 and p % 10 in (3, 7)):
-        out.append(SubgroupClass(EXC_A5, 60, True, variant=1))
-        out.append(SubgroupClass(EXC_A5, 60, True, variant=2))
+        out.append(SubgroupClass(EXC_A5, 60, variant=1))
+        out.append(SubgroupClass(EXC_A5, 60, variant=2))
     return out
 
 
@@ -128,23 +130,18 @@ def label_meets(ctx: GFContext, sig: ClassSignature, sc: SubgroupClass) -> bool:
         return kind in ("split", "inv") or even and kind == "unip"
     if sub_kind == DIH_NONSPLIT:
         return kind in ("nonsplit", "inv") or even and kind == "unip"
-    if sub_kind in (SUBFIELD_PSL, SUBFIELD_PGL):
-        if kind == "unip" and sub_kind == SUBFIELD_PGL and not even:
-            # GF(q0)* consists of squares of GF(q0^2), so the standard copy
-            # meets the square class and its twisted conjugate the other
-            return sq is (sc.variant == 1)
+    if sub_kind == SUBFIELD_PSL:
         if kind in ("unip", "inv"):
-            # q even, or PSL(2,q0): odd-degree extensions preserve square classes
+            # q even, or an odd-degree extension, which preserves square classes
             return True
         # A torus class of PSL-order j has trace t = z + 1/z, z an
         # eigenvalue (in GF(q) or GF(q^2)) of a preimage in SL(2,q), and
         # z -> z + 1/z is two to one with fibres {z, 1/z}.  So t^2 lies in
         # GF(q0) iff t^q0 = +-t, iff z^q0 is one of +-z, +-1/z, iff
-        # q0 = +-1 mod j.  PGL(2,q0) meets the class iff t^2 lies in
-        # GF(q0) (the ``autorbits`` docstring), PSL(2,q0) iff t does; for
-        # PSL the degree [GF(q):GF(q0)] is an odd prime, and t^2 in GF(q0)
-        # with t not would put GF(q0)(t) = GF(q0^2) in GF(q), so the one
-        # order test decides both.
+        # q0 = +-1 mod j.  PSL(2,q0) meets the class iff t lies in GF(q0);
+        # the degree [GF(q):GF(q0)] is an odd prime, and t^2 in GF(q0)
+        # with t not would put GF(q0)(t) = GF(q0^2) in GF(q), so the order
+        # test decides t as well as t^2.
         return sc.q0 % order in (1, order - 1)
     if sub_kind in _EXC_ORDERS:
         orders = _EXC_ORDERS[sub_kind]
@@ -163,47 +160,37 @@ def label_meets(ctx: GFContext, sig: ClassSignature, sc: SubgroupClass) -> bool:
     raise RuntimeError(f"unknown subgroup kind {sc.kind}")
 
 
-def profile_universe(classes: list[SubgroupClass]) -> list[SubgroupClass]:
-    """Maximal classes plus the nonsplit-dihedral covering record."""
-    return [sc for sc in classes if sc.maximal or sc.kind == DIH_NONSPLIT]
-
-
 def build_profiles(inv: ClassInventory, classes: list[SubgroupClass]) -> list[int]:
-    """Profile over the profile universe of each class signature, in the
-    order of ``inv.signatures``, as a mask: bit i is set when the classes
-    of the signature meet member i of ``profile_universe(classes)``.  Each
-    rule runs once per signature and member.  Signature 0 is the
-    identity's, which meets every class."""
-    universe, ctx = profile_universe(classes), inv.ctx
-    bits = [1 << i for i in range(len(universe))]
-    return [sum(b for b, sc in zip(bits, universe) if label_meets(ctx, sig, sc))
+    """Profile of each class signature, in the order of ``inv.signatures``,
+    as a mask: bit i is set when the classes of the signature meet
+    ``classes[i]``.  Each rule runs once per signature and record.
+    Signature 0 is the identity's, which meets every class."""
+    ctx = inv.ctx
+    bits = [1 << i for i in range(len(classes))]
+    return [sum(b for b, sc in zip(bits, classes) if label_meets(ctx, sig, sc))
             for sig in inv.signatures[0]]
 
 
-def maximal_profiles(classes: list[SubgroupClass], profiles: list[int]) -> list[int]:
-    """The ``build_profiles`` profiles restricted to maximal subgroup
-    classes (the Psi2 universe), one per class signature."""
-    maximal = sum(1 << i for i, sc in enumerate(profile_universe(classes)) if sc.maximal)
-    return [prof & maximal for prof in profiles]
+maximal_profiles = build_profiles  # the name perfbench/traced_cli.py wraps
 
 
 # ---------------------------------------------------------------------------
-# profile census: classes grouped by identical maximal profile.  Classes with
-# the same profile are interchangeable for every pair test, which collapses
-# the up-to-q^2/4 pair sweep to a handful of bucket products.
+# profile census: classes grouped by identical profile.  Classes with the
+# same profile are interchangeable for every pair test, which collapses the
+# up-to-q^2/4 pair sweep to a handful of bucket products.
 # ---------------------------------------------------------------------------
 
 class ProfileCensus(NamedTuple):
-    """Buckets of nonidentity classes with equal maximal profile.  A class
-    is named by its position among ``inv.nonidentity_labels()`` (class
-    number less one), as in ``Psi2Table``."""
+    """Buckets of nonidentity classes with equal profile.  A class is
+    named by its position among ``inv.nonidentity_labels()`` (class number
+    less one), as in ``Psi2Table``."""
 
     inv: ClassInventory
-    buckets: list[int]  # distinct maximal profiles, ascending as masks
+    buckets: list[int]  # distinct nonidentity profiles, ascending as masks
     sizes: list[int]  # classes per bucket
     sig_bucket: list[int]  # bucket of each signature; -1 for the identity's
     disjoint: list[tuple[int, int]]  # ordered bucket pairs with disjoint profiles
-    profiles: list[int]  # per signature, over the profile universe
+    profiles: list[int]  # per signature, the mask its bucket holds
     psi2_count: int  # |Psi2|: the bucket products over the disjoint pairs
     universe: list[SubgroupClass]  # the subgroup class of each profile bit
 
@@ -216,8 +203,7 @@ class ProfileCensus(NamedTuple):
 
 def profile_census(inv: ClassInventory) -> ProfileCensus:
     classes = maximal_subgroup_classes(inv.ctx)
-    full = build_profiles(inv, classes)
-    profs = maximal_profiles(classes, full)
+    profs = build_profiles(inv, classes)
     buckets = sorted(set(profs[1:]))
     index = {prof: b for b, prof in enumerate(buckets)}
     sig_bucket = [-1, *map(index.__getitem__, profs[1:])]
@@ -226,8 +212,8 @@ def profile_census(inv: ClassInventory) -> ProfileCensus:
         sizes[b] += count
     disjoint = [(i, j) for i, pi in enumerate(buckets) for j, pj in enumerate(buckets)
                 if not pi & pj]
-    return ProfileCensus(inv, buckets, sizes, sig_bucket, disjoint, full,
-                         sum(sizes[i] * sizes[j] for i, j in disjoint), profile_universe(classes))
+    return ProfileCensus(inv, buckets, sizes, sig_bucket, disjoint, profs,
+                         sum(sizes[i] * sizes[j] for i, j in disjoint), classes)
 
 
 class Psi2Table:
@@ -318,12 +304,14 @@ def json_pair_list(pairs: list[tuple[str, str]]) -> str:
 
 
 def psi2_structural(census: ProfileCensus) -> Psi2Table:
-    """Psi2 via maximal-class disjointness.
+    """Psi2 via profile disjointness.
 
     A pair fails to invariably generate iff some representatives lie in a
-    common maximal subgroup, i.e. iff some maximal class meets both; so
-    membership is exactly profile disjointness, and a label's neighbours are
-    the members of the census buckets disjoint from its own.
+    common maximal subgroup, i.e. iff some listed class meets both: every
+    listed subgroup is proper, and each maximal subgroup's class set lies
+    inside a listed one's.  So membership is exactly profile disjointness,
+    and a label's neighbours are the members of the census buckets
+    disjoint from its own.
     """
     members = census.members()
     partners: list[list[int]] = [[] for _ in census.buckets]

@@ -1,4 +1,4 @@
-"""Class fusion of the maximal subgroups, from an oracle session: the test
+"""Class fusion of the listed subgroups, from an oracle session: the test
 reference that certifies the structural class-intersection profiles.
 
 Representatives of the maximal subgroup classes are built explicitly from
@@ -20,9 +20,10 @@ the two are equal.  The stabiliser in PGL(2,q) is therefore PGL(2,q0), and
 in S it is the part of PGL(2,q0) with square determinant in GF(q): all of
 PGL(2,q0) when q is even or [GF(q):GF(q0)] is even (every element of
 GF(q0) is then a square in GF(q)), and PSL(2,q0) when the degree is odd.
-That is exactly the subfield class Dickson's list has for that q0.  The
-map v -> mu*v comes from diag(mu, 1), which lies in PGL(2,q) but not in
-S, so the twisted subline gives the other S-class of PGL(2,q0).
+That is exactly the subfield class Dickson's list has for that q0 (the
+PGL classes are records of ``helpers.reference_subgroup_classes`` only).
+The map v -> mu*v comes from diag(mu, 1), which lies in PGL(2,q) but not
+in S, so the twisted subline gives the other S-class of PGL(2,q0).
 
 The nonsplit dihedral group is a cyclic torus and one inverting
 involution, composed as permutations.  The exceptional subgroups are
@@ -42,12 +43,10 @@ from invgen.structure import (
     EXC_A4,
     EXC_A5,
     EXC_S4,
-    SUBFIELD_PGL,
     SUBFIELD_PSL,
-    SubgroupClass,
     maximal_subgroup_classes,
 )
-from helpers import in_subfield, subfield_degree
+from helpers import SUBFIELD_PGL, in_subfield, subfield_degree
 
 SEED = 20260810  # seeds every random search, so the certifier is deterministic
 
@@ -100,14 +99,13 @@ def dihedral_nonsplit_subgroup(sess) -> frozenset[Perm]:
     raise RuntimeError("no inverting involution found for the nonsplit torus")
 
 
-def exceptional_subgroups(sess, kind: str) -> list[frozenset[Perm]]:
-    """Representatives for each class of an exceptional kind.
+def exceptional_subgroups(sess, kind: str, wanted: int) -> list[frozenset[Perm]]:
+    """Representatives of ``wanted`` classes of an exceptional kind.
 
     Seeded random (involution, order-3) pairs; a hit is verified by its
     exact closure size, class separation by a literal conjugacy test.
     """
     target = {EXC_A4: 12, EXC_S4: 24, EXC_A5: 60}[kind]
-    wanted = 1 if kind == EXC_A4 else 2
     rng = random.Random(SEED)
     invol_label = ClassLabel("inv") if sess.ctx.q % 2 == 1 else ClassLabel("unip")
     invols = sess.by_label[invol_label]
@@ -164,8 +162,9 @@ def conjugacy_orbit(sess, h: frozenset[Perm]) -> set[frozenset[Perm]]:
     return orbit
 
 
-def class_fusion(sess) -> dict[str, set[ClassLabel]]:
-    """Labels met by one representative of each subgroup class.
+def class_fusion(sess, classes=None) -> dict[str, set[ClassLabel]]:
+    """Labels met by one representative of each subgroup class of
+    ``maximal_subgroup_classes``, or of the given list.
 
     Two-class kinds located by random search are keyed to variants by
     their unipotent intersection when that distinguishes them, else in
@@ -185,7 +184,7 @@ def class_fusion(sess) -> dict[str, set[ClassLabel]]:
         SUBFIELD_PGL: lambda sc: [stabiliser(sess, subline(sess, sc.q0, s))
                                   for s in scales],
     }
-    classes = maximal_subgroup_classes(ctx)
+    classes = classes or maximal_subgroup_classes(ctx)
     done_kinds: set[tuple] = set()
     for sc in classes:
         key = (sc.kind, sc.q0)
@@ -196,7 +195,7 @@ def class_fusion(sess) -> dict[str, set[ClassLabel]]:
         if sc.kind in builders:
             groups = builders[sc.kind](sc)
         else:
-            groups = exceptional_subgroups(sess, sc.kind)
+            groups = exceptional_subgroups(sess, sc.kind, len(variants))
         for g in groups:
             if len(g) != sc.order:
                 raise RuntimeError(
@@ -208,7 +207,7 @@ def class_fusion(sess) -> dict[str, set[ClassLabel]]:
     return out
 
 
-def assign_variants(variants: list[SubgroupClass],
+def assign_variants(variants: list,
                     labelsets: list[set[ClassLabel]]) -> list[set[ClassLabel]]:
     if len(variants) != len(labelsets):
         raise RuntimeError(

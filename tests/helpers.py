@@ -6,17 +6,18 @@ from functools import lru_cache
 from itertools import product
 from math import comb, gcd
 from operator import mul
+from typing import NamedTuple
 
-from invgen.gf import GFContext, _pack, _poly_mod, _unpack, factorize
+from invgen.gf import GFContext, _pack, _poly_mod, _unpack, factorize, is_prime
 from invgen.iggraph import _bits, _graph, is_bipartite, LambdaSummary
 from invgen.oracle import _inverse, _line_action, _table, is_split_trace
 from invgen.psl2 import (
     ClassEntry, ClassInventory, ClassLabel, TorusClasses, enumerate_psl2, trace_key,
 )
 from invgen.structure import (
-    BOREL, BOREL_SIDE, DIH_NONSPLIT, DIHEDRAL_SIDE, SUBFIELD_PGL, SUBFIELD_PSL, ProfileCensus,
-    Psi2Table, build_profiles, label_meets, maximal_profiles, maximal_subgroup_classes,
-    profile_universe,
+    BOREL, BOREL_SIDE, DIH_NONSPLIT, DIH_SPLIT, DIHEDRAL_SIDE, EXC_A4, EXC_A5, EXC_S4,
+    SUBFIELD_PSL, ProfileCensus, Psi2Table, SubgroupClass, build_profiles, label_meets,
+    maximal_subgroup_classes,
 )
 
 
@@ -381,15 +382,16 @@ def ref_subfield_meets(ctx, label, sc, squared: bool) -> bool:
 
 def subfield_order_test_mismatches(ctx, inv) -> list:
     """The (label, subgroup id) pairs, over every torus class and subfield
-    record, where ``label_meets`` differs from t^2 in GF(q0) or, for a
-    subfield PSL record, from t in GF(q0)."""
-    records = [sc for sc in maximal_subgroup_classes(ctx)
+    record of the reference list, where the order test (``label_meets``, or
+    ``reference_meets`` for subfield PGL) differs from t^2 in GF(q0) or, for
+    a subfield PSL record, from t in GF(q0)."""
+    records = [sc for sc in reference_subgroup_classes(ctx)
                if sc.kind in (SUBFIELD_PSL, SUBFIELD_PGL)]
     out = []
     for entry in inv.entries[len(inv.head):]:
         sig = ref_signature(entry)
         for sc in records:
-            meets = label_meets(ctx, sig, sc)
+            meets = reference_meets(ctx, sig, sc)
             if meets != ref_subfield_meets(ctx, entry.label, sc, True) or (
                     sc.kind == SUBFIELD_PSL
                     and meets != ref_subfield_meets(ctx, entry.label, sc, False)):
@@ -414,23 +416,18 @@ def mask(universe, names) -> int:
     return sum(1 << i for i, sc in enumerate(universe) if sc.id in names)
 
 
-def label_profiles(inv, classes, maximal=False) -> dict:
-    """Nonidentity label -> the ``build_profiles`` profile of its signature
-    (restricted by ``maximal_profiles`` when ``maximal``), as subgroup ids."""
-    masks = build_profiles(inv, classes)
-    if maximal:
-        masks = maximal_profiles(classes, masks)
-    universe = profile_universe(classes)
-    return by_label(inv, [ids(universe, m) for m in masks])
+def label_profiles(inv, classes) -> dict:
+    """Nonidentity label -> the ``build_profiles`` profile of its signature,
+    as subgroup ids."""
+    return by_label(inv, [ids(classes, m) for m in build_profiles(inv, classes)])
 
 
 def ref_profiles(ctx, entries, classes) -> dict:
-    """Nonidentity label -> profile over the profile universe: ``build_profiles``
+    """Nonidentity label -> profile over ``classes``: ``build_profiles``
     one label at a time, every rule evaluated for every nonidentity label,
     on a signature built for that label alone, except that a torus class
     meets a subfield record by literal membership of its trace
     (``ref_subfield_meets``)."""
-    universe = profile_universe(classes)
     out = {}
     for entry in entries:
         label = entry.label
@@ -438,9 +435,9 @@ def ref_profiles(ctx, entries, classes) -> dict:
             continue
         sig = ref_signature(entry)
         out[label] = frozenset(
-            sc.id for sc in universe
-            if (ref_subfield_meets(ctx, label, sc, sc.kind == SUBFIELD_PGL)
-                if label.trace >= 0 and sc.kind in (SUBFIELD_PSL, SUBFIELD_PGL)
+            sc.id for sc in classes
+            if (ref_subfield_meets(ctx, label, sc, False)
+                if label.trace >= 0 and sc.kind == SUBFIELD_PSL
                 else label_meets(ctx, sig, sc)))
     return out
 
@@ -538,15 +535,17 @@ def part_pattern(vertex: tuple, part1: set) -> frozenset:
     return frozenset(i for i, lab in enumerate(vertex) if lab in part1)
 
 
-def expected_fusion(sess) -> dict:
-    """``label_meets`` inverted into per-subgroup-class label sets."""
+def expected_fusion(sess, classes=None) -> dict:
+    """``label_meets`` inverted into per-subgroup-class label sets, over
+    ``maximal_subgroup_classes`` or the given list; a record of the
+    reference list goes through ``reference_meets``."""
     ctx = sess.ctx
     distinct, sigs = sess.inv.signatures[0], sess.inv.class_signatures
     out = {}
-    for sc in maximal_subgroup_classes(ctx):
+    for sc in classes or maximal_subgroup_classes(ctx):
         out[sc.id] = {
             e.label for e, i in zip(sess.inv, sigs)
-            if e.label.kind != "id" and label_meets(ctx, distinct[i], sc)
+            if e.label.kind != "id" and reference_meets(ctx, distinct[i], sc)
         }
     return out
 
@@ -656,23 +655,16 @@ def ref_entries(ctx) -> list:
     return entries
 
 
-def ref_maximal_profiles(ctx, entries, classes) -> dict:
-    maximal_ids = frozenset(sc.id for sc in classes if sc.maximal)
-    return {label: prof & maximal_ids
-            for label, prof in ref_profiles(ctx, entries, classes).items()}
-
-
 def ref_census(ctx, entries) -> tuple:
     """(labels, buckets, members, bucket_of): the nonidentity labels, the
-    distinct maximal profiles in the order of their masks, the labels of
-    each, and the bucket of each label."""
+    distinct profiles in the order of their masks, the labels of each, and
+    the bucket of each label."""
     classes = maximal_subgroup_classes(ctx)
-    profs = ref_maximal_profiles(ctx, entries, classes)
+    profs = ref_profiles(ctx, entries, classes)
     grouped = {}
     for label, prof in profs.items():
         grouped.setdefault(prof, []).append(label)
-    universe = profile_universe(classes)
-    buckets = sorted(grouped, key=lambda prof: mask(universe, prof))
+    buckets = sorted(grouped, key=lambda prof: mask(classes, prof))
     bucket_of = {label: i for i, b in enumerate(buckets) for label in grouped[b]}
     return list(profs), buckets, [grouped[b] for b in buckets], bucket_of
 
@@ -789,11 +781,8 @@ def ref_index_census(ctx, inv) -> tuple:
     read off that index, and the covering side of each signature."""
     sigs, of_class = ref_class_signatures(inv)
     classes = maximal_subgroup_classes(ctx)
-    universe = profile_universe(classes)
-    maximal = sum(1 << i for i, sc in enumerate(universe) if sc.maximal)
-    full = [sum(1 << i for i, sc in enumerate(universe) if label_meets(ctx, sig, sc))
-            for sig in sigs]
-    profs = [prof & maximal for prof in full]
+    profs = [sum(1 << i for i, sc in enumerate(classes) if label_meets(ctx, sig, sc))
+             for sig in sigs]
     buckets = sorted(set(profs[1:]))
     index = {prof: b for b, prof in enumerate(buckets)}
     sig_bucket = [-1] + [index[prof] for prof in profs[1:]]
@@ -808,8 +797,8 @@ def ref_index_census(ctx, inv) -> tuple:
              | DIHEDRAL_SIDE * label_meets(ctx, sig, dihedral) for sig in sigs]
     disjoint = [(i, j) for i, pi in enumerate(buckets) for j, pj in enumerate(buckets)
                 if not pi & pj]
-    census = ProfileCensus(inv, buckets, sizes, sig_bucket, disjoint, full,
-                           sum(sizes[i] * sizes[j] for i, j in disjoint), universe)
+    census = ProfileCensus(inv, buckets, sizes, sig_bucket, disjoint, profs,
+                           sum(sizes[i] * sizes[j] for i, j in disjoint), classes)
     return census, members, sides
 
 
@@ -1055,12 +1044,9 @@ def ref_frozenset_census(inv) -> tuple:
     """(buckets, sizes, sig_bucket, disjoint, profiles, psi2_count) with each
     profile the frozenset of the ids of the subgroup classes it meets, and
     the buckets sorted by their sorted ids."""
-    classes = maximal_subgroup_classes(inv.ctx)
-    universe = [(sc, sc.id) for sc in profile_universe(classes)]
-    full = [frozenset([i for sc, i in universe if label_meets(inv.ctx, sig, sc)])
-            for sig in inv.signatures[0]]
-    maximal_ids = frozenset(sc.id for sc in classes if sc.maximal)
-    profs = [prof & maximal_ids for prof in full]
+    universe = [(sc, sc.id) for sc in maximal_subgroup_classes(inv.ctx)]
+    profs = [frozenset([i for sc, i in universe if label_meets(inv.ctx, sig, sc)])
+             for sig in inv.signatures[0]]
     buckets = sorted(set(profs[1:]), key=sorted)
     index = {prof: b for b, prof in enumerate(buckets)}
     sig_bucket = [-1] + [index[prof] for prof in profs[1:]]
@@ -1068,5 +1054,112 @@ def ref_frozenset_census(inv) -> tuple:
     for b, count in zip(sig_bucket[1:], inv.signatures[1][1:]):
         sizes[b] += count
     disjoint = _ref_disjoint(buckets)
-    return (buckets, sizes, sig_bucket, disjoint, full,
+    return (buckets, sizes, sig_bucket, disjoint, profs,
             sum(sizes[i] * sizes[j] for i, j in disjoint))
+
+
+# ---------------------------------------------------------------------------
+# Dickson's whole list with exact maximality flags, subfield PGL and both S4
+# classes: the reference for the inclusion-maximal list that
+# ``maximal_subgroup_classes`` returns, which must give the same Psi2
+# ---------------------------------------------------------------------------
+
+SUBFIELD_PGL = "subfield_pgl"
+
+
+class ReferenceClass(NamedTuple):
+    """A record of ``reference_subgroup_classes``: a ``SubgroupClass`` with
+    its maximality flag.  Variant 1 of a subfield PGL is the copy whose
+    unipotents have square parameter, variant 2 the nonsquare one."""
+
+    kind: str
+    order: int
+    maximal: bool
+    variant: int | None = None
+    q0: int | None = None
+
+    id = SubgroupClass.id
+    __str__ = SubgroupClass.__str__
+
+
+def reference_subgroup_classes(ctx) -> list:
+    """Dickson's list for PSL(2,q) with exact maximality flags.  The two
+    dihedral records are always present; the nonsplit one doubles as the
+    covering subgroup for the 2-covering check."""
+    p, f, q = ctx.p, ctx.f, ctx.q
+    d = 2 if q % 2 == 1 else 1
+    out = [
+        ReferenceClass(BOREL, q * (q - 1) // d, True),
+        ReferenceClass(DIH_SPLIT, 2 * (q - 1) // d, q % 2 == 0 or q >= 13),
+        ReferenceClass(DIH_NONSPLIT, 2 * (q + 1) // d, q % 2 == 0 or q not in (7, 9)),
+    ]
+    for r in (r for r in range(3, f + 1, 2) if f % r == 0 and is_prime(r)):
+        q0 = p ** (f // r)
+        if q0 == 2:
+            continue
+        d0 = 2 if q0 % 2 == 1 else 1
+        out.append(ReferenceClass(SUBFIELD_PSL, q0 * (q0 * q0 - 1) // d0, True, q0=q0))
+    if f % 2 == 0:
+        q0 = p ** (f // 2)
+        if q0 != 2:
+            order = q0 * (q0 * q0 - 1)
+            if q % 2 == 1:
+                out.append(ReferenceClass(SUBFIELD_PGL, order, True, variant=1, q0=q0))
+                out.append(ReferenceClass(SUBFIELD_PGL, order, True, variant=2, q0=q0))
+            else:
+                out.append(ReferenceClass(SUBFIELD_PGL, order, True, q0=q0))
+    if f == 1 and q % 40 in (3, 5, 13, 27, 37):
+        out.append(ReferenceClass(EXC_A4, 12, True))
+    if f == 1 and q % 8 in (1, 7):
+        out.append(ReferenceClass(EXC_S4, 24, True, variant=1))
+        out.append(ReferenceClass(EXC_S4, 24, True, variant=2))
+    if (f == 1 and q % 10 in (1, 9)) or (f == 2 and p % 10 in (3, 7)):
+        out.append(ReferenceClass(EXC_A5, 60, True, variant=1))
+        out.append(ReferenceClass(EXC_A5, 60, True, variant=2))
+    return out
+
+
+def reference_meets(ctx, sig, sc) -> bool:
+    """``label_meets``, with the rule for subfield PGL(2,q0): it meets the
+    involutions, a torus class iff t^2 lies in GF(q0) (the order test, by
+    the argument in ``label_meets``), and for q odd the unipotent class of
+    its variant only, since GF(q0)* consists of squares of GF(q0^2), so the
+    standard copy meets the square class and its twisted conjugate the
+    other."""
+    if sc.kind != SUBFIELD_PGL:
+        return label_meets(ctx, sig, sc)
+    kind, sq, order = sig
+    if kind == "unip" and ctx.q % 2 == 1:
+        return sq is (sc.variant == 1)
+    return kind in ("id", "unip", "inv") or sc.q0 % order in (1, order - 1)
+
+
+def reference_census(inv) -> ProfileCensus:
+    """The census over the reference list: profiles over the maximal
+    records and the nonsplit dihedral, bucketed by their maximal part."""
+    ctx = inv.ctx
+    classes = reference_subgroup_classes(ctx)
+    universe = [sc for sc in classes if sc.maximal or sc.kind == DIH_NONSPLIT]
+    profiles = [sum(1 << i for i, sc in enumerate(universe) if reference_meets(ctx, sig, sc))
+                for sig in inv.signatures[0]]
+    maximal = sum(1 << i for i, sc in enumerate(universe) if sc.maximal)
+    profs = [prof & maximal for prof in profiles]
+    buckets = sorted(set(profs[1:]))
+    index = {prof: b for b, prof in enumerate(buckets)}
+    sig_bucket = [-1, *map(index.__getitem__, profs[1:])]
+    sizes = [0] * len(buckets)
+    for b, count in zip(sig_bucket[1:], inv.signatures[1][1:]):
+        sizes[b] += count
+    disjoint = [(i, j) for i, pi in enumerate(buckets) for j, pj in enumerate(buckets)
+                if not pi & pj]
+    return ProfileCensus(inv, buckets, sizes, sig_bucket, disjoint, profiles,
+                         sum(sizes[i] * sizes[j] for i, j in disjoint), universe)
+
+
+def reference_label_profiles(inv) -> dict:
+    """Nonidentity label -> the ids of the reference-list records that meet
+    its class, by ``reference_meets``."""
+    ctx = inv.ctx
+    classes = reference_subgroup_classes(ctx)
+    return by_label(inv, [frozenset(sc.id for sc in classes if reference_meets(ctx, sig, sc))
+                          for sig in inv.signatures[0]])

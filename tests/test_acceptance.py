@@ -45,6 +45,7 @@ from helpers import (
     psl2_mul,
     ref_beta_fast,
     ref_entries,
+    reference_subgroup_classes,
     subfield_order_test_mismatches,
 )
 
@@ -63,7 +64,8 @@ EXTENDED_PSI2_LARGE_QS = [64, 81]
 # class fusion against label_meets, at the q of these Dickson branches:
 # subfield PGL(2,5) (25), subfield PSL(2,3) at odd f (27), A5 at f = 2 and
 # subfield PGL(2,7) (49, also run through Psi2 above), subfield PSL(2,4) and
-# PGL(2,8) (64), subfield PGL(2,9) at f = 4 (81)
+# PGL(2,8) (64), subfield PGL(2,9) at f = 4 (81); the subfield PGL classes
+# are records of the reference list only
 EXTENDED_FUSION_QS = [25, 27, 49, 64, 81]
 # beta by signature against the label-level reference past the sweep: odd
 # f = 11 and the largest f within the verify cap
@@ -135,6 +137,9 @@ def test_c02_class_fusion_extended():
         for q in EXTENDED_FUSION_QS:
             sess = OracleSession(inventory(gf_for_q(q)))
             assert fusion_key(class_fusion(sess)) == fusion_key(expected_fusion(sess)), q
+            reference = reference_subgroup_classes(sess.ctx)
+            assert fusion_key(class_fusion(sess, reference)) == fusion_key(
+                expected_fusion(sess, reference)), q
 
 
 @pytest.mark.skipif(not EXTENDED, reason="large-q order test needs INVGEN_EXTENDED=1")

@@ -303,7 +303,7 @@ def break_canon(monkeypatch):
 def break_subgroup_list(monkeypatch):
     real = structure.maximal_subgroup_classes
     monkeypatch.setattr(structure, "maximal_subgroup_classes",
-                        lambda ctx: real(ctx) + [SubgroupClass("bogus", 1, True)])
+                        lambda ctx: real(ctx) + [SubgroupClass("bogus", 1)])
     return ["beta", "--q", "7"], "unknown subgroup kind bogus"
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from invgen.gf import gf_for_q, prime_power_split
 from invgen.psl2 import ClassLabel, enumerate_psl2, inventory
 from invgen.oracle import (
+    MAX_Q,
     OracleCapError,
     OracleSession,
     _inverse,
@@ -48,22 +49,11 @@ from helpers import (
     psl2_mul,
     psl2_order,
     psi2_per_class_pair,
+    reference_subgroup_classes,
 )
 
 FAST_QS = [4, 5, 7, 8, 9]
 QS_TO_31 = [q for q in range(4, 32) if prime_power_split(q)]
-
-
-@pytest.fixture(scope="module")
-def sessions():
-    cache = {}
-
-    def get(q):
-        if q not in cache:
-            cache[q] = OracleSession(inventory(gf_for_q(q)))
-        return cache[q]
-
-    return get
 
 
 @pytest.fixture(scope="module")
@@ -372,9 +362,45 @@ def test_class_fusion_matches_rules(q, sessions):
     assert fusion_key(class_fusion(sess)) == fusion_key(expected_fusion(sess))
 
 
+# the records only the reference list has: both S4 classes at 7, subfield
+# PGL(2,3) and PGL(2,5) with their twisted copies at 9 and 25
+@pytest.mark.parametrize("q", [7, 9, 25])
+def test_class_fusion_matches_the_reference_list(q, sessions):
+    sess = sessions(q)
+    classes = reference_subgroup_classes(sess.ctx)
+    assert len(classes) > len(maximal_subgroup_classes(sess.ctx))
+    assert fusion_key(class_fusion(sess, classes)) == fusion_key(expected_fusion(sess, classes))
+
+
+# ---------------------------------------------------------------------------
+# the exit bound: the oracle's one reading of the structural rules
+# ---------------------------------------------------------------------------
+
+def test_exit_bound_is_the_largest_maximal_order():
+    # the listed records need not be maximal, but the largest listed order
+    # must be the largest maximal one, or a closure of a proper subgroup
+    # could pass for the whole group
+    for q in range(4, MAX_Q + 1):
+        if prime_power_split(q):
+            ctx = gf_for_q(q)
+            assert max(sc.order for sc in maximal_subgroup_classes(ctx)) == max(
+                sc.order for sc in reference_subgroup_classes(ctx) if sc.maximal), q
+
+
+def test_closure_generates_is_the_full_closure_at_q5(sessions):
+    # at q = 5 the largest proper subgroup is A4, of order 12
+    sess = sessions(5)
+    elements = list(sess.label_of_perm)
+    assert len(elements) ** 2 == 3600
+    for x in elements:
+        for y in elements:
+            full = len(sess._closure([x, y], sess.order)) == sess.order
+            assert sess.closure_generates([x, y]) == full, (x, y)
+
+
 def test_q9_each_a5_class_meets_one_unipotent(sessions):
     sess = sessions(9)
-    groups = exceptional_subgroups(sess, "exc_a5")
+    groups = exceptional_subgroups(sess, "exc_a5", 2)
     assert len(groups) == 2
     unip_hits = []
     for g in groups:
@@ -388,7 +414,7 @@ def test_q9_each_a5_class_meets_one_unipotent(sessions):
 @pytest.mark.parametrize("q, kind", [(5, "exc_a4"), (9, "exc_a5"), (11, "exc_a5"), (13, "exc_a4")])
 def test_conjugacy_orbit_is_every_conjugate(q, kind, sessions):
     sess = sessions(q)
-    for h in exceptional_subgroups(sess, kind):
+    for h in exceptional_subgroups(sess, kind, 1 if kind == "exc_a4" else 2):
         tables = [_table(x) for x in h]
         every = {frozenset(_inverse(g).translate(xt).translate(_table(g)) for xt in tables)
                  for g in sess.label_of_perm}

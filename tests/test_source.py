@@ -95,8 +95,9 @@ def test_only_the_cli_reads_the_environment(path):
 
 
 def test_the_oracle_reads_two_names_of_the_structural_rules():
-    # exit_bound (from maximal_subgroup_classes) is the oracle's one
-    # dependence on the rules it certifies; Psi2Table is the type it returns
+    # exit_bound, the largest order maximal_subgroup_classes lists, is the
+    # oracle's one dependence on the rules it certifies; Psi2Table is the
+    # type it returns
     assert names_from(parse(SRC / "oracle.py"), "invgen.structure") == {
         "Psi2Table", "maximal_subgroup_classes"}
 

@@ -1,4 +1,5 @@
 import json
+import os
 from collections import Counter
 from math import gcd
 from typing import NamedTuple
@@ -21,7 +22,6 @@ from invgen.structure import (
     EXC_A4,
     EXC_A5,
     EXC_S4,
-    SUBFIELD_PGL,
     SUBFIELD_PSL,
     CoveringResult,
     Psi2Table,
@@ -32,7 +32,6 @@ from invgen.structure import (
     json_pair_rows,
     maximal_subgroup_classes,
     profile_census,
-    profile_universe,
     psi2_structural,
     verify_2covering,
 )
@@ -55,11 +54,17 @@ from helpers import (
     ref_quotient_summary,
     ref_signature,
     ref_summary,
+    reference_census,
+    reference_label_profiles,
+    reference_meets,
+    reference_subgroup_classes,
     subfield_order_test_mismatches,
     rows,
 )
 
 MANDATORY_QS = [4, 5, 7, 8, 9, 11, 13]
+ALL_QS = [q for q in range(4, 1025) if prime_power_split(q)]
+EXTENDED = os.environ.get("INVGEN_EXTENDED") == "1"
 
 
 def by_kind(classes):
@@ -75,20 +80,22 @@ def by_kind(classes):
 
 def test_subgroups_q7():
     kinds = by_kind(maximal_subgroup_classes(gf_for_q(7)))
-    assert kinds[BOREL][0].order == 21 and kinds[BOREL][0].maximal
-    assert kinds[DIH_SPLIT][0].order == 6 and not kinds[DIH_SPLIT][0].maximal
-    assert kinds[DIH_NONSPLIT][0].order == 8 and not kinds[DIH_NONSPLIT][0].maximal
-    assert len(kinds[EXC_S4]) == 2 and all(sc.maximal for sc in kinds[EXC_S4])
+    assert kinds[BOREL] == [SubgroupClass(BOREL, 21)]
+    assert kinds[DIH_SPLIT] == [SubgroupClass(DIH_SPLIT, 6)]  # not maximal, listed
+    assert kinds[DIH_NONSPLIT] == [SubgroupClass(DIH_NONSPLIT, 8)]  # not maximal, listed
+    assert kinds[EXC_S4] == [SubgroupClass(EXC_S4, 24)]  # one record for both classes
     assert EXC_A4 not in kinds and EXC_A5 not in kinds
 
 
 def test_subgroup_class_is_hashable_and_immutable():
-    classes = maximal_subgroup_classes(gf_for_q(25))
-    again = maximal_subgroup_classes(gf_for_q(25))
+    assert SubgroupClass._fields == ("kind", "order", "variant", "q0")
+    classes = maximal_subgroup_classes(gf_for_q(27))
+    again = maximal_subgroup_classes(gf_for_q(27))
     assert len(set(classes) | set(again)) == len(classes)
-    sc = SubgroupClass(SUBFIELD_PGL, 120, True, variant=1, q0=5)
+    sc = SubgroupClass(SUBFIELD_PSL, 12, q0=3)
     assert sc in set(classes) and hash(sc) == hash(classes[classes.index(sc)])
-    assert str(sc) == sc.id == "subfield_pgl:q0=5:v1"
+    assert str(sc) == sc.id == "subfield_psl:q0=3"
+    assert str(SubgroupClass(EXC_A5, 60, variant=2)) == "exc_a5:v2"
     with pytest.raises(AttributeError):
         sc.order = 60
 
@@ -96,17 +103,17 @@ def test_subgroup_class_is_hashable_and_immutable():
 def test_subgroups_q9():
     kinds = by_kind(maximal_subgroup_classes(gf_for_q(9)))
     assert kinds[BOREL][0].order == 36
-    assert kinds[DIH_SPLIT][0].order == 8 and not kinds[DIH_SPLIT][0].maximal
-    assert kinds[DIH_NONSPLIT][0].order == 10 and not kinds[DIH_NONSPLIT][0].maximal
-    assert [sc.order for sc in kinds[SUBFIELD_PGL]] == [24, 24]  # PGL(2,3), two classes
-    assert len(kinds[EXC_A5]) == 2
+    assert kinds[DIH_SPLIT][0].order == 8
+    assert kinds[DIH_NONSPLIT][0].order == 10
+    assert kinds[EXC_A5] == [SubgroupClass(EXC_A5, 60, variant=v) for v in (1, 2)]
+    assert set(kinds) == {BOREL, DIH_SPLIT, DIH_NONSPLIT, EXC_A5}  # no PGL(2,3)
 
 
 def test_subgroups_q8():
     kinds = by_kind(maximal_subgroup_classes(gf_for_q(8)))
     assert kinds[BOREL][0].order == 56
-    assert kinds[DIH_SPLIT][0].order == 14 and kinds[DIH_SPLIT][0].maximal
-    assert kinds[DIH_NONSPLIT][0].order == 18 and kinds[DIH_NONSPLIT][0].maximal
+    assert kinds[DIH_SPLIT][0].order == 14
+    assert kinds[DIH_NONSPLIT][0].order == 18
     assert set(kinds) == {BOREL, DIH_SPLIT, DIH_NONSPLIT}
 
 
@@ -116,15 +123,52 @@ def test_subgroups_congruence_cases():
     kinds11 = by_kind(maximal_subgroup_classes(gf_for_q(11)))
     assert len(kinds11[EXC_A5]) == 2 and EXC_S4 not in kinds11
     kinds31 = by_kind(maximal_subgroup_classes(gf_for_q(31)))
-    assert len(kinds31[EXC_A5]) == 2 and len(kinds31[EXC_S4]) == 2
+    assert len(kinds31[EXC_A5]) == 2 and len(kinds31[EXC_S4]) == 1
     kinds25 = by_kind(maximal_subgroup_classes(gf_for_q(25)))
-    assert [sc.q0 for sc in kinds25[SUBFIELD_PGL]] == [5, 5]
-    assert EXC_A5 not in kinds25  # p = 5 is not +-3 mod 10
+    assert set(kinds25) == {BOREL, DIH_SPLIT, DIH_NONSPLIT}  # no PGL(2,5); p = 5 has no A5
     kinds27 = by_kind(maximal_subgroup_classes(gf_for_q(27)))
-    assert kinds27[SUBFIELD_PSL][0].q0 == 3
+    assert kinds27[SUBFIELD_PSL] == [SubgroupClass(SUBFIELD_PSL, 12, q0=3)]
+    kinds64 = by_kind(maximal_subgroup_classes(gf_for_q(64)))
+    assert kinds64[SUBFIELD_PSL] == [SubgroupClass(SUBFIELD_PSL, 60, q0=4)]  # no PGL(2,8)
     kinds16 = by_kind(maximal_subgroup_classes(gf_for_q(16)))
-    assert len(kinds16[SUBFIELD_PGL]) == 1  # single class for q even
-    assert kinds16[SUBFIELD_PGL][0].q0 == 4
+    assert set(kinds16) == {BOREL, DIH_SPLIT, DIH_NONSPLIT}  # no PGL(2,4)
+
+
+@pytest.mark.parametrize("q", ALL_QS)
+def test_dropped_records_lie_inside_a_listed_class_set(q):
+    # every record of the reference list that the list leaves out meets
+    # only classes that some one listed record meets too, so it adds no
+    # Psi2 pair
+    ctx = gf_for_q(q)
+    sigs = inventory(ctx).signatures[0][1:]
+    listed = maximal_subgroup_classes(ctx)
+
+    def meets(sc):
+        return {sig for sig in sigs if reference_meets(ctx, sig, sc)}
+
+    for sc in reference_subgroup_classes(ctx):
+        if sc.id not in {other.id for other in listed}:
+            assert any(meets(sc) <= meets(other) for other in listed), (q, sc.id)
+
+
+@pytest.mark.parametrize("q", ALL_QS)
+def test_psi2_equals_the_reference_list_psi2(q):
+    inv = inventory(gf_for_q(q))
+    assert psi2_structural(profile_census(inv)).near == (
+        psi2_structural(reference_census(inv)).near)
+
+
+@pytest.mark.skipif(not EXTENDED, reason="the reference list past q = 1024 needs INVGEN_EXTENDED=1")
+def test_counts_equal_the_reference_list_counts_extended():
+    # |Psi2|, beta, the covering sides and the summary: every prime power up
+    # to 4096, odd f = 11 and the largest f within the verify cap
+    for q in [q for q in range(4, 4097) if prime_power_split(q)] + [3 ** 11, 2 ** 18]:
+        inv = inventory(gf_for_q(q))
+        census, ref = profile_census(inv), reference_census(inv)
+        cover, ref_cover = verify_2covering(census), verify_2covering(ref)
+        assert (census.psi2_count, beta_fast(census), cover.sides) == (
+            ref.psi2_count, beta_fast(ref), ref_cover.sides), q
+        assert lambda_summary(census, cover) == lambda_summary(ref, ref_cover), q
 
 
 @pytest.mark.parametrize("q", MANDATORY_QS + [16, 25, 27, 31, 64, 81])
@@ -166,9 +210,9 @@ def test_profiles_q7_exact():
     inv = inventory(ctx)
     profs = {lab.str_form(): sorted(ids) for lab, ids in
              label_profiles(inv, maximal_subgroup_classes(ctx)).items()}
-    assert profs["inv"] == ["dih_nonsplit", "exc_s4:v1", "exc_s4:v2"]
-    assert profs["split:t=1"] == ["borel", "exc_s4:v1", "exc_s4:v2"]
-    assert profs["nonsplit:t=3"] == ["dih_nonsplit", "exc_s4:v1", "exc_s4:v2"]
+    assert profs["inv"] == ["dih_nonsplit", "dih_split", "exc_s4"]
+    assert profs["split:t=1"] == ["borel", "dih_split", "exc_s4"]
+    assert profs["nonsplit:t=3"] == ["dih_nonsplit", "exc_s4"]
     assert profs["unip:sq"] == ["borel"]
     assert profs["unip:nsq"] == ["borel"]
 
@@ -182,20 +226,28 @@ def test_profiles_q9_variant_split():
         assert {"dih_nonsplit", "exc_a5:v1", "exc_a5:v2"} <= profs[n5]
     assert "exc_a5:v1" in profs["unip:sq"] and "exc_a5:v2" not in profs["unip:sq"]
     assert "exc_a5:v2" in profs["unip:nsq"] and "exc_a5:v1" not in profs["unip:nsq"]
-    assert "subfield_pgl:q0=3:v1" in profs["unip:sq"]
-    assert "subfield_pgl:q0=3:v2" in profs["unip:nsq"]
+    # the reference list's PGL(2,3) classes split the unipotents the same
+    # way, and lie in the Borel's class set
+    ref = {lab.str_form(): ids for lab, ids in reference_label_profiles(inv).items()}
+    assert "subfield_pgl:q0=3:v1" in ref["unip:sq"]
+    assert "subfield_pgl:q0=3:v2" in ref["unip:nsq"]
+    assert all(BOREL in ids for ids in ref.values() if any("pgl" in i for i in ids))
 
 
 def test_profiles_q25_subfield_traces():
+    # the reference list's PGL(2,5) meets a split class iff t^2 lies in
+    # GF(5), and every class it meets, the Borel meets
     ctx = gf_for_q(25)
     inv = inventory(ctx)
-    profs = label_profiles(inv, maximal_subgroup_classes(ctx))
+    profs = reference_label_profiles(inv)
     for entry in inv:
-        if entry.label.kind != "split":
+        if entry.label.kind == "id":
             continue
         has_pgl = any(i.startswith("subfield_pgl") for i in profs[entry.label])
-        t2 = ctx.mul(entry.label.trace, entry.label.trace)
-        assert has_pgl == in_subfield(ctx, t2, 1)
+        assert not has_pgl or BOREL in profs[entry.label]
+        if entry.label.kind == "split":
+            t2 = ctx.mul(entry.label.trace, entry.label.trace)
+            assert has_pgl == in_subfield(ctx, t2, 1)
     # orders 3, 4, 6 live in PGL(2,5); the order-12 classes do not
     split_orders_with_pgl = sorted(
         e.order for e in inv if e.label.kind == "split"
@@ -208,21 +260,19 @@ def test_profiles_q25_subfield_traces():
 def test_profile_invariants(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    classes = maximal_subgroup_classes(ctx)
-    profs = label_profiles(inv, classes, maximal=True)
-    full = label_profiles(inv, classes)
+    profs = label_profiles(inv, maximal_subgroup_classes(ctx))
     for entry in inv:
         if entry.label.kind == "id":
             continue
-        assert profs[entry.label], f"{entry.label} meets no maximal class"
+        assert profs[entry.label], f"{entry.label} meets no listed class"
         if entry.label.kind == "unip":
-            assert BOREL in full[entry.label]
+            assert BOREL in profs[entry.label]
         if entry.label.kind == "split":
-            assert BOREL in full[entry.label]
-            assert not any(i.startswith(DIH_NONSPLIT) for i in full[entry.label])
+            assert BOREL in profs[entry.label]
+            assert not any(i.startswith(DIH_NONSPLIT) for i in profs[entry.label])
         if entry.label.kind == "nonsplit":
-            assert DIH_NONSPLIT in full[entry.label]
-            assert BOREL not in full[entry.label]
+            assert DIH_NONSPLIT in profs[entry.label]
+            assert BOREL not in profs[entry.label]
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +500,7 @@ def test_psi2_equals_label_pair_sweep(q):
     # reference: test every unordered label pair for profile disjointness
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    classes = maximal_subgroup_classes(ctx)
-    profs = label_profiles(inv, classes, maximal=True)
+    profs = label_profiles(inv, maximal_subgroup_classes(ctx))
     labels = inv.nonidentity_labels()
     expected = set()
     for i, c in enumerate(labels):
@@ -524,7 +573,7 @@ def test_census_on_masks_matches_the_frozenset_reference(q):
     inv = inventory(gf_for_q(q))
     census = profile_census(inv)
     buckets, sizes, sig_bucket, disjoint, profiles, count = ref_frozenset_census(inv)
-    assert census.universe == profile_universe(maximal_subgroup_classes(inv.ctx))
+    assert census.universe == maximal_subgroup_classes(inv.ctx)
     assert [ids(census.universe, m) for m in census.profiles] == profiles
     assert census.buckets == sorted(census.buckets)
     named = [ids(census.universe, b) for b in census.buckets]
@@ -538,7 +587,7 @@ def test_census_on_masks_matches_the_frozenset_reference(q):
 
 @pytest.mark.parametrize("q", [7, 9, 13, 64, 729, 1021])
 def test_verify_runs_each_rule_once(q, monkeypatch):
-    # one label_meets call per signature and profile-universe member, the
+    # one label_meets call per signature and listed record, the
     # covering included; the per-class signature index is built only at
     # q = 7, where a torus class is isolated and named
     calls = []
@@ -549,8 +598,7 @@ def test_verify_runs_each_rule_once(q, monkeypatch):
     ctx = gf_for_q(q)
     assert all(next(verify_qs([(ctx, False)])).values())
     inv, = invs
-    universe = profile_universe(maximal_subgroup_classes(ctx))
-    assert len(calls) == len(inv.signatures[0]) * len(universe)
+    assert len(calls) == len(inv.signatures[0]) * len(maximal_subgroup_classes(ctx))
     assert ("class_signatures" in vars(inv)) == (q == 7)
 
 

@@ -70,7 +70,9 @@ def test_verify_builds_census_and_covering_once_per_q(tmp_path):
     # function would drop it from the trace and zero the metric
     # the oracle sessions for q <= 13 read the inventory verify_q built
     assert spans["psl2.inventory"] == counters["psl2.inventory_calls"] == n_q
-    assert spans["structure.profiles"] == 2 * n_q  # build_profiles, maximal_profiles
+    # maximal_profiles is another name of build_profiles, so the tracer
+    # wraps it twice: two nested spans per call
+    assert spans["structure.profiles"] == 2 * n_q
     # beta comes from the census: no Aut(S) map is built
     assert "autorbits.action" not in spans
 
