@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
@@ -152,6 +151,8 @@ def cmd_classes(args) -> int:
     inv = inventory(ctx)
     rows = inv.to_json()
     if args.format == "json":
+        import json
+
         _emit([json.dumps({"q": ctx.q, "classes": rows}, indent=2) + "\n"], args.out)
     elif args.format == "csv":
         lines = ["label,order,size"]
@@ -207,7 +208,6 @@ def cmd_psi2(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    from invgen.autorbits import aut_action
     from invgen.iggraph import (
         components, diameter, graph_to_json, is_bipartite, lambda_graph, lambda_power, to_dot,
     )
@@ -220,9 +220,10 @@ def cmd_graph(args) -> int:
     if args.power == 1:
         g = lambda_graph(psi2, plus=args.plus)
     else:
-        action = aut_action(inv)
+        from invgen.autorbits import aut_action
+
         try:  # t above beta
-            g = lambda_power(ctx, args.power, psi2, action, inv, plus=args.plus)
+            g = lambda_power(ctx, args.power, psi2, aut_action(inv), inv, plus=args.plus)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     if args.format == "dot":
@@ -335,6 +336,8 @@ def verify_qs(runs: Iterable[tuple[GFContext, bool]]) -> Iterator[dict[str, bool
 
 
 def cmd_verify(args) -> int:
+    import json
+
     fields = _parse_range(args.q_range)
     if not fields:
         raise UsageError(f"no prime powers in range {args.q_range}")

@@ -1,15 +1,21 @@
 """Graph layer: the invariably generating graphs of S and its powers.
 
 For t = 1 the vertices are the nonidentity class labels and the edges are
-the unordered Psi2 pairs.  For t > 1 the vertices are t-tuples of
-nonidentity labels and adjacency follows the product criterion: every
-coordinate column must lie in Psi2 and no two columns may share an
-Aut(S)-orbit.  Both read Psi2 as the neighbour lists ``Psi2Table.near``,
-and a column's orbit is named by ``autorbits.pair_orbits`` (its least
-image under the induced Aut(S) group), so no orbit partition is built.
-Tuples with an identity coordinate are provably isolated (an identity
-column lies in no Psi2 pair), so the enumeration skips them; the plus
-filter then drops everything else that is isolated.
+the unordered Psi2 pairs, one neighbour mask made per distinct
+``Psi2Table.near`` tuple (the labels of a profile bucket share one).  For
+t > 1 the vertices are t-tuples of nonidentity labels and adjacency follows
+the product criterion: every coordinate column must lie in Psi2 and no two
+columns may share an Aut(S)-orbit.  A column's orbit is named by
+``autorbits.pair_orbits`` (its least image under the induced Aut(S)
+group), so no orbit partition is built, and ``autorbits`` is loaded only
+for t > 1.  No candidate tuple is tried: ``lambda_power`` ANDs one
+partner mask per coordinate and takes away the pairs of columns that land
+in one orbit, both read off per-label masks sliced by orbit, so for n
+indexed tuples the work is n masks of n bits, and ``POWER_WORK_CAP`` bounds
+n^2.  Tuples with an identity coordinate are provably isolated (an
+identity column lies in no Psi2 pair) and are not indexed; with plus
+neither are those with a partnerless coordinate, and any tuple still
+isolated is dropped by one re-index.
 
 Adjacency is stored as one integer bitmask per vertex: bit j of
 ``nbrs[i]`` is set when vertices i and j are adjacent.  Components,
@@ -50,14 +56,13 @@ masks, which are symmetric and loop-free by construction.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from collections.abc import Iterator, Sequence
+from bisect import bisect_right
+from collections.abc import Iterator
 from itertools import compress, product
-from math import isqrt, log2, prod
+from math import isqrt, log2
 from operator import mul
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from invgen.autorbits import AutAction, pair_orbits
 from invgen.gf import CapError, GFContext
 from invgen.psl2 import ClassInventory
 from invgen.structure import (
@@ -65,7 +70,13 @@ from invgen.structure import (
     json_pair_rows,
 )
 
-POWER_WORK_CAP = 10 ** 6  # power-graph vertices, and candidate neighbour tuples
+if TYPE_CHECKING:  # loaded by ``lambda_power`` alone, so t = 1 never imports it
+    from invgen.autorbits import AutAction
+
+# Bits of the power graph's adjacency: the square of the tuple count, which
+# is the work of ``lambda_power``.  2^29 admits q = 8 and 11 at t = 5 with
+# plus (7^5 tuples each) and refuses q = 8 at t = 5 without it (8^5).
+POWER_WORK_CAP = 1 << 29
 # The largest beta whose exact (1/2) * C(beta, beta/2) is built: beta at
 # q = 4096, whose factor list, int product and decimal text take about
 # 0.09 s, against 3 ms at q = 1024 (beta = 52,326; in-process, 2-core Xeon
@@ -152,70 +163,105 @@ class IGGraph:
         return v.str_form()
 
 
-def _graph(q: int, t: int, method: str, vertices: list, near: Sequence[Sequence[int]],
-           plus: bool) -> IGGraph:
-    """The graph on ``vertices`` whose entry i of ``near`` lists the indices
-    of the neighbours of vertex i; plus keeps only the vertices with a
-    neighbour, re-indexed in their original order."""
-    keep = [i for i, js in enumerate(near) if js] if plus else range(len(vertices))
-    new = {i: k for k, i in enumerate(keep)}
-    nbrs = []
-    for i in keep:
-        mask = 0
-        for j in near[i]:
-            mask |= 1 << new[j]
-        nbrs.append(mask)
-    return IGGraph(q, t, method, [vertices[i] for i in keep], nbrs)
-
-
 def lambda_graph(psi2: Psi2Table, plus: bool = False) -> IGGraph:
-    """The graph on nonidentity classes of S; plus drops isolated vertices."""
-    return _graph(psi2.q, 1, psi2.method, psi2.labels, psi2.near, plus)
+    """The graph on nonidentity classes of S; plus drops isolated vertices.
+    Labels share neighbour tuples, so each distinct tuple is made a mask once."""
+    rows = [a for a, bs in enumerate(psi2.near) if bs or not plus]
+    at = {a: k for k, a in enumerate(rows)}
+    masks: dict[int, int] = {}  # id of a neighbour tuple -> its mask
+    nbrs = []
+    for a in rows:
+        mask = masks.get(id(psi2.near[a]))
+        if mask is None:
+            mask = masks[id(psi2.near[a])] = sum(1 << at[b] for b in psi2.near[a])
+        nbrs.append(mask)
+    return IGGraph(psi2.q, 1, psi2.method, [psi2.labels[a] for a in rows], nbrs)
 
 
 def lambda_power(ctx: GFContext, t: int, psi2: Psi2Table, action: AutAction,
                  inv: ClassInventory, plus: bool = False,
                  cap: int = POWER_WORK_CAP) -> IGGraph:
-    """The graph on classes of S^t via the product criterion.
+    """The graph on classes of S^t via the product criterion, from
+    orbit-sliced neighbour masks over the tuple index.
 
-    The neighbours of a tuple v are drawn from the product of the Psi2
-    neighbour lists of its coordinates, so exactly |Psi2|^t candidate
-    tuples are visited; a candidate is kept when its t columns lie in t
-    distinct Aut(S)-orbits, as named by ``pair_orbits``.  Both the vertex
-    count and the candidate count must be at most ``cap``; that is checked
-    before any orbit work.  S has at least two nonidentity classes, so a t
-    past ``cap.bit_length()`` is over the cap without forming either count.
+    The n tuples over the indexed labels (every nonidentity label, or with
+    plus those with a Psi2 partner) are numbered in lexicographic order.
+    For coordinate i and label a, A_i(a) masks the tuples whose coordinate i
+    is a Psi2 partner of a, and A_i(a, o) those whose column with a lies in
+    the Aut(S)-orbit o, as named by ``pair_orbits``.  Then
+        N(v) = AND_i A_i(v_i) minus OR_{i<j} OR_o A_i(v_i, o) & A_j(v_j, o),
+    built coordinate by coordinate along the tuple prefixes, so the work is
+    n masks of n bits.  The n^2 bits must be at most ``cap``, checked before
+    any orbit work; at least two labels have a partner, so a t past
+    ``cap.bit_length()`` is over the cap without forming n.
     """
     if t > cap.bit_length():
         raise GraphCapError(
             f"power graph for t={t} would have at least 2^{t} vertices, cap is {cap}")
-    labels = inv.nonidentity_labels()
-    n_vertices = len(labels) ** t
-    n_candidates = len(psi2) ** t
-    if n_vertices > cap or n_candidates > cap:
+    rows = [a for a, bs in enumerate(psi2.near) if bs or not plus]
+    m = len(rows)
+    n = m ** t
+    if n * n > cap:
         raise GraphCapError(
-            f"power graph for t={t} would have {n_vertices} vertices and {n_candidates} "
-            f"candidate neighbour tuples, cap is {cap}"
-        )
+            f"power graph for t={t} would index {n} tuples, {n * n} adjacency bits, "
+            f"cap is {cap}")
+    from invgen.autorbits import pair_orbits
+
     orbit = pair_orbits(action, psi2)
     n_orbits = len(set(orbit.values()))
     if t > n_orbits:
         raise ValueError(
             f"t={t} exceeds beta={n_orbits}; S^t is not invariably 2-generated there"
         )
-    # product() yields index tuples in lexicographic order, which is also the
-    # order of the label tuples below, so w > v means w comes later: the
-    # first coordinate of w runs from v[0] up, and w > v decides the ties
-    index = {v: i for i, v in enumerate(product(range(len(labels)), repeat=t))}
-    near: list[list[int]] = [[] for _ in index]
-    for v, i in index.items():
-        first = psi2.near[v[0]]
-        for w in product(first[bisect_left(first, v[0]):], *(psi2.near[a] for a in v[1:])):
-            if w > v and len({orbit[col] for col in zip(v, w)}) == t:
-                j = index[w]
-                near[i].append(j)
-                near[j].append(i)
-    return _graph(ctx.q, t, psi2.method, list(product(labels, repeat=t)), near, plus)
+    at = {a: k for k, a in enumerate(rows)}
+    slices = []  # per indexed label: {orbit: mask of the row positions of its partners there}
+    for a in rows:
+        by_orbit: dict[tuple[int, int], int] = {}
+        for b in psi2.near[a]:
+            by_orbit[orbit[a, b]] = by_orbit.get(orbit[a, b], 0) | 1 << at[b]
+        slices.append(by_orbit)
+    full = (1 << n) - 1
+    levels = []  # per coordinate: per label, (A_i(a), [(o, A_i(a, o)), ...])
+    for i in range(t):
+        size = m ** (t - 1 - i)  # coordinate i is constant on blocks of this many tuples
+        block, repeat = (1 << size) - 1, full // ((1 << m * size) - 1)
+
+        def lift(x: int) -> int:  # the tuples whose coordinate i is at a position of x
+            return sum(block << k * size for k in _bits(x)) * repeat
+
+        levels.append([(lift(sum(by_orbit.values())),
+                        [(o, lift(x)) for o, x in by_orbit.items()]) for by_orbit in slices])
+    nbrs: list[int] = []
+
+    def walk(i: int, common: int, clash: int, seen: dict) -> None:
+        """Extend a prefix of i coordinates: common is AND_{j<i} A_j(v_j),
+        clash the tuples two of whose first i columns share an orbit, and
+        seen[o] the tuples with a column among the first i in orbit o."""
+        for partners, cuts in levels[i]:
+            hit = clash
+            for o, x in cuts:
+                if o in seen:
+                    hit |= seen[o] & x
+            if i == t - 1:
+                nbrs.append(common & partners & ~hit)
+                continue
+            ahead = dict(seen)
+            for o, x in cuts:
+                ahead[o] = ahead.get(o, 0) | x
+            walk(i + 1, common & partners, hit, ahead)
+
+    walk(0, full, 0, {})
+    vertices = list(product([inv.nonidentity_labels()[a] for a in rows], repeat=t))
+    if plus and not all(nbrs):  # a tuple over partnered labels may still be isolated
+        keep = [i for i, mask in enumerate(nbrs) if mask]
+        new = dict(zip(keep, range(len(keep))))
+        moved: dict[int, int] = {}
+        for i in keep:
+            if nbrs[i] not in moved:
+                moved[nbrs[i]] = sum(1 << new[j] for j in _bits(nbrs[i]))
+        vertices = [vertices[i] for i in keep]
+        nbrs = [moved[nbrs[i]] for i in keep]
+    return IGGraph(ctx.q, t, psi2.method, vertices, nbrs)
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +315,17 @@ def check_bound_cap(beta_value: int) -> None:
 
 
 def _half_binomial_factors(beta_value: int) -> list[int]:
-    """Primes and one power of 2 whose product is (1/2) * C(beta, beta/2);
-    beta must be even (it always is) and at most ``BOUND_BETA_CAP``.
+    """Products of up to 8 factors each (the first holds the power of 2),
+    whose product is (1/2) * C(beta, beta/2); beta must be even (it always
+    is) and at most ``BOUND_BETA_CAP``.
 
     By Legendre's formula a prime r divides C(beta, h), h = beta/2, exactly
     sum_k (floor(beta/r^k) - 2 floor(h/r^k)) times.  As beta = 2h, each term
-    is floor(beta/r^k) mod 2, so r is listed once per odd floor(beta/r^k),
-    and 2 has exponent popcount(h), less 1 for the half.
+    is floor(beta/r^k) mod 2, so r is a factor once per odd floor(beta/r^k),
+    and 2 has exponent popcount(h), less 1 for the half.  The sieve holds
+    the odd numbers only, and the factors are multiplied in groups of 8 as
+    they are found: small ints still, an eighth as many to hold and to
+    turn into decimals.
     """
     if beta_value < 2 or beta_value % 2 != 0:
         raise RuntimeError(
@@ -283,18 +333,23 @@ def _half_binomial_factors(beta_value: int) -> list[int]:
             "signals an upstream bug"
         )
     check_bound_cap(beta_value)
-    sieve = bytearray([1]) * (beta_value + 1)  # read at odd r only: is r prime
+    sieve = bytearray([1]) * (beta_value // 2)  # sieve[k]: is 2k + 1 prime
+    sieve[0] = 0
     for r in range(3, isqrt(beta_value) + 1, 2):
-        if sieve[r]:
-            sieve[r * r::2 * r] = bytes(len(range(r * r, beta_value + 1, 2 * r)))
-    factors = [1 << (beta_value // 2).bit_count() - 1]
-    for r in compress(range(3, beta_value + 1, 2), sieve[3::2]):
+        if sieve[r // 2]:
+            sieve[r * r // 2::r] = bytes(len(range(r * r // 2, len(sieve), r)))
+    groups, group, size = [], 1 << (beta_value // 2).bit_count() - 1, 1
+    for r in compress(range(1, beta_value, 2), sieve):
         power = r
         while power <= beta_value:
             if beta_value // power & 1:
-                factors.append(r)
+                group *= r
+                size += 1
+                if size == 8:
+                    groups.append(group)
+                    group, size = 1, 0
             power *= r
-    return factors
+    return groups + [group] if size else groups
 
 
 def _tree_product(xs: list, times):
@@ -339,8 +394,6 @@ def n_lower_bound_report(census: ProfileCensus, beta_exact: int | None = None) -
     use = beta_exact if beta_exact is not None else beta_lb
     use_even = max(2, use - use % 2)
     factors = _half_binomial_factors(use_even)
-    # products of 8 factors are still small ints: an eighth as many decimals
-    factors = [prod(factors[i:i + 8]) for i in range(0, len(factors), 8)]
     return {"q": census.inv.q, "psi2_count": census.psi2_count, "beta_lower": use_even,
             "beta_exact": beta_exact, "component_bound": _big_int_str(factors),
             "log2_bound": int_log2(_tree_product(factors, mul))}

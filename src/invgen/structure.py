@@ -33,7 +33,6 @@ sits here, the lowest module that ``iggraph`` and ``beta`` both import.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterator
 from itertools import compress
 from typing import NamedTuple
@@ -273,6 +272,8 @@ def json_document(members: dict) -> Iterator[str]:
     yields: each chunk holds one or more items already written at depth 2,
     several joined by ``",\n    "``.  Any other member goes through
     ``json.dumps``, which never writes a raw newline inside a value."""
+    import json  # here alone, so commands that write no JSON never load it
+
     text, sep = "{", "\n  "
     for key, value in members.items():
         text += sep + json.dumps(key) + ": "

@@ -2,6 +2,7 @@
 
 import time
 from collections import Counter
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import product
 from math import comb, gcd
@@ -9,7 +10,8 @@ from operator import mul
 from typing import NamedTuple
 
 from invgen.gf import GFContext, _pack, _poly_mod, _unpack, factorize, is_prime
-from invgen.iggraph import _bits, _graph, is_bipartite, LambdaSummary
+from invgen.autorbits import pair_orbits
+from invgen.iggraph import _bits, IGGraph, is_bipartite, LambdaSummary
 from invgen.oracle import _inverse, _line_action, _table, is_split_trace
 from invgen.psl2 import (
     ClassEntry, ClassInventory, ClassLabel, TorusClasses, enumerate_psl2, trace_key,
@@ -711,7 +713,7 @@ def ref_summary(ctx, entries) -> LambdaSummary:
     for i, j in _ref_disjoint(buckets):
         if i != j:
             near[i].append(j)
-    quotient = _graph(ctx.q, 1, "structural", list(range(len(sizes))), near, plus=True)
+    quotient = graph_from_near(ctx.q, 1, "structural", list(range(len(sizes))), near, plus=True)
     live = quotient.vertices
     bipartite, _ = mask_is_bipartite(quotient)
     diam = mask_diameter(quotient)
@@ -870,7 +872,7 @@ def ref_quotient_summary(census, cover) -> LambdaSummary:
     for i, j in census.disjoint:
         if i != j:
             near[i].append(j)
-    quotient = _graph(inv.q, 1, "structural", list(range(len(sizes))), near, plus=True)
+    quotient = graph_from_near(inv.q, 1, "structural", list(range(len(sizes))), near, plus=True)
     live = quotient.vertices
     dead = {i for i, js in enumerate(near) if not js}
     members = census.members()
@@ -903,6 +905,44 @@ def quotient_parts_match(cover, census, quotient) -> bool:
         if any(bucket_side[quotient.vertices[k]] == bucket_side[i] for k in _bits(mask)):
             return False
     return True
+
+
+def graph_from_near(q, t, method, vertices, near, plus) -> IGGraph:
+    """The graph on ``vertices`` whose entry i of ``near`` lists the indices
+    of the neighbours of vertex i; plus keeps only the vertices with a
+    neighbour, re-indexed in their original order."""
+    keep = [i for i, js in enumerate(near) if js] if plus else range(len(vertices))
+    new = {i: k for k, i in enumerate(keep)}
+    nbrs = []
+    for i in keep:
+        mask = 0
+        for j in near[i]:
+            mask |= 1 << new[j]
+        nbrs.append(mask)
+    return IGGraph(q, t, method, [vertices[i] for i in keep], nbrs)
+
+
+def ref_power_candidates(ctx, t, psi2, action, inv, plus=False) -> IGGraph:
+    """The power graph by the product criterion, candidate by candidate:
+    the neighbours of a tuple v are drawn from the product of the Psi2
+    neighbour lists of its coordinates, |Psi2|^t candidates in all, and a
+    candidate is kept when its t columns lie in t distinct orbits of
+    ``pair_orbits``.  The reference for ``lambda_power``'s mask kernel."""
+    labels = inv.nonidentity_labels()
+    orbit = pair_orbits(action, psi2)
+    # product() yields index tuples in lexicographic order, which is also the
+    # order of the label tuples below, so w > v means w comes later: the
+    # first coordinate of w runs from v[0] up, and w > v decides the ties
+    index = {v: i for i, v in enumerate(product(range(len(labels)), repeat=t))}
+    near = [[] for _ in index]
+    for v, i in index.items():
+        first = psi2.near[v[0]]
+        for w in product(first[bisect_left(first, v[0]):], *(psi2.near[a] for a in v[1:])):
+            if w > v and len({orbit[col] for col in zip(v, w)}) == t:
+                j = index[w]
+                near[i].append(j)
+                near[j].append(i)
+    return graph_from_near(ctx.q, t, psi2.method, list(product(labels, repeat=t)), near, plus)
 
 
 def component_count(beta, t) -> int:

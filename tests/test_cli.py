@@ -176,10 +176,28 @@ def test_graph_q9_keeps_isolated_without_plus(capsys):
     assert sorted(isolated) == ["inv", "unip:nsq", "unip:sq"]
 
 
-def test_graph_power_cap_bounds_candidates(capsys):
-    # 8^5 = 32,768 vertices is under the cap; 24^5 candidate tuples is not
-    code, _, err = run(capsys, "graph", "--q", "8", "--power", "5")
-    assert code == 3 and "cap" in err
+def test_graph_power_cap_bounds_adjacency_bits(capsys, monkeypatch):
+    # 8^5 = 32,768 tuples are 2^30 adjacency bits, over the cap of 2^29; no
+    # Aut(S) element may be built first
+    def refuse(self):
+        raise AssertionError("Aut(S) elements built before the cap check")
+
+    monkeypatch.setattr(AutAction, "elements", refuse)
+    code, out, err = run(capsys, "graph", "--q", "8", "--power", "5")
+    assert (code, out) == (3, "")
+    assert err == ("cap exceeded: power graph for t=5 would index 32768 tuples, "
+                   f"{2 ** 30} adjacency bits, cap is {iggraph.POWER_WORK_CAP}\n")
+
+
+@pytest.mark.skipif(os.environ.get("INVGEN_EXTENDED") != "1", reason="needs INVGEN_EXTENDED=1")
+@pytest.mark.parametrize("q,components", [(8, 15), (11, 16)])
+def test_graph_power_five_with_plus_extended(q, components, tmp_path, capsys):
+    # 7^5 tuples each: within the cap with --plus; the component counts are
+    # the closed form N(beta, 5) at beta = 8 and 10
+    code, out, _ = run(capsys, "graph", "--q", str(q), "--power", "5", "--plus",
+                       "--format", "dot", "--out", str(tmp_path / "g.dot"))
+    assert code == 0
+    assert f"components={components} " in out
 
 
 @pytest.mark.parametrize("t", [1000, 100000, 10 ** 18])
@@ -562,16 +580,19 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Runs in a fresh interpreter (pytest itself loads dataclasses): imports the
 # CLI, runs argv through cli.main if given, and prints the invgen modules
-# then loaded and whether dataclasses is.
+# then loaded and whether dataclasses and json are (json before the probe
+# loads it to print).
 PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 import invgen.cli
 code = None
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = invgen.cli.main(sys.argv[1:])
-print(json.dumps({"code": code, "dataclasses": "dataclasses" in sys.modules,
-                  "invgen": sorted(m for m in sys.modules if m.split(".")[0] == "invgen")}))
+loaded = set(sys.modules)
+import json
+print(json.dumps({"code": code, "dataclasses": "dataclasses" in loaded, "json": "json" in loaded,
+                  "invgen": sorted(m for m in loaded if m.split(".")[0] == "invgen")}))
 """
 
 GRAPH_LAYERS = ("psl2", "structure", "autorbits", "iggraph")
@@ -596,16 +617,32 @@ def test_importing_the_cli_loads_no_layer():
     (["psi2", "--q", "7"], ("psl2", "structure")),
     (["psi2", "--q", "7", "--method", "oracle"], ("psl2", "structure", "oracle")),
     (["psi2", "--q", "7", "--method", "both"], ("psl2", "structure", "oracle")),
-    (["graph", "--q", "7"], GRAPH_LAYERS),
+    (["graph", "--q", "7"], ("psl2", "structure", "iggraph")),
+    (["graph", "--q", "7", "--power", "2"], GRAPH_LAYERS),
     (["beta", "--q", "7"], GRAPH_LAYERS),
     (["verify", "--q-range", "4..5"], GRAPH_LAYERS + ("oracle",)),
-], ids=["classes", "psi2", "psi2-oracle", "psi2-both", "graph", "beta", "verify"])
+], ids=["classes", "psi2", "psi2-oracle", "psi2-both", "graph", "graph-power", "beta",
+        "verify"])
 def test_each_subcommand_loads_only_its_layers(argv, layers):
     result = loaded_after(*argv)
     assert result["code"] == 0
     assert result["invgen"] == sorted(
         ["invgen", "invgen.cli", "invgen.gf"] + [f"invgen.{m}" for m in layers])
     assert not result["dataclasses"]
+
+
+@pytest.mark.parametrize("argv,writes_json", [
+    (["psi2", "--q", "5"], False),
+    (["psi2", "--q", "5", "--format", "csv"], False),
+    (["graph", "--q", "7", "--format", "dot"], False),
+    (["beta", "--q", "7"], False),
+    (["psi2", "--q", "5", "--format", "json"], True),
+    (["graph", "--q", "7"], True),
+], ids=["psi2", "psi2-csv", "graph-dot", "beta", "psi2-json", "graph-json"])
+def test_only_json_output_loads_json(argv, writes_json):
+    result = loaded_after(*argv)
+    assert result["code"] == 0
+    assert result["json"] == writes_json
 
 
 PUBLIC = {

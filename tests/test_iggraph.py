@@ -13,13 +13,12 @@ from hypothesis import strategies as st
 
 from invgen.gf import gf_for_q, prime_power_split
 from invgen.psl2 import ClassLabel, inventory
-from invgen.autorbits import aut_action, beta_fast
+from invgen.autorbits import AutAction, aut_action, beta_fast
 from invgen.iggraph import (
     POWER_WORK_CAP,
     GraphCapError,
     _big_int_str,
     _bits,
-    _graph,
     _half_binomial_factors,
     _parts_match_covering,
     IGGraph,
@@ -38,8 +37,9 @@ from invgen.iggraph import (
 )
 from invgen.structure import CoveringResult, profile_census, psi2_structural, verify_2covering
 from helpers import (
-    component_count, covering_parts, isolated, mask_components, mask_diameter, mask_is_bipartite,
-    pairs, part_pattern, quotient_parts_match, ref_dot, ref_graph_json, ref_orbits,
+    component_count, covering_parts, graph_from_near, isolated, mask_components, mask_diameter,
+    mask_is_bipartite, pairs, part_pattern, quotient_parts_match, ref_dot, ref_graph_json,
+    ref_orbits, ref_power_candidates,
 )
 
 EXTENDED = os.environ.get("INVGEN_EXTENDED") == "1"
@@ -216,12 +216,84 @@ def test_lambda_power_cap():
         power_of(5, 2, cap=10)
 
 
-@pytest.mark.parametrize("q,t,kwargs", [(7, 2, {"cap": 30}), (8, 5, {})])
-def test_lambda_power_cap_bounds_candidates(q, t, kwargs):
-    # 25 <= 30 vertices but 8^2 = 64 candidates; 8^5 = 32,768 vertices under
-    # the default cap but 24^5 = 7,962,624 candidates over it
-    with pytest.raises(GraphCapError, match="candidate"):
-        power_of(q, t, **kwargs)
+def refuse_elements(self):
+    raise AssertionError("Aut(S) elements built before the cap check")
+
+
+class Reached(Exception):
+    """Raised in place of ``AutAction.elements``: the cap check was passed."""
+
+
+def reached(self):
+    raise Reached
+
+
+@pytest.mark.parametrize("plus,cap,refused", [
+    (True, 255, True), (True, 256, False), (False, 624, True), (False, 625, False)])
+def test_lambda_power_cap_bounds_adjacency_bits(plus, cap, refused, monkeypatch):
+    # q = 7 indexes 4^2 = 16 tuples with plus (split:t=1 has no partner) and
+    # 5^2 = 25 without; the cap is on the square of that count, and a
+    # refusal comes before any Aut(S) element is built
+    ctx, inv, psi2 = structural(7)
+    action = aut_action(inv)
+    if refused:
+        monkeypatch.setattr(AutAction, "elements", refuse_elements)
+        with pytest.raises(GraphCapError, match="adjacency bits"):
+            lambda_power(ctx, 2, psi2, action, inv, plus=plus, cap=cap)
+    else:
+        g = lambda_power(ctx, 2, psi2, action, inv, plus=plus, cap=cap)
+        assert len(g.vertices) == (14 if plus else 25)
+
+
+@pytest.mark.parametrize("q,plus,refused", [
+    (8, False, True), (8, True, False), (11, False, False), (11, True, False),
+    (13, False, True), (13, True, False)])
+def test_lambda_power_default_cap_at_t5(q, plus, refused, monkeypatch):
+    # 8^5 = 32,768 tuples are 2^30 bits, over the default cap of 2^29; with
+    # plus q = 8 and 13 index 7^5 = 16,807 tuples, as q = 11 does either way
+    monkeypatch.setattr(AutAction, "elements", refuse_elements if refused else reached)
+    with pytest.raises(GraphCapError if refused else Reached):
+        power_of(q, 5, plus=plus)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13])
+@pytest.mark.parametrize("plus", [False, True])
+def test_lambda_power_equals_candidate_loop(q, plus):
+    ctx, inv, psi2 = structural(q)
+    action = aut_action(inv)
+    for t in range(1, min(beta_fast(profile_census(inv)), 3) + 1):
+        g = lambda_power(ctx, t, psi2, action, inv, plus=plus)
+        ref = ref_power_candidates(ctx, t, psi2, action, inv, plus=plus)
+        assert g.vertices == ref.vertices and g.nbrs == ref.nbrs, t
+
+
+def candidate_loop_cases():
+    """Every (q, t, plus) with q <= 32 and 1 <= t <= beta within
+    POWER_WORK_CAP whose reference tries at most 50,000 candidates."""
+    cases = []
+    for q in range(4, 33):
+        if not prime_power_split(q):
+            continue
+        ctx, inv, psi2 = structural(q)
+        for t in range(1, beta_fast(profile_census(inv)) + 1):
+            if len(psi2) ** t > 50_000:
+                break
+            for plus in (False, True):
+                indexed = sum(1 for js in psi2.near if js or not plus) ** t
+                if indexed * indexed <= POWER_WORK_CAP:
+                    cases.append((q, t, plus))
+    return cases
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(candidate_loop_cases()))
+def test_lambda_power_matches_candidate_loop_within_the_cap(case):
+    q, t, plus = case
+    ctx, inv, psi2 = structural(q)
+    action = aut_action(inv)
+    g = lambda_power(ctx, t, psi2, action, inv, plus=plus)
+    ref = ref_power_candidates(ctx, t, psi2, action, inv, plus=plus)
+    assert g.vertices == ref.vertices and g.nbrs == ref.nbrs
 
 
 @pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
@@ -380,18 +452,19 @@ def test_component_bound_values():
 
 
 def power_cases():
-    """Every (q, t, beta) with q <= 27 and 2 <= t <= beta whose power graph
-    is within POWER_WORK_CAP; the six slowest run only when extended."""
-    slow = {(8, 4), (13, 4), (19, 3), (23, 3), (25, 3), (27, 3)}
+    """Every (q, t, beta) with q <= 27 and 2 <= t <= beta whose plus graph
+    is within POWER_WORK_CAP: the tuples over the labels with a partner,
+    squared; the five slowest run only when extended."""
+    slow = {(8, 5), (11, 5), (13, 5), (17, 4), (19, 4)}
     cases = []
     for q in range(4, 28):
         if not prime_power_split(q):
             continue
         ctx, inv, psi2 = structural(q)
         b = beta_fast(profile_census(inv))
-        n = len(inv.nonidentity_labels())
+        live = sum(1 for js in psi2.near if js)
         for t in range(2, b + 1):
-            if max(n, len(psi2)) ** t <= POWER_WORK_CAP:
+            if live ** (2 * t) <= POWER_WORK_CAP:
                 marks = [pytest.mark.skipif(not EXTENDED, reason="needs INVGEN_EXTENDED=1")
                          ] if (q, t) in slow else []
                 cases.append(pytest.param(q, t, b, marks=marks, id=f"q{q}-t{t}"))
@@ -544,7 +617,8 @@ def test_parts_match_covering_matches_the_quotient_reference(case):
     nbrs, sig_bucket, sides = case
     census = SimpleNamespace(sig_bucket=sig_bucket, buckets=[None] * len(nbrs))
     cover = CoveringResult(all(sides[1:]), sides)
-    quotient = _graph(0, 1, "synthetic", list(range(len(nbrs))), list(map(_bits, nbrs)), True)
+    quotient = graph_from_near(0, 1, "synthetic", list(range(len(nbrs))), list(map(_bits, nbrs)),
+                               True)
     assert (_parts_match_covering(cover, census, nbrs)
             == quotient_parts_match(cover, census, quotient))
 
