@@ -17,10 +17,10 @@ is turned into its permutation and its class label, read from tables keyed
 by its trace (``_labeller``; ``psl2_class_of`` in ``tests/helpers.py`` is
 the reference), and then dropped.  Inverses come from ``bytes.maketrans``.
 A pair generates iff its closure under multiplication is the whole group.
-The closure returns early once it outgrows every proper-subgroup order:
-that ``exit_bound``, the largest order that
-``structure.maximal_subgroup_classes`` lists, is the one place where the
-Psi2 verdicts depend on the rules they certify.
+The closure returns early once it outgrows every proper subgroup: its
+``exit_bound`` is the enumerated order over the least index of a proper
+subgroup, which Galois's theorem gives from q alone (``min_index``).  So
+no verdict reads the structural rules it certifies.
 
 ``psi2`` decides one class pair per pair of power classes.  The power class
 of C is the set of classes C^k with gcd(k, |x|) = 1, read off the powers of
@@ -52,13 +52,20 @@ from math import gcd
 
 from invgen.gf import CapError, GFContext
 from invgen.psl2 import ClassInventory, ClassLabel, Mat, enumerate_psl2, trace_key
-from invgen.structure import Psi2Table, maximal_subgroup_classes
+from invgen.structure import Psi2Table
 
 MAX_Q = 255  # q + 1 points must fit in a byte
 
 Perm = bytes  # images of the points 0..q of the projective line
 
 _POINTS = bytes(range(256))
+
+
+def min_index(q: int) -> int:
+    """The least index of a proper subgroup of PSL(2,q), q >= 4: the
+    Borel's, q + 1, but q at q = 5, 7, 11 (A4, S4, A5) and 6 at q = 9 (A5)
+    (Galois; Dickson 1901; Huppert, *Endliche Gruppen I*, II.8.28)."""
+    return {5: 5, 7: 7, 9: 6, 11: 11}.get(q, q + 1)
 
 
 class OracleCapError(CapError):
@@ -203,7 +210,7 @@ class OracleSession:
                                    f"formula says {entry.size}")
         self.npoints = ctx.q + 1
         self.identity: Perm = _POINTS[:self.npoints]
-        self.exit_bound = max(sc.order for sc in maximal_subgroup_classes(ctx))
+        self.exit_bound = self.order // min_index(ctx.q)  # the largest proper order
         self._perm = perm
         self._inv_root: list[int | None] = [None] * ctx.q  # 1/sqrt(v), None off the squares
         for v in range(1, ctx.q):

@@ -6,10 +6,10 @@ record whose class set lies inside another's adds no pair.  So
 ``maximal_subgroup_classes`` keeps only the inclusion-maximal class sets
 of Dickson's list, with no maximality flags (a non-maximal dihedral lies
 in a maximal subgroup, whose class set holds its own).  It drops subfield
-PGL(2,q0), whose class set lies inside the Borel's, and the second S4
-class, whose class set is the first's; it keeps A4, whose class set lies
-inside a dihedral's, because at q = 5 its order is the largest, which the
-oracle reads.  Its docstring gives the arguments.
+PGL(2,q0), whose class set lies inside the Borel's, A4, whose class set
+lies inside a dihedral's, and the second S4 class, whose class set is the
+first's; its docstring gives the arguments.  A record holds no order,
+since no rule reads one.
 
 Class-intersection profiles are computed symbolically: the profile of a
 conjugacy class is the set of listed subgroup classes whose members meet
@@ -44,17 +44,15 @@ BOREL = "borel"
 DIH_SPLIT = "dih_split"
 DIH_NONSPLIT = "dih_nonsplit"
 SUBFIELD_PSL = "subfield_psl"
-EXC_A4 = "exc_a4"
 EXC_S4 = "exc_s4"
 EXC_A5 = "exc_a5"
 
 # element orders occurring in the exceptional subgroups
-_EXC_ORDERS = {EXC_A4: (2, 3), EXC_S4: (2, 3, 4), EXC_A5: (2, 3, 5)}
+_EXC_ORDERS = {EXC_S4: (2, 3, 4), EXC_A5: (2, 3, 5)}
 
 
 class SubgroupClass(NamedTuple):
     kind: str
-    order: int
     variant: int | None = None  # 1 or 2 for kinds that come as two classes
     q0: int | None = None  # subfield size for subfield kinds
 
@@ -82,36 +80,25 @@ def maximal_subgroup_classes(ctx: GFContext) -> list[SubgroupClass]:
       * subfield PGL(2,q0), q = q0^2: each semisimple element has its
         eigenvalues in GF(q0^2) = GF(q), so it is split or an involution
         (q = 1 mod 4) and lies in a Borel, as every unipotent does;
+      * A4 (f = 1, p >= 5): it meets the involutions and one torus class
+        of order 3, both of which the dihedral of that torus meets;
       * the second S4 class (q = +-1 mod 8 prime): p >= 7 does not divide
         24, so neither class meets a unipotent class and the two have one
         class set, that of the one record, which has no variant.
-
-    A4 (f = 1, p >= 5) meets the involutions and one torus class of order
-    3, both of which the dihedral of that torus meets.  It stays because
-    at q = 5 its order 12 is the largest, the oracle's ``exit_bound``.
     """
     p, f, q = ctx.p, ctx.f, ctx.q
     if q < 4:
         raise RuntimeError("subgroup classification requires q >= 4")
-    d = 2 if q % 2 == 1 else 1
-    out = [
-        SubgroupClass(BOREL, q * (q - 1) // d),
-        SubgroupClass(DIH_SPLIT, 2 * (q - 1) // d),
-        SubgroupClass(DIH_NONSPLIT, 2 * (q + 1) // d),
-    ]
+    out = [SubgroupClass(BOREL), SubgroupClass(DIH_SPLIT), SubgroupClass(DIH_NONSPLIT)]
     for r in (r for r in range(3, f + 1, 2) if f % r == 0 and is_prime(r)):
         q0 = p ** (f // r)
-        if q0 == 2:
-            continue
-        d0 = 2 if q0 % 2 == 1 else 1
-        out.append(SubgroupClass(SUBFIELD_PSL, q0 * (q0 * q0 - 1) // d0, q0=q0))
-    if f == 1 and q % 40 in (3, 5, 13, 27, 37):
-        out.append(SubgroupClass(EXC_A4, 12))
+        if q0 != 2:
+            out.append(SubgroupClass(SUBFIELD_PSL, q0=q0))
     if f == 1 and q % 8 in (1, 7):
-        out.append(SubgroupClass(EXC_S4, 24))
+        out.append(SubgroupClass(EXC_S4))
     if (f == 1 and q % 10 in (1, 9)) or (f == 2 and p % 10 in (3, 7)):
-        out.append(SubgroupClass(EXC_A5, 60, variant=1))
-        out.append(SubgroupClass(EXC_A5, 60, variant=2))
+        out.append(SubgroupClass(EXC_A5, variant=1))
+        out.append(SubgroupClass(EXC_A5, variant=2))
     return out
 
 

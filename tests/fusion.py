@@ -40,13 +40,10 @@ from invgen.structure import (
     BOREL,
     DIH_NONSPLIT,
     DIH_SPLIT,
-    EXC_A4,
-    EXC_A5,
-    EXC_S4,
     SUBFIELD_PSL,
     maximal_subgroup_classes,
 )
-from helpers import SUBFIELD_PGL, in_subfield, subfield_degree
+from helpers import SUBFIELD_PGL, in_subfield, reference_subgroup_classes, subfield_degree
 
 SEED = 20260810  # seeds every random search, so the certifier is deterministic
 
@@ -105,7 +102,7 @@ def exceptional_subgroups(sess, kind: str, wanted: int) -> list[frozenset[Perm]]
     Seeded random (involution, order-3) pairs; a hit is verified by its
     exact closure size, class separation by a literal conjugacy test.
     """
-    target = {EXC_A4: 12, EXC_S4: 24, EXC_A5: 60}[kind]
+    target = next(sc.order for sc in reference_subgroup_classes(sess.ctx) if sc.kind == kind)
     rng = random.Random(SEED)
     invol_label = ClassLabel("inv") if sess.ctx.q % 2 == 1 else ClassLabel("unip")
     invols = sess.by_label[invol_label]
@@ -164,7 +161,8 @@ def conjugacy_orbit(sess, h: frozenset[Perm]) -> set[frozenset[Perm]]:
 
 def class_fusion(sess, classes=None) -> dict[str, set[ClassLabel]]:
     """Labels met by one representative of each subgroup class of
-    ``maximal_subgroup_classes``, or of the given list.
+    ``maximal_subgroup_classes``, or of the given list.  Each
+    representative must have the order the reference list gives its kind.
 
     Two-class kinds located by random search are keyed to variants by
     their unipotent intersection when that distinguishes them, else in
@@ -185,6 +183,7 @@ def class_fusion(sess, classes=None) -> dict[str, set[ClassLabel]]:
                                   for s in scales],
     }
     classes = classes or maximal_subgroup_classes(ctx)
+    orders = {(sc.kind, sc.q0): sc.order for sc in reference_subgroup_classes(ctx)}
     done_kinds: set[tuple] = set()
     for sc in classes:
         key = (sc.kind, sc.q0)
@@ -197,9 +196,9 @@ def class_fusion(sess, classes=None) -> dict[str, set[ClassLabel]]:
         else:
             groups = exceptional_subgroups(sess, sc.kind, len(variants))
         for g in groups:
-            if len(g) != sc.order:
+            if len(g) != orders[key]:
                 raise RuntimeError(
-                    f"{sc.kind} representative has order {len(g)}, expected {sc.order}"
+                    f"{sc.kind} representative has order {len(g)}, expected {orders[key]}"
                 )
         labelsets = assign_variants(variants, [labels_met(sess, g) for g in groups])
         for variant, labels in zip(variants, labelsets):

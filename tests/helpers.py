@@ -17,7 +17,7 @@ from invgen.psl2 import (
     ClassEntry, ClassInventory, ClassLabel, TorusClasses, enumerate_psl2, trace_key,
 )
 from invgen.structure import (
-    BOREL, BOREL_SIDE, DIH_NONSPLIT, DIH_SPLIT, DIHEDRAL_SIDE, EXC_A4, EXC_A5, EXC_S4,
+    BOREL, BOREL_SIDE, DIH_NONSPLIT, DIH_SPLIT, DIHEDRAL_SIDE, EXC_A5, EXC_S4,
     SUBFIELD_PSL, ProfileCensus, Psi2Table, SubgroupClass, build_profiles, label_meets,
     maximal_subgroup_classes,
 )
@@ -1099,18 +1099,19 @@ def ref_frozenset_census(inv) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Dickson's whole list with exact maximality flags, subfield PGL and both S4
-# classes: the reference for the inclusion-maximal list that
+# Dickson's whole list with orders, exact maximality flags, subfield PGL, A4
+# and both S4 classes: the reference for the inclusion-maximal list that
 # ``maximal_subgroup_classes`` returns, which must give the same Psi2
 # ---------------------------------------------------------------------------
 
 SUBFIELD_PGL = "subfield_pgl"
+EXC_A4 = "exc_a4"
 
 
 class ReferenceClass(NamedTuple):
     """A record of ``reference_subgroup_classes``: a ``SubgroupClass`` with
-    its maximality flag.  Variant 1 of a subfield PGL is the copy whose
-    unipotents have square parameter, variant 2 the nonsquare one."""
+    its order and maximality flag.  Variant 1 of a subfield PGL is the copy
+    whose unipotents have square parameter, variant 2 the nonsquare one."""
 
     kind: str
     order: int
@@ -1160,15 +1161,18 @@ def reference_subgroup_classes(ctx) -> list:
 
 
 def reference_meets(ctx, sig, sc) -> bool:
-    """``label_meets``, with the rule for subfield PGL(2,q0): it meets the
-    involutions, a torus class iff t^2 lies in GF(q0) (the order test, by
-    the argument in ``label_meets``), and for q odd the unipotent class of
-    its variant only, since GF(q0)* consists of squares of GF(q0^2), so the
-    standard copy meets the square class and its twisted conjugate the
-    other."""
+    """``label_meets``, with the rules for the records it does not know.
+    A4 (f = 1, p >= 5) meets the classes of order at most 3.  Subfield
+    PGL(2,q0) meets the involutions, a torus class iff t^2 lies in GF(q0)
+    (the order test, by the argument in ``label_meets``), and for q odd
+    the unipotent class of its variant only, since GF(q0)* consists of
+    squares of GF(q0^2), so the standard copy meets the square class and
+    its twisted conjugate the other."""
+    kind, sq, order = sig
+    if sc.kind == EXC_A4:
+        return order <= 3
     if sc.kind != SUBFIELD_PGL:
         return label_meets(ctx, sig, sc)
-    kind, sq, order = sig
     if kind == "unip" and ctx.q % 2 == 1:
         return sq is (sc.variant == 1)
     return kind in ("id", "unip", "inv") or sc.q0 % order in (1, order - 1)

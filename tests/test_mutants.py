@@ -7,9 +7,8 @@ oracle set or at 17, so every branch of the rules has an independent
 check.  The two halves of the subfield order test first show at q = 64,
 which runs under ``INVGEN_EXTENDED=1``.  One record has no check in
 reach: subfield PSL at degree 5 first changes Psi2 at q = 243, where the
-oracle would enumerate 7 million elements.  The oracle reads the list
-only through its ``exit_bound``, taken by name at import, so no patch
-here reaches it.
+oracle would enumerate 7 million elements.  The oracle reads no rule: its
+``exit_bound`` comes from q alone, so no patch here reaches it.
 
 The equivalent mutants change Psi2 at no q.  Each is checked to change no
 table at any prime power q <= 1024:
@@ -21,12 +20,11 @@ table at any prime power q <= 1024:
     this swaps the class sets of the two A5 records;
   * ``exc_unipotents_both_variants``: an A5 meets unipotents only at q = 9,
     where both unipotent classes are isolated already;
-  * ``a4_every_odd_prime``, ``a5_at_3_mod_10`` and ``psl_at_q0_2``: each
+  * ``a4_every_odd_prime``, A4 added at every odd prime with the rule of
+    the reference list, ``a5_at_3_mod_10`` and ``psl_at_q0_2``: each
     class set holds the involutions and the one class of order 3 (5 does
     not divide |S| in the second), which the dihedral of the torus of
-    order 3 meets too;
-  * ``drop_a4``: for the same reason A4 adds no pair.  Its one reader is
-    the oracle's ``exit_bound`` at q = 5, guarded in ``test_oracle.py``;
+    order 3 meets too.  The first is why the list has no A4;
   * ``dih_split_no_unip``: the split dihedral meets unipotents only for q
     even, and then the Borel meets them and every split class;
   * ``s4_no_inv`` and ``a5_no_inv``: the involutions share a dihedral
@@ -42,9 +40,10 @@ from invgen import structure
 from invgen.gf import gf_for_q, prime_power_split
 from invgen.psl2 import inventory
 from invgen.structure import (
-    BOREL, DIH_NONSPLIT, DIH_SPLIT, EXC_A4, EXC_A5, EXC_S4, SUBFIELD_PSL, SubgroupClass,
+    BOREL, DIH_NONSPLIT, DIH_SPLIT, EXC_A5, EXC_S4, SUBFIELD_PSL, SubgroupClass,
     profile_census, psi2_structural,
 )
+from helpers import EXC_A4, reference_meets
 
 EXTENDED = os.environ.get("INVGEN_EXTENDED") == "1"
 # the q of test_c02_oracle_equivalence_mandatory and _wider, and 17, the
@@ -85,6 +84,14 @@ def torus_orders(sub_kind, orders):
     """The records of ``sub_kind`` meet the torus classes of ``orders`` only."""
     return meets(lambda ctx, sig, sc: sig[2] in orders
                  if sc.kind == sub_kind and sig[0] in ("split", "nonsplit") else None)
+
+
+def both(*patches):
+    """The mutants of all ``patches`` at once."""
+    def patch(monkeypatch):
+        for one in patches:
+            one(monkeypatch)
+    return patch
 
 
 def drop(keep):
@@ -131,7 +138,7 @@ CAUGHT = {
     "drop_s4": drop(lambda ctx, sc: sc.kind != EXC_S4),
     "s4_at_7_mod_8_only": drop(lambda ctx, sc: sc.kind != EXC_S4 or ctx.q % 8 == 7),
     "drop_a5": drop(lambda ctx, sc: sc.kind != EXC_A5),
-    "drop_a5_v1": drop(lambda ctx, sc: sc != SubgroupClass(EXC_A5, 60, variant=1)),
+    "drop_a5_v1": drop(lambda ctx, sc: sc != SubgroupClass(EXC_A5, variant=1)),
     "drop_a5_at_f_2": drop(lambda ctx, sc: sc.kind != EXC_A5 or ctx.f == 1),
 }
 
@@ -154,14 +161,14 @@ EQUIVALENT = {
     "exc_unipotents_both_variants": meets(lambda ctx, sig, sc: ctx.p in (2, 3, 5)
                                           if sc.kind == EXC_A5 and sig[0] == "unip"
                                           else None),
-    "a4_every_odd_prime": add(lambda ctx: ctx.f == 1 and ctx.q % 40 not in (3, 5, 13, 27, 37),
-                              SubgroupClass(EXC_A4, 12)),
+    "a4_every_odd_prime": both(add(lambda ctx: ctx.f == 1 and ctx.p > 2, SubgroupClass(EXC_A4)),
+                               meets(lambda ctx, sig, sc: reference_meets(ctx, sig, sc)
+                                     if sc.kind == EXC_A4 else None)),
     "a5_at_3_mod_10": add(lambda ctx: ctx.f == 1 and ctx.q % 10 in (3, 7),
-                          SubgroupClass(EXC_A5, 60, variant=1),
-                          SubgroupClass(EXC_A5, 60, variant=2)),
+                          SubgroupClass(EXC_A5, variant=1),
+                          SubgroupClass(EXC_A5, variant=2)),
     "psl_at_q0_2": add(lambda ctx: ctx.p == 2 and ctx.f % 2 == 1 and ctx.f > 1,
-                       SubgroupClass(SUBFIELD_PSL, 6, q0=2)),
-    "drop_a4": drop(lambda ctx, sc: sc.kind != EXC_A4),
+                       SubgroupClass(SUBFIELD_PSL, q0=2)),
     "dih_split_no_unip": never(DIH_SPLIT, "unip"),
     "s4_no_inv": never(EXC_S4, "inv"),
     "a5_no_inv": never(EXC_A5, "inv"),

@@ -1,9 +1,11 @@
+import os
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invgen import oracle, structure
 from invgen.gf import gf_for_q, prime_power_split
 from invgen.psl2 import ClassLabel, enumerate_psl2, inventory
 from invgen.oracle import (
@@ -14,8 +16,10 @@ from invgen.oracle import (
     _labeller,
     _line_action,
     _table,
+    min_index,
 )
 from invgen.structure import (
+    BOREL,
     maximal_subgroup_classes,
     profile_census,
     psi2_structural,
@@ -52,6 +56,7 @@ from helpers import (
     reference_subgroup_classes,
 )
 
+EXTENDED = os.environ.get("INVGEN_EXTENDED") == "1"
 FAST_QS = [4, 5, 7, 8, 9]
 QS_TO_31 = [q for q in range(4, 32) if prime_power_split(q)]
 
@@ -362,9 +367,9 @@ def test_class_fusion_matches_rules(q, sessions):
     assert fusion_key(class_fusion(sess)) == fusion_key(expected_fusion(sess))
 
 
-# the records only the reference list has: both S4 classes at 7, subfield
-# PGL(2,3) and PGL(2,5) with their twisted copies at 9 and 25
-@pytest.mark.parametrize("q", [7, 9, 25])
+# the records only the reference list has: A4 at 5 and 13, both S4 classes
+# at 7, subfield PGL(2,3) and PGL(2,5) with their twisted copies at 9 and 25
+@pytest.mark.parametrize("q", [5, 7, 9, 13, 25])
 def test_class_fusion_matches_the_reference_list(q, sessions):
     sess = sessions(q)
     classes = reference_subgroup_classes(sess.ctx)
@@ -373,29 +378,51 @@ def test_class_fusion_matches_the_reference_list(q, sessions):
 
 
 # ---------------------------------------------------------------------------
-# the exit bound: the oracle's one reading of the structural rules
+# the exit bound: |S| over the least index of a proper subgroup, from q alone
 # ---------------------------------------------------------------------------
 
 def test_exit_bound_is_the_largest_maximal_order():
-    # the listed records need not be maximal, but the largest listed order
-    # must be the largest maximal one, or a closure of a proper subgroup
-    # could pass for the whole group
+    # a closure that outgrows the exit bound is taken for S, so the bound
+    # must be the largest order of a maximal subgroup in Dickson's whole
+    # list, at every q the oracle accepts
     for q in range(4, MAX_Q + 1):
         if prime_power_split(q):
             ctx = gf_for_q(q)
-            assert max(sc.order for sc in maximal_subgroup_classes(ctx)) == max(
+            assert inventory(ctx).group_order() // min_index(q) == max(
                 sc.order for sc in reference_subgroup_classes(ctx) if sc.maximal), q
 
 
-def test_closure_generates_is_the_full_closure_at_q5(sessions):
-    # at q = 5 the largest proper subgroup is A4, of order 12
-    sess = sessions(5)
-    elements = list(sess.label_of_perm)
-    assert len(elements) ** 2 == 3600
-    for x in elements:
-        for y in elements:
+# every q where the least index is not q + 1 (5, 7, 9, 11), and 4
+@pytest.mark.parametrize("q", [4, 5, 7, 9, 11] + [
+    pytest.param(q, marks=pytest.mark.skipif(not EXTENDED, reason="needs INVGEN_EXTENDED=1"))
+    for q in (8, 13)])
+def test_closure_generates_is_the_full_closure(q, sessions):
+    # x runs over one element per class and y over S: verdicts are
+    # invariant under simultaneous conjugation, so this is every pair
+    sess = sessions(q)
+    assert sess.exit_bound == sess.order // min_index(q)
+    for x in (members[0] for members in sess.by_label.values()):
+        for y in sess.label_of_perm:
             full = len(sess._closure([x, y], sess.order)) == sess.order
             assert sess.closure_generates([x, y]) == full, (x, y)
+
+
+def test_the_borel_less_mutant_is_caught_at_q27(sessions, monkeypatch):
+    # without the Borel, the largest listed order is a dihedral's, below the
+    # Borel's 351: an oracle that took its exit bound from the list would
+    # pass Borel closures for S, and agree with the wrong structural Psi2.
+    # The list is patched in the oracle's namespace too, should it read one
+    truth, real = sessions(27).psi2().near, structure.maximal_subgroup_classes
+
+    def borel_less(ctx):
+        return [sc for sc in real(ctx) if sc.kind != BOREL]
+
+    monkeypatch.setattr(structure, "maximal_subgroup_classes", borel_less)
+    monkeypatch.setattr(oracle, "maximal_subgroup_classes", borel_less, raising=False)
+    inv = inventory(gf_for_q(27))
+    patched = OracleSession(inv).psi2().near
+    assert patched == truth
+    assert patched != psi2_structural(profile_census(inv)).near
 
 
 def test_q9_each_a5_class_meets_one_unipotent(sessions):
@@ -437,11 +464,11 @@ def test_q7_borel_fusion(sessions):
 def test_subgroup_representative_orders(sessions):
     for q in (5, 7, 8, 9, 13):
         sess = sessions(q)
-        classes = {sc.kind: sc for sc in maximal_subgroup_classes(sess.ctx)}
+        orders = {sc.kind: sc.order for sc in reference_subgroup_classes(sess.ctx)}
         for kind, group in (("borel", stabiliser(sess, {0})),
                             ("dih_split", stabiliser(sess, {0, 1})),
                             ("dih_nonsplit", dihedral_nonsplit_subgroup(sess))):
-            assert len(group) == classes[kind].order, (q, kind)
+            assert len(group) == orders[kind], (q, kind)
             assert sess._closure(list(group), len(group)) == group, (q, kind)
 
 

@@ -1,7 +1,8 @@
 """Rules on the library source itself, read with ``ast``: the runtime imports
 only the standard library and itself, every name a module imports is read
-in it, only the CLI reads the environment, and the oracle takes from the
-structural rules it certifies only the two names it needs."""
+in it, only the CLI reads the environment, the oracle takes from the
+structural rules it certifies only the type it returns, and no other
+module names those rules."""
 
 import ast
 import sys
@@ -12,6 +13,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "invgen"
 MODULES = sorted(SRC.glob("*.py"))
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+RULES = {"maximal_subgroup_classes", "label_meets", "build_profiles"}
 
 
 def parse(path):
@@ -61,6 +63,23 @@ def names_from(tree, module: str) -> set[str]:
     return names
 
 
+def identifiers(tree) -> set[str]:
+    """Every name the code binds, reads or imports, and every attribute it
+    reads; strings and docstrings are not code."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.asname or node.name)
+            out.add(node.name.rpartition(".")[2])
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+    return out
+
+
 def reads_environment(tree) -> bool:
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT:
@@ -94,12 +113,28 @@ def test_only_the_cli_reads_the_environment(path):
     assert not reads_environment(parse(path)), f"{path.name} reads the environment"
 
 
-def test_the_oracle_reads_two_names_of_the_structural_rules():
-    # exit_bound, the largest order maximal_subgroup_classes lists, is the
-    # oracle's one dependence on the rules it certifies; Psi2Table is the
-    # type it returns
-    assert names_from(parse(SRC / "oracle.py"), "invgen.structure") == {
-        "Psi2Table", "maximal_subgroup_classes"}
+def test_the_oracle_reads_one_name_of_the_structural_rules():
+    # Psi2Table is the type it returns; its exit bound comes from q alone
+    assert names_from(parse(SRC / "oracle.py"), "invgen.structure") == {"Psi2Table"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "structure.py"],
+                         ids=lambda p: p.name)
+def test_only_structure_names_the_rules(path):
+    # the census is the one reader of Dickson's list and its rules
+    named = identifiers(parse(path)) & RULES
+    assert not named, f"{path.name} names {sorted(named)}"
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("from invgen.structure import label_meets as lm", {"label_meets", "lm"}),
+    ("import invgen.structure.build_profiles", {"build_profiles"}),
+    ("structure.maximal_subgroup_classes(ctx)", {"maximal_subgroup_classes"}),
+    ("def label_meets(): pass", {"label_meets"}),
+    ("'label_meets'\nx = 'build_profiles'", set()),
+], ids=["alias", "dotted-import", "attribute", "def", "strings"])
+def test_rule_names_are_recognised(source, expected):
+    assert identifiers(ast.parse(source)) & (RULES | {"lm"}) == expected
 
 
 @pytest.mark.parametrize("source,expected", [

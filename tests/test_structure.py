@@ -19,7 +19,6 @@ from invgen.structure import (
     BOREL,
     DIH_NONSPLIT,
     DIH_SPLIT,
-    EXC_A4,
     EXC_A5,
     EXC_S4,
     SUBFIELD_PSL,
@@ -36,6 +35,7 @@ from invgen.structure import (
     verify_2covering,
 )
 from helpers import (
+    EXC_A4,
     covering_sets,
     ids,
     in_subfield,
@@ -80,46 +80,53 @@ def by_kind(classes):
 
 def test_subgroups_q7():
     kinds = by_kind(maximal_subgroup_classes(gf_for_q(7)))
-    assert kinds[BOREL] == [SubgroupClass(BOREL, 21)]
-    assert kinds[DIH_SPLIT] == [SubgroupClass(DIH_SPLIT, 6)]  # not maximal, listed
-    assert kinds[DIH_NONSPLIT] == [SubgroupClass(DIH_NONSPLIT, 8)]  # not maximal, listed
-    assert kinds[EXC_S4] == [SubgroupClass(EXC_S4, 24)]  # one record for both classes
+    assert kinds[BOREL] == [SubgroupClass(BOREL)]
+    assert kinds[DIH_SPLIT] == [SubgroupClass(DIH_SPLIT)]  # not maximal, listed
+    assert kinds[DIH_NONSPLIT] == [SubgroupClass(DIH_NONSPLIT)]  # not maximal, listed
+    assert kinds[EXC_S4] == [SubgroupClass(EXC_S4)]  # one record for both classes
     assert EXC_A4 not in kinds and EXC_A5 not in kinds
 
 
 def test_subgroup_class_is_hashable_and_immutable():
-    assert SubgroupClass._fields == ("kind", "order", "variant", "q0")
+    assert SubgroupClass._fields == ("kind", "variant", "q0")
     classes = maximal_subgroup_classes(gf_for_q(27))
     again = maximal_subgroup_classes(gf_for_q(27))
     assert len(set(classes) | set(again)) == len(classes)
-    sc = SubgroupClass(SUBFIELD_PSL, 12, q0=3)
+    sc = SubgroupClass(SUBFIELD_PSL, q0=3)
     assert sc in set(classes) and hash(sc) == hash(classes[classes.index(sc)])
     assert str(sc) == sc.id == "subfield_psl:q0=3"
-    assert str(SubgroupClass(EXC_A5, 60, variant=2)) == "exc_a5:v2"
+    assert str(SubgroupClass(EXC_A5, variant=2)) == "exc_a5:v2"
     with pytest.raises(AttributeError):
-        sc.order = 60
+        sc.q0 = 9
+
+
+def reference_orders(ctx) -> dict:
+    """Kind -> the order of its records in the reference list."""
+    return {sc.kind: sc.order for sc in reference_subgroup_classes(ctx)}
 
 
 def test_subgroups_q9():
-    kinds = by_kind(maximal_subgroup_classes(gf_for_q(9)))
-    assert kinds[BOREL][0].order == 36
-    assert kinds[DIH_SPLIT][0].order == 8
-    assert kinds[DIH_NONSPLIT][0].order == 10
-    assert kinds[EXC_A5] == [SubgroupClass(EXC_A5, 60, variant=v) for v in (1, 2)]
+    ctx = gf_for_q(9)
+    kinds = by_kind(maximal_subgroup_classes(ctx))
+    assert kinds[EXC_A5] == [SubgroupClass(EXC_A5, variant=v) for v in (1, 2)]
     assert set(kinds) == {BOREL, DIH_SPLIT, DIH_NONSPLIT, EXC_A5}  # no PGL(2,3)
+    orders = reference_orders(ctx)
+    assert [orders[k] for k in (BOREL, DIH_SPLIT, DIH_NONSPLIT, EXC_A5)] == [36, 8, 10, 60]
 
 
 def test_subgroups_q8():
-    kinds = by_kind(maximal_subgroup_classes(gf_for_q(8)))
-    assert kinds[BOREL][0].order == 56
-    assert kinds[DIH_SPLIT][0].order == 14
-    assert kinds[DIH_NONSPLIT][0].order == 18
-    assert set(kinds) == {BOREL, DIH_SPLIT, DIH_NONSPLIT}
+    ctx = gf_for_q(8)
+    kinds = by_kind(maximal_subgroup_classes(ctx))
+    assert kinds == {k: [SubgroupClass(k)] for k in (BOREL, DIH_SPLIT, DIH_NONSPLIT)}
+    orders = reference_orders(ctx)
+    assert [orders[k] for k in (BOREL, DIH_SPLIT, DIH_NONSPLIT)] == [56, 14, 18]
 
 
 def test_subgroups_congruence_cases():
-    assert EXC_A4 in by_kind(maximal_subgroup_classes(gf_for_q(5)))  # 5 mod 40
-    assert EXC_A4 in by_kind(maximal_subgroup_classes(gf_for_q(13)))  # 13 mod 40
+    for q in (5, 13):  # 5 and 13 mod 40: A4 is maximal, but its class set is a dihedral's
+        ctx = gf_for_q(q)
+        assert EXC_A4 not in by_kind(maximal_subgroup_classes(ctx))
+        assert reference_orders(ctx)[EXC_A4] == 12
     kinds11 = by_kind(maximal_subgroup_classes(gf_for_q(11)))
     assert len(kinds11[EXC_A5]) == 2 and EXC_S4 not in kinds11
     kinds31 = by_kind(maximal_subgroup_classes(gf_for_q(31)))
@@ -127,9 +134,9 @@ def test_subgroups_congruence_cases():
     kinds25 = by_kind(maximal_subgroup_classes(gf_for_q(25)))
     assert set(kinds25) == {BOREL, DIH_SPLIT, DIH_NONSPLIT}  # no PGL(2,5); p = 5 has no A5
     kinds27 = by_kind(maximal_subgroup_classes(gf_for_q(27)))
-    assert kinds27[SUBFIELD_PSL] == [SubgroupClass(SUBFIELD_PSL, 12, q0=3)]
+    assert kinds27[SUBFIELD_PSL] == [SubgroupClass(SUBFIELD_PSL, q0=3)]
     kinds64 = by_kind(maximal_subgroup_classes(gf_for_q(64)))
-    assert kinds64[SUBFIELD_PSL] == [SubgroupClass(SUBFIELD_PSL, 60, q0=4)]  # no PGL(2,8)
+    assert kinds64[SUBFIELD_PSL] == [SubgroupClass(SUBFIELD_PSL, q0=4)]  # no PGL(2,8)
     kinds16 = by_kind(maximal_subgroup_classes(gf_for_q(16)))
     assert set(kinds16) == {BOREL, DIH_SPLIT, DIH_NONSPLIT}  # no PGL(2,4)
 
@@ -174,7 +181,7 @@ def test_counts_equal_the_reference_list_counts_extended():
 @pytest.mark.parametrize("q", MANDATORY_QS + [16, 25, 27, 31, 64, 81])
 def test_subgroup_orders_divide_group_order(q):
     inv = inventory(gf_for_q(q))
-    for sc in maximal_subgroup_classes(gf_for_q(q)):
+    for sc in reference_subgroup_classes(inv.ctx):
         assert inv.group_order() % sc.order == 0, sc
 
 
