@@ -62,7 +62,7 @@ largest t for which S^t is invariably 2-generated.  ``beta_fast``
 evaluates the closed form from the census alone: Psi2 membership depends
 only on the profile, so fix(diag) is the bucket-product count
 with the two unipotent classes taken out of their buckets.  It is the one
-production route to beta and builds no map.
+production route to beta and builds no field, no inventory and no map.
 
 ``aut_action`` builds the two generators on class positions, for the
 callers that move pairs: ``pair_orbits`` names the orbit of every Psi2
@@ -169,18 +169,17 @@ def beta_fast(census: ProfileCensus) -> int:
     module docstring.
 
     fix(diag) is the bucket-product count over the classes diag fixes:
-    every bucket less its unipotent classes.  Reads only the census, so it
-    needs no field, no map and no Psi2.
+    every bucket less its unipotent classes (q odd).  Reads only the
+    census, so it needs no field, no map and no Psi2.
     """
-    inv = census.inv
     total = census.psi2_count
-    if inv.d == 2:
+    if census.q % 2:
         fixed = census.sizes[:]
-        for k, entry in enumerate(inv.head):
-            if entry.label.kind == "unip":
-                fixed[census.sig_bucket[k]] -= 1  # head class k has signature k
+        for sig, b in zip(census.signatures, census.sig_bucket):
+            if sig[0] == "unip":
+                fixed[b] -= 1  # a unipotent signature has one class
         total += sum(fixed[j] * fixed[k] for j, k in census.disjoint)
-    count, rem = divmod(total, inv.d * inv.ctx.f)
+    count, rem = divmod(total, census.out_order)
     if rem:
         raise RuntimeError("Burnside count is not an integer; the census is inconsistent")
     return count

@@ -24,12 +24,13 @@ import argparse
 import contextlib
 import os
 import sys
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from itertools import chain, compress
 from math import isqrt
 from typing import TextIO
 
-from invgen.gf import Q_CAP, CapError, GFContext, gf_for_q
+from invgen.gf import Q_CAP, CapError, GFContext, checked_field
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -53,22 +54,20 @@ class UsageError(Exception):
     pass
 
 
-def _context(args) -> GFContext:
+def _field(args) -> tuple[int, int]:
+    """(p, f) of the field --q or --p/--f names, checked, not built."""
     if args.q is not None:
         if args.p is not None or args.f is not None:
             raise UsageError("give either --q or --p/--f, not both")
     elif args.p is None:
         raise UsageError("one of --q or --p is required")
     try:  # not a prime power, p not prime, f < 1, or q above Q_CAP
-        if args.q is not None:
-            ctx = gf_for_q(args.q)
-        else:
-            ctx = GFContext(args.p, args.f if args.f is not None else 1)
+        q, p, f = checked_field(args.q, args.p, args.f if args.f is not None else 1)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if ctx.q < 4:
-        raise UsageError(f"q must be at least 4, got {ctx.q}")
-    return ctx
+    if q < 4:
+        raise UsageError(f"q must be at least 4, got {q}")
+    return p, f
 
 
 def _oracle_cap() -> int:
@@ -147,7 +146,7 @@ def _prime_powers(lo: int, hi: int) -> dict[int, tuple[int, int]]:
 def cmd_classes(args) -> int:
     from invgen.psl2 import inventory
 
-    ctx = _context(args)
+    ctx = GFContext(*_field(args))
     inv = inventory(ctx)
     rows = inv.to_json()
     if args.format == "json":
@@ -170,7 +169,7 @@ def cmd_psi2(args) -> int:
     from invgen.psl2 import inventory
     from invgen.structure import profile_census, psi2_structural
 
-    ctx = _context(args)
+    ctx = GFContext(*_field(args))
     if args.method != "structural":
         from invgen.oracle import MAX_Q, OracleCapError, OracleSession
 
@@ -180,7 +179,7 @@ def cmd_psi2(args) -> int:
     inv = inventory(ctx)
     tables = {}
     if args.method in ("structural", "both"):
-        tables["structural"] = psi2_structural(profile_census(inv))
+        tables["structural"] = psi2_structural(profile_census(ctx.q), inv)
     if args.method in ("oracle", "both"):
         tables["oracle"] = OracleSession(inv).psi2()
     table = tables["structural" if args.method == "structural" else "oracle"]
@@ -209,14 +208,15 @@ def cmd_psi2(args) -> int:
 
 def cmd_graph(args) -> int:
     from invgen.iggraph import (
-        components, diameter, graph_to_json, is_bipartite, lambda_graph, lambda_power, to_dot,
+        EDGE_CAP, GraphCapError, components, diameter, graph_to_json, is_bipartite,
+        lambda_graph, lambda_power, to_dot,
     )
     from invgen.psl2 import inventory
     from invgen.structure import profile_census, psi2_structural
 
-    ctx = _context(args)
+    ctx = GFContext(*_field(args))
     inv = inventory(ctx)
-    psi2 = psi2_structural(profile_census(inv))
+    psi2 = psi2_structural(profile_census(ctx.q), inv)
     if args.power == 1:
         g = lambda_graph(psi2, plus=args.plus)
     else:
@@ -226,12 +226,15 @@ def cmd_graph(args) -> int:
             g = lambda_power(ctx, args.power, psi2, aut_action(inv), inv, plus=args.plus)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
+    edges = g.edge_count()
+    if edges > EDGE_CAP:
+        raise GraphCapError(f"graph has {edges} edges, above {EDGE_CAP}, the most it writes")
     if args.format == "dot":
         _emit(to_dot(g), args.out)
     else:
         _emit(graph_to_json(g), args.out)
     summary = (
-        f"q={ctx.q} t={args.power} vertices={len(g.vertices)} edges={g.edge_count()} "
+        f"q={ctx.q} t={args.power} vertices={len(g.vertices)} edges={edges} "
         f"components={len(components(g))} bipartite={is_bipartite(g)[0]} "
         f"diameter={diameter(g)}"
     )
@@ -247,20 +250,18 @@ def cmd_beta(args) -> int:
         json_document, json_pair_list, profile_census, psi2_structural,
     )
 
-    ctx = _context(args)
-    inv = inventory(ctx)
-    census = profile_census(inv)
+    p, f = _field(args)
+    census = profile_census(p ** f)  # from q's arithmetic: no field is built
     b = beta_fast(census)
     check_bound_cap(b)  # the floor bound is at most b: refuse before either is built
-    count = census.psi2_count
-    df = inv.d * ctx.f
+    count, df = census.psi2_count, census.out_order
     floor_report = n_lower_bound_report(census)
     if b == floor_report["beta_lower"]:  # the same bound: build it once
         exact_report = dict(floor_report, beta_exact=b)
     else:
         exact_report = n_lower_bound_report(census, beta_exact=b)
     payload = {
-        "q": ctx.q,
+        "q": census.q,
         "psi2_count": count,
         "out_order": df,
         "beta": b,
@@ -270,8 +271,9 @@ def cmd_beta(args) -> int:
         "n_lower_bound": floor_report,
         "component_bound_at_beta": exact_report,
     }
-    if args.orbits:
-        part = beta(aut_action(inv), psi2_structural(census))
+    if args.orbits:  # names the pairs: the one path of beta that builds the field
+        inv = inventory(GFContext(p, f))
+        part = beta(aut_action(inv), psi2_structural(census, inv))
         if part.beta != b:
             raise RuntimeError(
                 f"orbit partition has {part.beta} orbits but Burnside counts {b}"
@@ -280,7 +282,7 @@ def cmd_beta(args) -> int:
     if args.format == "json":
         _emit(json_document(payload), args.out)
     else:
-        lines = [f"q={ctx.q} |Psi2|={count} |Out|={df} beta={b}",
+        lines = [f"q={census.q} |Psi2|={count} |Out|={df} beta={b}",
                  f"even={payload['beta_even']} bounds_ok={payload['bounds_ok']}",
                  f"certified floor bound: {floor_report['component_bound']} "
                  f"(log2 {floor_report['log2_bound']:.3f})",
@@ -294,26 +296,28 @@ def cmd_beta(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def verify_qs(runs: Iterable[tuple[GFContext, bool]]) -> Iterator[dict[str, bool]]:
+def verify_qs(runs: Iterable[tuple[GFContext, bool]]) -> Iterator[tuple[dict, dict]]:
     """Run every per-q check for each (context, run the oracle) pair in
-    turn; yields {check_name: bool} for each.  The layers are imported once."""
+    turn; yields ({check_name: bool}, {check_name: detail}) for each, a
+    detail for each failed check that says what disagreed.  The layers are
+    imported once."""
     from invgen.autorbits import beta_fast
     from invgen.iggraph import expected_isolated, lambda_summary
     from invgen.oracle import OracleSession
-    from invgen.psl2 import inventory, torus_class_counts
+    from invgen.psl2 import inventory
     from invgen.structure import profile_census, psi2_structural, verify_2covering
 
     for ctx, oracle in runs:
-        q, inv = ctx.q, inventory(ctx)
-        sigs, counts = inv.signatures
-        # the torus classes per signature, counted by the fold, against
-        # arithmetic; the checks below read a census that needs them right
-        if dict(zip(sigs[len(inv.head):], counts[len(inv.head):])) != torus_class_counts(q):
-            yield {"class_count": False}
+        q, inv, census = ctx.q, inventory(ctx), profile_census(ctx.q)
+        # the torus classes per order, counted by the fold, against the
+        # census's counts from arithmetic; the checks below name the fold's
+        # classes, so a q whose counts differ runs no other check
+        wrong = _torus_count_errors(inv, census)
+        if wrong:
+            yield {"class_count": False}, {"class_count": wrong}
             continue
-        d, census = inv.d, profile_census(inv)
         cover = verify_2covering(census)
-        s, b = lambda_summary(census, cover), beta_fast(census)
+        s, b = lambda_summary(census, cover, inv), beta_fast(census)
         checks = {
             "class_count": True,
             "two_covering": cover.ok,
@@ -324,15 +328,39 @@ def verify_qs(runs: Iterable[tuple[GFContext, bool]]) -> Iterator[dict[str, bool
             "beta_even": b % 2 == 0,
             # implied by the closed form beta = (|Psi2| + fix(diag))/(d*f) of
             # ``autorbits``: 0 <= fix(diag) <= |Psi2| and d*f >= 2, so it cannot fail
-            "beta_bounds": census.psi2_count / (d * ctx.f) <= b <= census.psi2_count,
+            "beta_bounds": census.psi2_count / census.out_order <= b <= census.psi2_count,
         }
         if q >= 64:
             checks["probability"] = abs(census.psi2_count / len(inv) ** 2 - 0.5) <= 10 / q
-            checks["psi2_asymptotic"] = 0.8 <= census.psi2_count * 2 * d * d / (q * q) <= 1.2
+            checks["psi2_asymptotic"] = 0.8 <= census.psi2_count * 2 * inv.d ** 2 / (q * q) <= 1.2
+        details = {}
         if oracle:
-            checks["oracle_equals_structural"] = (
-                OracleSession(inv).psi2().near == psi2_structural(census).near)
-        yield checks
+            by_oracle = _pair_names(OracleSession(inv).psi2())
+            by_rules = _pair_names(psi2_structural(census, inv))
+            checks["oracle_equals_structural"] = by_oracle == by_rules
+            if by_oracle != by_rules:
+                details["oracle_equals_structural"] = {
+                    "oracle_only": sorted(by_oracle - by_rules),
+                    "structural_only": sorted(by_rules - by_oracle)}
+        yield checks, details
+
+
+def _torus_count_errors(inv, census) -> list[dict]:
+    """Each torus (kind, order) whose class count in the inventory's fold
+    differs from the census's, with both counts; empty when all agree."""
+    folded = {(kind, j): n for kind, _, orders, _ in inv.tori for j, n in Counter(orders).items()}
+    expected = {(kind, j): n for (kind, _, j), n in census.signatures.items()
+                if kind in ("split", "nonsplit")}
+    return [{"kind": kind, "order": j, "expected": expected.get((kind, j), 0),
+             "got": folded.get((kind, j), 0)}
+            for kind, j in sorted(expected.keys() | folded.keys())
+            if expected.get((kind, j)) != folded.get((kind, j))]
+
+
+def _pair_names(table) -> set[tuple[str, str]]:
+    """The Psi2 pairs of a table as (name, name) tuples."""
+    names = [lab.str_form() for lab in table.labels]
+    return {(names[i], names[j]) for i, js in enumerate(table.near) for j in js}
 
 
 def cmd_verify(args) -> int:
@@ -346,15 +374,18 @@ def cmd_verify(args) -> int:
         args.extended and q in ORACLE_VERIFY_EXTENDED and q <= cap))
         for q, (p, f) in fields.items())
     results = dict(zip(fields, verify_qs(runs)))
-    failures = [f"q={q}:{name}" for q, checks in results.items()
+    failures = [f"q={q}:{name}" for q, (checks, _) in results.items()
                 for name, ok in checks.items() if not ok]
     payload = {
         "range": args.q_range,
         "extended": args.extended,
         "pass": not failures,
         "failures": failures,
-        "checks": {str(q): checks for q, checks in results.items()},
     }
+    if failures:  # what disagreed, keyed like the failures
+        payload["details"] = {f"q={q}:{name}": detail for q, (_, details) in results.items()
+                              for name, detail in details.items()}
+    payload["checks"] = {str(q): checks for q, (checks, _) in results.items()}
     _emit([json.dumps(payload, indent=2) + "\n"], args.out)
     if failures:
         print("FAILED: " + ", ".join(failures), file=sys.stderr)

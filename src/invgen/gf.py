@@ -37,9 +37,9 @@ g^k, and a prime-field scalar scales each digit on its own: a later block
 is the one before with the low and the high half of its digits read
 through one table.
 
-A context checks p and f against ``Q_CAP`` before it tests p for primality
-or forms p^f, and ``gf_for_q`` checks q before it factorises, so an input
-above the cap is refused without work proportional to its size.
+Field sizes are checked once, in ``checked_field``: p and f against
+``Q_CAP`` before p is tested for primality or p^f formed, and q before it
+is factorised, so no refusal costs work in the size of its input.
 """
 
 from __future__ import annotations
@@ -81,6 +81,28 @@ def prime_power_split(q: int) -> tuple[int, int] | None:
         return None
     (p, f), = fac.items()
     return p, f
+
+
+def checked_field(q: int | None = None, p: int = 0, f: int = 1) -> tuple[int, int, int]:
+    """(q, p, f) of GF(q), q = p^f, given by q or by p and f, as the module
+    docstring says; a ``ValueError`` refuses any other input."""
+    if q is not None:
+        if q > Q_CAP:
+            raise ValueError(f"q={q} exceeds the supported cap {Q_CAP}")
+        pf = prime_power_split(q)
+        if pf is None:
+            raise ValueError(f"{q} is not a prime power")
+        return (q, *pf)
+    if f < 1:
+        raise ValueError(f"f must be positive, got {f}")
+    if p > Q_CAP or (p > 1 and f >= Q_CAP.bit_length()):  # then p^f > Q_CAP
+        raise ValueError(f"q={p}^{f} exceeds the supported cap {Q_CAP}")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    q = p ** f
+    if q > Q_CAP:
+        raise ValueError(f"q={q} exceeds the supported cap {Q_CAP}")
+    return q, p, f
 
 
 # ---------------------------------------------------------------------------
@@ -146,18 +168,8 @@ class GFContext:
     """Fixed field GF(p^f); immutable after construction, all ops pure."""
 
     def __init__(self, p: int, f: int):
-        if f < 1:
-            raise ValueError(f"f must be positive, got {f}")
-        if p > Q_CAP or (p > 1 and f >= Q_CAP.bit_length()):  # then p^f > Q_CAP
-            raise ValueError(f"q={p}^{f} exceeds the supported cap {Q_CAP}")
-        if not is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
-        q = p ** f
-        if q > Q_CAP:
-            raise ValueError(f"q={q} exceeds the supported cap {Q_CAP}")
-        self.p = p
-        self.f = f
-        self.q = q
+        self.q = q = checked_field(p=p, f=f)[0]
+        self.p, self.f = p, f
         self.modulus = _find_modulus(p, f)
         self.generator, self._exp = self._generator_powers()  # the least generator
         if f > 1:
@@ -342,9 +354,4 @@ class GFContext:
 
 def gf_for_q(q: int) -> GFContext:
     """A new context for GF(q), q a prime power."""
-    if q > Q_CAP:
-        raise ValueError(f"q={q} exceeds the supported cap {Q_CAP}")
-    pf = prime_power_split(q)
-    if pf is None:
-        raise ValueError(f"{q} is not a prime power")
-    return GFContext(*pf)
+    return GFContext(*checked_field(q)[1:])

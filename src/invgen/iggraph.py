@@ -64,7 +64,7 @@ from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from invgen.gf import CapError, GFContext
-from invgen.psl2 import ClassInventory
+from invgen.psl2 import ClassInventory, ClassLabel
 from invgen.structure import (
     BOREL_SIDE, DIHEDRAL_SIDE, CoveringResult, ProfileCensus, Psi2Table, json_document,
     json_pair_rows,
@@ -77,6 +77,11 @@ if TYPE_CHECKING:  # loaded by ``lambda_power`` alone, so t = 1 never imports it
 # is the work of ``lambda_power``.  2^29 admits q = 8 and 11 at t = 5 with
 # plus (7^5 tuples each) and refuses q = 8 at t = 5 without it (8^5).
 POWER_WORK_CAP = 1 << 29
+# Edges a graph may have for ``graph`` to write it: checked once its masks
+# exist, before any output.  2^22 admits q = 13 at t = 5 with plus
+# (2,013,840 edges, 254 MB of JSON) and refuses q = 293 at t = 2 with plus
+# (58,357,660 edges, over 1.7 GB at 30 bytes an edge).
+EDGE_CAP = 1 << 22
 # The largest beta whose exact (1/2) * C(beta, beta/2) is built: beta at
 # q = 4096, whose factor list, int product and decimal text take about
 # 0.09 s, against 3 ms at q = 1024 (beta = 52,326; in-process, 2-core Xeon
@@ -390,11 +395,11 @@ def n_lower_bound_report(census: ProfileCensus, beta_exact: int | None = None) -
     dropped.  The half-binomial is monotone in even beta, so the report
     stays a true lower bound.
     """
-    beta_lb = census.psi2_count // (census.inv.d * census.inv.ctx.f)
+    beta_lb = census.psi2_count // census.out_order
     use = beta_exact if beta_exact is not None else beta_lb
     use_even = max(2, use - use % 2)
     factors = _half_binomial_factors(use_even)
-    return {"q": census.inv.q, "psi2_count": census.psi2_count, "beta_lower": use_even,
+    return {"q": census.q, "psi2_count": census.psi2_count, "beta_lower": use_even,
             "beta_exact": beta_exact, "component_bound": _big_int_str(factors),
             "log2_bound": int_log2(_tree_product(factors, mul))}
 
@@ -411,27 +416,28 @@ class LambdaSummary(NamedTuple):
     isolated: list[str]
 
 
-def lambda_summary(census: ProfileCensus, cover: CoveringResult) -> LambdaSummary:
+def lambda_summary(census: ProfileCensus, cover: CoveringResult,
+                   inv: ClassInventory | None = None) -> LambdaSummary:
     """Exact plus-graph facts computed on the profile-bucket quotient.
 
     Same-profile labels are twins (identical neighborhoods, never mutually
     adjacent), so the quotient graph on the buckets with a neighbor
     determines everything reported here; twins sit at distance exactly 2,
     which lifts the diameter to 2 when a live bucket has two members.
-    Only the isolated classes are named.
+    Only the isolated classes are named: a head class by its signature, a
+    torus class (q = 7 alone) by ``inv``, the inventory of q.
     """
-    inv = census.inv
     nbrs = [0] * len(census.sizes)
     for i, j in census.disjoint:
         if i != j:
             nbrs[i] |= 1 << j
     comps, odd, diam = _analyse(nbrs)
     dead = {i for i, mask in enumerate(nbrs) if not mask}
-    dead_sigs = [s for s, b in enumerate(census.sig_bucket) if b in dead]
-    if all(s < len(inv.head) for s in dead_sigs):  # head class k has signature k
-        isolated = [str(inv.head[s].label) for s in dead_sigs]
+    dead_sigs = [sig for sig, b in zip(census.signatures, census.sig_bucket) if b in dead]
+    if all(kind in ("inv", "unip") for kind, _, _ in dead_sigs):  # one class each
+        isolated = [str(ClassLabel(kind, sq=sq)) for kind, sq, _ in dead_sigs]
     else:  # a torus class is isolated (q = 7): name every class of the dead buckets
-        members = census.members()
+        members = census.members(inv)
         isolated = [str(inv.entries[i + 1].label) for b in dead for i in members[b]]
     if any(size >= 2 and mask for size, mask in zip(census.sizes, nbrs)):
         diam = max(diam, 2)

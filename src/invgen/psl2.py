@@ -28,11 +28,10 @@ involution class and the unipotent classes, at most four entries) and, for
 each torus kind, the ascending trace keys of its classes with the element
 order of each (``TorusClasses``).  The classes are numbered in that order:
 the head, then the split keys, then the nonsplit keys; entry 0 is the
-identity.  The class signatures the structural rules read are (kind,
-square class, order), so they and the number of classes with each come
-from the orders alone, once per distinct order; the index from classes to
-signatures and the ``ClassEntry`` and ``ClassLabel`` objects of the torus
-classes are built only when classes are named, on first use.  Each torus
+identity.  The ``ClassEntry`` and ``ClassLabel`` objects of the torus
+classes are built only when classes are named, on first use.  The class
+signatures the rules of ``structure`` read, (kind, square class, order),
+and their class counts come from q alone (``signature_counts``).  Each torus
 is folded into a key array, its keys missing every key of the other
 (``_fold_traces``); the split torus is folded first, and the nonsplit
 walk passes over the candidate traces whose key holds a split class.  The
@@ -43,7 +42,6 @@ called per element.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterator
 from functools import cached_property
 from itertools import compress, repeat
@@ -113,30 +111,6 @@ class ClassInventory:
         out = list(self.head)
         for kind, keys, orders, size in self.tori:
             out += map(ClassEntry, map(ClassLabel, repeat(kind), keys), orders, repeat(size))
-        return out
-
-    @cached_property
-    def signatures(self) -> tuple[list[ClassSignature], list[int]]:
-        """The distinct class signatures, in order of first appearance, and
-        the number of classes with each.  Head class k has signature k; a
-        torus class's signature is its kind and order, so each torus has
-        one per distinct order, counted from the orders alone."""
-        sigs = [(e.label.kind, e.label.sq, e.order) for e in self.head]
-        counts = [1] * len(sigs)
-        for kind, _, orders, _ in self.tori:
-            count = Counter(orders)
-            sigs += zip(repeat(kind), repeat(None), count)
-            counts += count.values()
-        return sigs, counts
-
-    @cached_property
-    def class_signatures(self) -> list[int]:
-        """For every class, in class order, the position of its signature in
-        ``signatures``; built on first use."""
-        position = {sig: k for k, sig in enumerate(self.signatures[0])}
-        out = list(range(len(self.head)))
-        for kind, _, orders, _ in self.tori:
-            out += [position[kind, None, j] for j in orders]
         return out
 
     def __len__(self) -> int:
@@ -308,20 +282,26 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def torus_class_counts(q: int) -> dict[ClassSignature, int]:
-    """The number of torus classes of each signature in PSL(2,q), from
-    arithmetic alone.  A torus of PSL-order n = (q -+ 1)/d is cyclic, so
-    for each divisor j of n it has phi(j) elements of order j; for j >= 3
-    they fall into phi(j)/2 classes, as x is conjugate to x^-1 and to no
-    other element of its torus (the trace pair names the class).  No other
-    order occurs: orders 1 and 2 are head classes."""
+def signature_counts(p: int, f: int) -> dict[ClassSignature, int]:
+    """The class signatures of PSL(2,q), q = p^f, in class order, each with
+    its number of classes, from arithmetic alone: one class per head
+    signature, then each torus's orders ascending.  A torus of PSL-order
+    n = (q -+ 1)/d is cyclic, so for each divisor j of n it has phi(j)
+    elements of order j; for j >= 3 they fall into phi(j)/2 classes, as x
+    is conjugate to x^-1 and to no other element of its torus (the trace
+    pair names the class).  Orders 1 and 2 are head classes."""
+    q = p ** f
     d = 2 if q % 2 else 1
-    out = {}
+    out = {("id", None, 1): 1}
+    if d == 2:
+        out.update({("inv", None, 2): 1, ("unip", True, p): 1, ("unip", False, p): 1})
+    else:
+        out["unip", None, 2] = 1
     for kind, n in (("split", (q - 1) // d), ("nonsplit", (q + 1) // d)):
         phi = [(1, 1)]  # (divisor j of n, phi(j)), built prime by prime
         for r, e in factorize(n).items():
-            phi += [(j * r ** (i + 1), f * (r - 1) * r ** i) for j, f in phi for i in range(e)]
-        out.update(((kind, None, j), f // 2) for j, f in phi if j >= 3)
+            phi += [(j * r ** (i + 1), k * (r - 1) * r ** i) for j, k in phi for i in range(e)]
+        out.update(((kind, None, j), k // 2) for j, k in sorted(phi) if j >= 3)
     return out
 
 

@@ -14,12 +14,13 @@ since no rule reads one.
 Class-intersection profiles are computed symbolically: the profile of a
 conjugacy class is the set of listed subgroup classes whose members meet
 it, held as an int mask over the list: bit i stands for member i.  The
-rules read only a class's signature (``ClassInventory.signatures``), so
-each rule runs once per signature and record, and the 2-covering reads
-its sides off those profiles.  Bucket sizes add the class count of each
-signature, counted from the torus orders; a bucket's classes are listed
-by position only when a command names them.  ``psi2_structural`` reads
-Psi2 off the census, one neighbour tuple per bucket.
+rules read only a class's signature, and q's arithmetic gives the
+signatures and their class counts (``psl2.signature_counts``), so the
+census is built from q alone: each rule runs once per signature and
+record, the 2-covering reads its sides off those profiles, and bucket
+sizes add the class counts.  An inventory's classes are placed in buckets
+only when a command names them (``ProfileCensus.members``), and
+``psi2_structural`` reads Psi2 off the census, one tuple per bucket.
 
 Conventions for the kinds that come as two classes (q odd): variant 1 of
 an exceptional kind whose order is divisible by p is the copy whose
@@ -33,12 +34,12 @@ sits here, the lowest module that ``iggraph`` and ``beta`` both import.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from itertools import compress
 from typing import NamedTuple
 
-from invgen.gf import GFContext, is_prime
-from invgen.psl2 import ClassInventory, ClassLabel, ClassSignature
+from invgen.gf import is_prime, prime_power_split
+from invgen.psl2 import ClassInventory, ClassLabel, ClassSignature, signature_counts
 
 BOREL = "borel"
 DIH_SPLIT = "dih_split"
@@ -69,9 +70,9 @@ class SubgroupClass(NamedTuple):
         return self.id
 
 
-def maximal_subgroup_classes(ctx: GFContext) -> list[SubgroupClass]:
-    """The records of Dickson's list for PSL(2,q) whose class sets Psi2
-    can see, each listed whether or not it is maximal.
+def maximal_subgroup_classes(p: int, f: int) -> list[SubgroupClass]:
+    """The records of Dickson's list for PSL(2,q), q = p^f, whose class sets
+    Psi2 can see, each listed whether or not it is maximal.
 
     A non-maximal dihedral lies in a maximal subgroup, whose class set
     holds its own; the nonsplit one doubles as the covering subgroup for
@@ -86,7 +87,7 @@ def maximal_subgroup_classes(ctx: GFContext) -> list[SubgroupClass]:
         24, so neither class meets a unipotent class and the two have one
         class set, that of the one record, which has no variant.
     """
-    p, f, q = ctx.p, ctx.f, ctx.q
+    q = p ** f
     if q < 4:
         raise RuntimeError("subgroup classification requires q >= 4")
     out = [SubgroupClass(BOREL), SubgroupClass(DIH_SPLIT), SubgroupClass(DIH_NONSPLIT)]
@@ -102,10 +103,9 @@ def maximal_subgroup_classes(ctx: GFContext) -> list[SubgroupClass]:
     return out
 
 
-def label_meets(ctx: GFContext, sig: ClassSignature, sc: SubgroupClass) -> bool:
-    """Does a conjugacy class with signature `sig` meet a conjugate of the
-    subgroup class `sc`?"""
-    q = ctx.q
+def label_meets(q: int, sig: ClassSignature, sc: SubgroupClass) -> bool:
+    """Does a conjugacy class of PSL(2,q) with signature `sig` meet a
+    conjugate of the subgroup class `sc`?"""
     even = q % 2 == 0
     (kind, sq, order), sub_kind = sig, sc.kind
     if kind == "id":
@@ -133,8 +133,8 @@ def label_meets(ctx: GFContext, sig: ClassSignature, sc: SubgroupClass) -> bool:
         orders = _EXC_ORDERS[sub_kind]
         if kind == "inv":
             return True
-        if kind == "unip":
-            if ctx.p not in orders:
+        if kind == "unip":  # of order p
+            if order not in orders:
                 return False
             if sc.variant is None:
                 raise RuntimeError(
@@ -146,15 +146,14 @@ def label_meets(ctx: GFContext, sig: ClassSignature, sc: SubgroupClass) -> bool:
     raise RuntimeError(f"unknown subgroup kind {sc.kind}")
 
 
-def build_profiles(inv: ClassInventory, classes: list[SubgroupClass]) -> list[int]:
-    """Profile of each class signature, in the order of ``inv.signatures``,
-    as a mask: bit i is set when the classes of the signature meet
-    ``classes[i]``.  Each rule runs once per signature and record.
-    Signature 0 is the identity's, which meets every class."""
-    ctx = inv.ctx
+def build_profiles(q: int, sigs: Iterable[ClassSignature],
+                   classes: list[SubgroupClass]) -> list[int]:
+    """Profile of each class signature of PSL(2,q), in the order of
+    ``sigs``, as a mask: bit i is set when the classes of the signature
+    meet ``classes[i]``.  Each rule runs once per signature and record.
+    The identity's signature meets every class."""
     bits = [1 << i for i in range(len(classes))]
-    return [sum(b for b, sc in zip(bits, classes) if label_meets(ctx, sig, sc))
-            for sig in inv.signatures[0]]
+    return [sum(b for b, sc in zip(bits, classes) if label_meets(q, sig, sc)) for sig in sigs]
 
 
 maximal_profiles = build_profiles  # the name perfbench/traced_cli.py wraps
@@ -167,11 +166,13 @@ maximal_profiles = build_profiles  # the name perfbench/traced_cli.py wraps
 # ---------------------------------------------------------------------------
 
 class ProfileCensus(NamedTuple):
-    """Buckets of nonidentity classes with equal profile.  A class is
-    named by its position among ``inv.nonidentity_labels()`` (class number
-    less one), as in ``Psi2Table``."""
+    """Buckets of nonidentity classes with equal profile, over the class
+    signatures of PSL(2,q); ``members`` places the classes of an inventory,
+    each named by its class number less one, as in ``Psi2Table``."""
 
-    inv: ClassInventory
+    q: int
+    out_order: int  # d*f, the order of the group that Aut(S) induces on classes
+    signatures: dict[ClassSignature, int]  # class count of each, ``signature_counts`` order
     buckets: list[int]  # distinct nonidentity profiles, ascending as masks
     sizes: list[int]  # classes per bucket
     sig_bucket: list[int]  # bucket of each signature; -1 for the identity's
@@ -180,26 +181,34 @@ class ProfileCensus(NamedTuple):
     psi2_count: int  # |Psi2|: the bucket products over the disjoint pairs
     universe: list[SubgroupClass]  # the subgroup class of each profile bit
 
-    def members(self) -> list[list[int]]:
-        """Positions, ascending, of the classes of each bucket, by ``inv.class_signatures``."""
-        bucket = list(map(self.sig_bucket.__getitem__, self.inv.class_signatures[1:]))
-        every = range(len(bucket))
-        return [list(compress(every, map(b.__eq__, bucket))) for b in range(len(self.buckets))]
+    def members(self, inv: ClassInventory) -> list[list[int]]:
+        """Positions, ascending, of the classes of each bucket among
+        ``inv.nonidentity_labels()``, ``inv`` the inventory of q."""
+        bucket = dict(zip(self.signatures, self.sig_bucket))
+        of_class = [bucket[e.label.kind, e.label.sq, e.order] for e in inv.head[1:]]
+        for kind, _, orders, _ in inv.tori:
+            of_class += [bucket[kind, None, j] for j in orders]
+        return [list(compress(range(len(of_class)), map(b.__eq__, of_class)))
+                for b in range(len(self.buckets))]
 
 
-def profile_census(inv: ClassInventory) -> ProfileCensus:
-    classes = maximal_subgroup_classes(inv.ctx)
-    profs = build_profiles(inv, classes)
+def profile_census(q: int) -> ProfileCensus:
+    """The census of PSL(2,q), q >= 4 a prime power, from q's arithmetic."""
+    p, f = prime_power_split(q)
+    sigs = signature_counts(p, f)
+    classes = maximal_subgroup_classes(p, f)
+    profs = build_profiles(q, sigs, classes)
     buckets = sorted(set(profs[1:]))
     index = {prof: b for b, prof in enumerate(buckets)}
     sig_bucket = [-1, *map(index.__getitem__, profs[1:])]
     sizes = [0] * len(buckets)
-    for b, count in zip(sig_bucket[1:], inv.signatures[1][1:]):
+    for b, count in zip(sig_bucket[1:], list(sigs.values())[1:]):
         sizes[b] += count
     disjoint = [(i, j) for i, pi in enumerate(buckets) for j, pj in enumerate(buckets)
                 if not pi & pj]
-    return ProfileCensus(inv, buckets, sizes, sig_bucket, disjoint, profs,
-                         sum(sizes[i] * sizes[j] for i, j in disjoint), classes)
+    return ProfileCensus(q, (2 if q % 2 else 1) * f, sigs, buckets, sizes, sig_bucket,
+                         disjoint, profs, sum(sizes[i] * sizes[j] for i, j in disjoint),
+                         classes)
 
 
 class Psi2Table:
@@ -291,7 +300,7 @@ def json_pair_list(pairs: list[tuple[str, str]]) -> str:
     return "[\n      " + ",\n      ".join([row(a, b) for a, b in pairs]) + "\n    ]"
 
 
-def psi2_structural(census: ProfileCensus) -> Psi2Table:
+def psi2_structural(census: ProfileCensus, inv: ClassInventory) -> Psi2Table:
     """Psi2 via profile disjointness.
 
     A pair fails to invariably generate iff some representatives lie in a
@@ -299,19 +308,19 @@ def psi2_structural(census: ProfileCensus) -> Psi2Table:
     listed subgroup is proper, and each maximal subgroup's class set lies
     inside a listed one's.  So membership is exactly profile disjointness,
     and a label's neighbours are the members of the census buckets
-    disjoint from its own.
+    disjoint from its own, named by ``inv``, the inventory of q.
     """
-    members = census.members()
+    members = census.members(inv)
     partners: list[list[int]] = [[] for _ in census.buckets]
     for i, j in census.disjoint:
         partners[i] += members[j]
-    labels = census.inv.nonidentity_labels()
+    labels = inv.nonidentity_labels()
     near: list[tuple[int, ...]] = [()] * len(labels)
     for positions, js in zip(members, partners):
         shared = tuple(sorted(js))
         for i in positions:
             near[i] = shared
-    return Psi2Table(census.inv.q, "structural", labels, near)
+    return Psi2Table(census.q, "structural", labels, near)
 
 
 BOREL_SIDE = 1  # bits of a covering side: meets the Borel subgroup,

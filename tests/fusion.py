@@ -182,7 +182,7 @@ def class_fusion(sess, classes=None) -> dict[str, set[ClassLabel]]:
         SUBFIELD_PGL: lambda sc: [stabiliser(sess, subline(sess, sc.q0, s))
                                   for s in scales],
     }
-    classes = classes or maximal_subgroup_classes(ctx)
+    classes = classes or maximal_subgroup_classes(ctx.p, ctx.f)
     orders = {(sc.kind, sc.q0): sc.order for sc in reference_subgroup_classes(ctx)}
     done_kinds: set[tuple] = set()
     for sc in classes:

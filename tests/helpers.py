@@ -14,7 +14,8 @@ from invgen.autorbits import pair_orbits
 from invgen.iggraph import _bits, IGGraph, is_bipartite, LambdaSummary
 from invgen.oracle import _inverse, _line_action, _table, is_split_trace
 from invgen.psl2 import (
-    ClassEntry, ClassInventory, ClassLabel, TorusClasses, enumerate_psl2, trace_key,
+    ClassEntry, ClassInventory, ClassLabel, TorusClasses, enumerate_psl2, signature_counts,
+    trace_key,
 )
 from invgen.structure import (
     BOREL, BOREL_SIDE, DIH_NONSPLIT, DIH_SPLIT, DIHEDRAL_SIDE, EXC_A5, EXC_S4,
@@ -274,12 +275,20 @@ def isolated(table) -> set:
     return {lab for lab, js in zip(table.labels, table.near) if not js}
 
 
+def signature_positions(inv) -> list:
+    """For every class of ``inv``, in class order, the position of its
+    signature in ``signature_counts`` order, the order of the signatures
+    of ``profile_census`` and ``inventory_census``."""
+    position = {sig: k for k, sig in enumerate(signature_counts(inv.ctx.p, inv.ctx.f))}
+    return [position[ref_signature(e)] for e in inv]
+
+
 def covering_sets(inv, cover) -> tuple:
     """The nonidentity labels of ``inv`` that meet only the Borel side,
     only the nonsplit dihedral side, and both, by the per-signature sides
     of a ``verify_2covering`` result."""
     out = {BOREL_SIDE: set(), DIHEDRAL_SIDE: set(), BOREL_SIDE | DIHEDRAL_SIDE: set(), 0: set()}
-    for lab, sig in zip(inv.labels()[1:], inv.class_signatures[1:]):
+    for lab, sig in zip(inv.labels()[1:], signature_positions(inv)[1:]):
         out[cover.sides[sig]].add(lab)
     return out[BOREL_SIDE], out[DIHEDRAL_SIDE], out[BOREL_SIDE | DIHEDRAL_SIDE]
 
@@ -393,7 +402,7 @@ def subfield_order_test_mismatches(ctx, inv) -> list:
     for entry in inv.entries[len(inv.head):]:
         sig = ref_signature(entry)
         for sc in records:
-            meets = reference_meets(ctx, sig, sc)
+            meets = reference_meets(ctx.q, sig, sc)
             if meets != ref_subfield_meets(ctx, entry.label, sc, True) or (
                     sc.kind == SUBFIELD_PSL
                     and meets != ref_subfield_meets(ctx, entry.label, sc, False)):
@@ -403,9 +412,9 @@ def subfield_order_test_mismatches(ctx, inv) -> list:
 
 def by_label(inv, per_signature) -> dict:
     """Nonidentity label -> the value of its signature in a per-signature
-    list, such as ``build_profiles`` returns."""
+    list in ``signature_counts`` order, such as ``build_profiles`` returns."""
     return {lab: per_signature[sig]
-            for lab, sig in zip(inv.labels()[1:], inv.class_signatures[1:])}
+            for lab, sig in zip(inv.labels()[1:], signature_positions(inv)[1:])}
 
 
 def ids(universe, mask) -> frozenset:
@@ -421,7 +430,8 @@ def mask(universe, names) -> int:
 def label_profiles(inv, classes) -> dict:
     """Nonidentity label -> the ``build_profiles`` profile of its signature,
     as subgroup ids."""
-    return by_label(inv, [ids(classes, m) for m in build_profiles(inv, classes)])
+    sigs = signature_counts(inv.ctx.p, inv.ctx.f)
+    return by_label(inv, [ids(classes, m) for m in build_profiles(inv.q, sigs, classes)])
 
 
 def ref_profiles(ctx, entries, classes) -> dict:
@@ -440,7 +450,7 @@ def ref_profiles(ctx, entries, classes) -> dict:
             sc.id for sc in classes
             if (ref_subfield_meets(ctx, label, sc, False)
                 if label.trace >= 0 and sc.kind == SUBFIELD_PSL
-                else label_meets(ctx, sig, sc)))
+                else label_meets(ctx.q, sig, sc)))
     return out
 
 
@@ -542,13 +552,10 @@ def expected_fusion(sess, classes=None) -> dict:
     ``maximal_subgroup_classes`` or the given list; a record of the
     reference list goes through ``reference_meets``."""
     ctx = sess.ctx
-    distinct, sigs = sess.inv.signatures[0], sess.inv.class_signatures
     out = {}
-    for sc in classes or maximal_subgroup_classes(ctx):
-        out[sc.id] = {
-            e.label for e, i in zip(sess.inv, sigs)
-            if e.label.kind != "id" and reference_meets(ctx, distinct[i], sc)
-        }
+    for sc in classes or maximal_subgroup_classes(ctx.p, ctx.f):
+        out[sc.id] = {e.label for e in sess.inv
+                      if e.label.kind != "id" and reference_meets(ctx.q, ref_signature(e), sc)}
     return out
 
 
@@ -661,7 +668,7 @@ def ref_census(ctx, entries) -> tuple:
     """(labels, buckets, members, bucket_of): the nonidentity labels, the
     distinct profiles in the order of their masks, the labels of each, and
     the bucket of each label."""
-    classes = maximal_subgroup_classes(ctx)
+    classes = maximal_subgroup_classes(ctx.p, ctx.f)
     profs = ref_profiles(ctx, entries, classes)
     grouped = {}
     for label, prof in profs.items():
@@ -673,7 +680,7 @@ def ref_census(ctx, entries) -> tuple:
 
 def ref_covering(ctx, entries) -> tuple:
     """(ok, only_borel, only_dihedral, both) as label sets."""
-    classes = maximal_subgroup_classes(ctx)
+    classes = maximal_subgroup_classes(ctx.p, ctx.f)
     borel = next(sc for sc in classes if sc.kind == BOREL)
     dihedral = next(sc for sc in classes if sc.kind == DIH_NONSPLIT)
     only_b, only_d, both = set(), set(), set()
@@ -682,7 +689,7 @@ def ref_covering(ctx, entries) -> tuple:
         if entry.label.kind == "id":
             continue
         sig = ref_signature(entry)
-        in_b, in_d = label_meets(ctx, sig, borel), label_meets(ctx, sig, dihedral)
+        in_b, in_d = label_meets(ctx.q, sig, borel), label_meets(ctx.q, sig, dihedral)
         if in_b and in_d:
             both.add(entry.label)
         elif in_b:
@@ -695,8 +702,9 @@ def ref_covering(ctx, entries) -> tuple:
 
 
 def _ref_disjoint(buckets) -> list:
+    """The ordered pairs of buckets, frozensets or masks, that share nothing."""
     return [(i, j) for i, pi in enumerate(buckets)
-            for j, pj in enumerate(buckets) if pi.isdisjoint(pj)]
+            for j, pj in enumerate(buckets) if not pi & pj]
 
 
 def ref_psi2_count(buckets, members) -> int:
@@ -761,19 +769,58 @@ def ref_beta_fast(ctx, entries, action) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the census from the inventory's fold: the signatures and the number of
+# classes with each counted from the torus orders, the route the census
+# took before it read q's arithmetic.  The reference for ``profile_census``
+# and ``psl2.signature_counts``.
+# ---------------------------------------------------------------------------
+
+def fold_signatures(inv) -> dict:
+    """The class signatures of ``inv``, each with its number of classes,
+    counted from the fold: the head classes one each, then each torus's
+    orders ascending, the order of ``signature_counts``."""
+    out = {ref_signature(e): 1 for e in inv.head}
+    for kind, _, orders, _ in inv.tori:
+        out.update(((kind, None, j), n) for j, n in sorted(Counter(orders).items()))
+    return out
+
+
+def inventory_census(inv) -> ProfileCensus:
+    """The ``ProfileCensus`` over ``fold_signatures``, built as
+    ``profile_census`` builds its own over ``signature_counts``."""
+    ctx = inv.ctx
+    sigs = fold_signatures(inv)
+    classes = maximal_subgroup_classes(ctx.p, ctx.f)
+    profs = [sum(1 << i for i, sc in enumerate(classes) if label_meets(ctx.q, sig, sc))
+             for sig in sigs]
+    buckets = sorted(set(profs[1:]))
+    index = {prof: b for b, prof in enumerate(buckets)}
+    sig_bucket = [-1, *map(index.__getitem__, profs[1:])]
+    sizes = [0] * len(buckets)
+    for b, count in zip(sig_bucket[1:], list(sigs.values())[1:]):
+        sizes[b] += count
+    disjoint = _ref_disjoint(buckets)
+    return ProfileCensus(ctx.q, inv.d * ctx.f, sigs, buckets, sizes, sig_bucket, disjoint,
+                         profs, sum(sizes[i] * sizes[j] for i, j in disjoint), classes)
+
+
+# ---------------------------------------------------------------------------
 # the census by a per-class signature index: the index is built by one dict
 # lookup per class, the bucket sizes by a Counter over it, and the covering
 # runs the Borel and nonsplit-dihedral rules a second time.  The reference
-# for the census from per-order class counts.
+# for the census from per-signature class counts.
 # ---------------------------------------------------------------------------
 
 def ref_class_signatures(inv) -> tuple:
-    """(signatures, of_class): the distinct signatures in order of first
-    appearance, and the position of the signature of every class."""
+    """(signatures, of_class): the distinct signatures, the head's first and
+    then each torus's orders ascending, and the position of the signature
+    of every class."""
     position = {}
     of_class = [position.setdefault(ref_signature(e), len(position)) for e in inv.head]
     for kind, _, orders, _ in inv.tori:
-        of_class += [position.setdefault((kind, None, j), len(position)) for j in orders]
+        for j in sorted(set(orders)):
+            position[kind, None, j] = len(position)
+        of_class += [position[kind, None, j] for j in orders]
     return list(position), of_class
 
 
@@ -782,24 +829,26 @@ def ref_index_census(ctx, inv) -> tuple:
     over the per-class index, the positions of the classes of each bucket
     read off that index, and the covering side of each signature."""
     sigs, of_class = ref_class_signatures(inv)
-    classes = maximal_subgroup_classes(ctx)
-    profs = [sum(1 << i for i, sc in enumerate(classes) if label_meets(ctx, sig, sc))
+    classes = maximal_subgroup_classes(ctx.p, ctx.f)
+    profs = [sum(1 << i for i, sc in enumerate(classes) if label_meets(ctx.q, sig, sc))
              for sig in sigs]
     buckets = sorted(set(profs[1:]))
     index = {prof: b for b, prof in enumerate(buckets)}
     sig_bucket = [-1] + [index[prof] for prof in profs[1:]]
     sizes = [0] * len(buckets)
-    for sig, count in Counter(of_class[1:]).items():
-        sizes[sig_bucket[sig]] += count
+    counts = Counter(of_class)
+    for sig, count in counts.items():
+        if sig:
+            sizes[sig_bucket[sig]] += count
     members = [[i for i, sig in enumerate(of_class[1:]) if sig_bucket[sig] == b]
                for b in range(len(buckets))]
     borel = next(sc for sc in classes if sc.kind == BOREL)
     dihedral = next(sc for sc in classes if sc.kind == DIH_NONSPLIT)
-    sides = [BOREL_SIDE * label_meets(ctx, sig, borel)
-             | DIHEDRAL_SIDE * label_meets(ctx, sig, dihedral) for sig in sigs]
-    disjoint = [(i, j) for i, pi in enumerate(buckets) for j, pj in enumerate(buckets)
-                if not pi & pj]
-    census = ProfileCensus(inv, buckets, sizes, sig_bucket, disjoint, profs,
+    sides = [BOREL_SIDE * label_meets(ctx.q, sig, borel)
+             | DIHEDRAL_SIDE * label_meets(ctx.q, sig, dihedral) for sig in sigs]
+    disjoint = _ref_disjoint(buckets)
+    census = ProfileCensus(ctx.q, inv.d * ctx.f, {sig: counts[k] for k, sig in enumerate(sigs)},
+                           buckets, sizes, sig_bucket, disjoint, profs,
                            sum(sizes[i] * sizes[j] for i, j in disjoint), classes)
     return census, members, sides
 
@@ -864,18 +913,19 @@ def mask_diameter(g) -> int:
     return max((len(_layers(g.nbrs, i)) - 1 for i in sources.values()), default=0)
 
 
-def ref_quotient_summary(census, cover) -> LambdaSummary:
+def ref_quotient_summary(census, cover, inv) -> LambdaSummary:
     """``lambda_summary`` through an IGGraph on the live buckets and the
-    three mask routines."""
-    inv, sizes = census.inv, census.sizes
+    three mask routines; ``inv`` names the isolated classes."""
+    sizes = census.sizes
     near = [[] for _ in sizes]
     for i, j in census.disjoint:
         if i != j:
             near[i].append(j)
-    quotient = graph_from_near(inv.q, 1, "structural", list(range(len(sizes))), near, plus=True)
+    quotient = graph_from_near(census.q, 1, "structural", list(range(len(sizes))), near,
+                               plus=True)
     live = quotient.vertices
     dead = {i for i, js in enumerate(near) if not js}
-    members = census.members()
+    members = census.members(inv)
     isolated = [str(inv.entries[i + 1].label) for b in dead for i in members[b]]
     bipartite, _ = mask_is_bipartite(quotient)
     diam = mask_diameter(quotient)
@@ -1083,15 +1133,16 @@ def split_key_array(inv) -> list:
 def ref_frozenset_census(inv) -> tuple:
     """(buckets, sizes, sig_bucket, disjoint, profiles, psi2_count) with each
     profile the frozenset of the ids of the subgroup classes it meets, and
-    the buckets sorted by their sorted ids."""
-    universe = [(sc, sc.id) for sc in maximal_subgroup_classes(inv.ctx)]
-    profs = [frozenset([i for sc, i in universe if label_meets(inv.ctx, sig, sc)])
-             for sig in inv.signatures[0]]
+    the buckets sorted by their sorted ids, over ``fold_signatures``."""
+    sigs = fold_signatures(inv)
+    universe = [(sc, sc.id) for sc in maximal_subgroup_classes(inv.ctx.p, inv.ctx.f)]
+    profs = [frozenset([i for sc, i in universe if label_meets(inv.q, sig, sc)])
+             for sig in sigs]
     buckets = sorted(set(profs[1:]), key=sorted)
     index = {prof: b for b, prof in enumerate(buckets)}
     sig_bucket = [-1] + [index[prof] for prof in profs[1:]]
     sizes = [0] * len(buckets)
-    for b, count in zip(sig_bucket[1:], inv.signatures[1][1:]):
+    for b, count in zip(sig_bucket[1:], list(sigs.values())[1:]):
         sizes[b] += count
     disjoint = _ref_disjoint(buckets)
     return (buckets, sizes, sig_bucket, disjoint, profs,
@@ -1160,7 +1211,7 @@ def reference_subgroup_classes(ctx) -> list:
     return out
 
 
-def reference_meets(ctx, sig, sc) -> bool:
+def reference_meets(q, sig, sc) -> bool:
     """``label_meets``, with the rules for the records it does not know.
     A4 (f = 1, p >= 5) meets the classes of order at most 3.  Subfield
     PGL(2,q0) meets the involutions, a torus class iff t^2 lies in GF(q0)
@@ -1172,32 +1223,33 @@ def reference_meets(ctx, sig, sc) -> bool:
     if sc.kind == EXC_A4:
         return order <= 3
     if sc.kind != SUBFIELD_PGL:
-        return label_meets(ctx, sig, sc)
-    if kind == "unip" and ctx.q % 2 == 1:
+        return label_meets(q, sig, sc)
+    if kind == "unip" and q % 2 == 1:
         return sq is (sc.variant == 1)
     return kind in ("id", "unip", "inv") or sc.q0 % order in (1, order - 1)
 
 
 def reference_census(inv) -> ProfileCensus:
-    """The census over the reference list: profiles over the maximal
-    records and the nonsplit dihedral, bucketed by their maximal part."""
+    """The census over the reference list and ``fold_signatures``: profiles
+    over the maximal records and the nonsplit dihedral, bucketed by their
+    maximal part."""
     ctx = inv.ctx
+    sigs = fold_signatures(inv)
     classes = reference_subgroup_classes(ctx)
     universe = [sc for sc in classes if sc.maximal or sc.kind == DIH_NONSPLIT]
-    profiles = [sum(1 << i for i, sc in enumerate(universe) if reference_meets(ctx, sig, sc))
-                for sig in inv.signatures[0]]
+    profiles = [sum(1 << i for i, sc in enumerate(universe) if reference_meets(ctx.q, sig, sc))
+                for sig in sigs]
     maximal = sum(1 << i for i, sc in enumerate(universe) if sc.maximal)
     profs = [prof & maximal for prof in profiles]
     buckets = sorted(set(profs[1:]))
     index = {prof: b for b, prof in enumerate(buckets)}
     sig_bucket = [-1, *map(index.__getitem__, profs[1:])]
     sizes = [0] * len(buckets)
-    for b, count in zip(sig_bucket[1:], inv.signatures[1][1:]):
+    for b, count in zip(sig_bucket[1:], list(sigs.values())[1:]):
         sizes[b] += count
-    disjoint = [(i, j) for i, pi in enumerate(buckets) for j, pj in enumerate(buckets)
-                if not pi & pj]
-    return ProfileCensus(inv, buckets, sizes, sig_bucket, disjoint, profiles,
-                         sum(sizes[i] * sizes[j] for i, j in disjoint), universe)
+    disjoint = _ref_disjoint(buckets)
+    return ProfileCensus(ctx.q, inv.d * ctx.f, sigs, buckets, sizes, sig_bucket, disjoint,
+                         profiles, sum(sizes[i] * sizes[j] for i, j in disjoint), universe)
 
 
 def reference_label_profiles(inv) -> dict:
@@ -1205,5 +1257,5 @@ def reference_label_profiles(inv) -> dict:
     its class, by ``reference_meets``."""
     ctx = inv.ctx
     classes = reference_subgroup_classes(ctx)
-    return by_label(inv, [frozenset(sc.id for sc in classes if reference_meets(ctx, sig, sc))
-                          for sig in inv.signatures[0]])
+    return by_label(inv, [frozenset(sc.id for sc in classes if reference_meets(ctx.q, sig, sc))
+                          for sig in signature_counts(ctx.p, ctx.f)])

@@ -79,12 +79,14 @@ EXTENDED = os.environ.get("INVGEN_EXTENDED") == "1"
 
 
 def census_of(q: int):
-    return profile_census(inventory(gf_for_q(q)))
+    return profile_census(q)
 
 
 def summary_of(q: int):
     census = census_of(q)
-    return lambda_summary(census, verify_2covering(census))
+    # an inventory names the one isolated torus class, at q = 7
+    inv = inventory(gf_for_q(q)) if q == 7 else None
+    return lambda_summary(census, verify_2covering(census), inv)
 
 
 def test_c01_class_count_formula():
@@ -98,14 +100,16 @@ def test_c02_oracle_equivalence_mandatory():
     with Budget("criterion 2: oracle == structural on {4,5,7,8,9,11,13}", 120):
         for q in MANDATORY_ORACLE_QS:
             sess = OracleSession(inventory(gf_for_q(q)))
-            assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.inv))), q
+            structural = psi2_structural(profile_census(q), sess.inv)
+            assert pairs(sess.psi2()) == pairs(structural), q
 
 
 def test_c02_oracle_equivalence_wider():
     with Budget("criterion 2 wider: oracle == structural on {16,19,25,27,31}", 60):
         for q in WIDER_ORACLE_QS:
             sess = OracleSession(inventory(gf_for_q(q)))
-            assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.inv))), q
+            structural = psi2_structural(profile_census(q), sess.inv)
+            assert pairs(sess.psi2()) == pairs(structural), q
 
 
 @pytest.mark.skipif(not EXTENDED, reason="extended oracle set needs INVGEN_EXTENDED=1")
@@ -113,14 +117,15 @@ def test_c02_oracle_equivalence_extended():
     with Budget("criterion 2 extended: oracle == structural on {16,25,27,31}", 900):
         for q in EXTENDED_ORACLE_QS:
             sess = OracleSession(inventory(gf_for_q(q)))
-            assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.inv))), q
+            structural = psi2_structural(profile_census(q), sess.inv)
+            assert pairs(sess.psi2()) == pairs(structural), q
 
 
 @pytest.mark.skipif(not EXTENDED, reason="extended oracle set needs INVGEN_EXTENDED=1")
 def test_c02_oracle_equivalence_q49():
     with Budget("criterion 2 extended: oracle == structural at q=49", 60):
         sess = OracleSession(inventory(gf_for_q(EXTENDED_PSI2_Q)))
-        assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.inv)))
+        assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.inv.q), sess.inv))
 
 
 @pytest.mark.skipif(not EXTENDED, reason="extended oracle set needs INVGEN_EXTENDED=1")
@@ -128,7 +133,8 @@ def test_c02_oracle_equivalence_q64_q81():
     with Budget("criterion 2 extended: oracle == structural at q=64, 81", 60):
         for q in EXTENDED_PSI2_LARGE_QS:
             sess = OracleSession(inventory(gf_for_q(q)))
-            assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.inv))), q
+            structural = psi2_structural(profile_census(q), sess.inv)
+            assert pairs(sess.psi2()) == pairs(structural), q
 
 
 @pytest.mark.skipif(not EXTENDED, reason="extended oracle set needs INVGEN_EXTENDED=1")
@@ -182,7 +188,7 @@ def test_c05_probability_convergence():
             if q < 64:
                 continue
             census = census_of(q)
-            k = len(census.inv)
+            k = sum(census.signatures.values())  # the classes, the identity's too
             assert abs(census.psi2_count / (k * k) - 0.5) <= 10 / q, q
 
 
@@ -204,14 +210,12 @@ def test_c07_beta_pipeline():
             part = beta(aut_action(sess.inv), sess.psi2())
             assert part.beta == expected, q
         for q in ALL_QS:
-            ctx = gf_for_q(q)
-            inv = inventory(ctx)
             d = 2 if q % 2 == 1 else 1
-            census = profile_census(inv)
+            census = profile_census(q)
             b = beta_fast(census)
             count = census.psi2_count
             assert b % 2 == 0, q
-            assert count / (d * ctx.f) <= b <= count, q
+            assert count / (d * prime_power_split(q)[1]) <= b <= count, q
 
 
 @pytest.mark.skipif(not EXTENDED, reason="large-q beta needs INVGEN_EXTENDED=1")
@@ -219,10 +223,9 @@ def test_c07_beta_large_q_extended():
     with Budget("criterion 7 extended: beta_fast == label-level Burnside at q=3^11, 2^18",
                 120):
         for q in EXTENDED_BETA_QS:
-            ctx = gf_for_q(q)
-            inv = inventory(ctx)
-            expected = ref_beta_fast(ctx, ref_entries(ctx), aut_action(inv))
-            assert beta_fast(profile_census(inv)) == expected, q
+            ctx = gf_for_q(q)  # the reference side alone builds fields
+            expected = ref_beta_fast(ctx, ref_entries(ctx), aut_action(inventory(ctx)))
+            assert beta_fast(profile_census(q)) == expected, q
 
 
 @pytest.mark.skipif(not EXTENDED, reason="the bound at the cap needs INVGEN_EXTENDED=1")
@@ -240,7 +243,7 @@ def test_c08_power_graph_ground_truth():
     with Budget("criterion 8: plus graph of PSL(2,5)^2", 10):
         ctx = gf_for_q(5)
         inv = inventory(ctx)
-        psi2 = psi2_structural(profile_census(inv))
+        psi2 = psi2_structural(profile_census(inv.q), inv)
         action = aut_action(inv)
         assert beta(action, psi2).beta == 2
         g = lambda_power(ctx, 2, psi2, action, inv, plus=True)
@@ -248,16 +251,14 @@ def test_c08_power_graph_ground_truth():
         comps = components(g)
         assert len(comps) == 1
         assert len(comps) >= component_bound(2) == 1
-        p1, _ = covering_parts(inv, verify_2covering(profile_census(inv)))
+        p1, _ = covering_parts(inv, verify_2covering(profile_census(inv.q)))
         for v in g.vertices:
             assert len(part_pattern(v, p1)) == 1, v  # one coordinate per part
 
 
 def test_c09_bound_report_q25():
     with Budget("criterion 9: exact bound report at q=25", 10):
-        ctx = gf_for_q(25)
-        inv = inventory(ctx)
-        rep = n_lower_bound_report(profile_census(inv))
+        rep = n_lower_bound_report(profile_census(25))
         assert rep["psi2_count"] == 84
         assert rep["beta_lower"] == 20  # floor(84 / (d*f)) = 21, rounded down to even
         bound = int(rep["component_bound"])
@@ -271,7 +272,7 @@ def test_c10_self_consistency():
         for q in MANDATORY_ORACLE_QS:
             ctx = gf_for_q(q)
             inv = inventory(ctx)
-            psi2_pairs = pairs(psi2_structural(profile_census(inv)))
+            psi2_pairs = pairs(psi2_structural(profile_census(inv.q), inv))
             for a, b in psi2_pairs:
                 assert (b, a) in psi2_pairs
             action = aut_action(inv)

@@ -9,7 +9,10 @@ from invgen.psl2 import ClassLabel, inventory
 from invgen import autorbits, cli, structure
 from invgen.autorbits import AutAction, aut_action, beta, beta_fast
 from invgen.structure import Psi2Table, profile_census, psi2_structural, verify_2covering
-from helpers import covering_parts, named, named_generators, pairs, ref_elements, ref_orbits
+from helpers import (
+    covering_parts, named, named_generators, pairs, ref_elements, ref_orbits, ref_signature,
+    signature_positions,
+)
 
 VALIDATION_QS = [4, 5, 7, 8, 9, 11, 13, 16, 25, 27]
 PRIME_POWERS = [q for q in range(4, 1025) if prime_power_split(q)]
@@ -87,7 +90,7 @@ def test_frobenius_fixes_the_classes_its_signatures_say(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
     action = aut_action(inv)
-    sigs, of_class = inv.signatures[0], inv.class_signatures
+    sigs = [ref_signature(entry) for entry in inv]
 
     def fixes(e, i, sig):
         g = ctx.p ** gcd(i, ctx.f)
@@ -102,7 +105,7 @@ def test_frobenius_fixes_the_classes_its_signatures_say(q):
         for e in range(inv.d):
             diag = action.diagonal if e else identity
             moved = {k for k in range(n) if diag[image[k]] != k}
-            lacking = {k for k in range(n) if not fixes(e, i, sigs[of_class[k + 1]])}
+            lacking = {k for k in range(n) if not fixes(e, i, sigs[k + 1])}
             assert moved == lacking, (q, e, i)
             if not e:
                 assert min(moved, default=n) >= len(inv.head) - 1  # torus classes only
@@ -117,8 +120,8 @@ def test_no_nontrivial_frobenius_power_fixes_a_psi2_pair(q):
     # image list and counted per census bucket.
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    census = profile_census(inv)
-    bucket_of = [census.sig_bucket[sig] for sig in inv.class_signatures[1:]]
+    census = profile_census(inv.q)
+    bucket_of = [census.sig_bucket[sig] for sig in signature_positions(inv)[1:]]
     elements = aut_action(inv).elements()  # Frob^i is elements[i], then diag * Frob^i
     for n, g in enumerate(elements):
         if n % ctx.f == 0:  # i = 0: the identity and diag
@@ -134,7 +137,7 @@ def test_no_nontrivial_frobenius_power_fixes_a_psi2_pair(q):
 def test_psi2_is_aut_invariant(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    psi2_pairs = pairs(psi2_structural(profile_census(inv)))
+    psi2_pairs = pairs(psi2_structural(profile_census(inv.q), inv))
     act = aut_action(inv)
     for gen in named_generators(act, inv.nonidentity_labels()):
         for a, b in psi2_pairs:
@@ -146,7 +149,7 @@ def test_psi2_is_aut_invariant(q):
 def test_psi2_near_is_symmetric_and_aut_invariant(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    table = psi2_structural(profile_census(inv))
+    table = psi2_structural(profile_census(inv.q), inv)
     near = table.near
     transpose = [[] for _ in near]
     for i, js in enumerate(near):
@@ -167,7 +170,7 @@ def test_psi2_near_is_symmetric_and_aut_invariant(q):
 
 def test_beta_q5():
     ctx = gf_for_q(5)
-    part = beta(aut_action(inventory(ctx)), psi2_structural(profile_census(inventory(ctx))))
+    part = beta(aut_action(inventory(ctx)), psi2_structural(profile_census(ctx.q), inventory(ctx)))
     assert part.beta == 2
     assert part.orbits == [
         [("nonsplit:t=1", "unip:nsq"), ("nonsplit:t=1", "unip:sq")],
@@ -178,7 +181,7 @@ def test_beta_q5():
 @pytest.mark.parametrize("q,expected", [(4, 2), (5, 2), (7, 4), (8, 8), (9, 2)])
 def test_beta_values(q, expected):
     ctx = gf_for_q(q)
-    part = beta(aut_action(inventory(ctx)), psi2_structural(profile_census(inventory(ctx))))
+    part = beta(aut_action(inventory(ctx)), psi2_structural(profile_census(ctx.q), inventory(ctx)))
     assert part.beta == expected
 
 
@@ -186,7 +189,7 @@ def test_beta_values(q, expected):
 def test_beta_even_and_bounded(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    table = psi2_structural(profile_census(inv))
+    table = psi2_structural(profile_census(inv.q), inv)
     part = beta(aut_action(inv), table)
     d = 2 if q % 2 == 1 else 1
     assert part.beta % 2 == 0
@@ -196,7 +199,7 @@ def test_beta_even_and_bounded(q):
 @pytest.mark.parametrize("q", VALIDATION_QS)
 def test_no_orbit_contains_a_pair_and_its_swap(q):
     ctx = gf_for_q(q)
-    part = beta(aut_action(inventory(ctx)), psi2_structural(profile_census(inventory(ctx))))
+    part = beta(aut_action(inventory(ctx)), psi2_structural(profile_census(ctx.q), inventory(ctx)))
     for orbit in part.orbits:
         members = set(orbit)
         for a, b in orbit:
@@ -207,7 +210,7 @@ def test_no_orbit_contains_a_pair_and_its_swap(q):
 def test_orbit_sizes_divide_out_order(q):
     ctx = gf_for_q(q)
     d = 2 if q % 2 == 1 else 1
-    part = beta(aut_action(inventory(ctx)), psi2_structural(profile_census(inventory(ctx))))
+    part = beta(aut_action(inventory(ctx)), psi2_structural(profile_census(ctx.q), inventory(ctx)))
     for orbit in part.orbits:
         assert (d * ctx.f) % len(orbit) == 0
 
@@ -216,15 +219,15 @@ def test_orbit_sizes_divide_out_order(q):
 def test_burnside_agrees_with_union_find(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    part = beta(aut_action(inv), psi2_structural(profile_census(inv)))
-    assert beta_fast(profile_census(inv)) == part.beta
+    part = beta(aut_action(inv), psi2_structural(profile_census(inv.q), inv))
+    assert beta_fast(profile_census(inv.q)) == part.beta
 
 
 @pytest.mark.parametrize("q", VALIDATION_QS + [17, 49, 64, 81, 121])
 def test_orbits_equal_union_find_closure(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    table = psi2_structural(profile_census(inv))
+    table = psi2_structural(profile_census(inv.q), inv)
     action = aut_action(inv)
     groups = {}
     for (a, b), rep in ref_orbits(action, table).items():
@@ -250,7 +253,8 @@ def broken_image_case():
     identity = list(range(len(labels)))
     perm = identity[:]
     perm[usq], perm[s1] = s1, usq
-    return 7, AutAction(ctx, perm, identity), psi2_structural(profile_census(inv)), "left Psi2"
+    table = psi2_structural(profile_census(7), inv)
+    return 7, AutAction(ctx, perm, identity), table, "left Psi2"
 
 
 def swapped_pair_case():
@@ -274,7 +278,7 @@ def test_beta_checks_the_action(case):
 def test_beta_orbits_reports_a_broken_action_as_internal(case, capsys, monkeypatch):
     q, action, table, message = case()
     monkeypatch.setattr(autorbits, "aut_action", lambda inv: action)
-    monkeypatch.setattr(structure, "psi2_structural", lambda census: table)
+    monkeypatch.setattr(structure, "psi2_structural", lambda census, inv: table)
     assert cli.main(["beta", "--q", str(q), "--orbits"]) == 4
     out, err = capsys.readouterr()
     assert out == ""
@@ -285,9 +289,9 @@ def test_orbits_respect_bipartition():
     # parts are Aut-invariant, so orbits stay within one direction
     ctx = gf_for_q(7)
     inv = inventory(ctx)
-    p1, p2 = covering_parts(inv, verify_2covering(profile_census(inv)))
+    p1, p2 = covering_parts(inv, verify_2covering(profile_census(inv.q)))
     p1_names = {lab.str_form() for lab in p1}
-    part = beta(aut_action(inv), psi2_structural(profile_census(inv)))
+    part = beta(aut_action(inv), psi2_structural(profile_census(inv.q), inv))
     seen = set()
     for orbit in part.orbits:
         directions = {a in p1_names for a, b in orbit}

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -212,6 +213,20 @@ def test_graph_power_over_the_cap_names_t_and_the_cap(t, capsys):
                    f"vertices, cap is {iggraph.POWER_WORK_CAP}\n")
 
 
+def test_graph_edge_cap_refuses_before_any_output(capsys, monkeypatch):
+    # the masks of (293, 2, plus) are within the work cap, but its
+    # 58,357,660 edges would be over 1.7 GB of JSON; no writer may start
+    def refuse(g):
+        raise AssertionError("a writer started on a graph over the edge cap")
+
+    monkeypatch.setattr(iggraph, "graph_to_json", refuse)
+    code, out, err = run(capsys, "graph", "--q", "293", "--power", "2", "--plus")
+    assert (code, out) == (3, "")
+    assert err == ("cap exceeded: graph has 58357660 edges, above 4194304, "
+                   "the most it writes\n")
+    assert iggraph.EDGE_CAP == 1 << 22
+
+
 def test_graph_power_cap_comes_before_orbit_work(capsys, monkeypatch):
     # 1023^2 vertices are over the cap; no Aut(S) element may be built first
     def refuse(self):
@@ -292,6 +307,33 @@ def test_beta_above_the_bound_cap_exits_before_any_binomial(capsys, monkeypatch)
                    "beta whose exact component bound is built\n")
 
 
+def refuse_fields(monkeypatch):
+    """Make building a field or a class inventory raise."""
+    def refuse(*args):
+        raise AssertionError("a field or an inventory was built")
+
+    monkeypatch.setattr(gf.GFContext, "__init__", refuse)
+    monkeypatch.setattr(psl2, "inventory", refuse)
+
+
+def test_beta_builds_no_field(capsys, monkeypatch):
+    # the census is q's arithmetic: beta, its bounds and its refusal past
+    # the bound cap need no field and no class inventory.  The digest is the
+    # one the benchmark's orbits workload checks for q = 512
+    refuse_fields(monkeypatch)
+    code, out, _ = run(capsys, "beta", "--q", "512", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["beta"], payload["psi2_count"]) == (14504, 130536)
+    for key in ("n_lower_bound", "component_bound_at_beta"):
+        assert hashlib.sha256(payload[key]["component_bound"].encode()).hexdigest() == (
+            "66f0ee4c932310a45cc71aee3103b6d15be36341c843856f3ee93549c610f0e4")
+    code, out, err = run(capsys, "beta", "--p", "2", "--f", "20")
+    assert (code, out) == (3, "")
+    assert err == (f"cap exceeded: beta=27487738260 is above {iggraph.BOUND_BETA_CAP}, the "
+                   "largest beta whose exact component bound is built\n")
+
+
 def test_beta_at_the_bound_cap_is_built(capsys, monkeypatch):
     # beta = 14504 at q = 512, the cap moved down to it and then one below it
     monkeypatch.setattr(iggraph, "BOUND_BETA_CAP", 14504)
@@ -321,7 +363,7 @@ def break_canon(monkeypatch):
 def break_subgroup_list(monkeypatch):
     real = structure.maximal_subgroup_classes
     monkeypatch.setattr(structure, "maximal_subgroup_classes",
-                        lambda ctx: real(ctx) + [SubgroupClass("bogus")])
+                        lambda p, f: real(p, f) + [SubgroupClass("bogus")])
     return ["beta", "--q", "7"], "unknown subgroup kind bogus"
 
 
@@ -377,6 +419,7 @@ def test_verify_small_range(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["pass"] and payload["failures"] == []
+    assert list(payload) == ["range", "extended", "pass", "failures", "checks"]  # no details
     assert set(payload["checks"]) == {"4", "5", "7", "8", "9"}
     assert payload["checks"]["5"]["oracle_equals_structural"] is True
 
@@ -429,6 +472,33 @@ def test_verify_class_count_fails_on_a_wrong_torus_count(q, torus, fault, monkey
     assert payload["checks"][str(q)] == {"class_count": False}
     assert payload["failures"] == [f"q={q}:class_count"]
     assert err == f"FAILED: q={q}:class_count\n"
+    # the detail names each torus order whose count moved, the census's
+    # count against the fold's
+    t = real(gf.gf_for_q(q)).tori[torus]
+    kind, orders = t.kind, t.orders
+    moved = {orders[0]: -1}
+    if fault is move_first:
+        moved[next(j for j in orders if j != orders[0])] = 1
+    assert payload["details"] == {f"q={q}:class_count": [
+        {"kind": kind, "order": j, "expected": orders.count(j),
+         "got": orders.count(j) + moved[j]} for j in sorted(moved)]}
+
+
+def test_verify_details_name_the_pairs_a_mutant_adds(monkeypatch, capsys):
+    # drop_s4 of tests/test_mutants.py: without S4 the order-3 split class
+    # and the order-4 nonsplit class of q = 7 share no listed record, so
+    # structural Psi2 gains that pair both ways, which the oracle's lacks
+    real = structure.maximal_subgroup_classes
+    monkeypatch.setattr(structure, "maximal_subgroup_classes",
+                        lambda p, f: [sc for sc in real(p, f) if sc.kind != structure.EXC_S4])
+    code, out, _ = run(capsys, "verify", "--q-range", "4..13")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["failures"] == ["q=7:isolated_census", "q=7:oracle_equals_structural"]
+    assert payload["details"] == {"q=7:oracle_equals_structural": {
+        "oracle_only": [],
+        "structural_only": [["nonsplit:t=3", "split:t=1"], ["split:t=1", "nonsplit:t=3"]]}}
+
 
 
 def test_verify_respects_cap_env(monkeypatch, capsys):

@@ -150,7 +150,7 @@ def structural(q):
     """Context, inventory and structural Psi2 of PSL(2,q)."""
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    return ctx, inv, psi2_structural(profile_census(inv))
+    return ctx, inv, psi2_structural(profile_census(inv.q), inv)
 
 
 def graph_of(q, plus):
@@ -261,7 +261,7 @@ def test_lambda_power_default_cap_at_t5(q, plus, refused, monkeypatch):
 def test_lambda_power_equals_candidate_loop(q, plus):
     ctx, inv, psi2 = structural(q)
     action = aut_action(inv)
-    for t in range(1, min(beta_fast(profile_census(inv)), 3) + 1):
+    for t in range(1, min(beta_fast(profile_census(inv.q)), 3) + 1):
         g = lambda_power(ctx, t, psi2, action, inv, plus=plus)
         ref = ref_power_candidates(ctx, t, psi2, action, inv, plus=plus)
         assert g.vertices == ref.vertices and g.nbrs == ref.nbrs, t
@@ -275,7 +275,7 @@ def candidate_loop_cases():
         if not prime_power_split(q):
             continue
         ctx, inv, psi2 = structural(q)
-        for t in range(1, beta_fast(profile_census(inv)) + 1):
+        for t in range(1, beta_fast(profile_census(inv.q)) + 1):
             if len(psi2) ** t > 50_000:
                 break
             for plus in (False, True):
@@ -433,7 +433,7 @@ def test_clique_chromatic_covering_chain(q):
     assert g.edge_count() >= 1
     assert is_bipartite(g)[0]
     ctx = gf_for_q(q)
-    assert verify_2covering(profile_census(inventory(ctx))).ok
+    assert verify_2covering(profile_census(ctx.q)).ok
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +461,7 @@ def power_cases():
         if not prime_power_split(q):
             continue
         ctx, inv, psi2 = structural(q)
-        b = beta_fast(profile_census(inv))
+        b = beta_fast(profile_census(inv.q))
         live = sum(1 for js in psi2.near if js)
         for t in range(2, b + 1):
             if live ** (2 * t) <= POWER_WORK_CAP:
@@ -478,7 +478,7 @@ def test_components_equal_pattern_pairs(q, t, beta_value):
     # pair {P, P^c}, and every realised pair is one component
     ctx, inv, psi2 = structural(q)
     g = lambda_power(ctx, t, psi2, aut_action(inv), inv, plus=True)
-    p1, _ = covering_parts(inv, verify_2covering(profile_census(inv)))
+    p1, _ = covering_parts(inv, verify_2covering(profile_census(inv.q)))
     every = frozenset(range(t))
     patterns = {frozenset({part_pattern(v, p1), every - part_pattern(v, p1)})
                 for v in g.vertices}
@@ -493,7 +493,7 @@ def test_components_equal_pattern_pairs(q, t, beta_value):
 def test_report_q5():
     ctx = gf_for_q(5)
     inv = inventory(ctx)
-    rep = n_lower_bound_report(profile_census(inv))
+    rep = n_lower_bound_report(profile_census(inv.q))
     assert rep["psi2_count"] == 4 and rep["beta_lower"] == 2
     assert int(rep["component_bound"]) == 1 and rep["log2_bound"] == 0.0
 
@@ -501,14 +501,14 @@ def test_report_q5():
 def test_report_q7():
     ctx = gf_for_q(7)
     inv = inventory(ctx)
-    rep = n_lower_bound_report(profile_census(inv))
+    rep = n_lower_bound_report(profile_census(inv.q))
     assert rep["beta_lower"] == 4 and int(rep["component_bound"]) == 3
 
 
 def test_report_q25():
     ctx = gf_for_q(25)
     inv = inventory(ctx)
-    rep = n_lower_bound_report(profile_census(inv))
+    rep = n_lower_bound_report(profile_census(inv.q))
     assert rep["psi2_count"] == 84
     assert rep["beta_lower"] == 20  # 84 / (2*2) = 21 rounded down to even
     bound = int(rep["component_bound"])
@@ -521,7 +521,7 @@ def test_big_int_str_leaves_digit_limit():
     # limit.  The thread's decimal context is set to one that would round
     # the bound and trap the rounding, so the text is right only if every
     # product is made in the report's own context
-    census = profile_census(inventory(gf_for_q(512)))
+    census = profile_census(512)
     limit = sys.get_int_max_str_digits()
     with decimal.localcontext(decimal.Context(prec=5, traps=[decimal.Inexact])) as thread:
         rep = n_lower_bound_report(census)
@@ -539,7 +539,7 @@ def sweep_cases():
     cases = []
     for q in range(4, 1025):
         if prime_power_split(q):
-            slow = beta_fast(profile_census(inventory(gf_for_q(q)))) > 30_000
+            slow = beta_fast(profile_census(q)) > 30_000
             marks = [pytest.mark.skipif(not EXTENDED, reason="needs INVGEN_EXTENDED=1")
                      ] if slow else []
             cases.append(pytest.param(q, marks=marks, id=f"q{q}"))
@@ -549,7 +549,7 @@ def sweep_cases():
 @pytest.mark.parametrize("q", sweep_cases())
 def test_reports_equal_comb_on_the_sweep(q):
     # the floor beta and the exact beta that ``beta --q`` reports
-    census = profile_census(inventory(gf_for_q(q)))
+    census = profile_census(q)
     b = beta_fast(census)
     for rep in (n_lower_bound_report(census), n_lower_bound_report(census, beta_exact=b)):
         use = rep["beta_lower"]
@@ -569,7 +569,7 @@ def test_int_log2_big():
 def test_report_with_exact_beta():
     ctx = gf_for_q(7)
     inv = inventory(ctx)
-    rep = n_lower_bound_report(profile_census(inv), beta_exact=4)
+    rep = n_lower_bound_report(profile_census(inv.q), beta_exact=4)
     assert rep["beta_exact"] == 4 and int(rep["component_bound"]) == 3
 
 
@@ -581,10 +581,10 @@ def test_report_with_exact_beta():
 def test_summary_matches_explicit_graph(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    census = profile_census(inv)
-    table = psi2_structural(census)
+    census = profile_census(inv.q)
+    table = psi2_structural(census, inv)
     g = lambda_graph(table, plus=True)
-    s = lambda_summary(census, verify_2covering(census))
+    s = lambda_summary(census, verify_2covering(census), inv)
     assert census.psi2_count == len(table)
     assert s.component_count == len(components(g))
     assert s.bipartite == is_bipartite(g)[0]
@@ -629,8 +629,8 @@ def test_parts_match_covering_matches_the_quotient_reference(case):
 
 def balance_counts(ctx, t):
     inv = inventory(ctx)
-    p1, _ = covering_parts(inv, verify_2covering(profile_census(inv)))
-    psi2 = psi2_structural(profile_census(inv))
+    p1, _ = covering_parts(inv, verify_2covering(profile_census(inv.q)))
+    psi2 = psi2_structural(profile_census(inv.q), inv)
     g = lambda_power(ctx, t, psi2, aut_action(inv), inv, plus=True)
     return [len(part_pattern(v, p1)) for v in g.vertices]
 

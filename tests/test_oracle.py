@@ -172,7 +172,7 @@ def test_cap_enforced(monkeypatch):
 @pytest.mark.parametrize("q", FAST_QS)
 def test_oracle_matches_structural(q, sessions):
     sess = sessions(q)
-    assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.inv)))
+    assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.inv.q), sess.inv))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +373,7 @@ def test_class_fusion_matches_rules(q, sessions):
 def test_class_fusion_matches_the_reference_list(q, sessions):
     sess = sessions(q)
     classes = reference_subgroup_classes(sess.ctx)
-    assert len(classes) > len(maximal_subgroup_classes(sess.ctx))
+    assert len(classes) > len(maximal_subgroup_classes(sess.ctx.p, sess.ctx.f))
     assert fusion_key(class_fusion(sess, classes)) == fusion_key(expected_fusion(sess, classes))
 
 
@@ -414,15 +414,15 @@ def test_the_borel_less_mutant_is_caught_at_q27(sessions, monkeypatch):
     # The list is patched in the oracle's namespace too, should it read one
     truth, real = sessions(27).psi2().near, structure.maximal_subgroup_classes
 
-    def borel_less(ctx):
-        return [sc for sc in real(ctx) if sc.kind != BOREL]
+    def borel_less(p, f):
+        return [sc for sc in real(p, f) if sc.kind != BOREL]
 
     monkeypatch.setattr(structure, "maximal_subgroup_classes", borel_less)
     monkeypatch.setattr(oracle, "maximal_subgroup_classes", borel_less, raising=False)
     inv = inventory(gf_for_q(27))
     patched = OracleSession(inv).psi2().near
     assert patched == truth
-    assert patched != psi2_structural(profile_census(inv)).near
+    assert patched != psi2_structural(profile_census(inv.q), inv).near
 
 
 def test_q9_each_a5_class_meets_one_unipotent(sessions):

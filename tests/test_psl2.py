@@ -8,11 +8,12 @@ import pytest
 from invgen.gf import gf_for_q, prime_power_split
 from invgen.psl2 import (
     ClassLabel, _fold_traces, _nonsplit_walk, _power_orders, _split_traces, _trace_keys,
-    enumerate_psl2, inventory, torus_class_counts, trace_key,
+    enumerate_psl2, inventory, signature_counts, trace_key,
 )
 from helpers import (
-    IDENTITY, canon, dickson, make, nonsplit_generator_trace, psl2_class_of, psl2_inv,
-    psl2_mul, psl2_order, ref_entries, ref_split_traces, ref_table_walk, split_key_array,
+    IDENTITY, canon, dickson, fold_signatures, make, nonsplit_generator_trace, psl2_class_of,
+    psl2_inv, psl2_mul, psl2_order, ref_entries, ref_split_traces, ref_table_walk,
+    split_key_array,
 )
 
 ORACLE_QS = [4, 5, 7, 8, 9, 11, 13]
@@ -183,16 +184,23 @@ def test_phi_over_2_labels_per_order(q):
                 for ell in range(3, n + 1) if n % ell == 0}
     assert Counter((e.label.kind, None, e.order) for e in inv
                    if e.label.kind in ("split", "nonsplit")) == expected
-    assert torus_class_counts(q) == expected
+    counts = signature_counts(*prime_power_split(q))
+    assert {sig: n for sig, n in counts.items() if sig[0] in ("split", "nonsplit")} == expected
+    # the head comes first, one class of each signature, the unipotents of order p
+    p = prime_power_split(q)[0]
+    head = ([("id", None, 1), ("inv", None, 2), ("unip", True, p), ("unip", False, p)]
+            if d == 2 else [("id", None, 1), ("unip", None, 2)])
+    assert list(counts)[:len(head)] == head and all(counts[sig] == 1 for sig in head)
 
 
 @pytest.mark.parametrize("q", [q for q in range(4, 1025) if prime_power_split(q)]
                          + [2048, 2187, 4093, 4096])
 def test_torus_class_counts_are_the_inventory_counts(q):
+    # every signature and its class count, in order, from arithmetic and
+    # from the fold of the inventory
     inv = inventory(gf_for_q(q))
-    head = len(inv.head)
-    sigs, counts = inv.signatures
-    assert torus_class_counts(q) == dict(zip(sigs[head:], counts[head:]))
+    assert list(signature_counts(inv.ctx.p, inv.ctx.f).items()) == (
+        list(fold_signatures(inv).items()))
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 11, 13])

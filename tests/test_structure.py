@@ -1,6 +1,5 @@
 import json
 import os
-from collections import Counter
 from math import gcd
 from typing import NamedTuple
 
@@ -12,9 +11,9 @@ from invgen import psl2, structure
 from invgen.autorbits import aut_action, beta_fast
 from invgen.cli import verify_qs
 from invgen.gf import gf_for_q, prime_power_split
-from invgen.iggraph import lambda_summary
+from invgen.iggraph import lambda_summary, n_lower_bound_report
 from invgen.oracle import OracleSession
-from invgen.psl2 import ClassLabel, _power_orders, inventory
+from invgen.psl2 import ClassLabel, _power_orders, inventory, signature_counts
 from invgen.structure import (
     BOREL,
     DIH_NONSPLIT,
@@ -39,6 +38,7 @@ from helpers import (
     covering_sets,
     ids,
     in_subfield,
+    inventory_census,
     isolated,
     label_profiles,
     pairs,
@@ -53,6 +53,7 @@ from helpers import (
     ref_psi2_count,
     ref_quotient_summary,
     ref_signature,
+    signature_positions,
     ref_summary,
     reference_census,
     reference_label_profiles,
@@ -79,7 +80,7 @@ def by_kind(classes):
 # ---------------------------------------------------------------------------
 
 def test_subgroups_q7():
-    kinds = by_kind(maximal_subgroup_classes(gf_for_q(7)))
+    kinds = by_kind(maximal_subgroup_classes(7, 1))
     assert kinds[BOREL] == [SubgroupClass(BOREL)]
     assert kinds[DIH_SPLIT] == [SubgroupClass(DIH_SPLIT)]  # not maximal, listed
     assert kinds[DIH_NONSPLIT] == [SubgroupClass(DIH_NONSPLIT)]  # not maximal, listed
@@ -89,8 +90,8 @@ def test_subgroups_q7():
 
 def test_subgroup_class_is_hashable_and_immutable():
     assert SubgroupClass._fields == ("kind", "variant", "q0")
-    classes = maximal_subgroup_classes(gf_for_q(27))
-    again = maximal_subgroup_classes(gf_for_q(27))
+    classes = maximal_subgroup_classes(3, 3)
+    again = maximal_subgroup_classes(3, 3)
     assert len(set(classes) | set(again)) == len(classes)
     sc = SubgroupClass(SUBFIELD_PSL, q0=3)
     assert sc in set(classes) and hash(sc) == hash(classes[classes.index(sc)])
@@ -107,7 +108,7 @@ def reference_orders(ctx) -> dict:
 
 def test_subgroups_q9():
     ctx = gf_for_q(9)
-    kinds = by_kind(maximal_subgroup_classes(ctx))
+    kinds = by_kind(maximal_subgroup_classes(ctx.p, ctx.f))
     assert kinds[EXC_A5] == [SubgroupClass(EXC_A5, variant=v) for v in (1, 2)]
     assert set(kinds) == {BOREL, DIH_SPLIT, DIH_NONSPLIT, EXC_A5}  # no PGL(2,3)
     orders = reference_orders(ctx)
@@ -116,7 +117,7 @@ def test_subgroups_q9():
 
 def test_subgroups_q8():
     ctx = gf_for_q(8)
-    kinds = by_kind(maximal_subgroup_classes(ctx))
+    kinds = by_kind(maximal_subgroup_classes(ctx.p, ctx.f))
     assert kinds == {k: [SubgroupClass(k)] for k in (BOREL, DIH_SPLIT, DIH_NONSPLIT)}
     orders = reference_orders(ctx)
     assert [orders[k] for k in (BOREL, DIH_SPLIT, DIH_NONSPLIT)] == [56, 14, 18]
@@ -125,19 +126,19 @@ def test_subgroups_q8():
 def test_subgroups_congruence_cases():
     for q in (5, 13):  # 5 and 13 mod 40: A4 is maximal, but its class set is a dihedral's
         ctx = gf_for_q(q)
-        assert EXC_A4 not in by_kind(maximal_subgroup_classes(ctx))
+        assert EXC_A4 not in by_kind(maximal_subgroup_classes(ctx.p, ctx.f))
         assert reference_orders(ctx)[EXC_A4] == 12
-    kinds11 = by_kind(maximal_subgroup_classes(gf_for_q(11)))
+    kinds11 = by_kind(maximal_subgroup_classes(11, 1))
     assert len(kinds11[EXC_A5]) == 2 and EXC_S4 not in kinds11
-    kinds31 = by_kind(maximal_subgroup_classes(gf_for_q(31)))
+    kinds31 = by_kind(maximal_subgroup_classes(31, 1))
     assert len(kinds31[EXC_A5]) == 2 and len(kinds31[EXC_S4]) == 1
-    kinds25 = by_kind(maximal_subgroup_classes(gf_for_q(25)))
+    kinds25 = by_kind(maximal_subgroup_classes(5, 2))
     assert set(kinds25) == {BOREL, DIH_SPLIT, DIH_NONSPLIT}  # no PGL(2,5); p = 5 has no A5
-    kinds27 = by_kind(maximal_subgroup_classes(gf_for_q(27)))
+    kinds27 = by_kind(maximal_subgroup_classes(3, 3))
     assert kinds27[SUBFIELD_PSL] == [SubgroupClass(SUBFIELD_PSL, q0=3)]
-    kinds64 = by_kind(maximal_subgroup_classes(gf_for_q(64)))
+    kinds64 = by_kind(maximal_subgroup_classes(2, 6))
     assert kinds64[SUBFIELD_PSL] == [SubgroupClass(SUBFIELD_PSL, q0=4)]  # no PGL(2,8)
-    kinds16 = by_kind(maximal_subgroup_classes(gf_for_q(16)))
+    kinds16 = by_kind(maximal_subgroup_classes(2, 4))
     assert set(kinds16) == {BOREL, DIH_SPLIT, DIH_NONSPLIT}  # no PGL(2,4)
 
 
@@ -147,11 +148,11 @@ def test_dropped_records_lie_inside_a_listed_class_set(q):
     # only classes that some one listed record meets too, so it adds no
     # Psi2 pair
     ctx = gf_for_q(q)
-    sigs = inventory(ctx).signatures[0][1:]
-    listed = maximal_subgroup_classes(ctx)
+    sigs = list(signature_counts(ctx.p, ctx.f))[1:]
+    listed = maximal_subgroup_classes(ctx.p, ctx.f)
 
     def meets(sc):
-        return {sig for sig in sigs if reference_meets(ctx, sig, sc)}
+        return {sig for sig in sigs if reference_meets(q, sig, sc)}
 
     for sc in reference_subgroup_classes(ctx):
         if sc.id not in {other.id for other in listed}:
@@ -161,8 +162,8 @@ def test_dropped_records_lie_inside_a_listed_class_set(q):
 @pytest.mark.parametrize("q", ALL_QS)
 def test_psi2_equals_the_reference_list_psi2(q):
     inv = inventory(gf_for_q(q))
-    assert psi2_structural(profile_census(inv)).near == (
-        psi2_structural(reference_census(inv)).near)
+    assert psi2_structural(profile_census(q), inv).near == (
+        psi2_structural(reference_census(inv), inv).near)
 
 
 @pytest.mark.skipif(not EXTENDED, reason="the reference list past q = 1024 needs INVGEN_EXTENDED=1")
@@ -171,11 +172,11 @@ def test_counts_equal_the_reference_list_counts_extended():
     # to 4096, odd f = 11 and the largest f within the verify cap
     for q in [q for q in range(4, 4097) if prime_power_split(q)] + [3 ** 11, 2 ** 18]:
         inv = inventory(gf_for_q(q))
-        census, ref = profile_census(inv), reference_census(inv)
+        census, ref = profile_census(inv.q), reference_census(inv)
         cover, ref_cover = verify_2covering(census), verify_2covering(ref)
         assert (census.psi2_count, beta_fast(census), cover.sides) == (
             ref.psi2_count, beta_fast(ref), ref_cover.sides), q
-        assert lambda_summary(census, cover) == lambda_summary(ref, ref_cover), q
+        assert lambda_summary(census, cover, inv) == lambda_summary(ref, ref_cover, inv), q
 
 
 @pytest.mark.parametrize("q", MANDATORY_QS + [16, 25, 27, 31, 64, 81])
@@ -193,11 +194,10 @@ def test_subgroup_orders_divide_group_order(q):
 def test_build_profiles_match_per_label_reference(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    classes = maximal_subgroup_classes(ctx)
-    sigs, of_entry = inv.signatures[0], inv.class_signatures
-    assert [sigs[i] for i in of_entry] == [ref_signature(e) for e in inv]
-    assert len(set(sigs)) == len(sigs)
-    assert len(build_profiles(inv, classes)) == len(sigs)
+    classes = maximal_subgroup_classes(ctx.p, ctx.f)
+    sigs = list(signature_counts(ctx.p, ctx.f))
+    assert set(sigs) == {ref_signature(e) for e in inv}
+    assert len(build_profiles(q, sigs, classes)) == len(sigs)
     assert label_profiles(inv, classes) == ref_profiles(ctx, inv, classes)
 
 
@@ -216,7 +216,7 @@ def test_profiles_q7_exact():
     ctx = gf_for_q(7)
     inv = inventory(ctx)
     profs = {lab.str_form(): sorted(ids) for lab, ids in
-             label_profiles(inv, maximal_subgroup_classes(ctx)).items()}
+             label_profiles(inv, maximal_subgroup_classes(ctx.p, ctx.f)).items()}
     assert profs["inv"] == ["dih_nonsplit", "dih_split", "exc_s4"]
     assert profs["split:t=1"] == ["borel", "dih_split", "exc_s4"]
     assert profs["nonsplit:t=3"] == ["dih_nonsplit", "exc_s4"]
@@ -228,7 +228,7 @@ def test_profiles_q9_variant_split():
     ctx = gf_for_q(9)
     inv = inventory(ctx)
     profs = {lab.str_form(): ids for lab, ids in
-             label_profiles(inv, maximal_subgroup_classes(ctx)).items()}
+             label_profiles(inv, maximal_subgroup_classes(ctx.p, ctx.f)).items()}
     for n5 in ("nonsplit:t=4", "nonsplit:t=5"):
         assert {"dih_nonsplit", "exc_a5:v1", "exc_a5:v2"} <= profs[n5]
     assert "exc_a5:v1" in profs["unip:sq"] and "exc_a5:v2" not in profs["unip:sq"]
@@ -267,7 +267,7 @@ def test_profiles_q25_subfield_traces():
 def test_profile_invariants(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    profs = label_profiles(inv, maximal_subgroup_classes(ctx))
+    profs = label_profiles(inv, maximal_subgroup_classes(ctx.p, ctx.f))
     for entry in inv:
         if entry.label.kind == "id":
             continue
@@ -288,7 +288,7 @@ def test_profile_invariants(q):
 
 def test_psi2_q5_exact():
     ctx = gf_for_q(5)
-    table = psi2_structural(profile_census(inventory(ctx)))
+    table = psi2_structural(profile_census(ctx.q), inventory(ctx))
     n3 = ClassLabel("nonsplit", 1)
     usq = ClassLabel("unip", sq=True)
     unsq = ClassLabel("unip", sq=False)
@@ -298,7 +298,7 @@ def test_psi2_q5_exact():
 def test_psi2_q7():
     ctx = gf_for_q(7)
     inv = inventory(ctx)
-    table = psi2_structural(profile_census(inv))
+    table = psi2_structural(profile_census(inv.q), inv)
     assert len(table) == 8
     assert isolated(table) == {ClassLabel("split", 1)}
 
@@ -306,7 +306,7 @@ def test_psi2_q7():
 def test_psi2_q9():
     ctx = gf_for_q(9)
     inv = inventory(ctx)
-    table = psi2_structural(profile_census(inv))
+    table = psi2_structural(profile_census(inv.q), inv)
     s4 = ClassLabel("split", 3)
     psi2_pairs = {(a.str_form(), b.str_form()) for a, b in pairs(table)}
     assert psi2_pairs == {
@@ -319,7 +319,7 @@ def test_psi2_q9():
 @pytest.mark.parametrize("q", MANDATORY_QS + [16, 17, 19, 23, 25, 27, 29, 31, 49])
 def test_psi2_symmetry_and_no_identity(q):
     ctx = gf_for_q(q)
-    psi2_pairs = pairs(psi2_structural(profile_census(inventory(ctx))))
+    psi2_pairs = pairs(psi2_structural(profile_census(ctx.q), inventory(ctx)))
     for a, b in psi2_pairs:
         assert (b, a) in psi2_pairs
         assert a.kind != "id" and b.kind != "id"
@@ -328,7 +328,7 @@ def test_psi2_symmetry_and_no_identity(q):
 
 def test_psi2_serialization():
     ctx = gf_for_q(5)
-    table = psi2_structural(profile_census(inventory(ctx)))
+    table = psi2_structural(profile_census(ctx.q), inventory(ctx))
     js = json.loads("".join(table.json_chunks({"probability": 0.16})))
     assert js["q"] == 5 and js["method"] == "structural" and js["count"] == 4
     assert js["pairs"] == sorted(js["pairs"]) and js["probability"] == 0.16
@@ -351,7 +351,7 @@ def assert_blocks_match_rows(table):
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 16, 25, 49, 64, 81, 121])
 def test_text_blocks_match_rows_structural(q):
     ctx = gf_for_q(q)
-    assert_blocks_match_rows(psi2_structural(profile_census(inventory(ctx))))
+    assert_blocks_match_rows(psi2_structural(profile_census(ctx.q), inventory(ctx)))
 
 
 @pytest.mark.parametrize("q", MANDATORY_QS)
@@ -436,8 +436,8 @@ def test_psi2_table_len_is_the_pair_count():
     labels = inventory(gf_for_q(5)).nonidentity_labels()
     table = Psi2Table(5, "structural", labels, [(1, 2), (), (0,), (0, 1, 2)])
     assert len(table) == sum(map(len, table.near)) == len(rows(table))
-    census = profile_census(inventory(gf_for_q(13)))
-    assert len(psi2_structural(census)) == census.psi2_count
+    census = profile_census(13)
+    assert len(psi2_structural(census, inventory(gf_for_q(13)))) == census.psi2_count
 
 
 def test_text_blocks_sort_names_per_tuple_and_skip_empty():
@@ -464,7 +464,7 @@ def test_text_blocks_sort_names_per_tuple_and_skip_empty():
 def test_covering_q7_empty_both():
     ctx = gf_for_q(7)
     inv = inventory(ctx)
-    cov = verify_2covering(profile_census(inv))
+    cov = verify_2covering(profile_census(inv.q))
     _, only_dihedral, both = covering_sets(inv, cov)
     assert cov.ok and both == set()
     assert {l.str_form() for l in only_dihedral} == {"inv", "nonsplit:t=3"}
@@ -473,14 +473,14 @@ def test_covering_q7_empty_both():
 def test_covering_q13_both_is_involution():
     ctx = gf_for_q(13)
     inv = inventory(ctx)
-    cov = verify_2covering(profile_census(inv))
+    cov = verify_2covering(profile_census(inv.q))
     assert cov.ok and {l.str_form() for l in covering_sets(inv, cov)[2]} == {"inv"}
 
 
 def test_covering_q8_both_is_unipotent():
     ctx = gf_for_q(8)
     inv = inventory(ctx)
-    cov = verify_2covering(profile_census(inv))
+    cov = verify_2covering(profile_census(inv.q))
     assert cov.ok and {l.str_form() for l in covering_sets(inv, cov)[2]} == {"unip"}
 
 
@@ -488,7 +488,7 @@ def test_covering_holds_widely():
     for q in range(4, 200):
         if prime_power_split(q):
             ctx = gf_for_q(q)
-            assert verify_2covering(profile_census(inventory(ctx))).ok, q
+            assert verify_2covering(profile_census(ctx.q)).ok, q
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +499,7 @@ def test_covering_holds_widely():
 def test_census_count_matches_explicit(q):
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    assert profile_census(inv).psi2_count == len(psi2_structural(profile_census(inv)))
+    assert profile_census(inv.q).psi2_count == len(psi2_structural(profile_census(inv.q), inv))
 
 
 @pytest.mark.parametrize("q", MANDATORY_QS + [16, 25, 27, 49, 64, 81, 121, 128, 243, 256])
@@ -507,14 +507,14 @@ def test_psi2_equals_label_pair_sweep(q):
     # reference: test every unordered label pair for profile disjointness
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    profs = label_profiles(inv, maximal_subgroup_classes(ctx))
+    profs = label_profiles(inv, maximal_subgroup_classes(ctx.p, ctx.f))
     labels = inv.nonidentity_labels()
     expected = set()
     for i, c in enumerate(labels):
         for d in labels[i:]:
             if profs[c].isdisjoint(profs[d]):
                 expected |= {(c, d), (d, c)}
-    assert pairs(psi2_structural(profile_census(inv))) == expected
+    assert pairs(psi2_structural(profile_census(inv.q), inv)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -529,17 +529,17 @@ def test_signature_route_matches_label_reference(q):
     entries = ref_entries(ctx)
     assert len(inv) == len(entries)  # the class count
     assert inv.entries == entries
-    census = profile_census(inv)
+    census = profile_census(q)
     labels, buckets, members, _ = ref_census(ctx, entries)
     assert [ids(census.universe, b) for b in census.buckets] == buckets
     assert census.sizes == [len(m) for m in members]
     assert census.psi2_count == ref_psi2_count(buckets, members)
-    assert [[labels[i] for i in mem] for mem in census.members()] == members
+    assert [[labels[i] for i in mem] for mem in census.members(inv)] == members
     cover = verify_2covering(census)
     ok, only_borel, only_dihedral, both = ref_covering(ctx, entries)
     assert cover.ok == ok
     assert covering_sets(inv, cover) == (only_borel, only_dihedral, both)
-    assert lambda_summary(census, cover) == ref_summary(ctx, entries)
+    assert lambda_summary(census, cover, inv) == ref_summary(ctx, entries)
     assert beta_fast(census) == ref_beta_fast(ctx, entries, aut_action(inv))
 
 
@@ -550,11 +550,10 @@ def test_census_matches_class_index_reference(q):
     # covering rules run again
     ctx = gf_for_q(q)
     inv = inventory(ctx)
-    census = profile_census(inv)
+    census = profile_census(q)
     ref, members, sides = ref_index_census(ctx, inv)
-    sigs, of_class = ref_class_signatures(inv)
-    counts = Counter(of_class)
-    assert inv.signatures == (sigs, [counts[s] for s in range(len(sigs))])
+    _, of_class = ref_class_signatures(inv)
+    assert list(census.signatures.items()) == list(ref.signatures.items())
     assert census.profiles == ref.profiles
     assert (census.buckets, census.sizes, census.sig_bucket, census.disjoint,
             census.psi2_count) == (
@@ -566,11 +565,11 @@ def test_census_matches_class_index_reference(q):
     dead = {b for b in range(len(ref.buckets))
             if all(j == b for i, j in ref.disjoint if i == b)}
     names = sorted(str(inv.entries[i + 1].label) for b in dead for i in members[b])
-    expected = lambda_summary(ref, CoveringResult(all(sides[1:]), sides))._replace(
+    expected = lambda_summary(ref, CoveringResult(all(sides[1:]), sides), inv)._replace(
         isolated=names)
-    assert lambda_summary(census, cover) == expected
-    assert lambda_summary(census, cover) == ref_quotient_summary(census, cover)
-    assert census.members() == members and inv.class_signatures == of_class
+    assert lambda_summary(census, cover, inv) == expected
+    assert lambda_summary(census, cover, inv) == ref_quotient_summary(census, cover, inv)
+    assert census.members(inv) == members and signature_positions(inv) == of_class
 
 
 @pytest.mark.parametrize("q", [q for q in range(4, 1025) if prime_power_split(q)])
@@ -578,9 +577,9 @@ def test_census_on_masks_matches_the_frozenset_reference(q):
     # every census field against the census on frozensets of subgroup ids,
     # whose buckets are sorted by their sorted ids
     inv = inventory(gf_for_q(q))
-    census = profile_census(inv)
+    census = profile_census(inv.q)
     buckets, sizes, sig_bucket, disjoint, profiles, count = ref_frozenset_census(inv)
-    assert census.universe == maximal_subgroup_classes(inv.ctx)
+    assert census.universe == maximal_subgroup_classes(inv.ctx.p, inv.ctx.f)
     assert [ids(census.universe, m) for m in census.profiles] == profiles
     assert census.buckets == sorted(census.buckets)
     named = [ids(census.universe, b) for b in census.buckets]
@@ -595,18 +594,53 @@ def test_census_on_masks_matches_the_frozenset_reference(q):
 @pytest.mark.parametrize("q", [7, 9, 13, 64, 729, 1021])
 def test_verify_runs_each_rule_once(q, monkeypatch):
     # one label_meets call per signature and listed record, the
-    # covering included; the per-class signature index is built only at
-    # q = 7, where a torus class is isolated and named
-    calls = []
-    meets, make = structure.label_meets, psl2.inventory
+    # covering included; the inventory's classes are placed in buckets
+    # only at q = 7, where a torus class is isolated and named
+    calls, placed = [], []
+    meets, make, members = structure.label_meets, psl2.inventory, structure.ProfileCensus.members
     monkeypatch.setattr(structure, "label_meets", lambda *a: calls.append(a) or meets(*a))
+    monkeypatch.setattr(structure.ProfileCensus, "members",
+                        lambda census, inv: placed.append(inv) or members(census, inv))
     invs = []
     monkeypatch.setattr(psl2, "inventory", lambda ctx: invs.append(make(ctx)) or invs[-1])
     ctx = gf_for_q(q)
-    assert all(next(verify_qs([(ctx, False)])).values())
+    checks, details = next(verify_qs([(ctx, False)]))
+    assert all(checks.values()) and details == {}
     inv, = invs
-    assert len(calls) == len(inv.signatures[0]) * len(maximal_subgroup_classes(ctx))
-    assert ("class_signatures" in vars(inv)) == (q == 7)
+    assert len(calls) == len(signature_counts(ctx.p, ctx.f)) * len(
+        maximal_subgroup_classes(ctx.p, ctx.f))
+    assert placed == ([inv] if q == 7 else [])
+
+
+def assert_census_is_the_fold_census(q):
+    """The census from q's arithmetic equals the census over the inventory's
+    fold, field by field, and so do all the figures read off it."""
+    inv = inventory(gf_for_q(q))
+    census, ref = profile_census(q), inventory_census(inv)
+    assert list(census.signatures.items()) == list(ref.signatures.items()), q
+    assert census == ref, q  # buckets, sizes, disjoint, profiles, psi2_count, ...
+    cover, ref_cover = verify_2covering(census), verify_2covering(ref)
+    assert cover == ref_cover, q
+    assert beta_fast(census) == beta_fast(ref), q
+    # the report reads q, |Psi2| and d*f, which census == ref compares; its
+    # exact bound costs up to 0.09 s a side, so past beta = 52,326 (q = 1024)
+    # it is compared only that way
+    if census.psi2_count // census.out_order <= 52_326:
+        assert n_lower_bound_report(census) == n_lower_bound_report(ref), q
+    assert lambda_summary(census, cover, inv) == lambda_summary(ref, ref_cover, inv), q
+
+
+@pytest.mark.parametrize("q", ALL_QS)
+def test_census_from_arithmetic_is_the_fold_census(q):
+    assert_census_is_the_fold_census(q)
+
+
+@pytest.mark.skipif(not EXTENDED, reason="q past 1024 needs INVGEN_EXTENDED=1")
+def test_census_from_arithmetic_is_the_fold_census_extended():
+    # every prime power up to 4096, odd f = 11 and the largest f within the
+    # verify cap
+    for q in [q for q in range(1025, 4097) if prime_power_split(q)] + [3 ** 11, 2 ** 18]:
+        assert_census_is_the_fold_census(q)
 
 
 @given(st.integers(1, 5000), st.sampled_from([1, 2]), st.integers(0, 5000))

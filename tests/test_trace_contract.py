@@ -84,6 +84,9 @@ def test_beta_counts_without_the_orbit_partition(tmp_path):
     assert spans["autorbits.beta_fast"] == 1
     assert "autorbits.action" not in spans
     assert counters["structure.census_calls"] == 1
+    # the census is q's arithmetic: no field and no class inventory
+    assert "gf.build" not in spans and "psl2.inventory" not in spans
+    assert "gf.contexts" not in counters
 
 
 def test_power_graph_builds_the_partition_once(tmp_path):
@@ -98,6 +101,8 @@ def test_power_graph_builds_the_partition_once(tmp_path):
     assert spans["autorbits.beta"] == spans["autorbits.action"] == 1
     assert counters["autorbits.orbits"] == 4
     assert counters["structure.census_calls"] == 1
+    # the partition names classes: one field and one inventory
+    assert counters["gf.contexts"] == counters["psl2.inventory_calls"] == 1
 
 
 def test_psi2_both_runs_each_route_once(tmp_path):
