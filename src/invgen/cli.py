@@ -167,19 +167,24 @@ def cmd_classes(args) -> int:
 
 def cmd_psi2(args) -> int:
     from invgen.psl2 import inventory
-    from invgen.structure import profile_census, psi2_structural
+    from invgen.structure import EDGE_CAP, profile_census, psi2_structural
 
-    ctx = GFContext(*_field(args))
+    p, f = _field(args)
+    q = p ** f
     if args.method != "structural":
         from invgen.oracle import MAX_Q, OracleCapError, OracleSession
 
         cap = min(_oracle_cap(), MAX_Q)
-        if ctx.q > cap:
-            raise OracleCapError(f"q={ctx.q} exceeds oracle cap {cap}")
-    inv = inventory(ctx)
+        if q > cap:
+            raise OracleCapError(f"q={q} exceeds oracle cap {cap}")
+    census = profile_census(q)  # from q's arithmetic: the table's size before any field
+    if census.psi2_count // 2 > EDGE_CAP:
+        raise CapError(f"Psi2 has {census.psi2_count // 2} unordered pairs, above {EDGE_CAP}, "
+                       "the most it writes")
+    inv = inventory(GFContext(p, f))
     tables = {}
     if args.method in ("structural", "both"):
-        tables["structural"] = psi2_structural(profile_census(ctx.q), inv)
+        tables["structural"] = psi2_structural(census, inv)
     if args.method in ("oracle", "both"):
         tables["oracle"] = OracleSession(inv).psi2()
     table = tables["structural" if args.method == "structural" else "oracle"]
@@ -201,22 +206,31 @@ def cmd_psi2(args) -> int:
             tail.append(f"match={match}\n")
         _emit(chain(table.text_blocks("  "), tail), args.out)
     if match is False:
-        print(f"psi2 mismatch between methods at q={ctx.q}", file=sys.stderr)
+        print(f"psi2 mismatch between methods at q={q}", file=sys.stderr)
         return EXIT_FAIL
     return EXIT_OK
 
 
 def cmd_graph(args) -> int:
     from invgen.iggraph import (
-        EDGE_CAP, GraphCapError, components, diameter, graph_to_json, is_bipartite,
-        lambda_graph, lambda_power, to_dot,
+        GraphCapError, components, diameter, graph_to_json, is_bipartite, lambda_graph,
+        lambda_power, to_dot,
     )
     from invgen.psl2 import inventory
-    from invgen.structure import profile_census, psi2_structural
+    from invgen.structure import EDGE_CAP, profile_census, psi2_structural
 
-    ctx = GFContext(*_field(args))
+    p, f = _field(args)
+    census = profile_census(p ** f)
+
+    def refuse(edges: int) -> None:
+        if edges > EDGE_CAP:
+            raise GraphCapError(f"graph has {edges} edges, above {EDGE_CAP}, the most it writes")
+
+    if args.power == 1:  # the Psi2 pairs, with or without plus: known before any field
+        refuse(census.psi2_count // 2)
+    ctx = GFContext(p, f)
     inv = inventory(ctx)
-    psi2 = psi2_structural(profile_census(ctx.q), inv)
+    psi2 = psi2_structural(census, inv)
     if args.power == 1:
         g = lambda_graph(psi2, plus=args.plus)
     else:
@@ -227,8 +241,7 @@ def cmd_graph(args) -> int:
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     edges = g.edge_count()
-    if edges > EDGE_CAP:
-        raise GraphCapError(f"graph has {edges} edges, above {EDGE_CAP}, the most it writes")
+    refuse(edges)
     if args.format == "dot":
         _emit(to_dot(g), args.out)
     else:
@@ -318,13 +331,14 @@ def verify_qs(runs: Iterable[tuple[GFContext, bool]]) -> Iterator[tuple[dict, di
             continue
         cover = verify_2covering(census)
         s, b = lambda_summary(census, cover, inv), beta_fast(census)
+        isolated = sorted(expected_isolated(inv))
         checks = {
             "class_count": True,
             "two_covering": cover.ok,
             "bipartite": s.bipartite and s.parts_match_covering,
             "connected": s.component_count == 1,
             "diameter": s.diameter <= 3,
-            "isolated_census": set(s.isolated) == expected_isolated(inv),
+            "isolated_census": s.isolated == isolated,  # both sorted
             "beta_even": b % 2 == 0,
             # implied by the closed form beta = (|Psi2| + fix(diag))/(d*f) of
             # ``autorbits``: 0 <= fix(diag) <= |Psi2| and d*f >= 2, so it cannot fail
@@ -334,6 +348,8 @@ def verify_qs(runs: Iterable[tuple[GFContext, bool]]) -> Iterator[tuple[dict, di
             checks["probability"] = abs(census.psi2_count / len(inv) ** 2 - 0.5) <= 10 / q
             checks["psi2_asymptotic"] = 0.8 <= census.psi2_count * 2 * inv.d ** 2 / (q * q) <= 1.2
         details = {}
+        if s.isolated != isolated:
+            details["isolated_census"] = {"expected": isolated, "got": s.isolated}
         if oracle:
             by_oracle = _pair_names(OracleSession(inv).psi2())
             by_rules = _pair_names(psi2_structural(census, inv))

@@ -18,40 +18,39 @@ neither are those with a partnerless coordinate, and any tuple still
 isolated is dropped by one re-index.
 
 Adjacency is stored as one integer bitmask per vertex: bit j of
-``nbrs[i]`` is set when vertices i and j are adjacent.  Components,
-bipartiteness and diameter all read one BFS routine over those masks,
-``IGGraph.analysis``, run once per graph.
-
-Vertices with one neighbour mask are twins, and the work that depends only
-on the mask is done once per twin class.  These graphs have few classes
-(the q = 256 plus graph has 2 among 255 vertices, the q = 13, t = 3 power
-graph 22 among 343).  Construction checks the loop and range conditions
-per vertex but symmetry per class: every neighbour of the class must list
-all of its members, which is the per-edge check regrouped.  Twins have
-equal eccentricity (``_analyse`` gives the argument), so one BFS
-per class is enough.  The exporters are generators that write one chunk
-per vertex or row, each class naming and sorting its neighbours once, and
-read the components and the parts (written exactly when the graph is
-bipartite) off ``IGGraph.analysis``; ``graph_to_json`` writes through
+``nbrs[i]`` is set when vertices i and j are adjacent.  Vertices with one
+nonzero neighbour mask are twins, and ``IGGraph`` groups them into twin
+classes once, numbered by first vertex, each isolated vertex a class of
+its own.  These graphs have few classes (the q = 256 plus graph has 2
+among 255 vertices, the q = 13, t = 3 power graph 22 among 343).
+Construction checks the loop and range conditions per vertex but symmetry
+per pair of adjacent classes, each listing all members of the other, which
+is the per-edge check regrouped; the same walk builds the quotient, one
+mask of adjacent classes per class.  Components, bipartiteness and
+diameter all read ``IGGraph.analysis``: ``_analyse``, one BFS from each
+class over the quotient's masks, lifted back to the vertices.  The
+exporters are generators that write one chunk per vertex or row, each
+class naming and sorting its neighbours once, and read the components and
+the parts (written exactly when the graph is bipartite) off
+``IGGraph.analysis``; ``graph_to_json`` writes through
 ``structure.json_document``, which streams the edge list without building
 it.  ``n_lower_bound_report`` returns the JSON object ``beta`` prints: a
 lower bound on the component count of the power graph, the exact
 half-binomial (1/2) * C(beta, beta/2) for beta up to ``BOUND_BETA_CAP``,
 multiplied out from its prime factorisation in balanced product trees of
-ints and of decimals, so its decimal text never passes through a big
-int.  Clique and chromatic numbers need no solver: every
-graph built here is bipartite, since colouring a vertex by the side of the
-{Borel, nonsplit dihedral} 2-covering that its first coordinate meets
-gives adjacent vertices different colours (one that meets both sides is
-isolated), so both numbers are 2 whenever there is an edge.
+ints and of decimals, so its decimal text never passes through a big int.
+Clique and chromatic numbers need no solver: every graph built here is
+bipartite, since colouring a vertex by the side of the {Borel, nonsplit
+dihedral} 2-covering that its first coordinate meets gives adjacent
+vertices different colours (one that meets both sides is isolated), so
+both numbers are 2 whenever there is an edge.
 
 ``lambda_summary`` answers the standard per-q questions without building
-the label-level graph: labels with identical profiles have
-identical neighborhoods, so the quotient by profile buckets (a blow-up
-relationship) determines component count, bipartiteness, diameter and
-isolated vertices exactly, the fields of ``LambdaSummary``; it runs
-``_analyse``, the BFS routine behind ``IGGraph.analysis``, on the quotient's
-masks, which are symmetric and loop-free by construction.
+the label-level graph: labels with identical profiles have identical
+neighbourhoods, so it runs ``_analyse`` on the quotient by profile buckets
+(a blow-up relationship) with the bucket sizes, which determines component
+count, bipartiteness, diameter and isolated vertices exactly, the fields
+of ``LambdaSummary``.
 """
 
 from __future__ import annotations
@@ -77,11 +76,6 @@ if TYPE_CHECKING:  # loaded by ``lambda_power`` alone, so t = 1 never imports it
 # is the work of ``lambda_power``.  2^29 admits q = 8 and 11 at t = 5 with
 # plus (7^5 tuples each) and refuses q = 8 at t = 5 without it (8^5).
 POWER_WORK_CAP = 1 << 29
-# Edges a graph may have for ``graph`` to write it: checked once its masks
-# exist, before any output.  2^22 admits q = 13 at t = 5 with plus
-# (2,013,840 edges, 254 MB of JSON) and refuses q = 293 at t = 2 with plus
-# (58,357,660 edges, over 1.7 GB at 30 bytes an edge).
-EDGE_CAP = 1 << 22
 # The largest beta whose exact (1/2) * C(beta, beta/2) is built: beta at
 # q = 4096, whose factor list, int product and decimal text take about
 # 0.09 s, against 3 ms at q = 1024 (beta = 52,326; in-process, 2-core Xeon
@@ -103,22 +97,18 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _analyse(nbrs: list[int]) -> tuple[list[int], int | None, int]:
-    """(components, odd, diameter) from one BFS from the first vertex of
-    each component and of each other twin class with a neighbour.  The
-    component masks are ordered by first vertex; odd masks the odd BFS
-    layers from each component's first vertex, or is None when an edge
-    joins two vertices of one layer, exactly when the graph is not
-    bipartite.  Twins u != v with N(u) = N(v) not empty are not adjacent
-    (that would be a loop), so d(u, v) = 2, and every path from u to
-    another w leaves through N(u) = N(v): twins have one eccentricity."""
-    comps, searched = [], set()  # the masks searched from
+def _analyse(nbrs: list[int], sizes: list[int]) -> tuple[list[int], int | None, int]:
+    """(components, odd, diameter) of the symmetric loop-free masks ``nbrs``,
+    vertex i standing for ``sizes[i]`` twins, by a BFS from every vertex.
+    Components are masks ordered by first vertex; odd masks the odd layers
+    from each component's first vertex, or is None (the graph is not
+    bipartite) when an edge joins two vertices of one layer.  Twins u != v
+    are not adjacent (a loop), so d(u, v) = 2 when N(u) = N(v) is not empty,
+    and every path from u leaves through N(u): twins share one eccentricity,
+    and a class of two or more with a neighbour makes the diameter 2 or more."""
+    comps = []
     odd = ecc = seen = 0
-    for i, mask in enumerate(nbrs):
-        root = not seen >> i & 1
-        if not root and (not mask or mask in searched):
-            continue
-        searched.add(mask)
+    for i in range(len(nbrs)):
         layers, inner, frontier, reached = [], 0, 1 << i, 1 << i
         while frontier:  # layer k holds the vertices at distance k from i
             layers.append(frontier)
@@ -131,11 +121,11 @@ def _analyse(nbrs: list[int]) -> tuple[list[int], int | None, int]:
             frontier = reach & ~reached
             reached |= frontier
         ecc = max(ecc, len(layers) - 1)
-        if root:
+        if not seen >> i & 1:
             comps.append(sum(layers))  # the layers are disjoint: their sum is their union
             seen |= comps[-1]
             odd = None if odd is None or inner else odd | sum(layers[1::2])
-    return comps, odd, ecc
+    return comps, odd, max(ecc, 2 * any(size > 1 and mask for size, mask in zip(sizes, nbrs)))
 
 
 class IGGraph:
@@ -147,17 +137,31 @@ class IGGraph:
         self.nbrs = nbrs  # bit j of nbrs[i]: vertices[i] and vertices[j] are adjacent
         if len(self.nbrs) != len(self.vertices):
             raise RuntimeError("one neighbour mask per vertex is required")
-        twins: dict[int, int] = {}  # neighbour mask -> bitmask of the vertices with it
+        twins: dict[int, int] = {}  # neighbour mask, or ~i for an isolated i -> its vertices
         for i, mask in enumerate(self.nbrs):
             if mask < 0 or mask >> len(self.vertices):
                 raise RuntimeError("neighbour bit past the last vertex")
             if mask >> i & 1:
                 raise RuntimeError("loops are not allowed")
-            twins[mask] = twins.get(mask, 0) | 1 << i
-        for mask, members in twins.items():
-            if any(self.nbrs[j] & members != members for j in _bits(mask)):
-                raise RuntimeError("adjacency is not symmetric")
-        self.analysis = _analyse(nbrs)  # read by the analyses below and the exporters
+            twins[mask or ~i] = twins.get(mask or ~i, 0) | 1 << i
+        members = list(twins.values())  # per twin class, by first vertex: the mask of its vertices
+        number = dict(zip(twins, range(len(members))))
+        self.twin = [number[mask or ~i] for i, mask in enumerate(self.nbrs)]  # each vertex's class
+        self.classes = [(own & -own).bit_length() - 1 for own in members]  # first vertices
+        quotient = []  # per twin class, the mask of the classes adjacent to it
+        for head, own in zip(self.classes, members):
+            near, rest = 0, self.nbrs[head]
+            while rest:  # one neighbour per adjacent class: it and its twins must list own
+                d = self.twin[(rest & -rest).bit_length() - 1]
+                if self.nbrs[self.classes[d]] & own != own:
+                    raise RuntimeError("adjacency is not symmetric")
+                near |= 1 << d
+                rest &= ~members[d]
+            quotient.append(near)
+        comps, odd, ecc = _analyse(quotient, [own.bit_count() for own in members])
+        lifted = [sum(map(members.__getitem__, _bits(x))) for x in (*comps, odd or 0)]
+        # on the vertices, read by the analyses below and the exporters
+        self.analysis = lifted[:-1], None if odd is None else lifted[-1], ecc
 
     def edge_count(self) -> int:
         return sum(mask.bit_count() for mask in self.nbrs) // 2
@@ -422,8 +426,7 @@ def lambda_summary(census: ProfileCensus, cover: CoveringResult,
 
     Same-profile labels are twins (identical neighborhoods, never mutually
     adjacent), so the quotient graph on the buckets with a neighbor
-    determines everything reported here; twins sit at distance exactly 2,
-    which lifts the diameter to 2 when a live bucket has two members.
+    determines everything reported here, ``_analyse`` lifting the diameter.
     Only the isolated classes are named: a head class by its signature, a
     torus class (q = 7 alone) by ``inv``, the inventory of q.
     """
@@ -431,7 +434,7 @@ def lambda_summary(census: ProfileCensus, cover: CoveringResult,
     for i, j in census.disjoint:
         if i != j:
             nbrs[i] |= 1 << j
-    comps, odd, diam = _analyse(nbrs)
+    comps, odd, diam = _analyse(nbrs, census.sizes)
     dead = {i for i, mask in enumerate(nbrs) if not mask}
     dead_sigs = [sig for sig, b in zip(census.signatures, census.sig_bucket) if b in dead]
     if all(kind in ("inv", "unip") for kind, _, _ in dead_sigs):  # one class each
@@ -439,8 +442,6 @@ def lambda_summary(census: ProfileCensus, cover: CoveringResult,
     else:  # a torus class is isolated (q = 7): name every class of the dead buckets
         members = census.members(inv)
         isolated = [str(inv.entries[i + 1].label) for b in dead for i in members[b]]
-    if any(size >= 2 and mask for size, mask in zip(census.sizes, nbrs)):
-        diam = max(diam, 2)
     return LambdaSummary(
         component_count=len(comps) - len(dead),
         bipartite=odd is not None,
@@ -496,28 +497,22 @@ def to_dot(g: IGGraph) -> Iterator[str]:
     attrs = ["" if odd is None else f' [part="{1 + (odd >> i & 1)}"]' for i in range(len(names))]
     yield "graph lambda {\n" + "".join(
         f'  "{name}"{attr};\n' for name, attr in zip(names, attrs))
-    ends: dict[int, tuple[list[int], list[str]]] = {}
-    for i, mask in enumerate(g.nbrs):
-        near = ends.get(mask)
-        if near is None:
-            js = _bits(mask)
-            near = ends[mask] = (js, [names[j] for j in js])
-        later = near[1][bisect_right(near[0], i):]
+    ends = [[names[j] for j in _bits(g.nbrs[i])] for i in g.classes]
+    for i, c in enumerate(g.twin):  # the neighbours before i are the first ends to skip
+        later = ends[c][(g.nbrs[i] & (1 << i) - 1).bit_count():]
         if later:
             head = f'  "{names[i]}" -- "'
             yield head + ('";\n' + head).join(later) + '";\n'
     yield "}\n"
 
 
-def _json_edges(nbrs: list[int], names: list[str], order: list[int]) -> Iterator[str]:
+def _json_edges(g: IGGraph, names: list[str], order: list[int]) -> Iterator[str]:
     """The edges as [name, name] items, smaller name first, in name order:
     one chunk per vertex, in name order, holding its edges to the vertices
     with larger names.  Each twin class sorts its neighbour names once."""
-    named: dict[int, list[str]] = {}
+    named = [sorted(map(names.__getitem__, _bits(g.nbrs[i]))) for i in g.classes]
     for i in order:
-        near = named.get(nbrs[i])
-        if near is None:
-            near = named[nbrs[i]] = sorted(map(names.__getitem__, _bits(nbrs[i])))
+        near = named[g.twin[i]]
         later = near[bisect_right(near, names[i]):]
         if later:
             yield json_pair_rows(names[i], later)
@@ -535,7 +530,7 @@ def graph_to_json(g: IGGraph) -> Iterator[str]:
     order = sorted(range(len(names)), key=names.__getitem__)
     members = {"q": g.q, "t": g.t, "method": g.method,
                "vertices": [names[i] for i in order],
-               "edges": _json_edges(g.nbrs, names, order),
+               "edges": _json_edges(g, names, order),
                "components": sorted(sorted(map(names.__getitem__, _bits(c))) for c in comps)}
     if odd is not None:
         even = ((1 << len(names)) - 1) ^ odd

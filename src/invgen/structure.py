@@ -165,6 +165,15 @@ maximal_profiles = build_profiles  # the name perfbench/traced_cli.py wraps
 # up-to-q^2/4 pair sweep to a handful of bucket products.
 # ---------------------------------------------------------------------------
 
+# Unordered pairs ``graph`` and ``psi2`` may write: a graph with more edges,
+# or a Psi2 with more than twice as many ordered pairs (``psi2_count``), is
+# refused before any output.  2^22 admits q = 13 at t = 5 with plus
+# (2,013,840 edges, 254 MB of JSON) and Psi2 at q = 4096 (8,384,400 pairs),
+# and refuses q = 293 at t = 2 with plus (58,357,660 edges, over 1.7 GB at
+# 30 bytes an edge).
+EDGE_CAP = 1 << 22
+
+
 class ProfileCensus(NamedTuple):
     """Buckets of nonidentity classes with equal profile, over the class
     signatures of PSL(2,q); ``members`` places the classes of an inventory,

@@ -256,6 +256,20 @@ def test_c08_power_graph_ground_truth():
             assert len(part_pattern(v, p1)) == 1, v  # one coordinate per part
 
 
+@pytest.mark.skipif(not EXTENDED, reason="the q=19, t=4 power graph needs INVGEN_EXTENDED=1")
+def test_c08_power_graph_q19_t4_extended():
+    # the plus graph of PSL(2,19)^4 took 4.7-4.9 s to build while its
+    # analysis searched from every twin class over the vertices' masks
+    # (2-core Xeon VM); on the twin quotient it must take half that
+    ctx = gf_for_q(19)
+    inv = inventory(ctx)
+    psi2 = psi2_structural(profile_census(19), inv)
+    action = aut_action(inv)
+    with Budget("criterion 8 extended: plus graph of PSL(2,19)^4", 2.4):
+        g = lambda_power(ctx, 4, psi2, action, inv, plus=True)
+    assert (len(g.vertices), g.edge_count(), len(components(g))) == (13959, 2211300, 8)
+
+
 def test_c09_bound_report_q25():
     with Budget("criterion 9: exact bound report at q=25", 10):
         rep = n_lower_bound_report(profile_census(25))

@@ -224,7 +224,18 @@ def test_graph_edge_cap_refuses_before_any_output(capsys, monkeypatch):
     assert (code, out) == (3, "")
     assert err == ("cap exceeded: graph has 58357660 edges, above 4194304, "
                    "the most it writes\n")
-    assert iggraph.EDGE_CAP == 1 << 22
+    assert structure.EDGE_CAP == 1 << 22 and not hasattr(iggraph, "EDGE_CAP")
+
+
+@pytest.mark.parametrize("plus", [[], ["--plus"]])
+def test_graph_edge_cap_at_t1_comes_before_any_field(plus, capsys, monkeypatch):
+    # at t = 1 the edges are the unordered Psi2 pairs, with or without plus,
+    # which the census counts from q's arithmetic
+    refuse_fields(monkeypatch)
+    code, out, err = run(capsys, "graph", "--q", "8192", *plus)
+    assert (code, out) == (3, "")
+    assert err == ("cap exceeded: graph has 16773120 edges, above 4194304, "
+                   "the most it writes\n")
 
 
 def test_graph_power_cap_comes_before_orbit_work(capsys, monkeypatch):
@@ -495,9 +506,12 @@ def test_verify_details_name_the_pairs_a_mutant_adds(monkeypatch, capsys):
     assert code == 1
     payload = json.loads(out)
     assert payload["failures"] == ["q=7:isolated_census", "q=7:oracle_equals_structural"]
-    assert payload["details"] == {"q=7:oracle_equals_structural": {
-        "oracle_only": [],
-        "structural_only": [["nonsplit:t=3", "split:t=1"], ["split:t=1", "nonsplit:t=3"]]}}
+    # the torus class of order 3 gains a partner, so it is no longer isolated
+    assert payload["details"] == {
+        "q=7:isolated_census": {"expected": ["split:t=1"], "got": []},
+        "q=7:oracle_equals_structural": {
+            "oracle_only": [],
+            "structural_only": [["nonsplit:t=3", "split:t=1"], ["split:t=1", "nonsplit:t=3"]]}}
 
 
 
@@ -577,6 +591,28 @@ def test_cap_comes_before_the_power(capsys):
     code, out, err = run(capsys, "classes", "--p", "2", "--f", "3000000000")
     assert time.perf_counter() - start < 1
     assert code == 2 and "exceeds the supported cap" in err
+
+
+def test_psi2_pair_cap_comes_before_any_field(capsys, monkeypatch):
+    # q = 2^20 is within Q_CAP, but its Psi2 has about 5.5 * 10^11 ordered pairs
+    refuse_fields(monkeypatch)
+    code, out, err = run(capsys, "psi2", "--p", "2", "--f", "20")
+    assert (code, out) == (3, "")
+    assert err == ("cap exceeded: Psi2 has 274877382600 unordered pairs, above 4194304, "
+                   "the most it writes\n")
+    # the oracle cap is checked first, and its refusal is unchanged
+    code, out, err = run(capsys, "psi2", "--p", "2", "--f", "20", "--method", "oracle")
+    assert (code, out) == (3, "")
+    assert err == "cap exceeded: q=1048576 exceeds oracle cap 31\n"
+
+
+# the benchmark's psi2 --q 1024, the golden q = 4099 and the largest table
+# written (q = 4096) are admitted; q = 8192 is the first power of 2 refused
+@pytest.mark.parametrize("q,count,admitted", [(1024, 523260, True), (4099, 2101248, True),
+                                              (4096, 8384400, True), (8192, 33546240, False)])
+def test_psi2_pair_cap_admits_the_written_tables(q, count, admitted):
+    assert structure.profile_census(q).psi2_count == count
+    assert (count // 2 <= structure.EDGE_CAP) == admitted
 
 
 def test_psi2_oracle_cap_comes_before_structural_work(capsys, monkeypatch):

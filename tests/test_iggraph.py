@@ -8,7 +8,7 @@ from math import comb
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invgen.gf import gf_for_q, prime_power_split
@@ -396,19 +396,31 @@ def random_graphs(draw):
     for a, b in edges:
         adj[a].add(b)
         adj[b].add(a)
-    if total and draw(st.booleans()):
+    for _ in range(draw(st.integers(0, 2)) if total else 0):
         source = draw(st.integers(0, total - 1))
-        for twin in range(total, total + draw(st.integers(1, 3))):
+        for twin in range(len(adj), len(adj) + draw(st.integers(1, 3))):
             adj[twin] = set(adj[source])
             for w in adj[twin]:
                 adj[w].add(twin)
-        total = len(adj)
-    order = draw(st.permutations(range(total)))
+    order = draw(st.permutations(range(len(adj))))
     return from_adjacency(order, adj)
+
+
+# isolated vertices 0, 3, 6, 8 between the members of two twin classes, as
+# in the graphs without plus: K_{2,3} on {1, 4} and {2, 5, 7}
+INTERLEAVED = synthetic([(u, v) for u in (1, 4) for v in (2, 5, 7)], extra_vertices=[0, 3, 6, 8])
+# a triangle 0, 1, 2 and a twin 3 of 0: not bipartite, with a class {0, 3}
+TWIN_TRIANGLE = synthetic([(0, 1), (1, 2), (0, 2), (3, 1), (3, 2)])
+# the leaves of a star are one class whose only neighbours are one class,
+# the centre 2: the quotient is one edge, and the diameter of 2 is the lift's
+STAR = synthetic([(2, leaf) for leaf in (0, 1, 3)])
 
 
 @settings(max_examples=300, deadline=None)
 @given(random_graphs())
+@example(INTERLEAVED)
+@example(TWIN_TRIANGLE)
+@example(STAR)
 def test_analyses_match_references(g):
     assert [set(c) for c in components(g)] == [set(c) for c in ref_components(g)]
     assert is_bipartite(g) == ref_is_bipartite(g)
@@ -417,6 +429,19 @@ def test_analyses_match_references(g):
     assert components(g) == mask_components(g)
     assert is_bipartite(g) == mask_is_bipartite(g)
     assert diameter(g) == mask_diameter(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_graphs())
+@example(INTERLEAVED)
+@example(STAR)
+def test_twin_classes(g):
+    # one class per distinct nonzero neighbour mask and one per isolated
+    # vertex, numbered by first vertex
+    heads = [i for i, mask in enumerate(g.nbrs) if not mask or g.nbrs.index(mask) == i]
+    assert g.classes == heads
+    assert g.twin == [heads.index(g.nbrs.index(mask) if mask else i)
+                      for i, mask in enumerate(g.nbrs)]
 
 
 def test_five_cycle():
