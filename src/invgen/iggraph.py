@@ -88,12 +88,13 @@ class GraphCapError(CapError):
 
 
 def _bits(mask: int) -> list[int]:
-    """Positions of the set bits of a non-negative mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+    """Positions of the set bits of a non-negative mask, ascending: one search
+    per set bit along its binary digits, from the lowest, read once."""
+    digits, out = bin(mask)[:1:-1], []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
     return out
 
 
@@ -113,7 +114,7 @@ def _analyse(nbrs: list[int], sizes: list[int]) -> tuple[list[int], int | None, 
         while frontier:  # layer k holds the vertices at distance k from i
             layers.append(frontier)
             reach, rest = 0, frontier
-            while rest:  # the bits of the layer, as in ``_bits``
+            while rest:  # the bits of the layer, lowest first
                 low = rest & -rest
                 reach |= nbrs[low.bit_length() - 1]
                 rest ^= low
@@ -188,8 +189,7 @@ def lambda_graph(psi2: Psi2Table, plus: bool = False) -> IGGraph:
 
 
 def lambda_power(ctx: GFContext, t: int, psi2: Psi2Table, action: AutAction,
-                 inv: ClassInventory, plus: bool = False,
-                 cap: int = POWER_WORK_CAP) -> IGGraph:
+                 inv: ClassInventory, plus: bool = False) -> IGGraph:
     """The graph on classes of S^t via the product criterion, from
     orbit-sliced neighbour masks over the tuple index.
 
@@ -200,20 +200,20 @@ def lambda_power(ctx: GFContext, t: int, psi2: Psi2Table, action: AutAction,
     the Aut(S)-orbit o, as named by ``pair_orbits``.  Then
         N(v) = AND_i A_i(v_i) minus OR_{i<j} OR_o A_i(v_i, o) & A_j(v_j, o),
     built coordinate by coordinate along the tuple prefixes, so the work is
-    n masks of n bits.  The n^2 bits must be at most ``cap``, checked before
-    any orbit work; at least two labels have a partner, so a t past
-    ``cap.bit_length()`` is over the cap without forming n.
+    n masks of n bits.  The n^2 bits must be at most ``POWER_WORK_CAP``,
+    checked before any orbit work; at least two labels have a partner, so
+    a t past its bit length is over the cap without forming n.
     """
-    if t > cap.bit_length():
-        raise GraphCapError(
-            f"power graph for t={t} would have at least 2^{t} vertices, cap is {cap}")
+    if t > POWER_WORK_CAP.bit_length():
+        raise GraphCapError(f"power graph for t={t} would have at least 2^{t} vertices, "
+                            f"cap is {POWER_WORK_CAP}")
     rows = [a for a, bs in enumerate(psi2.near) if bs or not plus]
     m = len(rows)
     n = m ** t
-    if n * n > cap:
+    if n * n > POWER_WORK_CAP:
         raise GraphCapError(
             f"power graph for t={t} would index {n} tuples, {n * n} adjacency bits, "
-            f"cap is {cap}")
+            f"cap is {POWER_WORK_CAP}")
     from invgen.autorbits import pair_orbits
 
     orbit = pair_orbits(action, psi2)

@@ -1,8 +1,24 @@
+import os
+
 import pytest
 
 from invgen.gf import gf_for_q
 from invgen.oracle import OracleSession
 from invgen.psl2 import inventory
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "extended: runs only under INVGEN_EXTENDED=1")
+
+
+def pytest_collection_modifyitems(config, items):
+    """Skip the tests marked ``extended`` unless INVGEN_EXTENDED=1: the one
+    place the tests read the switch."""
+    if os.environ.get("INVGEN_EXTENDED") != "1":
+        skip = pytest.mark.skip(reason="needs INVGEN_EXTENDED=1")
+        for item in items:
+            if item.get_closest_marker("extended"):
+                item.add_marker(skip)
 
 
 @pytest.fixture(scope="session")

@@ -1,224 +1,251 @@
-"""Class fusion of the listed subgroups, from an oracle session: the test
+"""Class fusion of the listed subgroups, from explicit matrices: the test
 reference that certifies the structural class-intersection profiles.
 
-Representatives of the maximal subgroup classes are built explicitly from
-the session's permutations, so that the profiles ``label_meets`` gives can
-be compared with literal fusion (``class_fusion`` against
-``helpers.expected_fusion``).  Most are setwise stabilisers of point sets
-of the line:
+For each record of ``helpers.reference_subgroup_classes`` a builder writes
+matrices of one subgroup of that class directly, and
+``helpers.psl2_class_of`` labels each one from its entries.  So the classes
+a subgroup meets are read with no element of S enumerated, no oracle
+session and no search.  ``class_fusion`` gives them per record, to be
+compared with the classes ``label_meets`` gives
+(``helpers.expected_fusion``), and ``implied_psi2`` reads Psi2 off them:
+two classes that one listed subgroup meets both of do not invariably
+generate S.  A builder writes enough matrices to meet every class its
+subgroup meets:
 
-    Borel                    the stabiliser of {inf}
-    split dihedral           the stabiliser of {inf, 0}
-    subfield PSL/PGL(2,q0)   the stabiliser of the subline {inf} u GF(q0)
-    twisted PGL(2,q0)        the stabiliser of {inf} u mu*GF(q0), mu the
-                             least nonsquare (q odd)
+    Borel          the torus diag(a, 1/a) and [[1, b], [0, 1]], b in {1, nu}
+                   (b = 1 for q even).  An upper-triangular matrix with
+                   diagonal (a, 1/a), a != +-1, is conjugate in the Borel to
+                   diag(a, 1/a), and conjugating by diag(s, 1/s) scales b by
+                   s^2, so every unipotent is conjugate to one of the two.
+    dihedral       the torus and one reflection that inverts it.  The
+                   elements of order 2 of S form one class, so one
+                   reflection meets the class of them all.  The split torus
+                   is diagonal; the nonsplit one is the powers of the
+                   companion matrix [[0, -1], [1, t]] of a nonsplit trace t
+                   whose class has the torus's order.  The torus is
+                   counted, so the group's order is checked.
+    subfield PSL   the companion matrices [[0, -1], [1, t]], t in GF(q0),
+                   and [[1, b], [0, 1]], b in {1, nu0} (b = 1 for q even).
+                   A non-scalar matrix is conjugate over GF(q0) to the
+                   companion matrix of its characteristic polynomial, and
+                   its trace fixes its class in S unless it is unipotent;
+                   the two b cover the unipotents up to conjugacy in
+                   SL(2,q0).
+    subfield PGL   the companion matrices [[0, -n], [1, t]], t in GF(q0) and
+                   n in {1, nu0} (n = 1 for q even), divided by a square
+                   root of n in GF(q) = GF(q0^2).  Scaling by l in GF(q0)*
+                   takes (t, n) to (lt, l^2 n), so these meet every class
+                   of GL(2,q0) up to scalars, and GL(2,q0) conjugates inside
+                   PGL(2,q0), which lies in S.
+    A4, S4, A5     the group generated by x = [[0, 1], [-1, 0]] and a y of
+                   trace 1, so of order 3, picked so that xy has the trace
+                   of an element of order 3, 4 or 5; closed to its 12, 24
+                   or 60 matrices, and the order checked.
 
-An element of PGL(2,q) that maps the subline into itself agrees on
-{inf, 0, 1} with an element of PGL(2,q0), which is transitive on ordered
-triples of the subline; PGL(2,q) is sharply 3-transitive on the line, so
-the two are equal.  The stabiliser in PGL(2,q) is therefore PGL(2,q0), and
-in S it is the part of PGL(2,q0) with square determinant in GF(q): all of
-PGL(2,q0) when q is even or [GF(q):GF(q0)] is even (every element of
-GF(q0) is then a square in GF(q)), and PSL(2,q0) when the degree is odd.
-That is exactly the subfield class Dickson's list has for that q0 (the
-PGL classes are records of ``helpers.reference_subgroup_classes`` only).
-The map v -> mu*v comes from diag(mu, 1), which lies in PGL(2,q) but not
-in S, so the twisted subline gives the other S-class of PGL(2,q0).
-
-The nonsplit dihedral group is a cyclic torus and one inverting
-involution, composed as permutations.  The exceptional subgroups are
-found by seeded random search verified by exact order checks.  Two
-exceptional subgroups are told apart by the conjugacy orbit of the first,
-a breadth-first search under conjugation by one generating pair of S.
+The second class of a kind that comes as two is the conjugate of the first
+by diag(nu, 1), which lies in PGL(2,q) but not in S; the first is variant
+1, the copy whose unipotents have square parameter.  Here nu is the least
+nonsquare of GF(q) and nu0 the generator of GF(q0)* in the exp table,
+which is a nonsquare of GF(q0) for q0 odd.  The subfield builders write
+O(q0) matrices and the others O(q), so q = 3^11 and 2^18 are in reach.
 """
 
-import random
-
-from invgen.oracle import Perm, _inverse, _table
 from invgen.psl2 import ClassLabel
 from invgen.structure import (
-    BOREL,
-    DIH_NONSPLIT,
-    DIH_SPLIT,
-    SUBFIELD_PSL,
-    maximal_subgroup_classes,
+    BOREL, DIH_NONSPLIT, DIH_SPLIT, EXC_S4, SUBFIELD_PSL, maximal_subgroup_classes,
 )
-from helpers import SUBFIELD_PGL, in_subfield, reference_subgroup_classes, subfield_degree
-
-SEED = 20260810  # seeds every random search, so the certifier is deterministic
-
-
-def labels_met(sess, perms) -> set[ClassLabel]:
-    return {sess.label_of_perm[p] for p in perms} - {ClassLabel("id")}
+from helpers import (
+    EXC_A4, IDENTITY, SUBFIELD_PGL, canon, psl2_class_of, psl2_inv, psl2_mul,
+    reference_subgroup_classes,
+)
 
 
-def stabiliser(sess, points: set[int]) -> frozenset[Perm]:
-    """The elements that map the point set P into itself.
+def labeller(ctx):
+    """``psl2_class_of``, kept per trace for the traces other than those of
+    the identity and the unipotents, where it reads the trace alone."""
+    four, by_trace = ctx.scalar(4), {}
 
-    A permutation maps P into P iff it maps P onto P and the rest onto
-    the rest, iff it carries the membership marks of the points to
-    themselves.
-    """
-    mark = bytes(i in points for i in range(256))
-    want = mark[:sess.npoints]
-    return frozenset(g for g in sess.label_of_perm if g.translate(mark) == want)
+    def label(m) -> ClassLabel:
+        t = ctx.add(m[0], m[3])
+        if ctx.mul(t, t) == four:
+            return psl2_class_of(ctx, m)
+        if t not in by_trace:
+            by_trace[t] = psl2_class_of(ctx, m)
+        return by_trace[t]
 
-
-def subline(sess, q0: int, scale: int = 1) -> set[int]:
-    """The points {inf} u scale*GF(q0)."""
-    ctx = sess.ctx
-    e = subfield_degree(ctx, q0)
-    return {0} | {1 + ctx.mul(scale, v) for v in range(ctx.q) if in_subfield(ctx, v, e)}
+    return label
 
 
-def dihedral_nonsplit_subgroup(sess) -> frozenset[Perm]:
-    ctx = sess.ctx
-    d = 2 if ctx.q % 2 == 1 else 1
-    torus_order = (ctx.q + 1) // d
-    gen_label = next(
-        e.label for e in sess.inv
-        if e.label.kind == "nonsplit" and e.order == torus_order
-    )
-    x = sess.by_label[gen_label][0]
-    xt = _table(x)
-    torus = [x]
-    for _ in range(torus_order - 1):
-        torus.append(torus[-1].translate(xt))
-    xinv = _inverse(x)
-    inv_label = ClassLabel("inv") if ctx.q % 2 == 1 else ClassLabel("unip")
-    for s in sess.by_label[inv_label]:
-        st = _table(s)
-        if _inverse(s).translate(xt).translate(st) == xinv:  # s x s^-1 = x^-1
-            group = frozenset(torus + [t.translate(st) for t in torus])
-            if len(group) != 2 * torus_order:
-                raise RuntimeError("nonsplit dihedral construction came out wrong")
-            return group
-    raise RuntimeError("no inverting involution found for the nonsplit torus")
+def labels_met(ctx, mats, label=None) -> set[ClassLabel]:
+    return set(map(label or labeller(ctx), mats)) - {ClassLabel("id")}
 
 
-def exceptional_subgroups(sess, kind: str, wanted: int) -> list[frozenset[Perm]]:
-    """Representatives of ``wanted`` classes of an exceptional kind.
-
-    Seeded random (involution, order-3) pairs; a hit is verified by its
-    exact closure size, class separation by a literal conjugacy test.
-    """
-    target = next(sc.order for sc in reference_subgroup_classes(sess.ctx) if sc.kind == kind)
-    rng = random.Random(SEED)
-    invol_label = ClassLabel("inv") if sess.ctx.q % 2 == 1 else ClassLabel("unip")
-    invols = sess.by_label[invol_label]
-    order3 = [m for e in sess.inv if e.order == 3
-              for m in sess.by_label[e.label]]
-    if not order3:
-        raise RuntimeError(f"no order-3 elements available for {kind} search")
-    found: list[frozenset[Perm]] = []
-    orbits: list[set[frozenset[Perm]]] = []
-    attempts = 20000
-    for _ in range(attempts):
-        a = rng.choice(invols)
-        b = rng.choice(order3)
-        closure = sess._closure([a, b], target)
-        if closure is None or len(closure) != target:
-            continue
-        h = frozenset(closure)
-        if any(h in orbit for orbit in orbits):
-            continue
-        found.append(h)
-        orbits.append(conjugacy_orbit(sess, h))
-        if len(found) == wanted:
-            return found
-    raise RuntimeError(
-        f"located only {len(found)}/{wanted} classes of {kind} in {attempts} tries"
-    )
+def nonsquare(ctx) -> int:
+    """The least nonsquare of GF(q), q odd."""
+    return next(a for a in range(2, ctx.q) if not ctx.is_square(a))
 
 
-def generating_pair(sess) -> list[Perm]:
-    """Two elements that generate S: the first seeded random pair that
-    closure_generates accepts."""
-    rng = random.Random(SEED)
-    elements = list(sess.label_of_perm)
-    for _ in range(1000):
-        pair = [rng.choice(elements) for _ in range(2)]
-        if sess.closure_generates(pair):
-            return pair
-    raise RuntimeError("no generating pair of S in 1000 tries")
+def square_root(ctx, a) -> int:
+    """The least r with r^2 = a, by search."""
+    root = next((r for r in range(ctx.q) if ctx.mul(r, r) == a), None)
+    if root is None:
+        raise RuntimeError(f"{a} is not a square in GF({ctx.q})")
+    return root
 
 
-def conjugacy_orbit(sess, h: frozenset[Perm]) -> set[frozenset[Perm]]:
-    """The S-conjugates of h: breadth-first search under conjugation by
-    the generating pair, which reaches every conjugate."""
-    gens = [(_inverse(g), _table(g)) for g in generating_pair(sess)]
-    orbit = {h}
-    queue = [h]
-    for k in queue:  # breadth first: the loop reaches what it appends
-        tables = [_table(x) for x in k]
-        for ginv, gt in gens:
-            conj = frozenset(ginv.translate(xt).translate(gt) for xt in tables)
-            if conj not in orbit:
-                orbit.add(conj)
-                queue.append(conj)
-    return orbit
+def first_root(ctx, quadratic) -> tuple:
+    """(k, x) for the least k whose x^2 + bx + c, (b, c) = quadratic(k),
+    has a root in GF(q), q odd, and x a root."""
+    mul, add, neg = ctx.mul, ctx.add, ctx.neg
+    four, half = ctx.scalar(4), ctx.inv(ctx.scalar(2))
+    for k in range(ctx.q):
+        b, c = quadratic(k)
+        disc = add(mul(b, b), neg(mul(four, c)))
+        if ctx.is_square(disc):
+            return k, mul(add(neg(b), square_root(ctx, disc)), half)
+    raise RuntimeError(f"no quadratic of the family has a root in GF({ctx.q})")
 
 
-def class_fusion(sess, classes=None) -> dict[str, set[ClassLabel]]:
-    """Labels met by one representative of each subgroup class of
-    ``maximal_subgroup_classes``, or of the given list.  Each
-    representative must have the order the reference list gives its kind.
+def closure(ctx, gens, limit) -> set:
+    """The group ``gens`` generate, or the part of it first found past
+    ``limit`` elements."""
+    group, frontier = {IDENTITY}, [IDENTITY]
+    while frontier and len(group) <= limit:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = psl2_mul(ctx, x, g)
+                if y not in group:
+                    group.add(y)
+                    new.append(y)
+        frontier = new
+    return group
 
-    Two-class kinds located by random search are keyed to variants by
-    their unipotent intersection when that distinguishes them, else in
-    a fixed sorted order; structural comparisons for those kinds
-    should be made as multisets.
-    """
-    ctx = sess.ctx
-    out: dict[str, set[ClassLabel]] = {}
-    # q odd: the second PGL(2,q0) class fixes the subline scaled by mu
-    scales = [1] if ctx.q % 2 == 0 else [
-        1, next(a for a in range(1, ctx.q) if not ctx.is_square(a))]
-    builders = {
-        BOREL: lambda sc: [stabiliser(sess, {0})],
-        DIH_SPLIT: lambda sc: [stabiliser(sess, {0, 1})],
-        DIH_NONSPLIT: lambda sc: [dihedral_nonsplit_subgroup(sess)],
-        SUBFIELD_PSL: lambda sc: [stabiliser(sess, subline(sess, sc.q0))],
-        SUBFIELD_PGL: lambda sc: [stabiliser(sess, subline(sess, sc.q0, s))
-                                  for s in scales],
+
+def twist(ctx, mats) -> list:
+    """The conjugates of ``mats`` by diag(nu, 1)."""
+    nu = nonsquare(ctx)
+    nu_inv = ctx.inv(nu)
+    return [canon(ctx, (a, ctx.mul(nu, b), ctx.mul(nu_inv, c), d)) for a, b, c, d in mats]
+
+
+def companion(ctx, t, s=1) -> tuple:
+    """[[0, -s^2], [1, t]] divided by s, of determinant 1."""
+    si = ctx.inv(s)
+    return canon(ctx, (0, ctx.neg(s), si, ctx.mul(t, si)))
+
+
+def split_torus(ctx) -> list:
+    """diag(g^k, g^-k) for k = 1, 2, ..., each element once: the first
+    generates the torus."""
+    exp, n = ctx.exp_table(), ctx.q - 1
+    return list(dict.fromkeys(canon(ctx, (exp[k % n], 0, 0, exp[-k % n]))
+                              for k in range(1, n + 1)))
+
+
+def dihedral(ctx, torus, s, order) -> list:
+    """The torus, whose first element generates it, and s, which must
+    invert that element; the torus must be half of ``order``."""
+    x = torus[0]
+    if len(torus) != order // 2 or psl2_mul(ctx, s, x) != psl2_mul(ctx, psl2_inv(ctx, x), s):
+        raise RuntimeError(f"dihedral representative is not of order {order}")
+    return torus + [s]
+
+
+def nonsplit_dihedral(inv, order) -> list:
+    """The powers of x = [[0, -1], [1, t]], t the trace of a nonsplit class
+    of order |x| = order/2, and s = [[a, c + ta], [c, -a]], which inverts x
+    and has determinant 1 iff a^2 + tac + c^2 = -1: (a, c) = (1, 0) for q
+    even, else the first a whose quadratic in c has a root."""
+    ctx = inv.ctx
+    mul, add = ctx.mul, ctx.add
+    _, keys, orders, _ = inv.tori[1]
+    t = next(k for k, j in zip(keys, orders) if j == order // 2)
+    torus = [companion(ctx, t)]
+    while len(torus) <= order and torus[-1] != IDENTITY:
+        torus.append(psl2_mul(ctx, torus[-1], torus[0]))
+    a, c = (1, 0) if ctx.p == 2 else first_root(ctx, lambda a: (mul(t, a), add(mul(a, a), 1)))
+    return dihedral(ctx, torus, canon(ctx, (a, add(c, mul(t, a)), c, ctx.neg(a))), order)
+
+
+def subfield(ctx, q0) -> tuple[list, list]:
+    """GF(q0) inside GF(q), 0 and the powers of nu0 = g^((q - 1)/(q0 - 1)),
+    and a representative of each class of GF(q0)* modulo squares: 1, and
+    nu0 for q0 odd."""
+    field = [0, *ctx.exp_table()[::(ctx.q - 1) // (q0 - 1)]]
+    return field, field[1:2 + q0 % 2]
+
+
+def subfield_psl(ctx, q0) -> list:
+    field, square_classes = subfield(ctx, q0)
+    return [companion(ctx, t) for t in field] + [(1, b, 0, 1) for b in square_classes]
+
+
+def subfield_pgl(ctx, q0) -> list:
+    field, square_classes = subfield(ctx, q0)
+    return [companion(ctx, t, square_root(ctx, n)) for n in square_classes for t in field]
+
+
+def exceptional(ctx, kind, order) -> list:
+    """x = [[0, 1], [-1, 0]] and y = [[u, v], [v + tau, 1 - u]], so that
+    trace(xy) = tau, the trace of an element of order 3, 4 or 5: 1, a
+    square root of 2, or (1 + sqrt 5)/2.  Then det y = 1 is the quadratic
+    v^2 + tau v + u^2 - u + 1 = 0, solved at the first u where it has a
+    root."""
+    mul, add, neg = ctx.mul, ctx.add, ctx.neg
+    if kind == EXC_A4:
+        tau = 1
+    elif kind == EXC_S4:
+        tau = square_root(ctx, ctx.scalar(2))
+    else:
+        tau = mul(add(1, square_root(ctx, ctx.scalar(5))), ctx.inv(ctx.scalar(2)))
+    u, v = first_root(ctx, lambda u: (tau, add(mul(u, u), add(neg(u), 1))))
+    y = canon(ctx, (u, v, add(v, tau), add(1, neg(u))))
+    group = list(closure(ctx, [canon(ctx, (0, 1, neg(1), 0)), y], order))
+    if len(group) != order:
+        raise RuntimeError(f"{kind} representative has order {len(group)}, expected {order}")
+    if ClassLabel("unip", sq=False) in labels_met(ctx, group):
+        return twist(ctx, group)
+    return group
+
+
+def subgroup_matrices(inv, sc) -> list:
+    """Matrices of one subgroup of the class ``sc`` that meet every class
+    the subgroup meets (module docstring)."""
+    ctx = inv.ctx
+    order = next(r.order for r in reference_subgroup_classes(ctx)
+                 if (r.kind, r.q0) == (sc.kind, sc.q0))
+    build = {
+        BOREL: lambda: split_torus(ctx) + [
+            (1, b, 0, 1) for b in ([1] if ctx.p == 2 else [1, nonsquare(ctx)])],
+        DIH_SPLIT: lambda: dihedral(ctx, split_torus(ctx), (0, 1, ctx.neg(1), 0), order),
+        DIH_NONSPLIT: lambda: nonsplit_dihedral(inv, order),
+        SUBFIELD_PSL: lambda: subfield_psl(ctx, sc.q0),
+        SUBFIELD_PGL: lambda: subfield_pgl(ctx, sc.q0),
     }
-    classes = classes or maximal_subgroup_classes(ctx.p, ctx.f)
-    orders = {(sc.kind, sc.q0): sc.order for sc in reference_subgroup_classes(ctx)}
-    done_kinds: set[tuple] = set()
-    for sc in classes:
-        key = (sc.kind, sc.q0)
-        if key in done_kinds:
-            continue
-        done_kinds.add(key)
-        variants = [v for v in classes if v.kind == sc.kind and v.q0 == sc.q0]
-        if sc.kind in builders:
-            groups = builders[sc.kind](sc)
-        else:
-            groups = exceptional_subgroups(sess, sc.kind, len(variants))
-        for g in groups:
-            if len(g) != orders[key]:
-                raise RuntimeError(
-                    f"{sc.kind} representative has order {len(g)}, expected {orders[key]}"
-                )
-        labelsets = assign_variants(variants, [labels_met(sess, g) for g in groups])
-        for variant, labels in zip(variants, labelsets):
-            out[variant.id] = labels
-    return out
+    mats = build[sc.kind]() if sc.kind in build else exceptional(ctx, sc.kind, order)
+    return twist(ctx, mats) if sc.variant == 2 else mats
 
 
-def assign_variants(variants: list,
-                    labelsets: list[set[ClassLabel]]) -> list[set[ClassLabel]]:
-    if len(variants) != len(labelsets):
-        raise RuntimeError(
-            f"found {len(labelsets)} subgroups for {len(variants)} classes "
-            f"of kind {variants[0].kind}"
-        )
-    if len(labelsets) == 1:
-        return labelsets
-    sq = ClassLabel("unip", sq=True)
-    first_has_sq = [sq in ls for ls in labelsets]
-    if first_has_sq == [False, True]:
-        return [labelsets[1], labelsets[0]]
-    if first_has_sq == [True, False]:
-        return labelsets
-    return sorted(labelsets, key=lambda ls: sorted(l.str_form() for l in ls))
+def class_fusion(inv, classes=None) -> dict[str, set[ClassLabel]]:
+    """The labels met by one subgroup of each class of
+    ``maximal_subgroup_classes``, or of the given list, by id."""
+    label = labeller(inv.ctx)
+    return {sc.id: labels_met(inv.ctx, subgroup_matrices(inv, sc), label)
+            for sc in classes or maximal_subgroup_classes(inv.ctx.p, inv.ctx.f)}
+
+
+def implied_psi2(inv, fusion) -> list[tuple[int, ...]]:
+    """The Psi2 neighbour tuples over ``inv.nonidentity_labels()`` that the
+    class sets of ``fusion`` imply, each ascending: (C, D) is a pair iff no
+    class set holds both."""
+    sets = list(fusion.values())
+    held = [sum(1 << k for k, s in enumerate(sets) if lab in s)
+            for lab in inv.nonidentity_labels()]
+    members: dict[int, list[int]] = {}
+    for i, mask in enumerate(held):
+        members.setdefault(mask, []).append(i)
+    near = {mask: tuple(sorted(j for other, js in members.items() if not mask & other
+                               for j in js))
+            for mask in members}
+    return [near[mask] for mask in held]

@@ -14,7 +14,7 @@ from invgen.autorbits import pair_orbits
 from invgen.iggraph import _bits, IGGraph, is_bipartite, LambdaSummary
 from invgen.oracle import _inverse, _line_action, _table, is_split_trace
 from invgen.psl2 import (
-    ClassEntry, ClassInventory, ClassLabel, TorusClasses, enumerate_psl2, signature_counts,
+    ClassEntry, ClassInventory, ClassLabel, TorusClasses, signature_counts,
     trace_key,
 )
 from invgen.structure import (
@@ -509,74 +509,21 @@ def centraliser_reference(sess, x) -> set:
     return {g for g in sess.label_of_perm if conjugate(x, g) == x}
 
 
-def matrix_subgroups(ctx) -> dict:
-    """Borel, split dihedral and subfield subgroups by filters on matrix
-    entries, as permutations of the projective line: the reference for the
-    point-set stabilisers of ``tests/fusion.py``.  Keys name the kind, and
-    the subfield degree e with q0 = p^e; the twisted PGL(2,q0) copy for q odd is the
-    conjugate by diag(mu, 1), mu the least nonsquare."""
-    perm = _line_action(ctx)
-    mats = list(enumerate_psl2(ctx))
-    out = {
-        "borel": {m for m in mats if m[2] == 0},
-        "dih_split": {m for m in mats
-                      if (m[1] == 0 and m[2] == 0) or (m[0] == 0 and m[3] == 0)},
-    }
-    for e in (e for e in range(1, ctx.f) if ctx.f % e == 0):
-        if (ctx.f // e) % 2:
-            out[f"subfield_psl:{e}"] = {
-                m for m in mats if all(in_subfield(ctx, x, e) for x in m)}
-            continue
-        members = set()
-        for m in mats:  # PGL(2,q0): the matrix over GF(q0) up to a scalar
-            scale = ctx.inv(next(x for x in m if x != 0))
-            if all(in_subfield(ctx, ctx.mul(scale, x), e) for x in m):
-                members.add(m)
-        out[f"subfield_pgl:{e}"] = members
-        if ctx.q % 2:
-            mu = next(a for a in range(1, ctx.q) if not ctx.is_square(a))
-            mu_inv = ctx.inv(mu)
-            out[f"subfield_pgl:{e}:twisted"] = {
-                canon(ctx, (m[0], ctx.mul(mu, m[1]), ctx.mul(mu_inv, m[2]), m[3]))
-                for m in members}
-    return {key: frozenset(map(perm, ms)) for key, ms in out.items()}
-
-
 def part_pattern(vertex: tuple, part1: set) -> frozenset:
     """Coordinates of a power-graph vertex whose label lies in part 1."""
     return frozenset(i for i, lab in enumerate(vertex) if lab in part1)
 
 
-def expected_fusion(sess, classes=None) -> dict:
+def expected_fusion(inv, classes=None) -> dict:
     """``label_meets`` inverted into per-subgroup-class label sets, over
     ``maximal_subgroup_classes`` or the given list; a record of the
     reference list goes through ``reference_meets``."""
-    ctx = sess.ctx
+    ctx = inv.ctx
+    sig_of = by_label(inv, list(signature_counts(ctx.p, ctx.f)))
     out = {}
     for sc in classes or maximal_subgroup_classes(ctx.p, ctx.f):
-        out[sc.id] = {e.label for e in sess.inv
-                      if e.label.kind != "id" and reference_meets(ctx.q, ref_signature(e), sc)}
-    return out
-
-
-RANDOM_KINDS = ("exc_a4", "exc_s4", "exc_a5")
-
-
-def fusion_key(fusion) -> dict:
-    """Per-subgroup-class label sets as comparable names.  Kinds that
-    ``class_fusion`` locates by random search do not tie a subgroup to a
-    variant id, so their label sets are compared as a sorted multiset per
-    kind; every other class is compared by its id."""
-    out = {}
-    for sid, labels in fusion.items():
-        kind = sid.split(":")[0]
-        names = sorted(lab.str_form() for lab in labels)
-        if kind in RANDOM_KINDS:
-            out.setdefault(kind, []).append(names)
-        else:
-            out[sid] = names
-    for kind in RANDOM_KINDS:
-        out.get(kind, []).sort()
+        met = {sig for sig in set(sig_of.values()) if reference_meets(ctx.q, sig, sc)}
+        out[sc.id] = {lab for lab, sig in sig_of.items() if sig in met}
     return out
 
 
@@ -858,6 +805,17 @@ def ref_index_census(ctx, inv) -> tuple:
 # bucket summary through an IGGraph on the plus quotient: the reference for
 # the one BFS routine that serves them all
 # ---------------------------------------------------------------------------
+
+def ref_bits(mask) -> list:
+    """The set bits of a mask, ascending, the lowest cleared one at a time:
+    the reference for ``iggraph._bits``, which reads the binary digits."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
 
 def _layers(nbrs, source) -> list:
     """BFS layers from ``source`` as bitmasks."""

@@ -3,15 +3,17 @@
 Each test prints a PASS line with its measured runtime; the stated budget
 is asserted (they are generous on desk hardware).  The extended oracle set
 {16, 25, 27, 31} only runs when INVGEN_EXTENDED=1; `invgen verify
---extended` runs the same set.  Extended mode also runs the oracle's Psi2
-at q = 49, 64 and 81, its class fusion at {25, 27, 49, 64, 81}, and beta
-against the label-level reference at q = 3^11 and 2^18, the subfield order
-test against trace membership at the same two q, and the beta report at
-the bound cap (q = 4096).
+--extended` runs the same set.  The literal class sets of
+``tests/fusion.py`` are checked against ``label_meets`` at every q of the
+sweep, and the Psi2 they imply against the structural one.  Extended mode
+also runs the oracle's Psi2 at q = 49, 64 and 81, the literal class sets
+at every q up to 4096 and at 3^11 and 2^18, beta against the label-level
+reference at those two q, the subfield order test against trace
+membership at the same two q, and the beta report at the bound cap
+(q = 4096).
 """
 
 import hashlib
-import os
 from math import comb
 
 import pytest
@@ -29,13 +31,12 @@ from invgen.iggraph import (
 )
 from invgen.oracle import OracleSession
 from invgen.structure import profile_census, psi2_structural, verify_2covering
-from fusion import class_fusion
+from fusion import class_fusion, implied_psi2
 from helpers import (
     IDENTITY,
     Budget,
     covering_parts,
     expected_fusion,
-    fusion_key,
     isolated,
     named_generators,
     pairs,
@@ -61,12 +62,9 @@ EXTENDED_PSI2_Q = 49
 # the Dickson branches no smaller Psi2 run reaches: subfield PSL(2,4) and
 # PGL(2,8) at 64, subfield PGL(2,9) at f = 4 at 81
 EXTENDED_PSI2_LARGE_QS = [64, 81]
-# class fusion against label_meets, at the q of these Dickson branches:
-# subfield PGL(2,5) (25), subfield PSL(2,3) at odd f (27), A5 at f = 2 and
-# subfield PGL(2,7) (49, also run through Psi2 above), subfield PSL(2,4) and
-# PGL(2,8) (64), subfield PGL(2,9) at f = 4 (81); the subfield PGL classes
-# are records of the reference list only
-EXTENDED_FUSION_QS = [25, 27, 49, 64, 81]
+# the literal class sets of tests/fusion.py past the sweep: every prime
+# power up to 4096, odd f = 11 and the largest f within the verify cap
+EXTENDED_FUSION_QS = [q for q in range(1025, 4097) if prime_power_split(q)] + [3 ** 11, 2 ** 18]
 # beta by signature against the label-level reference past the sweep: odd
 # f = 11 and the largest f within the verify cap
 EXTENDED_BETA_QS = [3 ** 11, 2 ** 18]
@@ -74,8 +72,6 @@ EXTENDED_BETA_QS = [3 ** 11, 2 ** 18]
 # tier-1 range q <= 4096: odd f = 11 (subfield PSL(2,3)) and f = 18
 # (subfield PSL(2,64) and PGL(2,512))
 EXTENDED_ORDER_TEST_QS = [3 ** 11, 2 ** 18]
-
-EXTENDED = os.environ.get("INVGEN_EXTENDED") == "1"
 
 
 def census_of(q: int):
@@ -112,7 +108,7 @@ def test_c02_oracle_equivalence_wider():
             assert pairs(sess.psi2()) == pairs(structural), q
 
 
-@pytest.mark.skipif(not EXTENDED, reason="extended oracle set needs INVGEN_EXTENDED=1")
+@pytest.mark.extended
 def test_c02_oracle_equivalence_extended():
     with Budget("criterion 2 extended: oracle == structural on {16,25,27,31}", 900):
         for q in EXTENDED_ORACLE_QS:
@@ -121,14 +117,14 @@ def test_c02_oracle_equivalence_extended():
             assert pairs(sess.psi2()) == pairs(structural), q
 
 
-@pytest.mark.skipif(not EXTENDED, reason="extended oracle set needs INVGEN_EXTENDED=1")
+@pytest.mark.extended
 def test_c02_oracle_equivalence_q49():
     with Budget("criterion 2 extended: oracle == structural at q=49", 60):
         sess = OracleSession(inventory(gf_for_q(EXTENDED_PSI2_Q)))
         assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.inv.q), sess.inv))
 
 
-@pytest.mark.skipif(not EXTENDED, reason="extended oracle set needs INVGEN_EXTENDED=1")
+@pytest.mark.extended
 def test_c02_oracle_equivalence_q64_q81():
     with Budget("criterion 2 extended: oracle == structural at q=64, 81", 60):
         for q in EXTENDED_PSI2_LARGE_QS:
@@ -137,18 +133,33 @@ def test_c02_oracle_equivalence_q64_q81():
             assert pairs(sess.psi2()) == pairs(structural), q
 
 
-@pytest.mark.skipif(not EXTENDED, reason="extended oracle set needs INVGEN_EXTENDED=1")
+def literal_class_sets(q: int):
+    """(inventory, class_fusion over the reference list) at q, the class
+    sets checked equal to those ``reference_meets`` gives."""
+    inv = inventory(gf_for_q(q))
+    reference = reference_subgroup_classes(inv.ctx)
+    fusion = class_fusion(inv, reference)
+    assert fusion == expected_fusion(inv, reference), q
+    return inv, fusion
+
+
+def test_c02_class_fusion():
+    with Budget("criterion 2: literal class sets == label_meets, and their Psi2 == "
+                "structural, on [4,1024]", 10):
+        for q in ALL_QS:
+            inv, fusion = literal_class_sets(q)
+            assert implied_psi2(inv, fusion) == psi2_structural(profile_census(q), inv).near, q
+
+
+@pytest.mark.extended
 def test_c02_class_fusion_extended():
-    with Budget("criterion 2 extended: class fusion == label_meets on {25,27,49,64,81}", 60):
+    with Budget("criterion 2 extended: literal class sets == label_meets on "
+                "(1024,4096], 3^11 and 2^18", 60):
         for q in EXTENDED_FUSION_QS:
-            sess = OracleSession(inventory(gf_for_q(q)))
-            assert fusion_key(class_fusion(sess)) == fusion_key(expected_fusion(sess)), q
-            reference = reference_subgroup_classes(sess.ctx)
-            assert fusion_key(class_fusion(sess, reference)) == fusion_key(
-                expected_fusion(sess, reference)), q
+            literal_class_sets(q)
 
 
-@pytest.mark.skipif(not EXTENDED, reason="large-q order test needs INVGEN_EXTENDED=1")
+@pytest.mark.extended
 def test_c02_subfield_order_test_extended():
     with Budget("criterion 2 extended: subfield order test at q = 3^11, 2^18", 60):
         for q in EXTENDED_ORDER_TEST_QS:
@@ -218,7 +229,7 @@ def test_c07_beta_pipeline():
             assert count / (d * prime_power_split(q)[1]) <= b <= count, q
 
 
-@pytest.mark.skipif(not EXTENDED, reason="large-q beta needs INVGEN_EXTENDED=1")
+@pytest.mark.extended
 def test_c07_beta_large_q_extended():
     with Budget("criterion 7 extended: beta_fast == label-level Burnside at q=3^11, 2^18",
                 120):
@@ -228,7 +239,7 @@ def test_c07_beta_large_q_extended():
             assert beta_fast(profile_census(q)) == expected, q
 
 
-@pytest.mark.skipif(not EXTENDED, reason="the bound at the cap needs INVGEN_EXTENDED=1")
+@pytest.mark.extended
 def test_c07_beta_at_the_bound_cap_extended(capsys):
     # q = 4096 has beta = BOUND_BETA_CAP: its report is still built, byte
     # for byte as at commit b4db116, before the cap existed
@@ -256,7 +267,7 @@ def test_c08_power_graph_ground_truth():
             assert len(part_pattern(v, p1)) == 1, v  # one coordinate per part
 
 
-@pytest.mark.skipif(not EXTENDED, reason="the q=19, t=4 power graph needs INVGEN_EXTENDED=1")
+@pytest.mark.extended
 def test_c08_power_graph_q19_t4_extended():
     # the plus graph of PSL(2,19)^4 took 4.7-4.9 s to build while its
     # analysis searched from every twin class over the vertices' masks

@@ -190,7 +190,7 @@ def test_graph_power_cap_bounds_adjacency_bits(capsys, monkeypatch):
                    f"{2 ** 30} adjacency bits, cap is {iggraph.POWER_WORK_CAP}\n")
 
 
-@pytest.mark.skipif(os.environ.get("INVGEN_EXTENDED") != "1", reason="needs INVGEN_EXTENDED=1")
+@pytest.mark.extended
 @pytest.mark.parametrize("q,components", [(8, 15), (11, 16)])
 def test_graph_power_five_with_plus_extended(q, components, tmp_path, capsys):
     # 7^5 tuples each: within the cap with --plus; the component counts are

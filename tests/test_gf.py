@@ -1,4 +1,3 @@
-import os
 from functools import lru_cache
 
 import pytest
@@ -18,7 +17,6 @@ from helpers import (
     ref_add, ref_generator, ref_horner_powers, ref_modulus, ref_neg,
 )
 
-EXTENDED = os.environ.get("INVGEN_EXTENDED") == "1"
 SMALL_QS = [4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128]
 
 
@@ -411,7 +409,7 @@ def test_tables_match_the_per_cofactor_search_and_the_whole_walk(field):
     check_tables_against_references(*field)
 
 
-@pytest.mark.skipif(not EXTENDED, reason="set INVGEN_EXTENDED=1")
+@pytest.mark.extended
 @pytest.mark.parametrize("field", LARGE_FIELDS, ids=[f"{p}^{f}" for p, f in LARGE_FIELDS])
 def test_large_field_tables_match_the_references_extended(field):
     with Budget(f"tables of GF({field[0]}^{field[1]}) against the references", 60):

@@ -1,6 +1,5 @@
 import decimal
 import json
-import os
 import sys
 from collections import deque
 from itertools import product
@@ -11,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from invgen import iggraph
 from invgen.gf import gf_for_q, prime_power_split
 from invgen.psl2 import ClassLabel, inventory
 from invgen.autorbits import AutAction, aut_action, beta_fast
@@ -39,10 +39,8 @@ from invgen.structure import CoveringResult, profile_census, psi2_structural, ve
 from helpers import (
     component_count, covering_parts, graph_from_near, isolated, mask_components, mask_diameter,
     mask_is_bipartite, pairs, part_pattern, quotient_parts_match, ref_dot, ref_graph_json,
-    ref_orbits, ref_power_candidates,
+    ref_bits, ref_orbits, ref_power_candidates,
 )
-
-EXTENDED = os.environ.get("INVGEN_EXTENDED") == "1"
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +209,19 @@ def test_lambda_power_q5_identityless_and_isolated():
     assert not adjacency(g)[(n3, n3)]  # a repeated column cannot generate
 
 
-def test_lambda_power_cap():
+# long masks, dense and sparse
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(min_value=0, max_value=1 << 2000),
+                 st.sets(st.integers(min_value=0, max_value=5000), max_size=40).map(
+                     lambda bits: sum(1 << i for i in bits))))
+def test_bits_are_the_set_bits(mask):
+    assert _bits(mask) == ref_bits(mask)
+
+
+def test_lambda_power_cap(monkeypatch):
+    monkeypatch.setattr(iggraph, "POWER_WORK_CAP", 10)
     with pytest.raises(GraphCapError):
-        power_of(5, 2, cap=10)
+        power_of(5, 2)
 
 
 def refuse_elements(self):
@@ -236,12 +244,13 @@ def test_lambda_power_cap_bounds_adjacency_bits(plus, cap, refused, monkeypatch)
     # refusal comes before any Aut(S) element is built
     ctx, inv, psi2 = structural(7)
     action = aut_action(inv)
+    monkeypatch.setattr(iggraph, "POWER_WORK_CAP", cap)
     if refused:
         monkeypatch.setattr(AutAction, "elements", refuse_elements)
         with pytest.raises(GraphCapError, match="adjacency bits"):
-            lambda_power(ctx, 2, psi2, action, inv, plus=plus, cap=cap)
+            lambda_power(ctx, 2, psi2, action, inv, plus=plus)
     else:
-        g = lambda_power(ctx, 2, psi2, action, inv, plus=plus, cap=cap)
+        g = lambda_power(ctx, 2, psi2, action, inv, plus=plus)
         assert len(g.vertices) == (14 if plus else 25)
 
 
@@ -490,8 +499,7 @@ def power_cases():
         live = sum(1 for js in psi2.near if js)
         for t in range(2, b + 1):
             if live ** (2 * t) <= POWER_WORK_CAP:
-                marks = [pytest.mark.skipif(not EXTENDED, reason="needs INVGEN_EXTENDED=1")
-                         ] if (q, t) in slow else []
+                marks = [pytest.mark.extended] if (q, t) in slow else []
                 cases.append(pytest.param(q, t, b, marks=marks, id=f"q{q}-t{t}"))
     return cases
 
@@ -565,8 +573,7 @@ def sweep_cases():
     for q in range(4, 1025):
         if prime_power_split(q):
             slow = beta_fast(profile_census(q)) > 30_000
-            marks = [pytest.mark.skipif(not EXTENDED, reason="needs INVGEN_EXTENDED=1")
-                     ] if slow else []
+            marks = [pytest.mark.extended] if slow else []
             cases.append(pytest.param(q, marks=marks, id=f"q{q}"))
     return cases
 

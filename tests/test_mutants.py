@@ -3,12 +3,15 @@
 Each mutant changes one rule of ``structure.label_meets`` or one record of
 ``structure.maximal_subgroup_classes``.  With a caught mutant patched in,
 structural Psi2 differs from the oracle's table at some q of the tier-1
-oracle set or at 17, so every branch of the rules has an independent
-check.  The two halves of the subfield order test first show at q = 64,
-which runs under ``INVGEN_EXTENDED=1``.  One record has no check in
-reach: subfield PSL at degree 5 first changes Psi2 at q = 243, where the
-oracle would enumerate 7 million elements.  The oracle reads no rule: its
-``exit_bound`` comes from q alone, so no patch here reaches it.
+oracle set or at 17, or from the Psi2 that the literal class sets of
+``tests/fusion.py`` imply, so every branch of the rules has an
+independent check.  The two halves of the subfield order test first show
+at q = 64, which runs under ``INVGEN_EXTENDED=1``.  Subfield PSL at degree
+5 first changes Psi2 at q = 243, where the oracle would enumerate 7
+million elements; the literal class sets, which enumerate none, catch it
+there, and at 1024 under ``INVGEN_EXTENDED=1``.  Neither check reads a
+rule: the oracle's ``exit_bound`` comes from q alone, and the class sets
+come from matrices, so no patch here reaches them.
 
 The equivalent mutants change Psi2 at no q.  Each is checked to change no
 table at any prime power q <= 1024:
@@ -32,8 +35,6 @@ table at any prime power q <= 1024:
     unless q = 3 mod 4, where neither S4 nor A5 meets a unipotent class.
 """
 
-import os
-
 import pytest
 
 from invgen import structure
@@ -43,9 +44,9 @@ from invgen.structure import (
     BOREL, DIH_NONSPLIT, DIH_SPLIT, EXC_A5, EXC_S4, SUBFIELD_PSL, SubgroupClass,
     profile_census, psi2_structural,
 )
-from helpers import EXC_A4, reference_meets
+from fusion import class_fusion, implied_psi2
+from helpers import EXC_A4, reference_meets, reference_subgroup_classes
 
-EXTENDED = os.environ.get("INVGEN_EXTENDED") == "1"
 # the q of test_c02_oracle_equivalence_mandatory and _wider, and 17, the
 # first q = 1 mod 8 with an S4
 ORACLE_QS = [4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 25, 27, 31]
@@ -150,6 +151,10 @@ ORDER_TEST_HALVES = {
     "psl_minus_one_only": subfield_test(lambda q0, order: q0 % order == order - 1),
 }
 
+# subfield PSL(2,q0) dropped where q = q0^5: first at 243 = 3^5, past the
+# oracle's reach, where 4 ordered pairs of the classes SL(2,3) meets join Psi2
+DEGREE_5_DROP = drop(lambda p, f, sc: sc.kind != SUBFIELD_PSL or sc.q0 ** 5 != p ** f)
+
 EQUIVALENT = {
     "psl_t_test": meets(lambda q, sig, sc: sc.q0 % sl_order(q, sig[2])
                         in (1, sl_order(q, sig[2]) - 1)
@@ -199,7 +204,7 @@ def test_the_oracle_catches_the_mutant(name, oracle_near, monkeypatch):
     assert caught_at(ORACLE_QS, oracle_near, CAUGHT[name], monkeypatch)
 
 
-@pytest.mark.skipif(not EXTENDED, reason="the oracle at q = 64 needs INVGEN_EXTENDED=1")
+@pytest.mark.extended
 @pytest.mark.parametrize("name", ORDER_TEST_HALVES)
 def test_the_oracle_catches_an_order_test_half_at_64_extended(name, sessions, monkeypatch):
     expected = {64: sessions(64).psi2().near}
@@ -209,6 +214,17 @@ def test_the_oracle_catches_an_order_test_half_at_64_extended(name, sessions, mo
 @pytest.mark.parametrize("name", ORDER_TEST_HALVES)
 def test_an_order_test_half_changes_nothing_below_64(name, oracle_near, monkeypatch):
     assert caught_at(ORACLE_QS, oracle_near, ORDER_TEST_HALVES[name], monkeypatch) == []
+
+
+def literal_near(q: int):
+    """The Psi2 that the literal class sets of the reference list imply."""
+    inv = inventory(gf_for_q(q))
+    return implied_psi2(inv, class_fusion(inv, reference_subgroup_classes(inv.ctx)))
+
+
+@pytest.mark.parametrize("q", [243, pytest.param(1024, marks=pytest.mark.extended)])
+def test_the_literal_class_sets_catch_the_degree_5_drop(q, monkeypatch):
+    assert caught_at([q], {q: literal_near(q)}, DEGREE_5_DROP, monkeypatch) == [q]
 
 
 @pytest.mark.parametrize("name", EQUIVALENT)

@@ -1,4 +1,3 @@
-import os
 import random
 
 import pytest
@@ -20,31 +19,23 @@ from invgen.oracle import (
 )
 from invgen.structure import (
     BOREL,
+    DIH_SPLIT,
+    SUBFIELD_PSL,
     maximal_subgroup_classes,
     profile_census,
     psi2_structural,
 )
-from fusion import (
-    class_fusion,
-    conjugacy_orbit,
-    dihedral_nonsplit_subgroup,
-    exceptional_subgroups,
-    generating_pair,
-    labels_met,
-    stabiliser,
-    subline,
-)
+from fusion import class_fusion, closure, labels_met, nonsquare, subfield, subgroup_matrices
 from helpers import (
+    SUBFIELD_PGL,
     canon,
     centraliser_reference,
     conjugate,
     drop_class,
     expected_fusion,
-    fusion_key,
     generates,
     isolated,
     make,
-    matrix_subgroups,
     mobius_perm,
     normaliser_reference,
     pairs,
@@ -56,7 +47,6 @@ from helpers import (
     reference_subgroup_classes,
 )
 
-EXTENDED = os.environ.get("INVGEN_EXTENDED") == "1"
 FAST_QS = [4, 5, 7, 8, 9]
 QS_TO_31 = [q for q in range(4, 32) if prime_power_split(q)]
 
@@ -362,19 +352,19 @@ def test_early_exit_changes_nothing(q, sessions, monkeypatch):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
-def test_class_fusion_matches_rules(q, sessions):
-    sess = sessions(q)
-    assert fusion_key(class_fusion(sess)) == fusion_key(expected_fusion(sess))
+def test_class_fusion_matches_rules(q):
+    inv = inventory(gf_for_q(q))
+    assert class_fusion(inv) == expected_fusion(inv)
 
 
 # the records only the reference list has: A4 at 5 and 13, both S4 classes
 # at 7, subfield PGL(2,3) and PGL(2,5) with their twisted copies at 9 and 25
 @pytest.mark.parametrize("q", [5, 7, 9, 13, 25])
-def test_class_fusion_matches_the_reference_list(q, sessions):
-    sess = sessions(q)
-    classes = reference_subgroup_classes(sess.ctx)
-    assert len(classes) > len(maximal_subgroup_classes(sess.ctx.p, sess.ctx.f))
-    assert fusion_key(class_fusion(sess, classes)) == fusion_key(expected_fusion(sess, classes))
+def test_class_fusion_matches_the_reference_list(q):
+    inv = inventory(gf_for_q(q))
+    classes = reference_subgroup_classes(inv.ctx)
+    assert len(classes) > len(maximal_subgroup_classes(inv.ctx.p, inv.ctx.f))
+    assert class_fusion(inv, classes) == expected_fusion(inv, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +384,7 @@ def test_exit_bound_is_the_largest_maximal_order():
 
 # every q where the least index is not q + 1 (5, 7, 9, 11), and 4
 @pytest.mark.parametrize("q", [4, 5, 7, 9, 11] + [
-    pytest.param(q, marks=pytest.mark.skipif(not EXTENDED, reason="needs INVGEN_EXTENDED=1"))
+    pytest.param(q, marks=pytest.mark.extended)
     for q in (8, 13)])
 def test_closure_generates_is_the_full_closure(q, sessions):
     # x runs over one element per class and y over S: verdicts are
@@ -425,101 +415,79 @@ def test_the_borel_less_mutant_is_caught_at_q27(sessions, monkeypatch):
     assert patched != psi2_structural(profile_census(inv.q), inv).near
 
 
-def test_q9_each_a5_class_meets_one_unipotent(sessions):
-    sess = sessions(9)
-    groups = exceptional_subgroups(sess, "exc_a5", 2)
-    assert len(groups) == 2
-    unip_hits = []
-    for g in groups:
-        labels = labels_met(sess, g)
-        unips = {l for l in labels if l.kind == "unip"}
-        assert len(unips) == 1
-        unip_hits.append(unips.pop())
-    assert unip_hits[0] != unip_hits[1]
+def test_q9_each_a5_class_meets_one_unipotent():
+    fusion = class_fusion(inventory(gf_for_q(9)))
+    assert [{lab for lab in fusion[f"exc_a5:v{v}"] if lab.kind == "unip"} for v in (1, 2)] == [
+        {ClassLabel("unip", sq=True)}, {ClassLabel("unip", sq=False)}]
 
 
-@pytest.mark.parametrize("q, kind", [(5, "exc_a4"), (9, "exc_a5"), (11, "exc_a5"), (13, "exc_a4")])
-def test_conjugacy_orbit_is_every_conjugate(q, kind, sessions):
-    sess = sessions(q)
-    for h in exceptional_subgroups(sess, kind, 1 if kind == "exc_a4" else 2):
-        tables = [_table(x) for x in h]
-        every = {frozenset(_inverse(g).translate(xt).translate(_table(g)) for xt in tables)
-                 for g in sess.label_of_perm}
-        assert conjugacy_orbit(sess, h) == every
-
-
-def test_conjugation_generators_generate(sessions, monkeypatch):
-    for q in (4, 8, 13):
-        sess = sessions(q)
-        monkeypatch.setattr(sess, "exit_bound", sess.order)  # the full closure
-        assert sess.closure_generates(generating_pair(sess))
-
-
-def test_q7_borel_fusion(sessions):
-    sess = sessions(7)
-    labels = labels_met(sess, stabiliser(sess, {0}))
+def test_q7_borel_fusion():
+    labels = class_fusion(inventory(gf_for_q(7)))["borel"]
     assert {l.str_form() for l in labels} == {"unip:sq", "unip:nsq", "split:t=1"}
 
 
-def test_subgroup_representative_orders(sessions):
+def generated(q, *kinds) -> tuple:
+    """(the field, [(record, the group its builder's matrices generate)])
+    over the records of ``kinds``, or all, in the reference list of q."""
+    inv = inventory(gf_for_q(q))
+    return inv.ctx, [(sc, closure(inv.ctx, subgroup_matrices(inv, sc), sc.order))
+                     for sc in reference_subgroup_classes(inv.ctx)
+                     if not kinds or sc.kind in kinds]
+
+
+def test_subgroup_representative_orders():
+    # the matrices a builder writes generate a group of its record's order
     for q in (5, 7, 8, 9, 13):
-        sess = sessions(q)
-        orders = {sc.kind: sc.order for sc in reference_subgroup_classes(sess.ctx)}
-        for kind, group in (("borel", stabiliser(sess, {0})),
-                            ("dih_split", stabiliser(sess, {0, 1})),
-                            ("dih_nonsplit", dihedral_nonsplit_subgroup(sess))):
-            assert len(group) == orders[kind], (q, kind)
-            assert sess._closure(list(group), len(group)) == group, (q, kind)
+        for sc, group in generated(q)[1]:
+            assert len(group) == sc.order, (q, sc)
 
 
-def test_subfield_subgroups_q9(sessions):
-    sess = sessions(9)
-    v1, v2 = (stabiliser(sess, subline(sess, 3, s)) for s in (1, 3))  # 3 = least nonsquare
-    assert len(v1) == len(v2) == 24  # PGL(2,3) is S4
-    assert v1 != v2
+def test_subfield_subgroups_q9():
+    # PGL(2,3) is S4; its two classes meet the two unipotent classes
+    ctx, found = generated(9, SUBFIELD_PGL)
+    assert [len(group) for _, group in found] == [24, 24]
+    v1, v2 = ({lab for lab in labels_met(ctx, group) if lab.kind == "unip"} for _, group in found)
+    assert v1 == {ClassLabel("unip", sq=True)} and v2 == {ClassLabel("unip", sq=False)}
 
 
 # ---------------------------------------------------------------------------
-# stabilisers against the matrix filters of tests/helpers.py
+# the generated groups as stabilisers of point sets of the projective line
+# (point 0 is infinity, 1 + v is v).  In S the Borel is the stabiliser of
+# infinity, the split dihedral group that of {infinity, 0}, and the subfield
+# group that of the subline {infinity} u GF(q0), its twisted copy that of
+# {infinity} u nu*GF(q0): an element of PGL(2,q) that maps the subline into
+# itself agrees on {infinity, 0, 1} with one of PGL(2,q0), which is
+# transitive on ordered triples of the subline, and PGL(2,q) is sharply
+# 3-transitive.  So a group of the record's order that maps the set into
+# itself is its stabiliser
 # ---------------------------------------------------------------------------
 
 STABILISER_QS = [9, 16, 25, 27]
 
 
-@pytest.fixture(scope="module")
-def reference_subgroups():
-    cache = {}
-
-    def get(q):
-        if q not in cache:
-            cache[q] = matrix_subgroups(gf_for_q(q))
-        return cache[q]
-
-    return get
+def stabilises(ctx, group, points) -> bool:
+    return all({mobius_perm(ctx, m)[i] for i in points} == points for m in group)
 
 
 @pytest.mark.parametrize("q", STABILISER_QS)
-def test_borel_is_the_stabiliser_of_infinity(q, sessions, reference_subgroups):
-    assert stabiliser(sessions(q), {0}) == reference_subgroups(q)["borel"]
+def test_borel_is_the_stabiliser_of_infinity(q):
+    ctx, [(sc, group)] = generated(q, BOREL)
+    assert len(group) == sc.order and stabilises(ctx, group, {0})
 
 
 @pytest.mark.parametrize("q", STABILISER_QS)
-def test_split_dihedral_is_the_stabiliser_of_infinity_and_zero(q, sessions,
-                                                                reference_subgroups):
-    assert stabiliser(sessions(q), {0, 1}) == reference_subgroups(q)["dih_split"]
+def test_split_dihedral_is_the_stabiliser_of_infinity_and_zero(q):
+    ctx, [(sc, group)] = generated(q, DIH_SPLIT)
+    assert len(group) == sc.order and stabilises(ctx, group, {0, 1})
 
 
 @pytest.mark.parametrize("q", STABILISER_QS)
-def test_subfield_groups_are_subline_stabilisers(q, sessions, reference_subgroups):
-    # PGL(2,3) and its twisted copy at 9; PGL(2,2) and PGL(2,4) at 16;
-    # PGL(2,5) and its twisted copy at 25; PSL(2,3) at 27
-    sess = sessions(q)
-    ctx = sess.ctx
-    mu = next((a for a in range(1, q) if not ctx.is_square(a)), None)  # q odd
-    subfield = {key: group for key, group in reference_subgroups(q).items()
-                if key.startswith("subfield")}
-    assert subfield
-    for key, group in subfield.items():
-        degree = int(key.split(":")[1])
-        scale = mu if key.endswith("twisted") else 1
-        assert stabiliser(sess, subline(sess, ctx.p ** degree, scale)) == group, key
+def test_subfield_groups_are_subline_stabilisers(q):
+    # PGL(2,3) and its twisted copy at 9; PGL(2,4) at 16; PGL(2,5) and its
+    # twisted copy at 25; PSL(2,3) at 27
+    ctx, found = generated(q, SUBFIELD_PSL, SUBFIELD_PGL)
+    assert found
+    for sc, group in found:
+        scale = nonsquare(ctx) if sc.variant == 2 else 1
+        points = {0} | {1 + ctx.mul(scale, v) for v in subfield(ctx, sc.q0)[0]}
+        assert len(group) == sc.order and stabilises(ctx, group, points), sc

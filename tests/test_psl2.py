@@ -1,4 +1,3 @@
-import os
 import random
 from collections import Counter
 from math import gcd
@@ -17,7 +16,6 @@ from helpers import (
 )
 
 ORACLE_QS = [4, 5, 7, 8, 9, 11, 13]
-EXTENDED = os.environ.get("INVGEN_EXTENDED") == "1"
 
 
 def euler_phi(n: int) -> int:
@@ -274,7 +272,7 @@ def test_walks_and_traces_match_the_method_references(q):
     check_walks_against_references(q)
 
 
-@pytest.mark.skipif(not EXTENDED, reason="set INVGEN_EXTENDED=1")
+@pytest.mark.extended
 @pytest.mark.parametrize("q", [q for q in range(1025, 4097)
                                if (pf := prime_power_split(q)) and pf[1] > 1])
 def test_extension_walks_and_traces_match_the_method_references_extended(q):

@@ -1,5 +1,4 @@
 import json
-import os
 from math import gcd
 from typing import NamedTuple
 
@@ -65,7 +64,6 @@ from helpers import (
 
 MANDATORY_QS = [4, 5, 7, 8, 9, 11, 13]
 ALL_QS = [q for q in range(4, 1025) if prime_power_split(q)]
-EXTENDED = os.environ.get("INVGEN_EXTENDED") == "1"
 
 
 def by_kind(classes):
@@ -166,7 +164,7 @@ def test_psi2_equals_the_reference_list_psi2(q):
         psi2_structural(reference_census(inv), inv).near)
 
 
-@pytest.mark.skipif(not EXTENDED, reason="the reference list past q = 1024 needs INVGEN_EXTENDED=1")
+@pytest.mark.extended
 def test_counts_equal_the_reference_list_counts_extended():
     # |Psi2|, beta, the covering sides and the summary: every prime power up
     # to 4096, odd f = 11 and the largest f within the verify cap
@@ -635,7 +633,7 @@ def test_census_from_arithmetic_is_the_fold_census(q):
     assert_census_is_the_fold_census(q)
 
 
-@pytest.mark.skipif(not EXTENDED, reason="q past 1024 needs INVGEN_EXTENDED=1")
+@pytest.mark.extended
 def test_census_from_arithmetic_is_the_fold_census_extended():
     # every prime power up to 4096, odd f = 11 and the largest f within the
     # verify cap
