@@ -258,13 +258,18 @@ class GFContext:
         return self.pow(a, self.p)
 
     def absolute_trace(self, a: int) -> int:
-        """Trace down to the prime field: sum of a^(p^i), i < f (an int < p)."""
-        s = 0
-        x = a
-        for _ in range(self.f):
-            s = self.add(s, x)
-            x = self.frobenius(x)
-        return s  # lies in the prime subfield, so the packed value is < p
+        """Trace down to the prime field: sum of a^(p^i), i < f (an int < p).
+        It is linear: a's coefficients against the traces of x^i, the power
+        sums of the modulus's roots (Newton), found on first use."""
+        p, form = self.p, getattr(self, "_trace_form", None)
+        if form is None:
+            m, s = self.modulus, [self.f % p]
+            for k in range(1, self.f):
+                s.append(-(k * m[-1 - k] + sum(m[-1 - j] * s[k - j] for j in range(1, k))) % p)
+            form = self._trace_form = _pack(s, 2) if p == 2 else s
+        if p == 2:
+            return (a & form).bit_count() & 1
+        return sum(map(mul, _unpack(a, p, self.f), form)) % p
 
     # -- multiplicative structure ---------------------------------------------
 

@@ -421,7 +421,7 @@ class LambdaSummary(NamedTuple):
 
 
 def lambda_summary(census: ProfileCensus, cover: CoveringResult,
-                   inv: ClassInventory | None = None) -> LambdaSummary:
+                   inv: ClassInventory) -> LambdaSummary:
     """Exact plus-graph facts computed on the profile-bucket quotient.
 
     Same-profile labels are twins (identical neighborhoods, never mutually

@@ -5,6 +5,7 @@ import pytest
 from invgen.gf import gf_for_q
 from invgen.oracle import OracleSession
 from invgen.psl2 import inventory
+from helpers import label_census
 
 
 def pytest_configure(config):
@@ -32,3 +33,11 @@ def sessions():
         return cache[q]
 
     return get
+
+
+@pytest.fixture(scope="module")
+def record(q):
+    """The label-level record of PSL(2,q) (``helpers.label_census``).  Tests
+    that read it take q as a module-scoped parameter, so pytest runs them
+    grouped by q and builds one record per q for the module."""
+    return label_census(gf_for_q(q))

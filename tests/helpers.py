@@ -10,17 +10,17 @@ from operator import mul
 from typing import NamedTuple
 
 from invgen.gf import GFContext, _pack, _poly_mod, _unpack, factorize, is_prime
-from invgen.autorbits import pair_orbits
+from invgen.autorbits import aut_action, pair_orbits
 from invgen.iggraph import _bits, IGGraph, is_bipartite, LambdaSummary
 from invgen.oracle import _inverse, _line_action, _table, is_split_trace
 from invgen.psl2 import (
-    ClassEntry, ClassInventory, ClassLabel, TorusClasses, signature_counts,
+    ClassEntry, ClassInventory, ClassLabel, TorusClasses, inventory, signature_counts,
     trace_key,
 )
 from invgen.structure import (
     BOREL, BOREL_SIDE, DIH_NONSPLIT, DIH_SPLIT, DIHEDRAL_SIDE, EXC_A5, EXC_S4,
-    SUBFIELD_PSL, ProfileCensus, Psi2Table, SubgroupClass, build_profiles, label_meets,
-    maximal_subgroup_classes,
+    SUBFIELD_PSL, CoveringResult, ProfileCensus, Psi2Table, SubgroupClass, build_profiles,
+    label_meets, maximal_subgroup_classes,
 )
 
 
@@ -161,6 +161,16 @@ def ref_horner_powers(ctx, g) -> list:
     return exp
 
 
+def ref_absolute_trace(ctx, a) -> int:
+    """The sum of a^(p^i), i < f, by f Frobenius powers: the reference for
+    ``GFContext.absolute_trace``, which reads the trace off a's coefficients."""
+    s = 0
+    for _ in range(ctx.f):
+        s = ctx.add(s, a)
+        a = ctx.frobenius(a)
+    return s  # lies in the prime subfield, so the packed value is < p
+
+
 def in_subfield(ctx, a, e) -> bool:
     """True iff a lies in the subfield GF(p^e) of ``ctx``; requires e | f."""
     if e < 1 or ctx.f % e != 0:
@@ -278,7 +288,7 @@ def isolated(table) -> set:
 def signature_positions(inv) -> list:
     """For every class of ``inv``, in class order, the position of its
     signature in ``signature_counts`` order, the order of the signatures
-    of ``profile_census`` and ``inventory_census``."""
+    of ``profile_census`` and of the ``label_census`` record."""
     position = {sig: k for k, sig in enumerate(signature_counts(inv.ctx.p, inv.ctx.f))}
     return [position[ref_signature(e)] for e in inv]
 
@@ -422,11 +432,6 @@ def ids(universe, mask) -> frozenset:
     return frozenset(sc.id for i, sc in enumerate(universe) if mask >> i & 1)
 
 
-def mask(universe, names) -> int:
-    """The profile mask over ``universe`` of a set of subgroup ids."""
-    return sum(1 << i for i, sc in enumerate(universe) if sc.id in names)
-
-
 def label_profiles(inv, classes) -> dict:
     """Nonidentity label -> the ``build_profiles`` profile of its signature,
     as subgroup ids."""
@@ -435,7 +440,7 @@ def label_profiles(inv, classes) -> dict:
 
 
 def ref_profiles(ctx, entries, classes) -> dict:
-    """Nonidentity label -> profile over ``classes``: ``build_profiles``
+    """Nonidentity label -> profile mask over ``classes``: ``build_profiles``
     one label at a time, every rule evaluated for every nonidentity label,
     on a signature built for that label alone, except that a torus class
     meets a subfield record by literal membership of its trace
@@ -446,8 +451,8 @@ def ref_profiles(ctx, entries, classes) -> dict:
         if label.kind == "id":
             continue
         sig = ref_signature(entry)
-        out[label] = frozenset(
-            sc.id for sc in classes
+        out[label] = sum(
+            1 << i for i, sc in enumerate(classes)
             if (ref_subfield_meets(ctx, label, sc, False)
                 if label.trace >= 0 and sc.kind == SUBFIELD_PSL
                 else label_meets(ctx.q, sig, sc)))
@@ -528,9 +533,10 @@ def expected_fusion(inv, classes=None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the label-level route: inventory entries, signatures, profiles, census,
-# covering, summary and beta, one class label at a time.  The reference for
-# the array and per-signature route in src/.
+# the label-level record: the class entries, profiles, census, covering,
+# summary and beta of PSL(2,q), one class label at a time and built once per
+# q.  The reference for the census that src/ builds from q's arithmetic, for
+# the inventory, and for every figure read off the census.
 # ---------------------------------------------------------------------------
 
 def dickson(ctx, t, k) -> int:
@@ -611,199 +617,91 @@ def ref_entries(ctx) -> list:
     return entries
 
 
-def ref_census(ctx, entries) -> tuple:
-    """(labels, buckets, members, bucket_of): the nonidentity labels, the
-    distinct profiles in the order of their masks, the labels of each, and
-    the bucket of each label."""
-    classes = maximal_subgroup_classes(ctx.p, ctx.f)
-    profs = ref_profiles(ctx, entries, classes)
-    grouped = {}
-    for label, prof in profs.items():
-        grouped.setdefault(prof, []).append(label)
-    buckets = sorted(grouped, key=lambda prof: mask(classes, prof))
-    bucket_of = {label: i for i, b in enumerate(buckets) for label in grouped[b]}
-    return list(profs), buckets, [grouped[b] for b in buckets], bucket_of
-
-
-def ref_covering(ctx, entries) -> tuple:
-    """(ok, only_borel, only_dihedral, both) as label sets."""
-    classes = maximal_subgroup_classes(ctx.p, ctx.f)
-    borel = next(sc for sc in classes if sc.kind == BOREL)
-    dihedral = next(sc for sc in classes if sc.kind == DIH_NONSPLIT)
-    only_b, only_d, both = set(), set(), set()
-    ok = True
-    for entry in entries:
-        if entry.label.kind == "id":
-            continue
-        sig = ref_signature(entry)
-        in_b, in_d = label_meets(ctx.q, sig, borel), label_meets(ctx.q, sig, dihedral)
-        if in_b and in_d:
-            both.add(entry.label)
-        elif in_b:
-            only_b.add(entry.label)
-        elif in_d:
-            only_d.add(entry.label)
-        else:
-            ok = False
-    return ok, only_b, only_d, both
-
-
 def _ref_disjoint(buckets) -> list:
-    """The ordered pairs of buckets, frozensets or masks, that share nothing."""
+    """The ordered pairs of bucket positions whose profile masks share no bit."""
     return [(i, j) for i, pi in enumerate(buckets)
             for j, pj in enumerate(buckets) if not pi & pj]
 
 
-def ref_psi2_count(buckets, members) -> int:
-    """|Psi2| as the bucket products of ``ref_census`` over its disjoint pairs."""
-    return sum(len(members[i]) * len(members[j]) for i, j in _ref_disjoint(buckets))
+class LabelCensus(NamedTuple):
+    """The label-level record of PSL(2,q): the class entries, the census
+    with its buckets filled label by label, the members of each bucket as
+    positions among the nonidentity labels, and the covering, summary and
+    beta read off them."""
+
+    entries: list[ClassEntry]
+    census: ProfileCensus
+    members: list[list[int]]
+    cover: CoveringResult
+    summary: LambdaSummary
+    beta: int
 
 
-def ref_summary(ctx, entries) -> LambdaSummary:
-    """``lambda_summary`` on the label-level census and covering."""
-    _, buckets, members, _ = ref_census(ctx, entries)
-    _, only_b, only_d, _ = ref_covering(ctx, entries)
+def label_census(ctx) -> LabelCensus:
+    """The record of ``ctx``'s PSL(2,q), from ``ref_entries`` and
+    ``ref_profiles``.  Its signatures, each with its class count, are the
+    head's in class order, then each torus's orders ascending; the classes
+    of one signature must share a profile, and the identity meets every
+    listed class.  The summary runs ``graph_from_near`` and the mask BFS
+    routines on the plus quotient, and beta is Burnside's count over the
+    BFS closure of ``aut_action``, whose order is the census's out_order."""
+    q, entries = ctx.q, ref_entries(ctx)
+    classes = maximal_subgroup_classes(ctx.p, ctx.f)
+    label_mask = ref_profiles(ctx, entries, classes)
+    profile = {ref_signature(entries[0]): (1 << len(classes)) - 1}
+    for e in entries[1:]:
+        assert profile.setdefault(ref_signature(e), label_mask[e.label]) == (
+            label_mask[e.label]), (q, e.label)
+    rank = {kind: i for i, kind in enumerate(dict.fromkeys(e.label.kind for e in entries))}
+    counts = sorted(Counter(map(ref_signature, entries)).items(),
+                    key=lambda item: (rank[item[0][0]], item[0][2]))
+    profiles = [profile[sig] for sig, _ in counts]
+    buckets = sorted(set(profiles[1:]))
+    index = {prof: b for b, prof in enumerate(buckets)}
+    bucket_of = [index[label_mask[e.label]] for e in entries[1:]]
+    members = [[] for _ in buckets]
+    for i, b in enumerate(bucket_of):
+        members[b].append(i)
     sizes = [len(m) for m in members]
-    near = [[] for _ in sizes]
-    for i, j in _ref_disjoint(buckets):
-        if i != j:
-            near[i].append(j)
-    quotient = graph_from_near(ctx.q, 1, "structural", list(range(len(sizes))), near, plus=True)
-    live = quotient.vertices
+    disjoint = _ref_disjoint(buckets)
+    elements = ref_elements(aut_action(inventory(ctx)))
+    census = ProfileCensus(q, len(elements), dict(counts), buckets, sizes,
+                           [-1, *map(index.__getitem__, profiles[1:])], disjoint, profiles,
+                           sum(sizes[i] * sizes[j] for i, j in disjoint), classes)
+    borel, dihedral = (1 << classes.index(SubgroupClass(kind)) for kind in (BOREL, DIH_NONSPLIT))
+    sides = [BOREL_SIDE * (prof & borel > 0) | DIHEDRAL_SIDE * (prof & dihedral > 0)
+             for prof in profiles]
+    cover = CoveringResult(all(sides[1:]), sides)
+    near = [[j for i2, j in disjoint if i2 == i != j] for i in range(len(buckets))]
+    quotient = graph_from_near(q, 1, "structural", list(range(len(buckets))), near, plus=True)
     bipartite, _ = mask_is_bipartite(quotient)
-    diam = mask_diameter(quotient)
-    if any(sizes[i] >= 2 for i in live):
-        diam = max(diam, 2)
-    side = {**{lab: 0 for lab in only_b}, **{lab: 1 for lab in only_d}}
-    bucket_side = []
-    match = bipartite
-    for mem in members:
-        tags = {side.get(lab) for lab in mem}
-        if len(tags) != 1:
-            match = False
-            break
-        bucket_side.append(tags.pop())
-    if match:
-        for i, js in enumerate(near):
-            if js and (bucket_side[i] is None
-                       or any(bucket_side[j] == bucket_side[i] for j in js)):
-                match = False
-    return LambdaSummary(
+    diameter = mask_diameter(quotient)
+    if any(sizes[i] >= 2 for i in quotient.vertices):  # twins lie two apart
+        diameter = max(diameter, 2)
+    summary = LambdaSummary(
         component_count=len(mask_components(quotient)),
         bipartite=bipartite,
-        parts_match_covering=match,
-        diameter=diam,
-        isolated=sorted(lab.str_form() for i, js in enumerate(near) if not js
-                        for lab in members[i]),
+        parts_match_covering=bipartite and quotient_parts_match(cover, census, quotient),
+        diameter=diameter,
+        isolated=sorted(str(entries[i + 1].label) for b, js in enumerate(near) if not js
+                        for i in members[b]),
     )
-
-
-def ref_beta_fast(ctx, entries, action) -> int:
-    """Burnside's count over the label-level census, with every element of
-    the BFS closure of ``action`` named as a map of labels."""
-    labels, buckets, members, bucket_of = ref_census(ctx, entries)
-    disjoint = _ref_disjoint(buckets)
-    elements = [named(g, labels) for g in ref_elements(action)]
     total = 0
-    for perm in elements:
-        fixed = [len(m) for m in members]
-        for lab in perm:
-            fixed[bucket_of[lab]] -= 1
+    for g in elements:
+        fixed = sizes[:]
+        for k, image in enumerate(g):
+            if image != k:
+                fixed[bucket_of[k]] -= 1
         total += sum(fixed[i] * fixed[j] for i, j in disjoint)
-    count, rem = divmod(total, len(elements))
-    assert rem == 0
-    return count
-
-
-# ---------------------------------------------------------------------------
-# the census from the inventory's fold: the signatures and the number of
-# classes with each counted from the torus orders, the route the census
-# took before it read q's arithmetic.  The reference for ``profile_census``
-# and ``psl2.signature_counts``.
-# ---------------------------------------------------------------------------
-
-def fold_signatures(inv) -> dict:
-    """The class signatures of ``inv``, each with its number of classes,
-    counted from the fold: the head classes one each, then each torus's
-    orders ascending, the order of ``signature_counts``."""
-    out = {ref_signature(e): 1 for e in inv.head}
-    for kind, _, orders, _ in inv.tori:
-        out.update(((kind, None, j), n) for j, n in sorted(Counter(orders).items()))
-    return out
-
-
-def inventory_census(inv) -> ProfileCensus:
-    """The ``ProfileCensus`` over ``fold_signatures``, built as
-    ``profile_census`` builds its own over ``signature_counts``."""
-    ctx = inv.ctx
-    sigs = fold_signatures(inv)
-    classes = maximal_subgroup_classes(ctx.p, ctx.f)
-    profs = [sum(1 << i for i, sc in enumerate(classes) if label_meets(ctx.q, sig, sc))
-             for sig in sigs]
-    buckets = sorted(set(profs[1:]))
-    index = {prof: b for b, prof in enumerate(buckets)}
-    sig_bucket = [-1, *map(index.__getitem__, profs[1:])]
-    sizes = [0] * len(buckets)
-    for b, count in zip(sig_bucket[1:], list(sigs.values())[1:]):
-        sizes[b] += count
-    disjoint = _ref_disjoint(buckets)
-    return ProfileCensus(ctx.q, inv.d * ctx.f, sigs, buckets, sizes, sig_bucket, disjoint,
-                         profs, sum(sizes[i] * sizes[j] for i, j in disjoint), classes)
-
-
-# ---------------------------------------------------------------------------
-# the census by a per-class signature index: the index is built by one dict
-# lookup per class, the bucket sizes by a Counter over it, and the covering
-# runs the Borel and nonsplit-dihedral rules a second time.  The reference
-# for the census from per-signature class counts.
-# ---------------------------------------------------------------------------
-
-def ref_class_signatures(inv) -> tuple:
-    """(signatures, of_class): the distinct signatures, the head's first and
-    then each torus's orders ascending, and the position of the signature
-    of every class."""
-    position = {}
-    of_class = [position.setdefault(ref_signature(e), len(position)) for e in inv.head]
-    for kind, _, orders, _ in inv.tori:
-        for j in sorted(set(orders)):
-            position[kind, None, j] = len(position)
-        of_class += [position[kind, None, j] for j in orders]
-    return list(position), of_class
-
-
-def ref_index_census(ctx, inv) -> tuple:
-    """(census, members, sides): the ``ProfileCensus`` with sizes counted
-    over the per-class index, the positions of the classes of each bucket
-    read off that index, and the covering side of each signature."""
-    sigs, of_class = ref_class_signatures(inv)
-    classes = maximal_subgroup_classes(ctx.p, ctx.f)
-    profs = [sum(1 << i for i, sc in enumerate(classes) if label_meets(ctx.q, sig, sc))
-             for sig in sigs]
-    buckets = sorted(set(profs[1:]))
-    index = {prof: b for b, prof in enumerate(buckets)}
-    sig_bucket = [-1] + [index[prof] for prof in profs[1:]]
-    sizes = [0] * len(buckets)
-    counts = Counter(of_class)
-    for sig, count in counts.items():
-        if sig:
-            sizes[sig_bucket[sig]] += count
-    members = [[i for i, sig in enumerate(of_class[1:]) if sig_bucket[sig] == b]
-               for b in range(len(buckets))]
-    borel = next(sc for sc in classes if sc.kind == BOREL)
-    dihedral = next(sc for sc in classes if sc.kind == DIH_NONSPLIT)
-    sides = [BOREL_SIDE * label_meets(ctx.q, sig, borel)
-             | DIHEDRAL_SIDE * label_meets(ctx.q, sig, dihedral) for sig in sigs]
-    disjoint = _ref_disjoint(buckets)
-    census = ProfileCensus(ctx.q, inv.d * ctx.f, {sig: counts[k] for k, sig in enumerate(sigs)},
-                           buckets, sizes, sig_bucket, disjoint, profs,
-                           sum(sizes[i] * sizes[j] for i, j in disjoint), classes)
-    return census, members, sides
+    beta, rem = divmod(total, len(elements))
+    assert rem == 0, q
+    return LabelCensus(entries, census, members, cover, summary, beta)
 
 
 # ---------------------------------------------------------------------------
 # the graph analyses as three BFS routines over the neighbour masks, and the
-# bucket summary through an IGGraph on the plus quotient: the reference for
-# the one BFS routine that serves them all
+# quotient's parts against the covering sides: the references for the one
+# BFS routine that serves them all and for ``_parts_match_covering``
 # ---------------------------------------------------------------------------
 
 def ref_bits(mask) -> list:
@@ -869,33 +767,6 @@ def mask_diameter(g) -> int:
     """Largest eccentricity within a component, from one BFS per twin class."""
     sources = {mask: i for i, mask in enumerate(g.nbrs) if mask}
     return max((len(_layers(g.nbrs, i)) - 1 for i in sources.values()), default=0)
-
-
-def ref_quotient_summary(census, cover, inv) -> LambdaSummary:
-    """``lambda_summary`` through an IGGraph on the live buckets and the
-    three mask routines; ``inv`` names the isolated classes."""
-    sizes = census.sizes
-    near = [[] for _ in sizes]
-    for i, j in census.disjoint:
-        if i != j:
-            near[i].append(j)
-    quotient = graph_from_near(census.q, 1, "structural", list(range(len(sizes))), near,
-                               plus=True)
-    live = quotient.vertices
-    dead = {i for i, js in enumerate(near) if not js}
-    members = census.members(inv)
-    isolated = [str(inv.entries[i + 1].label) for b in dead for i in members[b]]
-    bipartite, _ = mask_is_bipartite(quotient)
-    diam = mask_diameter(quotient)
-    if any(sizes[i] >= 2 for i in live):
-        diam = max(diam, 2)
-    return LambdaSummary(
-        component_count=len(mask_components(quotient)),
-        bipartite=bipartite,
-        parts_match_covering=bipartite and quotient_parts_match(cover, census, quotient),
-        diameter=diam,
-        isolated=sorted(isolated),
-    )
 
 
 def quotient_parts_match(cover, census, quotient) -> bool:
@@ -1009,9 +880,8 @@ def ref_dot(g) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the field tables and walks through the context's methods, and the census
-# on frozensets of subgroup ids: the references for the searches on ints,
-# the walks that read the tables inline and the census on profile masks
+# the field tables and walks through the context's methods: the references
+# for the searches on ints and the walks that read the tables inline
 # ---------------------------------------------------------------------------
 
 def ref_modulus(p, f) -> list:
@@ -1086,25 +956,6 @@ def split_key_array(inv) -> list:
     for key, order in zip(split.keys, split.orders):
         slots[key] = order
     return slots
-
-
-def ref_frozenset_census(inv) -> tuple:
-    """(buckets, sizes, sig_bucket, disjoint, profiles, psi2_count) with each
-    profile the frozenset of the ids of the subgroup classes it meets, and
-    the buckets sorted by their sorted ids, over ``fold_signatures``."""
-    sigs = fold_signatures(inv)
-    universe = [(sc, sc.id) for sc in maximal_subgroup_classes(inv.ctx.p, inv.ctx.f)]
-    profs = [frozenset([i for sc, i in universe if label_meets(inv.q, sig, sc)])
-             for sig in sigs]
-    buckets = sorted(set(profs[1:]), key=sorted)
-    index = {prof: b for b, prof in enumerate(buckets)}
-    sig_bucket = [-1] + [index[prof] for prof in profs[1:]]
-    sizes = [0] * len(buckets)
-    for b, count in zip(sig_bucket[1:], list(sigs.values())[1:]):
-        sizes[b] += count
-    disjoint = _ref_disjoint(buckets)
-    return (buckets, sizes, sig_bucket, disjoint, profs,
-            sum(sizes[i] * sizes[j] for i, j in disjoint))
 
 
 # ---------------------------------------------------------------------------
@@ -1187,12 +1038,12 @@ def reference_meets(q, sig, sc) -> bool:
     return kind in ("id", "unip", "inv") or sc.q0 % order in (1, order - 1)
 
 
-def reference_census(inv) -> ProfileCensus:
-    """The census over the reference list and ``fold_signatures``: profiles
-    over the maximal records and the nonsplit dihedral, bucketed by their
-    maximal part."""
-    ctx = inv.ctx
-    sigs = fold_signatures(inv)
+def reference_census(ctx, census) -> ProfileCensus:
+    """The census over the reference list, on the signatures, class counts
+    and out_order of ``census``, a ``label_census`` record's: profiles over
+    the maximal records and the nonsplit dihedral, bucketed by their maximal
+    part."""
+    sigs = census.signatures
     classes = reference_subgroup_classes(ctx)
     universe = [sc for sc in classes if sc.maximal or sc.kind == DIH_NONSPLIT]
     profiles = [sum(1 << i for i, sc in enumerate(universe) if reference_meets(ctx.q, sig, sc))
@@ -1206,7 +1057,7 @@ def reference_census(inv) -> ProfileCensus:
     for b, count in zip(sig_bucket[1:], list(sigs.values())[1:]):
         sizes[b] += count
     disjoint = _ref_disjoint(buckets)
-    return ProfileCensus(ctx.q, inv.d * ctx.f, sigs, buckets, sizes, sig_bucket, disjoint,
+    return ProfileCensus(ctx.q, census.out_order, sigs, buckets, sizes, sig_bucket, disjoint,
                          profiles, sum(sizes[i] * sizes[j] for i, j in disjoint), universe)
 
 

@@ -14,7 +14,7 @@ from invgen.gf import (
 )
 from helpers import (
     Budget, PrimeTables, cached_field, coeffs, from_coeffs, in_subfield, poly_power, poly_product,
-    ref_add, ref_generator, ref_horner_powers, ref_modulus, ref_neg,
+    ref_absolute_trace, ref_add, ref_generator, ref_horner_powers, ref_modulus, ref_neg,
 )
 
 SMALL_QS = [4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128]
@@ -274,6 +274,13 @@ def test_absolute_trace_additive_and_onto():
         for b in range(16):
             assert ctx.absolute_trace(ctx.add(a, b)) == (ta + ctx.absolute_trace(b)) % 2
     assert values == {0, 1}
+
+
+@pytest.mark.parametrize("p,f", [(2, f) for f in range(1, 11)] + [(3, 4), (5, 3)])
+def test_absolute_trace_is_the_frobenius_sum(p, f):
+    ctx = GFContext(p, f)
+    assert [ctx.absolute_trace(a) for a in range(ctx.q)] == (
+        [ref_absolute_trace(ctx, a) for a in range(ctx.q)])
 
 
 def test_coeffs_roundtrip():

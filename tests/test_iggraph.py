@@ -625,6 +625,14 @@ def test_summary_matches_explicit_graph(q):
     assert set(s.isolated) == expected_isolated(inv)
 
 
+def test_summary_requires_the_inventory():
+    # it names the isolated torus classes of q = 7 from the inventory, so
+    # no q may call it without one
+    census = profile_census(13)
+    with pytest.raises(TypeError):
+        lambda_summary(census, verify_2covering(census))
+
+
 @st.composite
 def bucket_quotients(draw):
     """Neighbour masks of a few buckets, the bucket of each signature (every

@@ -10,9 +10,8 @@ from invgen.psl2 import (
     enumerate_psl2, inventory, signature_counts, trace_key,
 )
 from helpers import (
-    IDENTITY, canon, dickson, fold_signatures, make, nonsplit_generator_trace, psl2_class_of,
-    psl2_inv, psl2_mul, psl2_order, ref_entries, ref_split_traces, ref_table_walk,
-    split_key_array,
+    IDENTITY, canon, dickson, make, nonsplit_generator_trace, psl2_class_of, psl2_inv,
+    psl2_mul, psl2_order, ref_split_traces, ref_table_walk, split_key_array,
 )
 
 ORACLE_QS = [4, 5, 7, 8, 9, 11, 13]
@@ -192,13 +191,12 @@ def test_phi_over_2_labels_per_order(q):
 
 
 @pytest.mark.parametrize("q", [q for q in range(4, 1025) if prime_power_split(q)]
-                         + [2048, 2187, 4093, 4096])
-def test_torus_class_counts_are_the_inventory_counts(q):
+                         + [2048, 2187, 4093, 4096], scope="module")
+def test_torus_class_counts_are_the_inventory_counts(q, record):
     # every signature and its class count, in order, from arithmetic and
-    # from the fold of the inventory
-    inv = inventory(gf_for_q(q))
-    assert list(signature_counts(inv.ctx.p, inv.ctx.f).items()) == (
-        list(fold_signatures(inv).items()))
+    # from the label-level record's count of the class entries
+    assert list(signature_counts(*prime_power_split(q)).items()) == (
+        list(record.census.signatures.items()))
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 11, 13])
@@ -252,9 +250,10 @@ def test_nonsplit_walk_certifies_the_reference_generator():
 
 
 def check_walks_against_references(q):
-    """The walk, the split traces, their keys and the class orders against
-    the walk through ``ctx.mul``/``ctx.sub`` with ``is_split_trace``, the
-    sums through ``ctx.add``, ``trace_key`` and the per-power gcd fold."""
+    """The walk, the split traces and their keys against the walk through
+    ``ctx.mul``/``ctx.sub`` with ``is_split_trace``, the sums through
+    ``ctx.add`` and ``trace_key``.  The class orders are the label-level
+    record's (``test_signature_route_matches_label_reference``)."""
     ctx = gf_for_q(q)
     key_of = _trace_keys(ctx).__getitem__
     walk = nonsplit_walk(ctx)
@@ -264,7 +263,6 @@ def check_walks_against_references(q):
     assert [t % ctx.p if ctx.f == 1 else t for t in traces] == split
     assert list(map(key_of, traces)) == [trace_key(ctx, t) for t in split]
     assert list(map(key_of, walk)) == [trace_key(ctx, t) for t in walk]
-    assert inventory(ctx).entries == ref_entries(ctx)
 
 
 @pytest.mark.parametrize("q", [q for q in range(4, 1025) if prime_power_split(q)])

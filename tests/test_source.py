@@ -1,17 +1,24 @@
-"""Rules on the library source itself, read with ``ast``: the runtime imports
-only the standard library and itself, every name a module imports is read
-in it, only the CLI reads the environment, the oracle takes from the
-structural rules it certifies only the type it returns, and no other
-module names those rules."""
+"""Rules on the source, read with ``ast``.  On the library: the runtime
+imports only the standard library and itself, every name a module imports
+is read in it, only the CLI reads the environment, the oracle takes from
+the structural rules it certifies only the type it returns, and no other
+module names those rules.  On the test references: every top-level
+function, class and constant of ``tests/helpers.py`` and ``tests/fusion.py``
+is read somewhere under ``tests/`` outside its own definition, so a deleted
+comparison leaves no reference behind."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "invgen"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "invgen"
 MODULES = sorted(SRC.glob("*.py"))
+REFERENCES = [TESTS / "helpers.py", TESTS / "fusion.py"]
+REFERENCE_MODULES = {path.stem for path in REFERENCES}
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 RULES = {"maximal_subgroup_classes", "label_meets", "build_profiles"}
 
@@ -91,6 +98,40 @@ def reads_environment(tree) -> bool:
     return False
 
 
+def reads(node) -> set[str]:
+    """Every name other than its own locals, and every attribute of a test
+    reference module, that the statement ``node`` reads; a name it binds,
+    as a parameter or by assignment, is a local throughout it."""
+    loads, local = set(), set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            (loads if isinstance(n.ctx, ast.Load) else local).add(n.id)
+        elif isinstance(n, ast.arg):
+            local.add(n.arg)
+        elif isinstance(n, ast.Attribute) and getattr(n.value, "id", None) in REFERENCE_MODULES:
+            loads.add(n.attr)
+    return loads - local
+
+
+def unread_definitions(tree, others) -> set[str]:
+    """The top-level functions, classes and constants of ``tree`` that no
+    other statement of it and no statement of the trees ``others`` reads."""
+    elsewhere = set().union(*(reads(node) for other in others for node in other.body))
+    own = [reads(node) for node in tree.body]
+    readers = Counter(name for names in own for name in names)  # statements reading each
+    unread = set()
+    for node, names_read in zip(tree.body, own):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = {node.name}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+        else:
+            continue
+        unread |= {n for n in names - elsewhere if readers[n] == (n in names_read)}
+    return unread
+
+
 def test_every_module_is_checked():
     assert {p.name for p in MODULES} >= {"__init__.py", "cli.py", "gf.py", "oracle.py"}
 
@@ -124,6 +165,25 @@ def test_only_structure_names_the_rules(path):
     # the census is the one reader of Dickson's list and its rules
     named = identifiers(parse(path)) & RULES
     assert not named, f"{path.name} names {sorted(named)}"
+
+
+@pytest.mark.parametrize("path", REFERENCES, ids=lambda p: p.name)
+def test_every_reference_is_read(path):
+    others = [parse(p) for p in sorted(TESTS.glob("*.py")) if p != path]
+    unread = unread_definitions(parse(path), others)
+    assert not unread, f"{path.name} defines {sorted(unread)}, which no test reads"
+
+
+@pytest.mark.parametrize("source,other,expected", [
+    ("def f(): pass\ndef g(): f()", "", {"g"}),
+    ("def f(): return f()", "", {"f"}),
+    ("X = 1\nY: int = 2\nclass C: pass", "from helpers import X, C\nC()", {"X", "Y"}),
+    ("def f(): pass", "import helpers\nhelpers.f()", set()),
+    ("def f(): pass\ndef g(f): f()", "def h():\n    f = 1\n    return f", {"f", "g"}),
+    ("def f(): pass", "s.f", {"f"}),
+], ids=["caller", "recursion", "import-only", "attribute", "shadowed", "field"])
+def test_unread_definitions_are_recognised(source, other, expected):
+    assert unread_definitions(ast.parse(source), [ast.parse(other)]) == expected
 
 
 @pytest.mark.parametrize("source,expected", [

@@ -7,10 +7,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from invgen import psl2, structure
-from invgen.autorbits import aut_action, beta_fast
+from invgen.autorbits import beta_fast
 from invgen.cli import verify_qs
 from invgen.gf import gf_for_q, prime_power_split
-from invgen.iggraph import lambda_summary, n_lower_bound_report
+from invgen.iggraph import lambda_summary
 from invgen.oracle import OracleSession
 from invgen.psl2 import ClassLabel, _power_orders, inventory, signature_counts
 from invgen.structure import (
@@ -20,7 +20,6 @@ from invgen.structure import (
     EXC_A5,
     EXC_S4,
     SUBFIELD_PSL,
-    CoveringResult,
     Psi2Table,
     SubgroupClass,
     build_profiles,
@@ -35,25 +34,11 @@ from invgen.structure import (
 from helpers import (
     EXC_A4,
     covering_sets,
-    ids,
     in_subfield,
-    inventory_census,
     isolated,
+    label_census,
     label_profiles,
     pairs,
-    ref_beta_fast,
-    ref_census,
-    ref_class_signatures,
-    ref_covering,
-    ref_entries,
-    ref_frozenset_census,
-    ref_index_census,
-    ref_profiles,
-    ref_psi2_count,
-    ref_quotient_summary,
-    ref_signature,
-    signature_positions,
-    ref_summary,
     reference_census,
     reference_label_profiles,
     reference_meets,
@@ -157,24 +142,23 @@ def test_dropped_records_lie_inside_a_listed_class_set(q):
             assert any(meets(sc) <= meets(other) for other in listed), (q, sc.id)
 
 
-@pytest.mark.parametrize("q", ALL_QS)
-def test_psi2_equals_the_reference_list_psi2(q):
-    inv = inventory(gf_for_q(q))
+@pytest.mark.parametrize("q", ALL_QS, scope="module")
+def test_psi2_equals_the_reference_list_psi2(q, record):
+    ctx = gf_for_q(q)
+    inv = inventory(ctx)
     assert psi2_structural(profile_census(q), inv).near == (
-        psi2_structural(reference_census(inv), inv).near)
+        psi2_structural(reference_census(ctx, record.census), inv).near)
 
 
-@pytest.mark.extended
-def test_counts_equal_the_reference_list_counts_extended():
-    # |Psi2|, beta, the covering sides and the summary: every prime power up
-    # to 4096, odd f = 11 and the largest f within the verify cap
-    for q in [q for q in range(4, 4097) if prime_power_split(q)] + [3 ** 11, 2 ** 18]:
-        inv = inventory(gf_for_q(q))
-        census, ref = profile_census(inv.q), reference_census(inv)
-        cover, ref_cover = verify_2covering(census), verify_2covering(ref)
-        assert (census.psi2_count, beta_fast(census), cover.sides) == (
-            ref.psi2_count, beta_fast(ref), ref_cover.sides), q
-        assert lambda_summary(census, cover, inv) == lambda_summary(ref, ref_cover, inv), q
+def assert_reference_list_counts(inv, census, record):
+    """|Psi2|, beta, the covering sides and the summary of ``census`` equal
+    those of the reference list's census on the signatures of the
+    ``label_census`` record."""
+    ref = reference_census(inv.ctx, record.census)
+    cover, ref_cover = verify_2covering(census), verify_2covering(ref)
+    assert (census.psi2_count, beta_fast(census), cover.sides) == (
+        ref.psi2_count, beta_fast(ref), ref_cover.sides), census.q
+    assert lambda_summary(census, cover, inv) == lambda_summary(ref, ref_cover, inv), census.q
 
 
 @pytest.mark.parametrize("q", MANDATORY_QS + [16, 25, 27, 31, 64, 81])
@@ -187,17 +171,6 @@ def test_subgroup_orders_divide_group_order(q):
 # ---------------------------------------------------------------------------
 # profiles
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("q", [q for q in range(4, 1025) if prime_power_split(q)])
-def test_build_profiles_match_per_label_reference(q):
-    ctx = gf_for_q(q)
-    inv = inventory(ctx)
-    classes = maximal_subgroup_classes(ctx.p, ctx.f)
-    sigs = list(signature_counts(ctx.p, ctx.f))
-    assert set(sigs) == {ref_signature(e) for e in inv}
-    assert len(build_profiles(q, sigs, classes)) == len(sigs)
-    assert label_profiles(inv, classes) == ref_profiles(ctx, inv, classes)
-
 
 NONPRIME_POWERS = [q for q in range(4, 4097) if (pf := prime_power_split(q)) and pf[1] > 1]
 
@@ -515,80 +488,6 @@ def test_psi2_equals_label_pair_sweep(q):
     assert pairs(psi2_structural(profile_census(inv.q), inv)) == expected
 
 
-# ---------------------------------------------------------------------------
-# the array and per-signature route against the label-level reference
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize(
-    "q", [q for q in range(4, 1025) if prime_power_split(q)] + [2048, 2187, 4096])
-def test_signature_route_matches_label_reference(q):
-    ctx = gf_for_q(q)
-    inv = inventory(ctx)
-    entries = ref_entries(ctx)
-    assert len(inv) == len(entries)  # the class count
-    assert inv.entries == entries
-    census = profile_census(q)
-    labels, buckets, members, _ = ref_census(ctx, entries)
-    assert [ids(census.universe, b) for b in census.buckets] == buckets
-    assert census.sizes == [len(m) for m in members]
-    assert census.psi2_count == ref_psi2_count(buckets, members)
-    assert [[labels[i] for i in mem] for mem in census.members(inv)] == members
-    cover = verify_2covering(census)
-    ok, only_borel, only_dihedral, both = ref_covering(ctx, entries)
-    assert cover.ok == ok
-    assert covering_sets(inv, cover) == (only_borel, only_dihedral, both)
-    assert lambda_summary(census, cover, inv) == ref_summary(ctx, entries)
-    assert beta_fast(census) == ref_beta_fast(ctx, entries, aut_action(inv))
-
-
-@pytest.mark.parametrize("q", [q for q in range(4, 1025) if prime_power_split(q)])
-def test_census_matches_class_index_reference(q):
-    # sizes from per-order class counts and sides from the census profiles
-    # against a per-class signature index, a Counter over it and the
-    # covering rules run again
-    ctx = gf_for_q(q)
-    inv = inventory(ctx)
-    census = profile_census(q)
-    ref, members, sides = ref_index_census(ctx, inv)
-    _, of_class = ref_class_signatures(inv)
-    assert list(census.signatures.items()) == list(ref.signatures.items())
-    assert census.profiles == ref.profiles
-    assert (census.buckets, census.sizes, census.sig_bucket, census.disjoint,
-            census.psi2_count) == (
-        ref.buckets, ref.sizes, ref.sig_bucket, ref.disjoint, ref.psi2_count)
-    cover = verify_2covering(census)
-    assert cover == (all(sides[1:]), sides)
-    # every summary field: isolated named through the index, the rest from
-    # the reference census and sides
-    dead = {b for b in range(len(ref.buckets))
-            if all(j == b for i, j in ref.disjoint if i == b)}
-    names = sorted(str(inv.entries[i + 1].label) for b in dead for i in members[b])
-    expected = lambda_summary(ref, CoveringResult(all(sides[1:]), sides), inv)._replace(
-        isolated=names)
-    assert lambda_summary(census, cover, inv) == expected
-    assert lambda_summary(census, cover, inv) == ref_quotient_summary(census, cover, inv)
-    assert census.members(inv) == members and signature_positions(inv) == of_class
-
-
-@pytest.mark.parametrize("q", [q for q in range(4, 1025) if prime_power_split(q)])
-def test_census_on_masks_matches_the_frozenset_reference(q):
-    # every census field against the census on frozensets of subgroup ids,
-    # whose buckets are sorted by their sorted ids
-    inv = inventory(gf_for_q(q))
-    census = profile_census(inv.q)
-    buckets, sizes, sig_bucket, disjoint, profiles, count = ref_frozenset_census(inv)
-    assert census.universe == maximal_subgroup_classes(inv.ctx.p, inv.ctx.f)
-    assert [ids(census.universe, m) for m in census.profiles] == profiles
-    assert census.buckets == sorted(census.buckets)
-    named = [ids(census.universe, b) for b in census.buckets]
-    assert sorted(named, key=sorted) == buckets
-    ref_of = [buckets.index(b) for b in named]  # the reference position of each bucket
-    assert census.sizes == [sizes[b] for b in ref_of]
-    assert [-1, *(ref_of[b] for b in census.sig_bucket[1:])] == sig_bucket
-    assert sorted((ref_of[i], ref_of[j]) for i, j in census.disjoint) == disjoint
-    assert census.psi2_count == count
-
-
 @pytest.mark.parametrize("q", [7, 9, 13, 64, 729, 1021])
 def test_verify_runs_each_rule_once(q, monkeypatch):
     # one label_meets call per signature and listed record, the
@@ -610,35 +509,76 @@ def test_verify_runs_each_rule_once(q, monkeypatch):
     assert placed == ([inv] if q == 7 else [])
 
 
-def assert_census_is_the_fold_census(q):
-    """The census from q's arithmetic equals the census over the inventory's
-    fold, field by field, and so do all the figures read off it."""
-    inv = inventory(gf_for_q(q))
-    census, ref = profile_census(q), inventory_census(inv)
-    assert list(census.signatures.items()) == list(ref.signatures.items()), q
-    assert census == ref, q  # buckets, sizes, disjoint, profiles, psi2_count, ...
-    cover, ref_cover = verify_2covering(census), verify_2covering(ref)
-    assert cover == ref_cover, q
-    assert beta_fast(census) == beta_fast(ref), q
-    # the report reads q, |Psi2| and d*f, which census == ref compares; its
-    # exact bound costs up to 0.09 s a side, so past beta = 52,326 (q = 1024)
-    # it is compared only that way
-    if census.psi2_count // census.out_order <= 52_326:
-        assert n_lower_bound_report(census) == n_lower_bound_report(ref), q
-    assert lambda_summary(census, cover, inv) == lambda_summary(ref, ref_cover, inv), q
+# ---------------------------------------------------------------------------
+# the census from q's arithmetic against the label-level record
+# ---------------------------------------------------------------------------
+
+RECORD_QS = ALL_QS + [2048, 2187, 4093, 4096]
+
+# Each test below compares one part of the census from q's arithmetic with
+# the label-level record (conftest's ``record``, built once per q for the
+# module); together they compare the whole record at every q of RECORD_QS.
 
 
-@pytest.mark.parametrize("q", ALL_QS)
-def test_census_from_arithmetic_is_the_fold_census(q):
-    assert_census_is_the_fold_census(q)
+@pytest.mark.parametrize("q", RECORD_QS, scope="module")
+def test_census_from_arithmetic_is_the_fold_census(q, record):
+    # the whole tuple; dict equality ignores the order of the signatures
+    census = profile_census(q)
+    assert census == record.census
+    assert list(census.signatures.items()) == list(record.census.signatures.items())
+
+
+@pytest.mark.parametrize("q", RECORD_QS, scope="module")
+def test_signature_route_matches_label_reference(q, record):
+    # the inventory's class entries, and beta counted by signature
+    assert inventory(gf_for_q(q)).entries == record.entries
+    assert beta_fast(profile_census(q)) == record.beta
+
+
+@pytest.mark.parametrize("q", RECORD_QS, scope="module")
+def test_census_matches_class_index_reference(q, record):
+    # the classes of each bucket, as positions among the nonidentity labels
+    assert profile_census(q).members(inventory(gf_for_q(q))) == record.members
+
+
+@pytest.mark.parametrize("q", RECORD_QS, scope="module")
+def test_census_on_masks_matches_the_frozenset_reference(q, record):
+    # the covering sides and the summary, both read off the profile masks
+    census = profile_census(q)
+    cover = verify_2covering(census)
+    assert cover == record.cover
+    assert lambda_summary(census, cover, inventory(gf_for_q(q))) == record.summary
+
+
+@pytest.mark.parametrize("q", RECORD_QS, scope="module")
+def test_build_profiles_match_per_label_reference(q, record):
+    # each rule on the record's signatures and list against the profile
+    # every class of the signature has label by label
+    census = record.census
+    assert build_profiles(q, list(census.signatures), census.universe) == census.profiles
+
+
+RECORD_CHECKS = [
+    test_census_from_arithmetic_is_the_fold_census,
+    test_signature_route_matches_label_reference,
+    test_census_matches_class_index_reference,
+    test_census_on_masks_matches_the_frozenset_reference,
+    test_build_profiles_match_per_label_reference,
+]
 
 
 @pytest.mark.extended
 def test_census_from_arithmetic_is_the_fold_census_extended():
     # every prime power up to 4096, odd f = 11 and the largest f within the
-    # verify cap
-    for q in [q for q in range(1025, 4097) if prime_power_split(q)] + [3 ** 11, 2 ** 18]:
-        assert_census_is_the_fold_census(q)
+    # verify cap, one record each: the checks above past RECORD_QS, and
+    # everywhere the counts of the reference list on its signatures
+    for q in [q for q in range(4, 4097) if prime_power_split(q)] + [3 ** 11, 2 ** 18]:
+        ctx = gf_for_q(q)
+        record = label_census(ctx)
+        if q not in RECORD_QS:
+            for check in RECORD_CHECKS:
+                check(q, record)
+        assert_reference_list_counts(inventory(ctx), profile_census(q), record)
 
 
 @given(st.integers(1, 5000), st.sampled_from([1, 2]), st.integers(0, 5000))
