@@ -260,7 +260,8 @@ def lambda_power(ctx: GFContext, t: int, psi2: Psi2Table, action: AutAction,
             walk(i + 1, common & partners, hit, ahead)
 
     walk(0, full, 0, {})
-    vertices = list(product([inv.nonidentity_labels()[a] for a in rows], repeat=t))
+    labels = inv.nonidentity_labels()
+    vertices = list(product([labels[a] for a in rows], repeat=t))
     if plus and not all(nbrs):  # a tuple over partnered labels may still be isolated
         keep = [i for i, mask in enumerate(nbrs) if mask]
         new = dict(zip(keep, range(len(keep))))

@@ -1,16 +1,15 @@
 """Reference helpers that only the tests need."""
 
 import time
-from collections import Counter
+from collections import Counter, deque
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import product
 from math import comb, gcd
-from operator import mul
 from typing import NamedTuple
 
 from invgen.gf import GFContext, _pack, _poly_mod, _unpack, factorize, is_prime
-from invgen.autorbits import aut_action, pair_orbits
+from invgen.autorbits import aut_action
 from invgen.iggraph import _bits, IGGraph, is_bipartite, LambdaSummary
 from invgen.oracle import _inverse, _line_action, _table, is_split_trace
 from invgen.psl2 import (
@@ -139,26 +138,25 @@ def ref_generator(ctx) -> int:
     raise RuntimeError("no multiplicative generator found")
 
 
-def ref_horner_powers(ctx, g) -> list:
-    """(g^0, ..., g^(q-2)) for f > 1, every power by Horner's rule over the
-    digits of g applied to the last one: the reference for the walk that
-    scales its first norm block."""
-    p, f, q = ctx.p, ctx.f, ctx.q
-    exp = [1] * (q - 1)
-    digits = _unpack(g, p, f)
-    deg = max(i for i, c in enumerate(digits) if c)  # >= 1: g is not in GF(p)
-    lead, lower = digits[deg], digits[deg - 1::-1]
-    red = [-c % p for c in ctx.modulus[:f]]  # x^f = sum of red[j] x^j
-    weights = [p ** j for j in range(f)]
-    v = [1] + [0] * (f - 1)
-    for k in range(1, q - 1):
-        acc = v if lead == 1 else [lead * c % p for c in v]
-        for gi in lower:  # shift acc up one degree, fold its top digit back
-            top = acc[-1]
-            acc = [(c + top * r + gi * w) % p for c, r, w in zip([0, *acc], red, v)]
-        v = acc
-        exp[k] = sum(map(mul, v, weights))
-    return exp
+# the power tables of fields up to this size are kept for the session: the
+# property tests draw from a few such fields hundreds of times, and no table
+# of a field past it (the extended large fields) is held
+POWERS_KEPT_Q = 1 << 14
+_POWERS: dict = {}
+
+
+def ref_powers(ctx) -> list:
+    """(g^0, ..., g^(q-2)) for the generator g, each power the polynomial
+    product of the last with g: the reference for the power walk."""
+    key = (ctx.p, ctx.f)
+    if key in _POWERS:
+        return _POWERS[key]
+    out = [1]
+    for _ in range(ctx.q - 2):
+        out.append(poly_product(ctx, out[-1], ctx.generator))
+    if ctx.q <= POWERS_KEPT_Q:
+        _POWERS[key] = out
+    return out
 
 
 def ref_absolute_trace(ctx, a) -> int:
@@ -642,8 +640,8 @@ def label_census(ctx) -> LabelCensus:
     ``ref_profiles``.  Its signatures, each with its class count, are the
     head's in class order, then each torus's orders ascending; the classes
     of one signature must share a profile, and the identity meets every
-    listed class.  The summary runs ``graph_from_near`` and the mask BFS
-    routines on the plus quotient, and beta is Burnside's count over the
+    listed class.  The summary runs ``graph_from_near`` and the label-keyed
+    BFS routines on the plus quotient, and beta is Burnside's count over the
     BFS closure of ``aut_action``, whose order is the census's out_order."""
     q, entries = ctx.q, ref_entries(ctx)
     classes = maximal_subgroup_classes(ctx.p, ctx.f)
@@ -674,12 +672,12 @@ def label_census(ctx) -> LabelCensus:
     cover = CoveringResult(all(sides[1:]), sides)
     near = [[j for i2, j in disjoint if i2 == i != j] for i in range(len(buckets))]
     quotient = graph_from_near(q, 1, "structural", list(range(len(buckets))), near, plus=True)
-    bipartite, _ = mask_is_bipartite(quotient)
-    diameter = mask_diameter(quotient)
+    bipartite, _ = ref_is_bipartite(quotient)
+    diameter = ref_diameter(quotient)
     if any(sizes[i] >= 2 for i in quotient.vertices):  # twins lie two apart
         diameter = max(diameter, 2)
     summary = LambdaSummary(
-        component_count=len(mask_components(quotient)),
+        component_count=len(ref_components(quotient)),
         bipartite=bipartite,
         parts_match_covering=bipartite and quotient_parts_match(cover, census, quotient),
         diameter=diameter,
@@ -699,9 +697,10 @@ def label_census(ctx) -> LabelCensus:
 
 
 # ---------------------------------------------------------------------------
-# the graph analyses as three BFS routines over the neighbour masks, and the
-# quotient's parts against the covering sides: the references for the one
-# BFS routine that serves them all and for ``_parts_match_covering``
+# the graph analyses as three breadth-first searches over label-keyed
+# neighbour sets, and the quotient's parts against the covering sides: the
+# references for the one BFS routine that serves them all and for
+# ``_parts_match_covering``
 # ---------------------------------------------------------------------------
 
 def ref_bits(mask) -> list:
@@ -715,58 +714,70 @@ def ref_bits(mask) -> list:
     return out
 
 
-def _layers(nbrs, source) -> list:
-    """BFS layers from ``source`` as bitmasks."""
-    frontier = seen = 1 << source
-    layers = []
-    while frontier:
-        layers.append(frontier)
-        reach = 0
-        for i in _bits(frontier):
-            reach |= nbrs[i]
-        frontier = reach & ~seen
-        seen |= frontier
-    return layers
+def adjacency(g) -> dict:
+    """The graph's neighbour masks as label-keyed neighbour sets."""
+    return {v: {w for j, w in enumerate(g.vertices) if mask >> j & 1}
+            for v, mask in zip(g.vertices, g.nbrs)}
 
 
-def mask_components(g) -> list:
+def ref_components(g) -> list:
     """Vertex lists of the components, each in vertex order, ordered by
     their first vertex."""
-    seen = 0
+    adj = adjacency(g)
+    seen = set()
     out = []
-    for i in range(len(g.vertices)):
-        if seen >> i & 1:
+    for start in g.vertices:
+        if start in seen:
             continue
-        comp = 0
-        for layer in _layers(g.nbrs, i):
-            comp |= layer
+        comp = {start}
+        queue = deque([start])
+        while queue:
+            for w in adj[queue.popleft()] - comp:
+                comp.add(w)
+                queue.append(w)
         seen |= comp
-        out.append([g.vertices[j] for j in _bits(comp)])
+        out.append([v for v in g.vertices if v in comp])
     return out
 
 
-def mask_is_bipartite(g) -> tuple:
-    """Bipartite verdict and parts; each component's part 0 holds the even
-    BFS layers from its first vertex."""
-    seen = odd = 0
-    for i in range(len(g.vertices)):
-        if seen >> i & 1:
+def ref_is_bipartite(g) -> tuple:
+    """Bipartite verdict and parts, by 2-colouring each component from its
+    first vertex."""
+    adj = adjacency(g)
+    color = {}
+    for start in g.vertices:
+        if start in color:
             continue
-        for depth, layer in enumerate(_layers(g.nbrs, i)):
-            if any(g.nbrs[j] & layer for j in _bits(layer)):
-                return False, ([], [])
-            seen |= layer
-            if depth % 2:
-                odd |= layer
-    part0 = [v for i, v in enumerate(g.vertices) if not odd >> i & 1]
-    part1 = [v for i, v in enumerate(g.vertices) if odd >> i & 1]
-    return True, (part0, part1)
+        color[start] = 0
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in adj[v]:
+                if w not in color:
+                    color[w] = 1 - color[v]
+                    queue.append(w)
+                elif color[w] == color[v]:
+                    return False, ([], [])
+    return True, ([v for v in g.vertices if color[v] == 0],
+                  [v for v in g.vertices if color[v] == 1])
 
 
-def mask_diameter(g) -> int:
-    """Largest eccentricity within a component, from one BFS per twin class."""
-    sources = {mask: i for i, mask in enumerate(g.nbrs) if mask}
-    return max((len(_layers(g.nbrs, i)) - 1 for i in sources.values()), default=0)
+def ref_diameter(g) -> int:
+    """Largest eccentricity within a component, by a BFS from every vertex."""
+    adj = adjacency(g)
+
+    def ecc(start):
+        dist = {start: 0}
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in adj[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        return max(dist.values())
+
+    return max(map(ecc, g.vertices), default=0)
 
 
 def quotient_parts_match(cover, census, quotient) -> bool:
@@ -805,10 +816,13 @@ def ref_power_candidates(ctx, t, psi2, action, inv, plus=False) -> IGGraph:
     """The power graph by the product criterion, candidate by candidate:
     the neighbours of a tuple v are drawn from the product of the Psi2
     neighbour lists of its coordinates, |Psi2|^t candidates in all, and a
-    candidate is kept when its t columns lie in t distinct orbits of
-    ``pair_orbits``.  The reference for ``lambda_power``'s mask kernel."""
+    candidate is kept when its t columns lie in t distinct orbits, found by
+    the union-find of ``ref_orbits``.  The reference for ``lambda_power``'s
+    mask kernel and for the orbit names it reads."""
     labels = inv.nonidentity_labels()
-    orbit = pair_orbits(action, psi2)
+    named = ref_orbits(action, psi2)
+    pos = {lab: i for i, lab in enumerate(psi2.labels)}
+    orbit = {(pos[a], pos[b]): rep for (a, b), rep in named.items()}
     # product() yields index tuples in lexicographic order, which is also the
     # order of the label tuples below, so w > v means w comes later: the
     # first coordinate of w runs from v[0] up, and w > v decides the ties
@@ -851,7 +865,7 @@ def ref_graph_json(g) -> dict:
             [names[i], names[j]]
             for i, mask in enumerate(g.nbrs) for j in _bits(mask) if names[i] < names[j]
         ),
-        "components": sorted(sorted(name_of[v] for v in comp) for comp in mask_components(g)),
+        "components": sorted(sorted(name_of[v] for v in comp) for comp in ref_components(g)),
     }
     bipartite, parts = is_bipartite(g)
     if bipartite:

@@ -7,10 +7,12 @@ is asserted (they are generous on desk hardware).  The extended oracle set
 ``tests/fusion.py`` are checked against ``label_meets`` at every q of the
 sweep, and the Psi2 they imply against the structural one.  Extended mode
 also runs the oracle's Psi2 at q = 49, 64 and 81, the literal class sets
-at every q up to 4096 and at 3^11 and 2^18, beta against the label-level
-reference at those two q, the subfield order test against trace
-membership at the same two q, and the beta report at the bound cap
-(q = 4096).
+at every q up to 4096 and at 3^11 and 2^18, the subfield order test
+against trace membership at those two q, and the beta report at the bound
+cap (q = 4096).  Beta against the label-level record past the sweep, at
+every q up to 4096 and at 3^11 and 2^18, is checked in
+``tests/test_structure.py``
+(``test_census_from_arithmetic_is_the_fold_census_extended``).
 """
 
 import hashlib
@@ -44,7 +46,6 @@ from helpers import (
     psl2_class_of,
     psl2_inv,
     psl2_mul,
-    label_census,
     reference_subgroup_classes,
     subfield_order_test_mismatches,
 )
@@ -64,9 +65,6 @@ EXTENDED_PSI2_LARGE_QS = [64, 81]
 # the literal class sets of tests/fusion.py past the sweep: every prime
 # power up to 4096, odd f = 11 and the largest f within the verify cap
 EXTENDED_FUSION_QS = [q for q in range(1025, 4097) if prime_power_split(q)] + [3 ** 11, 2 ** 18]
-# beta by signature against the label-level record past the sweep: odd
-# f = 11 and the largest f within the verify cap
-EXTENDED_BETA_QS = [3 ** 11, 2 ** 18]
 # the subfield rules' order test against literal trace membership past the
 # tier-1 range q <= 4096: odd f = 11 (subfield PSL(2,3)) and f = 18
 # (subfield PSL(2,64) and PGL(2,512))
@@ -226,15 +224,6 @@ def test_c07_beta_pipeline():
             count = census.psi2_count
             assert b % 2 == 0, q
             assert count / (d * prime_power_split(q)[1]) <= b <= count, q
-
-
-@pytest.mark.extended
-def test_c07_beta_large_q_extended():
-    with Budget("criterion 7 extended: beta_fast == label-level Burnside at q=3^11, 2^18",
-                120):
-        for q in EXTENDED_BETA_QS:
-            # the record alone builds a field
-            assert beta_fast(profile_census(q)) == label_census(gf_for_q(q)).beta, q
 
 
 @pytest.mark.extended

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from invgen.gf import (
     GFContext,
     Q_CAP,
-    factorize,
     gf_for_q,
     is_prime,
     prime_power_split,
 )
 from helpers import (
     Budget, PrimeTables, cached_field, coeffs, from_coeffs, in_subfield, poly_power, poly_product,
-    ref_absolute_trace, ref_add, ref_generator, ref_horner_powers, ref_modulus, ref_neg,
+    ref_absolute_trace, ref_add, ref_generator, ref_modulus, ref_neg, ref_powers,
 )
 
 SMALL_QS = [4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128]
@@ -299,28 +298,6 @@ def test_coeffs_roundtrip():
 FIELDS = [(2, 2), (5, 1), (3, 3), (2, 8), (7, 2), (31, 2), (5, 4), (2, 12), (4093, 1),
           (2, 13), (3, 8), (101, 2), (5, 6), (4099, 1)]
 
-_POWERS: dict = {}
-
-
-def ref_order(ctx, a):
-    """Multiplicative order of a nonzero a, from ``poly_power``."""
-    order = ctx.q - 1
-    for r in factorize(ctx.q - 1):
-        while order % r == 0 and poly_power(ctx, a, order // r) == 1:
-            order //= r
-    return order
-
-
-def ref_powers(ctx):
-    """g^0, ..., g^(q-2) by repeated polynomial products, once per field."""
-    key = (ctx.p, ctx.f)
-    if key not in _POWERS:
-        out = [1]
-        for _ in range(ctx.q - 2):
-            out.append(poly_product(ctx, out[-1], ctx.generator))
-        _POWERS[key] = out
-    return _POWERS[key]
-
 
 @st.composite
 def field_and_elements(draw, fields):
@@ -366,8 +343,7 @@ def test_table_reads_match_polynomial_reference(case, e):
 @pytest.mark.parametrize("field", FIELDS, ids=[f"{p}^{f}" for p, f in FIELDS])
 def test_generator_is_least(field):
     ctx = GFContext(*field)
-    assert ref_order(ctx, ctx.generator) == ctx.q - 1
-    assert all(ref_order(ctx, a) < ctx.q - 1 for a in range(2, ctx.generator))
+    assert ctx.generator == ref_generator(ctx)
 
 
 @settings(max_examples=200, deadline=None)
@@ -380,20 +356,6 @@ def test_exp_table_lists_generator_powers(field, data):
     assert exp[k] == ref_powers(ctx)[k]
 
 
-# every power in characteristic 2 (the shift-and-XOR walk), up to 2^12, and
-# two odd fields of degree > 2 (the digit walk)
-WALK_FIELDS = [(2, f) for f in range(2, 13)] + [(3, 6), (5, 4)]
-
-
-@pytest.mark.parametrize("field", WALK_FIELDS, ids=[f"{p}^{f}" for p, f in WALK_FIELDS])
-def test_exp_table_is_the_whole_power_walk(field):
-    ctx = cached_field(*field)
-    exp = ctx.exp_table()
-    assert list(exp) == ref_powers(ctx)
-    log = ctx._log
-    assert list(map(log.__getitem__, exp)) == list(range(ctx.q - 1))
-
-
 # every extension field up to 4096, and under INVGEN_EXTENDED the large
 # fields whose power walks scale the most norm blocks
 EXTENSION_FIELDS = [prime_power_split(q) for q in range(4, 4097)
@@ -401,11 +363,11 @@ EXTENSION_FIELDS = [prime_power_split(q) for q in range(4, 4097)
 LARGE_FIELDS = [(3, 10), (3, 11), (5, 7), (7, 6), (11, 5), (31, 4)]
 
 
-def check_tables_against_references(p, f):
-    ctx = GFContext(p, f)
+def check_tables_against_references(ctx):
+    p, f = ctx.p, ctx.f
     assert ctx.modulus == ref_modulus(p, f)
     assert ctx.generator == ref_generator(ctx)
-    exp = ref_horner_powers(ctx, ctx.generator)
+    exp = ref_powers(ctx)
     assert ctx.exp_table() == tuple(exp)
     block = (ctx.q - 1) // (p - 1)  # the norm g^block of g lies in GF(p)
     assert exp[block % (ctx.q - 1)] < p
@@ -413,14 +375,21 @@ def check_tables_against_references(p, f):
 
 @pytest.mark.parametrize("field", EXTENSION_FIELDS, ids=[f"{p}^{f}" for p, f in EXTENSION_FIELDS])
 def test_tables_match_the_per_cofactor_search_and_the_whole_walk(field):
-    check_tables_against_references(*field)
+    check_tables_against_references(cached_field(*field))
+
+
+@pytest.mark.parametrize("field", EXTENSION_FIELDS, ids=[f"{p}^{f}" for p, f in EXTENSION_FIELDS])
+def test_exp_table_is_the_whole_power_walk(field):
+    # the walk meets every nonzero element once: the log table inverts it
+    ctx = cached_field(*field)
+    assert list(map(ctx._log.__getitem__, ctx.exp_table())) == list(range(ctx.q - 1))
 
 
 @pytest.mark.extended
 @pytest.mark.parametrize("field", LARGE_FIELDS, ids=[f"{p}^{f}" for p, f in LARGE_FIELDS])
 def test_large_field_tables_match_the_references_extended(field):
     with Budget(f"tables of GF({field[0]}^{field[1]}) against the references", 60):
-        check_tables_against_references(*field)
+        check_tables_against_references(GFContext(*field))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,6 @@
 import decimal
 import json
 import sys
-from collections import deque
-from itertools import product
 from math import comb
 from types import SimpleNamespace
 
@@ -10,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from invgen import iggraph
+from invgen import autorbits, iggraph
 from invgen.gf import gf_for_q, prime_power_split
 from invgen.psl2 import ClassLabel, inventory
 from invgen.autorbits import AutAction, aut_action, beta_fast
@@ -36,103 +34,24 @@ from invgen.iggraph import (
     to_dot,
 )
 from invgen.structure import CoveringResult, profile_census, psi2_structural, verify_2covering
+import helpers
 from helpers import (
-    component_count, covering_parts, graph_from_near, isolated, mask_components, mask_diameter,
-    mask_is_bipartite, pairs, part_pattern, quotient_parts_match, ref_dot, ref_graph_json,
-    ref_bits, ref_orbits, ref_power_candidates,
+    adjacency, component_count, covering_parts, graph_from_near, isolated, pairs, part_pattern,
+    quotient_parts_match, ref_bits, ref_components, ref_diameter, ref_dot, ref_graph_json,
+    ref_is_bipartite, ref_power_candidates,
 )
 
 
 # ---------------------------------------------------------------------------
-# references: the label-keyed BFS analyses and the all-pairs power graph
+# graphs to test: synthetic ones from label-keyed neighbour sets, and the
+# structural graphs of PSL(2,q) and its powers
 # ---------------------------------------------------------------------------
-
-def adjacency(g):
-    """The graph's neighbour masks as label-keyed neighbour sets."""
-    return {v: {w for j, w in enumerate(g.vertices) if mask >> j & 1}
-            for v, mask in zip(g.vertices, g.nbrs)}
-
 
 def from_adjacency(vertices, adj):
     """An IGGraph on ``vertices`` from label-keyed neighbour sets."""
     pos = {v: i for i, v in enumerate(vertices)}
     nbrs = [sum(1 << pos[w] for w in adj[v]) for v in vertices]
     return IGGraph(0, 1, "synthetic", list(vertices), nbrs)
-
-
-def ref_components(g):
-    adj = adjacency(g)
-    seen = set()
-    out = []
-    for start in g.vertices:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    queue.append(w)
-        out.append(comp)
-    return out
-
-
-def ref_is_bipartite(g):
-    adj = adjacency(g)
-    color = {}
-    for start in g.vertices:
-        if start in color:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return False, ([], [])
-    return True, ([v for v in g.vertices if color[v] == 0],
-                  [v for v in g.vertices if color[v] == 1])
-
-
-def ref_diameter(g):
-    adj = adjacency(g)
-
-    def ecc(start):
-        dist = {start: 0}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        return max(dist.values())
-
-    return max((ecc(v) for comp in ref_components(g) if len(comp) >= 2
-                for v in comp), default=0)
-
-
-def ref_power_adj(t, psi2, action, inv):
-    """Every pair of t-tuples put to the product criterion, with the orbits
-    found by union-find over the generators of ``action``."""
-    orbit_of = ref_orbits(action, psi2)  # keyed by the Psi2 pairs
-    vertices = list(product(inv.nonidentity_labels(), repeat=t))
-    adj = {v: set() for v in vertices}
-    for i, v in enumerate(vertices):
-        for w in vertices[i + 1:]:
-            cols = tuple(zip(v, w))
-            if all(col in orbit_of for col in cols) and \
-                    len({orbit_of[col] for col in cols}) == t:
-                adj[v].add(w)
-                adj[w].add(v)
-    return vertices, adj
 
 
 def synthetic(edges, extra_vertices=()):
@@ -305,18 +224,22 @@ def test_lambda_power_matches_candidate_loop_within_the_cap(case):
     assert g.vertices == ref.vertices and g.nbrs == ref.nbrs
 
 
-@pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
-def test_lambda_power_equals_pair_test(q):
+def each_pair_its_own_orbit(action, psi2):
+    """A broken ``pair_orbits``: every Psi2 pair named as an orbit of its own."""
+    return {(i, j): (i, j) for i, js in enumerate(psi2.near) for j in js}
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9])
+def test_power_reference_is_independent_of_pair_orbits(q, monkeypatch):
+    # the reference finds its orbits by union-find, so a broken pair_orbits,
+    # put wherever the reference could read it, moves lambda_power away from it
     ctx, inv, psi2 = structural(q)
     action = aut_action(inv)
-    n_orbits = len(set(ref_orbits(action, psi2).values()))
-    for t in range(1, min(n_orbits, 3) + 1):
-        vertices, adj = ref_power_adj(t, psi2, action, inv)
-        g = lambda_power(ctx, t, psi2, action, inv)
-        assert g.vertices == vertices and adjacency(g) == adj, t
-        live = [v for v in vertices if adj[v]]
-        g = lambda_power(ctx, t, psi2, action, inv, plus=True)
-        assert g.vertices == live and adjacency(g) == {v: adj[v] for v in live}, t
+    for module in (autorbits, helpers):
+        monkeypatch.setattr(module, "pair_orbits", each_pair_its_own_orbit, raising=False)
+    g = lambda_power(ctx, 2, psi2, action, inv, plus=True)
+    ref = ref_power_candidates(ctx, 2, psi2, action, inv, plus=True)
+    assert (g.vertices, g.nbrs) != (ref.vertices, ref.nbrs)
 
 
 def test_lambda_power_rejects_t_above_beta():
@@ -431,13 +354,9 @@ STAR = synthetic([(2, leaf) for leaf in (0, 1, 3)])
 @example(TWIN_TRIANGLE)
 @example(STAR)
 def test_analyses_match_references(g):
-    assert [set(c) for c in components(g)] == [set(c) for c in ref_components(g)]
+    assert components(g) == ref_components(g)
     assert is_bipartite(g) == ref_is_bipartite(g)
     assert diameter(g) == ref_diameter(g)
-    # the one BFS routine against the three mask routines it replaced
-    assert components(g) == mask_components(g)
-    assert is_bipartite(g) == mask_is_bipartite(g)
-    assert diameter(g) == mask_diameter(g)
 
 
 @settings(max_examples=300, deadline=None)

@@ -11,7 +11,7 @@ from invgen.psl2 import (
 )
 from helpers import (
     IDENTITY, canon, dickson, make, nonsplit_generator_trace, psl2_class_of, psl2_inv,
-    psl2_mul, psl2_order, ref_split_traces, ref_table_walk, split_key_array,
+    psl2_mul, psl2_order, ref_signature, ref_split_traces, ref_table_walk, split_key_array,
 )
 
 ORACLE_QS = [4, 5, 7, 8, 9, 11, 13]
@@ -191,12 +191,12 @@ def test_phi_over_2_labels_per_order(q):
 
 
 @pytest.mark.parametrize("q", [q for q in range(4, 1025) if prime_power_split(q)]
-                         + [2048, 2187, 4093, 4096], scope="module")
-def test_torus_class_counts_are_the_inventory_counts(q, record):
-    # every signature and its class count, in order, from arithmetic and
-    # from the label-level record's count of the class entries
-    assert list(signature_counts(*prime_power_split(q)).items()) == (
-        list(record.census.signatures.items()))
+                         + [2048, 2187, 4093, 4096])
+def test_torus_class_counts_are_the_inventory_counts(q):
+    # every signature and its class count, from arithmetic and from the
+    # inventory's class entries
+    assert signature_counts(*prime_power_split(q)) == (
+        Counter(map(ref_signature, inventory(gf_for_q(q)))))
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 11, 13])

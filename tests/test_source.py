@@ -2,14 +2,15 @@
 imports only the standard library and itself, every name a module imports
 is read in it, only the CLI reads the environment, the oracle takes from
 the structural rules it certifies only the type it returns, and no other
-module names those rules.  On the test references: every top-level
-function, class and constant of ``tests/helpers.py`` and ``tests/fusion.py``
-is read somewhere under ``tests/`` outside its own definition, so a deleted
-comparison leaves no reference behind."""
+module names those rules.  On the tests: every top-level function, class
+and constant of a module under ``tests/``, other than the tests, the pytest
+hooks and the fixtures, is read somewhere under ``tests/`` outside its own
+definition, so a deleted comparison leaves no reference behind."""
 
 import ast
 import sys
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -17,12 +18,13 @@ import pytest
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "invgen"
 MODULES = sorted(SRC.glob("*.py"))
-REFERENCES = [TESTS / "helpers.py", TESTS / "fusion.py"]
-REFERENCE_MODULES = {path.stem for path in REFERENCES}
+TEST_MODULES = sorted(TESTS.glob("*.py"))
+REFERENCE_MODULES = {path.stem for path in TEST_MODULES}
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 RULES = {"maximal_subgroup_classes", "label_meets", "build_profiles"}
 
 
+@lru_cache(maxsize=None)
 def parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
@@ -113,14 +115,30 @@ def reads(node) -> set[str]:
     return loads - local
 
 
-def unread_definitions(tree, others) -> set[str]:
+@lru_cache(maxsize=None)
+def statement_reads(tree) -> frozenset[str]:
+    """Every name that some top-level statement of ``tree`` reads."""
+    return frozenset().union(*map(reads, tree.body))
+
+
+def is_fixture(node) -> bool:
+    """Whether a definition is decorated ``pytest.fixture``, called or not."""
+    return any(isinstance(d, ast.Attribute) and d.attr == "fixture"
+               for d in (getattr(d, "func", d) for d in node.decorator_list))
+
+
+def unread_definitions(tree, elsewhere) -> set[str]:
     """The top-level functions, classes and constants of ``tree`` that no
-    other statement of it and no statement of the trees ``others`` reads."""
-    elsewhere = set().union(*(reads(node) for other in others for node in other.body))
+    other statement of it reads and that are not in ``elsewhere``, the
+    names read outside it; tests, pytest hooks and fixtures are read by
+    pytest."""
     own = [reads(node) for node in tree.body]
     readers = Counter(name for names in own for name in names)  # statements reading each
     unread = set()
     for node, names_read in zip(tree.body, own):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                node.name.startswith(("test_", "pytest_")) or is_fixture(node)):
+            continue
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = {node.name}
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -167,10 +185,10 @@ def test_only_structure_names_the_rules(path):
     assert not named, f"{path.name} names {sorted(named)}"
 
 
-@pytest.mark.parametrize("path", REFERENCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: p.name)
 def test_every_reference_is_read(path):
-    others = [parse(p) for p in sorted(TESTS.glob("*.py")) if p != path]
-    unread = unread_definitions(parse(path), others)
+    elsewhere = set().union(*(statement_reads(parse(p)) for p in TEST_MODULES if p != path))
+    unread = unread_definitions(parse(path), elsewhere)
     assert not unread, f"{path.name} defines {sorted(unread)}, which no test reads"
 
 
@@ -181,9 +199,13 @@ def test_every_reference_is_read(path):
     ("def f(): pass", "import helpers\nhelpers.f()", set()),
     ("def f(): pass\ndef g(f): f()", "def h():\n    f = 1\n    return f", {"f", "g"}),
     ("def f(): pass", "s.f", {"f"}),
-], ids=["caller", "recursion", "import-only", "attribute", "shadowed", "field"])
+    ("def test_f(): pass\ndef pytest_configure(config): pass", "", set()),
+    ("@pytest.fixture\ndef f(): pass\n@pytest.fixture(scope='module')\ndef g(): pass\n"
+     "@other\ndef h(): pass", "", {"h"}),
+], ids=["caller", "recursion", "import-only", "attribute", "shadowed", "field", "tests-and-hooks",
+        "fixtures"])
 def test_unread_definitions_are_recognised(source, other, expected):
-    assert unread_definitions(ast.parse(source), [ast.parse(other)]) == expected
+    assert unread_definitions(ast.parse(source), statement_reads(ast.parse(other))) == expected
 
 
 @pytest.mark.parametrize("source,expected", [
