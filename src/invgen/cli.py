@@ -11,18 +11,17 @@ cap exceeded, 4 internal error (an invariant of the computation failed, or
 any other ``Exception`` escaped a layer).  A ``ValueError`` is a usage
 error only where the CLI hands user input to a layer and turns it into a
 ``UsageError`` there; from anywhere else it is internal.
-The oracle cap is read from ``INVGEN_ORACLE_CAP`` here and nowhere else.
 Field sizes are checked against ``Q_CAP`` and the ``--out`` file is opened
-before any computation, so either refusal (exit 2) comes without work, and
-a ``verify`` range is refused (exit 3) before any field is built once its
-prime powers sum past ``VERIFY_Q_SUM_CAP``.
+before any computation, so either refusal (exit 2) comes without work.
+Before any field is built, ``psi2 --method oracle|both`` refuses (exit 3) a
+q whose group the oracle would not enumerate (``oracle.check_cap``), and
+``verify`` a range whose prime powers sum past ``VERIFY_Q_SUM_CAP``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import os
 import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator
@@ -38,15 +37,14 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_INTERNAL = 4
 
-DEFAULT_CAP = 31  # the oracle cap when CAP_ENV is unset or empty
-CAP_ENV = "INVGEN_ORACLE_CAP"
 ORACLE_VERIFY_DEFAULT = 13  # oracle cross-check in `verify` runs for q up to this
 ORACLE_VERIFY_EXTENDED = (16, 25, 27, 31)
 # `verify` refuses a range whose prime powers sum past this (exit 3).  A
 # field's tables and classes grow with q, so the sum bounds the run:
-# 4..1024 sums to 87,755 and verifies in about 0.11 s end to end; q = 2^18
+# 4..1024 sums to 87,755 and verifies in about 0.21 s end to end (the
+# ``sweep`` benchmark's wall_s).  In-process, through ``verify_qs``, q = 2^18
 # alone takes about 0.16 s and 61 MB, and q = 2^20 alone about 0.7 s and
-# 200 MB through ``verify_qs`` in-process (2-core Xeon VM).
+# 200 MB (2-core Xeon VM).
 VERIFY_Q_SUM_CAP = 1 << 18
 
 
@@ -68,19 +66,6 @@ def _field(args) -> tuple[int, int]:
     if q < 4:
         raise UsageError(f"q must be at least 4, got {q}")
     return p, f
-
-
-def _oracle_cap() -> int:
-    """The oracle cap: ``CAP_ENV`` if set and nonempty, else ``DEFAULT_CAP``;
-    a malformed or negative value is refused as usage."""
-    value = os.environ.get(CAP_ENV)
-    try:
-        cap = int(value) if value else DEFAULT_CAP
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    if cap < 0:
-        raise UsageError(f"{CAP_ENV} must be at least 0, got {cap}")
-    return cap
 
 
 def _open_out(path: str | None) -> contextlib.AbstractContextManager:
@@ -172,11 +157,9 @@ def cmd_psi2(args) -> int:
     p, f = _field(args)
     q = p ** f
     if args.method != "structural":
-        from invgen.oracle import MAX_Q, OracleCapError, OracleSession
+        from invgen.oracle import OracleSession, check_cap
 
-        cap = min(_oracle_cap(), MAX_Q)
-        if q > cap:
-            raise OracleCapError(f"q={q} exceeds oracle cap {cap}")
+        check_cap(q)
     census = profile_census(q)  # from q's arithmetic: the table's size before any field
     if census.psi2_count // 2 > EDGE_CAP:
         raise CapError(f"Psi2 has {census.psi2_count // 2} unordered pairs, above {EDGE_CAP}, "
@@ -385,10 +368,8 @@ def cmd_verify(args) -> int:
     fields = _parse_range(args.q_range)
     if not fields:
         raise UsageError(f"no prime powers in range {args.q_range}")
-    cap = _oracle_cap()
-    runs = ((GFContext(p, f), q <= min(ORACLE_VERIFY_DEFAULT, cap) or (
-        args.extended and q in ORACLE_VERIFY_EXTENDED and q <= cap))
-        for q, (p, f) in fields.items())
+    runs = ((GFContext(p, f), q <= ORACLE_VERIFY_DEFAULT or (
+        args.extended and q in ORACLE_VERIFY_EXTENDED)) for q, (p, f) in fields.items())
     results = dict(zip(fields, verify_qs(runs)))
     failures = [f"q={q}:{name}" for q, (checks, _) in results.items()
                 for name, ok in checks.items() if not ok]

@@ -1,4 +1,5 @@
-"""Brute-force ground truth for small q.
+"""Brute-force ground truth for small q: those whose PSL(2,q) has at most
+``ORACLE_ELEMENT_CAP`` elements, every prime power q <= 97 (``check_cap``).
 
 Elements are permutations of the projective line (the action is faithful),
 each stored once as ``bytes`` of length q + 1 and composed with
@@ -54,7 +55,10 @@ from invgen.gf import CapError, GFContext
 from invgen.psl2 import ClassInventory, ClassLabel, Mat, enumerate_psl2, trace_key
 from invgen.structure import Psi2Table
 
-MAX_Q = 255  # q + 1 points must fit in a byte
+# the most elements a session enumerates: it admits every prime power
+# q <= 97 (456,288 elements at q = 97) and no larger one (515,100 at
+# q = 101), so the points 0..q of a permutation fit in a byte
+ORACLE_ELEMENT_CAP = 500_000
 
 Perm = bytes  # images of the points 0..q of the projective line
 
@@ -69,7 +73,16 @@ def min_index(q: int) -> int:
 
 
 class OracleCapError(CapError):
-    """q exceeds the oracle cap."""
+    """|PSL(2,q)| exceeds the oracle cap."""
+
+
+def check_cap(q: int) -> None:
+    """Refuse q whose PSL(2,q), of order q(q^2 - 1)/gcd(2, q - 1), has more
+    than ``ORACLE_ELEMENT_CAP`` elements, before anything is built."""
+    order = q * (q * q - 1) // gcd(2, q - 1)
+    if order > ORACLE_ELEMENT_CAP:
+        raise OracleCapError(f"q={q}: the oracle would enumerate {order:,} elements, "
+                             f"above its cap of {ORACLE_ELEMENT_CAP:,}")
 
 
 def _line_action(ctx: GFContext):
@@ -177,14 +190,13 @@ def _inverse(p: Perm) -> Perm:
 
 
 class OracleSession:
-    """Enumerated PSL(2,q) with per-class element lists, q <= ``MAX_Q``.
-    Certifies the caller's class inventory: every class of the enumeration
-    must have the size the inventory gives it."""
+    """Enumerated PSL(2,q) with per-class element lists, for the q that
+    ``check_cap`` admits.  Certifies the caller's class inventory: every
+    class of the enumeration must have the size the inventory gives it."""
 
     def __init__(self, inv: ClassInventory):
         ctx = inv.ctx
-        if ctx.q > MAX_Q:
-            raise OracleCapError(f"q={ctx.q} exceeds oracle cap {MAX_Q}")
+        check_cap(ctx.q)
         self.ctx = ctx
         self.inv = inv
         perm, label = _line_action(ctx), _labeller(ctx)

@@ -109,20 +109,16 @@ def test_psi2_structural_q7(capsys):
 
 
 def test_psi2_oracle_cap(capsys):
-    code, _, err = run(capsys, "psi2", "--q", "101", "--method", "oracle")
-    assert code == 3 and "cap" in err
-
-
-@pytest.mark.parametrize("cap,q,code", [("7", 11, 3), ("7", 7, 0), ("", 37, 3), ("300", 257, 3)])
-def test_psi2_oracle_cap_from_env(cap, q, code, capsys, monkeypatch):
-    # the cap is the variable's value, the default when it is empty, and
-    # never above the 255 points of the line that fit in a byte
-    monkeypatch.setenv("INVGEN_ORACLE_CAP", cap)
-    got, out, err = run(capsys, "psi2", "--q", str(q), "--method", "oracle")
-    assert got == code
-    if code == 3:
-        limit = min(int(cap or 31), 255)
-        assert out == "" and err == f"cap exceeded: q={q} exceeds oracle cap {limit}\n"
+    # the element cap admits q = 97 (456,288 elements) and refuses the next
+    # prime power, 101 (515,100), in the CLI and in the session alike
+    assert run(capsys, "psi2", "--q", "97", "--method", "oracle")[0] == 0
+    message = "q=101: the oracle would enumerate 515,100 elements, above its cap of 500,000"
+    for method in ("oracle", "both"):
+        got = run(capsys, "psi2", "--q", "101", "--method", method)
+        assert got == (3, "", f"cap exceeded: {message}\n")
+    with pytest.raises(invgen.OracleCapError) as refused:
+        invgen.OracleSession(psl2.inventory(gf.gf_for_q(101)))
+    assert str(refused.value) == message
 
 
 def test_psi2_csv(capsys):
@@ -514,16 +510,6 @@ def test_verify_details_name_the_pairs_a_mutant_adds(monkeypatch, capsys):
             "structural_only": [["nonsplit:t=3", "split:t=1"], ["split:t=1", "nonsplit:t=3"]]}}
 
 
-
-def test_verify_respects_cap_env(monkeypatch, capsys):
-    monkeypatch.setenv("INVGEN_ORACLE_CAP", "5")
-    code, out, _ = run(capsys, "verify", "--q-range", "4..8")
-    assert code == 0
-    payload = json.loads(out)
-    assert "oracle_equals_structural" in payload["checks"]["4"]
-    assert "oracle_equals_structural" not in payload["checks"]["7"]
-
-
 # ---------------------------------------------------------------------------
 # caps before work: input above the field cap is refused before it is
 # factorised, tested for primality, raised to a power or enumerated
@@ -600,10 +586,11 @@ def test_psi2_pair_cap_comes_before_any_field(capsys, monkeypatch):
     assert (code, out) == (3, "")
     assert err == ("cap exceeded: Psi2 has 274877382600 unordered pairs, above 4194304, "
                    "the most it writes\n")
-    # the oracle cap is checked first, and its refusal is unchanged
+    # the oracle cap is checked first, and its refusal is the oracle's
     code, out, err = run(capsys, "psi2", "--p", "2", "--f", "20", "--method", "oracle")
     assert (code, out) == (3, "")
-    assert err == "cap exceeded: q=1048576 exceeds oracle cap 31\n"
+    assert err == ("cap exceeded: q=1048576: the oracle would enumerate "
+                   "1,152,921,504,605,798,400 elements, above its cap of 500,000\n")
 
 
 # the benchmark's psi2 --q 1024, the golden q = 4099 and the largest table
@@ -648,23 +635,6 @@ def test_unwritable_out_is_usage_before_work(argv, tmp_path, capsys, monkeypatch
 def test_refusals_are_usage(argv, message, capsys):
     code, out, err = run(capsys, *argv.split())
     assert (code, out, err) == (2, "", f"error: {message}\n")
-
-
-@pytest.mark.parametrize("argv", [["psi2", "--q", "5", "--method", "oracle"],
-                                  ["verify", "--q-range", "4..5"]])
-def test_malformed_oracle_cap_is_usage(argv, capsys, monkeypatch):
-    monkeypatch.setenv("INVGEN_ORACLE_CAP", "abc")
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and out == ""
-    assert err == "error: invalid literal for int() with base 10: 'abc'\n"
-
-
-@pytest.mark.parametrize("argv", [["psi2", "--q", "5", "--method", "oracle"],
-                                  ["verify", "--q-range", "4..5"]])
-def test_negative_oracle_cap_is_usage(argv, capsys, monkeypatch):
-    monkeypatch.setenv("INVGEN_ORACLE_CAP", "-5")
-    code, out, err = run(capsys, *argv)
-    assert (code, out, err) == (2, "", "error: INVGEN_ORACLE_CAP must be at least 0, got -5\n")
 
 
 def test_usage_no_command(capsys):
@@ -809,7 +779,7 @@ def test_package_star_import():
 def test_package_unknown_name_is_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         invgen.no_such_name
-    assert not hasattr(invgen, "MAX_Q")  # public on invgen.oracle only
+    assert not hasattr(invgen, "ORACLE_ELEMENT_CAP")  # public on invgen.oracle only
     with pytest.raises(ImportError):
         exec("from invgen import no_such_name", {})
 

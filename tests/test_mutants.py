@@ -7,8 +7,8 @@ oracle set or at 17, or from the Psi2 that the literal class sets of
 ``tests/fusion.py`` imply, so every branch of the rules has an
 independent check.  The two halves of the subfield order test first show
 at q = 64, which runs under ``INVGEN_EXTENDED=1``.  Subfield PSL at degree
-5 first changes Psi2 at q = 243, where the oracle would enumerate 7
-million elements; the literal class sets, which enumerate none, catch it
+5 first changes Psi2 at q = 243, whose 7,174,332 elements the oracle's
+element cap refuses; the literal class sets, which enumerate none, catch it
 there, and at 1024 under ``INVGEN_EXTENDED=1``.  Neither check reads a
 rule: the oracle's ``exit_bound`` comes from q alone, and the class sets
 come from matrices, so no patch here reaches them.

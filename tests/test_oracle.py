@@ -8,13 +8,14 @@ from invgen import oracle, structure
 from invgen.gf import gf_for_q, prime_power_split
 from invgen.psl2 import ClassLabel, enumerate_psl2, inventory
 from invgen.oracle import (
-    MAX_Q,
+    ORACLE_ELEMENT_CAP,
     OracleCapError,
     OracleSession,
     _inverse,
     _labeller,
     _line_action,
     _table,
+    check_cap,
     min_index,
 )
 from invgen.structure import (
@@ -49,6 +50,18 @@ from helpers import (
 
 FAST_QS = [4, 5, 7, 8, 9]
 QS_TO_31 = [q for q in range(4, 32) if prime_power_split(q)]
+
+
+def admitted(q):
+    try:
+        check_cap(q)
+    except OracleCapError:
+        return False
+    return True
+
+
+# every q the oracle accepts: no q >= 256 is admitted (test_cap_enforced)
+ORACLE_QS = [q for q in range(4, 256) if prime_power_split(q) and admitted(q)]
 
 
 @pytest.fixture(scope="module")
@@ -146,13 +159,13 @@ def test_labels_are_invariant_under_conjugation(data, sessions):
     assert sess.label_of_perm[conj] == sess.label_of_perm[x]
 
 
-def test_cap_enforced(monkeypatch):
-    # the session reads no environment; it refuses only the q whose q + 1
-    # points do not fit in a byte
-    monkeypatch.setenv("INVGEN_ORACLE_CAP", "7")
-    with pytest.raises(OracleCapError, match="q=257 exceeds oracle cap 255"):
-        OracleSession(inventory(gf_for_q(257)))
-    assert OracleSession(inventory(gf_for_q(37))).order == 37 * 36 * 38 // 2
+def test_cap_enforced():
+    # the element cap admits every prime power up to 97 and no larger one:
+    # |PSL(2,q)| >= q(q^2 - 1)/2 grows with q, and passes the cap by q = 256,
+    # so every admitted q has the q + 1 <= 256 points its bytes permutations need
+    assert 256 * (256 ** 2 - 1) // 2 > ORACLE_ELEMENT_CAP
+    assert ORACLE_QS == [q for q in range(4, 98) if prime_power_split(q)]
+    assert all(q + 1 <= 256 for q in ORACLE_QS)
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +388,10 @@ def test_exit_bound_is_the_largest_maximal_order():
     # a closure that outgrows the exit bound is taken for S, so the bound
     # must be the largest order of a maximal subgroup in Dickson's whole
     # list, at every q the oracle accepts
-    for q in range(4, MAX_Q + 1):
-        if prime_power_split(q):
-            ctx = gf_for_q(q)
-            assert inventory(ctx).group_order() // min_index(q) == max(
-                sc.order for sc in reference_subgroup_classes(ctx) if sc.maximal), q
+    for q in ORACLE_QS:
+        ctx = gf_for_q(q)
+        assert inventory(ctx).group_order() // min_index(q) == max(
+            sc.order for sc in reference_subgroup_classes(ctx) if sc.maximal), q
 
 
 # every q where the least index is not q + 1 (5, 7, 9, 11), and 4

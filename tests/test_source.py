@@ -1,6 +1,6 @@
 """Rules on the source, read with ``ast``.  On the library: the runtime
 imports only the standard library and itself, every name a module imports
-is read in it, only the CLI reads the environment, the oracle takes from
+is read in it, no module reads the environment, the oracle takes from
 the structural rules it certifies only the type it returns, and no other
 module names those rules.  On the tests: every top-level function, class
 and constant of a module under ``tests/``, other than the tests, the pytest
@@ -170,6 +170,11 @@ def test_every_import_is_read(path):
                          ids=lambda p: p.name)
 def test_only_the_cli_reads_the_environment(path):
     assert not reads_environment(parse(path)), f"{path.name} reads the environment"
+
+
+def test_the_cli_reads_no_environment():
+    # no option of the package comes from the environment
+    assert not reads_environment(parse(SRC / "cli.py"))
 
 
 def test_the_oracle_reads_one_name_of_the_structural_rules():
