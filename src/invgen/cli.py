@@ -12,10 +12,13 @@ any other ``Exception`` escaped a layer).  A ``ValueError`` is a usage
 error only where the CLI hands user input to a layer and turns it into a
 ``UsageError`` there; from anywhere else it is internal.
 Field sizes are checked against ``Q_CAP`` and the ``--out`` file is opened
-before any computation, so either refusal (exit 2) comes without work.
+before any computation, so either refusal (exit 2) comes without work; the
+file is emptied only as output is written, so a refused or failed command
+leaves an existing one as it was (and may leave a new path empty).
 Before any field is built, ``psi2 --method oracle|both`` refuses (exit 3) a
 q whose group the oracle would not enumerate (``oracle.check_cap``), and
 ``verify`` a range whose prime powers sum past ``VERIFY_Q_SUM_CAP``.
+``REFUSALS`` in ``tests/test_cli.py`` lists every refusal and its message.
 """
 
 from __future__ import annotations
@@ -69,16 +72,18 @@ def _field(args) -> tuple[int, int]:
 
 
 def _open_out(path: str | None) -> contextlib.AbstractContextManager:
-    """The ``--out`` file opened for writing, or a stand-in for stdout."""
+    """The ``--out`` file opened to write, not yet emptied, or a stand-in for stdout."""
     if not path:
         return contextlib.nullcontext()
     try:
-        return open(path, "w")
+        return open(path, "a")
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _emit(chunks: Iterable[str], out: TextIO | None) -> None:
+    if out is not None and out.seekable() and out.tell():  # a file with old content
+        out.truncate(0)
     (out or sys.stdout).writelines(chunks)
 
 

@@ -8,10 +8,6 @@ from invgen.psl2 import inventory
 from helpers import label_census
 
 
-def pytest_configure(config):
-    config.addinivalue_line("markers", "extended: runs only under INVGEN_EXTENDED=1")
-
-
 def pytest_collection_modifyitems(config, items):
     """Skip the tests marked ``extended`` unless INVGEN_EXTENDED=1: the one
     place the tests read the switch."""

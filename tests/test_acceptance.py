@@ -1,18 +1,26 @@
 """Acceptance suite: one test per release criterion.
 
 Each test prints a PASS line with its measured runtime; the stated budget
-is asserted (they are generous on desk hardware).  The extended oracle set
-{16, 25, 27, 31} only runs when INVGEN_EXTENDED=1; `invgen verify
---extended` runs the same set.  The literal class sets of
+is asserted (they are generous on desk hardware).  The oracle's Psi2 is
+checked against the structural one at q <= 13 and, in
+``test_c02_oracle_equivalence_wider``, at 16, 19, 25, 27 and 31, which
+covers the set `invgen verify --extended` runs.  The literal class sets of
 ``tests/fusion.py`` are checked against ``label_meets`` at every q of the
 sweep, and the Psi2 they imply against the structural one.  Extended mode
-also runs the oracle's Psi2 at q = 49, 64 and 81, the literal class sets
-at every q up to 4096 and at 3^11 and 2^18, the subfield order test
-against trace membership at those two q, and the beta report at the bound
-cap (q = 4096).  Beta against the label-level record past the sweep, at
-every q up to 4096 and at 3^11 and 2^18, is checked in
+(INVGEN_EXTENDED=1) also runs the oracle's Psi2 at q = 49, 64 and 81, the
+literal class sets at every q up to 4096 and at 3^11 and 2^18, the
+subfield order test against trace membership at those two q, and the beta
+report at the bound cap (q = 4096).  Beta against the label-level record
+past the sweep, at every q up to 4096 and at 3^11 and 2^18, is checked in
 ``tests/test_structure.py``
 (``test_census_from_arithmetic_is_the_fold_census_extended``).
+
+Criterion 10, self-consistency, is checked by unit tests: the symmetry of
+Psi2 by ``test_structure.py::test_psi2_symmetry_and_no_identity``, its
+Aut-invariance by ``test_autorbits.py::test_psi2_is_aut_invariant``,
+x^S meeting <x> in {x, x^-1} by
+``test_psl2.py::test_class_meets_cyclic_subgroup_in_inverse_pair`` and the
+involution count by ``test_psl2.py::test_involution_count``.
 """
 
 import hashlib
@@ -22,8 +30,8 @@ import pytest
 
 from invgen.autorbits import aut_action, beta, beta_fast
 from invgen.cli import main
-from invgen.gf import GFContext, gf_for_q, prime_power_split
-from invgen.psl2 import enumerate_psl2, inventory
+from invgen.gf import gf_for_q, prime_power_split
+from invgen.psl2 import inventory
 from invgen.iggraph import (
     component_bound,
     components,
@@ -35,17 +43,12 @@ from invgen.oracle import OracleSession
 from invgen.structure import profile_census, psi2_structural, verify_2covering
 from fusion import class_fusion, implied_psi2
 from helpers import (
-    IDENTITY,
     Budget,
     covering_parts,
     expected_fusion,
     isolated,
-    named_generators,
     pairs,
     part_pattern,
-    psl2_class_of,
-    psl2_inv,
-    psl2_mul,
     reference_subgroup_classes,
     subfield_order_test_mismatches,
 )
@@ -53,15 +56,13 @@ from helpers import (
 ALL_QS = [q for q in range(4, 1025) if prime_power_split(q)]
 MANDATORY_ORACLE_QS = [4, 5, 7, 8, 9, 11, 13]
 # characteristic 2 with subfield PSL(2,4) (16); A5 at q = 19; subfield
-# PGL(2,5) (25); subfield PSL(2,3) at odd f (27); the largest q of the cap (31)
+# PGL(2,5) (25); subfield PSL(2,3) at odd f (27); the largest q that
+# `verify --extended` runs (31)
 WIDER_ORACLE_QS = [16, 19, 25, 27, 31]
-EXTENDED_ORACLE_QS = [16, 25, 27, 31]
-# Psi2 past the default cap: the first oracle Psi2 run that meets A5 at
-# f = 2 and subfield PGL(2,7)
-EXTENDED_PSI2_Q = 49
-# the Dickson branches no smaller Psi2 run reaches: subfield PSL(2,4) and
+# Psi2 past the wider set, at the Dickson branches no smaller Psi2 run
+# reaches: A5 at f = 2 and subfield PGL(2,7) at 49, subfield PSL(2,4) and
 # PGL(2,8) at 64, subfield PGL(2,9) at f = 4 at 81
-EXTENDED_PSI2_LARGE_QS = [64, 81]
+EXTENDED_PSI2_QS = [49, 64, 81]
 # the literal class sets of tests/fusion.py past the sweep: every prime
 # power up to 4096, odd f = 11 and the largest f within the verify cap
 EXTENDED_FUSION_QS = [q for q in range(1025, 4097) if prime_power_split(q)] + [3 ** 11, 2 ** 18]
@@ -106,25 +107,9 @@ def test_c02_oracle_equivalence_wider():
 
 
 @pytest.mark.extended
-def test_c02_oracle_equivalence_extended():
-    with Budget("criterion 2 extended: oracle == structural on {16,25,27,31}", 900):
-        for q in EXTENDED_ORACLE_QS:
-            sess = OracleSession(inventory(gf_for_q(q)))
-            structural = psi2_structural(profile_census(q), sess.inv)
-            assert pairs(sess.psi2()) == pairs(structural), q
-
-
-@pytest.mark.extended
-def test_c02_oracle_equivalence_q49():
-    with Budget("criterion 2 extended: oracle == structural at q=49", 60):
-        sess = OracleSession(inventory(gf_for_q(EXTENDED_PSI2_Q)))
-        assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.inv.q), sess.inv))
-
-
-@pytest.mark.extended
-def test_c02_oracle_equivalence_q64_q81():
-    with Budget("criterion 2 extended: oracle == structural at q=64, 81", 60):
-        for q in EXTENDED_PSI2_LARGE_QS:
+def test_c02_oracle_equivalence_q49_q64_q81():
+    with Budget("criterion 2 extended: oracle == structural at q=49, 64, 81", 60):
+        for q in EXTENDED_PSI2_QS:
             sess = OracleSession(inventory(gf_for_q(q)))
             structural = psi2_structural(profile_census(q), sess.inv)
             assert pairs(sess.psi2()) == pairs(structural), q
@@ -277,44 +262,3 @@ def test_c09_bound_report_q25():
         assert bound == comb(20, 10) // 2 == 92378
         low = int(rep["log2_bound"])
         assert 2 ** low <= bound <= 2 ** (low + 1)
-
-
-def test_c10_self_consistency():
-    with Budget("criterion 10: symmetry, Aut-invariance, torus fact, involutions", 120):
-        for q in MANDATORY_ORACLE_QS:
-            ctx = gf_for_q(q)
-            inv = inventory(ctx)
-            psi2_pairs = pairs(psi2_structural(profile_census(inv.q), inv))
-            for a, b in psi2_pairs:
-                assert (b, a) in psi2_pairs
-            action = aut_action(inv)
-            for gen in named_generators(action, inv.nonidentity_labels()):
-                for a, b in psi2_pairs:
-                    assert (gen.get(a, a), gen.get(b, b)) in psi2_pairs
-
-        # x^S meet <x> = {x, x^-1} for semisimple orders >= 3, q <= 13
-        for q in MANDATORY_ORACLE_QS:
-            ctx = gf_for_q(q)
-            by_label: dict = {}
-            for m in enumerate_psl2(ctx):
-                by_label.setdefault(psl2_class_of(ctx, m), []).append(m)
-            for entry in inventory(ctx):
-                if entry.order < 3 or entry.label.kind not in ("split", "nonsplit"):
-                    continue
-                x = by_label[entry.label][0]
-                cyc, acc = [], x
-                while acc != IDENTITY:
-                    cyc.append(acc)
-                    acc = psl2_mul(ctx, acc, x)
-                hits = {m for m in cyc if psl2_class_of(ctx, m) == entry.label}
-                assert hits == {x, psl2_inv(ctx, x)}, (q, entry.label)
-
-        # involution count q(q + eps)/2 for odd q <= 31
-        for q in (5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31):
-            ctx = GFContext(*prime_power_split(q))
-            eps = 1 if q % 4 == 1 else -1
-            count = sum(
-                1 for m in enumerate_psl2(ctx)
-                if psl2_class_of(ctx, m).kind == "inv"
-            )
-            assert count == q * (q + eps) // 2, q

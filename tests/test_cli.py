@@ -1,17 +1,18 @@
 import hashlib
 import importlib
-import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 import invgen
-from invgen import autorbits, cli, gf, iggraph, psl2, structure
+from invgen import autorbits, cli, gf, iggraph, oracle, psl2, structure
 from invgen.autorbits import AutAction
 from invgen.cli import main
 from invgen.structure import SubgroupClass
@@ -19,11 +20,26 @@ from helpers import canon, drop_class
 
 # exit-code contract: 0 ok, 1 verification failure, 2 usage, 3 cap, 4 internal
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def forbid(monkeypatch, *targets):
+    """Make each (owner, name) callable raise: a command must not run it."""
+    for owner, name in targets:
+        def refused(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} ran")
+        monkeypatch.setattr(owner, name, refused)
+
+
+FIELDS = ((gf.GFContext, "__init__"), (psl2, "inventory"))  # a field or a class inventory
+# the --out file of a refused or failed command, written before it runs
+SENTINEL = "an earlier run's output\n"
 
 
 # ---------------------------------------------------------------------------
@@ -49,24 +65,9 @@ def test_classes_csv(capsys):
     assert out.splitlines()[0] == "label,order,size"
 
 
-def test_classes_rejects_non_prime_power(capsys):
-    code, _, err = run(capsys, "classes", "--q", "6")
-    assert code == 2 and "prime power" in err
-
-
 def test_p_f_spelling(capsys):
     code, out, _ = run(capsys, "classes", "--p", "3", "--f", "2", "--format", "json")
     assert code == 0 and json.loads(out)["q"] == 9
-
-
-def test_conflicting_q_and_p(capsys):
-    code, _, err = run(capsys, "classes", "--q", "9", "--p", "3", "--f", "2")
-    assert code == 2
-
-
-def test_q_below_4(capsys):
-    code, _, err = run(capsys, "classes", "--q", "3")
-    assert code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -110,15 +111,12 @@ def test_psi2_structural_q7(capsys):
 
 def test_psi2_oracle_cap(capsys):
     # the element cap admits q = 97 (456,288 elements) and refuses the next
-    # prime power, 101 (515,100), in the CLI and in the session alike
+    # prime power, 101 (515,100), in the session as in the CLI (REFUSALS)
     assert run(capsys, "psi2", "--q", "97", "--method", "oracle")[0] == 0
-    message = "q=101: the oracle would enumerate 515,100 elements, above its cap of 500,000"
-    for method in ("oracle", "both"):
-        got = run(capsys, "psi2", "--q", "101", "--method", method)
-        assert got == (3, "", f"cap exceeded: {message}\n")
     with pytest.raises(invgen.OracleCapError) as refused:
         invgen.OracleSession(psl2.inventory(gf.gf_for_q(101)))
-    assert str(refused.value) == message
+    assert str(refused.value) == ("q=101: the oracle would enumerate 515,100 elements, "
+                                  "above its cap of 500,000")
 
 
 def test_psi2_csv(capsys):
@@ -134,9 +132,21 @@ def test_psi2_out_file_matches_stdout(tmp_path, capsys, fmt):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     target = tmp_path / f"psi2.{fmt}"
-    code, to_stdout, _ = run(capsys, *argv, "--out", str(target))
-    assert code == 0 and to_stdout == ""
-    assert target.read_bytes() == out.encode()
+    for old in ("", out + "a longer file's tail\n"):  # a new path, then a longer file
+        if old:
+            target.write_text(old)
+        code, to_stdout, _ = run(capsys, *argv, "--out", str(target))
+        assert code == 0 and to_stdout == ""
+        assert target.read_bytes() == out.encode()
+
+
+def test_out_to_stdout_through_a_pipe(capsys):
+    # /dev/stdout is the pipe here, which is written but cannot be emptied
+    argv = ["psi2", "--q", "5", "--format", "csv"]
+    proc = subprocess.run([sys.executable, "-m", "invgen.cli", *argv, "--out", "/dev/stdout"],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, run(capsys, *argv)[1], "")
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +166,6 @@ def test_graph_power_summary(capsys):
     assert "components=1" in err
 
 
-@pytest.mark.parametrize("t", ["0", "-1"])
-def test_graph_power_below_one_is_usage(t, capsys):
-    code, out, err = run(capsys, "graph", "--q", "5", "--power", t)
-    assert code == 2 and out == ""
-    assert "--power" in err and "at least 1" in err
-
-
 def test_graph_q9_keeps_isolated_without_plus(capsys):
     code, out, _ = run(capsys, "graph", "--q", "9", "--format", "json")
     assert code == 0
@@ -171,19 +174,6 @@ def test_graph_q9_keeps_isolated_without_plus(capsys):
     isolated = [v for v in payload["vertices"]
                 if not any(v in e for e in payload["edges"])]
     assert sorted(isolated) == ["inv", "unip:nsq", "unip:sq"]
-
-
-def test_graph_power_cap_bounds_adjacency_bits(capsys, monkeypatch):
-    # 8^5 = 32,768 tuples are 2^30 adjacency bits, over the cap of 2^29; no
-    # Aut(S) element may be built first
-    def refuse(self):
-        raise AssertionError("Aut(S) elements built before the cap check")
-
-    monkeypatch.setattr(AutAction, "elements", refuse)
-    code, out, err = run(capsys, "graph", "--q", "8", "--power", "5")
-    assert (code, out) == (3, "")
-    assert err == ("cap exceeded: power graph for t=5 would index 32768 tuples, "
-                   f"{2 ** 30} adjacency bits, cap is {iggraph.POWER_WORK_CAP}\n")
 
 
 @pytest.mark.extended
@@ -195,53 +185,6 @@ def test_graph_power_five_with_plus_extended(q, components, tmp_path, capsys):
                        "--format", "dot", "--out", str(tmp_path / "g.dot"))
     assert code == 0
     assert f"components={components} " in out
-
-
-@pytest.mark.parametrize("t", [1000, 100000, 10 ** 18])
-def test_graph_power_over_the_cap_names_t_and_the_cap(t, capsys):
-    # |labels|^t has hundreds of digits at t = 1000 and is past the
-    # interpreter's int-to-str limit at t = 100000; no count may be formed
-    start = time.perf_counter()
-    code, out, err = run(capsys, "graph", "--q", "5", "--power", str(t))
-    assert time.perf_counter() - start < 1
-    assert (code, out) == (3, "")
-    assert err == (f"cap exceeded: power graph for t={t} would have at least 2^{t} "
-                   f"vertices, cap is {iggraph.POWER_WORK_CAP}\n")
-
-
-def test_graph_edge_cap_refuses_before_any_output(capsys, monkeypatch):
-    # the masks of (293, 2, plus) are within the work cap, but its
-    # 58,357,660 edges would be over 1.7 GB of JSON; no writer may start
-    def refuse(g):
-        raise AssertionError("a writer started on a graph over the edge cap")
-
-    monkeypatch.setattr(iggraph, "graph_to_json", refuse)
-    code, out, err = run(capsys, "graph", "--q", "293", "--power", "2", "--plus")
-    assert (code, out) == (3, "")
-    assert err == ("cap exceeded: graph has 58357660 edges, above 4194304, "
-                   "the most it writes\n")
-    assert structure.EDGE_CAP == 1 << 22 and not hasattr(iggraph, "EDGE_CAP")
-
-
-@pytest.mark.parametrize("plus", [[], ["--plus"]])
-def test_graph_edge_cap_at_t1_comes_before_any_field(plus, capsys, monkeypatch):
-    # at t = 1 the edges are the unordered Psi2 pairs, with or without plus,
-    # which the census counts from q's arithmetic
-    refuse_fields(monkeypatch)
-    code, out, err = run(capsys, "graph", "--q", "8192", *plus)
-    assert (code, out) == (3, "")
-    assert err == ("cap exceeded: graph has 16773120 edges, above 4194304, "
-                   "the most it writes\n")
-
-
-def test_graph_power_cap_comes_before_orbit_work(capsys, monkeypatch):
-    # 1023^2 vertices are over the cap; no Aut(S) element may be built first
-    def refuse(self):
-        raise AssertionError("Aut(S) elements built before the cap check")
-
-    monkeypatch.setattr(AutAction, "elements", refuse)
-    code, _, err = run(capsys, "graph", "--q", "1024", "--power", "2")
-    assert code == 3 and "cap" in err
 
 
 def test_graph_out_file(tmp_path, capsys):
@@ -304,30 +247,11 @@ def test_beta_evaluates_one_binomial_when_the_floor_is_exact(capsys, monkeypatch
     assert exact == dict(floor, beta_exact=14504)
 
 
-def test_beta_above_the_bound_cap_exits_before_any_binomial(capsys, monkeypatch):
-    # beta = 2,580,480 at q = 8192; the exact binomial would have about 777k digits
-    calls = []
-    monkeypatch.setattr(iggraph, "_half_binomial_factors", lambda b: calls.append(b) or [0])
-    code, out, err = run(capsys, "beta", "--q", "8192", "--format", "json")
-    assert code == 3 and out == "" and calls == []
-    assert err == (f"cap exceeded: beta=2580480 is above {iggraph.BOUND_BETA_CAP}, the largest "
-                   "beta whose exact component bound is built\n")
-
-
-def refuse_fields(monkeypatch):
-    """Make building a field or a class inventory raise."""
-    def refuse(*args):
-        raise AssertionError("a field or an inventory was built")
-
-    monkeypatch.setattr(gf.GFContext, "__init__", refuse)
-    monkeypatch.setattr(psl2, "inventory", refuse)
-
-
 def test_beta_builds_no_field(capsys, monkeypatch):
-    # the census is q's arithmetic: beta, its bounds and its refusal past
-    # the bound cap need no field and no class inventory.  The digest is the
-    # one the benchmark's orbits workload checks for q = 512
-    refuse_fields(monkeypatch)
+    # the census is q's arithmetic: beta and its bounds need no field and no
+    # class inventory (nor does its refusal past the bound cap: REFUSALS).
+    # The digest is the one the benchmark's orbits workload checks for q = 512
+    forbid(monkeypatch, *FIELDS)
     code, out, _ = run(capsys, "beta", "--q", "512", "--format", "json")
     assert code == 0
     payload = json.loads(out)
@@ -335,10 +259,6 @@ def test_beta_builds_no_field(capsys, monkeypatch):
     for key in ("n_lower_bound", "component_bound_at_beta"):
         assert hashlib.sha256(payload[key]["component_bound"].encode()).hexdigest() == (
             "66f0ee4c932310a45cc71aee3103b6d15be36341c843856f3ee93549c610f0e4")
-    code, out, err = run(capsys, "beta", "--p", "2", "--f", "20")
-    assert (code, out) == (3, "")
-    assert err == (f"cap exceeded: beta=27487738260 is above {iggraph.BOUND_BETA_CAP}, the "
-                   "largest beta whose exact component bound is built\n")
 
 
 def test_beta_at_the_bound_cap_is_built(capsys, monkeypatch):
@@ -410,11 +330,14 @@ def break_label_lookup(monkeypatch):
 @pytest.mark.parametrize("breaker", [break_canon, break_subgroup_list, break_bound,
                                      break_graph, break_inventory, break_field_in_a_layer,
                                      break_label_lookup])
-def test_invariant_failures_exit_internal(breaker, capsys, monkeypatch):
+def test_invariant_failures_exit_internal(breaker, tmp_path, capsys, monkeypatch):
     argv, message = breaker(monkeypatch)
-    code, out, err = run(capsys, *argv)
+    target = tmp_path / "out"
+    target.write_text(SENTINEL)
+    code, out, err = run(capsys, *argv, "--out", str(target))
     assert code == 4 and out == ""
     assert err.startswith("internal error: ") and message in err
+    assert target.read_text() == SENTINEL
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +360,6 @@ def test_verify_structural_only_range(capsys):
     payload = json.loads(out)
     assert "oracle_equals_structural" not in payload["checks"]["64"]
     assert payload["checks"]["64"]["probability"] is True
-
-
-def test_verify_bad_range(capsys):
-    code, _, err = run(capsys, "verify", "--q-range", "13..4")
-    assert code == 2
 
 
 def drop_first(inv, torus):
@@ -511,47 +429,135 @@ def test_verify_details_name_the_pairs_a_mutant_adds(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
-# caps before work: input above the field cap is refused before it is
-# factorised, tested for primality, raised to a power or enumerated
+# refusals: every usage error (exit 2) and cap (exit 3) of the CLI comes
+# before the work it refuses, and leaves the --out file as it was
 # ---------------------------------------------------------------------------
 
 BIG = 10 ** 30 + 57  # 31 digits: trial division up to its square root never ends
+FACTORING = ((gf, "factorize"), (gf, "is_prime"))
+AUT = ((AutAction, "elements"),)  # the Aut(S) elements the power graph builds
 
 
-@pytest.fixture
-def no_work_above_cap(monkeypatch):
-    """Fail the test if factorize or is_prime is asked about an n above Q_CAP."""
-    for name in ("factorize", "is_prime"):
-        def spy(n, real=getattr(gf, name), name=name):
-            if n > gf.Q_CAP:
-                raise AssertionError(f"{name}({n}) ran before the cap check")
-            return real(n)
-        monkeypatch.setattr(gf, name, spy)
+class Refusal(NamedTuple):
+    argv: str
+    code: int
+    err: str | re.Pattern  # a pattern only where argparse or the OS writes a part
+    forbid: tuple = ()  # the (owner, name) callables that must not run
+    bound: float | None = None  # seconds
 
 
-@pytest.mark.parametrize("argv", [
-    ["classes", "--q", str(BIG)],
-    ["classes", "--p", str(BIG), "--f", "1"],
-    ["verify", "--q-range", "4..3000000"],
-    ["verify", "--q-range", "1048570..1048600"],
-], ids=["q", "p", "range-end", "range-above-cap"])
-def test_cap_comes_before_work(argv, capsys, no_work_above_cap):
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "exceeds the supported cap" in err
+def usage(line):
+    """argparse's usage text, then its final error line."""
+    return re.compile(f"usage: .*\n{re.escape(line)}\n", re.S)
 
 
-@pytest.mark.parametrize("spec", ["1048573..1048576", "4..1048576", "262139..262147"])
-def test_verify_work_cap_comes_before_any_field(spec, capsys, monkeypatch):
-    def refuse(p, f):
-        raise AssertionError("a field was built before the verify work cap check")
+# missing/x is under a directory that test_refusal's working directory lacks
+UNWRITABLE = re.compile("error: cannot write missing/x: .+\n")
 
-    monkeypatch.setattr(cli, "GFContext", refuse)
+REFUSALS = [
+    Refusal("classes --q 6", 2, "error: 6 is not a prime power\n"),
+    Refusal("classes --q 9 --p 3 --f 2", 2, "error: give either --q or --p/--f, not both\n"),
+    Refusal("classes --q 3", 2, "error: q must be at least 4, got 3\n"),
+    Refusal("classes --p 4 --f 1", 2, "error: p must be prime, got 4\n"),
+    Refusal("classes --p 2 --f 0", 2, "error: f must be positive, got 0\n"),
+    Refusal("classes --q 1048577", 2, "error: q=1048577 exceeds the supported cap 1048576\n"),
+    # input above the field cap is refused before it is factorised, tested
+    # for primality or raised to a power (2^3000000000 would take seconds
+    # and hundreds of MB to form)
+    Refusal(f"classes --q {BIG}", 2, f"error: q={BIG} exceeds the supported cap 1048576\n",
+            FACTORING),
+    Refusal(f"classes --p {BIG} --f 1", 2,
+            f"error: q={BIG}^1 exceeds the supported cap 1048576\n", FACTORING),
+    Refusal("classes --p 2 --f 3000000000", 2,
+            "error: q=2^3000000000 exceeds the supported cap 1048576\n", bound=1),
+    Refusal("verify --q-range 4..3000000", 2,
+            "error: range end 3000000 exceeds the supported cap 1048576\n", FACTORING),
+    Refusal("verify --q-range 1048570..1048600", 2,
+            "error: range end 1048600 exceeds the supported cap 1048576\n", FACTORING),
+    Refusal("verify --q-range 13..4", 2, "error: range must satisfy 4 <= lo <= hi, got '13..4'\n"),
+    Refusal("verify --q-range 4..3", 2, "error: range must satisfy 4 <= lo <= hi, got '4..3'\n"),
+    *[Refusal(f"graph --q 5 --power {t}", 2,
+              usage(f"invgen graph: error: argument --power: must be at least 1, got {t}"))
+      for t in (0, -1)],
+    Refusal("graph --q 5 --power 3", 2,
+            "error: t=3 exceeds beta=2; S^t is not invariably 2-generated there\n"),
+    Refusal("classes --q 7 --out missing/x", 2, UNWRITABLE, FIELDS),
+    Refusal("verify --q-range 4..5 --out missing/x", 2, UNWRITABLE, FIELDS),
+    Refusal("", 2, usage("invgen: error: the following arguments are required: command")),
+    # 8^5 = 32,768 tuples are 2^30 adjacency bits, over the cap of 2^29, and
+    # 1024^2 tuples are over it too: no Aut(S) element is built first
+    Refusal("graph --q 8 --power 5", 3, "cap exceeded: power graph for t=5 would index 32768 "
+            "tuples, 1073741824 adjacency bits, cap is 536870912\n", AUT),
+    Refusal("graph --q 1024 --power 2", 3, "cap exceeded: power graph for t=2 would index "
+            "1048576 tuples, 1099511627776 adjacency bits, cap is 536870912\n", AUT),
+    # |labels|^t has hundreds of digits at t = 1000 and is past the
+    # interpreter's int-to-str limit at t = 100000: no count may be formed
+    *[Refusal(f"graph --q 5 --power {t}", 3, f"cap exceeded: power graph for t={t} would "
+              f"have at least 2^{t} vertices, cap is 536870912\n", bound=1)
+      for t in (1000, 100000, 10 ** 18)],
+    # the masks of (293, 2, plus) are within the work cap, but its
+    # 58,357,660 edges would be over 1.7 GB of JSON: no writer may start
+    Refusal("graph --q 293 --power 2 --plus", 3, "cap exceeded: graph has 58357660 edges, "
+            "above 4194304, the most it writes\n", ((iggraph, "graph_to_json"),)),
+    # at t = 1 the edges are the unordered Psi2 pairs, with or without plus,
+    # which the census counts from q's arithmetic before any field
+    *[Refusal(f"graph --q 8192{plus}", 3, "cap exceeded: graph has 16773120 edges, "
+              "above 4194304, the most it writes\n", FIELDS) for plus in ("", " --plus")],
+    # q = 2^20 is within Q_CAP, but its Psi2 has about 5.5 * 10^11 ordered
+    # pairs; under --method oracle the oracle's cap is checked first
+    Refusal("psi2 --p 2 --f 20", 3, "cap exceeded: Psi2 has 274877382600 unordered pairs, "
+            "above 4194304, the most it writes\n", FIELDS),
+    Refusal("psi2 --p 2 --f 20 --method oracle", 3, "cap exceeded: q=1048576: the oracle "
+            "would enumerate 1,152,921,504,605,798,400 elements, above its cap of 500,000\n",
+            FIELDS),
+    *[Refusal(f"psi2 --q 101 --method {method}", 3, "cap exceeded: q=101: the oracle would "
+              "enumerate 515,100 elements, above its cap of 500,000\n", FIELDS)
+      for method in ("oracle", "both")],
+    # beta = 2,580,480 at q = 8192: the exact binomial would have about 777k digits
+    Refusal("beta --q 8192 --format json", 3, "cap exceeded: beta=2580480 is above 698700, "
+            "the largest beta whose exact component bound is built\n",
+            ((iggraph, "_half_binomial_factors"),)),
+    Refusal("beta --p 2 --f 20", 3, "cap exceeded: beta=27487738260 is above 698700, "
+            "the largest beta whose exact component bound is built\n", FIELDS),
+    *[Refusal(f"verify --q-range {spec}", 3, f"cap exceeded: the prime powers of range {spec} "
+              "sum past the verify cap 262144\n", FIELDS, bound=1)
+      for spec in ("1048573..1048576", "4..1048576", "262139..262147")],
+]
+
+
+@pytest.mark.parametrize("row", REFUSALS, ids=lambda row: row.argv or "no-command")
+def test_refusal(row, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("out").write_text(SENTINEL)
+    forbid(monkeypatch, *row.forbid)
+    argv = row.argv.split()
+    if argv:  # the sentinel first: a row's own --out comes later, and wins
+        argv[1:1] = ["--out", "out"]
     start = time.perf_counter()
-    code, out, err = run(capsys, "verify", "--q-range", spec)
-    assert time.perf_counter() - start < 1
-    assert code == 3 and out == ""
-    assert err.startswith("cap exceeded: ") and str(cli.VERIFY_Q_SUM_CAP) in err
+    code, out, err = run(capsys, *argv)
+    if row.bound:
+        assert time.perf_counter() - start < row.bound
+    assert (code, out) == (row.code, "")
+    if isinstance(row.err, str):
+        assert err == row.err
+    else:
+        assert row.err.fullmatch(err), err
+    assert Path("out").read_text() == SENTINEL
+
+
+def test_every_cap_has_a_refusal():
+    # each cap as its refusal prints it
+    printed = {"gf.Q_CAP": f"the supported cap {gf.Q_CAP}\n",
+               "cli.VERIFY_Q_SUM_CAP": f"the verify cap {cli.VERIFY_Q_SUM_CAP}\n",
+               "structure.EDGE_CAP": f"above {structure.EDGE_CAP}, the most it writes\n",
+               "iggraph.POWER_WORK_CAP": f"cap is {iggraph.POWER_WORK_CAP}\n",
+               "iggraph.BOUND_BETA_CAP": f"above {iggraph.BOUND_BETA_CAP}, the largest beta ",
+               "oracle.ORACLE_ELEMENT_CAP": f"its cap of {oracle.ORACLE_ELEMENT_CAP:,}\n"}
+    errs = [row.err for row in REFUSALS if isinstance(row.err, str)]
+    assert [cap for cap, text in printed.items() if not any(text in err for err in errs)] == []
+    assert {row.code for row in REFUSALS} == {cli.EXIT_USAGE, cli.EXIT_CAP}
+    # psi2 and graph write at most EDGE_CAP edges, the census's one cap
+    assert structure.EDGE_CAP == 1 << 22 and not hasattr(iggraph, "EDGE_CAP")
 
 
 @pytest.mark.parametrize("spec,n_q", [("4..1024", 196), ("4..27", 13), ("4096..4200", 11)])
@@ -571,28 +577,6 @@ def test_parse_range_matches_the_per_integer_reference(lo, hi):
     assert list(fields) == sorted(reference)
 
 
-def test_cap_comes_before_the_power(capsys):
-    # 2^3000000000 would take seconds and hundreds of MB to form
-    start = time.perf_counter()
-    code, out, err = run(capsys, "classes", "--p", "2", "--f", "3000000000")
-    assert time.perf_counter() - start < 1
-    assert code == 2 and "exceeds the supported cap" in err
-
-
-def test_psi2_pair_cap_comes_before_any_field(capsys, monkeypatch):
-    # q = 2^20 is within Q_CAP, but its Psi2 has about 5.5 * 10^11 ordered pairs
-    refuse_fields(monkeypatch)
-    code, out, err = run(capsys, "psi2", "--p", "2", "--f", "20")
-    assert (code, out) == (3, "")
-    assert err == ("cap exceeded: Psi2 has 274877382600 unordered pairs, above 4194304, "
-                   "the most it writes\n")
-    # the oracle cap is checked first, and its refusal is the oracle's
-    code, out, err = run(capsys, "psi2", "--p", "2", "--f", "20", "--method", "oracle")
-    assert (code, out) == (3, "")
-    assert err == ("cap exceeded: q=1048576: the oracle would enumerate "
-                   "1,152,921,504,605,798,400 elements, above its cap of 500,000\n")
-
-
 # the benchmark's psi2 --q 1024, the golden q = 4099 and the largest table
 # written (q = 4096) are admitted; q = 8192 is the first power of 2 refused
 @pytest.mark.parametrize("q,count,admitted", [(1024, 523260, True), (4099, 2101248, True),
@@ -602,57 +586,10 @@ def test_psi2_pair_cap_admits_the_written_tables(q, count, admitted):
     assert (count // 2 <= structure.EDGE_CAP) == admitted
 
 
-def test_psi2_oracle_cap_comes_before_structural_work(capsys, monkeypatch):
-    def refuse(ctx):
-        raise AssertionError("class inventory built before the oracle cap check")
-
-    monkeypatch.setattr(psl2, "inventory", refuse)
-    code, out, err = run(capsys, "psi2", "--q", "101", "--method", "both")
-    assert code == 3 and out == "" and "cap" in err
-
-
-@pytest.mark.parametrize("argv", [["classes", "--q", "7"], ["verify", "--q-range", "4..5"]])
-def test_unwritable_out_is_usage_before_work(argv, tmp_path, capsys, monkeypatch):
-    def refuse(ctx):
-        raise RuntimeError("class inventory built before --out was opened")
-
-    monkeypatch.setattr(psl2, "inventory", refuse)
-    target = tmp_path / "missing" / "x"
-    code, out, err = run(capsys, *argv, "--out", str(target))
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and str(target) in err
-
-
-@pytest.mark.parametrize("argv,message", [
-    ("classes --q 6", "6 is not a prime power"),
-    ("classes --q 3", "q must be at least 4, got 3"),
-    ("classes --p 4 --f 1", "p must be prime, got 4"),
-    ("classes --p 2 --f 0", "f must be positive, got 0"),
-    ("classes --q 1048577", "q=1048577 exceeds the supported cap 1048576"),
-    ("graph --q 5 --power 3", "t=3 exceeds beta=2; S^t is not invariably 2-generated there"),
-    ("verify --q-range 4..3", "range must satisfy 4 <= lo <= hi, got '4..3'"),
-])
-def test_refusals_are_usage(argv, message, capsys):
-    code, out, err = run(capsys, *argv.split())
-    assert (code, out, err) == (2, "", f"error: {message}\n")
-
-
-def test_usage_no_command(capsys):
-    assert main([]) == 2
-
-
-def test_byte_stable_output(capsys):
-    code1, out1, _ = run(capsys, "psi2", "--q", "13", "--format", "json")
-    code2, out2, _ = run(capsys, "psi2", "--q", "13", "--format", "json")
-    assert out1 == out2
-
-
 # ---------------------------------------------------------------------------
 # imports: each subcommand loads only the layers it runs, and the package
 # namespace loads a layer on first use of one of its names
 # ---------------------------------------------------------------------------
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Runs in a fresh interpreter (pytest itself loads dataclasses): imports the
 # CLI, runs argv through cli.main if given, and prints the invgen modules
@@ -744,28 +681,6 @@ def test_package_names_resolve_to_their_owning_module():
             obj = getattr(invgen, name)
             assert obj is getattr(owner, name)
             assert obj.__module__ == owner.__name__
-
-
-def load_tracer():
-    """perfbench/traced_cli.py as a module; importing it wraps nothing."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
-    spec = importlib.util.spec_from_file_location("traced_cli", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_tracer_layer_names_resolve():
-    # a renamed layer function would otherwise surface only as a traceback
-    # inside the traced subprocess
-    missing = []
-    for module, attr, _, _ in load_tracer().LAYERS:
-        owner = importlib.import_module(f"invgen.{module}")
-        for part in attr.split("."):
-            owner = getattr(owner, part, None)
-        if not callable(owner):
-            missing.append(f"invgen.{module}.{attr}")
-    assert not missing, f"traced layers missing from the package: {missing}"
 
 
 def test_package_star_import():

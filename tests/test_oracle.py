@@ -169,16 +169,6 @@ def test_cap_enforced():
 
 
 # ---------------------------------------------------------------------------
-# Psi2 certification (the mandatory gate runs in the acceptance suite)
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("q", FAST_QS)
-def test_oracle_matches_structural(q, sessions):
-    sess = sessions(q)
-    assert pairs(sess.psi2()) == pairs(psi2_structural(profile_census(sess.inv.q), sess.inv))
-
-
-# ---------------------------------------------------------------------------
 # power classes: C with every C^k, gcd(k, |x|) = 1, share one Psi2 row
 # ---------------------------------------------------------------------------
 

@@ -37,14 +37,15 @@ LAYERS = load_tracer().LAYERS
                          ids=[f"{m}.{a}" for m, a, _, _ in LAYERS])
 def test_every_traced_name_resolves(module, attr):
     # the tracer wraps each LAYERS entry by name; a rename in the package
-    # fails here with the missing name.  A method must be the class's own,
-    # since the tracer reads it from vars(cls)
+    # fails here with the missing name, not as a traceback inside the traced
+    # subprocess.  A method must be the class's own, since the tracer reads
+    # it from vars(cls)
     owner = importlib.import_module(f"invgen.{module}")
     if "." in attr:
-        cls_name, method = attr.split(".")
-        assert method in vars(getattr(owner, cls_name)), attr
-    else:
-        assert hasattr(owner, attr), attr
+        cls_name, attr = attr.split(".")
+        owner = getattr(owner, cls_name)
+        assert attr in vars(owner), attr
+    assert callable(getattr(owner, attr, None)), attr
 
 
 def traced(tmp_path, *argv):
