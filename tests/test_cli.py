@@ -70,6 +70,25 @@ def test_p_f_spelling(capsys):
     assert code == 0 and json.loads(out)["q"] == 9
 
 
+# REFUSALS holds `classes --q 6` and `classes --q 3`; these two check that
+# every command taking a field refuses the same q, in either spelling
+FIELD_COMMANDS = ("classes", "psi2", "graph", "beta")
+
+
+def test_classes_rejects_non_prime_power(capsys):
+    for command in FIELD_COMMANDS:
+        for q in (0, 1, 6, 12, 100):
+            assert run(capsys, command, "--q", str(q)) == (
+                2, "", f"error: {q} is not a prime power\n")
+
+
+def test_q_below_4(capsys):
+    for command in FIELD_COMMANDS:
+        for argv, q in (("--q 3", 3), ("--q 2", 2), ("--p 3 --f 1", 3), ("--p 2 --f 1", 2)):
+            assert run(capsys, command, *argv.split()) == (
+                2, "", f"error: q must be at least 4, got {q}\n")
+
+
 # ---------------------------------------------------------------------------
 # psi2
 # ---------------------------------------------------------------------------
