@@ -17,6 +17,18 @@ identity column lies in no Psi2 pair) and are not indexed; with plus
 neither are those with a partnerless coordinate, and any tuple still
 isolated is dropped by one re-index.
 
+The product criterion is a theorem.  Let H = <x, y> <= S^t, x and y in
+the class tuples (C_i) and (D_i).  A column outside Psi2 lets some choice
+make a projection of H proper; columns i != j in one Aut(S)-orbit, by a
+with a(C_i) = C_j and a(D_i) = D_j, let x_j = a(x_i), y_j = a(y_i) put
+the (i, j) projection inside the graph of a.  Conversely, with every
+column in Psi2 each pair projection maps onto both factors, so it is S^2
+or the graph of an automorphism, which would carry column i to column j
+(Goursat's lemma, S simple; Aut(S) = PGammaL(2,q) by Schreier and van der
+Waerden, the group ``autorbits`` induces).  A subgroup of S^t that maps
+onto every S^2 is S^t (P. Hall, S nonabelian simple).  No test checks the
+criterion literally in S^2 yet: ``ref_power_candidates`` restates it.
+
 Adjacency is stored as one integer bitmask per vertex: bit j of
 ``nbrs[i]`` is set when vertices i and j are adjacent.  Vertices with one
 nonzero neighbour mask are twins, and ``IGGraph`` groups them into twin

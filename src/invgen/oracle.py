@@ -1,5 +1,7 @@
 """Brute-force ground truth for small q: those whose PSL(2,q) has at most
 ``ORACLE_ELEMENT_CAP`` elements, every prime power q <= 97 (``check_cap``).
+The cap bounds a session's memory, not its time: ``psi2`` takes about
+1.8, 3.6 and 3.7 s at q = 81, 89 and 97 (265,680, 352,440, 456,288 elements).
 
 Elements are permutations of the projective line (the action is faithful),
 each stored once as ``bytes`` of length q + 1 and composed with
@@ -78,7 +80,8 @@ class OracleCapError(CapError):
 
 def check_cap(q: int) -> None:
     """Refuse q whose PSL(2,q), of order q(q^2 - 1)/gcd(2, q - 1), has more
-    than ``ORACLE_ELEMENT_CAP`` elements, before anything is built."""
+    than ``ORACLE_ELEMENT_CAP`` elements, before anything is built: a
+    bound on the session's memory, not on its time (module docstring)."""
     order = q * (q * q - 1) // gcd(2, q - 1)
     if order > ORACLE_ELEMENT_CAP:
         raise OracleCapError(f"q={q}: the oracle would enumerate {order:,} elements, "

@@ -35,9 +35,10 @@ and their class counts come from q alone (``signature_counts``).  Each torus
 is folded into a key array, its keys missing every key of the other
 (``_fold_traces``); the split torus is folded first, and the nonsplit
 walk passes over the candidate traces whose key holds a split class.  The
-traces are worked out on ints mod p in a prime field and on the field's
-exp, log and Zech tables in an extension field, with no field method
-called per element.
+traces are worked out on ints mod p in a prime field; in an extension
+field every Dickson step, and for p odd every split sum, goes through
+``GFContext`` (``mul``, ``sub``, ``add``), so ``gf`` is the one module that
+knows how the field stores its elements.
 """
 
 from __future__ import annotations
@@ -192,21 +193,18 @@ def _nonsplit_walk(ctx: GFContext, split: list[int], key_of) -> list[int]:
     t^2 != 4 whose key holds no class in ``split``, the split torus's key
     array (``_fold_traces``): the nonsplit traces, and t = 0 for
     q = 1 mod 4, whose walk stops at D_2 = -2.  Each walk stops at its
-    first +-2.  The arithmetic is written out: in a prime field on ints
-    mod p, in an extension field on the exp and log tables, with
-    t*D_k - D_(k-1) = a * (1 + b/a) by the Zech table for p odd (a = t*D_k,
-    b = -D_(k-1)) and an XOR for p = 2, where D_k is never 0 before a stop.
-    The walks of the 26 extension fields of 4..1024 take 0.6 ms so, against
-    1.7 ms through ctx.mul/ctx.sub with ``is_split_trace`` candidates, and
-    those of the 170 prime fields 4.3 ms against 14.5 ms (in-process, best
-    of 9, 2-core Xeon VM).
+    first +-2.  A prime field steps on ints mod p; the walks of its 170
+    fields in 4..1024 take 4.3 ms so, against 14.5 ms through the field
+    methods.  An extension field steps through ``ctx.mul`` and ``ctx.sub``:
+    its 26 walks in 4..1024 take 1.8-1.9 ms, against 0.65-0.8 ms when they
+    read the exp, log and Zech tables inline (in-process, best of 9, 2-core
+    Xeon VM).
     """
-    q, p, n = ctx.q, ctx.p, ctx.q - 1
+    q, p = ctx.q, ctx.p
     two, minus_two = 2 % p, -2 % p
     stops = (two, minus_two)
     steps = (q - 1) // 2  # D_2, ..., D_((q+1)//2)
-    if ctx.f > 1:
-        exp, log = ctx.exp_table(), ctx._log
+    mul, sub = ctx.mul, ctx.sub
     for t in range(q):
         if t in stops or split[key_of(t)]:
             continue
@@ -218,22 +216,9 @@ def _nonsplit_walk(ctx: GFContext, split: list[int], key_of) -> list[int]:
                 if dk in stops:
                     break
                 walk.append(dk)
-        elif p == 2:
-            lt = log[t] - n
-            for _ in range(steps):
-                dk_prev, dk = dk, exp[lt + log[dk]] ^ dk_prev
-                if not dk:
-                    break
-                walk.append(dk)
         else:
-            lt, half, zech = log[t], n // 2, ctx._zech
             for _ in range(steps):
-                if dk and dk_prev:
-                    la = lt + log[dk]
-                    z = zech[(log[dk_prev] + half - la) % n]
-                    dk_prev, dk = dk, 0 if z is None else exp[(la + z) % n]
-                else:
-                    dk_prev, dk = dk, exp[(lt + log[dk]) % n] if dk else ctx.neg_table()[dk_prev]
+                dk_prev, dk = dk, sub(mul(t, dk), dk_prev)
                 if dk in stops:
                     break
                 walk.append(dk)
@@ -242,17 +227,14 @@ def _nonsplit_walk(ctx: GFContext, split: list[int], key_of) -> list[int]:
     raise RuntimeError(f"no nonsplit torus generator trace found for q={q}")
 
 
-def _split_traces(ctx: GFContext) -> list[int] | map:
+def _split_traces(ctx: GFContext) -> map:
     """The traces g^k + g^-k, k = 1, ..., (q-1)/2, along the generator g of
     GF(q)*, from the exp table: in a prime field the sums are not reduced
-    (keys are read for values below 2p), in an odd extension field
-    g^k + g^-k = g^k * (1 + g^(-2k)) by the Zech table, for p = 2 by XOR."""
+    (keys are read for values below 2p), for p = 2 they are XORs, and in an
+    odd extension field they go through ``ctx.add``."""
     exp, n = ctx.exp_table(), ctx.q - 1
-    if ctx.p == 2 or ctx.f == 1:
-        return map(xor if ctx.p == 2 else add, exp[1:n // 2 + 1], exp[:-n // 2 - 1:-1])
-    zech = ctx._zech
-    return [0 if z is None else exp[k + z - n]
-            for k, z in enumerate(map(zech.__getitem__, range(n - 2, -1, -2)), 1)]
+    plus = xor if ctx.p == 2 else add if ctx.f == 1 else ctx.add
+    return map(plus, exp[1:n // 2 + 1], exp[:-n // 2 - 1:-1])
 
 
 def _trace_keys(ctx: GFContext) -> list[int] | range:

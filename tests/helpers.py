@@ -173,9 +173,7 @@ def in_subfield(ctx, a, e) -> bool:
     """True iff a lies in the subfield GF(p^e) of ``ctx``; requires e | f."""
     if e < 1 or ctx.f % e != 0:
         raise RuntimeError(f"e={e} does not divide f={ctx.f}")
-    if a == 0 or e == ctx.f:
-        return True
-    return ctx._log[a] % ((ctx.q - 1) // (ctx.p ** e - 1)) == 0
+    return ctx.pow(a, ctx.p ** e) == a  # GF(p^e) is the fixed field of a -> a^(p^e)
 
 
 # ---------------------------------------------------------------------------
@@ -895,7 +893,7 @@ def ref_dot(g) -> str:
 
 # ---------------------------------------------------------------------------
 # the field tables and walks through the context's methods: the references
-# for the searches on ints and the walks that read the tables inline
+# for the searches on ints and for the inventory's walks
 # ---------------------------------------------------------------------------
 
 def ref_modulus(p, f) -> list:
@@ -935,9 +933,14 @@ class PrimeTables:
 
 
 def ref_split_traces(ctx) -> list:
-    """The split traces g^k + g^-k, k = 1..(q-1)/2, by ``ctx.add``."""
-    exp, half = ctx.exp_table(), (ctx.q - 1) // 2
-    return [ctx.add(exp[k], exp[-k]) for k in range(1, half + 1)]
+    """The split traces g^k + g^-k, k = 1..(q-1)/2, of ``ctx.generator``,
+    with no exp table: g^k by repeated ``ctx.mul``, g^-k by ``ctx.inv`` and
+    the sums by ``ctx.add``."""
+    out, x = [], 1
+    for _ in range((ctx.q - 1) // 2):
+        x = ctx.mul(x, ctx.generator)
+        out.append(ctx.add(x, ctx.inv(x)))
+    return out
 
 
 def ref_table_walk(ctx) -> list:

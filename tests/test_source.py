@@ -2,7 +2,9 @@
 imports only the standard library and itself, every name a module imports
 is read in it, no module reads the environment, the oracle takes from
 the structural rules it certifies only the type it returns, and no other
-module names those rules.  On the tests: every top-level function, class
+module names those rules; no module but ``gf`` reads an attribute private
+to ``GFContext``, and neither do the test references ``helpers`` and
+``fusion``.  On the tests: every top-level function, class
 and constant of a module under ``tests/``, other than the tests, the pytest
 hooks and the fixtures, is read somewhere under ``tests/`` outside its own
 definition, so a deleted comparison leaves no reference behind."""
@@ -22,6 +24,8 @@ TEST_MODULES = sorted(TESTS.glob("*.py"))
 REFERENCE_MODULES = {path.stem for path in TEST_MODULES}
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 RULES = {"maximal_subgroup_classes", "label_meets", "build_profiles"}
+FIELD_READERS = [p for p in MODULES if p.name != "gf.py"] + [TESTS / "helpers.py",
+                                                              TESTS / "fusion.py"]
 
 
 @lru_cache(maxsize=None)
@@ -87,6 +91,21 @@ def identifiers(tree) -> set[str]:
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             out.add(node.name)
     return out
+
+
+def private_members(tree, cls: str) -> set[str]:
+    """The private names of class ``cls``: its methods named _x and the
+    attributes _x it assigns on ``self``; dunder names are not private."""
+    body, = (node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == cls)
+    names = {node.name for node in body.body if isinstance(node, ast.FunctionDef)}
+    names |= {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Store) and getattr(node.value, "id", None) == "self"}
+    return {name for name in names if name.startswith("_") and not name.endswith("__")}
+
+
+def attribute_names(tree) -> set[str]:
+    """Every attribute name the code reads, writes or deletes."""
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
 
 
 def reads_environment(tree) -> bool:
@@ -190,6 +209,19 @@ def test_only_structure_names_the_rules(path):
     assert not named, f"{path.name} names {sorted(named)}"
 
 
+@pytest.mark.parametrize("path", FIELD_READERS, ids=lambda p: p.name)
+def test_only_gf_reads_the_field_tables(path):
+    # gf is the one module that knows how field elements are stored
+    private = private_members(parse(SRC / "gf.py"), "GFContext")
+    read = attribute_names(parse(path)) & private
+    assert not read, f"{path.name} reads GFContext's {sorted(read)}"
+
+
+def test_the_private_field_members_are_found():
+    assert private_members(parse(SRC / "gf.py"), "GFContext") == {
+        "_exp", "_log", "_zech", "_neg", "_trace_form", "_generator_powers", "_walk"}
+
+
 @pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: p.name)
 def test_every_reference_is_read(path):
     elsewhere = set().union(*(statement_reads(parse(p)) for p in TEST_MODULES if p != path))
@@ -222,6 +254,28 @@ def test_unread_definitions_are_recognised(source, other, expected):
 ], ids=["alias", "dotted-import", "attribute", "def", "strings"])
 def test_rule_names_are_recognised(source, expected):
     assert identifiers(ast.parse(source)) & (RULES | {"lm"}) == expected
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("class F:\n    def __init__(self):\n        self._t = self.u = 1\n"
+     "    def _m(self): pass\n    def n(self): pass", {"_t", "_m"}),
+    ("class F:\n    def __repr__(self): pass\n    def f(self):\n        x._y = 1",
+     set()),
+    ("class F:\n    def f(self):\n        self.a, self._b = 1, 2\n"
+     "        c = self._c = 3\nclass G:\n    def _d(self): pass", {"_b", "_c"}),
+], ids=["method-and-attribute", "dunder-and-other-object", "tuple-and-chained"])
+def test_private_members_are_recognised(source, expected):
+    assert private_members(ast.parse(source), "F") == expected
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("ctx._log[a]", {"_log"}),
+    ("from invgen.gf import GFContext\nlog = GFContext._zech", {"_zech"}),
+    ("def _log(): pass\n_zech = 1", set()),
+    ("'_log'\nx = 'ctx._zech'", set()),
+], ids=["attribute", "class-attribute", "own-names", "strings"])
+def test_private_field_reads_are_recognised(source, expected):
+    assert attribute_names(ast.parse(source)) & {"_log", "_zech"} == expected
 
 
 @pytest.mark.parametrize("source,expected", [
