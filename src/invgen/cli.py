@@ -225,7 +225,7 @@ def cmd_graph(args) -> int:
         from invgen.autorbits import aut_action
 
         try:  # t above beta
-            g = lambda_power(ctx, args.power, psi2, aut_action(inv), inv, plus=args.plus)
+            g = lambda_power(ctx, args.power, psi2, aut_action(inv), plus=args.plus)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     edges = g.edge_count()

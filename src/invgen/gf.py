@@ -14,9 +14,11 @@ of degree 2..f/2 without a root: a reducible m without a root has an
 irreducible factor of such a degree.
 
 A prime field multiplies, inverts and takes powers and square classes
-(Euler's criterion) on ints mod p, and builds only the exp table of its
-least primitive root.  An extension field builds exp/log tables over its
-least multiplicative generator g (by int value) in O(q) time and memory;
+(Euler's criterion) on ints mod p, and keeps its least primitive root but
+no table: the class inventory walks both tori, the split one too, by one
+Dickson recursion on traces.  An extension field builds exp/log tables
+over its least multiplicative generator g (by int value) in O(q) time
+and memory;
 products, inverses, powers and the square and subfield tests read them,
 and for odd p so do sums, a + b = a * (1 + b/a) by the Zech table of
 log(1 + g^k), and negatives, -1 being g^((q-1)/2).  The generator
@@ -171,8 +173,9 @@ class GFContext:
         self.q = q = checked_field(p=p, f=f)[0]
         self.p, self.f = p, f
         self.modulus = _find_modulus(p, f)
-        self.generator, self._exp = self._generator_powers()  # the least generator
+        self.generator, exp = self._generator_powers()  # the least generator
         if f > 1:
+            self._exp = exp
             log = [0] * q  # log[a] is the k with g^k = a; log[0] is never read
             for k, a in enumerate(self._exp):
                 log[a] = k
@@ -274,7 +277,7 @@ class GFContext:
     # -- multiplicative structure ---------------------------------------------
 
     def exp_table(self) -> tuple[int, ...]:
-        """The powers (g^0, g^1, ..., g^(q-2)) of ``generator``."""
+        """The powers (g^0, g^1, ..., g^(q-2)) of ``generator``; f > 1 only."""
         return self._exp
 
     def neg_table(self) -> list[int]:
@@ -283,18 +286,16 @@ class GFContext:
 
     # -- table construction ----------------------------------------------------
 
-    def _generator_powers(self) -> tuple[int, tuple[int, ...]]:
-        """The least generator g of GF(q)* and its powers (g^0, ..., g^(q-2)),
-        by the self-certifying walk of the module docstring."""
+    def _generator_powers(self) -> tuple[int, tuple[int, ...] | None]:
+        """The least generator g of GF(q)* and, for f > 1, its powers
+        (g^0, ..., g^(q-2)) by the self-certifying walk of the module
+        docstring; a prime field takes its least primitive root and no powers."""
         p, f, q = self.p, self.f, self.q
         cofactors = [(p - 1) // r for r in factorize(p - 1)]  # c^e != 1 at a primitive root c
-        exp = [1] * q  # exp[q - 1] is dropped; characteristic 2 walks there
         if f == 1:
             g = next((a for a in range(2, p) if all(pow(a, e, p) != 1 for e in cofactors)), 1)
-            x = 1
-            for k in range(1, q - 1):
-                exp[k] = x = x * g % p
-            return g, tuple(exp[:-1])
+            return g, None
+        exp = [1] * q  # exp[q - 1] is dropped; characteristic 2 walks there
         block = (q - 1) // (p - 1)
         for g in range(p, q):
             if g < p * p:  # g = c1*x + c0 = c1*(x - r) has norm g^block = (-c1)^f * m(r)

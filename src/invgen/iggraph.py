@@ -201,7 +201,7 @@ def lambda_graph(psi2: Psi2Table, plus: bool = False) -> IGGraph:
 
 
 def lambda_power(ctx: GFContext, t: int, psi2: Psi2Table, action: AutAction,
-                 inv: ClassInventory, plus: bool = False) -> IGGraph:
+                 plus: bool = False) -> IGGraph:
     """The graph on classes of S^t via the product criterion, from
     orbit-sliced neighbour masks over the tuple index.
 
@@ -272,8 +272,7 @@ def lambda_power(ctx: GFContext, t: int, psi2: Psi2Table, action: AutAction,
             walk(i + 1, common & partners, hit, ahead)
 
     walk(0, full, 0, {})
-    labels = inv.nonidentity_labels()
-    vertices = list(product([labels[a] for a in rows], repeat=t))
+    vertices = list(product([psi2.labels[a] for a in rows], repeat=t))
     if plus and not all(nbrs):  # a tuple over partnered labels may still be isolated
         keep = [i for i, mask in enumerate(nbrs) if mask]
         new = dict(zip(keep, range(len(keep))))

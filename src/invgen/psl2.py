@@ -31,14 +31,17 @@ the head, then the split keys, then the nonsplit keys; entry 0 is the
 identity.  The ``ClassEntry`` and ``ClassLabel`` objects of the torus
 classes are built only when classes are named, on first use.  The class
 signatures the rules of ``structure`` read, (kind, square class, order),
-and their class counts come from q alone (``signature_counts``).  Each torus
-is folded into a key array, its keys missing every key of the other
-(``_fold_traces``); the split torus is folded first, and the nonsplit
-walk passes over the candidate traces whose key holds a split class.  The
-traces are worked out on ints mod p in a prime field; in an extension
-field every Dickson step, and for p odd every split sum, goes through
-``GFContext`` (``mul``, ``sub``, ``add``), so ``gf`` is the one module that
-knows how the field stores its elements.
+and their class counts come from q alone (``signature_counts``).  Both
+tori get their traces from one Dickson walk, which certifies that its
+trace belongs to a generator of the torus (``_torus_walk``): the split
+torus along g + 1/g, g the generator of GF(q)*, and the nonsplit torus
+along the first candidate trace that passes.  Each torus is folded into a
+key array, its keys missing every key of the other (``_fold_traces``);
+the split torus is folded first, and the nonsplit walk passes over the
+candidate traces whose key holds a split class.  The walks step on ints
+mod p in a prime field and through ``GFContext`` (``mul``, ``sub``) in an
+extension field, so ``gf`` is the one module that knows how the field
+stores its elements.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 from functools import cached_property
 from itertools import compress, repeat
-from operator import add, xor
 from typing import NamedTuple
 
 from invgen.gf import GFContext, factorize
@@ -177,69 +179,60 @@ def enumerate_psl2(ctx: GFContext):
 # trace/order bookkeeping for semisimple classes
 # ---------------------------------------------------------------------------
 
-def _nonsplit_walk(ctx: GFContext, split: list[int], key_of) -> list[int]:
-    """The traces D_1, ..., D_(q//2) of the powers x^k of a generator x of
-    the nonsplit torus, by the Dickson recursion D_(k+1) = t*D_k - D_(k-1)
-    with D_0 = 2 and D_1 = t, the trace of x.
+def _torus_walk(ctx: GFContext, t: int, n: int) -> list[int] | None:
+    """The traces D_1, ..., D_((n-1)//2) of the powers x^k, k < n/2, of an
+    element x of trace t in a cyclic torus of SL(2,q) of order n, or None
+    when x does not generate that torus.  They follow the Dickson recursion
+    D_(k+1) = t*D_k - D_(k-1) with D_0 = 2 and D_1 = t.
 
     The walk certifies its own generator.  x^k = +-1 exactly when
-    D_k = +-2, and the torus is cyclic of order q + 1, so x generates it
-    iff D_k != +-2 for 1 <= k < (q+1)/2 and, for q odd, D_((q+1)/2) = -2
-    (the one involution of the SL torus is -1).  For q even the first rule
-    is enough: a proper divisor of the odd q + 1 is at most (q+1)/3.
-    Without the second rule, a t of SL-order (q+1)/2 would pass when that
-    is odd (q = 1 mod 4); it gives the same classes but another walk.
-    Candidates t are taken in increasing order among the traces with
-    t^2 != 4 whose key holds no class in ``split``, the split torus's key
-    array (``_fold_traces``): the nonsplit traces, and t = 0 for
-    q = 1 mod 4, whose walk stops at D_2 = -2.  Each walk stops at its
-    first +-2.  A prime field steps on ints mod p; the walks of its 170
-    fields in 4..1024 take 4.3 ms so, against 14.5 ms through the field
-    methods.  An extension field steps through ``ctx.mul`` and ``ctx.sub``:
-    its 26 walks in 4..1024 take 1.8-1.9 ms, against 0.65-0.8 ms when they
-    read the exp, log and Zech tables inline (in-process, best of 9, 2-core
-    Xeon VM).
+    D_k = +-2, so x generates the torus iff D_k != +-2 for 1 <= k < n/2
+    and, for q odd, D_(n/2) = -2 (the one involution of the SL torus is
+    -1): the order of x then divides n but not n/2, and exceeds n/2.  For
+    q even, n is odd and the first rule is enough.  Without the second
+    rule, a nonsplit t of SL-order (q+1)/2 would pass when that is odd
+    (q = 1 mod 4); it gives the same classes but another walk.  Each walk
+    stops at its first +-2.  A prime field steps on ints mod p: the walks
+    of both tori of its 170 fields in 4..1024 take 10.6-13.2 ms so, against
+    31-33 ms through the field methods.  An extension field steps through
+    ``ctx.mul`` and ``ctx.sub``: the walks of its 26 fields take 4.3-5.0 ms,
+    against 3.0-4.0 ms when the split traces were sums over the exp table
+    (in-process, best of 9, three rounds, 2-core Xeon VM).
     """
-    q, p = ctx.q, ctx.p
+    p = ctx.p
     two, minus_two = 2 % p, -2 % p
     stops = (two, minus_two)
-    steps = (q - 1) // 2  # D_2, ..., D_((q+1)//2)
-    mul, sub = ctx.mul, ctx.sub
-    for t in range(q):
-        if t in stops or split[key_of(t)]:
-            continue
-        walk = [t]
-        dk_prev, dk = two, t
-        if ctx.f == 1:
-            for _ in range(steps):
-                dk_prev, dk = dk, (t * dk - dk_prev) % p
-                if dk in stops:
-                    break
-                walk.append(dk)
-        else:
-            for _ in range(steps):
-                dk_prev, dk = dk, sub(mul(t, dk), dk_prev)
-                if dk in stops:
-                    break
-                walk.append(dk)
-        if len(walk) == q // 2 and (q % 2 == 0 or dk == minus_two):
+    walk, dk_prev, dk = [], two, t
+    if ctx.f == 1:
+        for _ in range((n - 1) // 2):
+            if dk in stops:
+                return None
+            walk.append(dk)
+            dk_prev, dk = dk, (t * dk - dk_prev) % p
+    else:
+        mul, sub = ctx.mul, ctx.sub
+        for _ in range((n - 1) // 2):
+            if dk in stops:
+                return None
+            walk.append(dk)
+            dk_prev, dk = dk, sub(mul(t, dk), dk_prev)
+    return walk if n % 2 or dk == minus_two else None
+
+
+def _nonsplit_walk(ctx: GFContext, split: list[int], key_of) -> list[int]:
+    """The ``_torus_walk`` of the first candidate trace that generates the
+    nonsplit torus, of order q + 1.  Candidates t are taken in increasing
+    order among the traces whose key holds no class in ``split``, the split
+    torus's key array (``_fold_traces``): the nonsplit traces, and +-2 and,
+    for q = 1 mod 4, 0, whose walks stop at D_1 and D_2 = -2."""
+    for t in range(ctx.q):
+        if not split[key_of(t)] and (walk := _torus_walk(ctx, t, ctx.q + 1)) is not None:
             return walk
-    raise RuntimeError(f"no nonsplit torus generator trace found for q={q}")
-
-
-def _split_traces(ctx: GFContext) -> map:
-    """The traces g^k + g^-k, k = 1, ..., (q-1)/2, along the generator g of
-    GF(q)*, from the exp table: in a prime field the sums are not reduced
-    (keys are read for values below 2p), for p = 2 they are XORs, and in an
-    odd extension field they go through ``ctx.add``."""
-    exp, n = ctx.exp_table(), ctx.q - 1
-    plus = xor if ctx.p == 2 else add if ctx.f == 1 else ctx.add
-    return map(plus, exp[1:n // 2 + 1], exp[:-n // 2 - 1:-1])
+    raise RuntimeError(f"no nonsplit torus generator trace found for q={ctx.q}")
 
 
 def _trace_keys(ctx: GFContext) -> list[int] | range:
-    """``trace_key`` of every field element, as a sequence indexed by element
-    (in a prime field also by the unreduced sums t < 2p of ``_split_traces``).
+    """``trace_key`` of every field element, as a sequence indexed by element.
 
     For p = 2, neg is the identity, so every element is its own key.  For p
     odd each key is the smaller of t and -t, read off the context's
@@ -247,12 +240,12 @@ def _trace_keys(ctx: GFContext) -> list[int] | range:
     q = ctx.q
     if ctx.p == 2:
         return range(q)
-    # prime field: keys 0, 1, ..., (p-1)/2, then (p-1)/2, ..., 1, twice;
-    # the key lists of the 170 prime fields of 4..1024 take 0.8 ms, against
-    # 13.0 ms as per-element min(t, -t) lists (in-process, best of 9,
-    # 2-core Xeon VM)
+    # prime field: keys 0, 1, ..., (p-1)/2, then (p-1)/2, ..., 1; the key
+    # lists of the 170 prime fields of 4..1024 take 0.9-1.3 ms, against
+    # 17-18 ms as per-element min(t, -t) lists (in-process, best of 9, three
+    # rounds, 2-core Xeon VM)
     if ctx.f == 1:
-        return (list(range((q + 1) // 2)) + list(range(q // 2, 0, -1))) * 2
+        return list(range((q + 1) // 2)) + list(range(q // 2, 0, -1))
     return list(map(min, range(q), ctx.neg_table()))
 
 
@@ -313,13 +306,13 @@ def _fold_traces(kind: str, keys: list[int], orders: list[int], size: int,
     torus order: (q-1)/2 on the split walk, (q+1)/2 on the nonsplit one.
     Then x^(m-k) = -x^(-k), and x^(-k) has the trace of x^k, so powers k
     and m - k carry t and -t, one key and one order.  The powers k < m/2
-    are one of each such pair; the rest are their mirrors, the involution
-    (k = m/2) and, last on the split walk, -1 (k = m).  So those powers are
-    the classes, and one list comparison checks that every mirror agrees
-    on the key and the order.  For q even (``mirror`` None) -1 = 1, the
-    walk stops short of the inverses, and every power on it is a class of
-    its own.  The orders go by key into the zero key array ``slots``; the
-    keys must be distinct and miss ``other``, the other torus's key array."""
+    are one of each such pair; the rest are their mirrors and the
+    involution (k = m/2).  So those powers are the classes, and one list
+    comparison checks that every mirror agrees on the key and the order.
+    For q even (``mirror`` None) -1 = 1, the walk stops short of the
+    inverses, and every power on it is a class of its own.  The orders go
+    by key into the zero key array ``slots``; the keys must be distinct and
+    miss ``other``, the other torus's key array."""
     if mirror is not None:
         half = (mirror - 1) // 2
         if (keys[mirror - 1 - half:mirror - 1][::-1] != keys[:half]
@@ -350,17 +343,21 @@ def inventory(ctx: GFContext) -> ClassInventory:
     else:
         head.append(ClassEntry(ClassLabel("unip"), 2, q * q - 1))
 
-    # split classes: g^k + g^-k along the generator g of GF(q)*,
-    # k = 1..(q-1)/2 (``_split_traces``); nonsplit classes: the Dickson walk
-    # along a generator of the order-(q+1) torus, k = 1..q//2
-    # (``_nonsplit_walk``), whose candidates read the split key array.  For
-    # q odd the classes are read off the first half of each walk
-    # (``_fold_traces``).
+    # both tori by one Dickson walk (``_torus_walk``), k < n/2: the split
+    # torus, n = q - 1, along t = g + 1/g, g the generator of GF(q)*, which
+    # the walk certifies; the nonsplit torus, n = q + 1, along the first
+    # candidate t that generates it (``_nonsplit_walk``), the candidates
+    # read off the split key array.  For q odd the classes are read off the
+    # first half of each walk (``_fold_traces``).
     key_of = _trace_keys(ctx).__getitem__
     # for q odd the smaller of t and -t has top digit <= (p-1)/2: keys < (q + q/p)/2
     width = q if d == 1 else (q + q // ctx.p) // 2
     split, nonsplit = [0] * width, [0] * width  # the key arrays
-    keys = list(map(key_of, _split_traces(ctx)))
+    g = ctx.generator
+    walk = _torus_walk(ctx, ctx.add(g, ctx.inv(g)), q - 1)
+    if walk is None:
+        raise RuntimeError(f"the field generator {g} does not generate GF({q})*")
+    keys = list(map(key_of, walk))
     tori = [_fold_traces("split", keys, _power_orders(q - 1, d, len(keys)), q * (q + 1),
                          (q - 1) // 2 if d == 2 else None, split, nonsplit)]
     keys = list(map(key_of, _nonsplit_walk(ctx, split, key_of)))

@@ -55,8 +55,8 @@ from invgen.structure import (
     BOREL, DIH_NONSPLIT, DIH_SPLIT, EXC_S4, SUBFIELD_PSL, maximal_subgroup_classes,
 )
 from helpers import (
-    EXC_A4, IDENTITY, SUBFIELD_PGL, canon, psl2_class_of, psl2_inv, psl2_mul,
-    reference_subgroup_classes,
+    EXC_A4, IDENTITY, SUBFIELD_PGL, canon, generator_powers, psl2_class_of, psl2_inv,
+    psl2_mul, reference_subgroup_classes,
 )
 
 
@@ -138,7 +138,7 @@ def companion(ctx, t, s=1) -> tuple:
 def split_torus(ctx) -> list:
     """diag(g^k, g^-k) for k = 1, 2, ..., each element once: the first
     generates the torus."""
-    exp, n = ctx.exp_table(), ctx.q - 1
+    exp, n = generator_powers(ctx), ctx.q - 1
     return list(dict.fromkeys(canon(ctx, (exp[k % n], 0, 0, exp[-k % n]))
                               for k in range(1, n + 1)))
 

@@ -159,6 +159,18 @@ def ref_powers(ctx) -> list:
     return out
 
 
+def generator_powers(ctx) -> tuple:
+    """(g^0, ..., g^(q-2)) for the generator g: the exp table of an
+    extension field, and for a prime field, which keeps no table, the
+    powers on ints mod p."""
+    if ctx.f > 1:
+        return ctx.exp_table()
+    out = [1] * (ctx.q - 1)
+    for k in range(1, ctx.q - 1):
+        out[k] = out[k - 1] * ctx.generator % ctx.p
+    return tuple(out)
+
+
 def ref_absolute_trace(ctx, a) -> int:
     """The sum of a^(p^i), i < f, by f Frobenius powers: the reference for
     ``GFContext.absolute_trace``, which reads the trace off a's coefficients."""
@@ -591,7 +603,7 @@ def ref_entries(ctx) -> list:
         entries.append(ClassEntry(ClassLabel("unip", sq=False), ctx.p, (q * q - 1) // 2))
     else:
         entries.append(ClassEntry(ClassLabel("unip"), 2, q * q - 1))
-    exp = ctx.exp_table()
+    exp = generator_powers(ctx)
     split = [ctx.add(exp[k], exp[-k]) for k in range(1, (q - 1) // 2 + 1)]
     t0 = nonsplit_generator_trace(ctx)
     nonsplit, dk_prev, dk = [], ctx.scalar(2), t0
@@ -914,7 +926,7 @@ class PrimeTables:
     generator: the reference for the int arithmetic of a prime field."""
 
     def __init__(self, ctx):
-        self.p, self.exp = ctx.p, ctx.exp_table()
+        self.p, self.exp = ctx.p, generator_powers(ctx)
         self.log = [0] * ctx.p
         for k, a in enumerate(self.exp):
             self.log[a] = k
@@ -933,11 +945,11 @@ class PrimeTables:
 
 
 def ref_split_traces(ctx) -> list:
-    """The split traces g^k + g^-k, k = 1..(q-1)/2, of ``ctx.generator``,
-    with no exp table: g^k by repeated ``ctx.mul``, g^-k by ``ctx.inv`` and
-    the sums by ``ctx.add``."""
+    """The split traces g^k + g^-k, k < (q-1)/2, of ``ctx.generator``, with
+    no exp table: g^k by repeated ``ctx.mul``, g^-k by ``ctx.inv`` and the
+    sums by ``ctx.add``."""
     out, x = [], 1
-    for _ in range((ctx.q - 1) // 2):
+    for _ in range((ctx.q - 2) // 2):
         x = ctx.mul(x, ctx.generator)
         out.append(ctx.add(x, ctx.inv(x)))
     return out

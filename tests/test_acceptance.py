@@ -229,7 +229,7 @@ def test_c08_power_graph_ground_truth():
         psi2 = psi2_structural(profile_census(inv.q), inv)
         action = aut_action(inv)
         assert beta(action, psi2).beta == 2
-        g = lambda_power(ctx, 2, psi2, action, inv, plus=True)
+        g = lambda_power(ctx, 2, psi2, action, plus=True)
         assert len(g.vertices) == 4
         comps = components(g)
         assert len(comps) == 1
@@ -249,7 +249,7 @@ def test_c08_power_graph_q19_t4_extended():
     psi2 = psi2_structural(profile_census(19), inv)
     action = aut_action(inv)
     with Budget("criterion 8 extended: plus graph of PSL(2,19)^4", 2.4):
-        g = lambda_power(ctx, 4, psi2, action, inv, plus=True)
+        g = lambda_power(ctx, 4, psi2, action, plus=True)
     assert (len(g.vertices), g.edge_count(), len(components(g))) == (13959, 2211300, 8)
 
 

@@ -1,4 +1,5 @@
 from functools import lru_cache
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -347,7 +348,7 @@ def test_generator_is_least(field):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(FIELDS), st.data())
+@given(st.sampled_from([(p, f) for p, f in FIELDS if f > 1]), st.data())
 def test_exp_table_lists_generator_powers(field, data):
     ctx = cached_field(*field)
     exp = ctx.exp_table()
@@ -399,6 +400,20 @@ def test_large_field_tables_match_the_references_extended(field):
 
 SMALL_PRIMES = [p for p in range(2, 102) if is_prime(p)]
 PRIMES = SMALL_PRIMES + [127, 251, 509, 1021, 4093, 8191, 65521, 131071, 524287, 1048573]
+
+
+def test_a_prime_field_holds_no_power_table():
+    # at the largest prime below the cap, 1,048,573, a table of its powers
+    # alone would be 8 MB of pointers
+    p = max(n for n in range(Q_CAP - 64, Q_CAP) if is_prime(n))
+    tracemalloc.start()
+    try:
+        ctx = GFContext(p, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ctx.generator == ref_generator(ctx)
+    assert peak < 1 << 20, peak
 
 
 @lru_cache(maxsize=None)

@@ -77,7 +77,7 @@ def graph_of(q, plus):
 
 def power_of(q, t, **kwargs):
     ctx, inv, psi2 = structural(q)
-    return lambda_power(ctx, t, psi2, aut_action(inv), inv, **kwargs)
+    return lambda_power(ctx, t, psi2, aut_action(inv), **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +167,9 @@ def test_lambda_power_cap_bounds_adjacency_bits(plus, cap, refused, monkeypatch)
     if refused:
         monkeypatch.setattr(AutAction, "elements", refuse_elements)
         with pytest.raises(GraphCapError, match="adjacency bits"):
-            lambda_power(ctx, 2, psi2, action, inv, plus=plus)
+            lambda_power(ctx, 2, psi2, action, plus=plus)
     else:
-        g = lambda_power(ctx, 2, psi2, action, inv, plus=plus)
+        g = lambda_power(ctx, 2, psi2, action, plus=plus)
         assert len(g.vertices) == (14 if plus else 25)
 
 
@@ -190,7 +190,7 @@ def test_lambda_power_equals_candidate_loop(q, plus):
     ctx, inv, psi2 = structural(q)
     action = aut_action(inv)
     for t in range(1, min(beta_fast(profile_census(inv.q)), 3) + 1):
-        g = lambda_power(ctx, t, psi2, action, inv, plus=plus)
+        g = lambda_power(ctx, t, psi2, action, plus=plus)
         ref = ref_power_candidates(ctx, t, psi2, action, inv, plus=plus)
         assert g.vertices == ref.vertices and g.nbrs == ref.nbrs, t
 
@@ -219,7 +219,7 @@ def test_lambda_power_matches_candidate_loop_within_the_cap(case):
     q, t, plus = case
     ctx, inv, psi2 = structural(q)
     action = aut_action(inv)
-    g = lambda_power(ctx, t, psi2, action, inv, plus=plus)
+    g = lambda_power(ctx, t, psi2, action, plus=plus)
     ref = ref_power_candidates(ctx, t, psi2, action, inv, plus=plus)
     assert g.vertices == ref.vertices and g.nbrs == ref.nbrs
 
@@ -237,7 +237,7 @@ def test_power_reference_is_independent_of_pair_orbits(q, monkeypatch):
     action = aut_action(inv)
     for module in (autorbits, helpers):
         monkeypatch.setattr(module, "pair_orbits", each_pair_its_own_orbit, raising=False)
-    g = lambda_power(ctx, 2, psi2, action, inv, plus=True)
+    g = lambda_power(ctx, 2, psi2, action, plus=True)
     ref = ref_power_candidates(ctx, 2, psi2, action, inv, plus=True)
     assert (g.vertices, g.nbrs) != (ref.vertices, ref.nbrs)
 
@@ -429,7 +429,7 @@ def test_components_equal_pattern_pairs(q, t, beta_value):
     # other side of the 2-covering, so each component realises one pattern
     # pair {P, P^c}, and every realised pair is one component
     ctx, inv, psi2 = structural(q)
-    g = lambda_power(ctx, t, psi2, aut_action(inv), inv, plus=True)
+    g = lambda_power(ctx, t, psi2, aut_action(inv), plus=True)
     p1, _ = covering_parts(inv, verify_2covering(profile_census(inv.q)))
     every = frozenset(range(t))
     patterns = {frozenset({part_pattern(v, p1), every - part_pattern(v, p1)})
@@ -590,7 +590,7 @@ def balance_counts(ctx, t):
     inv = inventory(ctx)
     p1, _ = covering_parts(inv, verify_2covering(profile_census(inv.q)))
     psi2 = psi2_structural(profile_census(inv.q), inv)
-    g = lambda_power(ctx, t, psi2, aut_action(inv), inv, plus=True)
+    g = lambda_power(ctx, t, psi2, aut_action(inv), plus=True)
     return [len(part_pattern(v, p1)) for v in g.vertices]
 
 

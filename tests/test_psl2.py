@@ -6,12 +6,13 @@ import pytest
 
 from invgen.gf import gf_for_q, prime_power_split
 from invgen.psl2 import (
-    ClassLabel, _fold_traces, _nonsplit_walk, _power_orders, _split_traces, _trace_keys,
+    ClassLabel, _fold_traces, _nonsplit_walk, _power_orders, _torus_walk, _trace_keys,
     enumerate_psl2, inventory, signature_counts, trace_key,
 )
 from helpers import (
-    IDENTITY, canon, dickson, make, nonsplit_generator_trace, psl2_class_of, psl2_inv,
-    psl2_mul, psl2_order, ref_signature, ref_split_traces, ref_table_walk, split_key_array,
+    IDENTITY, canon, dickson, generator_powers, make, nonsplit_generator_trace, psl2_class_of,
+    psl2_inv, psl2_mul, psl2_order, ref_signature, ref_split_traces, ref_table_walk,
+    split_key_array,
 )
 
 ORACLE_QS = [4, 5, 7, 8, 9, 11, 13]
@@ -249,20 +250,42 @@ def test_nonsplit_walk_certifies_the_reference_generator():
         assert walk[-1] == dickson(ctx, t0, q // 2), q
 
 
+def split_torus_walk(ctx):
+    """``_torus_walk`` along the split torus, as ``inventory`` takes it."""
+    g = ctx.generator
+    return _torus_walk(ctx, ctx.add(g, ctx.inv(g)), ctx.q - 1)
+
+
 def check_walks_against_references(q):
-    """The walk, the split traces and their keys against the walk through
-    ``ctx.mul``/``ctx.sub`` with ``is_split_trace``, the sums through
+    """Both walks and their keys against the nonsplit walk through
+    ``ctx.mul``/``ctx.sub`` with ``is_split_trace``, the split sums through
     ``ctx.add`` and ``trace_key``.  The class orders are the label-level
     record's (``test_signature_route_matches_label_reference``)."""
     ctx = gf_for_q(q)
     key_of = _trace_keys(ctx).__getitem__
     walk = nonsplit_walk(ctx)
     assert walk == ref_table_walk(ctx)
-    split = ref_split_traces(ctx)
-    traces = list(_split_traces(ctx))
-    assert [t % ctx.p if ctx.f == 1 else t for t in traces] == split
-    assert list(map(key_of, traces)) == [trace_key(ctx, t) for t in split]
-    assert list(map(key_of, walk)) == [trace_key(ctx, t) for t in walk]
+    split = split_torus_walk(ctx)
+    assert split == ref_split_traces(ctx)
+    for traces in (split, walk):
+        assert list(map(key_of, traces)) == [trace_key(ctx, t) for t in traces]
+
+
+# odd q, where g^2 generates half of GF(q)*, and q = 16 and 64, where every
+# g^r with r a proper divisor of q - 1 above 1 generates a proper subgroup
+NON_GENERATORS = ([(q, 2) for q in (5, 7, 9, 13, 25, 27, 49, 81, 1021)]
+                  + [(q, r) for q in (16, 64) for r in range(2, q - 1) if (q - 1) % r == 0])
+
+
+@pytest.mark.parametrize("q,r", NON_GENERATORS, ids=[f"q{q}-g^{r}" for q, r in NON_GENERATORS])
+def test_split_walk_certifies_the_field_generator(q, r):
+    ctx = gf_for_q(q)
+    g = ctx.generator
+    assert split_torus_walk(ctx) is not None
+    ctx.generator = ctx.pow(g, r)
+    assert split_torus_walk(ctx) is None
+    with pytest.raises(RuntimeError, match=f"{ctx.generator} does not generate GF"):
+        inventory(ctx)
 
 
 @pytest.mark.parametrize("q", [q for q in range(4, 1025) if prime_power_split(q)])
@@ -283,10 +306,8 @@ FOLD_QS = [4, 5, 7, 8, 9, 13, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128, 243, 34
 
 @pytest.mark.parametrize("q", FOLD_QS)
 def test_trace_keys_are_the_least_of_t_and_minus_t(q):
-    # a prime field also keys the unreduced sums t < 2p of _split_traces
     ctx = gf_for_q(q)
-    span = 2 * q if ctx.f == 1 else q
-    assert list(_trace_keys(ctx)) == [trace_key(ctx, t % q) for t in range(span)]
+    assert list(_trace_keys(ctx)) == [trace_key(ctx, t) for t in range(q)]
 
 
 def ref_torus_classes(ctx, kind):
@@ -322,7 +343,7 @@ def split_walk(q):
     """The keys and orders ``inventory`` folds for the split torus at q odd,
     and the mirror (q-1)/2."""
     ctx = gf_for_q(q)
-    exp, half = ctx.exp_table(), (q - 1) // 2
+    exp, half = generator_powers(ctx), (q - 1) // 2
     keys = [trace_key(ctx, ctx.add(exp[k], exp[-k])) for k in range(1, half + 1)]
     return keys, _power_orders(q - 1, 2, half), half
 

@@ -4,10 +4,11 @@ is read in it, no module reads the environment, the oracle takes from
 the structural rules it certifies only the type it returns, and no other
 module names those rules; no module but ``gf`` reads an attribute private
 to ``GFContext``, and neither do the test references ``helpers`` and
-``fusion``.  On the tests: every top-level function, class
-and constant of a module under ``tests/``, other than the tests, the pytest
-hooks and the fixtures, is read somewhere under ``tests/`` outside its own
-definition, so a deleted comparison leaves no reference behind."""
+``fusion``; no module but ``gf`` reads the power table ``exp_table``.  On
+the tests: every top-level function, class and constant of a module under
+``tests/``, other than the tests, the pytest hooks and the fixtures, is
+read somewhere under ``tests/`` outside its own definition, so a deleted
+comparison leaves no reference behind."""
 
 import ast
 import sys
@@ -215,6 +216,13 @@ def test_only_gf_reads_the_field_tables(path):
     private = private_members(parse(SRC / "gf.py"), "GFContext")
     read = attribute_names(parse(path)) & private
     assert not read, f"{path.name} reads GFContext's {sorted(read)}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "gf.py"],
+                         ids=lambda p: p.name)
+def test_only_gf_reads_the_power_table(path):
+    # a prime field keeps no table: both tori are walked on their traces
+    assert "exp_table" not in attribute_names(parse(path)), f"{path.name} reads exp_table"
 
 
 def test_the_private_field_members_are_found():
